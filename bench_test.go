@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"testing"
+	"time"
 
 	"distjoin"
 	idistjoin "distjoin/internal/distjoin"
@@ -443,18 +444,20 @@ func BenchmarkJoinQTrace(b *testing.B) {
 }
 
 // TestNilRecorderZeroAllocs is the benchmark guard's hard assertion: the
-// nil-Recorder hooks the engine calls per emitted pair must allocate
-// nothing (and the whole per-pair iterator path must not regress above its
-// steady-state allocation budget when Obs is nil).
+// nil-Recorder hooks a meter calls per emitted pair must allocate nothing.
+// The engine-side half of the pin — with every sink nil there is no meter at
+// all, so the per-pair path allocates nothing for telemetry and reads no
+// clock — is TestNilSinksZeroAllocsZeroClockReads in internal/meter and
+// TestNoSinkNoMeter in internal/distjoin.
 func TestNilRecorderZeroAllocs(t *testing.T) {
 	var rec *distjoin.Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		start := rec.Now()
-		rec.Emit(-1, 1.0, 3, start)
+		rec.Emit(-1, 1.0, 3, time.Time{})
 		rec.Deliver(2.0)
-		rec.Expand(-1, 0.5)
-		rec.Spill(-1, 4.0, 1)
-		rec.MergeStall(0)
+		rec.Expand(-1, 0.5, 1)
+		rec.Spill(-1, 4.0, 1, 1)
+		rec.Event(distjoin.EvMergeStall, 0, 0)
+		rec.Counts().Merge(nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil Recorder hooks allocate %v per pair, want 0", allocs)

@@ -20,7 +20,7 @@
 //
 // Observability: -trace writes a JSONL event trace (see the Observability
 // section of DESIGN.md for the schema), -metrics-addr serves live
-// Prometheus metrics on /metrics plus expvar and pprof under /debug/,
+// Prometheus metrics on /metrics plus pprof under /debug/,
 // -progress keeps a one-line frontier/ETA display on stderr, and
 // -stats-json prints the final performance counters as one JSON object on
 // stdout after the pair stream. -linger keeps the metrics endpoint up for
@@ -34,7 +34,7 @@
 // JSONL file; -slow-wall, -slow-nodeio and -slow-distcalcs set the
 // thresholds (no thresholds = every query is logged). -query-id names the
 // run's trace; otherwise the tracer assigns a sequential ID. See DESIGN.md
-// §12 for the trace schema and the metric/span/event reference.
+// §8 for the trace schema and the metric/span/event reference.
 //
 // Profiling: -explain prints an EXPLAIN ANALYZE table on stderr when the
 // run finishes — wall time attributed to engine phases, delay percentiles,
@@ -114,7 +114,7 @@ func main() {
 	flag.BoolVar(&o.showStats, "stats", false, "print performance counters to stderr when done")
 	flag.BoolVar(&o.statsJSON, "stats-json", false, "print the final performance counters as JSON on stdout after the pairs")
 	flag.StringVar(&o.tracePath, "trace", "", "write a JSONL event trace to this file")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/queries and /debug/pprof on this address")
 	flag.BoolVar(&o.progress, "progress", false, "show a live frontier/ETA line on stderr")
 	flag.DurationVar(&o.linger, "linger", 0, "keep the metrics endpoint up this long after the join completes")
 	flag.BoolVar(&o.explain, "explain", false, "print an EXPLAIN ANALYZE table (phases, delays, predicted vs actual) on stderr when done")

@@ -18,8 +18,13 @@
 //	curl -s localhost:8080/v1/cursor/c0000001/next?k=100
 //	curl -s -X DELETE localhost:8080/v1/cursor/c0000001
 //
-// /metrics serves Prometheus text (engine counters + per-query gauges),
-// /debug/queries the flight recorder, /debug/pprof the usual profiles.
+// /metrics serves Prometheus text (engine counters, node I/O of the shared
+// index pools, RED/SLO families), /debug/queries the flight recorder with
+// every per-query number, /debug/pprof the usual profiles. There is no
+// -slow-nodeio threshold here (cmd/distjoin has one): node I/O happens in
+// buffer pools shared by every cursor, so a cursor's trace reports the
+// pools' traffic while it was open, which under concurrency includes other
+// cursors' reads — thresholding on it would log the wrong queries.
 package main
 
 import (
@@ -74,7 +79,6 @@ func run(args []string, errw *os.File) int {
 		slowLogMaxBytes      = fs.Int64("slowlog-max-bytes", 0, "rotate the slow-query log when a file reaches this size (0 = 64 MiB)")
 		slowLogMaxFiles      = fs.Int("slowlog-max-files", 0, "total slow-query log files kept, active plus archives (0 = 3)")
 		slowWall             = fs.Duration("slow-wall", 0, "slow-log queries whose wall time reaches this threshold (0 with no other threshold = log every query)")
-		slowNodeIO           = fs.Int64("slow-nodeio", 0, "slow-log queries whose node I/O count reaches this threshold")
 		slowDist             = fs.Int64("slow-distcalcs", 0, "slow-log queries whose distance-computation count reaches this threshold")
 		otlpEndpoint         = fs.String("otlp", "", "export spans to this OTLP/HTTP-JSON endpoint (e.g. http://localhost:4318/v1/traces)")
 		otlpService          = fs.String("otlp-service", "distjoind", "service.name resource attribute on exported spans")
@@ -168,7 +172,6 @@ func run(args []string, errw *os.File) int {
 	traceCfg := distjoin.QueryTraceConfig{
 		FlightSize:    *flightRec,
 		SlowWall:      *slowWall,
-		SlowNodeIO:    *slowNodeIO,
 		SlowDistCalcs: *slowDist,
 	}
 	if *slowLogPath != "" {
@@ -217,8 +220,8 @@ func run(args []string, errw *os.File) int {
 		RED:                 red,
 		Exporter:            exporter,
 	}, func(mux *http.ServeMux) {
-		// /metrics = engine counters + per-query gauges + RED/SLO families +
-		// OTLP exporter health, one exposition.
+		// /metrics = engine counters + active-query gauge + RED/SLO families
+		// + OTLP exporter health, one exposition.
 		mux.Handle("/metrics", obs.HandlerTraced(rec, counters, tracer,
 			red.WritePrometheus, exporter.WritePrometheus))
 		mux.Handle("/debug/queries", distjoin.QueriesHandler("/debug/queries", tracer))

@@ -8,10 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"distjoin"
 )
 
 // TestBadInvocations checks flag and configuration errors exit non-zero
@@ -41,9 +44,11 @@ func TestBadInvocations(t *testing.T) {
 }
 
 // TestServeSessionAndShutdown boots the daemon on an ephemeral port with
-// demo indexes plus a CSV-registered one, runs a cursor session against it
-// (create, next, pause, resume, delete), checks the observability routes,
-// and shuts down via SIGTERM.
+// demo indexes, a CSV-registered one and a persisted one opened cold, runs a
+// cursor session against it (create, next, pause, resume, delete), checks
+// the observability routes — including the node-I/O families, which stayed
+// at zero while no sink was attached to the registry's buffer pools — and
+// shuts down via SIGTERM.
 func TestServeSessionAndShutdown(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "pts.csv")
@@ -54,6 +59,23 @@ func TestServeSessionAndShutdown(t *testing.T) {
 	if err := os.WriteFile(csvPath, []byte(b.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A persisted index, reopened by the daemon with an empty buffer pool:
+	// its first traversal must show up as physical node reads.
+	coldPath := filepath.Join(dir, "cold.idx")
+	cold, err := distjoin.CreateIndexFile(coldPath, distjoin.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 400; i++ {
+		if err := cold.InsertPoint(distjoin.Pt(float64((i*53)%1000), float64((i*29)%1000)), distjoin.ObjID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cold.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	cold.Close()
+
 	errPath := filepath.Join(dir, "stderr")
 	errw, err := os.Create(errPath)
 	if err != nil {
@@ -67,6 +89,7 @@ func TestServeSessionAndShutdown(t *testing.T) {
 			"-addr", "127.0.0.1:0",
 			"-demo", "300",
 			"-csv", "extra=" + csvPath,
+			"-index", "cold=" + coldPath,
 			"-flightrec", "32",
 			"-slowlog", filepath.Join(dir, "slow.jsonl"),
 			"-cursor-ttl", "1m",
@@ -84,8 +107,8 @@ func TestServeSessionAndShutdown(t *testing.T) {
 		}
 		raw, _ := os.ReadFile(errPath)
 		if m := addrRe.FindStringSubmatch(string(raw)); m != nil {
-			if m[1] != "3" {
-				t.Fatalf("registered %s indexes, want 3", m[1])
+			if m[1] != "4" {
+				t.Fatalf("registered %s indexes, want 4", m[1])
 			}
 			addr = m[2]
 		}
@@ -106,7 +129,7 @@ func TestServeSessionAndShutdown(t *testing.T) {
 
 	// Full cursor session: create → next → pause → resume → delete.
 	resp, err := http.Post(base+"/v1/query", "application/json",
-		strings.NewReader(`{"kind":"join","index1":"water","index2":"extra","max_pairs":30}`))
+		strings.NewReader(`{"kind":"join","index1":"cold","index2":"extra","max_pairs":30}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +165,34 @@ func TestServeSessionAndShutdown(t *testing.T) {
 
 	// Observability: metrics text, flight recorder (trace landed under the
 	// cursor id after delete closed the engine).
-	if code, raw := get("/metrics"); code != 200 || !strings.Contains(string(raw), "distjoin_pairs_delivered_total") {
-		t.Fatalf("metrics: %d: %.200s", code, raw)
+	code, metrics := get("/metrics")
+	if code != 200 || !strings.Contains(string(metrics), "distjoin_pairs_delivered_total") {
+		t.Fatalf("metrics: %d: %.200s", code, metrics)
 	}
-	if code, raw := get("/debug/queries/" + cr.Cursor); code != 200 || !strings.Contains(string(raw), `"join"`) {
+	// The registry's pools report into the server-wide views: a session
+	// over a cold index leaves node reads, buffer hits and the hit ratio
+	// all non-zero.
+	for _, family := range []string{"distjoin_stats_node_reads_total", "distjoin_stats_buffer_hits_total", "distjoin_pool_hit_ratio"} {
+		m := regexp.MustCompile(`(?m)^` + family + ` (\S+)$`).FindSubmatch(metrics)
+		if m == nil {
+			t.Fatalf("/metrics has no %s sample", family)
+		}
+		if v, err := strconv.ParseFloat(string(m[1]), 64); err != nil || v <= 0 {
+			t.Errorf("%s = %s after a served session over a cold index, want > 0", family, m[1])
+		}
+	}
+	code, raw = get("/debug/queries/" + cr.Cursor)
+	if code != 200 || !strings.Contains(string(raw), `"join"`) {
 		t.Fatalf("debug query trace: %d: %s", code, raw)
+	}
+	var trace struct {
+		Resources struct {
+			NodeIO     int64 `json:"node_io"`
+			BufferHits int64 `json:"buffer_hits"`
+		} `json:"resources"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil || trace.Resources.NodeIO == 0 || trace.Resources.BufferHits == 0 {
+		t.Errorf("cursor trace resources = %+v (err %v), want the pools' node I/O during the session", trace.Resources, err)
 	}
 
 	// SIGTERM drains and exits 0.

@@ -36,7 +36,7 @@ func main() {
 	latency := flag.Duration("latency", 0, "simulated disk latency per node I/O (e.g. 100us) to restore the paper's I/O-dominated cost model")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
 	tracePath := flag.String("trace", "", "with -exp trace: also save the raw JSONL event trace to this file")
-	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics, /debug/vars and /debug/pprof on this address during the runs")
+	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /debug/pprof on this address during the runs")
 	version := flag.Bool("version", false, "print version and build metadata, then exit")
 	flag.Parse()
 	if *version {
@@ -66,7 +66,7 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, tracePat
 	defer d.Close()
 	if metricsAddr != "" {
 		d.Obs = obs.New(obs.Config{})
-		srv, err := obs.ServeMetrics(metricsAddr, d.Obs, nil)
+		srv, err := obs.ServeMetricsTraced(metricsAddr, d.Obs, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -106,7 +106,7 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, tracePat
 		{"fig10", "Figure 10: maximum distance and maximum pairs (distance semi-join)", experiments.Fig10},
 		{"parallel", "Parallel partitioned join: speedup vs Parallelism (beyond the paper)", experiments.ParallelSpeedup},
 		{"faults", "Fault injection: retries under transient I/O faults, ordered prefix before unrecoverable ones (beyond the paper)", experiments.Faults},
-		{"kernels", "Batched columnar kernels vs scalar expansion: identical work counters, wall time only (beyond the paper)", experiments.Kernels},
+		{"kernels", "Batched columnar kernels: the Even (expandSide) and sweep (expandBoth) expansion shapes, wall time (beyond the paper)", experiments.Kernels},
 		{"sec414", "§4.1.4: nested-loop alternative", experiments.Sec414},
 		{"sec423", "§4.2.3: semi-join vs nearest-neighbour implementation (both orders)", experiments.Sec423},
 		{"dims", "§5 future work: distance join across dimensionalities", func(*experiments.Datasets) ([]experiments.Run, error) {

@@ -17,11 +17,7 @@ func (e *engine) minDist(a, b item) float64 {
 // batched expansion computes distances in kernels and accounts them here,
 // at the same per-pair points the scalar path counts.
 func (e *engine) countDistCalc(a, b item) {
-	if a.kind != kindNode && b.kind != kindNode {
-		e.opts.Counters.AddDistCalc(1)
-	} else {
-		e.opts.Counters.AddNodeDistCalc(1)
-	}
+	e.m.DistCalc(a.kind == kindNode || b.kind == kindNode)
 }
 
 // maxDist returns the d_max upper bound of §2.2.3/§2.2.4 for a pair:

@@ -432,7 +432,6 @@ func TestJoinOptionValidation(t *testing.T) {
 		{MaxPairs: -1},
 		{Reverse: true, Queue: QueueHybrid},
 		{Fetch1: func(rtree.ObjID) (geom.Rect, error) { return geom.Rect{}, nil }},
-		{PlaneSweep: true, NoPlaneSweep: true},
 		{QueuePageSize: -1},
 	}
 	for i, o := range cases {

@@ -6,15 +6,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/geom/kernel"
-	"distjoin/internal/obs"
+	"distjoin/internal/meter"
 	"distjoin/internal/pager"
 	"distjoin/internal/pqueue"
-	"distjoin/internal/profile"
-	"distjoin/internal/qtrace"
 	"distjoin/internal/rtree"
 	"distjoin/internal/spatial"
 )
@@ -86,37 +83,21 @@ type engine struct {
 	// mirrored into, colsWin the no-copy window view the plane sweep uses
 	// for per-run kernel calls, and dbuf the kernel output buffer. All are
 	// reused across expansions: the batched distance layer allocates
-	// nothing in steady state. scalarExpand (Options.NoBatchKernels)
-	// forces the one-at-a-time legacy expansion; the differential tests
-	// pin the two paths against each other pair for pair.
+	// nothing in steady state. scalarExpand forces the one-at-a-time
+	// reference expansion; it is set only by the in-package differential
+	// tests, which pin the two paths against each other pair for pair.
 	kern         kernel.Batch
 	cols         kernel.RectCols
 	colsWin      kernel.RectCols
 	dbuf         []float64
 	scalarExpand bool
 
-	// obs receives observability events; nil disables them (next then
-	// bypasses the timing wrapper entirely). part is this engine's
-	// partition id on the parallel path, -1 for a sequential engine.
-	obs  *obs.Recorder
-	part int32
-
-	// sp receives span accounting for query profiles; nil disables all
-	// profiling clock reads. Phases are kept disjoint by delta subtraction:
-	// each outer bracket (pop, insert, expand, next) subtracts the time its
-	// nested phases recorded during the bracket. That subtraction reads the
-	// Spans twice around the bracketed call, which is only sound when this
-	// engine is the sole writer — so every engine gets its own Spans, and
-	// the parallel path merges worker shards like stats shards.
-	sp *profile.Spans
-
-	// qw is this engine's slice of the per-query trace (nil when tracing
-	// is off). When set, sp points at the worker's own span accumulator —
-	// satisfying the single-writer constraint above — and close merges it
-	// back into userSP, the caller's Options.Profile, so the Profiler's
-	// numbers are unchanged by tracing.
-	qw     *qtrace.Worker
-	userSP *profile.Spans
+	// m is this engine's one telemetry handle: every count, phase bracket
+	// and event of the engine, its queue and the queue's pool goes through
+	// it, and it folds into the caller's sinks at every next return. nil
+	// when no sink is attached (next then bypasses the step bracket, and
+	// the per-pair path reads no clock).
+	m *meter.Meter
 
 	// ctx and ctxDone carry the run's cancellation signal. ctxDone is
 	// ctx.Done() captured once at construction: nil for a nil or
@@ -145,26 +126,28 @@ func newEngine(t1, t2 SpatialIndex, opts Options, semi *semiState) (*engine, err
 // newEngineSeeded is newEngine with an explicit seed set: instead of the
 // root/root pair, the queue starts from the given item pairs. The parallel
 // path uses this to hand each partition worker a disjoint slice of the
-// top-level pair space (identified to the observability layer by part); nil
+// top-level pair space (identified to the telemetry views by part); nil
 // seeds mean the ordinary root/root start, with part -1.
 func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [][2]item, part int32) (*engine, error) {
 	if err := opts.validate(t1, t2, semi != nil); err != nil {
 		return nil, err
 	}
+	// An engine built outside newRunner (the in-package tests) begins its
+	// own run; nothing finishes it, so it lands no query trace.
+	if opts.run == nil {
+		opts.run = meter.Begin(opts.sinks(), queryKind(semi))
+	}
 	e := &engine{
-		t1:           t1,
-		t2:           t2,
-		opts:         opts,
-		dmin:         opts.MinDist,
-		dmaxCur:      opts.MaxDist,
-		semi:         semi,
-		sweep:        !opts.NoPlaneSweep,
-		seedPairs:    seeds,
-		obs:          opts.Obs,
-		part:         part,
-		sp:           opts.Profile,
-		kern:         kernel.For(opts.Metric),
-		scalarExpand: opts.NoBatchKernels,
+		t1:        t1,
+		t2:        t2,
+		opts:      opts,
+		dmin:      opts.MinDist,
+		dmaxCur:   opts.MaxDist,
+		semi:      semi,
+		sweep:     !opts.NoPlaneSweep,
+		seedPairs: seeds,
+		m:         opts.run.Meter(part),
+		kern:      kernel.For(opts.Metric),
 	}
 	// Capture the cancellation signal before the queue is built: the retry
 	// policy wired into the hybrid queue's store selects on the same
@@ -174,16 +157,6 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 	if opts.Context != nil {
 		e.ctx = opts.Context
 		e.ctxDone = opts.Context.Done()
-	}
-	// Per-query tracing: record spans into the query's per-worker
-	// accumulator instead of the caller's Spans (single-writer — the
-	// delta-subtraction brackets read sp around nested calls), merging
-	// back on close. Must happen before makeQueue so the hybrid queue and
-	// its pager I/O timer observe the same accumulator.
-	if q := opts.query; q != nil {
-		e.qw = q.StartWorker(part)
-		e.userSP = opts.Profile
-		e.sp = e.qw.Spans()
 	}
 	// Pre-size the expansion scratch (row items, columnar mirror, kernel
 	// outputs) from the trees' max fan-out so first expansions do not grow
@@ -226,17 +199,17 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 	}
 
 	if err := e.makeQueue(); err != nil {
+		e.m.Close(0)
 		return nil, err
 	}
 	if t1.NumObjects() == 0 || t2.NumObjects() == 0 {
 		e.done = true
-		e.obs.EngineStart(e.part)
 		return e, nil
 	}
 	if err := e.seed(); err != nil {
+		e.close()
 		return nil, err
 	}
-	e.obs.EngineStart(e.part)
 	return e, nil
 }
 
@@ -245,16 +218,13 @@ func (e *engine) makeQueue() error {
 	less := pairLess(e.opts.TieBreak == DepthFirst, e.opts.Reverse)
 	switch e.opts.Queue {
 	case QueueMemory:
-		e.q = pqueue.NewMemQueue(less, e.opts.Counters)
+		e.q = pqueue.NewMemQueue(less, e.m)
 	case QueueHybrid:
 		cfg := pqueue.HybridConfig{
 			DT:       e.opts.HybridDT,
 			Adaptive: e.opts.HybridDT == 0,
 			Dir:      e.opts.HybridDir,
-			Counters: e.opts.Counters,
-			Obs:      e.obs,
-			Part:     e.part,
-			Spans:    e.sp,
+			Meter:    e.m,
 		}
 		cfg.PageSize = e.opts.queuePageSize()
 		store, err := e.queueStore(cfg.PageSize)
@@ -309,27 +279,24 @@ func (e *engine) queueStore(pageSize int) (pager.Store, error) {
 }
 
 // retryPolicy extends the user's RetryIO callbacks with the engine's own
-// accounting: faults and retries land in the run's counters and the
-// observability trace, tagged with this engine's partition. The run's
-// cancellation signal is wired into the policy's Done channel (unless the
-// caller supplied their own), so a canceled query abandons the backoff
+// accounting: faults and retries are reported to this engine's meter. The
+// run's cancellation signal is wired into the policy's Done channel (unless
+// the caller supplied their own), so a canceled query abandons the backoff
 // ladder instead of sleeping through it.
 func (e *engine) retryPolicy() pager.RetryPolicy {
 	pol := e.opts.RetryIO
 	if pol.Done == nil {
 		pol.Done = e.ctxDone
 	}
-	userFault, userRetry := pol.OnFault, pol.OnRetry
-	counters, rec, part := e.opts.Counters, e.obs, e.part
+	userFault, userRetry, m := pol.OnFault, pol.OnRetry, e.m
 	pol.OnFault = func(op string, err error) {
-		counters.AddIOFault(1)
+		m.Fault()
 		if userFault != nil {
 			userFault(op, err)
 		}
 	}
 	pol.OnRetry = func(op string, attempt int, err error) {
-		counters.AddIORetry(1)
-		rec.IORetry(part, attempt)
+		m.Retry(attempt)
 		if userRetry != nil {
 			userRetry(op, attempt, err)
 		}
@@ -369,7 +336,7 @@ func (e *engine) seed() error {
 // already-delivered prefix.
 func (e *engine) restart() error {
 	e.restarted = true
-	e.obs.Restart(e.part)
+	e.m.Restart()
 	e.est = nil
 	e.revEst = nil
 	e.dmaxCur = e.opts.MaxDist
@@ -445,11 +412,11 @@ func (e *engine) admitPair(i1, i2 item) admitVerdict {
 	// outside their window or rejected by their predicate before any
 	// distance work.
 	if !e.admit(i1, 1) || !e.admit(i2, 2) {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return admitDrop
 	}
 	if e.opts.OmitEqualIDs && !i1.isNode() && !i2.isNode() && i1.ref == i2.ref {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return admitDrop
 	}
 	if len(e.opts.OrderIntersectionsFrom) > 0 {
@@ -458,12 +425,12 @@ func (e *engine) admitPair(i1, i2 item) admitVerdict {
 	// Semi-join Inside2 filtering: drop pairs whose first object has been
 	// reported before they ever reach the queue.
 	if e.semi != nil && e.semi.filter >= FilterInside2 && !i1.isNode() && e.semi.done(i1.ref) {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return admitDrop
 	}
 	if e.semi != nil && e.semi.symmetric && e.semi.filter >= FilterInside2 &&
 		!i2.isNode() && e.semi.seen2.Has(i2.ref) {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return admitDrop
 	}
 	return admitProceed
@@ -480,7 +447,7 @@ func (e *engine) enqueue(i1, i2 item) error {
 	}
 	d := e.minDist(i1, i2)
 	if d > e.dmaxCur {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return nil
 	}
 	return e.enqueueKeyed(i1, i2, d)
@@ -501,7 +468,7 @@ func (e *engine) enqueuePre(i1, i2 item, pre float64) error {
 	}
 	e.countDistCalc(i1, i2)
 	if e.kern.PreGreater(pre, e.dmaxCur) {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return nil
 	}
 	return e.enqueueKeyed(i1, i2, e.kern.Finish(pre))
@@ -517,12 +484,12 @@ func (e *engine) enqueueKeyed(i1, i2 item, d float64) error {
 	if needMax {
 		dmax = e.maxDist(i1, i2)
 		if dmax < e.dmin {
-			e.opts.Counters.Filter(1)
+			e.m.Filter(1)
 			return nil
 		}
 	}
 	if e.semi != nil && !e.semiGlobalAdmit(i1, d, dmax) {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return nil
 	}
 	p := qpair{key: d, i1: i1, i2: i2}
@@ -539,7 +506,7 @@ func (e *engine) enqueueKeyed(i1, i2 item, d float64) error {
 		e.dmin = e.revEst.observe(p, d, dmax, e.dmin, e.opts.MaxDist, count)
 		if dmax < e.dmin {
 			e.revEst.onPop(p) // keep M consistent with the queue
-			e.opts.Counters.Filter(1)
+			e.m.Filter(1)
 			return nil
 		}
 	}
@@ -594,13 +561,9 @@ func (e *engine) admit(it item, side int) bool {
 // only increase that distance, so the ordering is consistent.
 func (e *engine) enqueueIntersection(i1, i2 item) error {
 	x, ok := i1.rect.Intersection(i2.rect)
-	if i1.kind != kindObj || i2.kind != kindObj {
-		e.opts.Counters.AddNodeDistCalc(1)
-	} else {
-		e.opts.Counters.AddDistCalc(1)
-	}
+	e.m.DistCalc(i1.kind != kindObj || i2.kind != kindObj)
 	if !ok {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return nil
 	}
 	key := e.opts.Metric.MinDistPR(e.opts.OrderIntersectionsFrom, x)
@@ -636,62 +599,42 @@ func (e *engine) semiGlobalAdmit(i1 item, d, dmax float64) bool {
 }
 
 // next drives the algorithm until the next reportable object pair. With a
-// recorder attached it brackets the work with the pop-to-emit timing and
-// records the emission; with a Spans attached the bracket's residue — the
-// time not claimed by a nested expand/push/pop/spill/fetch span — is
-// attributed to PhaseEmit. With neither, the direct path takes no clock
-// reads at all.
+// meter attached the call is one step of it: the time no nested bracket
+// claims is the emit phase, an emitted pair is reported, and the meter folds
+// into the caller's sinks before next returns. Without one, the direct path
+// takes no clock reads at all.
 func (e *engine) next() (Pair, bool, error) {
-	if e.obs == nil && e.sp == nil {
+	if e.m == nil {
 		return e.step()
 	}
-	inner0 := e.sp.InnerNS()
-	start := time.Now()
+	e.m.BeginStep(meter.PhaseEmit)
 	p, ok, err := e.step()
-	if e.sp != nil {
-		d := time.Since(start) - time.Duration(e.sp.InnerNS()-inner0)
-		e.sp.Add(profile.PhaseEmit, d)
-	}
-	if e.obs != nil && ok {
-		e.obs.Emit(e.part, p.Dist, e.q.Len(), start)
-	}
-	return p, ok, err
-}
-
-// pop dequeues through the PhasePop bracket: the bracket's elapsed time
-// minus whatever the queue's disk-tier fetch recorded during it. Only
-// successful pops record a span, keeping the span count equal to the
-// QueuePops counter; an exhausted queue's final empty pop falls into the
-// PhaseEmit residue instead.
-func (e *engine) pop() (qpair, bool, error) {
-	if e.sp == nil {
-		return e.q.Pop()
-	}
-	fetch0 := e.sp.NS(profile.PhaseFetch)
-	start := time.Now()
-	p, ok, err := e.q.Pop()
 	if ok {
-		d := time.Since(start) - time.Duration(e.sp.NS(profile.PhaseFetch)-fetch0)
-		e.sp.Add(profile.PhasePop, d)
+		e.m.Emit(p.Dist, e.q.Len())
 	}
+	e.m.EndStep(meter.PhaseEmit)
 	return p, ok, err
 }
 
-// insert enqueues through the PhasePush bracket: the bracket's elapsed time
-// minus whatever the queue's disk-tier spill recorded during it.
+// pop dequeues inside the pop phase (the queue's disk-tier fetch brackets
+// itself out of it).
+func (e *engine) pop() (qpair, bool, error) {
+	ph := e.m.Begin(meter.PhasePop)
+	p, ok, err := e.q.Pop()
+	e.m.End(ph)
+	return p, ok, err
+}
+
+// insert enqueues inside the push phase (the queue's disk-tier spill
+// brackets itself out of it).
 func (e *engine) insert(p qpair) error {
-	if e.sp == nil {
-		return e.q.Insert(p)
-	}
-	spill0 := e.sp.NS(profile.PhaseSpill)
-	start := time.Now()
+	ph := e.m.Begin(meter.PhasePush)
 	err := e.q.Insert(p)
-	d := time.Since(start) - time.Duration(e.sp.NS(profile.PhaseSpill)-spill0)
-	e.sp.Add(profile.PhasePush, d)
+	e.m.End(ph)
 	return err
 }
 
-// step is the uninstrumented engine loop behind next.
+// step is the engine loop behind next.
 func (e *engine) step() (Pair, bool, error) {
 	if e.done {
 		return Pair{}, false, nil
@@ -753,7 +696,7 @@ func (e *engine) step() (Pair, bool, error) {
 			// falls below it is dead. Exact object pairs carry their true
 			// distance, handled by the report-time range check.
 			if (p.i1.isNode() || p.i2.isNode()) && p.key < e.dmin {
-				e.opts.Counters.Filter(1)
+				e.m.Filter(1)
 				continue
 			}
 		}
@@ -761,18 +704,18 @@ func (e *engine) step() (Pair, bool, error) {
 		// enqueued (forward joins key node pairs by their minimum
 		// distance, so the comparison is sound).
 		if !e.opts.Reverse && p.key > e.dmaxCur {
-			e.opts.Counters.Filter(1)
+			e.m.Filter(1)
 			continue
 		}
 		// Semi-join Inside1 filtering at dequeue time.
 		if e.semi != nil && e.semi.filter >= FilterInside1 &&
 			!p.i1.isNode() && e.semi.done(p.i1.ref) {
-			e.opts.Counters.Filter(1)
+			e.m.Filter(1)
 			continue
 		}
 		if e.semi != nil && e.semi.symmetric && e.semi.filter >= FilterInside1 &&
 			!p.i2.isNode() && e.semi.seen2.Has(p.i2.ref) {
-			e.opts.Counters.Filter(1)
+			e.m.Filter(1)
 			continue
 		}
 
@@ -814,12 +757,12 @@ func (e *engine) surface(err error) error { return wrapCanceled(e.ctx, err) }
 // silently skipped.
 func (e *engine) report(p qpair) (Pair, bool) {
 	if p.key < e.dmin || p.key > e.dmaxCur {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return Pair{}, false
 	}
 	if e.semi != nil {
 		if e.semi.done(p.i1.ref) || (e.semi.symmetric && e.semi.seen2.Has(p.i2.ref)) {
-			e.opts.Counters.Filter(1)
+			e.m.Filter(1)
 			return Pair{}, false
 		}
 		if e.semi.record(p.i1.ref) && e.semi.bestObj != nil {
@@ -842,7 +785,6 @@ func (e *engine) report(p qpair) (Pair, bool) {
 		e.revEst.onReport()
 	}
 	e.reported++
-	e.opts.Counters.ReportPair()
 	if e.opts.MaxPairs > 0 && e.reported >= e.opts.MaxPairs {
 		e.done = true
 	}
@@ -880,12 +822,12 @@ func (e *engine) resolveOBR(p *qpair) (reportable, exact bool, err error) {
 		if err != nil {
 			return false, false, fmt.Errorf("distjoin: exact distance of (%d, %d): %w", p.i1.ref, p.i2.ref, err)
 		}
-		e.opts.Counters.AddDistCalc(1)
+		e.m.DistCalc(false)
 	} else {
 		d = e.minDist(p.i1, p.i2)
 	}
 	if d < e.dmin || d > e.dmaxCur {
-		e.opts.Counters.Filter(1)
+		e.m.Filter(1)
 		return false, false, nil
 	}
 	p.key = d
@@ -910,24 +852,18 @@ func (e *engine) resolveOBR(p *qpair) (reportable, exact bool, err error) {
 	return false, true, nil
 }
 
-// expand processes a pair with at least one node, clocking the work as
-// PhaseExpand when profiling is on: the bracket's elapsed time minus the
-// queue-write time (push + spill) its enqueues recorded during it.
+// expand processes a pair with at least one node inside the expand phase
+// (its enqueues bracket themselves out of it).
 func (e *engine) expand(p qpair) error {
-	if e.sp == nil {
-		return e.expandPair(p)
-	}
-	qw0 := e.sp.QueueWriteNS()
-	start := time.Now()
+	e.m.Expand(p.key)
+	ph := e.m.Begin(meter.PhaseExpand)
 	err := e.expandPair(p)
-	d := time.Since(start) - time.Duration(e.sp.QueueWriteNS()-qw0)
-	e.sp.Add(profile.PhaseExpand, d)
+	e.m.End(ph)
 	return err
 }
 
 // expandPair dispatches the expansion according to the traversal policy.
 func (e *engine) expandPair(p qpair) error {
-	e.obs.Expand(e.part, p.key)
 	switch {
 	case p.i1.isNode() && p.i2.isNode():
 		if e.opts.DeferLeaves {
@@ -1023,7 +959,7 @@ func (e *engine) expandSide(p qpair, side int) error {
 		for i, c := range children {
 			if side == 2 && localBound < math.Inf(1) {
 				if e.kern.PreGreater(pres[i], localBound) {
-					e.opts.Counters.Filter(1)
+					e.m.Filter(1)
 					continue
 				}
 			}
@@ -1043,7 +979,7 @@ func (e *engine) expandSide(p qpair, side int) error {
 	for _, c := range children {
 		if side == 2 && localBound < math.Inf(1) {
 			if e.opts.Metric.MinDist(other.rect, c.rect) > localBound {
-				e.opts.Counters.Filter(1)
+				e.m.Filter(1)
 				continue
 			}
 		}
@@ -1157,7 +1093,7 @@ func (e *engine) expandBoth(p qpair) error {
 			}
 			pruned += int64(len(c2) - evaluated)
 		}
-		e.tallyBatchPruned(pruned)
+		e.m.BatchPruned(pruned)
 		return nil
 	}
 	if !e.scalarExpand && len(c1) > 0 && len(c2) > 0 {
@@ -1230,19 +1166,8 @@ func (e *engine) sweepBatch(c1, c2 []item) error {
 		}
 		pruned += int64(len(c2) - evaluated)
 	}
-	e.tallyBatchPruned(pruned)
+	e.m.BatchPruned(pruned)
 	return nil
-}
-
-// tallyBatchPruned records pairs the plane sweep (or block prune) skipped
-// without any distance computation — cost that simply never happened, kept
-// out of both the distance-calculation and Filtered accounting.
-func (e *engine) tallyBatchPruned(n int64) {
-	if n <= 0 {
-		return
-	}
-	e.opts.Counters.AddBatchPruned(n)
-	e.obs.BatchPrune(n)
 }
 
 // withinOf filters items to those within the effective maximum distance of
@@ -1256,7 +1181,7 @@ func (e *engine) withinOf(items []item, opposite geom.Rect) []item {
 			if e.kern.PreLessEq(pres[i], e.dmaxCur) {
 				out = append(out, it)
 			} else {
-				e.opts.Counters.Filter(1)
+				e.m.Filter(1)
 			}
 		}
 		return out
@@ -1266,7 +1191,7 @@ func (e *engine) withinOf(items []item, opposite geom.Rect) []item {
 		if e.opts.Metric.MinDist(it.rect, opposite) <= e.dmaxCur {
 			out = append(out, it)
 		} else {
-			e.opts.Counters.Filter(1)
+			e.m.Filter(1)
 		}
 	}
 	return out
@@ -1278,10 +1203,6 @@ func (e *engine) close() error {
 		return nil
 	}
 	e.closed = true
-	e.obs.EngineStop(e.part, int64(e.reported))
-	if e.qw != nil {
-		e.qw.Done(int64(e.reported), e.restarted)
-		e.userSP.Merge(e.sp)
-	}
+	e.m.Close(int64(e.reported))
 	return e.q.Close()
 }

@@ -3,9 +3,8 @@ package distjoin
 import (
 	"errors"
 
-	"distjoin/internal/qtrace"
+	"distjoin/internal/meter"
 	"distjoin/internal/rtree"
-	"distjoin/internal/stats"
 )
 
 // runner is the execution strategy behind the public iterators: the
@@ -45,27 +44,24 @@ func queryKind(semi *semiState) string {
 // non-empty, and the trees have enough top-level fan-out to partition;
 // every other case falls back to the sequential engine, transparently.
 //
-// When Options.Tracer is set, newRunner also begins the per-query trace:
+// newRunner also begins the run's telemetry (nil when no view is attached):
 // everything up to the engines being ready to pop (validation, partition
-// planning, queue construction, seeding) is the trace's plan span, and a
-// constructor failure finishes the trace immediately, error-annotated. On
-// success the returned query is finished by the iterator's Close.
-func newRunner(t1, t2 SpatialIndex, opts Options, semi *semiState) (runner, *qtrace.Query, *stats.Counters, error) {
+// planning, queue construction, seeding) is the per-query trace's plan
+// span, and a constructor failure finishes the trace immediately,
+// error-annotated. On success the returned run is finished by the
+// iterator's Close.
+func newRunner(t1, t2 SpatialIndex, opts Options, semi *semiState) (iterState, error) {
 	if err := opts.validate(t1, t2, semi != nil); err != nil {
-		return nil, nil, nil, err
+		return iterState{}, err
 	}
-	q := opts.Tracer.Begin(queryKind(semi), opts.QueryID)
-	opts.query = q
-	opts.Counters = q.AttachCounters(opts.Counters)
-	planStart := q.Now()
+	opts.run = meter.Begin(opts.sinks(), queryKind(semi))
 	r, err := buildRunner(t1, t2, opts, semi)
+	opts.run.PlanDone()
 	if err != nil {
-		q.PlanDone(planStart)
-		q.Finish(err)
-		return nil, nil, nil, err
+		opts.run.Finish(err)
+		return iterState{}, err
 	}
-	q.PlanDone(planStart)
-	return r, q, opts.Counters, nil
+	return iterState{r: r, run: opts.run}, nil
 }
 
 // buildRunner constructs the execution strategy on validated options.
@@ -97,8 +93,7 @@ var ErrQueueStore = errors.New("distjoin: QueueStore factory")
 // truncated success.
 type iterState struct {
 	r      runner
-	q      *qtrace.Query   // nil unless Options.Tracer was set
-	c      *stats.Counters // effective run counters; may be nil
+	run    *meter.Run // nil unless a telemetry view was attached
 	err    error
 	closed bool
 }
@@ -117,7 +112,7 @@ func (s *iterState) next() (Pair, bool, error) {
 		// cancellation latches as the terminal error (Stats.Cancellations,
 		// surfaced as distjoin_queries_canceled_total on /metrics).
 		if errors.Is(err, ErrCanceled) {
-			s.c.AddCancellation(1)
+			s.run.Canceled()
 		}
 		return Pair{}, false, err
 	}
@@ -133,10 +128,10 @@ func (s *iterState) close() error {
 	if err != nil && s.err == nil {
 		s.err = err
 	}
-	// The runner has released every engine, so the per-worker span
-	// accumulators are quiescent: complete the query trace with the
-	// latched terminal error (nil on a clean close).
-	s.q.Finish(s.err)
+	// The runner has released every engine, so every meter has closed:
+	// complete the query trace with the latched terminal error (nil on a
+	// clean close).
+	s.run.Finish(s.err)
 	return err
 }
 
@@ -177,11 +172,11 @@ func NewJoin(t1, t2 *rtree.Tree, opts Options) (*Join, error) {
 // generality claim (§2.2): the same algorithm drives R-trees, quadtrees and
 // other hierarchical decompositions, in any combination.
 func NewJoinIndexes(t1, t2 SpatialIndex, opts Options) (*Join, error) {
-	r, q, c, err := newRunner(t1, t2, opts, nil)
+	s, err := newRunner(t1, t2, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Join{s: iterState{r: r, q: q, c: c}}, nil
+	return &Join{s: s}, nil
 }
 
 // wrapTree adapts an R-tree, preserving nil for validation.
@@ -280,11 +275,11 @@ func NewClusteringJoinIndexes(t1, t2 SpatialIndex, filter SemiFilter, opts Optio
 	if filter < FilterOutside || filter > FilterGlobalAll {
 		return nil, errInvalidFilter(filter)
 	}
-	r, q, c, err := newRunner(t1, t2, opts, &semiState{filter: filter, k: 1, symmetric: true})
+	s, err := newRunner(t1, t2, opts, &semiState{filter: filter, k: 1, symmetric: true})
 	if err != nil {
 		return nil, err
 	}
-	return &SemiJoin{s: iterState{r: r, q: q, c: c}}, nil
+	return &SemiJoin{s: s}, nil
 }
 
 // NewKNearestJoinIndexes is NewKNearestJoin over arbitrary SpatialIndex
@@ -297,11 +292,11 @@ func NewKNearestJoinIndexes(t1, t2 SpatialIndex, k int, filter SemiFilter, opts 
 	if k < 1 {
 		return nil, errors.New("distjoin: k must be at least 1")
 	}
-	r, q, c, err := newRunner(t1, t2, opts, &semiState{filter: filter, k: k})
+	s, err := newRunner(t1, t2, opts, &semiState{filter: filter, k: k})
 	if err != nil {
 		return nil, err
 	}
-	return &SemiJoin{s: iterState{r: r, q: q, c: c}}, nil
+	return &SemiJoin{s: s}, nil
 }
 
 // Next returns the next semi-join pair. ok is false when every first-input

@@ -7,12 +7,9 @@ import (
 	"math"
 
 	"distjoin/internal/geom"
-	"distjoin/internal/obs"
+	"distjoin/internal/meter"
 	"distjoin/internal/pager"
-	"distjoin/internal/profile"
-	"distjoin/internal/qtrace"
 	"distjoin/internal/rtree"
-	"distjoin/internal/stats"
 )
 
 // Traversal selects how node/node pairs are expanded (§2.2.2, §4.1.1).
@@ -128,16 +125,10 @@ type Options struct {
 	// in-memory store, which keeps the tier mechanics (and spill
 	// accounting) while making tests hermetic.
 	HybridDir      string
-	PlaneSweep     bool // enable plane sweep for TraverseSimultaneous (default true via newEngine)
-	NoPlaneSweep   bool // disable plane sweep explicitly
 	HybridInMemory bool
-	// NoBatchKernels disables the batched columnar distance kernels of
-	// internal/geom/kernel and restores the one-pair-at-a-time scalar
-	// expansion. The two paths produce identical results and identical
-	// work counters — this switch exists for ablation experiments
-	// (cmd/experiments -exp kernels) and differential debugging; leave it
-	// off otherwise.
-	NoBatchKernels bool
+	// NoPlaneSweep disables the plane sweep TraverseSimultaneous applies
+	// when a finite maximum distance is in force (Figure 4).
+	NoPlaneSweep bool
 	// Window1 and Window2 restrict each input to objects lying inside a
 	// rectangle — the spatial selection criterion of §2.2.5, folded into
 	// the join so that index subtrees outside the window are pruned
@@ -186,25 +177,29 @@ type Options struct {
 	// set, the fetched geometry is reported in the result pairs while
 	// ExactDist provides the distance.
 	ExactDist func(o1, o2 rtree.ObjID) (float64, error)
-	// Counters receives the Table 1 measures. May be nil.
-	Counters *stats.Counters
-	// Obs receives live observability events and metrics: the event trace
-	// (engine start/stop, expansions, emissions, hybrid-queue spills, merge
-	// stalls), the inter-pair delay and pop-to-emit latency histograms, and
-	// the sampled gauges behind the /metrics endpoint (see internal/obs).
-	// Like Counters, a nil recorder disables all instrumentation — the
-	// engine's per-pair path then performs no clock reads and no
-	// allocations. May be nil.
-	Obs *obs.Recorder
+	// Counters, Obs, Profile and Tracer are the four telemetry views. The
+	// engines never write them on the per-pair path: each engine records
+	// into its own single-writer meter (internal/meter) and folds it into
+	// whichever views are attached at every Next return and at Close, so a
+	// reader between two Next calls sees everything done so far. With all
+	// four nil no meter exists: the per-pair path performs no clock reads
+	// and no allocations. On the parallel path the merge folds per Next and
+	// each partition worker once, when it finishes (per-phase times are then
+	// CPU time summed across workers and may exceed wall time).
+	//
+	// Counters receives the Table 1 measures (the work counts).
+	Counters *meter.Counters
+	// Obs receives live observability: the event trace (engine start/stop,
+	// expansions, emissions, hybrid-queue spills, merge stalls, retries),
+	// recorded at the moment they happen; the inter-pair delay and
+	// pop-to-emit latency histograms; the sampled gauges; and the work
+	// counts behind its /metrics counter families (see internal/obs).
+	Obs *meter.Recorder
 	// Profile receives span accounting for per-join query profiles: wall
-	// time attributed to the engine phases (expand, queue push/pop,
-	// disk-tier spill/fetch, merge, emit) plus the disk tier's physical I/O
-	// time. A nil Spans disables all profiling — no clock reads, no
-	// allocations on the per-pair path. On the parallel path each worker
-	// records into its own shard, merged into this Spans as workers finish
-	// (like Counters), so per-phase times are CPU time summed across
-	// workers and may exceed wall time.
-	Profile *profile.Spans
+	// time attributed exclusively to the engine phases (expand, queue
+	// push/pop, disk-tier spill/fetch, merge, emit) plus the disk tier's
+	// physical I/O time.
+	Profile *meter.Spans
 	// Parallelism selects the parallel execution path: the top of the two
 	// trees is partitioned into disjoint slices of the pair space, one
 	// incremental engine runs per partition on its own goroutine, and the
@@ -231,8 +226,8 @@ type Options struct {
 	QueueStore func(pageSize int) (pager.Store, error)
 	// RetryIO retries transient disk-tier I/O failures (errors wrapping
 	// pager.ErrTransient) with bounded exponential backoff. The zero value
-	// disables retrying. Retries are counted in Counters.IORetries /
-	// Counters.IOFaults and traced as retry events on Obs.
+	// disables retrying. Retries are counted as IORetries / IOFaults and
+	// traced as retry events on Obs.
 	RetryIO pager.RetryPolicy
 	// QueuePageSize is the page size in bytes of the hybrid queue's disk
 	// tier (default 4096). Larger pages batch more spilled pairs per I/O;
@@ -242,19 +237,22 @@ type Options struct {
 	// each Join/SemiJoin/kNN run gets a query ID and a hierarchical span
 	// tree (plan → partition workers → engine phases → queue disk-tier
 	// I/O), landed in the tracer's flight recorder — and slow-query log,
-	// when it qualifies — on iterator Close. Like Obs and Profile, a nil
-	// tracer disables all per-query tracing at zero cost (no clock reads,
-	// no allocations on the per-pair path). Tracing composes with Profile:
-	// the engines record into per-query span accumulators, merged back
-	// into Options.Profile as they close.
-	Tracer *qtrace.Tracer
+	// when it qualifies — on iterator Close. The trace's resources are the
+	// run's own engines' counts; its node I/O is what the Counters view (if
+	// any) observed while the query was open.
+	Tracer *meter.Tracer
 	// QueryID overrides the Tracer-assigned query ID ("q0000042") for this
 	// run. Ignored when Tracer is nil.
 	QueryID string
 
-	// query is the live per-query trace, begun by newRunner when Tracer is
-	// set and finished by the iterator's Close.
-	query *qtrace.Query
+	// run is the live telemetry of this query run, begun by newRunner when
+	// any view is attached and finished by the iterator's Close.
+	run *meter.Run
+}
+
+// sinks gathers the four telemetry views for the run's meters.
+func (o *Options) sinks() meter.Sinks {
+	return meter.Sinks{Counters: o.Counters, Obs: o.Obs, Profile: o.Profile, Tracer: o.Tracer, QueryID: o.QueryID}
 }
 
 // ParallelismAuto selects one worker per available CPU
@@ -353,9 +351,6 @@ func (o *Options) validate(t1, t2 SpatialIndex, semi bool) error {
 		if o.MaxPairs > 0 && semi {
 			return errors.New("distjoin: reverse semi-joins do not support MaxPairs estimation")
 		}
-	}
-	if o.PlaneSweep && o.NoPlaneSweep {
-		return errors.New("distjoin: PlaneSweep and NoPlaneSweep are mutually exclusive")
 	}
 	for i, w := range []*geom.Rect{o.Window1, o.Window2} {
 		if w == nil {

@@ -7,12 +7,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"distjoin/internal/obs"
-	"distjoin/internal/profile"
-	"distjoin/internal/qtrace"
-	"distjoin/internal/stats"
+	"distjoin/internal/meter"
 )
 
 // This file implements the parallel execution path of the distance join and
@@ -181,10 +177,8 @@ type parResult struct {
 
 // parWorker runs one partition engine on its own goroutine.
 type parWorker struct {
-	eng     *engine
-	out     chan parResult
-	shard   *stats.Counters // per-worker counter shard; nil when disabled
-	spShard *profile.Spans  // per-worker span shard; nil when disabled
+	eng *engine
+	out chan parResult
 }
 
 // parHead is one stream head tracked by the merge heap.
@@ -200,10 +194,9 @@ type parallelJoin struct {
 	reverse  bool
 	maxPairs int
 	maxDist  float64
-	user     *stats.Counters // caller's counters, merge target for shards
-	obs      *obs.Recorder   // observability; nil when disabled
-	sp       *profile.Spans  // caller's spans, merge target + PhaseMerge sink
-	q        *qtrace.Query   // per-query trace; nil when tracing is off
+	// m is the merge's own meter (stalls, deliveries, the merge phase);
+	// each partition engine has its own. nil when no sink is attached.
+	m *meter.Meter
 
 	// ctx and ctxDone are the run's cancellation signal (nil channel for
 	// a nil or background context — the merge then performs no checks).
@@ -244,35 +237,20 @@ func newParallelJoin(t1, t2 SpatialIndex, opts Options, semiProto *semiState) (*
 		reverse:  opts.Reverse,
 		maxPairs: opts.MaxPairs,
 		maxDist:  opts.MaxDist,
-		user:     opts.Counters,
-		obs:      opts.Obs,
-		sp:       opts.Profile,
-		q:        opts.query,
+		m:        opts.run.MergeMeter(len(parts)),
 		done:     make(chan struct{}),
 	}
 	if opts.Context != nil {
 		r.ctx = opts.Context
 		r.ctxDone = opts.Context.Done()
 	}
-	r.obs.SetPartitions(len(parts))
 	for pi, seeds := range parts {
 		w := &parWorker{out: make(chan parResult, parallelBuffer)}
-		wopts := opts
-		if opts.Counters != nil {
-			w.shard = &stats.Counters{}
-			wopts.Counters = w.shard
-		}
-		// The engine's delta-subtraction span accounting requires a
-		// single-writer Spans, so each worker records into its own shard.
-		if opts.Profile != nil {
-			w.spShard = &profile.Spans{}
-			wopts.Profile = w.spShard
-		}
 		var wsemi *semiState
 		if semiProto != nil {
 			wsemi = &semiState{filter: semiProto.filter, k: semiProto.k, symmetric: semiProto.symmetric}
 		}
-		eng, err := newEngineSeeded(t1, t2, wopts, wsemi, seeds, int32(pi))
+		eng, err := newEngineSeeded(t1, t2, opts, wsemi, seeds, int32(pi))
 		if err != nil {
 			for _, prev := range r.workers {
 				prev.eng.close()
@@ -290,7 +268,8 @@ func newParallelJoin(t1, t2 SpatialIndex, opts Options, semiProto *semiState) (*
 }
 
 // run drives one partition engine to exhaustion (or cancellation), then
-// releases its resources and folds its counter shard into the caller's.
+// releases its resources (closing its meter, which folds into the caller's
+// sinks one last time).
 func (r *parallelJoin) run(w *parWorker) {
 	defer r.wg.Done()
 	defer func() {
@@ -299,12 +278,6 @@ func (r *parallelJoin) run(w *parWorker) {
 		}
 		if err := w.eng.close(); err != nil {
 			r.setCloseErr(err)
-		}
-		if w.shard != nil {
-			r.user.Merge(w.shard)
-		}
-		if w.spShard != nil {
-			r.sp.Merge(w.spShard)
 		}
 	}()
 	defer close(w.out)
@@ -391,21 +364,17 @@ func (r *parallelJoin) popHead() parHead {
 }
 
 // pull blocks for the next result of worker src and pushes it onto the
-// heap; a closed stream simply drops out of the merge. When a recorder is
-// attached, a pull that would block records a merge stall against the
-// awaited partition — the progress-skew signal of partitioned joins.
+// heap; a closed stream simply drops out of the merge. A pull that would
+// block records a merge stall against the awaited partition — the
+// progress-skew signal of partitioned joins.
 func (r *parallelJoin) pull(src int) error {
 	var res parResult
 	var ok bool
-	if r.obs == nil {
+	select {
+	case res, ok = <-r.workers[src].out:
+	default:
+		r.m.Stall(int32(src))
 		res, ok = <-r.workers[src].out
-	} else {
-		select {
-		case res, ok = <-r.workers[src].out:
-		default:
-			r.obs.MergeStall(int32(src))
-			res, ok = <-r.workers[src].out
-		}
 	}
 	if !ok {
 		return nil
@@ -417,20 +386,13 @@ func (r *parallelJoin) pull(src int) error {
 	return nil
 }
 
-// next wraps the merge in the PhaseMerge bracket when profiling is on. The
-// bracket includes the time the merge blocks waiting for partition workers
-// to produce — the coordination overhead of the parallel path — recorded
-// directly on the caller's Spans (a simple Add, safe alongside the workers'
-// concurrent shard merges).
+// next runs the merge as one step of the merge's meter: the merge phase
+// includes the time the merge blocks waiting for partition workers to
+// produce — the coordination overhead of the parallel path.
 func (r *parallelJoin) next() (Pair, bool, error) {
-	if r.sp == nil && r.q == nil {
-		return r.merge()
-	}
-	start := time.Now()
+	r.m.BeginStep(meter.PhaseMerge)
 	p, ok, err := r.merge()
-	d := time.Since(start)
-	r.sp.Add(profile.PhaseMerge, d)
-	r.q.MergeAdd(d)
+	r.m.EndStep(meter.PhaseMerge)
 	return p, ok, err
 }
 
@@ -478,11 +440,11 @@ func (r *parallelJoin) merge() (Pair, bool, error) {
 		// correct prefix, and the latched error on the next call.
 		r.fail(err)
 		r.nOut++
-		r.obs.Deliver(h.pair.Dist)
+		r.m.Deliver(h.pair.Dist)
 		return h.pair, true, nil
 	}
 	r.nOut++
-	r.obs.Deliver(h.pair.Dist)
+	r.m.Deliver(h.pair.Dist)
 	if r.maxPairs > 0 && r.nOut >= r.maxPairs {
 		r.finish()
 	}
@@ -490,7 +452,7 @@ func (r *parallelJoin) merge() (Pair, bool, error) {
 }
 
 // finish cancels outstanding work and waits for the workers to release
-// their engines (queues, scratch files, counter shards).
+// their engines (queues, scratch files, meters).
 func (r *parallelJoin) finish() {
 	r.finished = true
 	r.stop.Do(func() { close(r.done) })
@@ -510,6 +472,7 @@ func (r *parallelJoin) fail(err error) error {
 // close implements runner.
 func (r *parallelJoin) close() error {
 	r.finish()
+	r.m.Close(int64(r.nOut))
 	r.closeMu.Lock()
 	defer r.closeMu.Unlock()
 	return r.closeErr

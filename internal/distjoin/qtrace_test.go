@@ -97,8 +97,8 @@ func TestQueryTraceSequential(t *testing.T) {
 	}
 
 	// The caller's Spans received the merged-back engine accounting.
-	if sp.Count(profile.PhasePop) != s.QueuePops {
-		t.Errorf("caller spans pops %d, counter pops %d — merge-back broken", sp.Count(profile.PhasePop), s.QueuePops)
+	if sp.Tally().Counts[profile.PhasePop] != s.QueuePops {
+		t.Errorf("caller spans pops %d, counter pops %d — merge-back broken", sp.Tally().Counts[profile.PhasePop], s.QueuePops)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestQueryTraceParallel(t *testing.T) {
 		t.Errorf("%d distinct worker parts, want %d", len(parts), qt.Workers)
 	}
 	// Merge-back preserves the caller's profile numbers across all shards.
-	if sp.Count(profile.PhasePop) != s.QueuePops {
-		t.Errorf("caller spans pops %d, counter pops %d", sp.Count(profile.PhasePop), s.QueuePops)
+	if sp.Tally().Counts[profile.PhasePop] != s.QueuePops {
+		t.Errorf("caller spans pops %d, counter pops %d", sp.Tally().Counts[profile.PhasePop], s.QueuePops)
 	}
 }
 
@@ -296,10 +296,10 @@ func TestQueryTraceDisabledUntouched(t *testing.T) {
 			break
 		}
 	}
-	// With no tracer, iterState must carry no query and Close must not
+	// With no sink, iterState must carry no run and Close must not
 	// fabricate traces out of thin air.
-	if j.s.q != nil {
-		t.Fatal("untraced join carries a query")
+	if j.s.run != nil {
+		t.Fatal("untraced join carries a telemetry run")
 	}
 }
 

@@ -41,25 +41,25 @@ func TestSpansSequentialAccounting(t *testing.T) {
 	s := c.Snapshot()
 
 	// Every queue operation the counters saw must have a matching span.
-	if got := sp.Count(profile.PhasePop); got != s.QueuePops {
+	if got := sp.Tally().Counts[profile.PhasePop]; got != s.QueuePops {
 		t.Errorf("pop spans %d, counter pops %d", got, s.QueuePops)
 	}
-	if got := sp.Count(profile.PhasePush); got != s.QueueInserts {
+	if got := sp.Tally().Counts[profile.PhasePush]; got != s.QueueInserts {
 		t.Errorf("push spans %d, counter inserts %d", got, s.QueueInserts)
 	}
-	if sp.Count(profile.PhaseExpand) == 0 {
+	if sp.Tally().Counts[profile.PhaseExpand] == 0 {
 		t.Error("no expand spans recorded")
 	}
-	if sp.Count(profile.PhaseEmit) == 0 {
+	if sp.Tally().Counts[profile.PhaseEmit] == 0 {
 		t.Error("no emit spans recorded")
 	}
-	if sp.Count(profile.PhaseMerge) != 0 {
+	if sp.Tally().Counts[profile.PhaseMerge] != 0 {
 		t.Error("merge spans on the sequential path")
 	}
 
 	// Phases are disjoint within one engine, so their sum cannot exceed the
 	// observed wall time (setup/teardown slack keeps it strictly below).
-	if tot := time.Duration(sp.TotalNS()); tot > wall {
+	if tot := time.Duration(sp.Tally().TotalNS()); tot > wall {
 		t.Errorf("phase total %v exceeds wall %v", tot, wall)
 	}
 }
@@ -76,10 +76,10 @@ func TestSpansHybridSpillFetch(t *testing.T) {
 	if s.QueueDiskPairs == 0 {
 		t.Fatal("workload did not exercise the disk tier")
 	}
-	if sp.Count(profile.PhaseSpill) == 0 {
+	if sp.Tally().Counts[profile.PhaseSpill] == 0 {
 		t.Error("no spill spans despite disk-tier pairs")
 	}
-	if sp.Count(profile.PhaseFetch) == 0 {
+	if sp.Tally().Counts[profile.PhaseFetch] == 0 {
 		t.Error("no fetch spans despite disk-tier pairs")
 	}
 	io := sp.IOSnapshot()
@@ -95,15 +95,15 @@ func TestSpansHybridSpillFetch(t *testing.T) {
 func TestSpansParallelMerged(t *testing.T) {
 	sp, c, _ := drainWithSpans(t, Options{Parallelism: 2})
 	s := c.Snapshot()
-	if sp.Count(profile.PhaseMerge) == 0 {
+	if sp.Tally().Counts[profile.PhaseMerge] == 0 {
 		t.Error("no merge spans on the parallel path")
 	}
 	// Worker shards merge into the caller's Spans on close, so the queue-op
 	// spans must match the merged counters exactly.
-	if got := sp.Count(profile.PhasePop); got != s.QueuePops {
+	if got := sp.Tally().Counts[profile.PhasePop]; got != s.QueuePops {
 		t.Errorf("pop spans %d, counter pops %d", got, s.QueuePops)
 	}
-	if got := sp.Count(profile.PhasePush); got != s.QueueInserts {
+	if got := sp.Tally().Counts[profile.PhasePush]; got != s.QueueInserts {
 		t.Errorf("push spans %d, counter inserts %d", got, s.QueueInserts)
 	}
 }
@@ -129,7 +129,7 @@ func TestSpansNilUntouched(t *testing.T) {
 		}
 	}
 	var sp *profile.Spans
-	if sp.TotalNS() != 0 {
+	if sp.Tally().TotalNS() != 0 {
 		t.Fatal("nil spans accumulated time")
 	}
 }

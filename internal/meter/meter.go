@@ -1,0 +1,425 @@
+// Package meter is the telemetry spine of the incremental distance join:
+// the one place that knows which telemetry sinks exist.
+//
+// Every engine (the sequential engine, each partition worker of the
+// parallel path, and the parallel merge) owns exactly one Meter: a
+// single-writer object with plain fields — no atomics, no locks — holding
+// one copy of the work counts, the exclusive per-phase time, the disk
+// tier's physical I/O time and the current Next call's start stamp. The
+// engine, the priority queue and the queue's buffer pool report facts to it
+// at one set of hook points (step, expand, push, pop, spill, fetch, io,
+// emit, retry, restart, cancel); nothing else in those layers touches a
+// telemetry sink.
+//
+// The four user-facing sinks — Options.Counters, .Obs, .Profile and
+// .Tracer — are views: at every Next return and at close the meter folds
+// what it accumulated since the last fold into them, so a reader between
+// two Next calls sees everything the engine has done so far. Only events
+// and histogram observations (which need their own timestamps) reach the
+// Recorder at hook time. The clock is read only when a timing view is
+// attached: phase brackets when Profile or Tracer is set, the per-Next
+// stamp also when Obs is.
+//
+// With every sink nil, Begin returns a nil *Run, which hands out nil
+// *Meters, and every hook on a nil *Meter returns at once: no allocation,
+// no clock read.
+package meter
+
+import (
+	"time"
+
+	"distjoin/internal/obs"
+	"distjoin/internal/pager"
+	"distjoin/internal/profile"
+	"distjoin/internal/qtrace"
+	"distjoin/internal/stats"
+)
+
+// The view types, re-exported so the engine layers name their telemetry
+// through this package alone.
+type (
+	Counters = stats.Counters
+	Recorder = obs.Recorder
+	Spans    = profile.Spans
+	Tracer   = qtrace.Tracer
+	Phase    = profile.Phase
+)
+
+// The phases a hook may bracket.
+const (
+	PhaseExpand = profile.PhaseExpand
+	PhasePush   = profile.PhasePush
+	PhasePop    = profile.PhasePop
+	PhaseSpill  = profile.PhaseSpill
+	PhaseFetch  = profile.PhaseFetch
+	PhaseMerge  = profile.PhaseMerge
+	PhaseEmit   = profile.PhaseEmit
+
+	// idle is the meter's phase outside any bracket; its time is dropped.
+	idle = Phase(profile.NumPhases)
+)
+
+// since is the meter's clock — time elapsed on the monotonic clock since a
+// run began, one clock read — a variable so tests can count the reads.
+var since = time.Since
+
+// Sinks are the views one query run publishes into. Any may be nil.
+type Sinks struct {
+	Counters *Counters
+	Obs      *Recorder
+	Profile  *Spans
+	Tracer   *Tracer
+	// QueryID overrides the Tracer-assigned query id.
+	QueryID string
+}
+
+// Run is one query run's telemetry: its views, its per-query trace, and
+// the factory of its engines' meters. A nil *Run is valid and disables
+// everything.
+type Run struct {
+	Sinks
+	q     *qtrace.Query
+	epoch time.Time // the origin of every meter's clock
+	timed bool      // a view wants phase times (Profile or Tracer)
+	// nodeIO is the Counters view at Begin: the pool-owned node-I/O columns
+	// of the query trace are that view's growth over the run (no engine
+	// sees a buffer pool's hits and misses).
+	nodeIO Counters
+}
+
+// Begin starts one query run of the given kind, beginning its per-query
+// trace (whose plan span starts now). It returns nil when no sink is
+// attached.
+func Begin(s Sinks, kind string) *Run {
+	if s.Counters == nil && s.Obs == nil && s.Profile == nil && s.Tracer == nil {
+		return nil
+	}
+	r := &Run{Sinks: s, q: s.Tracer.Begin(kind, s.QueryID), epoch: time.Now(), timed: s.Profile != nil || s.Tracer != nil}
+	if r.q != nil {
+		r.nodeIO = s.Counters.Snapshot()
+	}
+	return r
+}
+
+// PlanDone closes the trace's plan span: the engines are ready to pop.
+func (r *Run) PlanDone() {
+	if r != nil {
+		r.q.PlanDone()
+	}
+}
+
+// Finish completes the per-query trace with the run's terminal error (nil
+// on a clean close). Call it after every meter of the run has closed.
+func (r *Run) Finish(err error) {
+	if r == nil || r.q == nil {
+		return
+	}
+	if r.Counters != nil {
+		c := r.Counters.Snapshot()
+		r.q.SetNodeIO(c.NodeReads-r.nodeIO.NodeReads, c.NodeWrites-r.nodeIO.NodeWrites, c.BufferHits-r.nodeIO.BufferHits)
+	}
+	r.q.Finish(err)
+}
+
+// Canceled counts the run as canceled, straight into the views: the
+// cancellation latches in the iterator, after the Next call that observed it
+// has already folded.
+func (r *Run) Canceled() {
+	if r != nil {
+		d := Counters{Cancellations: 1}
+		r.Counters.Merge(&d)
+		r.Obs.Counts().Merge(&d)
+	}
+}
+
+// Meter returns the meter of one engine: partition part of the parallel
+// path, or -1 for the sequential engine. A partition worker runs ahead of
+// the caller on its own goroutine, so "between two Next calls" means nothing
+// for it: its meter publishes once, when the worker finishes — partition-
+// local state, then merge — instead of having every worker contend on the
+// shared views once per pair.
+func (r *Run) Meter(part int32) *Meter {
+	if r == nil {
+		return nil
+	}
+	r.Obs.Event(obs.EvEngineStart, part, 0)
+	return &Meter{run: r, part: part, atClose: part >= 0, timed: r.timed, clock: r.timed || r.Obs != nil, phase: idle}
+}
+
+// MergeMeter returns the meter of the parallel path's order-preserving
+// merge over parts partition streams.
+func (r *Run) MergeMeter(parts int) *Meter {
+	if r == nil {
+		return nil
+	}
+	r.Obs.SetPartitions(parts)
+	return &Meter{run: r, part: -1, merge: true, timed: r.timed, clock: r.timed, phase: idle}
+}
+
+// Meter is one engine's telemetry. It is written by the single goroutine
+// that runs the engine; every method is a no-op on a nil receiver.
+type Meter struct {
+	run     *Run
+	part    int32
+	merge   bool // the parallel merge's meter, not an engine's
+	atClose bool // a partition worker's: fold only when it finishes
+	timed   bool // phase brackets read the clock
+	clock   bool // steps stamp their start (timed, or Obs wants pop-to-emit)
+
+	// n and t are the totals since the engine started; foldedN and foldedT
+	// are what the views have already received. t.Counts holds only the
+	// span counts no work counter mirrors (fetch, merge, emit); tally()
+	// derives the rest from n, so every count exists once.
+	n, foldedN Counters
+	t, foldedT profile.Tally
+
+	phase   Phase // the bracket the engine is in; idle between steps
+	entered int64 // when phase was entered, in ns since the run's epoch
+	step    int64 // when the current step began, likewise
+}
+
+// enter switches the running phase, charging the elapsed time to the phase
+// being left: phases are exclusive by construction, with one clock read per
+// switch.
+func (m *Meter) enter(p Phase) Phase {
+	t := int64(since(m.run.epoch))
+	if m.phase != idle {
+		m.t.NS[m.phase] += t - m.entered
+	}
+	m.entered = t
+	prev := m.phase
+	m.phase = p
+	return prev
+}
+
+// Begin opens a bracket of phase p nested in the running phase, whose
+// clock stops until the matching End(prev).
+func (m *Meter) Begin(p Phase) (prev Phase) {
+	if m == nil || !m.timed {
+		return idle
+	}
+	return m.enter(p)
+}
+
+// End closes the bracket Begin opened, resuming phase prev.
+func (m *Meter) End(prev Phase) {
+	if m != nil && m.timed {
+		m.enter(prev)
+	}
+}
+
+// BeginStep opens one Next call of an engine (p = PhaseEmit: the step's
+// time not claimed by a nested bracket is the emit residue) or of the
+// parallel merge (p = PhaseMerge).
+func (m *Meter) BeginStep(p Phase) {
+	switch {
+	case m == nil || !m.clock:
+	case m.timed:
+		m.enter(p)
+		m.step = m.entered
+	default:
+		m.step = int64(since(m.run.epoch))
+	}
+}
+
+// EndStep closes the step BeginStep opened, folding the meter into the
+// views first: publishing is work done inside the Next call, so its time
+// belongs to the step's phase (the views' phase times therefore trail the
+// meter by the step's last sub-microsecond slice until the next fold; the
+// counts never trail).
+func (m *Meter) EndStep(p Phase) {
+	if m == nil {
+		return
+	}
+	m.t.Counts[p]++
+	if !m.atClose {
+		m.fold()
+	}
+	if m.timed {
+		m.enter(idle)
+	}
+}
+
+// tally returns the meter's span account: t plus the span counts and
+// physical I/O counts the work counters already hold.
+func (m *Meter) tally() profile.Tally {
+	t := m.t
+	t.Counts[PhaseExpand] = m.n.Expansions
+	t.Counts[PhasePush] = m.n.QueueInserts
+	t.Counts[PhasePop] = m.n.QueuePops
+	t.Counts[PhaseSpill] = m.n.QueueDiskPairs
+	t.IOReads, t.IOWrites = m.n.QueueReads, m.n.QueueWrites
+	return t
+}
+
+// fold publishes the growth since the last fold into the views.
+func (m *Meter) fold() {
+	r := m.run
+	r.Counters.MergeSince(&m.n, &m.foldedN)
+	r.Obs.Counts().MergeSince(&m.n, &m.foldedN)
+	m.foldedN = m.n
+	if r.Profile != nil {
+		cur := m.tally()
+		d := cur.Since(&m.foldedT)
+		m.foldedT = cur
+		r.Profile.Fold(&d)
+	}
+}
+
+// Close folds one last time and hands the engine's closing report to the
+// per-query trace. pairs is the number of results the engine reported.
+func (m *Meter) Close(pairs int64) {
+	if m == nil {
+		return
+	}
+	m.fold()
+	t := m.tally()
+	if m.merge {
+		m.run.q.AddMerge(t.NS[PhaseMerge], t.Counts[PhaseMerge])
+		return
+	}
+	m.run.Obs.Event(obs.EvEngineStop, m.part, pairs)
+	m.run.q.AddWorker(qtrace.Worker{Part: m.part, Pairs: pairs, Counts: m.n, Tally: t})
+}
+
+// DistCalc counts one distance computation: a node distance when either
+// operand is a node, an object distance otherwise.
+func (m *Meter) DistCalc(node bool) {
+	switch {
+	case m == nil:
+	case node:
+		m.n.NodeDistCalcs++
+	default:
+		m.n.DistCalcs++
+	}
+}
+
+// Filter counts n pairs pruned by filtering or the distance range.
+func (m *Meter) Filter(n int64) {
+	if m != nil {
+		m.n.Filtered += n
+	}
+}
+
+// BatchPruned counts n pairs the plane sweep skipped before any distance
+// computation.
+func (m *Meter) BatchPruned(n int64) {
+	if m != nil && n > 0 {
+		m.n.BatchPruned += n
+	}
+}
+
+// Expand counts one node-pair expansion at queue key key.
+func (m *Meter) Expand(key float64) {
+	if m != nil {
+		m.n.Expansions++
+		m.run.Obs.Expand(m.part, key, m.n.Expansions)
+	}
+}
+
+// Push counts one queue insertion that left the queue at newLen elements.
+func (m *Meter) Push(newLen int) {
+	if m != nil {
+		m.n.QueueInserts++
+		m.n.MaxQueueSize = max(m.n.MaxQueueSize, int64(newLen))
+	}
+}
+
+// Pop counts one queue removal.
+func (m *Meter) Pop() {
+	if m != nil {
+		m.n.QueuePops++
+	}
+}
+
+// Spill counts one pair with key dist landing on the hybrid queue's disk
+// tier, which now holds diskLen pairs.
+func (m *Meter) Spill(dist float64, diskLen int) {
+	if m != nil {
+		m.n.QueueDiskPairs++
+		m.run.Obs.Spill(m.part, dist, diskLen, m.n.QueueDiskPairs)
+	}
+}
+
+// Fetch counts one disk-tier advance (a bucket reload) of the hybrid queue.
+func (m *Meter) Fetch() {
+	if m != nil {
+		m.t.Counts[PhaseFetch]++
+	}
+}
+
+// Emit counts one result pair at distance dist leaving the engine, whose
+// queue now holds queueLen pairs.
+func (m *Meter) Emit(dist float64, queueLen int) {
+	if m != nil {
+		m.n.PairsReported++
+		m.run.Obs.Emit(m.part, dist, queueLen, m.run.epoch.Add(time.Duration(m.step)))
+	}
+}
+
+// Fault counts one failed physical I/O attempt seen by the retry layer.
+func (m *Meter) Fault() {
+	if m != nil {
+		m.n.IOFaults++
+	}
+}
+
+// Retry counts one re-attempt after the attempt-th try failed transiently.
+func (m *Meter) Retry(attempt int) {
+	if m != nil {
+		m.n.IORetries++
+		m.run.Obs.Event(obs.EvRetry, m.part, int64(attempt))
+	}
+}
+
+// Restart counts one §2.2.4 restart.
+func (m *Meter) Restart() {
+	if m != nil {
+		m.n.Restarts++
+		m.run.Obs.Event(obs.EvRestart, m.part, 0)
+	}
+}
+
+// Stall counts the parallel merge blocking on partition part.
+func (m *Meter) Stall(part int32) {
+	if m != nil {
+		m.n.MergeStalls++
+		m.run.Obs.Event(obs.EvMergeStall, part, 0)
+	}
+}
+
+// Deliver records one pair of the merged, ordered stream reaching the
+// caller (the sequential engine delivers through Emit).
+func (m *Meter) Deliver(dist float64) {
+	if m != nil {
+		m.run.Obs.Deliver(dist)
+	}
+}
+
+// QueueIO returns the handle the hybrid queue's buffer pool reports its
+// physical page I/O to — nil for a nil meter, and a pager.IOClock only when
+// a timing view is attached, so the pool otherwise reads no clock.
+func (m *Meter) QueueIO() pager.IOCounter {
+	switch {
+	case m == nil:
+		return nil
+	case m.timed:
+		return timedQueueIO{queueIO{m}}
+	}
+	return queueIO{m}
+}
+
+// queueIO counts the queue pool's page reads and writes; hits inside the
+// queue's small pool are not tracked.
+type queueIO struct{ m *Meter }
+
+func (q queueIO) AddRead(n int64)  { q.m.n.QueueReads += n }
+func (q queueIO) AddWrite(n int64) { q.m.n.QueueWrites += n }
+func (q queueIO) AddHit(int64)     {}
+
+// timedQueueIO additionally receives the wall time of each physical I/O:
+// "of which" time nested inside the spill or fetch bracket that caused it.
+type timedQueueIO struct{ queueIO }
+
+func (q timedQueueIO) ObserveRead(d time.Duration)  { q.m.t.IOReadNS += max(int64(d), 0) }
+func (q timedQueueIO) ObserveWrite(d time.Duration) { q.m.t.IOWriteNS += max(int64(d), 0) }

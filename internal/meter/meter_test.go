@@ -1,0 +1,202 @@
+package meter
+
+import (
+	"testing"
+	"time"
+
+	"distjoin/internal/obs"
+	"distjoin/internal/profile"
+	"distjoin/internal/qtrace"
+)
+
+// fakeClock replaces the meter's clock for one test: every read advances it
+// by tick, and reads are counted.
+func fakeClock(t *testing.T, tick time.Duration) (reads *int) {
+	t.Helper()
+	var n int
+	var elapsed time.Duration
+	old := since
+	since = func(time.Time) time.Duration {
+		n++
+		elapsed += tick
+		return elapsed
+	}
+	t.Cleanup(func() { since = old })
+	return &n
+}
+
+// everyHook drives each hook an engine, its queue and the queue's pool call
+// during one step.
+func everyHook(m *Meter) {
+	m.BeginStep(PhaseEmit)
+	pop := m.Begin(PhasePop)
+	fetch := m.Begin(PhaseFetch)
+	m.Fetch()
+	m.End(fetch)
+	m.Pop()
+	m.End(pop)
+	m.Expand(1.5)
+	exp := m.Begin(PhaseExpand)
+	m.DistCalc(true)
+	m.DistCalc(false)
+	m.Filter(1)
+	m.BatchPruned(2)
+	push := m.Begin(PhasePush)
+	spill := m.Begin(PhaseSpill)
+	m.Spill(9, 1)
+	m.End(spill)
+	m.Push(3)
+	m.End(push)
+	m.End(exp)
+	m.Fault()
+	m.Retry(1)
+	m.Restart()
+	m.Stall(0)
+	m.Emit(2.5, 3)
+	m.Deliver(2.5)
+	m.EndStep(PhaseEmit)
+}
+
+// TestNilSinksZeroAllocsZeroClockReads is the nil-sink pin: with every sink
+// nil there is no run and no meter, and every hook on the nil meter returns
+// at once — zero allocations and zero clock reads on the per-pair path.
+func TestNilSinksZeroAllocsZeroClockReads(t *testing.T) {
+	reads := fakeClock(t, time.Microsecond)
+	run := Begin(Sinks{QueryID: "ignored"}, "join")
+	if run != nil {
+		t.Fatalf("Begin with no sink = %v, want nil", run)
+	}
+	m := run.Meter(-1)
+	if m != nil || run.MergeMeter(2) != nil || m.QueueIO() != nil {
+		t.Fatal("a nil run must hand out nil meters and a nil pool handle")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		everyHook(m)
+		run.Canceled()
+	})
+	run.PlanDone()
+	m.Close(1)
+	run.Finish(nil)
+	if allocs != 0 || *reads != 0 {
+		t.Fatalf("nil meter: %v allocs per step, %d clock reads; want 0 and 0", allocs, *reads)
+	}
+}
+
+// TestClockOnlyForTimingViews pins when the meter reads the clock: never
+// with only Counters attached, once per step (the pop-to-emit stamp) with
+// Obs, and once per phase switch with Profile or Tracer.
+func TestClockOnlyForTimingViews(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sinks Sinks
+		want  int
+	}{
+		{"counters", Sinks{Counters: &Counters{}}, 0},
+		{"obs", Sinks{Obs: obs.New(obs.Config{})}, 1},
+		// step in, 5 brackets × (in + out), step out.
+		{"profile", Sinks{Profile: &Spans{}}, 12},
+		{"tracer", Sinks{Tracer: qtrace.New(qtrace.Config{})}, 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := Begin(tc.sinks, "join").Meter(-1)
+			io := m.QueueIO()
+			if _, clocked := io.(interface{ ObserveRead(time.Duration) }); clocked != (tc.want > 1) {
+				t.Fatalf("pool handle is an IOClock = %v, want %v", clocked, tc.want > 1)
+			}
+			reads := fakeClock(t, time.Microsecond)
+			everyHook(m)
+			if *reads != tc.want {
+				t.Fatalf("%d clock reads in one step, want %d", *reads, tc.want)
+			}
+		})
+	}
+}
+
+// TestPhasesAreExclusive drives nested brackets on a clock that advances
+// 1µs per read: every read closes one slice of exactly one phase, so each
+// phase's time is the number of switches out of it, nothing is counted
+// twice, and the step's total is what the clock saw.
+func TestPhasesAreExclusive(t *testing.T) {
+	sp := &Spans{}
+	c := &Counters{}
+	m := Begin(Sinks{Counters: c, Profile: sp}, "join").Meter(-1)
+	fakeClock(t, time.Microsecond)
+	everyHook(m)
+	everyHook(m) // the second fold publishes the first step's last slice
+
+	m.Close(2)
+	want := map[Phase]int64{
+		PhaseEmit: 3, PhasePop: 2, PhaseFetch: 1, PhaseExpand: 2, PhasePush: 2, PhaseSpill: 1,
+	}
+	var total int64
+	for p := Phase(0); int(p) < profile.NumPhases; p++ {
+		got := sp.Tally().NS[p] / int64(time.Microsecond)
+		total += got
+		if got != 2*want[p] {
+			t.Errorf("phase %s = %dµs, want %d", p, got, 2*want[p])
+		}
+	}
+	if total != 2*11 { // 12 reads per step bound 11 slices
+		t.Errorf("phases sum to %dµs, want 22", total)
+	}
+	// Span counts are the matching work counts; fetch and emit have their own.
+	s := c.Snapshot()
+	for p, n := range map[Phase]int64{
+		PhasePop: s.QueuePops, PhasePush: s.QueueInserts, PhaseSpill: s.QueueDiskPairs,
+		PhaseExpand: s.Expansions, PhaseFetch: 2, PhaseEmit: 2, PhaseMerge: 0,
+	} {
+		if got := sp.Tally().Counts[p]; got != n || (p != PhaseMerge && n != 2) {
+			t.Errorf("phase %s span count = %d, want %d", p, got, n)
+		}
+	}
+}
+
+// TestFoldRule pins when views see a meter: the sequential engine's and the
+// merge's after every step, a partition worker's only once it closes, and a
+// cancellation at once.
+func TestFoldRule(t *testing.T) {
+	c := &Counters{}
+	run := Begin(Sinks{Counters: c}, "join")
+	seq, worker, merge := run.Meter(-1), run.Meter(0), run.MergeMeter(1)
+
+	everyHook(seq)
+	if got := c.Snapshot(); got.QueuePops != 1 || got.PairsReported != 1 || got.MaxQueueSize != 3 {
+		t.Fatalf("after one sequential step the view holds %+v", got)
+	}
+	everyHook(worker)
+	if got := c.Snapshot().QueuePops; got != 1 {
+		t.Fatalf("a running partition worker published: pops = %d, want 1", got)
+	}
+	worker.Close(1)
+	if got := c.Snapshot().QueuePops; got != 2 {
+		t.Fatalf("a closed partition worker did not publish: pops = %d, want 2", got)
+	}
+	merge.BeginStep(PhaseMerge)
+	merge.Stall(0)
+	merge.EndStep(PhaseMerge)
+	run.Canceled()
+	if got := c.Snapshot(); got.MergeStalls != 3 || got.Cancellations != 1 {
+		t.Fatalf("merge meter: stalls %d cancellations %d, want 3 and 1", got.MergeStalls, got.Cancellations)
+	}
+}
+
+func BenchmarkStep(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		sinks Sinks
+	}{
+		{"counters", Sinks{Counters: &Counters{}}},
+		{"all", Sinks{Counters: &Counters{}, Obs: obs.New(obs.Config{RingSize: 1}), Profile: &Spans{}, Tracer: qtrace.New(qtrace.Config{})}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := Begin(tc.sinks, "bench").Meter(-1)
+			for i := 0; i < b.N; i++ {
+				m.BeginStep(PhaseEmit)
+				m.Pop()
+				m.Push(3)
+				m.DistCalc(false)
+				m.EndStep(PhaseEmit)
+			}
+		})
+	}
+}

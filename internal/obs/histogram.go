@@ -90,7 +90,7 @@ func bucketUpper(i int) float64 {
 }
 
 // HistogramSnapshot is a point-in-time summary of a Histogram, shaped for
-// JSON (expvar) consumption.
+// JSON consumption.
 type HistogramSnapshot struct {
 	Count int64   `json:"count"`
 	MeanS float64 `json:"mean_seconds"`

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net"
@@ -10,7 +9,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,19 +17,14 @@ import (
 	"distjoin/internal/stats"
 )
 
-// WriteMetrics writes the recorder's current state (and, when c is non-nil,
-// the run's stats.Counters) in Prometheus text exposition format. It is
-// WriteMetricsTraced without per-query gauges.
-func WriteMetrics(w io.Writer, r *Recorder, c *stats.Counters) {
-	WriteMetricsTraced(w, r, c, nil)
-}
-
-// WriteMetricsTraced is WriteMetrics plus, when qt is non-nil, the query
-// tracer's per-query resource gauges: one labeled sample per flight-recorder
-// trace, newest first, and the live count of running queries. Each extra, if
-// any, is invoked in order after the built-in families — the hook other
-// subsystems (RED middleware, OTLP exporter, build info beyond the default)
-// use to join the same exposition without obs importing them.
+// WriteMetricsTraced writes the recorder's current state, the run's
+// stats.Counters and the query tracer's live count of running queries —
+// each when non-nil — in Prometheus text exposition format (per-query
+// numbers are served as JSON by QueriesHandler, not as labeled families: a
+// label per query id is unbounded cardinality). Each extra, if any, is
+// invoked in order after the built-in families — the hook other subsystems
+// (RED middleware, OTLP exporter, build info beyond the default) use to join
+// the same exposition without obs importing them.
 func WriteMetricsTraced(w io.Writer, r *Recorder, c *stats.Counters, qt *qtrace.Tracer, extras ...func(io.Writer)) {
 	buildinfo.WritePrometheus(w)
 	if r != nil {
@@ -48,7 +41,7 @@ func WriteMetricsTraced(w io.Writer, r *Recorder, c *stats.Counters, qt *qtrace.
 		writeGauge(w, "distjoin_stats_max_queue_size", "High-water priority-queue size (stats.Counters).", float64(cs.MaxQueueSize))
 	}
 	if qt != nil {
-		writeQueryMetrics(w, qt)
+		writeGauge(w, "distjoin_queries_active", "Queries begun but not yet finished.", float64(qt.Active()))
 	}
 	for _, extra := range extras {
 		if extra != nil {
@@ -83,39 +76,6 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	writeHistogram(w, "distjoin_pop_to_emit_seconds", "Latency from queue pop to result emission within one engine.", &r.popToEmit)
 	writeQuantiles(w, "distjoin_inter_pair_delay_quantiles_seconds", "Quantile estimates of the inter-pair delay (log2-bucket midpoints).", &r.interPair)
 	writeQuantiles(w, "distjoin_pop_to_emit_quantiles_seconds", "Quantile estimates of the pop-to-emit latency (log2-bucket midpoints).", &r.popToEmit)
-}
-
-// writeQueryMetrics emits the per-query resource accounting of the query
-// tracer's flight recorder as labeled gauge families (gauges, not counters:
-// each sample is one completed query's total, and samples disappear when
-// their trace rotates out of the ring).
-func writeQueryMetrics(w io.Writer, qt *qtrace.Tracer) {
-	writeGauge(w, "distjoin_queries_active", "Queries begun but not yet finished.", float64(qt.Active()))
-	traces := qt.Traces()
-	if len(traces) == 0 {
-		return
-	}
-	type col struct {
-		name, help string
-		v          func(t *qtrace.QueryTrace) float64
-	}
-	cols := []col{
-		{"distjoin_query_wall_seconds", "Wall time of each flight-recorded query.", func(t *qtrace.QueryTrace) float64 { return t.WallSeconds }},
-		{"distjoin_query_phase_coverage", "Fraction of query wall time explained by the span tree.", func(t *qtrace.QueryTrace) float64 { return t.Coverage }},
-		{"distjoin_query_pairs_reported", "Result pairs the query delivered.", func(t *qtrace.QueryTrace) float64 { return float64(t.Resources.Pairs) }},
-		{"distjoin_query_dist_calcs", "Object distance computations the query performed.", func(t *qtrace.QueryTrace) float64 { return float64(t.Resources.DistCalcs) }},
-		{"distjoin_query_node_io", "Index node reads + writes the query performed.", func(t *qtrace.QueryTrace) float64 { return float64(t.Resources.NodeIO) }},
-		{"distjoin_query_io_faults", "Queue-store I/O faults the query observed.", func(t *qtrace.QueryTrace) float64 { return float64(t.Resources.IOFaults) }},
-		{"distjoin_query_io_retries", "Transient-fault retries the query performed.", func(t *qtrace.QueryTrace) float64 { return float64(t.Resources.IORetries) }},
-		{"distjoin_query_batch_pruned", "Candidate pairs the query's plane-sweep/block prune skipped.", func(t *qtrace.QueryTrace) float64 { return float64(t.Resources.BatchPruned) }},
-		{"distjoin_query_peak_queue_depth", "High-water priority-queue size during the query.", func(t *qtrace.QueryTrace) float64 { return float64(t.Resources.PeakQueueDepth) }},
-	}
-	for _, cl := range cols {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", cl.name, cl.help, cl.name)
-		for _, t := range traces {
-			fmt.Fprintf(w, "%s{query=%q,kind=%q} %g\n", cl.name, t.ID, t.Kind, cl.v(t))
-		}
-	}
 }
 
 // QueriesHandler serves the query tracer's flight recorder as JSON:
@@ -187,34 +147,12 @@ func writeQuantiles(w io.Writer, name, help string, h *Histogram) {
 	fmt.Fprintf(w, "%s{quantile=\"0.99\"} %g\n", name, q.P99S)
 }
 
-// Handler returns an http.Handler serving WriteMetrics output.
-func Handler(r *Recorder, c *stats.Counters) http.Handler {
-	return HandlerTraced(r, c, nil)
-}
-
-// HandlerTraced is Handler plus the query tracer's per-query gauges. Extras
-// are forwarded to WriteMetricsTraced on every scrape.
+// HandlerTraced returns an http.Handler serving WriteMetricsTraced output.
+// Extras are forwarded on every scrape.
 func HandlerTraced(r *Recorder, c *stats.Counters, qt *qtrace.Tracer, extras ...func(io.Writer)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		WriteMetricsTraced(w, r, c, qt, extras...)
-	})
-}
-
-// expvar can only publish a name once per process, so the published vars
-// read through an atomic pointer to whatever recorder ServeMetrics saw
-// last.
-var (
-	expvarOnce   sync.Once
-	expvarActive atomic.Pointer[Recorder]
-)
-
-func publishExpvar(r *Recorder) {
-	expvarActive.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("distjoin.obs", expvar.Func(func() any {
-			return expvarActive.Load().Snapshot()
-		}))
 	})
 }
 
@@ -240,33 +178,22 @@ func (s *MetricsServer) Close() error {
 	return err
 }
 
-// ServeMetrics binds addr and serves, in a background goroutine:
+// ServeMetricsTraced binds addr and serves, in a background goroutine:
 //
-//	/metrics      Prometheus text exposition (recorder + stats.Counters)
-//	/debug/vars   expvar JSON, including a "distjoin.obs" snapshot
-//	/debug/pprof  the standard pprof handlers
-//
-// The default http mux is untouched; callers own the returned server's
-// lifetime.
-func ServeMetrics(addr string, r *Recorder, c *stats.Counters) (*MetricsServer, error) {
-	return ServeMetricsTraced(addr, r, c, nil)
-}
-
-// ServeMetricsTraced is ServeMetrics with per-query tracing attached: the
-// /metrics exposition gains the per-query gauges, and the query tracer's
-// flight recorder is served as JSON at
-//
-//	/debug/queries       all retained traces, newest first
+//	/metrics             Prometheus text exposition (WriteMetricsTraced)
+//	/debug/queries       the query tracer's retained traces, newest first
 //	/debug/queries/<id>  one trace by query ID
+//	/debug/pprof         the standard pprof handlers
+//
+// Any of r, c and qt may be nil. The default http mux is untouched; callers
+// own the returned server's lifetime.
 func ServeMetricsTraced(addr string, r *Recorder, c *stats.Counters, qt *qtrace.Tracer) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	publishExpvar(r)
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", HandlerTraced(r, c, qt))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/debug/queries", QueriesHandler("/debug/queries", qt))
 	mux.Handle("/debug/queries/", QueriesHandler("/debug/queries", qt))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

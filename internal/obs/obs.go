@@ -1,7 +1,10 @@
-// Package obs is the live observability layer of the incremental distance
-// join: structured event tracing, latency histograms, and sampled gauges,
-// threaded through the engine, the parallel partition workers, the hybrid
-// priority queue, and the buffer pool.
+// Package obs is the live observability view of the incremental distance
+// join: structured event tracing, latency histograms, and sampled gauges.
+// The engines do not call it directly: each engine's meter (internal/meter)
+// records events and histogram observations here at its hook points and
+// folds its counts into the recorder's Counts at every Next return, so the
+// /metrics counter families print from the same counts every other view
+// sees.
 //
 // The paper's central claim is incrementality — the first result pairs
 // arrive long before the full join could complete — and this package makes
@@ -27,7 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"distjoin/internal/pager"
+	"distjoin/internal/stats"
 )
 
 // EventType identifies one kind of engine event.
@@ -41,8 +44,8 @@ const (
 	// of pairs the engine reported.
 	EvEngineStop
 	// EvExpand marks a node-pair expansion. Dist is the pair's queue key
-	// (the traversal frontier of that engine); N is the running expansion
-	// count. Sampled per Config.ExpandEvery.
+	// (the traversal frontier of that engine); N is that engine's running
+	// expansion count. Sampled per Config.ExpandEvery.
 	EvExpand
 	// EvEmit marks a partition worker producing a result pair (parallel
 	// path only; sequential emissions appear as EvDeliver). Dist is the pair
@@ -128,22 +131,17 @@ type Recorder struct {
 	expandEvery int64
 	spillEvery  int64
 
-	delivered    atomic.Int64
-	emits        atomic.Int64
-	expands      atomic.Int64
-	batchPruned  atomic.Int64
-	spilledPairs atomic.Int64
-	stalls       atomic.Int64
-	restarts     atomic.Int64
-	ioRetries    atomic.Int64
-	startedEng   atomic.Int64
-	stoppedEng   atomic.Int64
-	queueDepth   atomic.Int64
-	frontier     atomic.Uint64 // float64 bits of the last delivered distance
-	lastDeliver  atomic.Int64  // ns since epoch of the previous delivery
-	poolReads    atomic.Int64
-	poolWrites   atomic.Int64
-	poolHits     atomic.Int64
+	// counts is the recorder's copy of the work counters: meters fold into
+	// it like into Options.Counters, and buffer pools attached with
+	// Index.SetObserver add node I/O (the pool-hit-ratio gauge).
+	counts stats.Counters
+
+	delivered   atomic.Int64 // delivery sequence number
+	startedEng  atomic.Int64
+	stoppedEng  atomic.Int64
+	queueDepth  atomic.Int64
+	frontier    atomic.Uint64 // float64 bits of the last delivered distance
+	lastDeliver atomic.Int64  // ns since epoch of the previous delivery
 
 	interPair Histogram // delay between consecutive delivered pairs
 	popToEmit Histogram // queue pop to result emission inside one engine
@@ -181,14 +179,13 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Now returns the current time, or the zero time on a nil recorder — the
-// engine brackets its per-pair work with r.Now() so that a disabled
-// recorder skips the clock reads entirely.
-func (r *Recorder) Now() time.Time {
+// Counts returns the recorder's work counters — the view meters fold into
+// and stats.NodeSink feeds — or nil for a nil recorder.
+func (r *Recorder) Counts() *stats.Counters {
 	if r == nil {
-		return time.Time{}
+		return nil
 	}
-	return time.Now()
+	return &r.counts
 }
 
 // record appends an event to the ring and the trace sink.
@@ -202,69 +199,42 @@ func (r *Recorder) record(ev Event) {
 	r.mu.Unlock()
 }
 
-// EngineStart records an engine seeding its queue.
-func (r *Recorder) EngineStart(part int32) {
+// Event records one unsampled event now: engine start/stop (N = pairs
+// reported), restart, retry (N = the 1-based attempt that failed), merge
+// stall.
+func (r *Recorder) Event(t EventType, part int32, n int64) {
 	if r == nil {
 		return
 	}
-	r.startedEng.Add(1)
-	r.record(Event{T: time.Since(r.epoch), Type: EvEngineStart, Part: part})
+	switch t {
+	case EvEngineStart:
+		r.startedEng.Add(1)
+	case EvEngineStop:
+		r.stoppedEng.Add(1)
+	}
+	r.record(Event{T: time.Since(r.epoch), Type: t, Part: part, N: n})
 }
 
-// EngineStop records an engine releasing its resources after reporting n
-// pairs.
-func (r *Recorder) EngineStop(part int32, n int64) {
-	if r == nil {
-		return
-	}
-	r.stoppedEng.Add(1)
-	r.record(Event{T: time.Since(r.epoch), Type: EvEngineStop, Part: part, N: n})
-}
-
-// Restart records the §2.2.4 restart.
-func (r *Recorder) Restart(part int32) {
-	if r == nil {
-		return
-	}
-	r.restarts.Add(1)
-	r.record(Event{T: time.Since(r.epoch), Type: EvRestart, Part: part})
-}
-
-// IORetry records one retry of a transient queue-store I/O failure;
-// attempt is the 1-based number of the attempt that failed.
-func (r *Recorder) IORetry(part int32, attempt int) {
-	if r == nil {
-		return
-	}
-	r.ioRetries.Add(1)
-	r.record(Event{T: time.Since(r.epoch), Type: EvRetry, Part: part, N: int64(attempt)})
-}
-
-// Expand records one node-pair expansion at queue key dist.
-func (r *Recorder) Expand(part int32, dist float64) {
-	if r == nil {
-		return
-	}
-	n := r.expands.Add(1)
-	if n%r.expandEvery == 0 {
+// Expand records the n-th node-pair expansion of an engine at queue key
+// dist, sampled per Config.ExpandEvery.
+func (r *Recorder) Expand(part int32, dist float64, n int64) {
+	if r != nil && n%r.expandEvery == 0 {
 		r.record(Event{T: time.Since(r.epoch), Type: EvExpand, Part: part, Dist: dist, N: n})
 	}
 }
 
-// BatchPrune records n candidate pairs skipped by the batched expansion's
-// plane-sweep/block prune before any distance computation. Counter-only:
-// prunes are far too frequent for per-event tracing.
-func (r *Recorder) BatchPrune(n int64) {
-	if r == nil {
-		return
+// Spill records an engine's n-th pair spilling to the hybrid queue's disk
+// tier, which now holds diskLen pairs; sampled per Config.SpillEvery.
+func (r *Recorder) Spill(part int32, dist float64, diskLen int, n int64) {
+	if r != nil && n%r.spillEvery == 0 {
+		r.record(Event{T: time.Since(r.epoch), Type: EvSpill, Part: part, Dist: dist, N: int64(diskLen)})
 	}
-	r.batchPruned.Add(n)
 }
 
 // Emit records one result pair produced by an engine: the pop-to-emit
-// latency (popStart is the engine's r.Now() before draining the queue), the
-// live queue depth, and — on the sequential path (part < 0), where
-// production is delivery — the delivery accounting as well. Parallel
+// latency (popStart is when the engine's Next call began draining the
+// queue), the live queue depth, and — on the sequential path (part < 0),
+// where production is delivery — the delivery accounting as well. Parallel
 // partition workers pass their partition id and the merge calls Deliver for
 // the ordered stream.
 func (r *Recorder) Emit(part int32, dist float64, queueLen int, popStart time.Time) {
@@ -272,7 +242,6 @@ func (r *Recorder) Emit(part int32, dist float64, queueLen int, popStart time.Ti
 		return
 	}
 	now := time.Now()
-	r.emits.Add(1)
 	r.popToEmit.Observe(now.Sub(popStart))
 	r.queueDepth.Store(int64(queueLen))
 	if part < 0 {
@@ -305,27 +274,6 @@ func (r *Recorder) deliver(dist float64, now time.Time) {
 		r.interPair.Observe(time.Duration(ns - prev))
 	}
 	r.record(Event{T: time.Duration(ns), Type: EvDeliver, Part: -1, Seq: seq, Dist: dist, N: r.queueDepth.Load()})
-}
-
-// Spill records one pair spilling to the hybrid queue's disk tier, which
-// now holds diskLen pairs.
-func (r *Recorder) Spill(part int32, dist float64, diskLen int) {
-	if r == nil {
-		return
-	}
-	n := r.spilledPairs.Add(1)
-	if n%r.spillEvery == 0 {
-		r.record(Event{T: time.Since(r.epoch), Type: EvSpill, Part: part, Dist: dist, N: int64(diskLen)})
-	}
-}
-
-// MergeStall records the parallel merge blocking on partition part.
-func (r *Recorder) MergeStall(part int32) {
-	if r == nil {
-		return
-	}
-	r.stalls.Add(1)
-	r.record(Event{T: time.Since(r.epoch), Type: EvMergeStall, Part: part})
 }
 
 // SetPartitions sizes the per-partition emission gauges. Called by the
@@ -363,44 +311,6 @@ func (r *Recorder) PartitionPairs() []int64 {
 	return out
 }
 
-// poolTap forwards buffer-pool accounting to an inner sink while feeding
-// the recorder's hit-ratio gauge.
-type poolTap struct {
-	r     *Recorder
-	inner pager.IOCounter
-}
-
-func (t *poolTap) AddRead(n int64) {
-	t.r.poolReads.Add(n)
-	if t.inner != nil {
-		t.inner.AddRead(n)
-	}
-}
-
-func (t *poolTap) AddWrite(n int64) {
-	t.r.poolWrites.Add(n)
-	if t.inner != nil {
-		t.inner.AddWrite(n)
-	}
-}
-
-func (t *poolTap) AddHit(n int64) {
-	t.r.poolHits.Add(n)
-	if t.inner != nil {
-		t.inner.AddHit(n)
-	}
-}
-
-// PoolTap wraps a pager.IOCounter so the recorder observes buffer-pool
-// traffic (feeding the live hit-ratio gauge) while the inner sink keeps
-// receiving the Table-1 accounting. A nil recorder returns inner unchanged.
-func (r *Recorder) PoolTap(inner pager.IOCounter) pager.IOCounter {
-	if r == nil {
-		return inner
-	}
-	return &poolTap{r: r, inner: inner}
-}
-
 // Events returns the ring contents in chronological order (oldest first).
 func (r *Recorder) Events() []Event {
 	if r == nil {
@@ -421,7 +331,7 @@ func (r *Recorder) Events() []Event {
 }
 
 // Snapshot is a point-in-time view of every counter, gauge and histogram,
-// shaped for JSON (expvar) consumption.
+// shaped for JSON consumption.
 type Snapshot struct {
 	UptimeS        float64           `json:"uptime_seconds"`
 	Delivered      int64             `json:"pairs_delivered"`
@@ -453,10 +363,10 @@ func (r *Recorder) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	reads, hits := r.poolReads.Load(), r.poolHits.Load()
+	c := r.counts.Snapshot()
 	ratio := 0.0
-	if reads+hits > 0 {
-		ratio = float64(hits) / float64(reads+hits)
+	if c.NodeReads+c.BufferHits > 0 {
+		ratio = float64(c.BufferHits) / float64(c.NodeReads+c.BufferHits)
 	}
 	r.mu.Lock()
 	events := r.ringN
@@ -464,20 +374,20 @@ func (r *Recorder) Snapshot() Snapshot {
 	return Snapshot{
 		UptimeS:        time.Since(r.epoch).Seconds(),
 		Delivered:      r.delivered.Load(),
-		Emitted:        r.emits.Load(),
-		Expansions:     r.expands.Load(),
-		BatchPruned:    r.batchPruned.Load(),
-		SpilledPairs:   r.spilledPairs.Load(),
-		MergeStalls:    r.stalls.Load(),
-		Restarts:       r.restarts.Load(),
-		IORetries:      r.ioRetries.Load(),
+		Emitted:        c.PairsReported,
+		Expansions:     c.Expansions,
+		BatchPruned:    c.BatchPruned,
+		SpilledPairs:   c.QueueDiskPairs,
+		MergeStalls:    c.MergeStalls,
+		Restarts:       c.Restarts,
+		IORetries:      c.IORetries,
 		EnginesStarted: r.startedEng.Load(),
 		EnginesStopped: r.stoppedEng.Load(),
 		QueueDepth:     r.queueDepth.Load(),
 		Frontier:       math.Float64frombits(r.frontier.Load()),
-		PoolReads:      reads,
-		PoolWrites:     r.poolWrites.Load(),
-		PoolHits:       hits,
+		PoolReads:      c.NodeReads,
+		PoolWrites:     c.NodeWrites,
+		PoolHits:       c.BufferHits,
 		PoolHitRatio:   ratio,
 		PartitionPairs: r.PartitionPairs(),
 		InterPairDelay: r.interPair.snapshot(),

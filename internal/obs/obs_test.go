@@ -10,30 +10,29 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"distjoin/internal/stats"
 )
 
 // TestNilRecorder exercises every hook on a nil receiver: nothing may
 // panic, and queries return zero values.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	if !r.Now().IsZero() {
-		t.Error("nil.Now() should be the zero time")
-	}
-	r.EngineStart(0)
-	r.EngineStop(0, 5)
-	r.Restart(-1)
-	r.Expand(0, 1.5)
+	r.Event(EvEngineStart, 0, 0)
+	r.Event(EvEngineStop, 0, 5)
+	r.Event(EvRestart, -1, 0)
+	r.Expand(0, 1.5, 1)
 	r.Emit(-1, 2.5, 10, time.Time{})
 	r.Emit(3, 2.5, 10, time.Time{})
 	r.Deliver(3.5)
-	r.Spill(0, 4.5, 100)
-	r.MergeStall(1)
+	r.Spill(0, 4.5, 100, 1)
+	r.Event(EvMergeStall, 1, 0)
 	r.SetPartitions(4)
 	if r.PartitionPairs() != nil {
 		t.Error("nil.PartitionPairs() should be nil")
 	}
-	if got := r.PoolTap(nil); got != nil {
-		t.Error("nil.PoolTap(nil) should be nil")
+	if r.Counts() != nil {
+		t.Error("nil.Counts() should be nil")
 	}
 	if r.Events() != nil {
 		t.Error("nil.Events() should be nil")
@@ -51,26 +50,31 @@ func TestNilRecorder(t *testing.T) {
 func TestNilRecorderAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		start := r.Now()
-		r.Expand(-1, 1.0)
-		r.Emit(-1, 2.0, 5, start)
-		r.Spill(-1, 3.0, 1)
+		r.Expand(-1, 1.0, 1)
+		r.Emit(-1, 2.0, 5, time.Time{})
+		r.Spill(-1, 3.0, 1, 1)
+		r.Event(EvRetry, -1, 2)
+		r.Counts().Merge(nil)
 	})
 	if allocs != 0 {
 		t.Errorf("nil Recorder hooks allocated %v per run, want 0", allocs)
 	}
 }
 
+// TestRecorderCountsAndSnapshot drives the recorder the way a meter does:
+// events and histogram observations at the hooks, the work counts folded in
+// through Counts — the snapshot's counter fields print from those counts.
 func TestRecorderCountsAndSnapshot(t *testing.T) {
 	r := New(Config{})
-	r.EngineStart(-1)
-	start := r.Now()
-	r.Expand(-1, 0.5)
+	r.Event(EvEngineStart, -1, 0)
+	start := time.Now()
+	r.Expand(-1, 0.5, 1)
 	r.Emit(-1, 1.0, 7, start)
 	r.Emit(-1, 2.0, 6, start)
-	r.Spill(-1, 3.0, 42)
-	r.Restart(-1)
-	r.EngineStop(-1, 2)
+	r.Spill(-1, 3.0, 42, 1)
+	r.Event(EvRestart, -1, 0)
+	r.Event(EvEngineStop, -1, 2)
+	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1, Restarts: 1})
 	s := r.Snapshot()
 	if s.Delivered != 2 || s.Emitted != 2 {
 		t.Errorf("delivered=%d emitted=%d, want 2/2", s.Delivered, s.Emitted)
@@ -98,7 +102,7 @@ func TestRecorderCountsAndSnapshot(t *testing.T) {
 func TestPartitionPairs(t *testing.T) {
 	r := New(Config{})
 	r.SetPartitions(3)
-	start := r.Now()
+	start := time.Now()
 	r.Emit(0, 1.0, 1, start)
 	r.Emit(2, 1.5, 1, start)
 	r.Emit(2, 2.0, 1, start)
@@ -114,15 +118,15 @@ func TestPartitionPairs(t *testing.T) {
 		}
 	}
 	// Partition emits must not count as deliveries.
-	if s := r.Snapshot(); s.Delivered != 1 || s.Emitted != 3 {
-		t.Errorf("delivered=%d emitted=%d, want 1/3", s.Delivered, s.Emitted)
+	if s := r.Snapshot(); s.Delivered != 1 {
+		t.Errorf("delivered=%d, want 1", s.Delivered)
 	}
 }
 
 func TestRingWrap(t *testing.T) {
 	r := New(Config{RingSize: 4})
 	for i := 0; i < 10; i++ {
-		r.Expand(-1, float64(i))
+		r.Expand(-1, float64(i), int64(i+1))
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -138,12 +142,11 @@ func TestRingWrap(t *testing.T) {
 func TestTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	r := New(Config{Trace: &buf})
-	r.EngineStart(-1)
-	start := r.Now()
-	r.Emit(-1, 1.25, 3, start)
-	r.Spill(2, 7.5, 9)
-	r.MergeStall(1)
-	r.EngineStop(-1, 1)
+	r.Event(EvEngineStart, -1, 0)
+	r.Emit(-1, 1.25, 3, time.Now())
+	r.Spill(2, 7.5, 9, 1)
+	r.Event(EvMergeStall, 1, 0)
+	r.Event(EvEngineStop, -1, 1)
 	if err := r.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -218,47 +221,42 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-type fakeSink struct{ reads, writes, hits int64 }
-
-func (f *fakeSink) AddRead(n int64)  { f.reads += n }
-func (f *fakeSink) AddWrite(n int64) { f.writes += n }
-func (f *fakeSink) AddHit(n int64)   { f.hits += n }
-
-func TestPoolTap(t *testing.T) {
+// TestPoolHitRatioFromCounts: a buffer pool attached with Index.SetObserver
+// adds its node I/O to the recorder's counts (stats.NodeSink fans one pool
+// handle out to several views — the PoolTap wrapper this replaced is gone),
+// and the hit-ratio gauge prints from them.
+func TestPoolHitRatioFromCounts(t *testing.T) {
 	r := New(Config{})
-	inner := &fakeSink{}
-	tap := r.PoolTap(inner)
+	inner := &stats.Counters{}
+	tap := stats.NodeSink(inner, r.Counts())
 	tap.AddRead(2)
 	tap.AddHit(6)
 	tap.AddWrite(1)
-	if inner.reads != 2 || inner.hits != 6 || inner.writes != 1 {
-		t.Errorf("inner sink = %+v, want 2/1/6", inner)
+	if inner.NodeReads != 2 || inner.BufferHits != 6 || inner.NodeWrites != 1 {
+		t.Errorf("inner view = %+v, want 2/6/1", inner)
 	}
 	s := r.Snapshot()
-	if s.PoolHitRatio != 0.75 {
-		t.Errorf("hit ratio = %g, want 0.75", s.PoolHitRatio)
-	}
-	// Tap with no inner sink still records.
-	tap2 := r.PoolTap(nil)
-	tap2.AddRead(1)
-	if r.Snapshot().PoolReads != 3 {
-		t.Error("tap without inner sink should still record")
+	if s.PoolHitRatio != 0.75 || s.PoolReads != 2 || s.PoolWrites != 1 {
+		t.Errorf("snapshot pool = %d reads %d writes ratio %g, want 2/1/0.75", s.PoolReads, s.PoolWrites, s.PoolHitRatio)
 	}
 }
 
 func TestMetricsHandler(t *testing.T) {
 	r := New(Config{})
 	r.SetPartitions(2)
-	start := r.Now()
+	start := time.Now()
 	r.Emit(0, 1.0, 4, start)
 	r.Emit(1, 2.0, 3, start)
 	r.Deliver(1.0)
+	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 5})
 	rec := httptest.NewRecorder()
-	Handler(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	HandlerTraced(r, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE distjoin_pairs_delivered_total counter",
 		"distjoin_pairs_delivered_total 1",
+		"distjoin_pairs_emitted_total 2",
+		"distjoin_expansions_total 5",
 		"distjoin_queue_depth 3",
 		`distjoin_partition_pairs_emitted{part="0"} 1`,
 		`distjoin_partition_pairs_emitted{part="1"} 1`,
@@ -274,27 +272,35 @@ func TestMetricsHandler(t *testing.T) {
 func TestServeMetrics(t *testing.T) {
 	r := New(Config{})
 	r.Deliver(5.0)
-	srv, err := ServeMetrics("127.0.0.1:0", r, nil)
+	srv, err := ServeMetricsTraced("127.0.0.1:0", r, nil, nil)
 	if err != nil {
 		t.Fatalf("ServeMetrics: %v", err)
 	}
 	defer srv.Close()
-	for _, path := range []string{"/metrics", "/debug/vars"} {
+	// /debug/vars is gone: the expvar publication duplicated /metrics (and
+	// held process-global state); /debug/queries is the JSON surface.
+	for _, path := range []string{"/metrics", "/debug/queries"} {
 		resp, err := http.Get(fmt.Sprintf("http://%s%s", srv.Addr(), path))
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, resp.StatusCode)
+		if path == "/metrics" && (resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "distjoin_frontier_distance 5")) {
+			t.Errorf("GET %s: status %d, missing frontier gauge:\n%s", path, resp.StatusCode, body)
 		}
-		if path == "/metrics" && !strings.Contains(string(body), "distjoin_frontier_distance 5") {
-			t.Errorf("GET %s missing frontier gauge:\n%s", path, body)
+		// No tracer attached: the flight recorder answers 404, not a panic.
+		if path == "/debug/queries" && resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s without a tracer: status %d, want 404", path, resp.StatusCode)
 		}
-		if path == "/debug/vars" && !strings.Contains(string(body), "distjoin.obs") {
-			t.Errorf("GET %s missing expvar publication", path)
-		}
+	}
+	resp, err := http.Get(fmt.Sprintf("http://%s/debug/vars", srv.Addr()))
+	if err != nil {
+		t.Fatalf("GET /debug/vars: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: status %d, want 404 (expvar publication removed)", resp.StatusCode)
 	}
 }
 
@@ -309,16 +315,17 @@ func TestConcurrentHooks(t *testing.T) {
 		wg.Add(1)
 		go func(p int32) {
 			defer wg.Done()
-			r.EngineStart(p)
+			r.Event(EvEngineStart, p, 0)
 			for i := 0; i < 200; i++ {
-				start := r.Now()
-				r.Expand(p, float64(i))
+				start := time.Now()
+				r.Expand(p, float64(i), int64(i+1))
 				r.Emit(p, float64(i), i, start)
 				if i%50 == 0 {
-					r.Spill(p, float64(i), i)
+					r.Spill(p, float64(i), i, 1)
 				}
+				r.Counts().Merge(&stats.Counters{PairsReported: 1})
 			}
-			r.EngineStop(p, 200)
+			r.Event(EvEngineStop, p, 200)
 		}(p)
 	}
 	wg.Add(1)
@@ -326,7 +333,7 @@ func TestConcurrentHooks(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			r.Deliver(float64(i))
-			r.MergeStall(int32(i % 4))
+			r.Event(EvMergeStall, int32(i%4), 0)
 			_ = r.Snapshot()
 			_ = r.Events()
 		}
@@ -369,12 +376,11 @@ func TestQuantilesMethod(t *testing.T) {
 
 func TestMetricsQuantileGauges(t *testing.T) {
 	r := New(Config{})
-	start := r.Now()
-	r.Emit(-1, 1.0, 4, start)
+	r.Emit(-1, 1.0, 4, time.Now())
 	r.Deliver(1.0)
 	r.Deliver(2.0)
 	rec := httptest.NewRecorder()
-	Handler(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	HandlerTraced(r, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE distjoin_inter_pair_delay_quantiles_seconds gauge",

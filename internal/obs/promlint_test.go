@@ -11,9 +11,11 @@ import (
 	"distjoin/internal/stats"
 )
 
-// TestPrometheusExpositionLint runs the full /metrics output — recorder,
-// engine counters, per-query gauges, build info, and the RED/SLO extras —
-// through a text-format linter: every line parses, HELP/TYPE precede their
+// TestPrometheusExpositionLint runs the full /metrics output — recorder
+// (its counter families printing from folded counts), engine counters, the
+// active-query gauge, build info, and the RED/SLO extras — through a
+// text-format linter (per-query numbers are no longer exposition families;
+// TestPerQueryNumbersLiveInDebugQueries covers their /debug/queries home): every line parses, HELP/TYPE precede their
 // samples, no family is declared twice, counters end in _total, and
 // histograms are cumulative with consistent _count/_sum series. This is the
 // contract a real Prometheus scraper enforces.
@@ -21,9 +23,9 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	rec := New(Config{})
 	rec.Deliver(0.25)
 	rec.Deliver(0.50)
-	rec.Emit(0, 0.25, 3, rec.Now().Add(-50*time.Microsecond))
-	c := &stats.Counters{}
-	c.ReportPair()
+	rec.Emit(0, 0.25, 3, time.Now().Add(-50*time.Microsecond))
+	rec.Counts().Merge(&stats.Counters{PairsReported: 1, Expansions: 4, NodeReads: 1, BufferHits: 3})
+	c := &stats.Counters{PairsReported: 1}
 	c.AddDistCalc(7)
 	qt := qtrace.New(qtrace.Config{})
 	q := qt.Begin("join", "lint-q")

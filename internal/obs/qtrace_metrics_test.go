@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"distjoin/internal/qtrace"
+	"distjoin/internal/stats"
 )
 
 // TestQuantileEmptyHistogram is the regression test for the empty-histogram
@@ -62,7 +63,7 @@ func TestQuantileEmptyHistogram(t *testing.T) {
 // second Close is a no-op returning nil.
 func TestServeMetricsShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
-	srv, err := ServeMetrics("127.0.0.1:0", New(Config{}), nil)
+	srv, err := ServeMetricsTraced("127.0.0.1:0", New(Config{}), nil, nil)
 	if err != nil {
 		t.Fatalf("ServeMetrics: %v", err)
 	}
@@ -99,14 +100,12 @@ func TestServeMetricsShutdown(t *testing.T) {
 	}
 }
 
-// traceQuery lands one completed query in the tracer's flight recorder.
+// traceQuery lands one completed query (one pair reported, two node reads)
+// in the tracer's flight recorder.
 func traceQuery(qt *qtrace.Tracer, kind, id string) {
 	q := qt.Begin(kind, id)
-	c := q.AttachCounters(nil)
-	c.ReportPair()
-	c.AddNodeRead(2)
-	w := q.StartWorker(-1)
-	w.Done(1, false)
+	q.AddWorker(qtrace.Worker{Part: -1, Pairs: 1, Counts: stats.Counters{PairsReported: 1}})
+	q.SetNodeIO(2, 0, 0)
 	q.Finish(nil)
 }
 
@@ -160,7 +159,13 @@ func TestQueriesHandler(t *testing.T) {
 	}
 }
 
-func TestPerQueryMetrics(t *testing.T) {
+// TestPerQueryNumbersLiveInDebugQueries pins where per-query numbers are
+// served. /metrics carries only the bounded distjoin_queries_active gauge —
+// the nine distjoin_query_*{query=…,kind=…} families were removed (one label
+// value per query id is unbounded cardinality) — and every number they
+// carried (wall, coverage, pairs, node I/O, faults, peak depth, …) is read
+// from the same query's /debug/queries/<id> document instead.
+func TestPerQueryNumbersLiveInDebugQueries(t *testing.T) {
 	qt := qtrace.New(qtrace.Config{})
 	traceQuery(qt, "join", "gauged")
 	live := qt.Begin("knn", "running") // stays active during the scrape
@@ -168,33 +173,41 @@ func TestPerQueryMetrics(t *testing.T) {
 	rec := httptest.NewRecorder()
 	HandlerTraced(New(Config{}), nil, qt).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
-	for _, want := range []string{
-		"distjoin_queries_active 1",
-		"# TYPE distjoin_query_wall_seconds gauge",
-		`distjoin_query_pairs_reported{query="gauged",kind="join"} 1`,
-		`distjoin_query_node_io{query="gauged",kind="join"} 2`,
-		`distjoin_query_io_faults{query="gauged",kind="join"} 0`,
-		`distjoin_query_peak_queue_depth{query="gauged",kind="join"} 0`,
-		"# TYPE distjoin_query_phase_coverage gauge",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("per-query metrics missing %q", want)
-		}
+	if !strings.Contains(body, "distjoin_queries_active 1") {
+		t.Errorf("/metrics missing the active-query gauge:\n%s", body)
+	}
+	if strings.Contains(body, "distjoin_query_") || strings.Contains(body, `query="`) {
+		t.Errorf("/metrics still carries per-query labeled families:\n%s", body)
+	}
+
+	rec = httptest.NewRecorder()
+	QueriesHandler("/debug/queries", qt).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/queries/gauged", nil))
+	var one qtrace.QueryTrace
+	if err := json.Unmarshal(rec.Body.Bytes(), &one); err != nil {
+		t.Fatalf("/debug/queries/gauged is not JSON: %v", err)
+	}
+	r := one.Resources
+	if one.Kind != "join" || one.WallSeconds <= 0 || r.Pairs != 1 || r.NodeIO != 2 || r.IOFaults != 0 || r.PeakQueueDepth != 0 {
+		t.Errorf("/debug/queries/gauged = %+v", one)
+	}
+	if !strings.Contains(rec.Body.String(), `"phase_coverage"`) {
+		t.Errorf("trace document lacks phase_coverage:\n%s", rec.Body.String())
 	}
 	live.Finish(nil)
 }
 
 // TestWriteMetricsNilRecorder pins that the exposition is nil-safe in the
 // recorder and counters (the repo-wide "nil is valid everywhere"
-// convention): a tracer-only server must still serve its query gauges.
+// convention): a tracer-only server must still serve its active-query
+// gauge.
 func TestWriteMetricsNilRecorder(t *testing.T) {
 	qt := qtrace.New(qtrace.Config{})
 	traceQuery(qt, "join", "solo")
 	rec := httptest.NewRecorder()
 	HandlerTraced(nil, nil, qt).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
-	if !strings.Contains(body, `distjoin_query_pairs_reported{query="solo",kind="join"} 1`) {
-		t.Errorf("nil-recorder /metrics missing query gauges:\n%s", body)
+	if !strings.Contains(body, "distjoin_queries_active 0") {
+		t.Errorf("nil-recorder /metrics missing the active-query gauge:\n%s", body)
 	}
 	if strings.Contains(body, "distjoin_pairs_delivered_total") {
 		t.Errorf("nil-recorder /metrics emitted recorder families:\n%s", body)
@@ -207,7 +220,7 @@ func TestWriteMetricsNilRecorder(t *testing.T) {
 }
 
 // TestServeMetricsTraced wires the whole surface over a real listener:
-// /metrics carries the per-query gauges and /debug/queries serves the
+// /metrics carries the active-query gauge and /debug/queries serves the
 // flight recorder.
 func TestServeMetricsTraced(t *testing.T) {
 	qt := qtrace.New(qtrace.Config{})
@@ -229,10 +242,10 @@ func TestServeMetricsTraced(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return string(b)
 	}
-	if body := fetch("/metrics"); !strings.Contains(body, `distjoin_query_wall_seconds{query="served",kind="join"}`) {
-		t.Errorf("/metrics missing per-query gauge:\n%s", body)
+	if body := fetch("/metrics"); !strings.Contains(body, "distjoin_queries_active 0") {
+		t.Errorf("/metrics missing the active-query gauge:\n%s", body)
 	}
-	if body := fetch("/debug/queries/served"); !strings.Contains(body, `"id": "served"`) {
+	if body := fetch("/debug/queries/served"); !strings.Contains(body, `"id": "served"`) || !strings.Contains(body, `"wall_seconds"`) {
 		t.Errorf("/debug/queries/served missing trace:\n%s", body)
 	}
 }

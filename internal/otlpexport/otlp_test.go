@@ -11,6 +11,7 @@ import (
 
 	"distjoin/internal/profile"
 	"distjoin/internal/qtrace"
+	"distjoin/internal/stats"
 )
 
 // tracedQuery drives one synthetic query with a remote parent through the
@@ -19,17 +20,12 @@ import (
 func tracedQuery(tr *qtrace.Tracer, id string, parent qtrace.SpanContext, qerr error) *qtrace.QueryTrace {
 	tr.PreBegin(id, parent)
 	q := tr.Begin("join", id)
-	c := q.AttachCounters(nil)
-	planStart := q.Now()
-	q.PlanDone(planStart)
-	c.ReportPair()
-	c.AddDistCalc(3)
-	w := q.StartWorker(-1)
-	sp := w.Spans()
-	sp.Add(profile.PhaseExpand, 3*time.Millisecond)
-	sp.Add(profile.PhaseSpill, 2*time.Millisecond)
-	sp.ObserveWrite(time.Millisecond)
-	w.Done(10, false)
+	q.PlanDone()
+	w := qtrace.Worker{Part: -1, Pairs: 10, Counts: stats.Counters{PairsReported: 1, DistCalcs: 3}}
+	w.Tally.NS[profile.PhaseExpand], w.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
+	w.Tally.NS[profile.PhaseSpill], w.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
+	w.Tally.IOWriteNS, w.Tally.IOWrites = int64(time.Millisecond), 1
+	q.AddWorker(w)
 	return q.Finish(qerr)
 }
 

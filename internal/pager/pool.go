@@ -26,12 +26,11 @@ type IOCounter interface {
 	AddHit(n int64)
 }
 
-// IOTimer receives the wall-time cost of physical I/O from a Pool, in
-// addition to the counts an IOCounter sees. A nil IOTimer is valid and
-// records nothing. The profile package's Spans satisfies this interface, so
-// a query profile can attribute buffer-miss latency separately from the
-// engine phase that triggered the miss.
-type IOTimer interface {
+// IOClock is optionally implemented by a pool's IOCounter that also wants
+// the wall-time cost of physical I/O. The pool carries one telemetry handle:
+// it reads the clock around a physical read or write only when that handle
+// is an IOClock, so a counting-only (or nil) handle costs no time.Now calls.
+type IOClock interface {
 	// ObserveRead records one physical page read taking d.
 	ObserveRead(d time.Duration)
 	// ObserveWrite records one physical page write taking d.
@@ -78,7 +77,6 @@ type Pool struct {
 	frames   map[PageID]*Frame
 	lru      *list.List // unpinned frames, front = most recently used
 	counters IOCounter
-	timer    IOTimer
 }
 
 // NewPool creates a pool of capacity frames over store. The paper's 256 KiB
@@ -314,35 +312,27 @@ func (p *Pool) SetCounters(c IOCounter) IOCounter {
 	return old
 }
 
-// SetIOTimer swaps the I/O timer, returning the previous one. With a nil
-// timer (the default) physical I/O is counted but not clocked, so the
-// steady-state path takes no extra time.Now calls.
-func (p *Pool) SetIOTimer(t IOTimer) IOTimer {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.timer
-	p.timer = t
-	return old
-}
-
-// readPage performs one physical read, clocked when a timer is attached.
+// readPage performs one physical read, clocked when the sink is an IOClock.
 func (p *Pool) readPage(id PageID, buf []byte) error {
-	if p.timer == nil {
+	clock, ok := p.counters.(IOClock)
+	if !ok {
 		return p.store.ReadPage(id, buf)
 	}
 	start := time.Now()
 	err := p.store.ReadPage(id, buf)
-	p.timer.ObserveRead(time.Since(start))
+	clock.ObserveRead(time.Since(start))
 	return err
 }
 
-// writePage performs one physical write, clocked when a timer is attached.
+// writePage performs one physical write, clocked when the sink is an
+// IOClock.
 func (p *Pool) writePage(id PageID, buf []byte) error {
-	if p.timer == nil {
+	clock, ok := p.counters.(IOClock)
+	if !ok {
 		return p.store.WritePage(id, buf)
 	}
 	start := time.Now()
 	err := p.store.WritePage(id, buf)
-	p.timer.ObserveWrite(time.Since(start))
+	clock.ObserveWrite(time.Since(start))
 	return err
 }

@@ -7,13 +7,10 @@ import (
 	"hash/crc32"
 	"math"
 	"sort"
-	"time"
 
-	"distjoin/internal/obs"
+	"distjoin/internal/meter"
 	"distjoin/internal/pager"
 	"distjoin/internal/pairheap"
-	"distjoin/internal/profile"
-	"distjoin/internal/stats"
 )
 
 // Codec serializes queue elements for the disk tier. Elements must have a
@@ -54,18 +51,11 @@ type HybridConfig struct {
 	Store pager.Store
 	// Frames is the buffer-pool capacity for the disk tier (default 16).
 	Frames int
-	// Counters receives queue and spill accounting. May be nil.
-	Counters *stats.Counters
-	// Obs receives spill events for the observability layer; Part tags them
-	// with the owning engine's partition id (-1 when sequential). May be
-	// nil.
-	Obs  *obs.Recorder
-	Part int32
-	// Spans receives span accounting for query profiles: disk-tier spills
-	// and bucket fetches are clocked as their own phases, and the buffer
-	// pool's physical I/O time is attributed via pager.IOTimer. May be nil
-	// (no clock reads at all).
-	Spans *profile.Spans
+	// Meter is the owning engine's telemetry: the queue reports pushes,
+	// pops, spills (as their own phase) and bucket fetches to it, and the
+	// disk tier's buffer pool its physical page I/O. May be nil (no
+	// accounting, no clock reads at all).
+	Meter *meter.Meter
 }
 
 // HybridQueue is the paper's three-tier queue. The ordering is determined by
@@ -82,12 +72,11 @@ type HybridQueue[T any] struct {
 	d1   float64
 	d2   float64
 
-	buckets  map[int]*bucket // disk tier, by distance bucket index
-	diskLen  int
-	pool     *pager.Pool
-	perPage  int
-	counters *stats.Counters
-	spans    *profile.Spans
+	buckets map[int]*bucket // disk tier, by distance bucket index
+	diskLen int
+	pool    *pager.Pool
+	perPage int
+	m       *meter.Meter
 
 	// adaptive-mode sampling
 	sampled []float64
@@ -168,24 +157,20 @@ func NewHybridQueue[T any](less func(a, b T) bool, key func(T) float64, codec Co
 			return nil, err
 		}
 	}
-	pool, err := pager.NewPool(store, cfg.Frames, stats.QueueSink(cfg.Counters))
+	pool, err := pager.NewPool(store, cfg.Frames, cfg.Meter.QueueIO())
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Spans != nil {
-		pool.SetIOTimer(cfg.Spans)
-	}
 	q := &HybridQueue[T]{
-		less:     less,
-		key:      key,
-		codec:    codec,
-		cfg:      cfg,
-		heap:     pairheap.New(less),
-		buckets:  make(map[int]*bucket),
-		pool:     pool,
-		perPage:  (cfg.PageSize - bucketHeaderSize) / codec.Size(),
-		counters: cfg.Counters,
-		spans:    cfg.Spans,
+		less:    less,
+		key:     key,
+		codec:   codec,
+		cfg:     cfg,
+		heap:    pairheap.New(less),
+		buckets: make(map[int]*bucket),
+		pool:    pool,
+		perPage: (cfg.PageSize - bucketHeaderSize) / codec.Size(),
+		m:       cfg.Meter,
 	}
 	if !cfg.Adaptive {
 		q.d1 = cfg.DT
@@ -209,7 +194,7 @@ func (q *HybridQueue[T]) Insert(v T) error {
 	if q.failed != nil {
 		return q.failed
 	}
-	defer q.counters.QueueInsert(int64(q.Len() + 1))
+	defer q.m.Push(q.Len() + 1)
 	d := q.key(v)
 	if q.cfg.Adaptive && q.cfg.DT == 0 {
 		q.sampled = append(q.sampled, d)
@@ -281,14 +266,11 @@ func (q *HybridQueue[T]) fixAdaptiveDT() error {
 	return nil
 }
 
-// spill clocks the disk-tier append as PhaseSpill when profiling is on.
+// spill brackets the disk-tier append as its own phase.
 func (q *HybridQueue[T]) spill(v T, d float64) error {
-	if q.spans == nil {
-		return q.doSpill(v, d)
-	}
-	start := time.Now()
+	ph := q.m.Begin(meter.PhaseSpill)
 	err := q.doSpill(v, d)
-	q.spans.Add(profile.PhaseSpill, time.Since(start))
+	q.m.End(ph)
 	return err
 }
 
@@ -340,12 +322,10 @@ func (q *HybridQueue[T]) doSpill(v T, d float64) error {
 	return nil
 }
 
-// noteSpill records one pair landing on the disk tier with both accounting
-// sinks.
+// noteSpill records one pair landing on the disk tier.
 func (q *HybridQueue[T]) noteSpill(d float64) {
 	q.diskLen++
-	q.counters.AddQueueDiskPair(1)
-	q.cfg.Obs.Spill(q.cfg.Part, d, q.diskLen)
+	q.m.Spill(d, q.diskLen)
 }
 
 // loadBucket reads and frees every page of bucket idx, appending the
@@ -385,16 +365,16 @@ func (q *HybridQueue[T]) loadBucket(idx int) error {
 	return nil
 }
 
-// refill clocks tier advancement as PhaseFetch when profiling is on and
-// there is anything to advance (an empty queue's no-op refill is not a
-// fetch).
+// refill brackets tier advancement as the fetch phase when there is
+// anything to advance (an empty queue's no-op refill is not a fetch).
 func (q *HybridQueue[T]) refill() error {
-	if q.spans == nil || (len(q.list) == 0 && q.diskLen == 0) {
-		return q.doRefill()
+	if len(q.list) == 0 && q.diskLen == 0 {
+		return nil
 	}
-	start := time.Now()
+	ph := q.m.Begin(meter.PhaseFetch)
+	q.m.Fetch()
 	err := q.doRefill()
-	q.spans.Add(profile.PhaseFetch, time.Since(start))
+	q.m.End(ph)
 	return err
 }
 
@@ -446,7 +426,7 @@ func (q *HybridQueue[T]) Pop() (T, bool, error) {
 			return zero, false, nil
 		}
 	}
-	q.counters.QueuePop()
+	q.m.Pop()
 	return q.heap.PopMin(), true, nil
 }
 

@@ -7,8 +7,8 @@
 package pqueue
 
 import (
+	"distjoin/internal/meter"
 	"distjoin/internal/pairheap"
-	"distjoin/internal/stats"
 )
 
 // Queue is the interface the join algorithm consumes. Implementations are
@@ -29,20 +29,20 @@ type Queue[T any] interface {
 // MemQueue is a purely in-memory queue backed by a pairing heap — the
 // baseline of the paper's Figure 8 experiment.
 type MemQueue[T any] struct {
-	heap     *pairheap.Heap[T]
-	counters *stats.Counters
+	heap *pairheap.Heap[T]
+	m    *meter.Meter
 }
 
-// NewMemQueue creates an in-memory queue ordered by less. counters may be
-// nil.
-func NewMemQueue[T any](less func(a, b T) bool, counters *stats.Counters) *MemQueue[T] {
-	return &MemQueue[T]{heap: pairheap.New(less), counters: counters}
+// NewMemQueue creates an in-memory queue ordered by less, reporting its
+// pushes and pops to m, which may be nil.
+func NewMemQueue[T any](less func(a, b T) bool, m *meter.Meter) *MemQueue[T] {
+	return &MemQueue[T]{heap: pairheap.New(less), m: m}
 }
 
 // Insert implements Queue.
 func (q *MemQueue[T]) Insert(v T) error {
 	q.heap.Insert(v)
-	q.counters.QueueInsert(int64(q.heap.Len()))
+	q.m.Push(q.heap.Len())
 	return nil
 }
 
@@ -52,7 +52,7 @@ func (q *MemQueue[T]) Pop() (T, bool, error) {
 	if q.heap.Empty() {
 		return zero, false, nil
 	}
-	q.counters.QueuePop()
+	q.m.Pop()
 	return q.heap.PopMin(), true, nil
 }
 

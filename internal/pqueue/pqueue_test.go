@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"distjoin/internal/meter"
 	"distjoin/internal/pager"
 	"distjoin/internal/stats"
 )
@@ -48,20 +49,30 @@ func (elemCodec) Decode(src []byte) elem {
 	return elem{dist: math.Float64frombits(bits), id: id}
 }
 
-func newHybrid(t *testing.T, dt float64, c *stats.Counters) *HybridQueue[elem] {
+// meterInto returns a meter that folds into c each time publish is called
+// (an engine folds at every Next return; a bare queue has no steps).
+func meterInto(c *stats.Counters) (m *meter.Meter, publish func()) {
+	m = meter.Begin(meter.Sinks{Counters: c}, "test").Meter(-1)
+	return m, func() { m.EndStep(meter.PhaseEmit) }
+}
+
+// newHybrid builds a hybrid queue over an in-memory store whose accounting
+// folds into c (nil: unmetered) when the returned publish is called.
+func newHybrid(t *testing.T, dt float64, c *stats.Counters) (q *HybridQueue[elem], publish func()) {
 	t.Helper()
 	store, err := pager.NewMemStore(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		DT: dt, PageSize: 256, Store: store, Counters: c,
+	m, publish := meterInto(c)
+	q, err = NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
+		DT: dt, PageSize: 256, Store: store, Meter: m,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { q.Close() })
-	return q
+	return q, publish
 }
 
 func drain[T any](t *testing.T, q Queue[T]) []T {
@@ -110,7 +121,7 @@ func TestMemQueuePeek(t *testing.T) {
 
 func TestHybridAllTiersOrder(t *testing.T) {
 	c := &stats.Counters{}
-	q := newHybrid(t, 10, c) // heap < 10, list [10, 20), disk >= 20
+	q, publish := newHybrid(t, 10, c) // heap < 10, list [10, 20), disk >= 20
 	dists := []float64{5, 15, 25, 35, 2, 95, 12, 55, 8, 42, 19, 20, 0.5, 77}
 	for i, d := range dists {
 		if err := q.Insert(elem{dist: d, id: uint64(i)}); err != nil {
@@ -120,7 +131,7 @@ func TestHybridAllTiersOrder(t *testing.T) {
 	if q.Len() != len(dists) {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	if c.QueueDiskPairs == 0 {
+	if publish(); c.QueueDiskPairs == 0 {
 		t.Fatal("nothing spilled to disk")
 	}
 	got := drain[elem](t, Queue[elem](q))
@@ -137,7 +148,7 @@ func TestHybridAllTiersOrder(t *testing.T) {
 }
 
 func TestHybridManyElements(t *testing.T) {
-	q := newHybrid(t, 1, nil) // tiny DT forces many buckets
+	q, _ := newHybrid(t, 1, nil) // tiny DT forces many buckets
 	rnd := rand.New(rand.NewSource(9))
 	n := 5000
 	var want []float64
@@ -161,7 +172,7 @@ func TestHybridInterleavedInsertPop(t *testing.T) {
 	// The join inserts children with distance >= the popped pair's
 	// distance; model that pattern and assert popped order never goes
 	// backwards.
-	q := newHybrid(t, 5, nil)
+	q, _ := newHybrid(t, 5, nil)
 	rnd := rand.New(rand.NewSource(17))
 	q.Insert(elem{dist: 0})
 	last := -1.0
@@ -192,7 +203,7 @@ func TestHybridInterleavedInsertPop(t *testing.T) {
 }
 
 func TestHybridPeek(t *testing.T) {
-	q := newHybrid(t, 1, nil)
+	q, _ := newHybrid(t, 1, nil)
 	// Everything on disk: peek must trigger refill.
 	for _, d := range []float64{50, 30, 70} {
 		q.Insert(elem{dist: d})
@@ -207,7 +218,7 @@ func TestHybridPeek(t *testing.T) {
 }
 
 func TestHybridEmpty(t *testing.T) {
-	q := newHybrid(t, 1, nil)
+	q, _ := newHybrid(t, 1, nil)
 	if _, ok, err := q.Pop(); ok || err != nil {
 		t.Fatal("empty queue popped something")
 	}
@@ -266,14 +277,14 @@ func TestHybridAdaptive(t *testing.T) {
 
 func TestHybridCountsMaxQueueSize(t *testing.T) {
 	c := &stats.Counters{}
-	q := newHybrid(t, 10, c)
+	q, publish := newHybrid(t, 10, c)
 	for i := 0; i < 50; i++ {
 		q.Insert(elem{dist: float64(i)})
 	}
 	for i := 0; i < 20; i++ {
 		q.Pop()
 	}
-	if c.MaxQueueSize != 50 {
+	if publish(); c.MaxQueueSize != 50 {
 		t.Fatalf("MaxQueueSize = %d, want 50", c.MaxQueueSize)
 	}
 	if c.QueueInserts != 50 || c.QueuePops != 20 {
@@ -386,9 +397,10 @@ func TestHybridFileBackedDefault(t *testing.T) {
 
 func TestHybridCountsQueueIOSeparately(t *testing.T) {
 	c := &stats.Counters{}
+	m, publish := meterInto(c)
 	store, _ := pager.NewMemStore(256)
 	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		DT: 1, PageSize: 256, Store: store, Counters: c, Frames: 2,
+		DT: 1, PageSize: 256, Store: store, Meter: m, Frames: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +417,7 @@ func TestHybridCountsQueueIOSeparately(t *testing.T) {
 		}
 	}
 	// Spilled pages must be accounted as queue I/O, never node I/O.
-	if c.QueueReads == 0 || c.QueueWrites == 0 {
+	if publish(); c.QueueReads == 0 || c.QueueWrites == 0 {
 		t.Fatalf("queue I/O not counted: %+v", c)
 	}
 	if c.NodeReads != 0 || c.NodeWrites != 0 {

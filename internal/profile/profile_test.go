@@ -8,18 +8,20 @@ import (
 	"time"
 )
 
+// add folds one span of duration d in phase p into s, as a meter would.
+func add(s *Spans, p Phase, d time.Duration) {
+	var t Tally
+	t.NS[p], t.Counts[p] = int64(d), 1
+	s.Fold(&t)
+}
+
 func TestNilSpansSafe(t *testing.T) {
 	var s *Spans
-	s.Add(PhaseExpand, time.Millisecond)
+	add(s, PhaseExpand, time.Millisecond)
 	s.ObserveRead(time.Millisecond)
 	s.ObserveWrite(time.Millisecond)
-	s.Merge(&Spans{})
-	s.Reset()
-	if s.Enabled() {
-		t.Fatal("nil Spans reports enabled")
-	}
-	if s.NS(PhaseExpand) != 0 || s.Count(PhaseExpand) != 0 || s.TotalNS() != 0 ||
-		s.InnerNS() != 0 || s.QueueWriteNS() != 0 {
+	s.Fold(&Tally{})
+	if (s.Tally() != Tally{}) {
 		t.Fatal("nil Spans reports nonzero accounting")
 	}
 	if s.PhaseSnapshot() != nil {
@@ -36,29 +38,31 @@ func TestNilSpansSafe(t *testing.T) {
 func TestNilSpansZeroAllocs(t *testing.T) {
 	var s *Spans
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.Add(PhaseExpand, time.Microsecond)
-		s.Add(PhasePush, time.Microsecond)
-		s.Add(PhasePop, time.Microsecond)
+		add(s, PhaseExpand, time.Microsecond)
+		add(s, PhasePush, time.Microsecond)
+		add(s, PhasePop, time.Microsecond)
 		s.ObserveRead(time.Microsecond)
 		s.ObserveWrite(time.Microsecond)
-		_ = s.NS(PhaseSpill)
-		_ = s.InnerNS()
-		_ = s.QueueWriteNS()
+		_ = s.Tally()
+		s.Fold(&Tally{})
 	})
 	if allocs != 0 {
 		t.Fatalf("nil Spans hooks allocate %v per run, want 0", allocs)
 	}
 }
 
-// TestEnabledSpansZeroAllocs pins the hot-path hooks of an ENABLED Spans
-// too: the accounting is fixed-size atomics, so recording must not allocate
-// either (snapshots may).
+// TestEnabledSpansZeroAllocs pins the hooks of an ENABLED Spans too: the
+// accounting is one fixed-size tally behind a mutex, so recording and
+// folding must not allocate either (phase snapshots may).
 func TestEnabledSpansZeroAllocs(t *testing.T) {
 	s := &Spans{}
+	var d Tally
+	d.NS[PhasePop], d.Counts[PhasePop] = 10, 1
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.Add(PhaseExpand, time.Microsecond)
+		add(s, PhaseExpand, time.Microsecond)
 		s.ObserveRead(time.Microsecond)
-		_ = s.InnerNS()
+		s.Fold(&d)
+		_ = s.Tally()
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled Spans hooks allocate %v per run, want 0", allocs)
@@ -67,40 +71,34 @@ func TestEnabledSpansZeroAllocs(t *testing.T) {
 
 func TestSpansAccounting(t *testing.T) {
 	s := &Spans{}
-	s.Add(PhaseExpand, 5*time.Millisecond)
-	s.Add(PhaseExpand, 3*time.Millisecond)
-	s.Add(PhasePush, 2*time.Millisecond)
-	s.Add(PhaseSpill, time.Millisecond)
-	s.Add(PhaseMerge, 4*time.Millisecond)
-	s.Add(PhasePop, -time.Millisecond) // clock step: counts the op, no time
-	if got := s.NS(PhaseExpand); got != int64(8*time.Millisecond) {
-		t.Fatalf("expand ns = %d", got)
+	add(s, PhaseExpand, 5*time.Millisecond)
+	add(s, PhaseExpand, 3*time.Millisecond)
+	add(s, PhasePush, 2*time.Millisecond)
+	add(s, PhaseSpill, time.Millisecond)
+	add(s, PhaseMerge, 4*time.Millisecond)
+	s.ObserveWrite(-time.Millisecond) // clock step: counts the op, no time
+	got := s.Tally()
+	if got.NS[PhaseExpand] != int64(8*time.Millisecond) || got.Counts[PhaseExpand] != 2 {
+		t.Fatalf("expand = %d ns / %d spans", got.NS[PhaseExpand], got.Counts[PhaseExpand])
 	}
-	if got := s.Count(PhaseExpand); got != 2 {
-		t.Fatalf("expand count = %d", got)
+	if got.IOWrites != 1 || got.IOWriteNS != 0 {
+		t.Fatalf("negative duration: %d writes, %d ns", got.IOWrites, got.IOWriteNS)
 	}
-	if got := s.Count(PhasePop); got != 1 {
-		t.Fatalf("pop count = %d", got)
-	}
-	if got := s.NS(PhasePop); got != 0 {
-		t.Fatalf("negative duration recorded time: %d", got)
-	}
-	if got := s.QueueWriteNS(); got != int64(3*time.Millisecond) {
-		t.Fatalf("queue write ns = %d", got)
-	}
-	if got := s.InnerNS(); got != int64(11*time.Millisecond) {
-		t.Fatalf("inner ns = %d", got)
-	}
-	if got := s.TotalNS(); got != int64(15*time.Millisecond) {
-		t.Fatalf("total ns = %d", got)
+	if got.TotalNS() != int64(15*time.Millisecond) {
+		t.Fatalf("total ns = %d", got.TotalNS())
 	}
 
-	other := &Spans{}
-	other.Add(PhaseExpand, time.Millisecond)
-	other.ObserveRead(time.Millisecond)
-	s.Merge(other)
-	if got := s.NS(PhaseExpand); got != int64(9*time.Millisecond) {
-		t.Fatalf("merged expand ns = %d", got)
+	// A second tally folds on top, and Since recovers exactly what it added.
+	var more Tally
+	more.NS[PhaseExpand], more.Counts[PhaseExpand] = int64(time.Millisecond), 1
+	more.IOReadNS, more.IOReads = int64(time.Millisecond), 1
+	s.Fold(&more)
+	after := s.Tally()
+	if after.NS[PhaseExpand] != int64(9*time.Millisecond) {
+		t.Fatalf("folded expand ns = %d", after.NS[PhaseExpand])
+	}
+	if d := after.Since(&got); d != more {
+		t.Fatalf("Since = %+v, want the folded tally %+v", d, more)
 	}
 	io := s.IOSnapshot()
 	if io.Reads != 1 || io.ReadSeconds != 0.001 {
@@ -119,16 +117,12 @@ func TestSpansAccounting(t *testing.T) {
 		t.Fatal("empty phase present in snapshot")
 	}
 
-	s.Reset()
-	if s.TotalNS() != 0 || s.Count(PhaseExpand) != 0 {
-		t.Fatal("reset did not clear")
-	}
 }
 
 func TestBuildPhasesCoverage(t *testing.T) {
 	s := &Spans{}
-	s.Add(PhaseExpand, 60*time.Millisecond)
-	s.Add(PhaseEmit, 30*time.Millisecond)
+	add(s, PhaseExpand, 60*time.Millisecond)
+	add(s, PhaseEmit, 30*time.Millisecond)
 	var p Profile
 	p.BuildPhases(s, 0.1)
 	if p.SchemaVersion != SchemaVersion {
@@ -164,8 +158,8 @@ func TestRelErr(t *testing.T) {
 func sampleTrajectory() *Trajectory {
 	mk := func(name string, det bool, nodeIO, dist, maxq int64) WorkloadProfile {
 		s := &Spans{}
-		s.Add(PhaseExpand, 50*time.Millisecond)
-		s.Add(PhaseEmit, 40*time.Millisecond)
+		add(s, PhaseExpand, 50*time.Millisecond)
+		add(s, PhaseEmit, 40*time.Millisecond)
 		var p Profile
 		p.BuildPhases(s, 0.1)
 		p.Label = name

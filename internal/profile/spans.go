@@ -5,18 +5,16 @@
 // the run's counters and delay percentiles, and the schema-versioned
 // benchmark-trajectory files cmd/benchrun records and compares.
 //
-// The package deliberately depends on the standard library only: it sits
-// below internal/pager, internal/pqueue and internal/distjoin in the import
-// graph, so any of them can thread a *Spans through their hot paths. The
-// instrumentation follows the repository's nil-safety convention: a nil
-// *Spans is valid everywhere, records nothing, performs no clock reads, and
-// allocates nothing (pinned by a testing.AllocsPerRun test, like the
-// internal/stats counters and the internal/obs recorder).
+// The package deliberately depends on the standard library only. It follows
+// the repository's nil-safety convention: a nil *Spans is valid everywhere,
+// records nothing, and allocates nothing (pinned by a testing.AllocsPerRun
+// test, like the internal/stats counters and the internal/obs recorder).
 package profile
 
 import (
-	"sync/atomic"
+	"sync"
 	"time"
+	"unsafe"
 )
 
 // Phase identifies one engine phase of the incremental distance join. The
@@ -70,151 +68,90 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// Spans accumulates per-phase wall time and operation counts with atomic
-// operations. One Spans value may be shared (the parallel path merges
-// per-worker shards into the caller's Spans, exactly like stats.Counters
-// shards), but the delta-subtraction scheme the engine uses to keep phases
-// disjoint — bracket an outer operation, then subtract the time its nested
-// operations recorded — is only sound when a single goroutine writes the
-// Spans between the two reads. The engine therefore gives every engine
-// (sequential, or one per partition worker) its own Spans.
+// Tally is the plain, unsynchronized form of a span account: per-phase
+// exclusive nanoseconds and operation counts, plus the physical disk-tier
+// I/O nested inside the phases. It is what one single-writer engine meter
+// accumulates (internal/meter) and what a per-query trace keeps per worker
+// (internal/qtrace); a Spans is the concurrency-safe view tallies fold into.
+type Tally struct {
+	NS     [NumPhases]int64
+	Counts [NumPhases]int64
+
+	IOReadNS, IOWriteNS int64
+	IOReads, IOWrites   int64
+}
+
+// words views the tally — nothing but additive int64s — as an array.
+func (t *Tally) words() *[unsafe.Sizeof(Tally{}) / 8]int64 {
+	return (*[unsafe.Sizeof(Tally{}) / 8]int64)(unsafe.Pointer(t))
+}
+
+// Since returns the growth of t over prev.
+func (t *Tally) Since(prev *Tally) Tally {
+	d := *t
+	for i, v := range prev.words() {
+		d.words()[i] -= v
+	}
+	return d
+}
+
+// TotalNS returns the nanoseconds summed over all phases.
+func (t Tally) TotalNS() int64 {
+	var sum int64
+	for _, ns := range t.NS {
+		sum += ns
+	}
+	return sum
+}
+
+// Spans is the shared view of span accounting: per-phase wall time and
+// operation counts behind a mutex. The engines never write a Spans on their
+// per-pair path — each records into its own meter's Tally, where the phases
+// are exclusive by construction, and folds the growth into the caller's
+// Spans once per Next return (a parallel partition worker once, when it
+// finishes), so the lock is taken per fold, not per operation.
 //
-// Physical disk-tier I/O time is recorded separately via ObserveRead and
-// ObserveWrite (the pager.IOTimer interface): it is nested inside whatever
-// phase triggered the I/O, so it is reported as an "of which" figure, not
-// summed with the phases.
+// Physical disk-tier I/O time is nested inside whatever phase triggered the
+// I/O, so it is reported as an "of which" figure, not summed with the
+// phases. ObserveRead and ObserveWrite make a *Spans a pager.IOClock, so it
+// can also time an index's buffer pool directly.
 type Spans struct {
-	ns     [NumPhases]atomic.Int64
-	counts [NumPhases]atomic.Int64
-
-	ioReadNS  atomic.Int64
-	ioWriteNS atomic.Int64
-	ioReads   atomic.Int64
-	ioWrites  atomic.Int64
+	mu sync.Mutex
+	t  Tally
 }
 
-// Enabled reports whether s records anything; it is false for nil.
-func (s *Spans) Enabled() bool { return s != nil }
-
-// Add records one span of duration d in phase p. Negative durations (clock
-// steps, or a delta subtraction racing a merge) count as zero time but still
-// count the operation.
-func (s *Spans) Add(p Phase, d time.Duration) {
+// Fold adds a tally's worth of spans into s (all fields are additive): the
+// publish step of a per-engine meter.
+func (s *Spans) Fold(d *Tally) {
 	if s == nil {
 		return
 	}
-	if d > 0 {
-		s.ns[p].Add(int64(d))
+	s.mu.Lock()
+	for i, v := range d.words() {
+		s.t.words()[i] += v
 	}
-	s.counts[p].Add(1)
+	s.mu.Unlock()
 }
 
-// NS returns the accumulated nanoseconds of phase p.
-func (s *Spans) NS(p Phase) int64 {
+// Tally returns a copy of the accumulated spans (the zero Tally for nil):
+// per-phase times and counts are read from it.
+func (s *Spans) Tally() Tally {
 	if s == nil {
-		return 0
+		return Tally{}
 	}
-	return s.ns[p].Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.t
 }
 
-// Count returns the number of spans recorded in phase p.
-func (s *Spans) Count(p Phase) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.counts[p].Load()
-}
-
-// InnerNS returns the nanoseconds of the phases nested inside one engine
-// next() call (expand, push, pop, spill, fetch). The engine subtracts the
-// delta of this sum across a next() bracket to attribute the residue to
-// PhaseEmit without double counting.
-func (s *Spans) InnerNS() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.ns[PhaseExpand].Load() + s.ns[PhasePush].Load() + s.ns[PhasePop].Load() +
-		s.ns[PhaseSpill].Load() + s.ns[PhaseFetch].Load()
-}
-
-// QueueWriteNS returns push + spill nanoseconds — the queue-insertion work
-// nested inside a node expansion.
-func (s *Spans) QueueWriteNS() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.ns[PhasePush].Load() + s.ns[PhaseSpill].Load()
-}
-
-// TotalNS returns the nanoseconds summed over all phases. Phases are
-// disjoint within one engine, so for a sequential join this is comparable
-// to wall time; on the parallel path worker spans accumulate concurrently
-// and the total may exceed the elapsed wall time.
-func (s *Spans) TotalNS() int64 {
-	if s == nil {
-		return 0
-	}
-	var t int64
-	for i := 0; i < NumPhases; i++ {
-		t += s.ns[i].Load()
-	}
-	return t
-}
-
-// Merge folds other into s (all fields are additive). The parallel path
-// merges per-worker shards into the caller's Spans as workers finish.
-func (s *Spans) Merge(other *Spans) {
-	if s == nil || other == nil {
-		return
-	}
-	for i := 0; i < NumPhases; i++ {
-		s.ns[i].Add(other.ns[i].Load())
-		s.counts[i].Add(other.counts[i].Load())
-	}
-	s.ioReadNS.Add(other.ioReadNS.Load())
-	s.ioWriteNS.Add(other.ioWriteNS.Load())
-	s.ioReads.Add(other.ioReads.Load())
-	s.ioWrites.Add(other.ioWrites.Load())
-}
-
-// Reset zeroes all accumulators. Not atomic as a whole; do not race with
-// recorders.
-func (s *Spans) Reset() {
-	if s == nil {
-		return
-	}
-	for i := 0; i < NumPhases; i++ {
-		s.ns[i].Store(0)
-		s.counts[i].Store(0)
-	}
-	s.ioReadNS.Store(0)
-	s.ioWriteNS.Store(0)
-	s.ioReads.Store(0)
-	s.ioWrites.Store(0)
-}
-
-// ObserveRead records one physical page read of duration d. Together with
-// ObserveWrite it satisfies the pager.IOTimer interface, so a *Spans can be
-// attached directly to a buffer pool.
+// ObserveRead records one physical page read of duration d.
 func (s *Spans) ObserveRead(d time.Duration) {
-	if s == nil {
-		return
-	}
-	if d > 0 {
-		s.ioReadNS.Add(int64(d))
-	}
-	s.ioReads.Add(1)
+	s.Fold(&Tally{IOReadNS: max(int64(d), 0), IOReads: 1})
 }
 
 // ObserveWrite records one physical page write of duration d.
 func (s *Spans) ObserveWrite(d time.Duration) {
-	if s == nil {
-		return
-	}
-	if d > 0 {
-		s.ioWriteNS.Add(int64(d))
-	}
-	s.ioWrites.Add(1)
+	s.Fold(&Tally{IOWriteNS: max(int64(d), 0), IOWrites: 1})
 }
 
 // PhaseStat is the JSON summary of one phase.
@@ -239,31 +176,30 @@ func (s *Spans) PhaseSnapshot() []PhaseStat {
 	if s == nil {
 		return nil
 	}
+	t := s.Tally()
 	out := make([]PhaseStat, 0, NumPhases)
 	for i := 0; i < NumPhases; i++ {
-		n := s.counts[i].Load()
-		ns := s.ns[i].Load()
-		if n == 0 && ns == 0 {
+		if t.Counts[i] == 0 && t.NS[i] == 0 {
 			continue
 		}
 		out = append(out, PhaseStat{
 			Phase:   Phase(i).String(),
-			Seconds: time.Duration(ns).Seconds(),
-			Count:   n,
+			Seconds: time.Duration(t.NS[i]).Seconds(),
+			Count:   t.Counts[i],
 		})
 	}
 	return out
 }
 
 // IOSnapshot returns the physical I/O summary.
-func (s *Spans) IOSnapshot() IOStat {
-	if s == nil {
-		return IOStat{}
-	}
+func (s *Spans) IOSnapshot() IOStat { return s.Tally().IOStat() }
+
+// IOStat returns the tally's physical I/O summary.
+func (t Tally) IOStat() IOStat {
 	return IOStat{
-		ReadSeconds:  time.Duration(s.ioReadNS.Load()).Seconds(),
-		WriteSeconds: time.Duration(s.ioWriteNS.Load()).Seconds(),
-		Reads:        s.ioReads.Load(),
-		Writes:       s.ioWrites.Load(),
+		ReadSeconds:  time.Duration(t.IOReadNS).Seconds(),
+		WriteSeconds: time.Duration(t.IOWriteNS).Seconds(),
+		Reads:        t.IOReads,
+		Writes:       t.IOWrites,
 	}
 }

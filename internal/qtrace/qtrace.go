@@ -1,9 +1,9 @@
 // Package qtrace is the per-query lifecycle tracing layer of the
 // incremental distance join: every Join/SemiJoin/kNN run gets a query ID
 // and a hierarchical span tree (plan → partition workers → engine phases →
-// queue disk-tier I/O), assembled from the same nil-safe profile.Spans
-// accumulators the engine, the hybrid priority queue and the pager already
-// thread through their hot paths.
+// queue disk-tier I/O), assembled from the closing reports of the run's
+// per-engine meters (internal/meter): each engine's exclusive phase times
+// and counts arrive once, when the engine closes.
 //
 // Where internal/profile answers "where did THIS run's time go" as one flat
 // phase list, qtrace answers the operational questions of a server hosting
@@ -18,17 +18,15 @@
 //     threshold (node I/O, distance calculations) emit their full span
 //     tree as one structured JSONL line;
 //   - per-query resource accounting (pairs, distance calculations, node
-//     I/O, I/O faults/retries, batch prunes, peak queue depth), exported
-//     as labeled gauges on /metrics.
+//     I/O, I/O faults/retries, batch prunes, peak queue depth) in every
+//     trace document.
 //
 // The package follows the repository's nil-safety convention: a nil
-// *Tracer begins nil *Query values, every method of Tracer, Query and
-// Worker is a no-op on a nil receiver, performs no clock reads and
-// allocates nothing, so the engine's hot path is untouched when tracing is
-// off (pinned by a testing.AllocsPerRun test). Like internal/profile it
-// depends only on the standard library, internal/profile and
-// internal/stats, so it sits below internal/obs, internal/pqueue and
-// internal/distjoin in the import graph.
+// *Tracer begins nil *Query values, and every method of Tracer and Query is
+// a no-op on a nil receiver, performs no clock reads and allocates nothing
+// (pinned by a testing.AllocsPerRun test). Nothing here runs on the
+// engine's per-pair path: a Query is touched at plan time and when engines
+// close.
 package qtrace
 
 import (
@@ -36,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -308,8 +307,9 @@ func (t *Tracer) isSlow(qt *QueryTrace) bool {
 
 // Query is one live (running) query trace. The join layer brackets its
 // lifecycle: Begin at construction, PlanDone after validation/partitioning/
-// seeding, one StartWorker per engine, MergeAdd around the parallel merge,
-// and Finish when the iterator closes. All methods are nil-safe.
+// seeding, one AddWorker per engine as it closes, AddMerge when the
+// parallel merge closes, and Finish when the iterator closes. All methods
+// are nil-safe.
 type Query struct {
 	tr    *Tracer
 	id    string
@@ -322,136 +322,85 @@ type Query struct {
 	sc         SpanContext
 	parentSpan SpanID
 
-	planNS  atomic.Int64
-	mergeNS atomic.Int64
-	merges  atomic.Int64
-
-	wmu     sync.Mutex
-	workers []*Worker
-
-	counters *stats.Counters
-	owned    bool           // counters are query-owned (no baseline subtraction)
-	base     stats.Counters // snapshot of shared counters at attach time
+	mu      sync.Mutex // guards the fields below until Finish
+	planNS  int64
+	mergeNS int64 // the parallel merge's bracket time…
+	merges  int64 // …and bracket count
+	workers []Worker
+	// nodeIO holds the pool-owned columns (NodeReads, NodeWrites,
+	// BufferHits) of the run's Counters view: the engines never see a
+	// buffer pool's hits and misses, so these are not in any Worker.
+	nodeIO stats.Counters
 
 	finished atomic.Bool
-}
-
-// ID returns the query's ID ("" for a nil query).
-func (q *Query) ID() string {
-	if q == nil {
-		return ""
-	}
-	return q.id
-}
-
-// Now returns the current time, or the zero time on a nil query — callers
-// bracket plan work with q.Now() so a disabled tracer skips the clock read.
-func (q *Query) Now() time.Time {
-	if q == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// AttachCounters wires the query's resource accounting to the run's
-// stats.Counters and returns the counters the run should use. A nil c makes
-// the query own a fresh counter set; a caller-supplied c is snapshotted so
-// Finish reports the query's delta even when the counters are shared across
-// runs. (MaxQueueSize is a high-water mark, not additive: on shared
-// counters the reported peak covers the counters' lifetime, not only this
-// query.) Nil-safe: a nil query returns c unchanged.
-func (q *Query) AttachCounters(c *stats.Counters) *stats.Counters {
-	if q == nil {
-		return c
-	}
-	if c == nil {
-		q.counters = &stats.Counters{}
-		q.owned = true
-		return q.counters
-	}
-	q.counters = c
-	q.base = c.Snapshot()
-	return c
 }
 
 // PlanDone records the plan span: everything between Begin and the engines
 // being ready to pop (validation, partition planning, queue construction,
 // seeding).
-func (q *Query) PlanDone(start time.Time) {
+func (q *Query) PlanDone() {
 	if q == nil {
 		return
 	}
-	if d := time.Since(start); d > 0 {
-		q.planNS.Add(int64(d))
-	}
+	q.mu.Lock()
+	q.planNS = max(int64(time.Since(q.start)), 0)
+	q.mu.Unlock()
 }
 
-// MergeAdd records one parallel order-preserving-merge bracket, including
-// the time the merge blocked waiting on partition workers.
-func (q *Query) MergeAdd(d time.Duration) {
-	if q == nil {
-		return
-	}
-	if d > 0 {
-		q.mergeNS.Add(int64(d))
-	}
-	q.merges.Add(1)
-}
-
-// StartWorker registers one engine (partition id part; -1 for the
-// sequential engine) and returns its span accumulator. The engine records
-// its phase spans into Worker.Spans — single-writer, like the per-worker
-// shards of the parallel path — and calls Done when it closes.
-func (q *Query) StartWorker(part int32) *Worker {
-	if q == nil {
-		return nil
-	}
-	w := &Worker{part: part}
-	q.wmu.Lock()
-	q.workers = append(q.workers, w)
-	q.wmu.Unlock()
-	return w
-}
-
-// Worker is the per-engine slice of a query trace: one partition worker of
-// the parallel path, or the single sequential engine (part -1).
+// Worker is the closing report of one engine of a query: one partition
+// worker of the parallel path, or the single sequential engine (Part -1).
+// Counts are the engine's own work counters, Tally its exclusive phase
+// times and span counts.
 type Worker struct {
-	part      int32
-	sp        profile.Spans
-	pairs     atomic.Int64
-	restarted atomic.Bool
-	done      atomic.Bool
+	Part   int32
+	Pairs  int64
+	Counts stats.Counters
+	Tally  profile.Tally
 }
 
-// Spans returns the worker's phase-span accumulator (nil for a nil worker,
-// which disables profiling in the engine that receives it).
-func (w *Worker) Spans() *profile.Spans {
-	if w == nil {
-		return nil
-	}
-	return &w.sp
-}
-
-// Done records the worker's final tally when its engine closes.
-func (w *Worker) Done(pairs int64, restarted bool) {
-	if w == nil {
+// AddWorker lands one engine's closing report.
+func (q *Query) AddWorker(w Worker) {
+	if q == nil {
 		return
 	}
-	w.pairs.Store(pairs)
-	if restarted {
-		w.restarted.Store(true)
+	q.mu.Lock()
+	q.workers = append(q.workers, w)
+	q.mu.Unlock()
+}
+
+// AddMerge lands the parallel order-preserving merge's account: its
+// PhaseMerge time (including the time it blocked waiting on partition
+// workers) and bracket count.
+func (q *Query) AddMerge(ns, brackets int64) {
+	if q == nil {
+		return
 	}
-	w.done.Store(true)
+	q.mu.Lock()
+	q.mergeNS += ns
+	q.merges += brackets
+	q.mu.Unlock()
+}
+
+// SetNodeIO records the index node I/O observed by the run's Counters view
+// while the query was open (reads, writes, buffer hits). With concurrent
+// queries on shared pools this is the pools' traffic during the query's
+// lifetime, not an exact per-query attribution.
+func (q *Query) SetNodeIO(reads, writes, hits int64) {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	q.nodeIO = stats.Counters{NodeReads: reads, NodeWrites: writes, BufferHits: hits}
+	q.mu.Unlock()
 }
 
 // Finish completes the query trace: the span tree is assembled from the
-// plan/merge brackets and the worker span accumulators, the resource delta
-// is read from the attached counters, and the trace lands in the tracer's
-// flight recorder (and slow-query log, when it qualifies). err annotates a
-// query that died; nil marks a clean finish. Finish is idempotent — the
-// first call wins — and nil-safe. The join layer calls it on iterator
-// Close, after the runner has released every engine, so the worker spans
-// are quiescent.
+// plan span, the merge account and the workers' closing reports, the
+// resource accounting is summed from the workers' counts, and the trace
+// lands in the tracer's flight recorder (and slow-query log, when it
+// qualifies). err annotates a query that died; nil marks a clean finish.
+// Finish is idempotent — the first call wins — and nil-safe. The join layer
+// calls it on iterator Close, after the runner has released every engine.
 func (q *Query) Finish(err error) *QueryTrace {
 	if q == nil || !q.finished.CompareAndSwap(false, true) {
 		return nil
@@ -475,18 +424,17 @@ func (q *Query) Finish(err error) *QueryTrace {
 	if err != nil {
 		qt.Error = err.Error()
 	}
-	q.wmu.Lock()
-	workers := q.workers
-	q.wmu.Unlock()
-	qt.Workers = len(workers)
-	qt.Root = q.buildTree(wall, workers)
-	for _, w := range workers {
-		if w.restarted.Load() {
-			qt.Restarted = true
-		}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	// Engines close in completion order; the tree lists them by partition.
+	sort.Slice(q.workers, func(i, j int) bool { return q.workers[i].Part < q.workers[j].Part })
+	qt.Workers = len(q.workers)
+	qt.Root = q.buildTree(wall)
+	for i := range q.workers {
+		qt.Restarted = qt.Restarted || q.workers[i].Counts.Restarts > 0
 	}
 	qt.Resources = q.resources()
-	qt.Coverage = q.coverage(wall, workers)
+	qt.Coverage = q.coverage(wall)
 	q.tr.complete(qt)
 	return qt
 }
@@ -505,39 +453,39 @@ func (q *Query) Finish(err error) *QueryTrace {
 //	    ├── fetch             hybrid-queue disk-tier reads
 //	    │   └── io_read       of which: physical page reads (pager)
 //	    └── emit              per-result residue of the engine loop
-func (q *Query) buildTree(wall time.Duration, workers []*Worker) Span {
+func (q *Query) buildTree(wall time.Duration) Span {
 	root := Span{Name: "query", Seconds: wall.Seconds()}
 	root.Children = append(root.Children, Span{
 		Name:    "plan",
-		Seconds: time.Duration(q.planNS.Load()).Seconds(),
+		Seconds: time.Duration(q.planNS).Seconds(),
 		Count:   1,
 	})
-	if n := q.merges.Load(); n > 0 {
+	if q.merges > 0 {
 		root.Children = append(root.Children, Span{
 			Name:    "merge",
-			Seconds: time.Duration(q.mergeNS.Load()).Seconds(),
-			Count:   n,
+			Seconds: time.Duration(q.mergeNS).Seconds(),
+			Count:   q.merges,
 		})
 	}
-	for _, w := range workers {
-		root.Children = append(root.Children, w.span())
+	for i := range q.workers {
+		root.Children = append(root.Children, q.workers[i].span())
 	}
 	return root
 }
 
 // span renders one worker's phase spans as a subtree.
 func (w *Worker) span() Span {
-	part := int(w.part)
+	part := int(w.Part)
 	ws := Span{
 		Name:    "worker",
 		Part:    &part,
-		Seconds: time.Duration(w.sp.TotalNS()).Seconds(),
-		Count:   w.pairs.Load(),
+		Seconds: time.Duration(w.Tally.TotalNS()).Seconds(),
+		Count:   w.Pairs,
 	}
-	io := w.sp.IOSnapshot()
+	io := w.Tally.IOStat()
 	for p := 0; p < profile.NumPhases; p++ {
 		ph := profile.Phase(p)
-		n, ns := w.sp.Count(ph), w.sp.NS(ph)
+		n, ns := w.Tally.Counts[p], w.Tally.NS[p]
 		if n == 0 && ns == 0 {
 			continue
 		}
@@ -565,44 +513,26 @@ func (w *Worker) span() Span {
 // the plan span should cover nearly everything; on the parallel path the
 // workers run concurrently with the merge, so the merge bracket (which
 // includes its blocking waits) stands in for them.
-func (q *Query) coverage(wall time.Duration, workers []*Worker) float64 {
+func (q *Query) coverage(wall time.Duration) float64 {
 	if wall <= 0 {
 		return 0
 	}
-	covered := q.planNS.Load()
-	if q.merges.Load() > 0 {
-		covered += q.mergeNS.Load()
-	} else if len(workers) == 1 {
-		covered += workers[0].sp.TotalNS()
+	covered := q.planNS
+	if q.merges > 0 {
+		covered += q.mergeNS
+	} else if len(q.workers) == 1 {
+		covered += q.workers[0].Tally.TotalNS()
 	}
 	return float64(covered) / float64(wall.Nanoseconds())
 }
 
-// resources reads the query's resource accounting from the attached
-// counters: the raw totals when the query owns them, the delta against the
-// Begin-time snapshot when they are shared.
+// resources sums the query's resource accounting from its engines' own
+// counts — no other query's work can leak in — plus the pool-owned node
+// I/O columns recorded by SetNodeIO.
 func (q *Query) resources() Resources {
-	if q.counters == nil {
-		return Resources{}
-	}
-	s := q.counters.Snapshot()
-	if !q.owned {
-		b := q.base
-		s.PairsReported -= b.PairsReported
-		s.DistCalcs -= b.DistCalcs
-		s.NodeDistCalcs -= b.NodeDistCalcs
-		s.NodeReads -= b.NodeReads
-		s.NodeWrites -= b.NodeWrites
-		s.BufferHits -= b.BufferHits
-		s.QueueInserts -= b.QueueInserts
-		s.QueuePops -= b.QueuePops
-		s.QueueDiskPairs -= b.QueueDiskPairs
-		s.IOFaults -= b.IOFaults
-		s.IORetries -= b.IORetries
-		s.BatchPruned -= b.BatchPruned
-		s.Filtered -= b.Filtered
-		// MaxQueueSize is a high-water mark, not additive: keep the final
-		// value (see AttachCounters).
+	s := q.nodeIO
+	for i := range q.workers {
+		s.Merge(&q.workers[i].Counts)
 	}
 	return Resources{
 		Pairs:          s.PairsReported,
@@ -686,9 +616,10 @@ func (s *Span) Find(name string) *Span {
 	return nil
 }
 
-// Resources is the per-query resource accounting: the run's work counters
-// scoped to this query (see Query.AttachCounters for the shared-counters
-// caveat on PeakQueueDepth).
+// Resources is the per-query resource accounting: the work counters of the
+// query's own engines (PeakQueueDepth is the largest size any one of their
+// queues reached), plus the node I/O its Counters view observed (see
+// Query.SetNodeIO).
 type Resources struct {
 	Pairs          int64 `json:"pairs_reported"`
 	DistCalcs      int64 `json:"dist_calcs"`

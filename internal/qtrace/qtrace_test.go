@@ -15,30 +15,37 @@ import (
 	"distjoin/internal/stats"
 )
 
+// syntheticWorker is the closing report of one engine that expanded for
+// 3 ms, popped for 1 ms and spilled for 2 ms (1 ms of it a physical write).
+func syntheticWorker(part int32, pairs int64) Worker {
+	w := Worker{Part: part, Pairs: pairs}
+	w.Tally.NS[profile.PhaseExpand], w.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
+	w.Tally.NS[profile.PhasePop], w.Tally.Counts[profile.PhasePop] = int64(time.Millisecond), 1
+	w.Tally.NS[profile.PhaseSpill], w.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
+	w.Tally.IOWriteNS, w.Tally.IOWrites = int64(time.Millisecond), 1
+	return w
+}
+
 // runQuery drives one synthetic query through the full lifecycle the join
-// layer uses: Begin → AttachCounters → plan bracket → workers recording
-// spans → Done → Finish.
+// layer uses: Begin → plan span → the engines' closing reports (worker 0
+// did the query's one reported pair and distance computation) → the merge
+// account → the pools' node I/O → Finish.
 func runQuery(t *Tracer, kind, id string, workers int, err error) *QueryTrace {
 	q := t.Begin(kind, id)
-	c := q.AttachCounters(nil)
-	planStart := q.Now()
 	time.Sleep(time.Microsecond)
-	q.PlanDone(planStart)
-	c.ReportPair()
-	c.AddDistCalc(1)
-	c.AddNodeRead(1)
-	for i := 0; i < workers; i++ {
-		w := q.StartWorker(int32(i))
-		sp := w.Spans()
-		sp.Add(profile.PhaseExpand, 3*time.Millisecond)
-		sp.Add(profile.PhasePop, time.Millisecond)
-		sp.Add(profile.PhaseSpill, 2*time.Millisecond)
-		sp.ObserveWrite(time.Millisecond)
-		w.Done(int64(10+i), false)
+	q.PlanDone()
+	// Workers land in completion order; the tree must list them by part.
+	for i := workers - 1; i >= 0; i-- {
+		w := syntheticWorker(int32(i), int64(10+i))
+		if i == 0 {
+			w.Counts = stats.Counters{PairsReported: 1, DistCalcs: 1, MaxQueueSize: 7}
+		}
+		q.AddWorker(w)
 	}
 	if workers > 1 {
-		q.MergeAdd(time.Millisecond)
+		q.AddMerge(int64(time.Millisecond), 1)
 	}
+	q.SetNodeIO(1, 0, 4)
 	return q.Finish(err)
 }
 
@@ -48,23 +55,10 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if q != nil {
 		t.Fatalf("nil tracer Begin = %v, want nil", q)
 	}
-	if got := q.AttachCounters(nil); got != nil {
-		t.Fatalf("nil query AttachCounters(nil) = %v, want nil", got)
-	}
-	c := &stats.Counters{}
-	if got := q.AttachCounters(c); got != c {
-		t.Fatalf("nil query AttachCounters must pass counters through")
-	}
-	q.PlanDone(q.Now())
-	q.MergeAdd(time.Second)
-	w := q.StartWorker(0)
-	if w != nil {
-		t.Fatalf("nil query StartWorker = %v, want nil", w)
-	}
-	if sp := w.Spans(); sp != nil {
-		t.Fatalf("nil worker Spans = %v, want nil", sp)
-	}
-	w.Done(1, true)
+	q.PlanDone()
+	q.AddMerge(1, 1)
+	q.AddWorker(Worker{})
+	q.SetNodeIO(1, 2, 3)
 	if qt := q.Finish(nil); qt != nil {
 		t.Fatalf("nil query Finish = %v, want nil", qt)
 	}
@@ -73,24 +67,17 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	}
 }
 
-// TestDisabledZeroAllocs pins the Options.Obs contract on the tracing
-// layer: with no tracer attached, the whole per-query bracket set performs
-// zero allocations.
+// TestDisabledZeroAllocs pins the nil-tracer contract on the tracing layer:
+// with no tracer attached, the whole per-query bracket set performs zero
+// allocations.
 func TestDisabledZeroAllocs(t *testing.T) {
 	var tr *Tracer
-	c := &stats.Counters{}
 	allocs := testing.AllocsPerRun(100, func() {
 		q := tr.Begin("join", "")
-		c2 := q.AttachCounters(c)
-		q.PlanDone(q.Now())
-		w := q.StartWorker(0)
-		_ = w.Spans()
-		q.MergeAdd(0)
-		w.Done(1, false)
+		q.PlanDone()
+		q.AddWorker(Worker{Part: 0, Pairs: 1})
+		q.AddMerge(1, 1)
 		q.Finish(nil)
-		if c2 != c {
-			t.Fatal("counters not passed through")
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %v per run, want 0", allocs)
@@ -127,11 +114,11 @@ func TestAssignedQueryIDs(t *testing.T) {
 	tr := New(Config{})
 	a := tr.Begin("join", "")
 	b := tr.Begin("knn", "custom")
-	if a.ID() == "" || !strings.HasPrefix(a.ID(), "q") {
-		t.Fatalf("assigned ID = %q, want q-prefixed", a.ID())
+	if a.id == "" || !strings.HasPrefix(a.id, "q") {
+		t.Fatalf("assigned ID = %q, want q-prefixed", a.id)
 	}
-	if b.ID() != "custom" {
-		t.Fatalf("user ID = %q, want custom", b.ID())
+	if b.id != "custom" {
+		t.Fatalf("user ID = %q, want custom", b.id)
 	}
 	if tr.Active() != 2 {
 		t.Fatalf("Active = %d, want 2", tr.Active())
@@ -178,34 +165,41 @@ func TestTraceContents(t *testing.T) {
 	if spill == nil || len(spill.Children) != 1 || spill.Children[0].Name != "io_write" || !spill.Children[0].Nested {
 		t.Fatalf("spill span = %+v", spill)
 	}
-	// Query-owned counters: the delta is the raw totals.
-	if qt.Resources.Pairs != 1 || qt.Resources.DistCalcs != 1 || qt.Resources.NodeIO != 1 {
+	// Resources are the engines' own counts plus the pools' node I/O.
+	if qt.Resources.Pairs != 1 || qt.Resources.DistCalcs != 1 || qt.Resources.NodeIO != 1 ||
+		qt.Resources.BufferHits != 4 || qt.Resources.PeakQueueDepth != 7 {
 		t.Fatalf("resources = %+v", qt.Resources)
+	}
+	for i, child := range qt.Root.Children[2:] {
+		if child.Name != "worker" || *child.Part != i {
+			t.Fatalf("worker %d of the tree = %+v, want part %d", i, child, i)
+		}
 	}
 	if qt.Coverage < 0 || math.IsNaN(qt.Coverage) {
 		t.Fatalf("coverage = %v", qt.Coverage)
 	}
 }
 
-// TestSharedCountersDelta: a caller-owned counter set shared across queries
-// still yields per-query resource deltas.
-func TestSharedCountersDelta(t *testing.T) {
+// TestResourcesAreTheQuerysOwn: a query's resources are summed from its own
+// engines' closing reports — additive counts add, the peak queue depth is
+// the largest any one engine saw — so no other query's work can leak in
+// (the behaviour the old shared-counter baseline subtraction approximated),
+// and a restart in any engine marks the trace.
+func TestResourcesAreTheQuerysOwn(t *testing.T) {
 	tr := New(Config{})
-	shared := &stats.Counters{}
-	shared.ReportPair()
-	shared.AddDistCalc(1)
-	shared.AddDistCalc(1)
+	other := tr.Begin("join", "noise")
+	other.AddWorker(Worker{Part: -1, Counts: stats.Counters{PairsReported: 100, DistCalcs: 100}})
 
-	q := tr.Begin("join", "with-baseline")
-	c := q.AttachCounters(shared)
-	if c != shared {
-		t.Fatal("AttachCounters must keep caller counters")
-	}
-	c.ReportPair()
-	c.AddDistCalc(1)
+	q := tr.Begin("join", "mine")
+	q.AddWorker(Worker{Part: 0, Counts: stats.Counters{PairsReported: 1, DistCalcs: 2, MaxQueueSize: 5}})
+	q.AddWorker(Worker{Part: 1, Counts: stats.Counters{PairsReported: 2, DistCalcs: 3, MaxQueueSize: 9, Restarts: 1}})
+	other.Finish(nil)
 	qt := q.Finish(nil)
-	if qt.Resources.Pairs != 1 || qt.Resources.DistCalcs != 1 {
-		t.Fatalf("shared-counter delta = %+v, want 1 pair / 1 dist calc", qt.Resources)
+	if r := qt.Resources; r.Pairs != 3 || r.DistCalcs != 5 || r.PeakQueueDepth != 9 {
+		t.Fatalf("resources = %+v, want 3 pairs / 5 dist calcs / peak 9", r)
+	}
+	if !qt.Restarted {
+		t.Fatal("a restarted engine did not mark the trace")
 	}
 }
 

@@ -51,10 +51,12 @@ func TestClientDisconnectStopsEngineWork(t *testing.T) {
 	}
 	waitCursorIdle(t, c)
 
-	// The engine must be quiescent now: its counters stop advancing.
-	s1 := c.stats.Snapshot()
+	// The engine must be quiescent now: the server-wide counters (this is
+	// the only cursor, and its engine folds into them at every step) stop
+	// advancing.
+	s1 := f.stats.Snapshot()
 	time.Sleep(100 * time.Millisecond)
-	s2 := c.stats.Snapshot()
+	s2 := f.stats.Snapshot()
 	if s2.PairsReported != s1.PairsReported || s2.DistCalcs != s1.DistCalcs || s2.QueuePops != s1.QueuePops {
 		t.Fatalf("engine still working after client disconnect: %+v then %+v", s1, s2)
 	}

@@ -66,7 +66,6 @@ type cursor struct {
 	next  func() (distjoin.Pair, bool, error)
 	close func() error
 	abort func(error) error // close latching a terminal error the engine never saw
-	stats *distjoin.Stats   // per-cursor counters, merged into the server total on close
 
 	// sc is the query span's W3C context (minted by PreBegin at creation);
 	// client is the inbound traceparent that parented it, zero when the

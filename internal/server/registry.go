@@ -17,14 +17,21 @@ import (
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*regEntry
+	// obs and stats are the server-wide views every R*-tree's buffer pool
+	// reports node I/O to (see SetObserver); nil until a server adopts the
+	// registry.
+	obs   *distjoin.Recorder
+	stats *distjoin.Stats
 }
 
 // regEntry is one registered index plus its ownership: close is non-nil
 // when the registry opened the index itself (OpenFile) and must release it.
+// idx is the R*-tree behind si, nil for structures without a buffer pool.
 type regEntry struct {
 	name  string
 	kind  string
 	si    distjoin.SpatialIndex
+	idx   *distjoin.Index
 	close func() error
 }
 
@@ -49,7 +56,7 @@ func (r *Registry) Register(name, kind string, si distjoin.SpatialIndex) error {
 
 // RegisterIndex adds a caller-owned R*-tree index under the given name.
 func (r *Registry) RegisterIndex(name string, idx *distjoin.Index) error {
-	return r.Register(name, "rtree", idx.AsSpatialIndex())
+	return r.add(&regEntry{name: name, kind: "rtree", si: idx.AsSpatialIndex(), idx: idx})
 }
 
 // RegisterQuadIndex adds a caller-owned quadtree index under the given name.
@@ -64,7 +71,7 @@ func (r *Registry) OpenFile(name, path string) error {
 	if err != nil {
 		return fmt.Errorf("server: opening index %q from %s: %w", name, path, err)
 	}
-	e := &regEntry{name: name, kind: "rtree", si: idx.AsSpatialIndex(), close: idx.Close}
+	e := &regEntry{name: name, kind: "rtree", si: idx.AsSpatialIndex(), idx: idx, close: idx.Close}
 	if err := r.add(e); err != nil {
 		idx.Close()
 		return err
@@ -85,7 +92,30 @@ func (r *Registry) add(e *regEntry) error {
 		return fmt.Errorf("server: index %q already registered", e.name)
 	}
 	r.entries[e.name] = e
+	r.observe(e)
 	return nil
+}
+
+// SetObserver attaches the server-wide views to the buffer pool of every
+// registered R*-tree, now and at every later registration: node reads,
+// writes and buffer hits flow into c and into rec's pool-hit-ratio gauge.
+// A server calls it with its Config.Obs and Config.Stats; without it the
+// daemon's node-I/O metrics stay at zero.
+func (r *Registry) SetObserver(rec *distjoin.Recorder, c *distjoin.Stats) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.obs, r.stats = rec, c
+	for _, e := range r.entries {
+		r.observe(e)
+	}
+}
+
+// observe attaches the registry's views to one entry's pool. Callers hold
+// mu.
+func (r *Registry) observe(e *regEntry) {
+	if e.idx != nil && (r.obs != nil || r.stats != nil) {
+		e.idx.SetObserver(r.obs, r.stats)
+	}
 }
 
 // Get returns the named index for query construction.

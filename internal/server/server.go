@@ -104,8 +104,9 @@ type Config struct {
 	// Obs receives engine events and histograms from every cursor. May be
 	// nil.
 	Obs *distjoin.Recorder
-	// Stats aggregates the work counters of every closed cursor. May be
-	// nil.
+	// Stats aggregates the work counters of every cursor — folded in at
+	// every engine step, not only at close — plus the node I/O of the
+	// registry's R*-tree buffer pools. May be nil.
 	Stats *distjoin.Stats
 	// Logger receives one structured line per finished HTTP request,
 	// carrying endpoint, status, duration, and the trace/query identity of
@@ -184,6 +185,11 @@ type Server struct {
 // NewServer creates a Server and starts its TTL janitor.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	if cfg.Obs != nil || cfg.Stats != nil {
+		// Node I/O happens in the registry's shared buffer pools, not in any
+		// one cursor's engine: route it into the server-wide views.
+		cfg.Registry.SetObserver(cfg.Obs, cfg.Stats)
+	}
 	s := &Server{
 		cfg:         cfg,
 		table:       newCursorTable(cfg.MaxCursors),
@@ -334,24 +340,18 @@ func (s *Server) beginDrain() {
 }
 
 // finishCursor removes a cursor whose engine is already closed from the
-// table, merges its counters into the server aggregate, and releases its
-// budget reservation. Idempotent per cursor id (table.remove no-ops on a
-// second call), but the budget must be released exactly once: the caller
-// patterns guarantee single release because every path to finishCursor
-// first won the engine-close race under st.
+// table and releases its budget reservation. Idempotent per cursor id
+// (table.remove no-ops on a second call), but the budget must be released
+// exactly once: the caller patterns guarantee single release because every
+// path to finishCursor first won the engine-close race under st.
 func (s *Server) finishCursor(c *cursor, reason string) {
 	s.table.remove(c.id, reason)
 	c.st.Lock()
 	released := c.budget
 	c.budget = 0
-	stats := c.stats
-	c.stats = nil
 	c.st.Unlock()
 	if released > 0 {
 		s.releaseBudget(released)
-	}
-	if stats != nil && s.cfg.Stats != nil {
-		s.cfg.Stats.Merge(stats)
 	}
 }
 
@@ -650,7 +650,6 @@ func (s *Server) createCursor(req *QueryRequest, parent qtrace.SpanContext) (*cu
 		next:    next,
 		close:   closeFn,
 		abort:   abortFn,
-		stats:   opts.Counters,
 		ctx:     ctx,
 		cancel:  cancel,
 		sc:      sc,
@@ -679,7 +678,7 @@ func normKind(kind string) string {
 
 // buildOptions derives the cursor's join options: the server's BaseOptions
 // template, overridden by the request's non-zero fields, wired to the
-// server's tracer/recorder and a per-cursor counter set.
+// server's tracer, recorder and counters.
 func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Options, *httpError) {
 	opts := s.cfg.BaseOptions
 	if req.MaxPairs < 0 {
@@ -741,9 +740,9 @@ func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Optio
 		opts.QueryID = queryID
 	}
 	if opts.Counters == nil {
-		// Per-cursor counters: the qtrace resource delta stays scoped to
-		// this cursor, and finishCursor merges them into Config.Stats.
-		opts.Counters = &distjoin.Stats{}
+		// Every cursor's engines fold straight into the server-wide view;
+		// a cursor's own numbers are its query trace's resources.
+		opts.Counters = s.cfg.Stats
 	}
 	return opts, nil
 }

@@ -3,14 +3,15 @@
 // number of object distance calculations, the maximum priority-queue size,
 // and the number of node I/O operations, plus wall-clock timing helpers.
 //
-// Counters are updated with sync/atomic operations, so a single Counters
-// value may be shared by concurrent query executors — the parallel
-// partitioned join runs one engine per partition over shared buffer pools,
-// and all of them account into the same sink. Single-goroutine callers pay
-// only the (uncontended) atomic cost. The exported fields remain plain
-// int64s for compatibility: reading them directly is fine once all workers
-// have finished (or via Snapshot at any time); concurrent direct writes are
-// not. Per-worker counter shards can be combined with Merge.
+// A Counters value plays two roles. As a shared VIEW (Options.Counters, a
+// buffer pool's sink, a Recorder's counts) it is updated only through its
+// methods, which use sync/atomic: the join engines fold their per-engine
+// meters into it with MergeSince at every Next return, buffer pools shared by
+// concurrent queries add node I/O directly, and Snapshot reads it at any
+// time. As a single-writer TALLY (the counts inside an internal/meter
+// Meter) its fields are plain int64s written directly by the one goroutine
+// that owns it. The exported fields stay plain int64s for both uses; never
+// mix direct writes with concurrent method calls on the same value.
 //
 // A nil *Counters is valid everywhere and records nothing, so
 // instrumentation can be disabled without branching at call sites.
@@ -20,6 +21,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"distjoin/internal/pager"
 )
@@ -54,7 +56,8 @@ type Counters struct {
 	// which the paper accounts separately from R-tree node I/O.
 	QueueReads  int64
 	QueueWrites int64
-	// PairsReported counts result pairs delivered to the caller.
+	// PairsReported counts result pairs the engines produced (on the
+	// parallel path this includes pairs computed ahead of the merge).
 	PairsReported int64
 	// Filtered counts pairs discarded by semi-join filtering or distance
 	// range pruning before reaching the queue.
@@ -74,7 +77,26 @@ type Counters struct {
 	// Options.Context was canceled (or its deadline expired) and the
 	// iterator latched the cancellation as its terminal error.
 	Cancellations int64
+	// Expansions counts node-pair expansions (one per dequeued pair with
+	// at least one node).
+	Expansions int64
+	// Restarts counts §2.2.4 restarts: the maximum-distance estimation
+	// over-tightened and an engine re-ran its query without it.
+	Restarts int64
+	// MergeStalls counts the times the parallel merge blocked on a
+	// partition whose stream had no buffered result.
+	MergeStalls int64
 }
+
+// A Counters is nothing but int64 fields, so Snapshot and MergeSince walk
+// it as an array; the size and the index of the one field that is a
+// high-water mark rather than a sum are derived from the struct itself.
+const (
+	numFields     = unsafe.Sizeof(Counters{}) / 8
+	maxQueueField = unsafe.Offsetof(Counters{}.MaxQueueSize) / 8
+)
+
+func (c *Counters) array() *[numFields]int64 { return (*[numFields]int64)(unsafe.Pointer(c)) }
 
 // NodeIO returns reads+writes, the "Node I/O" measure of Table 1.
 func (c *Counters) NodeIO() int64 {
@@ -139,60 +161,10 @@ func (c *Counters) QueueInsert(newSize int64) {
 	maxInt64(&c.MaxQueueSize, newSize)
 }
 
-// QueuePop records a queue removal.
-func (c *Counters) QueuePop() {
-	if c != nil {
-		atomic.AddInt64(&c.QueuePops, 1)
-	}
-}
-
-// AddQueueDiskPair records n pairs spilled to disk.
-func (c *Counters) AddQueueDiskPair(n int64) {
-	if c != nil {
-		atomic.AddInt64(&c.QueueDiskPairs, n)
-	}
-}
-
-// ReportPair records a result pair delivered to the caller.
-func (c *Counters) ReportPair() {
-	if c != nil {
-		atomic.AddInt64(&c.PairsReported, 1)
-	}
-}
-
 // Filter records n pairs pruned before insertion.
 func (c *Counters) Filter(n int64) {
 	if c != nil {
 		atomic.AddInt64(&c.Filtered, n)
-	}
-}
-
-// AddBatchPruned records n pairs skipped by the sweep/block prune before
-// any distance computation.
-func (c *Counters) AddBatchPruned(n int64) {
-	if c != nil {
-		atomic.AddInt64(&c.BatchPruned, n)
-	}
-}
-
-// AddIOFault records n failed physical I/O attempts.
-func (c *Counters) AddIOFault(n int64) {
-	if c != nil {
-		atomic.AddInt64(&c.IOFaults, n)
-	}
-}
-
-// AddIORetry records n retries of transient I/O failures.
-func (c *Counters) AddIORetry(n int64) {
-	if c != nil {
-		atomic.AddInt64(&c.IORetries, n)
-	}
-}
-
-// AddCancellation records n queries canceled via their context.
-func (c *Counters) AddCancellation(n int64) {
-	if c != nil {
-		atomic.AddInt64(&c.Cancellations, n)
 	}
 }
 
@@ -208,58 +180,45 @@ func (c *Counters) Reset() {
 // (each field is loaded atomically; fields may be skewed relative to each
 // other while recorders are running).
 func (c *Counters) Snapshot() Counters {
+	var out Counters
 	if c == nil {
-		return Counters{}
+		return out
 	}
-	return Counters{
-		DistCalcs:      atomic.LoadInt64(&c.DistCalcs),
-		NodeDistCalcs:  atomic.LoadInt64(&c.NodeDistCalcs),
-		NodeReads:      atomic.LoadInt64(&c.NodeReads),
-		NodeWrites:     atomic.LoadInt64(&c.NodeWrites),
-		BufferHits:     atomic.LoadInt64(&c.BufferHits),
-		QueueInserts:   atomic.LoadInt64(&c.QueueInserts),
-		QueuePops:      atomic.LoadInt64(&c.QueuePops),
-		MaxQueueSize:   atomic.LoadInt64(&c.MaxQueueSize),
-		QueueDiskPairs: atomic.LoadInt64(&c.QueueDiskPairs),
-		QueueReads:     atomic.LoadInt64(&c.QueueReads),
-		QueueWrites:    atomic.LoadInt64(&c.QueueWrites),
-		PairsReported:  atomic.LoadInt64(&c.PairsReported),
-		Filtered:       atomic.LoadInt64(&c.Filtered),
-		BatchPruned:    atomic.LoadInt64(&c.BatchPruned),
-		IOFaults:       atomic.LoadInt64(&c.IOFaults),
-		IORetries:      atomic.LoadInt64(&c.IORetries),
-		Cancellations:  atomic.LoadInt64(&c.Cancellations),
+	dst := out.array()
+	for i := range c.array() {
+		dst[i] = atomic.LoadInt64(&c.array()[i])
 	}
+	return out
 }
 
 // Merge folds the counts of other into c: additive fields are summed and
 // MaxQueueSize takes the maximum of the two high-water marks (queues are
-// independent, so their peak sizes do not add). The parallel join gives each
-// partition worker its own shard and merges the shards into the caller's
-// Counters as workers finish. other is read atomically; merging a shard
-// still being written to yields a momentary partial view, not corruption.
+// independent, so their peak sizes do not add). other is read atomically;
+// merging a value still being written to through its methods yields a
+// momentary partial view, not corruption.
 func (c *Counters) Merge(other *Counters) {
-	if c == nil || other == nil {
+	if other != nil {
+		c.MergeSince(other, &Counters{})
+	}
+}
+
+// MergeSince folds the growth of cur over prev into c — how a per-engine
+// meter publishes into a shared view: cur is its running tally, prev the
+// tally at its last fold. Additive fields add their difference (fields that
+// did not grow cost nothing); MaxQueueSize takes cur's high-water mark.
+func (c *Counters) MergeSince(cur, prev *Counters) {
+	if c == nil {
 		return
 	}
-	o := other.Snapshot()
-	atomic.AddInt64(&c.DistCalcs, o.DistCalcs)
-	atomic.AddInt64(&c.NodeDistCalcs, o.NodeDistCalcs)
-	atomic.AddInt64(&c.NodeReads, o.NodeReads)
-	atomic.AddInt64(&c.NodeWrites, o.NodeWrites)
-	atomic.AddInt64(&c.BufferHits, o.BufferHits)
-	atomic.AddInt64(&c.QueueInserts, o.QueueInserts)
-	atomic.AddInt64(&c.QueuePops, o.QueuePops)
-	maxInt64(&c.MaxQueueSize, o.MaxQueueSize)
-	atomic.AddInt64(&c.QueueDiskPairs, o.QueueDiskPairs)
-	atomic.AddInt64(&c.QueueReads, o.QueueReads)
-	atomic.AddInt64(&c.QueueWrites, o.QueueWrites)
-	atomic.AddInt64(&c.PairsReported, o.PairsReported)
-	atomic.AddInt64(&c.Filtered, o.Filtered)
-	atomic.AddInt64(&c.BatchPruned, o.BatchPruned)
-	atomic.AddInt64(&c.IOFaults, o.IOFaults)
-	atomic.AddInt64(&c.IORetries, o.IORetries)
-	atomic.AddInt64(&c.Cancellations, o.Cancellations)
+	dst, old := c.array(), prev.array()
+	for i := range cur.array() {
+		switch v := atomic.LoadInt64(&cur.array()[i]); {
+		case uintptr(i) == maxQueueField:
+			maxInt64(&dst[i], v)
+		case v != old[i]:
+			atomic.AddInt64(&dst[i], v-old[i])
+		}
+	}
 }
 
 // String formats the Table 1 measures compactly.
@@ -272,49 +231,43 @@ func (c *Counters) String() string {
 		s.DistCalcs, s.MaxQueueSize, s.NodeReads+s.NodeWrites, s.NodeReads, s.NodeWrites, s.BufferHits)
 }
 
-// NodeSink adapts c into a pager.IOCounter that records into the node-I/O
-// columns (NodeReads, NodeWrites, BufferHits). It returns an untyped nil
-// when c is nil, so the pool records nothing.
-func NodeSink(c *Counters) pager.IOCounter {
-	if c == nil {
+// NodeSink adapts the given views into one pager.IOCounter that records a
+// buffer pool's traffic into their node-I/O columns (NodeReads, NodeWrites,
+// BufferHits). Nil views are skipped; with none left it returns an untyped
+// nil, so the pool records nothing.
+func NodeSink(views ...*Counters) pager.IOCounter {
+	var s nodeIOSink
+	for _, c := range views {
+		if c != nil {
+			s = append(s, c)
+		}
+	}
+	if len(s) == 0 {
 		return nil
 	}
-	return &NodeIOSink{c: c}
+	return s
 }
 
-// NodeIOSink routes pool I/O into the node-I/O counters.
-type NodeIOSink struct{ c *Counters }
+// nodeIOSink routes pool I/O into the node-I/O columns of every view.
+type nodeIOSink []*Counters
 
-// AddRead implements pager.IOCounter.
-func (s *NodeIOSink) AddRead(n int64) { s.c.AddNodeRead(n) }
-
-// AddWrite implements pager.IOCounter.
-func (s *NodeIOSink) AddWrite(n int64) { s.c.AddNodeWrite(n) }
-
-// AddHit implements pager.IOCounter.
-func (s *NodeIOSink) AddHit(n int64) { s.c.AddBufferHit(n) }
-
-// QueueSink adapts c into a pager.IOCounter that records into the queue-I/O
-// columns (QueueReads, QueueWrites). Buffer hits inside the queue's small
-// pool are not separately tracked. It returns an untyped nil when c is nil.
-func QueueSink(c *Counters) pager.IOCounter {
-	if c == nil {
-		return nil
+func (s nodeIOSink) AddRead(n int64) {
+	for _, c := range s {
+		c.AddNodeRead(n)
 	}
-	return &QueueIOSink{c: c}
 }
 
-// QueueIOSink routes pool I/O into the queue-I/O counters.
-type QueueIOSink struct{ c *Counters }
+func (s nodeIOSink) AddWrite(n int64) {
+	for _, c := range s {
+		c.AddNodeWrite(n)
+	}
+}
 
-// AddRead implements pager.IOCounter.
-func (s *QueueIOSink) AddRead(n int64) { atomic.AddInt64(&s.c.QueueReads, n) }
-
-// AddWrite implements pager.IOCounter.
-func (s *QueueIOSink) AddWrite(n int64) { atomic.AddInt64(&s.c.QueueWrites, n) }
-
-// AddHit implements pager.IOCounter.
-func (s *QueueIOSink) AddHit(int64) {}
+func (s nodeIOSink) AddHit(n int64) {
+	for _, c := range s {
+		c.AddBufferHit(n)
+	}
+}
 
 // Timer measures wall-clock elapsed time for an experiment leg.
 type Timer struct {

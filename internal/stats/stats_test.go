@@ -15,10 +15,8 @@ func TestNilCountersAreSafe(t *testing.T) {
 	c.AddNodeWrite(1)
 	c.AddBufferHit(1)
 	c.QueueInsert(5)
-	c.QueuePop()
-	c.AddQueueDiskPair(1)
-	c.ReportPair()
 	c.Filter(1)
+	c.Merge(&Counters{DistCalcs: 1})
 	c.Reset()
 	if c.NodeIO() != 0 {
 		t.Fatal("nil counters returned non-zero")
@@ -46,8 +44,7 @@ func TestCountersAccumulate(t *testing.T) {
 	if c.MaxQueueSize != 10 || c.QueueInserts != 2 {
 		t.Fatalf("queue accounting wrong: %+v", c)
 	}
-	c.QueuePop()
-	c.ReportPair()
+	c.PairsReported++
 	c.Filter(2)
 	snap := c.Snapshot()
 	if snap.DistCalcs != 3 || snap.Filtered != 2 || snap.PairsReported != 1 {
@@ -78,18 +75,36 @@ func TestSinks(t *testing.T) {
 	if c.NodeReads != 2 || c.NodeWrites != 3 || c.BufferHits != 4 {
 		t.Fatalf("node sink: %+v", c)
 	}
-	qs := QueueSink(c)
-	qs.AddRead(5)
-	qs.AddWrite(6)
-	qs.AddHit(7) // dropped by design
-	if c.QueueReads != 5 || c.QueueWrites != 6 {
-		t.Fatalf("queue sink: %+v", c)
+	// One pool handle can feed several views; nil views are skipped.
+	other := &Counters{}
+	both := NodeSink(c, nil, other)
+	both.AddRead(1)
+	both.AddHit(1)
+	if c.NodeReads != 3 || other.NodeReads != 1 || other.BufferHits != 1 {
+		t.Fatalf("fan-out sink: %+v / %+v", c, other)
 	}
-	if c.NodeReads != 2 {
-		t.Fatal("queue sink leaked into node counters")
+	if NodeSink(nil) != nil || NodeSink() != nil {
+		t.Fatal("nil counters must yield a nil sink")
 	}
-	if NodeSink(nil) != nil || QueueSink(nil) != nil {
-		t.Fatal("nil counters must yield nil sinks")
+}
+
+// TestMergeSince pins the meter's publish step: the growth of a
+// single-writer tally over its last-folded copy, merged into a shared view,
+// reproduces the tally — with MaxQueueSize carried as a high-water mark.
+func TestMergeSince(t *testing.T) {
+	view := &Counters{}
+	var tally, folded Counters
+	for step := int64(1); step <= 3; step++ {
+		tally.QueuePops += step
+		tally.Expansions++
+		tally.MaxQueueSize = 10 - step // the queue shrinks; the peak must not
+		view.MergeSince(&tally, &folded)
+		folded = tally
+	}
+	want := tally
+	want.MaxQueueSize = 9
+	if got := view.Snapshot(); got != want {
+		t.Fatalf("view = %+v, want %+v", got, want)
 	}
 }
 
@@ -144,10 +159,10 @@ func TestMergeMaxQueueConcurrent(t *testing.T) {
 }
 
 // TestMergeRetryCountersConcurrent is the property test for the I/O fault
-// accounting added with the retry layer: shards record faults and retries
-// concurrently with merges into a shared total, and the final totals must be
-// the exact sums across shards — no lost updates, no double counting beyond
-// the deliberate repeat merges.
+// accounting added with the retry layer: shards filled with faults and
+// retries are merged concurrently into a shared total, and the final totals
+// must be the exact sums across shards — no lost updates, no double
+// counting beyond the deliberate repeat merges.
 func TestMergeRetryCountersConcurrent(t *testing.T) {
 	const workers = 12
 	const opsPerWorker = 500
@@ -158,14 +173,14 @@ func TestMergeRetryCountersConcurrent(t *testing.T) {
 	for i := range shards {
 		shards[i] = &Counters{}
 		fill.Add(1)
-		// Writers hammer each shard concurrently: AddIOFault/AddIORetry must
-		// be atomic within a shard too, not just across Merge.
+		// One writer fills each shard with plain writes (a meter's tally is
+		// single-writer); the concurrency under test is the merges below.
 		go func(s *Counters, id int) {
 			defer fill.Done()
 			for j := 0; j < opsPerWorker; j++ {
-				s.AddIOFault(1)
+				s.IOFaults++
 				if j%3 == 0 {
-					s.AddIORetry(2)
+					s.IORetries += 2
 				}
 			}
 			s.QueueInsert(int64(10 * (id + 1)))

@@ -14,9 +14,9 @@ import (
 // to Options.Obs collects a structured event trace, incremental-latency
 // histograms (inter-pair delay, pop-to-emit), and live gauges (queue depth,
 // result frontier, per-partition progress, buffer-pool hit ratio) from a
-// running join; ServeMetrics exposes them over HTTP as Prometheus text,
-// expvar JSON, and pprof. A nil *Recorder is valid everywhere and records
-// nothing, at zero cost — the same convention as Stats.
+// running join; ServeMetrics exposes them over HTTP as Prometheus text and
+// pprof. A nil *Recorder is valid everywhere and records nothing, at zero
+// cost — the same convention as Stats.
 
 // Recorder collects events and metrics from a join execution.
 type Recorder = obs.Recorder
@@ -55,25 +55,24 @@ const (
 // hit ratios).
 func NewRecorder(cfg ObsConfig) *Recorder { return obs.New(cfg) }
 
-// ServeMetrics serves /metrics (Prometheus text), /debug/vars (expvar) and
-// /debug/pprof on addr in a background goroutine. The stats argument may be
-// nil.
+// ServeMetrics serves /metrics (Prometheus text) and /debug/pprof on addr in
+// a background goroutine. The stats argument may be nil.
 func ServeMetrics(addr string, r *Recorder, c *Stats) (*MetricsServer, error) {
-	return obs.ServeMetrics(addr, r, (*stats.Counters)(c))
+	return obs.ServeMetricsTraced(addr, r, (*stats.Counters)(c), nil)
 }
 
 // MetricsHandler returns an http.Handler serving the Prometheus text
 // exposition, for mounting in a caller-owned mux.
 func MetricsHandler(r *Recorder, c *Stats) http.Handler {
-	return obs.Handler(r, (*stats.Counters)(c))
+	return obs.HandlerTraced(r, (*stats.Counters)(c), nil)
 }
 
 // Per-query lifecycle tracing — the public surface of internal/qtrace. A
 // QueryTracer attached to Options.Tracer assigns every Join/SemiJoin/kNN
 // run a query ID and records a hierarchical span tree (plan → partition
 // workers → engine phases → queue disk-tier I/O) plus per-query resource
-// accounting, retained in a bounded flight recorder and optionally written
-// to a slow-query JSONL log. A nil *QueryTracer is valid everywhere and
+// accounting, retained in a bounded flight recorder (served as JSON by
+// QueriesHandler) and optionally written to a slow-query JSONL log. A nil *QueryTracer is valid everywhere and
 // records nothing, at zero cost — the same convention as Stats and
 // Recorder.
 
@@ -88,9 +87,8 @@ type QueryTraceConfig = qtrace.Config
 func NewQueryTracer(cfg QueryTraceConfig) *QueryTracer { return qtrace.New(cfg) }
 
 // ServeMetricsTraced is ServeMetrics with per-query tracing attached: the
-// /metrics exposition gains per-query resource gauges, and the tracer's
-// flight recorder is served as JSON at /debug/queries and
-// /debug/queries/<id>.
+// /metrics exposition gains distjoin_queries_active, and the tracer's flight
+// recorder is served as JSON at /debug/queries and /debug/queries/<id>.
 func ServeMetricsTraced(addr string, r *Recorder, c *Stats, qt *QueryTracer) (*MetricsServer, error) {
 	return obs.ServeMetricsTraced(addr, r, (*stats.Counters)(c), qt)
 }
@@ -111,9 +109,9 @@ func TimeToKth(events []ObsEvent, k int64) (t time.Duration, dist float64, ok bo
 	return obs.TimeToKth(events, k)
 }
 
-// SetObserver attaches both accounting sinks to the index's buffer pool:
-// node I/O flows into c (as with SetCounters) and, when r is non-nil, also
-// feeds r's live pool-hit-ratio gauge. Either argument may be nil.
+// SetObserver attaches both views to the index's buffer pool: node I/O flows
+// into c (as with SetCounters) and, when r is non-nil, into r's counts as
+// well (its live pool-hit-ratio gauge). Either argument may be nil.
 func (idx *Index) SetObserver(r *Recorder, c *Stats) {
-	idx.tree.Pool().SetCounters(r.PoolTap(stats.NodeSink((*stats.Counters)(c))))
+	idx.tree.Pool().SetCounters(stats.NodeSink((*stats.Counters)(c), r.Counts()))
 }

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"distjoin/internal/obs"
+	"distjoin/internal/pager"
 	"distjoin/internal/profile"
 	"distjoin/internal/qtrace"
+	"distjoin/internal/stats"
 )
 
 // Query profiles — the public surface of internal/profile. A Profiler wired
@@ -122,13 +124,16 @@ func (p *Profiler) Attach(o *Options) {
 }
 
 // AttachIndex attaches the profiler to an index's buffer pool: node I/O
-// counts flow into the profiler's counters (feeding the recorder's
-// pool-hit-ratio gauge on the way), and physical page I/O time into the
-// spans' I/O figures — so the profile's IO stat covers index-node and
-// queue-disk-tier I/O together.
+// counts flow into the profiler's counters and the recorder's
+// pool-hit-ratio gauge, and physical page I/O time into the spans' I/O
+// figures — so the profile's IO stat covers index-node and queue-disk-tier
+// I/O together. The pool carries one handle: the counting sink, made a
+// pager.IOClock by embedding the spans.
 func (p *Profiler) AttachIndex(idx *Index) {
-	idx.SetObserver(p.Rec, p.Stats)
-	idx.tree.Pool().SetIOTimer(p.Spans)
+	idx.tree.Pool().SetCounters(struct {
+		pager.IOCounter
+		*ProfileSpans
+	}{stats.NodeSink(p.Stats, p.Rec.Counts()), p.Spans})
 }
 
 // Start re-marks the profile's wall-clock origin (NewProfiler already
@@ -150,7 +155,7 @@ func (p *Profiler) MarkKth(k int64, dist float64) {
 func (p *Profiler) SetExplain(rows []ExplainRow) { p.explain = rows }
 
 // Finish assembles the profile. The join should be drained and closed
-// first, so that parallel worker shards have been merged.
+// first, so that every engine has folded its last counts.
 func (p *Profiler) Finish(label string) *Profile {
 	var prof Profile
 	prof.BuildPhases(p.Spans, p.Elapsed().Seconds())
