@@ -263,19 +263,51 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	f := newFixture(t, 60, 60, func(c *Config) {
+	hook, stores := &engineHook{}, &storeRig{}
+	f := newFixture(t, 40, 60, func(c *Config) { // the point sets modelOptions' hook knows
 		c.MaxCursors = 2
-		c.MemBudget = 10 << 20
+		c.MaxInflight = 1
+		c.MemBudget = 16 << 20
 		c.DefaultCursorBudget = 4 << 20
+		c.BaseOptions = modelOptions(hook, stores)
 	})
 	req := QueryRequest{Kind: "join", Index1: "water", Index2: "roads"}
 	c1 := f.create(t, req)
-	_ = f.create(t, req)
+	c2 := f.create(t, req)
 
-	// Third cursor: table is full → 429 with Retry-After.
-	code, raw := f.do(t, http.MethodPost, "/v1/query", req)
+	// Third cursor: table is full → 429 with Retry-After, refused before any
+	// engine work: no queue store opened, no query begun, no trace pushed
+	// into the bounded flight recorder.
+	traces, active := len(f.tracer.Traces()), f.tracer.Active()
+	hybrid := req
+	hybrid.Queue, hybrid.HybridDT = "hybrid", 500
+	code, raw := f.do(t, http.MethodPost, "/v1/query", hybrid)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("table-full create: %d: %s", code, raw)
+	}
+	if calls, _, _ := stores.counts(); calls != 0 || len(f.tracer.Traces()) != traces || f.tracer.Active() != active {
+		t.Fatalf("table-full 429 did engine work: %d queue stores opened, flight recorder %d → %d, active queries %d → %d",
+			calls, traces, len(f.tracer.Traces()), active, f.tracer.Active())
+	}
+
+	// In-flight limit: while one pull holds the only slot, creates and pulls
+	// on other cursors are refused at once rather than queued.
+	hook.arm(hookBlock)
+	pulled := make(chan int, 1)
+	go func() {
+		code, _ := f.do(t, http.MethodGet, "/v1/cursor/"+c2.Cursor+"/next?k=5", nil)
+		pulled <- code
+	}()
+	<-hook.hit
+	if code, raw := f.do(t, http.MethodGet, "/v1/cursor/"+c1.Cursor+"/next?k=1", nil); code != http.StatusTooManyRequests {
+		t.Fatalf("pull beyond the in-flight limit: %d: %s", code, raw)
+	}
+	if code, raw := f.do(t, http.MethodPost, "/v1/query", req); code != http.StatusTooManyRequests {
+		t.Fatalf("create beyond the in-flight limit: %d: %s", code, raw)
+	}
+	hook.release()
+	if code := <-pulled; code != http.StatusOK {
+		t.Fatalf("the admitted pull: %d", code)
 	}
 
 	// Free a slot; a cursor asking for more budget than remains is refused
@@ -284,7 +316,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("delete failed")
 	}
 	big := req
-	big.QueueBudget = 7 << 20 // 4 MiB still reserved by cursor 2, budget 10 MiB
+	big.QueueBudget = 13 << 20 // 4 MiB still reserved by cursor 2, budget 16 MiB
 	code, raw = f.do(t, http.MethodPost, "/v1/query", big)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("over-budget create: %d: %s", code, raw)
@@ -297,6 +329,36 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if used := f.srv.BudgetUsed(); used != (4<<20)+(2<<20) {
 		t.Fatalf("budget used = %d", used)
+	}
+}
+
+// TestCreateRacingCloseIsRefused catches a create inside engine construction
+// (the queue-store factory blocks), closes the server under it, and lets it
+// go. An engine opened under a closed server is never swept and never
+// closed, so the create must answer 503 and leave nothing behind.
+func TestCreateRacingCloseIsRefused(t *testing.T) {
+	stores := &storeRig{}
+	stores.block, stores.hit, stores.open = true, make(chan struct{}), make(chan struct{})
+	f := newFixture(t, 60, 60, func(c *Config) { c.BaseOptions.QueueStore = stores.factory })
+	created := make(chan int, 1)
+	go func() {
+		code, _ := f.do(t, http.MethodPost, "/v1/query",
+			QueryRequest{Kind: "join", Index1: "water", Index2: "roads", Queue: "hybrid", HybridDT: 500})
+		created <- code
+	}()
+	<-stores.hit
+	if err := f.srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(stores.open)
+	if code := <-created; code != http.StatusServiceUnavailable {
+		t.Errorf("create racing Close: %d, want 503", code)
+	}
+	if n, active := f.srv.OpenCursors(), f.tracer.Active(); n != 0 || active != 0 {
+		t.Errorf("after Close: %d cursors in the table, %d queries active", n, active)
+	}
+	if _, opened, closed := stores.counts(); opened != closed {
+		t.Errorf("%d queue stores opened, %d closed", opened, closed)
 	}
 }
 
