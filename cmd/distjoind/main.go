@@ -4,9 +4,10 @@
 // (GET /v1/cursor/<id>/next?k=N) as often and as slowly as it likes, and
 // deletes the cursor when done — the paper's pull-one-pair-at-a-time
 // iterator, stretched over a network connection. Cursors survive client
-// pauses in a bounded TTL-evicted table; admission control (cursor slots,
-// in-flight limit, a shared queue-memory budget) keeps many concurrent
-// clients from sinking the process.
+// pauses in a bounded TTL-evicted table; admission control (-max-cursors
+// table slots, -max-inflight concurrent requests, each refused with 429
+// before any work is done) keeps many concurrent clients from sinking the
+// process.
 //
 // Indexes come from persisted R*-tree files (-index name=path), CSV point
 // sets (-csv name=path, built into an in-memory R*-tree at startup), or a
@@ -19,7 +20,9 @@
 //	curl -s -X DELETE localhost:8080/v1/cursor/c0000001
 //
 // /metrics serves Prometheus text (engine counters, node I/O of the shared
-// index pools, RED/SLO families), /debug/queries the flight recorder with
+// index pools, RED/SLO families, and the two saturation gauges
+// distjoind_cursors_open/_max and distjoind_pulls_inflight/_max),
+// /debug/queries the flight recorder with
 // every per-query number, /debug/pprof the usual profiles. There is no
 // -slow-nodeio threshold here (cmd/distjoin has one): node I/O happens in
 // buffer pools shared by every cursor, so a cursor's trace reports the
@@ -65,10 +68,8 @@ func run(args []string, errw *os.File) int {
 		indexFiles, csvFiles repeatable
 		addr                 = fs.String("addr", ":8080", "listen address")
 		demo                 = fs.Int("demo", 0, "register synthetic demo indexes \"water\" and \"roads\" with this many points each")
-		maxCursors           = fs.Int("max-cursors", 0, "bound on concurrently open cursors (0 = default)")
-		maxInflight          = fs.Int("max-inflight", 0, "bound on concurrently served pulls (0 = default)")
-		memBudget            = fs.Int64("mem-budget", 0, "shared queue-memory budget in bytes across all cursors (0 = default)")
-		cursorBudget         = fs.Int64("cursor-budget", 0, "default per-cursor queue-memory reservation in bytes (0 = default)")
+		maxCursors           = fs.Int("max-cursors", 0, "cursor table size: creates beyond this many open cursors answer 429 (0 = 64)")
+		maxInflight          = fs.Int("max-inflight", 0, "pulls and creates served at once; more answer 429 (0 = 32)")
 		ttl                  = fs.Duration("cursor-ttl", 0, "idle cursor time-to-live before eviction (0 = default)")
 		cursorWall           = fs.Duration("cursor-wall", 0, "per-cursor total wall budget; older cursors are canceled (0 = unlimited)")
 		pullTimeout          = fs.Duration("pull-timeout", 0, "default soft deadline of one next/stream pull (0 = none)")
@@ -204,26 +205,25 @@ func run(args []string, errw *os.File) int {
 	red := obs.NewRED(obs.REDConfig{})
 
 	running, err := server.Start(*addr, server.Config{
-		Registry:            reg,
-		MaxCursors:          *maxCursors,
-		MaxInflight:         *maxInflight,
-		MemBudget:           *memBudget,
-		DefaultCursorBudget: *cursorBudget,
-		MaxBatch:            *maxBatch,
-		TTL:                 *ttl,
-		MaxCursorWall:       *cursorWall,
-		PullTimeout:         *pullTimeout,
-		Tracer:              tracer,
-		Obs:                 rec,
-		Stats:               counters,
-		Logger:              logger,
-		RED:                 red,
-		Exporter:            exporter,
-	}, func(mux *http.ServeMux) {
+		Registry:      reg,
+		MaxCursors:    *maxCursors,
+		MaxInflight:   *maxInflight,
+		MaxBatch:      *maxBatch,
+		TTL:           *ttl,
+		MaxCursorWall: *cursorWall,
+		PullTimeout:   *pullTimeout,
+		Tracer:        tracer,
+		Obs:           rec,
+		Stats:         counters,
+		Logger:        logger,
+		RED:           red,
+		Exporter:      exporter,
+	}, func(srv *server.Server, mux *http.ServeMux) {
 		// /metrics = engine counters + active-query gauge + RED/SLO families
-		// + OTLP exporter health, one exposition.
+		// + OTLP exporter health + cursor-table and in-flight occupancy, one
+		// exposition.
 		mux.Handle("/metrics", obs.HandlerTraced(rec, counters, tracer,
-			red.WritePrometheus, exporter.WritePrometheus))
+			red.WritePrometheus, exporter.WritePrometheus, srv.WritePrometheus))
 		mux.Handle("/debug/queries", distjoin.QueriesHandler("/debug/queries", tracer))
 		mux.Handle("/debug/queries/", distjoin.QueriesHandler("/debug/queries", tracer))
 		mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -93,6 +93,8 @@ func TestServeSessionAndShutdown(t *testing.T) {
 			"-flightrec", "32",
 			"-slowlog", filepath.Join(dir, "slow.jsonl"),
 			"-cursor-ttl", "1m",
+			"-max-cursors", "3",
+			"-max-inflight", "5",
 		}, errw)
 	}()
 
@@ -193,6 +195,29 @@ func TestServeSessionAndShutdown(t *testing.T) {
 	}
 	if err := json.Unmarshal(raw, &trace); err != nil || trace.Resources.NodeIO == 0 || trace.Resources.BufferHits == 0 {
 		t.Errorf("cursor trace resources = %+v (err %v), want the pools' node I/O during the session", trace.Resources, err)
+	}
+
+	// -max-cursors and -max-inflight bind: the saturation gauges print the
+	// limits, the table admits exactly three cursors, and the fourth create
+	// is refused with 429.
+	for _, want := range []string{"distjoind_cursors_open 0", "distjoind_cursors_max 3", "distjoind_pulls_inflight 0", "distjoind_pulls_inflight_max 5"} {
+		if !regexp.MustCompile(`(?m)^` + want + `$`).Match(metrics) {
+			t.Errorf("/metrics has no %q sample", want)
+		}
+	}
+	for i := 1; i <= 4; i++ {
+		resp, err := http.Post(base+"/v1/query", "application/json",
+			strings.NewReader(`{"kind":"join","index1":"water","index2":"roads"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if want := map[bool]int{true: 201, false: 429}[i <= 3]; resp.StatusCode != want {
+			t.Fatalf("create %d under -max-cursors 3: %d, want %d", i, resp.StatusCode, want)
+		}
+	}
+	if _, metrics := get("/metrics"); !strings.Contains(string(metrics), "\ndistjoind_cursors_open 3\n") {
+		t.Error("/metrics does not show the three open cursors")
 	}
 
 	// SIGTERM drains and exits 0.

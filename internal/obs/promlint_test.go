@@ -1,4 +1,4 @@
-package obs
+package obs_test // external: the daemon's exposition includes internal/server's families, and server imports obs
 
 import (
 	"regexp"
@@ -7,20 +7,23 @@ import (
 	"testing"
 	"time"
 
+	"distjoin/internal/obs"
 	"distjoin/internal/qtrace"
+	"distjoin/internal/server"
 	"distjoin/internal/stats"
 )
 
 // TestPrometheusExpositionLint runs the full /metrics output — recorder
 // (its counter families printing from folded counts), engine counters, the
-// active-query gauge, build info, and the RED/SLO extras — through a
+// active-query gauge, build info, the RED/SLO extras and the server's
+// cursor-table and in-flight saturation gauges — through a
 // text-format linter (per-query numbers are no longer exposition families;
 // TestPerQueryNumbersLiveInDebugQueries covers their /debug/queries home): every line parses, HELP/TYPE precede their
 // samples, no family is declared twice, counters end in _total, and
 // histograms are cumulative with consistent _count/_sum series. This is the
 // contract a real Prometheus scraper enforces.
 func TestPrometheusExpositionLint(t *testing.T) {
-	rec := New(Config{})
+	rec := obs.New(obs.Config{})
 	rec.Deliver(0.25)
 	rec.Deliver(0.50)
 	rec.Emit(0, 0.25, 3, time.Now().Add(-50*time.Microsecond))
@@ -30,13 +33,20 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	qt := qtrace.New(qtrace.Config{})
 	q := qt.Begin("join", "lint-q")
 	q.Finish(nil)
-	red := NewRED(REDConfig{})
+	red := obs.NewRED(obs.REDConfig{})
 	red.Observe("next", 200, 12*time.Millisecond, "lint-q")
 	red.Observe("query", 429, time.Millisecond, "")
+	srv := server.NewServer(server.Config{})
+	defer srv.Close()
 
 	var b strings.Builder
-	WriteMetricsTraced(&b, rec, c, qt, red.WritePrometheus)
+	obs.WriteMetricsTraced(&b, rec, c, qt, red.WritePrometheus, srv.WritePrometheus)
 	lintExposition(t, b.String())
+	for _, family := range []string{"distjoind_cursors_open", "distjoind_cursors_max", "distjoind_pulls_inflight", "distjoind_pulls_inflight_max"} {
+		if !strings.Contains(b.String(), "\n"+family+" ") {
+			t.Errorf("exposition has no %s sample", family)
+		}
+	}
 }
 
 var (

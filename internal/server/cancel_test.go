@@ -12,18 +12,23 @@ import (
 	"distjoin/internal/datagen"
 )
 
-// waitCursorIdle polls until no pull holds the cursor's op lock.
-func waitCursorIdle(t *testing.T, c *cursor) {
+// isLeased reports whether a pull holds the cursor's lease.
+func isLeased(c *cursor) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.leased
+}
+
+// waitLease polls until the cursor's lease is out (want) or back (!want).
+func waitLease(t *testing.T, c *cursor, want bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if c.op.TryLock() {
-			c.op.Unlock()
-			return
+	for isLeased(c) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("cursor lease still %v after 10s", !want)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("cursor still mid-pull after 10s")
 }
 
 // TestClientDisconnectStopsEngineWork slams the socket partway through a
@@ -49,7 +54,7 @@ func TestClientDisconnectStopsEngineWork(t *testing.T) {
 	if herr != nil {
 		t.Fatalf("cursor vanished after disconnect: %v", herr.Msg)
 	}
-	waitCursorIdle(t, c)
+	waitLease(t, c, false)
 
 	// The engine must be quiescent now: the server-wide counters (this is
 	// the only cursor, and its engine folds into them at every step) stop
@@ -166,14 +171,7 @@ func TestDeleteInterruptsLiveStream(t *testing.T) {
 	if herr != nil {
 		t.Fatal(herr.Msg)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if !c.op.TryLock() {
-			break // a pull holds it: the stream is live
-		}
-		c.op.Unlock()
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitLease(t, c, true)
 
 	t0 := time.Now()
 	code, raw := f.do(t, http.MethodDelete, "/v1/cursor/"+cr.Cursor, nil)

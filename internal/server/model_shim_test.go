@@ -5,25 +5,20 @@ import "time"
 // What the lifecycle model needs from the server beyond its HTTP surface:
 // the only file of the model that knows how a cursor is guarded.
 
-// newModelServer builds a server on the schedule's clock whose janitor
-// never ticks on its own.
+// newModelServer builds a server on the schedule's clock and timers. With
+// an hour-long TTL the janitor (TTL/4 of real time) never ticks on its own;
+// schedules call sweep by hand.
 func newModelServer(cfg Config, clk *fakeClock) *Server {
-	cfg.SweepInterval = time.Hour
-	s := NewServer(cfg)
-	s.now = clk.Now
-	return s
+	return newServer(cfg, clk.Now, clk.After)
 }
 
-// interrupted reports whether someone has hard-canceled the cursor.
-func interrupted(c *cursor) bool { return c.ctx.Err() != nil }
-
-// fireWall cancels every cursor whose wall budget has run out at now: the
-// budget is a context deadline on the real clock here, so the schedule's
-// clock has to be told.
-func fireWall(s *Server, now time.Time) {
-	for _, c := range s.table.snapshot() {
-		if !now.Before(c.created.Add(s.cfg.MaxCursorWall)) {
-			c.hardCancel(errCursorWallOver)
-		}
-	}
+// interrupted reports whether someone is retiring the cursor.
+func interrupted(c *cursor) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.retiring != ""
 }
+
+// fireWall has nothing to do: wall budgets are timers on the schedule's
+// clock, fired by its Advance.
+func fireWall(*Server, time.Time) {}

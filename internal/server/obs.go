@@ -1,6 +1,8 @@
 package server
 
 import (
+	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
@@ -150,14 +152,13 @@ func (s *Server) pullSpanStart(r *http.Request, c *cursor) (psc qtrace.SpanConte
 	}, anchor.SpanID
 }
 
-// finishPullSpan exports the pull's server span: result-annotated, linked to
+// exportPullSpan exports the pull's server span: result-annotated, linked to
 // the cursor's query span (whose engine span tree the tracer's OnComplete
-// exports when the cursor finishes). Caller holds c.op.
-func (s *Server) finishPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace.SpanID, start time.Time, name string, k int, pairs int64, done bool, truncated string, err error) {
+// exports when the cursor finishes).
+func (s *Server) exportPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace.SpanID, start time.Time, name string, k int, res pullResult) {
 	if s.cfg.Exporter == nil || !psc.Valid() {
 		return
 	}
-	c.pulls++
 	sp := otlpexport.Span{
 		TraceID:    psc.TraceID,
 		SpanID:     psc.SpanID,
@@ -169,20 +170,20 @@ func (s *Server) finishPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace
 		End:        time.Now(),
 		Attrs: []otlpexport.Attr{
 			otlpexport.Str("distjoin.cursor", c.id),
-			otlpexport.Str("distjoin.query.id", c.queryID),
-			otlpexport.Int("distjoin.pull.seq", c.pulls),
+			otlpexport.Str("distjoin.query.id", c.id),
+			otlpexport.Int("distjoin.pull.seq", res.seq),
 			otlpexport.Int("distjoin.pull.k", int64(k)),
-			otlpexport.Int("distjoin.pull.pairs", pairs),
-			otlpexport.Bool("distjoin.pull.done", done),
+			otlpexport.Int("distjoin.pull.pairs", res.n),
+			otlpexport.Bool("distjoin.pull.done", res.done),
 		},
 		StatusCode: otlpexport.StatusOK,
 	}
-	if truncated != "" {
-		sp.Attrs = append(sp.Attrs, otlpexport.Str("distjoin.pull.truncated", truncated))
+	if res.truncated != "" {
+		sp.Attrs = append(sp.Attrs, otlpexport.Str("distjoin.pull.truncated", res.truncated))
 	}
-	if err != nil {
+	if res.err != nil {
 		sp.StatusCode = otlpexport.StatusError
-		sp.StatusMsg = err.Error()
+		sp.StatusMsg = res.err.Error()
 	}
 	// Cross-reference the query span unless it is already this span's direct
 	// parent (no traceparent anywhere: the pull hangs off the query span).
@@ -190,4 +191,23 @@ func (s *Server) finishPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace
 		sp.Links = append(sp.Links, otlpexport.Link{TraceID: c.sc.TraceID, SpanID: c.sc.SpanID})
 	}
 	s.cfg.Exporter.EnqueueSpans([]otlpexport.Span{sp})
+}
+
+// WritePrometheus prints the service's two saturation signals — cursor-table
+// and in-flight occupancy against their limits — read from the table and
+// the semaphore at scrape time. Mount it on /metrics via obs.HandlerTraced
+// extras.
+func (s *Server) WritePrometheus(w io.Writer) {
+	open, _ := s.table.load()
+	for _, g := range []struct {
+		name, help string
+		v          int
+	}{
+		{"distjoind_cursors_open", "Cursors holding a slot in the cursor table.", open},
+		{"distjoind_cursors_max", "Cursor table size; creates beyond it answer 429.", s.cfg.MaxCursors},
+		{"distjoind_pulls_inflight", "Pulls and creates executing right now.", len(s.inflight)},
+		{"distjoind_pulls_inflight_max", "In-flight limit; requests beyond it answer 429.", cap(s.inflight)},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
+	}
 }

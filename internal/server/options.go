@@ -1,0 +1,162 @@
+package server
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+
+	"distjoin"
+)
+
+// From a QueryRequest to a running engine: the request's fields laid over
+// the server's BaseOptions template, and the operation kind mapped to the
+// library constructor that serves it.
+
+// normKind canonicalizes the operation name.
+func normKind(kind string) string {
+	k := strings.ToLower(strings.TrimSpace(kind))
+	if k == "" {
+		k = "join"
+	}
+	return k
+}
+
+// buildOptions derives the cursor's join options: the server's BaseOptions
+// template, overridden by the request's non-zero fields, wired to the
+// server's tracer, recorder and counters.
+func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Options, *httpError) {
+	opts := s.cfg.BaseOptions
+	if req.MaxPairs < 0 {
+		return opts, badRequest("max_pairs must be non-negative")
+	}
+	opts.MaxPairs = req.MaxPairs
+	opts.MinDist = req.MinDist
+	opts.MaxDist = req.MaxDist
+	if req.MaxDist == 0 {
+		opts.MaxDist = math.Inf(1)
+	}
+	opts.OmitEqualIDs = opts.OmitEqualIDs || req.OmitEqualIDs
+	switch strings.ToLower(req.Metric) {
+	case "":
+	case "euclidean":
+		opts.Metric = distjoin.Euclidean
+	case "manhattan":
+		opts.Metric = distjoin.Manhattan
+	case "chessboard":
+		opts.Metric = distjoin.Chessboard
+	default:
+		return opts, badRequest("unknown metric " + strconv.Quote(req.Metric))
+	}
+	switch strings.ToLower(req.Queue) {
+	case "":
+	case "memory":
+		opts.Queue = distjoin.QueueMemory
+	case "hybrid":
+		opts.Queue = distjoin.QueueHybrid
+	default:
+		return opts, badRequest("unknown queue " + strconv.Quote(req.Queue))
+	}
+	if req.HybridDT != 0 {
+		opts.HybridDT = req.HybridDT
+	}
+	switch strings.ToLower(req.Traversal) {
+	case "":
+	case "even":
+		opts.Traversal = distjoin.TraverseEven
+	case "basic":
+		opts.Traversal = distjoin.TraverseBasic
+	case "simultaneous":
+		opts.Traversal = distjoin.TraverseSimultaneous
+	default:
+		return opts, badRequest("unknown traversal " + strconv.Quote(req.Traversal))
+	}
+	if req.Parallelism != 0 {
+		opts.Parallelism = req.Parallelism
+	}
+	if s.cfg.Obs != nil && opts.Obs == nil {
+		opts.Obs = s.cfg.Obs
+	}
+	if s.cfg.Tracer != nil && opts.Tracer == nil {
+		opts.Tracer = s.cfg.Tracer
+	}
+	if opts.Tracer != nil && opts.QueryID == "" {
+		// Cursor id doubles as query id — and as the key the createCursor
+		// PreBegin registration is consumed under.
+		opts.QueryID = queryID
+	}
+	if opts.Counters == nil {
+		// Every cursor's engines fold straight into the server-wide view;
+		// a cursor's own numbers are its query trace's resources.
+		opts.Counters = s.cfg.Stats
+	}
+	return opts, nil
+}
+
+// parseFilter maps the wire name to the §4.2.1 filtering ladder.
+func parseFilter(name string) (distjoin.SemiFilter, error) {
+	switch strings.ToLower(name) {
+	case "", "globalall":
+		return distjoin.FilterGlobalAll, nil
+	case "outside":
+		return distjoin.FilterOutside, nil
+	case "inside1":
+		return distjoin.FilterInside1, nil
+	case "inside2":
+		return distjoin.FilterInside2, nil
+	case "local":
+		return distjoin.FilterLocal, nil
+	case "globalnodes":
+		return distjoin.FilterGlobalNodes, nil
+	}
+	return 0, fmt.Errorf("unknown filter %q", name)
+}
+
+// openIterator starts the engine for the requested operation over the two
+// registry indexes, returning the iterator's Next and its Abort (Close,
+// latching a terminal error the engine never saw).
+func openIterator(req *QueryRequest, si1, si2 distjoin.SpatialIndex, opts distjoin.Options) (func() (distjoin.Pair, bool, error), func(error) error, error) {
+	switch normKind(req.Kind) {
+	case "join":
+		j, err := distjoin.DistanceJoinIndexes(si1, si2, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return j.Next, j.Abort, nil
+	case "semijoin":
+		f, err := parseFilter(req.Filter)
+		if err != nil {
+			return nil, nil, err
+		}
+		sj, err := distjoin.DistanceSemiJoinIndexes(si1, si2, f, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sj.Next, sj.Abort, nil
+	case "knn":
+		f, err := parseFilter(req.Filter)
+		if err != nil {
+			return nil, nil, err
+		}
+		k := req.K
+		if k == 0 {
+			k = 1
+		}
+		sj, err := distjoin.KNearestJoinIndexes(si1, si2, k, f, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sj.Next, sj.Abort, nil
+	case "clustering":
+		f, err := parseFilter(req.Filter)
+		if err != nil {
+			return nil, nil, err
+		}
+		sj, err := distjoin.ClusteringJoinIndexes(si1, si2, f, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return sj.Next, sj.Abort, nil
+	}
+	return nil, nil, fmt.Errorf("unknown kind %q (want join, semijoin, knn or clustering)", req.Kind)
+}

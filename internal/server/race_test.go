@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -18,8 +19,8 @@ import (
 // TestConcurrentClients hammers one server with many concurrent sessions —
 // full drains, mid-stream disconnects, abandons, and deletes — and checks
 // nothing leaks. Run under -race this is the service's main concurrency
-// test: the cursor table, budget ledger, admission semaphore, janitor, and
-// tracer all contend here.
+// test: the cursor table, admission semaphore, janitor, and tracer all
+// contend here.
 func TestConcurrentClients(t *testing.T) {
 	f := newFixture(t, 120, 200, func(c *Config) {
 		c.MaxCursors = 64
@@ -92,9 +93,6 @@ func TestConcurrentClients(t *testing.T) {
 	if n := f.srv.OpenCursors(); n != 0 {
 		t.Fatalf("%d cursors still open after TTL", n)
 	}
-	if used := f.srv.BudgetUsed(); used != 0 {
-		t.Fatalf("budget leaked: %d bytes", used)
-	}
 	if active := f.tracer.Active(); active != 0 {
 		t.Fatalf("%d queries still active in tracer", active)
 	}
@@ -102,51 +100,54 @@ func TestConcurrentClients(t *testing.T) {
 		drained.Load(), disconnected.Load(), abandoned.Load())
 }
 
-// TestTTLExpiryDuringPull drives the doomed path deterministically: the
-// janitor sweeps while a pull holds the op lock, so eviction must defer to
-// the end of the pull instead of closing the engine under the reader.
+// TestTTLExpiryDuringPull drives expiry under a live pull deterministically:
+// the janitor sweeps while a pull holds the lease, so it may only cancel the
+// engine and name the reason — the eviction completes when the pull hands
+// the lease back, never by closing the engine under its reader.
 func TestTTLExpiryDuringPull(t *testing.T) {
-	f := newFixture(t, 100, 150, func(c *Config) {
-		c.TTL = time.Hour           // janitor never fires on its own
-		c.SweepInterval = time.Hour // we call sweep by hand
+	clk := &fakeClock{now: time.Now()}
+	f := newFixtureOn(t, 100, 150, clk, func(c *Config) {
+		c.TTL = time.Hour // the janitor never fires on its own; we call sweep by hand
 	})
 	cr := f.create(t, QueryRequest{Kind: "join", Index1: "water", Index2: "roads", MaxPairs: 30})
 
-	// Take the op lock exactly as an in-flight pull would.
-	c, herr := f.srv.beginPull(cr.Cursor)
+	// Take the lease exactly as an in-flight pull would.
+	c, herr := f.srv.lease(cr.Cursor)
 	if herr != nil {
-		t.Fatalf("beginPull: %v", herr)
+		t.Fatalf("lease: %v", herr)
 	}
 
-	// Sweep far in the future: the cursor is expired but busy, so the
-	// janitor may only doom it.
-	f.srv.sweep(time.Now().Add(2 * time.Hour))
-	c.st.Lock()
-	doomed, closed := c.doomed, c.closed
-	c.st.Unlock()
-	if !doomed || closed {
-		t.Fatalf("after sweep: doomed=%v closed=%v, want doomed, not closed", doomed, closed)
+	// Sweep far in the future: the cursor is expired but leased, so the
+	// janitor may only retire it — canceled, not closed.
+	clk.Advance(2 * time.Hour)
+	f.srv.sweep(clk.Now())
+	c.mu.Lock()
+	retiring, state, engineOpen := c.retiring, c.state, c.next != nil
+	c.mu.Unlock()
+	if retiring != errCursorExpired.Error() || state != cursorOpen || !engineOpen {
+		t.Fatalf("after sweep: retiring=%q state=%v engine open=%v, want retiring, open, engine untouched", retiring, state, engineOpen)
 	}
 
-	// Dooming also hard-canceled the engine, so the in-flight pull is
+	// Retiring also hard-canceled the engine, so the in-flight pull is
 	// interrupted: it surfaces a sticky ErrCanceled naming the TTL cause
 	// rather than streaming on against a dead deadline.
-	pairs, done, _, err := f.srv.pull(c, 5, nil)
-	if !errors.Is(err, distjoin.ErrCanceled) || done {
-		t.Fatalf("pull on doomed cursor: %d pairs done=%v err=%v, want ErrCanceled", len(pairs), done, err)
+	var res pullResult
+	draw(c, 5, context.Background(), func(PairJSON) {}, &res)
+	if !errors.Is(res.err, distjoin.ErrCanceled) || res.done {
+		t.Fatalf("pull on retiring cursor: %d pairs done=%v err=%v, want ErrCanceled", res.n, res.done, res.err)
 	}
 
-	// Releasing the pull completes the eviction (endPull also frees the
-	// in-flight slot beginPull took).
-	f.srv.endPull(c)
+	// Releasing the lease completes the eviction (and frees the in-flight
+	// slot lease took).
+	f.srv.release(c, &res)
 	if n := f.srv.OpenCursors(); n != 0 {
-		t.Fatalf("doomed cursor not evicted at end of pull: %d open", n)
+		t.Fatalf("retiring cursor not evicted at release: %d open", n)
 	}
-	c.st.Lock()
-	closed = c.closed
-	c.st.Unlock()
-	if !closed {
-		t.Fatal("engine not closed after doomed eviction")
+	c.mu.Lock()
+	state, engineOpen = c.state, c.next != nil
+	c.mu.Unlock()
+	if state != cursorGone || engineOpen {
+		t.Fatalf("after release: state=%v engine open=%v, want gone with the engine closed", state, engineOpen)
 	}
 
 	// The id now answers 410, and the trace landed error-annotated with the
@@ -156,14 +157,14 @@ func TestTTLExpiryDuringPull(t *testing.T) {
 		t.Fatalf("evicted cursor: %d, want 410", code)
 	}
 	if tr := f.tracer.Trace(cr.Cursor); tr == nil || !strings.Contains(tr.Error, "canceled") {
-		t.Fatalf("trace after doomed eviction = %+v", tr)
+		t.Fatalf("trace after eviction under a pull = %+v", tr)
 	}
 }
 
 // TestShutdownClosesEverything opens cursors in several states (untouched,
 // mid-drain, parallel engines), shuts the server down, and verifies every
-// engine iterator was closed: goroutine count returns to baseline, the
-// tracer has no active queries, and the budget ledger is empty.
+// engine iterator was closed: goroutine count returns to baseline and the
+// tracer has no active queries.
 func TestShutdownClosesEverything(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -188,9 +189,6 @@ func TestShutdownClosesEverything(t *testing.T) {
 	}
 	if n := f.srv.OpenCursors(); n != 0 {
 		t.Fatalf("%d cursors open after shutdown", n)
-	}
-	if used := f.srv.BudgetUsed(); used != 0 {
-		t.Fatalf("budget held after shutdown: %d", used)
 	}
 	if active := f.tracer.Active(); active != 0 {
 		t.Fatalf("%d tracer-active queries after shutdown", active)

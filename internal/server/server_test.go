@@ -29,6 +29,13 @@ type testFixture struct {
 // whatever Config mutations the test needs.
 func newFixture(t testing.TB, nA, nB int, mutate func(*Config)) *testFixture {
 	t.Helper()
+	return newFixtureOn(t, nA, nB, nil, mutate)
+}
+
+// newFixtureOn is newFixture on the lifecycle model's hand-driven clock
+// (nil: the real one).
+func newFixtureOn(t testing.TB, nA, nB int, clk *fakeClock, mutate func(*Config)) *testFixture {
+	t.Helper()
 	water := distjoin.NewIndexFromPoints(datagen.Water(7, nA))
 	roads := distjoin.NewIndexFromPoints(datagen.Roads(8, nB))
 	t.Cleanup(func() { water.Close(); roads.Close() })
@@ -52,7 +59,11 @@ func newFixture(t testing.TB, nA, nB int, mutate func(*Config)) *testFixture {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	f.srv = NewServer(cfg)
+	if clk != nil {
+		f.srv = newModelServer(cfg, clk)
+	} else {
+		f.srv = NewServer(cfg)
+	}
 	f.ts = httptest.NewServer(f.srv.Handler())
 	t.Cleanup(func() { f.ts.Close(); f.srv.Close() })
 	return f
@@ -239,7 +250,6 @@ func TestBadRequests(t *testing.T) {
 		"unknown-queue":  {QueryRequest{Kind: "join", Index1: "water", Index2: "roads", Queue: "disk"}, http.StatusBadRequest},
 		"unknown-filter": {QueryRequest{Kind: "semijoin", Index1: "water", Index2: "roads", Filter: "psychic"}, http.StatusBadRequest},
 		"neg-max-pairs":  {QueryRequest{Kind: "join", Index1: "water", Index2: "roads", MaxPairs: -1}, http.StatusBadRequest},
-		"neg-budget":     {QueryRequest{Kind: "join", Index1: "water", Index2: "roads", QueueBudget: -5}, http.StatusBadRequest},
 		"bad-range":      {QueryRequest{Kind: "join", Index1: "water", Index2: "roads", MinDist: 10, MaxDist: 5}, http.StatusBadRequest},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -253,12 +263,21 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
-	// No budget leak from refused creations.
-	if used := f.srv.BudgetUsed(); used != 0 {
-		t.Fatalf("budget leaked: %d", used)
-	}
+	// No slot leaks from refused creations.
 	if n := f.srv.OpenCursors(); n != 0 {
 		t.Fatalf("cursors leaked: %d", n)
+	}
+
+	// queue_budget left the API with the unenforced ledger behind it; a
+	// client that still sends it is served, the field ignored.
+	resp, err := f.ts.Client().Post(f.ts.URL+"/v1/query", "application/json",
+		strings.NewReader(`{"kind":"join","index1":"water","index2":"roads","queue_budget":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create with a legacy queue_budget: %d, want 201", resp.StatusCode)
 	}
 }
 
@@ -267,8 +286,6 @@ func TestAdmissionControl(t *testing.T) {
 	f := newFixture(t, 40, 60, func(c *Config) { // the point sets modelOptions' hook knows
 		c.MaxCursors = 2
 		c.MaxInflight = 1
-		c.MemBudget = 16 << 20
-		c.DefaultCursorBudget = 4 << 20
 		c.BaseOptions = modelOptions(hook, stores)
 	})
 	req := QueryRequest{Kind: "join", Index1: "water", Index2: "roads"}
@@ -310,25 +327,19 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("the admitted pull: %d", code)
 	}
 
-	// Free a slot; a cursor asking for more budget than remains is refused
-	// even though the table has room.
+	// Free a slot and the table admits again.
 	if code, _ := f.do(t, http.MethodDelete, "/v1/cursor/"+c1.Cursor, nil); code != http.StatusNoContent {
 		t.Fatal("delete failed")
 	}
-	big := req
-	big.QueueBudget = 13 << 20 // 4 MiB still reserved by cursor 2, budget 16 MiB
-	code, raw = f.do(t, http.MethodPost, "/v1/query", big)
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("over-budget create: %d: %s", code, raw)
+	f.create(t, req)
+
+	// A draining server refuses before engine work too.
+	f.srv.beginDrain()
+	if code, raw := f.do(t, http.MethodPost, "/v1/query", hybrid); code != http.StatusServiceUnavailable {
+		t.Fatalf("create while draining: %d: %s", code, raw)
 	}
-	small := req
-	small.QueueBudget = 2 << 20
-	cr := f.create(t, small)
-	if cr.BudgetBytes != 2<<20 {
-		t.Fatalf("budget = %d", cr.BudgetBytes)
-	}
-	if used := f.srv.BudgetUsed(); used != (4<<20)+(2<<20) {
-		t.Fatalf("budget used = %d", used)
+	if calls, _, _ := stores.counts(); calls != 0 {
+		t.Fatalf("refused creates opened %d queue stores", calls)
 	}
 }
 
