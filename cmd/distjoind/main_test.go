@@ -212,7 +212,11 @@ func TestServeSessionAndShutdown(t *testing.T) {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if want := map[bool]int{true: 201, false: 429}[i <= 3]; resp.StatusCode != want {
+		want := 201
+		if i > 3 {
+			want = 429
+		}
+		if resp.StatusCode != want {
 			t.Fatalf("create %d under -max-cursors 3: %d, want %d", i, resp.StatusCode, want)
 		}
 	}

@@ -255,7 +255,8 @@ func positiveParam(q url.Values, name string, def int) (int, *httpError) {
 // with done and reported. An engine error mid-stream appears in the trailer
 // (headers are long gone); a next response is all or nothing.
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, stream bool) {
-	k, e := positiveParam(r.URL.Query(), "k", 1)
+	q := r.URL.Query()
+	k, e := positiveParam(q, "k", 1)
 	if e != nil {
 		writeErr(w, e)
 		return
@@ -265,7 +266,7 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 	// disconnect) plus an optional timeout — per-request timeout_ms, else
 	// Config.PullTimeout. Expiry truncates this one response; the cursor
 	// stays open.
-	ms, e := positiveParam(r.URL.Query(), "timeout_ms", 0)
+	ms, e := positiveParam(q, "timeout_ms", 0)
 	if e != nil {
 		writeErr(w, e)
 		return

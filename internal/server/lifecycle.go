@@ -309,13 +309,16 @@ func newCursorTable(max int) *cursorTable {
 	}
 }
 
+// errRefusing answers a create once the server is draining or closed.
+var errRefusing = &httpError{Status: http.StatusServiceUnavailable, Msg: "server is shutting down"}
+
 // reserve promises one slot to a create, before it opens anything: 503 once
 // the server is draining or closed, 429 when the table is full.
 func (t *cursorTable) reserve() *httpError {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.refusing {
-		return &httpError{Status: http.StatusServiceUnavailable, Msg: "server is shutting down"}
+		return errRefusing
 	}
 	if len(t.cursors)+t.reserved >= t.max {
 		return &httpError{

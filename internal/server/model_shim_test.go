@@ -1,7 +1,5 @@
 package server
 
-import "time"
-
 // What the lifecycle model needs from the server beyond its HTTP surface:
 // the only file of the model that knows how a cursor is guarded.
 
@@ -18,7 +16,3 @@ func interrupted(c *cursor) bool {
 	defer c.mu.Unlock()
 	return c.retiring != ""
 }
-
-// fireWall has nothing to do: wall budgets are timers on the schedule's
-// clock, fired by its Advance.
-func fireWall(*Server, time.Time) {}

@@ -429,6 +429,13 @@ func (r *storeRig) factory(pageSize int) (pager.Store, error) {
 	return &countedStore{Store: faultstore.New(mem, faultstore.Config{Seed: 1, FailWriteAt: fail}), rig: r}, nil
 }
 
+// failNextAt makes the next store opened fail its n-th page write (0: healthy).
+func (r *storeRig) failNextAt(n int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.failWriteAt = n
+}
+
 func (r *storeRig) counts() (calls, opened, closed int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -759,22 +766,17 @@ func (d *driver) opCreate() {
 		return
 	}
 	ref := reference(d.t, req, failWriteAt)
-	d.stores.mu.Lock()
-	d.stores.failWriteAt = failWriteAt
-	calls := d.stores.calls
-	d.stores.mu.Unlock()
+	calls, _, _ := d.stores.counts()
+	d.stores.failNextAt(failWriteAt)
 	code, raw := d.must(http.MethodPost, "/v1/query", req)
 	if code != status {
 		d.failf("create: %d: %s, want %d", code, raw, status)
 	}
 	if code != http.StatusCreated {
 		d.errMsg(code, raw)
-		d.stores.mu.Lock()
-		opened := d.stores.calls - calls
-		d.stores.failWriteAt = 0
-		d.stores.mu.Unlock()
-		if opened != 0 {
-			d.failf("refused create (%d) opened %d queue stores: admission must come before engine work", code, opened)
+		d.stores.failNextAt(0)
+		if now, _, _ := d.stores.counts(); now != calls {
+			d.failf("refused create (%d) opened %d queue stores: admission must come before engine work", code, now-calls)
 		}
 		return
 	}
@@ -838,7 +840,6 @@ func (d *driver) opInfo() {
 func (d *driver) advance(dt time.Duration) {
 	d.clk.Advance(dt)
 	d.m.advance(dt)
-	fireWall(d.srv, d.clk.Now())
 }
 
 // opExpire advances the clock — short of the TTL, past it, or past the wall
@@ -920,7 +921,11 @@ func (d *driver) opGated() {
 	}
 	d.op = "gated " + action + " " + path
 
-	d.hook.arm(map[bool]int{false: hookBlock, true: hookPanic}[action == "panic"])
+	mode := hookBlock
+	if action == "panic" {
+		mode = hookPanic
+	}
+	d.hook.arm(mode)
 	d.m.lease(c)
 	ctx, hangUp := context.WithCancel(context.Background())
 	defer hangUp()

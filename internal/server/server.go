@@ -246,7 +246,7 @@ func (s *Server) createCursor(r *http.Request) (*cursor, *httpError) {
 		// The server stopped taking work while the engine opened; nothing
 		// else will ever close it.
 		s.retire(c, errCursorDrained)
-		return nil, &httpError{Status: http.StatusServiceUnavailable, Msg: "server is shutting down"}
+		return nil, errRefusing
 	}
 	return c, e
 }
