@@ -1,12 +1,13 @@
 // Benchmarks regenerating the paper's evaluation (one bench per table and
-// figure, §4), plus microbenchmarks of the core operations. Each evaluation
-// bench drives the same experiment code as cmd/experiments at a reduced
-// scale so `go test -bench=.` completes in minutes; run
+// figure, §4), plus microbenchmarks of core operations that benchmark/ has
+// no row for (first pair, steady-state delay, telemetry overhead, parallel
+// speed-up and bulk load are measured by bash benchmark/run.sh, not here). Each
+// evaluation bench drives the same experiment code as cmd/experiments at a
+// reduced scale so `go test -bench=.` completes in minutes; run
 // `go run ./cmd/experiments -scale full` for paper-cardinality numbers.
 package distjoin_test
 
 import (
-	"io"
 	"math/rand"
 	"testing"
 	"time"
@@ -105,59 +106,6 @@ func benchPoints(seed int64, n int) []distjoin.Point {
 		pts[i] = distjoin.Pt(rnd.Float64()*1000, rnd.Float64()*1000)
 	}
 	return pts
-}
-
-// BenchmarkFirstPair measures time-to-first-result — the headline
-// "fast first" claim.
-func BenchmarkFirstPair(b *testing.B) {
-	a := distjoin.NewIndexFromPoints(benchPoints(1, 10_000))
-	defer a.Close()
-	c := distjoin.NewIndexFromPoints(benchPoints(2, 10_000))
-	defer c.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j, err := distjoin.DistanceJoin(a, c, distjoin.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, err := j.Next(); err != nil || !ok {
-			b.Fatal(ok, err)
-		}
-		j.Close()
-	}
-}
-
-// BenchmarkNextPairSteadyState measures the amortized cost per result in a
-// long-running join.
-func BenchmarkNextPairSteadyState(b *testing.B) {
-	a := distjoin.NewIndexFromPoints(benchPoints(3, 10_000))
-	defer a.Close()
-	c := distjoin.NewIndexFromPoints(benchPoints(4, 10_000))
-	defer c.Close()
-	j, err := distjoin.DistanceJoin(a, c, distjoin.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer j.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok, err := j.Next(); err != nil || !ok {
-			b.Fatal(ok, err)
-		}
-	}
-}
-
-// BenchmarkIndexBuild measures bulk-loading throughput.
-func BenchmarkIndexBuild(b *testing.B) {
-	pts := benchPoints(5, 50_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, pts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		idx.Close()
-	}
 }
 
 // BenchmarkIndexInsert measures one-at-a-time R* insertion.
@@ -299,44 +247,6 @@ func BenchmarkKNearestJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelJoin measures the partitioned parallel join against the
-// sequential path on the Table 1 workload (Water ⋈ Roads, a large result
-// prefix). Sub-benchmark P1 is the sequential baseline; the Px speedups
-// are only meaningful on a machine with that many CPUs — compare with
-// `go test -bench ParallelJoin -cpu 1,2,4`.
-func BenchmarkParallelJoin(b *testing.B) {
-	d := loadBench(b)
-	const k = 20_000
-	for _, par := range []int{1, 2, 4} {
-		b.Run(map[int]string{1: "P1", 2: "P2", 4: "P4"}[par], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				j, err := idistjoin.NewJoin(d.Water, d.Roads, idistjoin.Options{
-					MaxPairs:    k,
-					Parallelism: par,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for {
-					_, ok, err := j.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					n++
-				}
-				if n != k {
-					b.Fatalf("drained %d pairs, want %d", n, k)
-				}
-				j.Close()
-			}
-		})
-	}
-}
-
 // BenchmarkDimSweep regenerates the §5 higher-dimensions sweep.
 func BenchmarkDimSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -346,105 +256,8 @@ func BenchmarkDimSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinObs compares the join with observability disabled (nil
-// Recorder — must match the plain BenchmarkTable1-style path) and enabled
-// (recorder + trace sink into io.Discard), guarding the
-// near-zero-overhead-when-disabled contract.
-func BenchmarkJoinObs(b *testing.B) {
-	d := loadBench(b)
-	const k = 10_000
-	for _, enabled := range []bool{false, true} {
-		name := "Disabled"
-		if enabled {
-			name = "Enabled"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var rec *distjoin.Recorder
-				if enabled {
-					rec = distjoin.NewRecorder(distjoin.ObsConfig{Trace: io.Discard, ExpandEvery: 64})
-				}
-				j, err := idistjoin.NewJoin(d.Water, d.Roads, idistjoin.Options{
-					MaxPairs: k,
-					Obs:      rec,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for {
-					_, ok, err := j.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					n++
-				}
-				if n != k {
-					b.Fatalf("drained %d pairs, want %d", n, k)
-				}
-				j.Close()
-				if err := rec.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkJoinQTrace compares the join with per-query tracing disabled
-// (nil Tracer — must match the plain path) and enabled (flight recorder +
-// slow-query log into io.Discard), guarding the tentpole's ≤10% overhead
-// criterion on the traced path and the zero-cost contract on the disabled
-// one.
-func BenchmarkJoinQTrace(b *testing.B) {
-	d := loadBench(b)
-	const k = 10_000
-	for _, enabled := range []bool{false, true} {
-		name := "Disabled"
-		if enabled {
-			name = "Enabled"
-		}
-		b.Run(name, func(b *testing.B) {
-			var tracer *distjoin.QueryTracer
-			if enabled {
-				tracer = distjoin.NewQueryTracer(distjoin.QueryTraceConfig{SlowLog: io.Discard})
-			}
-			for i := 0; i < b.N; i++ {
-				j, err := idistjoin.NewJoin(d.Water, d.Roads, idistjoin.Options{
-					MaxPairs: k,
-					Tracer:   tracer,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				n := 0
-				for {
-					_, ok, err := j.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					n++
-				}
-				if n != k {
-					b.Fatalf("drained %d pairs, want %d", n, k)
-				}
-				j.Close()
-			}
-			if err := tracer.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestNilRecorderZeroAllocs is the benchmark guard's hard assertion: the
-// nil-Recorder hooks a meter calls per emitted pair must allocate nothing.
+// TestNilRecorderZeroAllocs is the hard assertion behind the
+// telemetry-overhead rows of benchmark/: the nil-Recorder hooks a meter calls per emitted pair must allocate nothing.
 // The engine-side half of the pin — with every sink nil there is no meter at
 // all, so the per-pair path allocates nothing for telemetry and reads no
 // clock — is TestNilSinksZeroAllocsZeroClockReads in internal/meter and

@@ -7,12 +7,14 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"distjoin"
+	"distjoin/internal/obs"
 )
 
 // isMark reports whether the n-th pair is a time-to-kth mark: powers of ten
-// (1, 10, 100, ...), matching the marks cmd/benchrun records.
+// (1, 10, 100, ...).
 func isMark(n int64) bool {
 	for m := int64(1); m <= n; m *= 10 {
 		if m == n {
@@ -20,6 +22,31 @@ func isMark(n int64) bool {
 		}
 	}
 	return false
+}
+
+// kthMark records the delivery of the k-th result pair — the paper's
+// incrementality measure (time to the first few results versus the whole
+// join).
+type kthMark struct {
+	K       int64   `json:"k"`
+	Seconds float64 `json:"seconds"`
+	Dist    float64 `json:"dist"`
+}
+
+// delayDoc holds the run's incremental-latency summaries.
+type delayDoc struct {
+	InterPair obs.HistogramSnapshot `json:"inter_pair"`
+	PopToEmit obs.HistogramSnapshot `json:"pop_to_emit"`
+}
+
+// explainDoc is what -explain prints and -explain-json emits: the run's
+// query trace, its delay quantiles, the time-to-kth marks and the cost
+// model's predicted-vs-actual rows.
+type explainDoc struct {
+	Trace     *distjoin.QueryTrace  `json:"trace"`
+	Delay     delayDoc              `json:"delay"`
+	TimeToKth []kthMark             `json:"time_to_kth,omitempty"`
+	Explain   []distjoin.ExplainRow `json:"explain,omitempty"`
 }
 
 // writeHeapProfile triggers a GC (so the profile reflects live objects) and
@@ -37,7 +64,7 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
-// relErrString renders a signed relative error, mapping the profile's
+// relErrString renders a signed relative error, mapping an ExplainRow's
 // ±MaxFloat64 saturation (JSON stand-in for ±Inf) back to "inf".
 func relErrString(e float64) string {
 	if e >= math.MaxFloat64 {
@@ -49,39 +76,50 @@ func relErrString(e float64) string {
 	return fmt.Sprintf("%+.1f%%", e*100)
 }
 
-// printProfile renders a query profile as the human EXPLAIN ANALYZE table.
-func printProfile(w io.Writer, p *distjoin.Profile) {
-	fmt.Fprintf(w, "=== EXPLAIN ANALYZE: %s ===\n", p.Label)
-	fmt.Fprintf(w, "wall %.4fs, phase coverage %.1f%%\n", p.WallSeconds, p.Coverage*100)
-	fmt.Fprintf(w, "%-8s %12s %8s %12s\n", "phase", "seconds", "%wall", "count")
-	for _, ph := range p.Phases {
-		pctWall := 0.0
-		if p.WallSeconds > 0 {
-			pctWall = ph.Seconds / p.WallSeconds * 100
-		}
-		fmt.Fprintf(w, "%-8s %12.6f %7.1f%% %12d\n", ph.Phase, ph.Seconds, pctWall, ph.Count)
+// printSpan renders one span of the trace's tree and its children, indented
+// by depth; wall is the query's wall time.
+func printSpan(w io.Writer, sp *distjoin.QuerySpan, depth int, wall float64) {
+	name := strings.Repeat("  ", depth) + sp.Name
+	if sp.Part != nil {
+		name += fmt.Sprintf("[%d]", *sp.Part)
 	}
-	if p.IO.Reads > 0 || p.IO.Writes > 0 {
-		fmt.Fprintf(w, "physical I/O: %d reads (%.6fs), %d writes (%.6fs) — nested inside the phases\n",
-			p.IO.Reads, p.IO.ReadSeconds, p.IO.Writes, p.IO.WriteSeconds)
+	if sp.Nested {
+		name += " (nested)"
 	}
-	c := p.Counters
+	pctWall := 0.0
+	if wall > 0 {
+		pctWall = sp.Seconds / wall * 100
+	}
+	fmt.Fprintf(w, "%-24s %12.6f %7.1f%% %12d\n", name, sp.Seconds, pctWall, sp.Count)
+	for i := range sp.Children {
+		printSpan(w, &sp.Children[i], depth+1, wall)
+	}
+}
+
+// printExplain renders the document as the human EXPLAIN ANALYZE table.
+func printExplain(w io.Writer, d *explainDoc) {
+	qt := d.Trace
+	fmt.Fprintf(w, "=== EXPLAIN ANALYZE: %s %s ===\n", qt.Kind, qt.ID)
+	fmt.Fprintf(w, "wall %.4fs, phase coverage %.1f%%\n", qt.WallSeconds, qt.Coverage*100)
+	fmt.Fprintf(w, "%-24s %12s %8s %12s\n", "span", "seconds", "%wall", "count")
+	printSpan(w, &qt.Root, 0, qt.WallSeconds)
+	r := qt.Resources
 	fmt.Fprintf(w, "counters: pairs=%d dist_calcs=%d node_io=%d buffer_hits=%d queue_inserts=%d max_queue=%d batch_pruned=%d\n",
-		c.PairsReported, c.DistCalcs, c.NodeIO, c.BufferHits, c.QueueInserts, c.MaxQueueSize, c.BatchPruned)
-	if p.Delay.InterPair.Count > 0 {
-		d := p.Delay.InterPair
-		fmt.Fprintf(w, "inter-pair delay: p50 %.2gs  p95 %.2gs  p99 %.2gs  (n=%d)\n", d.P50S, d.P95S, d.P99S, d.Count)
+		r.Pairs, r.DistCalcs, r.NodeIO, r.BufferHits, r.QueueInserts, r.PeakQueueDepth, r.BatchPruned)
+	for _, h := range []struct {
+		label string
+		obs.HistogramSnapshot
+	}{{"inter-pair delay:", d.Delay.InterPair}, {"pop-to-emit:", d.Delay.PopToEmit}} {
+		if h.Count > 0 {
+			fmt.Fprintf(w, "%-17s p50 %.2gs  p95 %.2gs  p99 %.2gs  (n=%d)\n", h.label, h.P50S, h.P95S, h.P99S, h.Count)
+		}
 	}
-	if p.Delay.PopToEmit.Count > 0 {
-		d := p.Delay.PopToEmit
-		fmt.Fprintf(w, "pop-to-emit:      p50 %.2gs  p95 %.2gs  p99 %.2gs  (n=%d)\n", d.P50S, d.P95S, d.P99S, d.Count)
-	}
-	for _, t := range p.TimeToKth {
+	for _, t := range d.TimeToKth {
 		fmt.Fprintf(w, "pair %8d after %10.6fs at distance %g\n", t.K, t.Seconds, t.Dist)
 	}
-	if len(p.Explain) > 0 {
+	if len(d.Explain) > 0 {
 		fmt.Fprintf(w, "%-18s %14s %14s %8s\n", "prediction", "predicted", "actual", "rel err")
-		for _, r := range p.Explain {
+		for _, r := range d.Explain {
 			fmt.Fprintf(w, "%-18s %14.6g %14.6g %8s\n", r.Metric, r.Predicted, r.Actual, relErrString(r.RelErr))
 		}
 	}

@@ -5,8 +5,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"distjoin"
 )
 
 // captureStderr redirects os.Stderr for the duration of fn.
@@ -85,36 +83,40 @@ func TestRunExplainJSON(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != k+1 {
-		t.Fatalf("got %d lines, want %d pairs + 1 JSON profile", len(lines), k+1)
+		t.Fatalf("got %d lines, want %d pairs + 1 JSON line", len(lines), k+1)
 	}
-	var prof distjoin.Profile
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &prof); err != nil {
-		t.Fatalf("profile JSON: %v\n%s", err, lines[len(lines)-1])
+	var doc explainDoc
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &doc); err != nil {
+		t.Fatalf("explain JSON: %v\n%s", err, lines[len(lines)-1])
 	}
-	if prof.Label != "distjoin" {
-		t.Errorf("label = %q", prof.Label)
+	qt := doc.Trace
+	if qt == nil || qt.Kind != "join" {
+		t.Fatalf("trace = %+v", qt)
 	}
-	if prof.WallSeconds <= 0 {
-		t.Errorf("wall = %g", prof.WallSeconds)
+	if qt.WallSeconds <= 0 {
+		t.Errorf("wall = %g", qt.WallSeconds)
 	}
-	if len(prof.Phases) == 0 {
-		t.Error("no phase attribution")
+	if qt.Root.Find("expand") == nil || qt.Root.Find("emit") == nil {
+		t.Errorf("span tree lacks phase spans: %+v", qt.Root)
 	}
-	if prof.Counters.PairsReported != k {
-		t.Errorf("pairs_reported = %d, want %d", prof.Counters.PairsReported, k)
+	if qt.Resources.Pairs != k {
+		t.Errorf("pairs_reported = %d, want %d", qt.Resources.Pairs, k)
 	}
-	if len(prof.Explain) == 0 {
+	if doc.Delay.InterPair.Count == 0 {
+		t.Error("no inter-pair delay observations")
+	}
+	if len(doc.Explain) == 0 {
 		t.Error("no explain rows")
 	}
-	for _, row := range prof.Explain {
+	for _, row := range doc.Explain {
 		if row.Metric == "" || row.Predicted <= 0 {
 			t.Errorf("bad explain row %+v", row)
 		}
 	}
-	if len(prof.TimeToKth) == 0 {
-		t.Error("no time-to-kth marks")
+	if len(doc.TimeToKth) == 0 {
+		t.Fatal("no time-to-kth marks")
 	}
-	last := prof.TimeToKth[len(prof.TimeToKth)-1]
+	last := doc.TimeToKth[len(doc.TimeToKth)-1]
 	if last.K != k {
 		t.Errorf("last mark k = %d, want %d", last.K, k)
 	}

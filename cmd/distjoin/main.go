@@ -37,11 +37,12 @@
 // §8 for the trace schema and the metric/span/event reference.
 //
 // Profiling: -explain prints an EXPLAIN ANALYZE table on stderr when the
-// run finishes — wall time attributed to engine phases, delay percentiles,
-// and the cost model's predictions next to the observed actuals with
-// relative error; -explain-json prints the same profile as one JSON
-// document on stdout after the pair stream. -cpuprofile and -memprofile
-// write pprof profiles on clean shutdown.
+// run finishes — the run's query trace (span tree with wall time attributed
+// to engine phases, resources), delay percentiles, time-to-kth marks, and
+// the cost model's predictions next to the observed actuals with relative
+// error; -explain-json prints the same four as one JSON object on stdout
+// after the pair stream. Both enable per-query tracing. -cpuprofile and
+// -memprofile write pprof profiles on clean shutdown.
 package main
 
 import (
@@ -118,7 +119,7 @@ func main() {
 	flag.BoolVar(&o.progress, "progress", false, "show a live frontier/ETA line on stderr")
 	flag.DurationVar(&o.linger, "linger", 0, "keep the metrics endpoint up this long after the join completes")
 	flag.BoolVar(&o.explain, "explain", false, "print an EXPLAIN ANALYZE table (phases, delays, predicted vs actual) on stderr when done")
-	flag.BoolVar(&o.explainJSON, "explain-json", false, "print the query profile as JSON on stdout after the pairs")
+	flag.BoolVar(&o.explainJSON, "explain-json", false, "print what -explain shows as one JSON object on stdout after the pairs")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.IntVar(&o.flightRec, "flightrec", 0, "enable per-query tracing with a flight recorder of this many traces (served at /debug/queries with -metrics-addr, dumped to stderr otherwise)")
@@ -207,7 +208,8 @@ func run(o cliOptions) error {
 	c := &distjoin.Stats{}
 	var rec *distjoin.Recorder
 	var traceFile *os.File
-	if o.tracePath != "" || o.metricsAddr != "" || o.progress {
+	explain := o.explain || o.explainJSON
+	if o.tracePath != "" || o.metricsAddr != "" || o.progress || explain {
 		cfg := distjoin.ObsConfig{}
 		if o.tracePath != "" {
 			traceFile, err = os.Create(o.tracePath)
@@ -222,12 +224,12 @@ func run(o cliOptions) error {
 	a.SetObserver(rec, c)
 	b.SetObserver(rec, c)
 
-	// Per-query tracing: a flight recorder, slow-query log, or explicit
-	// query ID all enable the tracer. The slow-log file is closed after the
-	// tracer flushes into it (defers run last-in first-out).
+	// Per-query tracing: a flight recorder, slow-query log, explicit query
+	// ID or -explain all enable the tracer. The slow-log file is closed after
+	// the tracer flushes into it (defers run last-in first-out).
 	var tracer *distjoin.QueryTracer
 	if o.flightRec > 0 || o.slowLogPath != "" || o.queryID != "" ||
-		o.slowWall > 0 || o.slowNodeIO > 0 || o.slowDist > 0 {
+		o.slowWall > 0 || o.slowNodeIO > 0 || o.slowDist > 0 || explain {
 		cfg := distjoin.QueryTraceConfig{
 			FlightSize:    o.flightRec,
 			SlowWall:      o.slowWall,
@@ -298,15 +300,6 @@ func run(o cliOptions) error {
 		opts.RetryIO = distjoin.RetryPolicy{MaxAttempts: o.retries, Backoff: o.retryBackoff}
 	}
 
-	var pf *distjoin.Profiler
-	if o.explain || o.explainJSON {
-		pf = distjoin.NewProfiler()
-		pf.Attach(&opts)
-		pf.AttachIndex(a)
-		pf.AttachIndex(b)
-		pf.Start()
-	}
-
 	if o.progress {
 		stop := startProgress(a, b, o, rec)
 		defer stop()
@@ -314,6 +307,8 @@ func run(o cliOptions) error {
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
+	start := time.Now()
+	var marks []kthMark
 	next, closeFn, err := makeIterator(a, b, o.semi, o.knn, opts)
 	if err != nil {
 		return err
@@ -338,15 +333,14 @@ func run(o cliOptions) error {
 		}
 		nPairs++
 		lastDist = p.Dist
-		if pf != nil && (isMark(nPairs) || (o.k > 0 && nPairs == int64(o.k))) {
-			pf.MarkKth(nPairs, p.Dist)
+		if explain && (isMark(nPairs) || (o.k > 0 && nPairs == int64(o.k))) {
+			marks = append(marks, kthMark{K: nPairs, Seconds: time.Since(start).Seconds(), Dist: p.Dist})
 		}
 		if _, err := fmt.Fprintf(out, "%d %d %g\n", p.Obj1, p.Obj2, p.Dist); err != nil {
 			return err
 		}
 	}
-	// Close the iterator before finishing the profile so the parallel
-	// workers' span shards have been merged.
+	// Closing the iterator lands the run's query trace in the tracer.
 	if err := closeFn(); err != nil {
 		return err
 	}
@@ -364,7 +358,7 @@ func run(o cliOptions) error {
 			fmt.Fprintf(os.Stderr, "%s\n", enc)
 		}
 	}
-	if pf != nil {
+	if explain {
 		rows, err := distjoin.BuildExplain(a, b, distjoin.ExplainConfig{
 			K:           o.k,
 			KthDist:     lastDist,
@@ -374,10 +368,15 @@ func run(o cliOptions) error {
 		if err != nil {
 			return err
 		}
-		pf.SetExplain(rows)
-		prof := pf.Finish("distjoin")
+		snap := rec.Snapshot()
+		doc := explainDoc{
+			Trace:     tracer.Traces()[0],
+			Delay:     delayDoc{InterPair: snap.InterPairDelay, PopToEmit: snap.PopToEmit},
+			TimeToKth: marks,
+			Explain:   rows,
+		}
 		if o.explainJSON {
-			enc, err := json.Marshal(prof)
+			enc, err := json.Marshal(doc)
 			if err != nil {
 				return err
 			}
@@ -385,7 +384,7 @@ func run(o cliOptions) error {
 		}
 		if o.explain {
 			out.Flush()
-			printProfile(os.Stderr, prof)
+			printExplain(os.Stderr, &doc)
 		}
 	}
 	if o.statsJSON {

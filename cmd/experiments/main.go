@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-scale small|full] [-exp all|table1|table1r|fig6|fig7|parallel|faults|fig8|fig9|fig10|kernels|sec414|sec423|dims|trace]
+//	experiments [-scale small|full] [-exp all|table1|table1r|fig6|fig7|parallel|faults|fig8|fig9|fig10|sec414|sec423|dims|trace]
 //	            [-latency 100us] [-json] [-trace file] [-metrics-addr :8090]
 //
 // The small scale (default) runs the whole matrix in seconds; -scale full
@@ -11,10 +11,9 @@
 //
 // -exp trace derives a time-to-k-th-pair table from an event trace of the
 // Table-1 workload (the incrementality claim, measured); with -json it is
-// emitted in the query-profile schema (internal/profile), so the output can
-// feed the trajectory files cmd/benchrun records. -trace saves the raw
-// JSONL trace, and -metrics-addr serves live Prometheus metrics for every
-// experiment run.
+// emitted as one experiments.TTKDocument. -trace saves the raw JSONL trace,
+// and -metrics-addr serves live Prometheus metrics for every experiment
+// run.
 package main
 
 import (
@@ -32,7 +31,7 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small or full")
-	expName := flag.String("exp", "all", "experiment id: all, table1, table1r, fig6, fig7, parallel, faults, fig8, fig9, fig10, kernels, sec414, sec423, dims, trace")
+	expName := flag.String("exp", "all", "experiment id: all, table1, table1r, fig6, fig7, parallel, faults, fig8, fig9, fig10, sec414, sec423, dims, trace")
 	latency := flag.Duration("latency", 0, "simulated disk latency per node I/O (e.g. 100us) to restore the paper's I/O-dominated cost model")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
 	tracePath := flag.String("trace", "", "with -exp trace: also save the raw JSONL event trace to this file")
@@ -106,7 +105,6 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, tracePat
 		{"fig10", "Figure 10: maximum distance and maximum pairs (distance semi-join)", experiments.Fig10},
 		{"parallel", "Parallel partitioned join: speedup vs Parallelism (beyond the paper)", experiments.ParallelSpeedup},
 		{"faults", "Fault injection: retries under transient I/O faults, ordered prefix before unrecoverable ones (beyond the paper)", experiments.Faults},
-		{"kernels", "Batched columnar kernels: the Even (expandSide) and sweep (expandBoth) expansion shapes, wall time (beyond the paper)", experiments.Kernels},
 		{"sec414", "§4.1.4: nested-loop alternative", experiments.Sec414},
 		{"sec423", "§4.2.3: semi-join vs nearest-neighbour implementation (both orders)", experiments.Sec423},
 		{"dims", "§5 future work: distance join across dimensionalities", func(*experiments.Datasets) ([]experiments.Run, error) {
@@ -134,8 +132,8 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, tracePat
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		if asJSON {
-			// The trace experiment shares the query-profile schema (see
-			// internal/profile) so its output can feed trajectory files.
+			// The trace experiment's rows are time-to-kth points, not Table-1
+			// measures, and have a document of their own.
 			var err error
 			if e.id == "trace" {
 				err = experiments.WriteTTKJSON(os.Stdout, runs)

@@ -130,10 +130,11 @@ func TestEstimatorAccuracyProperty(t *testing.T) {
 	}
 }
 
-// TestProfileExplainAgreesWithStats runs a real join under a Profiler and
-// checks the finished Profile against the run's own Stats counters: the
-// profile's counter mirror must match the snapshot exactly, and the
-// EXPLAIN actual columns must be the observed values the counters report.
+// TestProfileExplainAgreesWithStats runs a real join under a QueryTracer and
+// checks the two halves of the -explain document against the run's own Stats
+// counters: the trace's resources must match the snapshot on every field
+// they share, and the EXPLAIN actual columns must be the observed values the
+// counters report.
 func TestProfileExplainAgreesWithStats(t *testing.T) {
 	w := tigerWorkload(606, 400)
 	ia, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, w.a)
@@ -148,13 +149,11 @@ func TestProfileExplainAgreesWithStats(t *testing.T) {
 	defer ib.Close()
 
 	const maxDist = 40.0
-	pf := distjoin.NewProfiler()
-	opts := distjoin.Options{MaxDist: maxDist}
-	pf.Attach(&opts)
-	pf.AttachIndex(ia)
-	pf.AttachIndex(ib)
-	pf.Start()
-	j, err := distjoin.DistanceJoin(ia, ib, opts)
+	c := &distjoin.Stats{}
+	ia.SetCounters(c)
+	ib.SetCounters(c)
+	tracer := distjoin.NewQueryTracer(distjoin.QueryTraceConfig{})
+	j, err := distjoin.DistanceJoin(ia, ib, distjoin.Options{MaxDist: maxDist, Counters: c, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +176,9 @@ func TestProfileExplainAgreesWithStats(t *testing.T) {
 	if nPairs == 0 {
 		t.Fatal("no pairs within maxDist; widen the bound")
 	}
+	// Snapshot before the estimators run: their sampling scans read index
+	// nodes through the same pools.
+	snap := c.Snapshot()
 	rows, err := distjoin.BuildExplain(ia, ib, distjoin.ExplainConfig{
 		K:           int(nPairs),
 		KthDist:     lastDist,
@@ -186,37 +188,40 @@ func TestProfileExplainAgreesWithStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf.SetExplain(rows)
-	prof := pf.Finish("agreement")
 
-	snap := pf.Stats.Snapshot()
-	c := prof.Counters
-	if c.PairsReported != snap.PairsReported || c.PairsReported != nPairs {
-		t.Errorf("pairs: profile %d, stats %d, drained %d", c.PairsReported, snap.PairsReported, nPairs)
+	got := tracer.Traces()[0].Resources
+	want := distjoin.QueryResources{
+		Pairs:          snap.PairsReported,
+		DistCalcs:      snap.DistCalcs,
+		NodeDistCalcs:  snap.NodeDistCalcs,
+		NodeIO:         snap.NodeReads + snap.NodeWrites,
+		BufferHits:     snap.BufferHits,
+		QueueInserts:   snap.QueueInserts,
+		QueuePops:      snap.QueuePops,
+		QueueDiskPairs: snap.QueueDiskPairs,
+		IOFaults:       snap.IOFaults,
+		IORetries:      snap.IORetries,
+		BatchPruned:    snap.BatchPruned,
+		Filtered:       snap.Filtered,
+		PeakQueueDepth: snap.MaxQueueSize,
 	}
-	if c.DistCalcs != snap.DistCalcs {
-		t.Errorf("dist calcs: profile %d, stats %d", c.DistCalcs, snap.DistCalcs)
+	if got != want {
+		t.Errorf("trace resources disagree with Stats:\ntrace %+v\nstats %+v", got, want)
 	}
-	if c.NodeIO != snap.NodeReads+snap.NodeWrites {
-		t.Errorf("node io: profile %d, stats %d+%d", c.NodeIO, snap.NodeReads, snap.NodeWrites)
-	}
-	if c.QueueInserts != snap.QueueInserts || c.QueuePops != snap.QueuePops {
-		t.Errorf("queue ops: profile %d/%d, stats %d/%d", c.QueueInserts, c.QueuePops, snap.QueueInserts, snap.QueuePops)
-	}
-	if c.MaxQueueSize != snap.MaxQueueSize {
-		t.Errorf("max queue: profile %d, stats %d", c.MaxQueueSize, snap.MaxQueueSize)
+	if got.Pairs != nPairs || got.NodeIO+got.BufferHits == 0 {
+		t.Errorf("resources %+v: drained %d pairs, and the run must have touched index nodes", got, nPairs)
 	}
 
 	byMetric := map[string]distjoin.ExplainRow{}
-	for _, r := range prof.Explain {
+	for _, r := range rows {
 		byMetric[r.Metric] = r
 	}
 	pw, ok := byMetric["pairs_within_d"]
 	if !ok {
 		t.Fatal("no pairs_within_d row")
 	}
-	if pw.Actual != float64(c.PairsReported) {
-		t.Errorf("pairs_within_d actual %g, counters reported %d", pw.Actual, c.PairsReported)
+	if pw.Actual != float64(snap.PairsReported) {
+		t.Errorf("pairs_within_d actual %g, counters reported %d", pw.Actual, snap.PairsReported)
 	}
 	dk, ok := byMetric["distance_for_k"]
 	if !ok {
@@ -225,7 +230,7 @@ func TestProfileExplainAgreesWithStats(t *testing.T) {
 	if dk.Actual != lastDist {
 		t.Errorf("distance_for_k actual %g, observed k-th distance %g", dk.Actual, lastDist)
 	}
-	for _, r := range prof.Explain {
+	for _, r := range rows {
 		if r.Actual == 0 {
 			continue
 		}

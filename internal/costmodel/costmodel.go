@@ -188,3 +188,37 @@ func SuggestMaxDist(t1, t2 *rtree.Tree, k int, safety float64, opts Options) (fl
 	}
 	return d * safety, nil
 }
+
+// ExplainRow is one predicted-vs-actual comparison of a run against the
+// estimators above. RelErr is (Predicted - Actual) / Actual — signed, so
+// over-predictions are positive.
+type ExplainRow struct {
+	Metric    string  `json:"metric"`
+	Predicted float64 `json:"predicted"`
+	Actual    float64 `json:"actual"`
+	RelErr    float64 `json:"rel_err"`
+}
+
+// RelErr computes the signed relative error of a prediction: 0 when both
+// are 0. Because the result is destined for JSON (which cannot represent
+// infinities), a prediction compared against a zero actual saturates at
+// ±MaxFloat64 instead of ±Inf.
+func RelErr(predicted, actual float64) float64 {
+	if actual == 0 {
+		if predicted == 0 {
+			return 0
+		}
+		if predicted > 0 {
+			return math.MaxFloat64
+		}
+		return -math.MaxFloat64
+	}
+	e := (predicted - actual) / actual
+	if math.IsInf(e, 1) {
+		return math.MaxFloat64
+	}
+	if math.IsInf(e, -1) {
+		return -math.MaxFloat64
+	}
+	return e
+}

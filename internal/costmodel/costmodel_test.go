@@ -193,3 +193,21 @@ func TestSuggestMaxDistValidation(t *testing.T) {
 		t.Fatalf("degenerate suggestion %g, want +Inf", d)
 	}
 }
+
+func TestRelErr(t *testing.T) {
+	if got := RelErr(110, 100); math.Abs(got-0.1) > 1e-12 {
+		t.Fatalf("RelErr(110,100) = %g", got)
+	}
+	if got := RelErr(90, 100); math.Abs(got+0.1) > 1e-12 {
+		t.Fatalf("RelErr(90,100) = %g", got)
+	}
+	if got := RelErr(0, 0); got != 0 {
+		t.Fatalf("RelErr(0,0) = %g", got)
+	}
+	if got := RelErr(5, 0); got != math.MaxFloat64 {
+		t.Fatalf("RelErr(5,0) = %g", got)
+	}
+	if got := RelErr(math.Inf(1), 2); got != math.MaxFloat64 {
+		t.Fatalf("RelErr(inf,2) = %g", got)
+	}
+}

@@ -787,34 +787,3 @@ func DimSweep(s Scale) ([]Run, error) {
 	}
 	return out, nil
 }
-
-// Kernels times the two expansion shapes that run on the batched columnar
-// distance kernels of internal/geom/kernel (beyond the paper): the Table-1
-// configuration (Even traversal — batched expandSide) and a
-// Simultaneous-traversal run with a result bound (estimation tightens
-// D_max, engaging the batched plane sweep of expandBoth). Correctness of
-// the kernels is not this experiment's job: TestBatchedExpansionMatchesScalar
-// pins them against the in-package scalar reference path, pair for pair and
-// counter for counter. The raw kernel microbenchmark lives in
-// `go test -bench Kernel ./internal/geom/kernel`.
-func Kernels(d *Datasets) ([]Run, error) {
-	pairs := maxInt(d.Scale.PairCounts)
-	sweep := d.Scale.hybridOpts()
-	sweep.Traversal = distjoin.TraverseSimultaneous
-	sweep.MaxPairs = pairs
-	var out []Run
-	for _, leg := range []struct {
-		label string
-		opts  distjoin.Options
-	}{
-		{"even/batched", d.Scale.hybridOpts()},
-		{"sweep/batched", sweep},
-	} {
-		r, err := d.runJoin(leg.label, pairs, leg.opts, false)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"distjoin/internal/obs"
-	"distjoin/internal/profile"
 )
 
 // TraceTTK runs the Table-1 workload once with event tracing enabled and
@@ -75,21 +74,28 @@ func TraceTTKTo(d *Datasets, extra io.Writer) ([]Run, error) {
 	return out, nil
 }
 
-// TTKDocument is the JSON shape of the trace experiment: the time-to-kth
-// points in the query-profile schema (profile.TTKPoint), so experiment
-// output can be spliced into the same trajectory files cmd/benchrun
-// records.
-type TTKDocument struct {
-	SchemaVersion int                `json:"schema_version"`
-	Label         string             `json:"label"`
-	TimeToKth     []profile.TTKPoint `json:"time_to_kth"`
+// TTKPoint records the delivery of the k-th result pair.
+type TTKPoint struct {
+	K       int64   `json:"k"`
+	Seconds float64 `json:"seconds"`
+	Dist    float64 `json:"dist"`
 }
 
-// TTKPoints converts trace-experiment rows to profile-schema points.
-func TTKPoints(runs []Run) []profile.TTKPoint {
-	pts := make([]profile.TTKPoint, len(runs))
+// TTKDocument is the JSON shape of the trace experiment (-exp trace -json).
+type TTKDocument struct {
+	SchemaVersion int        `json:"schema_version"`
+	Label         string     `json:"label"`
+	TimeToKth     []TTKPoint `json:"time_to_kth"`
+}
+
+// ttkSchemaVersion identifies TTKDocument's JSON schema.
+const ttkSchemaVersion = 1
+
+// TTKPoints converts trace-experiment rows to time-to-kth points.
+func TTKPoints(runs []Run) []TTKPoint {
+	pts := make([]TTKPoint, len(runs))
 	for i, r := range runs {
-		pts[i] = profile.TTKPoint{
+		pts[i] = TTKPoint{
 			K:       int64(r.Reported),
 			Seconds: r.Time.Seconds(),
 			Dist:    r.LastDist,
@@ -98,11 +104,11 @@ func TTKPoints(runs []Run) []profile.TTKPoint {
 	return pts
 }
 
-// WriteTTKJSON emits the trace experiment's time-to-kth table as a
-// profile-schema JSON document.
+// WriteTTKJSON emits the trace experiment's time-to-kth table as one JSON
+// document.
 func WriteTTKJSON(w io.Writer, runs []Run) error {
 	doc := TTKDocument{
-		SchemaVersion: profile.SchemaVersion,
+		SchemaVersion: ttkSchemaVersion,
 		Label:         "trace",
 		TimeToKth:     TTKPoints(runs),
 	}

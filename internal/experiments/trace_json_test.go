@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
-
-	"distjoin/internal/profile"
 )
 
 func TestWriteTTKJSONSharesProfileSchema(t *testing.T) {
@@ -22,8 +20,8 @@ func TestWriteTTKJSONSharesProfileSchema(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("decoding own output: %v\n%s", err, buf.String())
 	}
-	if doc.SchemaVersion != profile.SchemaVersion {
-		t.Errorf("schema version %d, want %d", doc.SchemaVersion, profile.SchemaVersion)
+	if doc.SchemaVersion != ttkSchemaVersion {
+		t.Errorf("schema version %d, want %d", doc.SchemaVersion, ttkSchemaVersion)
 	}
 	if doc.Label != "trace" {
 		t.Errorf("label %q", doc.Label)
@@ -31,7 +29,7 @@ func TestWriteTTKJSONSharesProfileSchema(t *testing.T) {
 	if len(doc.TimeToKth) != 2 {
 		t.Fatalf("%d points, want 2", len(doc.TimeToKth))
 	}
-	want := []profile.TTKPoint{
+	want := []TTKPoint{
 		{K: 1, Seconds: 0.002, Dist: 0.5},
 		{K: 10, Seconds: 0.005, Dist: 1.25},
 	}

@@ -1,9 +1,9 @@
-// Package profile provides per-join query profiles: lightweight span
-// accounting that attributes a join's wall time to engine phases (node
-// expansion, queue push/pop, disk-tier spill/fetch, stream merge, result
-// emission), the JSON profile document built from those spans together with
-// the run's counters and delay percentiles, and the schema-versioned
-// benchmark-trajectory files cmd/benchrun records and compares.
+// Package profile provides span accounting: the phases a join's wall time
+// is attributed to (node expansion, queue push/pop, disk-tier spill/fetch,
+// stream merge, result emission), the plain Tally one engine's meter
+// accumulates, and Spans, the shared view tallies fold into
+// (Options.Profile). The per-query document built from a run's tallies is
+// internal/qtrace's QueryTrace.
 //
 // The package deliberately depends on the standard library only. It follows
 // the repository's nil-safety convention: a nil *Spans is valid everywhere,
@@ -113,8 +113,7 @@ func (t Tally) TotalNS() int64 {
 //
 // Physical disk-tier I/O time is nested inside whatever phase triggered the
 // I/O, so it is reported as an "of which" figure, not summed with the
-// phases. ObserveRead and ObserveWrite make a *Spans a pager.IOClock, so it
-// can also time an index's buffer pool directly.
+// phases.
 type Spans struct {
 	mu sync.Mutex
 	t  Tally
@@ -144,23 +143,6 @@ func (s *Spans) Tally() Tally {
 	return s.t
 }
 
-// ObserveRead records one physical page read of duration d.
-func (s *Spans) ObserveRead(d time.Duration) {
-	s.Fold(&Tally{IOReadNS: max(int64(d), 0), IOReads: 1})
-}
-
-// ObserveWrite records one physical page write of duration d.
-func (s *Spans) ObserveWrite(d time.Duration) {
-	s.Fold(&Tally{IOWriteNS: max(int64(d), 0), IOWrites: 1})
-}
-
-// PhaseStat is the JSON summary of one phase.
-type PhaseStat struct {
-	Phase   string  `json:"phase"`
-	Seconds float64 `json:"seconds"`
-	Count   int64   `json:"count"`
-}
-
 // IOStat is the JSON summary of the physical disk-tier I/O nested inside
 // the phases ("of which" time, not additive with them).
 type IOStat struct {
@@ -168,27 +150,6 @@ type IOStat struct {
 	WriteSeconds float64 `json:"write_seconds"`
 	Reads        int64   `json:"reads"`
 	Writes       int64   `json:"writes"`
-}
-
-// PhaseSnapshot returns the per-phase stats in phase order, skipping phases
-// with no recorded spans.
-func (s *Spans) PhaseSnapshot() []PhaseStat {
-	if s == nil {
-		return nil
-	}
-	t := s.Tally()
-	out := make([]PhaseStat, 0, NumPhases)
-	for i := 0; i < NumPhases; i++ {
-		if t.Counts[i] == 0 && t.NS[i] == 0 {
-			continue
-		}
-		out = append(out, PhaseStat{
-			Phase:   Phase(i).String(),
-			Seconds: time.Duration(t.NS[i]).Seconds(),
-			Count:   t.Counts[i],
-		})
-	}
-	return out
 }
 
 // IOSnapshot returns the physical I/O summary.

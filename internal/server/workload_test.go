@@ -1,0 +1,108 @@
+package server
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"distjoin"
+	"distjoin/internal/datagen"
+)
+
+// TestServerWorkloadMatchesInProcess is the cursor-layer-invariance check:
+// draining a query through the HTTP cursor service in fixed 128-pair pulls
+// must leave every work counter exactly equal to the in-process drain with
+// the same MaxPairs — the service may add transport time, never work. The
+// join row is the "server-cursor-hybrid" leg of the root package's
+// TestWorkCounters (same data, options and pair target), which pins its
+// numbers.
+func TestServerWorkloadMatchesInProcess(t *testing.T) {
+	const pairs, batch = 400, 128
+	water := distjoin.NewIndexFromPoints(datagen.Water(1998, 800))
+	defer water.Close()
+	roads := distjoin.NewIndexFromPoints(datagen.Roads(1999, 1_600))
+	defer roads.Close()
+	hybrid := distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: 120, HybridInMemory: true}
+
+	dropCaches := func(t *testing.T) {
+		t.Helper()
+		for _, idx := range []*distjoin.Index{water, roads} {
+			if err := idx.Tree().DropCache(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	for _, tc := range []struct {
+		kind string
+		req  QueryRequest
+	}{
+		{"join", QueryRequest{Kind: "join"}},
+		{"semi", QueryRequest{Kind: "semijoin", Filter: "local"}},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			req := tc.req
+			req.Index1, req.Index2, req.MaxPairs = "water", "roads", pairs
+
+			// The served drain. NewServer attaches served to both indexes' pools.
+			dropCaches(t)
+			served := &distjoin.Stats{}
+			reg := NewRegistry()
+			for name, idx := range map[string]*distjoin.Index{"water": water, "roads": roads} {
+				if err := reg.RegisterIndex(name, idx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f := &testFixture{stats: served}
+			f.srv = NewServer(Config{Registry: reg, BaseOptions: hybrid, Stats: served, TTL: time.Minute})
+			f.ts = httptest.NewServer(f.srv.Handler())
+			defer func() { f.ts.Close(); f.srv.Close() }()
+			cr := f.create(t, req)
+			n := 0
+			for {
+				nr := f.next(t, cr.Cursor, batch)
+				n += len(nr.Pairs)
+				if nr.Done {
+					break
+				}
+			}
+			// DELETE closes the engine, which folds its last counts.
+			if code, raw := f.do(t, http.MethodDelete, "/v1/cursor/"+cr.Cursor, nil); code != http.StatusNoContent {
+				t.Fatalf("delete: %d: %s", code, raw)
+			}
+			if n != pairs {
+				t.Fatalf("served drain delivered %d pairs, want %d", n, pairs)
+			}
+
+			// The in-process drain of the same request.
+			dropCaches(t)
+			inproc := &distjoin.Stats{}
+			water.SetCounters(inproc)
+			roads.SetCounters(inproc)
+			opts := hybrid
+			opts.MaxPairs, opts.Counters = pairs, inproc
+			next, abort, err := openIterator(&req, water.AsSpatialIndex(), roads.AsSpatialIndex(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n = 0; ; n++ {
+				if _, ok, err := next(); err != nil {
+					t.Fatal(err)
+				} else if !ok {
+					break
+				}
+			}
+			if err := abort(nil); err != nil {
+				t.Fatal(err)
+			}
+			if n != pairs {
+				t.Fatalf("in-process drain delivered %d pairs, want %d", n, pairs)
+			}
+
+			if got, want := served.Snapshot(), inproc.Snapshot(); got != want {
+				t.Fatalf("cursor service changed engine work:\nserver     %+v\nin-process %+v", got, want)
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"distjoin/internal/obs"
+	"distjoin/internal/profile"
 	"distjoin/internal/qtrace"
 	"distjoin/internal/stats"
 )
@@ -82,6 +83,21 @@ type QueryTracer = qtrace.Tracer
 
 // QueryTraceConfig configures a QueryTracer.
 type QueryTraceConfig = qtrace.Config
+
+// QueryTrace is one completed query's trace document — the unit the
+// QueryTracer's flight recorder retains and the slow-query log emits;
+// QuerySpan is one node of its hierarchical span tree, QueryResources its
+// per-query resource accounting.
+type (
+	QueryTrace     = qtrace.QueryTrace
+	QuerySpan      = qtrace.Span
+	QueryResources = qtrace.Resources
+)
+
+// ProfileSpans accumulates span accounting across runs — per-phase wall
+// time and operation counts; assign one to Options.Profile and read it with
+// Tally. A nil *ProfileSpans disables profiling at zero cost.
+type ProfileSpans = profile.Spans
 
 // NewQueryTracer creates a query tracer; assign it to Options.Tracer.
 func NewQueryTracer(cfg QueryTraceConfig) *QueryTracer { return qtrace.New(cfg) }

@@ -1,0 +1,138 @@
+package distjoin_test
+
+import (
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"distjoin"
+	"distjoin/internal/datagen"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/work_counters.json from this run instead of comparing against it")
+
+// TestWorkCounters is the work-counter gate: the paper's hardware-independent
+// measures (Table 1: distance calculations, queue size, node I/O) and every
+// other field of the Stats snapshot must reproduce, to the unit, the numbers
+// checked in as testdata/work_counters.json. The legs are deterministic —
+// fixed data, sequential engines, caches dropped before each — so any
+// difference is a change in what the algorithm does, never noise.
+//
+// A change that moves a counter on purpose rebaselines with
+//
+//	go test -run TestWorkCounters -update .
+//
+// and says in its description which numbers moved and why.
+func TestWorkCounters(t *testing.T) {
+	const pairs = 400
+	water, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, datagen.Water(1998, 800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer water.Close()
+	roads, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, datagen.Roads(1999, 1_600))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer roads.Close()
+
+	hybrid := distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: 120, HybridInMemory: true}
+	with := func(mutate func(*distjoin.Options)) distjoin.Options {
+		o := hybrid
+		mutate(&o)
+		return o
+	}
+	legs := []struct {
+		name string
+		semi bool
+		opts distjoin.Options
+	}{
+		// The Table-1 default (Even traversal, hybrid queue) and its
+		// memory-queue and Basic-traversal ablations.
+		{name: "table1-even-hybrid", opts: hybrid},
+		{name: "table1-even-memory", opts: distjoin.Options{Queue: distjoin.QueueMemory}},
+		{name: "table1-basic-hybrid", opts: with(func(o *distjoin.Options) { o.Traversal = distjoin.TraverseBasic })},
+		// Simultaneous traversal with a result bound: the estimator tightens
+		// D_max, which switches the expansion onto the batched plane sweep
+		// (the one leg with a non-zero BatchPruned).
+		{name: "kernel-sweep-hybrid", opts: with(func(o *distjoin.Options) {
+			o.Traversal = distjoin.TraverseSimultaneous
+			o.MaxPairs = pairs
+		})},
+		{name: "semi-local-hybrid", semi: true, opts: hybrid},
+		// What a served cursor runs: the request's max_pairs becomes MaxPairs.
+		// TestServerWorkloadMatchesInProcess (internal/server) pins the HTTP
+		// drain of this leg to the in-process one counted here.
+		{name: "server-cursor-hybrid", opts: with(func(o *distjoin.Options) { o.MaxPairs = pairs })},
+	}
+
+	got := make(map[string]distjoin.Stats, len(legs))
+	for _, leg := range legs {
+		if err := water.Tree().DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		if err := roads.Tree().DropCache(); err != nil {
+			t.Fatal(err)
+		}
+		c := &distjoin.Stats{}
+		water.SetCounters(c)
+		roads.SetCounters(c)
+		opts := leg.opts
+		opts.Counters = c
+
+		var next func() (distjoin.Pair, bool, error)
+		var closeFn func() error
+		if leg.semi {
+			s, err := distjoin.DistanceSemiJoin(water, roads, distjoin.FilterLocal, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", leg.name, err)
+			}
+			next, closeFn = s.Next, s.Close
+		} else {
+			j, err := distjoin.DistanceJoin(water, roads, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", leg.name, err)
+			}
+			next, closeFn = j.Next, j.Close
+		}
+		for n := 0; n < pairs; n++ {
+			if _, ok, err := next(); err != nil || !ok {
+				t.Fatalf("%s: pair %d: ok=%v err=%v", leg.name, n+1, ok, err)
+			}
+		}
+		if err := closeFn(); err != nil {
+			t.Fatalf("%s: close: %v", leg.name, err)
+		}
+		got[leg.name] = c.Snapshot()
+	}
+
+	golden := filepath.Join("testdata", "work_counters.json")
+	if *update {
+		enc, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(enc, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]distjoin.Stats
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", golden, err)
+	}
+	if len(want) != len(got) {
+		t.Errorf("%s has %d legs, the test runs %d", golden, len(want), len(got))
+	}
+	for _, leg := range legs {
+		if got[leg.name] != want[leg.name] {
+			t.Errorf("%s: work counters moved\n got %+v\nwant %+v", leg.name, got[leg.name], want[leg.name])
+		}
+	}
+}
