@@ -6,7 +6,7 @@ import "distjoin/internal/geom"
 // generated from (a, b) — the queue key of forward joins. For pairs of leaf
 // entries in direct-object mode this is the exact object distance.
 func (e *engine) minDist(a, b item) float64 {
-	d := e.opts.Metric.MinDist(a.rect, b.rect)
+	d := e.opts.Metric.MinDist(a.rect(), b.rect())
 	e.countDistCalc(a, b)
 	return d
 }
@@ -30,16 +30,16 @@ func (e *engine) countDistCalc(a, b item) {
 //   - two objects/OBRs: the rectangle MINMAXDIST generalization, which for
 //     exact geometry degenerates to the object distance itself.
 func (e *engine) maxDist(a, b item) float64 {
-	m := e.opts.Metric
+	m, ra, rb := e.opts.Metric, a.rect(), b.rect()
 	switch {
 	case a.isNode() && b.isNode():
-		return m.MaxDist(a.rect, b.rect)
+		return m.MaxDist(ra, rb)
 	case a.isNode():
-		return minOverFacesMaxDist(m, a.rect, b.rect)
+		return minOverFacesMaxDist(m, ra, rb)
 	case b.isNode():
-		return minOverFacesMaxDist(m, b.rect, a.rect)
+		return minOverFacesMaxDist(m, rb, ra)
 	default:
-		return m.MinMaxDist(a.rect, b.rect)
+		return m.MinMaxDist(ra, rb)
 	}
 }
 
@@ -53,8 +53,8 @@ func minOverFacesMaxDist(m geom.Metric, region, obr geom.Rect) float64 {
 		return m.MaxDist(region, obr)
 	}
 	best := -1.0
-	for _, g := range obr.Faces() {
-		if d := m.MaxDist(region, g); best < 0 || d < best {
+	for g := 0; g < 2*obr.Dim(); g++ {
+		if d := m.MaxDistFace(region, -1, obr, g); best < 0 || d < best {
 			best = d
 		}
 	}

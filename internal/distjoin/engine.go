@@ -232,7 +232,7 @@ func (e *engine) makeQueue() error {
 			return err
 		}
 		cfg.Store = store
-		hq, err := pqueue.NewHybridQueue(less, func(p qpair) float64 { return p.key }, pairCodec{dims: e.t1.Dims()}, cfg)
+		hq, err := pqueue.NewHybridQueue(less, func(p qpair) float64 { return p.key }, &pairCodec{dims: e.t1.Dims()}, cfg)
 		if err != nil {
 			return err
 		}
@@ -371,13 +371,11 @@ func (e *engine) rootItem(t SpatialIndex) (item, error) {
 	if err != nil {
 		return item{}, err
 	}
-	return item{
-		kind:  kindNode,
-		level: int8(root.Level),
-		ref:   root.Ref,
-		rect:  root.Rect,
-	}, nil
+	return nodeItem(root), nil
 }
+
+// nodeItem builds the queue item for a referenced node.
+func nodeItem(n NodeRef) item { return newItem(kindNode, int8(n.Level), n.Ref, n.Rect) }
 
 // leafEntryKind is the item kind leaf entries carry: exact geometry when
 // objects are stored directly, bounding rectangles when a fetch or
@@ -541,10 +539,10 @@ func (e *engine) admit(it item, side int) bool {
 	}
 	if w != nil {
 		if it.isNode() {
-			if !it.rect.Intersects(*w) {
+			if !it.rect().Intersects(*w) {
 				return false
 			}
-		} else if !w.Contains(it.rect) {
+		} else if !w.Contains(it.rect()) {
 			return false
 		}
 	}
@@ -560,7 +558,7 @@ func (e *engine) admit(it item, side int) bool {
 // point. Shrinking to child regions shrinks the intersection, which can
 // only increase that distance, so the ordering is consistent.
 func (e *engine) enqueueIntersection(i1, i2 item) error {
-	x, ok := i1.rect.Intersection(i2.rect)
+	x, ok := i1.rect().Intersection(i2.rect())
 	e.m.DistCalc(i1.kind != kindObj || i2.kind != kindObj)
 	if !ok {
 		e.m.Filter(1)
@@ -788,11 +786,16 @@ func (e *engine) report(p qpair) (Pair, bool) {
 	if e.opts.MaxPairs > 0 && e.reported >= e.opts.MaxPairs {
 		e.done = true
 	}
+	// The items' coordinates may be views of index nodes every cursor on
+	// the index shares: the caller gets copies, both in one block of its
+	// own.
+	w := len(p.i1.c)
+	c := append(append(make([]float64, 0, 2*w), p.i1.c...), p.i2.c...)
 	return Pair{
 		Obj1:  rtree.ObjID(p.i1.ref),
 		Obj2:  rtree.ObjID(p.i2.ref),
-		Rect1: p.i1.rect,
-		Rect2: p.i2.rect,
+		Rect1: item{c: c[:w:w]}.rect(),
+		Rect2: item{c: c[w:]}.rect(),
 		Dist:  p.key,
 	}, true
 }
@@ -803,19 +806,18 @@ func (e *engine) report(p qpair) (Pair, bool) {
 // exact pair. Returns reportable=false, exact=false when the pair fails the
 // distance range.
 func (e *engine) resolveOBR(p *qpair) (reportable, exact bool, err error) {
-	r1, r2 := p.i1.rect, p.i2.rect
+	p.i1.kind, p.i2.kind = kindObj, kindObj
 	if e.opts.Fetch1 != nil {
-		r1, err = e.opts.Fetch1(rtree.ObjID(p.i1.ref))
+		r1, err := e.opts.Fetch1(rtree.ObjID(p.i1.ref))
 		if err != nil {
 			return false, false, fmt.Errorf("distjoin: fetching object %d from input 1: %w", p.i1.ref, err)
 		}
-		r2, err = e.opts.Fetch2(rtree.ObjID(p.i2.ref))
+		r2, err := e.opts.Fetch2(rtree.ObjID(p.i2.ref))
 		if err != nil {
 			return false, false, fmt.Errorf("distjoin: fetching object %d from input 2: %w", p.i2.ref, err)
 		}
+		p.i1, p.i2 = newItem(kindObj, -1, p.i1.ref, r1), newItem(kindObj, -1, p.i2.ref, r2)
 	}
-	p.i1 = item{kind: kindObj, level: -1, ref: p.i1.ref, rect: r1}
-	p.i2 = item{kind: kindObj, level: -1, ref: p.i2.ref, rect: r2}
 	var d float64
 	if e.opts.ExactDist != nil {
 		d, err = e.opts.ExactDist(rtree.ObjID(p.i1.ref), rtree.ObjID(p.i2.ref))
@@ -955,7 +957,7 @@ func (e *engine) expandSide(p qpair, side int) error {
 		// opposite item to every child; the localBound prune and the range
 		// filter inside enqueuePre then compare the precomputed values
 		// (in the pre domain, so L2 pays its Sqrt only for survivors).
-		pres := e.batchMinDist(other.rect, children)
+		pres := e.batchMinDist(other.rect(), children)
 		for i, c := range children {
 			if side == 2 && localBound < math.Inf(1) {
 				if e.kern.PreGreater(pres[i], localBound) {
@@ -978,7 +980,7 @@ func (e *engine) expandSide(p qpair, side int) error {
 
 	for _, c := range children {
 		if side == 2 && localBound < math.Inf(1) {
-			if e.opts.Metric.MinDist(other.rect, c.rect) > localBound {
+			if e.opts.Metric.MinDist(other.rect(), c.rect()) > localBound {
 				e.m.Filter(1)
 				continue
 			}
@@ -1002,11 +1004,11 @@ func (e *engine) expandSide(p qpair, side int) error {
 func (e *engine) fillCols(items []item) {
 	dims := 0
 	if len(items) > 0 {
-		dims = len(items[0].rect.Lo)
+		dims = len(items[0].c) / 2
 	}
 	e.cols.Reset(dims)
 	for _, it := range items {
-		e.cols.Append(it.rect)
+		e.cols.Append(it.rect())
 	}
 	if cap(e.dbuf) < len(items) {
 		e.dbuf = make([]float64, len(items))
@@ -1026,18 +1028,43 @@ func (e *engine) batchMinDist(query geom.Rect, items []item) []float64 {
 
 // appendNodeItems converts a node's entries into queue items, appending to
 // buf. Callers pass a per-engine scratch buffer so steady-state expansions
-// allocate nothing; the partitioner passes nil to build fresh slices.
+// allocate nothing; the partitioner passes nil to build fresh slices. The
+// items view the node's coordinate block; a node that comes without one (an
+// index that builds its nodes per visit) gets one laid out here.
 func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
+	count := len(n.Children)
 	if n.Leaf {
-		for _, o := range n.Objects {
-			buf = append(buf, item{kind: leafKind, level: -1, ref: o.ID, rect: o.Rect})
-		}
+		count = len(n.Objects)
+	}
+	if count == 0 {
 		return buf
 	}
-	for _, c := range n.Children {
-		buf = append(buf, item{kind: kindNode, level: int8(c.Level), ref: c.Ref, rect: c.Rect})
+	coords := n.Coords
+	if coords == nil {
+		for i := 0; i < count; i++ {
+			r := entryRect(n, i)
+			coords = append(append(coords, r.Lo...), r.Hi...)
+		}
+	}
+	w := len(coords) / count
+	for i := 0; i < count; i++ {
+		it := item{c: coords[i*w : (i+1)*w : (i+1)*w], kind: leafKind, level: -1}
+		if n.Leaf {
+			it.ref = n.Objects[i].ID
+		} else {
+			it.kind, it.level, it.ref = kindNode, int8(n.Children[i].Level), n.Children[i].Ref
+		}
+		buf = append(buf, it)
 	}
 	return buf
+}
+
+// entryRect returns the rectangle of a node's i-th entry.
+func entryRect(n *IndexNode, i int) geom.Rect {
+	if n.Leaf {
+		return n.Objects[i].Rect
+	}
+	return n.Children[i].Rect
 }
 
 // expandBoth processes both nodes of a node/node pair simultaneously
@@ -1062,12 +1089,12 @@ func (e *engine) expandBoth(p qpair) error {
 	if e.sweep && !math.IsInf(e.dmaxCur, 1) {
 		// Restrict the search space: keep only entries within D_max of the
 		// space spanned by the opposite node.
-		c1 = e.withinOf(c1, p.i2.rect)
-		c2 = e.withinOf(c2, p.i1.rect)
+		c1 = e.withinOf(c1, p.i2.rect())
+		c2 = e.withinOf(c2, p.i1.rect())
 		// Plane sweep along axis 0 over entries sorted by low edge.
 		// slices.SortFunc avoids sort.Slice's reflection and per-call
 		// closure allocations on this hot path.
-		byLowEdge := func(a, b item) int { return cmp.Compare(a.rect.Lo[0], b.rect.Lo[0]) }
+		byLowEdge := func(a, b item) int { return cmp.Compare(a.lo0(), b.lo0()) }
 		slices.SortFunc(c1, byLowEdge)
 		slices.SortFunc(c2, byLowEdge)
 		if !e.scalarExpand {
@@ -1077,13 +1104,13 @@ func (e *engine) expandBoth(p qpair) error {
 		var pruned int64
 		for _, a := range c1 {
 			// Advance past entries that end before the sweep window.
-			for start < len(c2) && c2[start].rect.Hi[0] < a.rect.Lo[0]-e.dmaxCur {
+			for start < len(c2) && c2[start].hi0() < a.lo0()-e.dmaxCur {
 				start++
 			}
 			evaluated := 0
 			for k := start; k < len(c2); k++ {
 				b := c2[k]
-				if b.rect.Lo[0] > a.rect.Hi[0]+e.dmaxCur {
+				if b.lo0() > a.hi0()+e.dmaxCur {
 					break // beyond the sweep window along the axis
 				}
 				evaluated++
@@ -1103,7 +1130,7 @@ func (e *engine) expandBoth(p qpair) error {
 		e.fillCols(c2)
 		for _, a := range c1 {
 			out := e.dbuf[:len(c2)]
-			e.kern.MinDistBatch(a.rect, &e.cols, out)
+			e.kern.MinDistBatch(a.rect(), &e.cols, out)
 			for i, b := range c2 {
 				if err := e.enqueuePre(a, b, out[i]); err != nil {
 					return err
@@ -1141,21 +1168,21 @@ func (e *engine) sweepBatch(c1, c2 []item) error {
 	var pruned int64
 	for _, a := range c1 {
 		// Advance past entries that end before the sweep window.
-		for start < len(c2) && c2[start].rect.Hi[0] < a.rect.Lo[0]-e.dmaxCur {
+		for start < len(c2) && c2[start].hi0() < a.lo0()-e.dmaxCur {
 			start++
 		}
 		end := start
-		for end < len(c2) && c2[end].rect.Lo[0] <= a.rect.Hi[0]+e.dmaxCur {
+		for end < len(c2) && c2[end].lo0() <= a.hi0()+e.dmaxCur {
 			end++
 		}
 		evaluated := 0
 		if end > start {
 			e.colsWin.Window(&e.cols, start, end)
 			out := e.dbuf[:end-start]
-			e.kern.MinDistBatch(a.rect, &e.colsWin, out)
+			e.kern.MinDistBatch(a.rect(), &e.colsWin, out)
 			for k := start; k < end; k++ {
 				b := c2[k]
-				if b.rect.Lo[0] > a.rect.Hi[0]+e.dmaxCur {
+				if b.lo0() > a.hi0()+e.dmaxCur {
 					break // D_max tightened mid-run; the rest is out of window
 				}
 				evaluated++
@@ -1188,7 +1215,7 @@ func (e *engine) withinOf(items []item, opposite geom.Rect) []item {
 	}
 	out := items[:0]
 	for _, it := range items {
-		if e.opts.Metric.MinDist(it.rect, opposite) <= e.dmaxCur {
+		if e.opts.Metric.MinDist(it.rect(), opposite) <= e.dmaxCur {
 			out = append(out, it)
 		} else {
 			e.m.Filter(1)

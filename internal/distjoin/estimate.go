@@ -38,8 +38,8 @@ type estimator struct {
 	remaining int // result pairs still needed
 	total     int // sum of counts in M
 	heap      *pairheap.Heap[*mEntry]
-	byPair    map[mKey]*pairheap.Node[*mEntry]     // join mode
-	byFirst   map[firstKey]*pairheap.Node[*mEntry] // semi mode
+	byPair    map[mKey]pairheap.Handle     // join mode
+	byFirst   map[firstKey]pairheap.Handle // semi mode
 	semi      bool
 	processed map[uint64]bool // semi: first-tree node pages already expanded
 }
@@ -51,10 +51,10 @@ func newEstimator(k int, semi bool) *estimator {
 		semi:      semi,
 	}
 	if semi {
-		est.byFirst = make(map[firstKey]*pairheap.Node[*mEntry])
+		est.byFirst = make(map[firstKey]pairheap.Handle)
 		est.processed = make(map[uint64]bool)
 	} else {
-		est.byPair = make(map[mKey]*pairheap.Node[*mEntry])
+		est.byPair = make(map[mKey]pairheap.Handle)
 	}
 	return est
 }
@@ -84,10 +84,10 @@ func (est *estimator) observe(p qpair, dmax, dmin, dmaxCur float64, count int) f
 			return dmaxCur
 		}
 		if old, ok := est.byFirst[ent.first]; ok {
-			if dmax >= old.Value.dmax {
+			if dmax >= est.heap.Value(old).dmax {
 				return dmaxCur
 			}
-			est.total -= old.Value.count
+			est.total -= est.heap.Value(old).count
 			est.heap.Delete(old)
 			delete(est.byFirst, ent.first)
 		}
@@ -108,8 +108,8 @@ func (est *estimator) observe(p qpair, dmax, dmin, dmaxCur float64, count int) f
 	// its d_max) still cover K.
 	for est.total > est.remaining && !est.heap.Empty() {
 		top := est.heap.Min() // max d_max (heap is inverted)
-		est.evict(top.Value)
-		dmaxCur = top.Value.dmax
+		est.evict(top)
+		dmaxCur = top.dmax
 	}
 	return dmaxCur
 }
@@ -133,8 +133,8 @@ func (est *estimator) evict(ent *mEntry) {
 func (est *estimator) onPop(p qpair) {
 	if est.semi {
 		fk := firstKeyOf(p.i1)
-		if node, ok := est.byFirst[fk]; ok && node.Value.key == pairKeyOf(p) {
-			est.evict(node.Value)
+		if node, ok := est.byFirst[fk]; ok && est.heap.Value(node).key == pairKeyOf(p) {
+			est.evict(est.heap.Value(node))
 		}
 		if p.i1.isNode() {
 			est.processed[p.i1.ref] = true
@@ -142,7 +142,7 @@ func (est *estimator) onPop(p qpair) {
 		return
 	}
 	if node, ok := est.byPair[pairKeyOf(p)]; ok {
-		est.evict(node.Value)
+		est.evict(est.heap.Value(node))
 	}
 }
 
@@ -154,7 +154,7 @@ func (est *estimator) onReport(p qpair) {
 	if est.semi {
 		fk := firstKeyOf(p.i1)
 		if node, ok := est.byFirst[fk]; ok {
-			est.evict(node.Value)
+			est.evict(est.heap.Value(node))
 		}
 	}
 }
@@ -171,14 +171,14 @@ type revEstimator struct {
 	remaining int
 	total     int
 	heap      *pairheap.Heap[*mEntry] // min-heap on the pair's MINIMUM distance
-	byPair    map[mKey]*pairheap.Node[*mEntry]
+	byPair    map[mKey]pairheap.Handle
 }
 
 func newRevEstimator(k int) *revEstimator {
 	return &revEstimator{
 		remaining: k,
 		heap:      pairheap.New(func(a, b *mEntry) bool { return a.dmax < b.dmax }),
-		byPair:    make(map[mKey]*pairheap.Node[*mEntry]),
+		byPair:    make(map[mKey]pairheap.Handle),
 	}
 }
 
@@ -203,8 +203,8 @@ func (est *revEstimator) observe(p qpair, dmin, dmax, dminCur, dmaxRange float64
 	est.total += count
 	for est.total > est.remaining && !est.heap.Empty() {
 		low := est.heap.Min() // smallest guaranteed minimum distance
-		est.evictRev(low.Value)
-		dminCur = low.Value.dmax
+		est.evictRev(low)
+		dminCur = low.dmax
 	}
 	return dminCur
 }
@@ -219,7 +219,7 @@ func (est *revEstimator) evictRev(ent *mEntry) {
 // onPop removes a retrieved pair from M.
 func (est *revEstimator) onPop(p qpair) {
 	if node, ok := est.byPair[pairKeyOf(p)]; ok {
-		est.evictRev(node.Value)
+		est.evictRev(est.heap.Value(node))
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func mkItem(kind itemKind, level int8, ref uint64) item {
-	return item{kind: kind, level: level, ref: ref, rect: geom.Pt(0, 0).Rect()}
+	return newItem(kind, level, ref, geom.Pt(0, 0).Rect())
 }
 
 func TestPairLessOrdering(t *testing.T) {
@@ -101,7 +101,7 @@ func TestEstimatorSemiModeUniqueFirst(t *testing.T) {
 	if est.total != 3 {
 		t.Fatalf("replacement changed total: %d", est.total)
 	}
-	if n := est.byFirst[firstKeyOf(p3.i1)]; n == nil || n.Value.dmax != 50 {
+	if n, ok := est.byFirst[firstKeyOf(p3.i1)]; !ok || est.heap.Value(n).dmax != 50 {
 		t.Fatal("replacement did not take effect")
 	}
 	// A processed node may not enter M.
@@ -121,11 +121,11 @@ func TestEngineAdmitWindowAndSelect(t *testing.T) {
 		Window1: &w,
 		Select1: func(id rtree.ObjID) bool { return id%2 == 0 },
 	}}
-	inWindow := item{kind: kindObj, rect: geom.Pt(5, 5).Rect(), ref: 2}
-	outWindow := item{kind: kindObj, rect: geom.Pt(20, 5).Rect(), ref: 2}
-	oddID := item{kind: kindObj, rect: geom.Pt(5, 5).Rect(), ref: 3}
-	nodeTouching := item{kind: kindNode, rect: geom.R(geom.Pt(8, 8), geom.Pt(30, 30))}
-	nodeOutside := item{kind: kindNode, rect: geom.R(geom.Pt(20, 20), geom.Pt(30, 30))}
+	inWindow := newItem(kindObj, 0, 2, geom.Pt(5, 5).Rect())
+	outWindow := newItem(kindObj, 0, 2, geom.Pt(20, 5).Rect())
+	oddID := newItem(kindObj, 0, 3, geom.Pt(5, 5).Rect())
+	nodeTouching := newItem(kindNode, 0, 0, geom.R(geom.Pt(8, 8), geom.Pt(30, 30)))
+	nodeOutside := newItem(kindNode, 0, 0, geom.R(geom.Pt(20, 20), geom.Pt(30, 30)))
 
 	if !e.admit(inWindow, 1) {
 		t.Fatal("in-window even object rejected")

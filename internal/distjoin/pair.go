@@ -38,15 +38,35 @@ const (
 	kindObj
 )
 
-// item is one half of a queue pair.
+// item is one half of a queue pair. c is its rectangle as one run of
+// coordinates, low corner then high corner, in any dimensionality: a view
+// into the block of the cached index node the item was read from, where the
+// index keeps one, so queueing an item copies no geometry. Like the node it
+// views, c is read-only. 40 bytes, against 64 for two corner slices.
 type item struct {
+	c     []float64
+	ref   uint64
 	kind  itemKind
 	level int8 // node level; -1 for OBR/object items
-	ref   uint64
-	rect  geom.Rect
+}
+
+// newItem builds an item on its own copy of r's coordinates.
+func newItem(kind itemKind, level int8, ref uint64, r geom.Rect) item {
+	c := make([]float64, 0, 2*len(r.Lo))
+	return item{c: append(append(c, r.Lo...), r.Hi...), ref: ref, kind: kind, level: level}
 }
 
 func (it item) isNode() bool { return it.kind == kindNode }
+
+// rect returns the item's rectangle, a view of its coordinates.
+func (it item) rect() geom.Rect {
+	d := len(it.c) / 2
+	return geom.Rect{Lo: it.c[:d:d], Hi: it.c[d:]}
+}
+
+// lo0 and hi0 are the item's extent along axis 0, the plane sweep's axis.
+func (it item) lo0() float64 { return it.c[0] }
+func (it item) hi0() float64 { return it.c[len(it.c)/2] }
 
 // qpair is a priority-queue element: a pair of items and its ordering key
 // (the minimum distance between the items for forward joins; an upper
@@ -100,14 +120,27 @@ func pairLess(depthFirst, reverse bool) func(a, b qpair) bool {
 	}
 }
 
-// pairCodec serializes qpairs for the disk tier of the hybrid queue.
-type pairCodec struct{ dims int }
+// pairCodec serializes qpairs for the disk tier of the hybrid queue: the
+// key, the kinds, levels and refs, then each item's coordinate run as it
+// lies in memory.
+type pairCodec struct {
+	dims int
+	// spare is the unused rest of the block Decode last cut coordinate
+	// runs from: a reloaded pair's geometry comes out of a block shared by
+	// decodeBatch pairs, not out of slices of its own.
+	spare []float64
+}
+
+// decodeBatch is how many decoded pairs share one coordinate block.
+const decodeBatch = 64
+
+const pairHeaderSize = 8 + 4 + 4 + 8 + 8
 
 // Size implements pqueue.Codec.
-func (c pairCodec) Size() int { return 8 + 4 + 4 + 8 + 8 + c.dims*4*8 }
+func (c *pairCodec) Size() int { return pairHeaderSize + c.dims*4*8 }
 
 // Encode implements pqueue.Codec.
-func (c pairCodec) Encode(dst []byte, p qpair) {
+func (c *pairCodec) Encode(dst []byte, p qpair) {
 	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(p.key))
 	dst[8] = byte(p.i1.kind)
 	dst[9] = byte(p.i1.level)
@@ -116,21 +149,18 @@ func (c pairCodec) Encode(dst []byte, p qpair) {
 	binary.LittleEndian.PutUint32(dst[12:], 0)
 	binary.LittleEndian.PutUint64(dst[16:], p.i1.ref)
 	binary.LittleEndian.PutUint64(dst[24:], p.i2.ref)
-	off := 32
-	for _, r := range []geom.Rect{p.i1.rect, p.i2.rect} {
-		for i := 0; i < c.dims; i++ {
-			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(r.Lo[i]))
-			off += 8
-		}
-		for i := 0; i < c.dims; i++ {
-			binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(r.Hi[i]))
-			off += 8
-		}
+	w := 2 * c.dims
+	dst = dst[pairHeaderSize : pairHeaderSize+2*w*8]
+	for i, v := range p.i1.c[:w] {
+		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
+	}
+	for i, v := range p.i2.c[:w] {
+		binary.LittleEndian.PutUint64(dst[(w+i)*8:], math.Float64bits(v))
 	}
 }
 
 // Decode implements pqueue.Codec.
-func (c pairCodec) Decode(src []byte) qpair {
+func (c *pairCodec) Decode(src []byte) qpair {
 	var p qpair
 	p.key = math.Float64frombits(binary.LittleEndian.Uint64(src[0:]))
 	p.i1.kind = itemKind(src[8])
@@ -139,26 +169,25 @@ func (c pairCodec) Decode(src []byte) qpair {
 	p.i2.level = int8(src[11])
 	p.i1.ref = binary.LittleEndian.Uint64(src[16:])
 	p.i2.ref = binary.LittleEndian.Uint64(src[24:])
-	off := 32
-	for _, r := range []*geom.Rect{&p.i1.rect, &p.i2.rect} {
-		lo := make(geom.Point, c.dims)
-		hi := make(geom.Point, c.dims)
-		for i := 0; i < c.dims; i++ {
-			lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
-			off += 8
-		}
-		for i := 0; i < c.dims; i++ {
-			hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[off:]))
-			off += 8
-		}
-		*r = geom.Rect{Lo: lo, Hi: hi}
+	w := 2 * c.dims
+	if len(c.spare) < 2*w {
+		c.spare = make([]float64, decodeBatch*2*w)
 	}
+	co := c.spare[: 2*w : 2*w]
+	c.spare = c.spare[2*w:]
+	src = src[pairHeaderSize : pairHeaderSize+2*w*8]
+	for i := range co {
+		co[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
+	}
+	p.i1.c, p.i2.c = co[:w:w], co[w:]
 	return p
 }
 
 // Pair is one result tuple of a distance join: the two object ids, their
 // geometry, and their distance. Results are delivered in ascending (or, for
-// reverse joins, descending) order of Dist.
+// reverse joins, descending) order of Dist. The rectangles are the pair's
+// own copies: nothing the engine or another cursor reads is reachable
+// through them.
 type Pair struct {
 	Obj1, Obj2   rtree.ObjID
 	Rect1, Rect2 geom.Rect

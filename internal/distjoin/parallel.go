@@ -92,19 +92,18 @@ func parallelizable(opts *Options, semi *semiState) bool {
 // already yields enough partitions, and with the second root's children
 // otherwise. Returns nil when the trees are too small to split.
 func planPartitions(t1, t2 SpatialIndex, opts *Options, semi bool, groups int) ([][][2]item, error) {
-	top := func(t SpatialIndex) (item, []item, error) {
+	top := func(t SpatialIndex) ([]item, error) {
 		root, err := t.Root()
 		if err != nil {
-			return item{}, nil, err
+			return nil, err
 		}
-		ri := item{kind: kindNode, level: int8(root.Level), ref: root.Ref, rect: root.Rect}
 		n, err := t.Node(root.Ref)
 		if err != nil {
-			return item{}, nil, err
+			return nil, err
 		}
-		return ri, appendNodeItems(nil, n, kindObj), nil
+		return appendNodeItems(nil, n, kindObj), nil
 	}
-	_, c1, err := top(t1)
+	c1, err := top(t1)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +111,7 @@ func planPartitions(t1, t2 SpatialIndex, opts *Options, semi bool, groups int) (
 	if err != nil {
 		return nil, err
 	}
-	r2 := item{kind: kindNode, level: int8(root2.Level), ref: root2.Ref, rect: root2.Rect}
+	r2 := nodeItem(root2)
 
 	var seeds [][2]item
 	if semi || len(c1) >= 2*groups {
@@ -121,7 +120,7 @@ func planPartitions(t1, t2 SpatialIndex, opts *Options, semi bool, groups int) (
 			seeds = append(seeds, [2]item{a, r2})
 		}
 	} else {
-		_, c2, err := top(t2)
+		c2, err := top(t2)
 		if err != nil {
 			return nil, err
 		}
@@ -143,7 +142,7 @@ func planPartitions(t1, t2 SpatialIndex, opts *Options, semi bool, groups int) (
 	// worker owns a mix of near and far slices of the pair space.
 	ks := make([]seedKey, len(seeds))
 	for i, sp := range seeds {
-		ks[i] = seedKey{seed: sp, key: opts.Metric.MinDist(sp[0].rect, sp[1].rect)}
+		ks[i] = seedKey{seed: sp, key: opts.Metric.MinDist(sp[0].rect(), sp[1].rect())}
 	}
 	slices.SortFunc(ks, func(a, b seedKey) int {
 		if a.key != b.key {

@@ -189,17 +189,17 @@ func TestPropPairCodecRoundTrip(t *testing.T) {
 		}
 		p := qpair{
 			key: rnd.Float64() * 1000,
-			i1:  item{kind: itemKind(rnd.Intn(3)), level: int8(rnd.Intn(10) - 1), ref: rnd.Uint64(), rect: mkRect()},
-			i2:  item{kind: itemKind(rnd.Intn(3)), level: int8(rnd.Intn(10) - 1), ref: rnd.Uint64(), rect: mkRect()},
+			i1:  newItem(itemKind(rnd.Intn(3)), int8(rnd.Intn(10)-1), rnd.Uint64(), mkRect()),
+			i2:  newItem(itemKind(rnd.Intn(3)), int8(rnd.Intn(10)-1), rnd.Uint64(), mkRect()),
 		}
 		buf := make([]byte, c.Size())
 		c.Encode(buf, p)
 		got := c.Decode(buf)
 		return got.key == p.key &&
 			got.i1.kind == p.i1.kind && got.i1.level == p.i1.level && got.i1.ref == p.i1.ref &&
-			got.i1.rect.Equal(p.i1.rect) &&
+			got.i1.rect().Equal(p.i1.rect()) &&
 			got.i2.kind == p.i2.kind && got.i2.level == p.i2.level && got.i2.ref == p.i2.ref &&
-			got.i2.rect.Equal(p.i2.rect)
+			got.i2.rect().Equal(p.i2.rect())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -217,29 +217,29 @@ func TestPropDmaxConsistency(t *testing.T) {
 			return geom.R(geom.Pt(x, y), geom.Pt(x+rnd.Float64()*30, y+rnd.Float64()*30))
 		}
 		e := &engine{opts: Options{Metric: geom.Euclidean}}
-		a := item{kind: kindNode, rect: mkRect()}
+		a := newItem(kindNode, 0, 0, mkRect())
 		bPt := geom.Pt(rnd.Float64()*100, rnd.Float64()*100)
-		b := item{kind: kindObj, rect: bPt.Rect()}
+		b := newItem(kindObj, 0, 0, bPt.Rect())
 		bound := e.maxDist(a, b)
 		// Every point inside a's region must be within bound of the point b.
 		for k := 0; k < 20; k++ {
 			p := geom.Pt(
-				a.rect.Lo[0]+rnd.Float64()*(a.rect.Hi[0]-a.rect.Lo[0]),
-				a.rect.Lo[1]+rnd.Float64()*(a.rect.Hi[1]-a.rect.Lo[1]))
+				a.rect().Lo[0]+rnd.Float64()*(a.rect().Hi[0]-a.rect().Lo[0]),
+				a.rect().Lo[1]+rnd.Float64()*(a.rect().Hi[1]-a.rect().Lo[1]))
 			if geom.Euclidean.Dist(p, bPt) > bound+1e-9 {
 				return false
 			}
 		}
 		// node/node: MaxDist bounds all cross pairs.
-		c := item{kind: kindNode, rect: mkRect()}
+		c := newItem(kindNode, 0, 0, mkRect())
 		nb := e.maxDist(a, c)
 		for k := 0; k < 20; k++ {
 			p := geom.Pt(
-				a.rect.Lo[0]+rnd.Float64()*(a.rect.Hi[0]-a.rect.Lo[0]),
-				a.rect.Lo[1]+rnd.Float64()*(a.rect.Hi[1]-a.rect.Lo[1]))
+				a.rect().Lo[0]+rnd.Float64()*(a.rect().Hi[0]-a.rect().Lo[0]),
+				a.rect().Lo[1]+rnd.Float64()*(a.rect().Hi[1]-a.rect().Lo[1]))
 			q := geom.Pt(
-				c.rect.Lo[0]+rnd.Float64()*(c.rect.Hi[0]-c.rect.Lo[0]),
-				c.rect.Lo[1]+rnd.Float64()*(c.rect.Hi[1]-c.rect.Lo[1]))
+				c.rect().Lo[0]+rnd.Float64()*(c.rect().Hi[0]-c.rect().Lo[0]),
+				c.rect().Lo[1]+rnd.Float64()*(c.rect().Hi[1]-c.rect().Lo[1]))
 			if geom.Euclidean.Dist(p, q) > nb+1e-9 {
 				return false
 			}

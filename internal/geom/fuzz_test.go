@@ -14,6 +14,10 @@ import (
 //	Dist(p,q)   <= MaxDistPR(p,b)   <= MaxDist(a,b)
 //	MinDist(a,b) <= MinMaxDist(a,b) <= MaxDist(a,b)
 //
+// and that the d_max bounds computed from coordinates (MaxDistFace,
+// MinMaxDist, MinMaxDistPR) equal the minima over materialised Faces() they
+// replaced, under L1, L2, L∞ and general p.
+//
 // A violated bound would not crash the engine — it would silently emit
 // pairs out of distance order, which is exactly what the differential
 // harness cannot distinguish from a subtly wrong oracle. Fuzzing the
@@ -35,6 +39,9 @@ func FuzzDistanceKernels(f *testing.F) {
 		// Sample points inside each rect: the corners the fuzzer chose.
 		p := Pt(x1, y1)
 		q := Pt(x3, y3)
+		checkFaceBounds(t, a, b, p)
+		checkFaceBounds(t, p.Rect(), b, q)
+		checkFaceBounds(t, p.Rect(), q.Rect(), p)
 
 		for _, m := range []Metric{Euclidean, Manhattan, Chessboard, Lp(3)} {
 			min := m.MinDist(a, b)

@@ -47,6 +47,12 @@ type Metric interface {
 	// rectangles each minimally bounding one object (paper §2.2.3): the two
 	// objects are guaranteed to be within this distance of each other.
 	MinMaxDist(a, b Rect) float64
+
+	// MaxDistFace returns MaxDist between face fa of a and face fb of b —
+	// what the d_max bounds are minima of — without building the faces.
+	// Face 2i fixes dimension i at Lo[i], face 2i+1 at Hi[i]; a negative
+	// index stands for the whole rectangle.
+	MaxDistFace(a Rect, fa int, b Rect, fb int) float64
 }
 
 // lpMetric implements Metric for the L1 (Manhattan), L2 (Euclidean) and L∞

@@ -16,25 +16,16 @@ import "math"
 func (m lpMetric) MinMaxDistPR(p Point, r Rect) float64 {
 	checkDim(len(p), len(r.Lo))
 	d := len(p)
-	near := make([]float64, d) // |p_k - nearer face coordinate|
-	far := make([]float64, d)  // |p_k - farther face coordinate|
-	for i := 0; i < d; i++ {
-		mid := (r.Lo[i] + r.Hi[i]) / 2
-		if p[i] <= mid {
-			near[i] = math.Abs(p[i] - r.Lo[i])
-			far[i] = math.Abs(p[i] - r.Hi[i])
-		} else {
-			near[i] = math.Abs(p[i] - r.Hi[i])
-			far[i] = math.Abs(p[i] - r.Lo[i])
-		}
-	}
 	best := math.Inf(1)
 	for k := 0; k < d; k++ {
 		cand := m.aggregate(func(i int) float64 {
-			if i == k {
-				return near[i]
+			// |p_i - nearer face coordinate| in dimension k, |p_i - farther
+			// face coordinate| in every other.
+			lo, hi := math.Abs(p[i]-r.Lo[i]), math.Abs(p[i]-r.Hi[i])
+			if (i == k) == (p[i] <= (r.Lo[i]+r.Hi[i])/2) {
+				return lo
 			}
-			return far[i]
+			return hi
 		}, d)
 		if cand < best {
 			best = cand
@@ -56,13 +47,47 @@ func (m lpMetric) MinMaxDistPR(p Point, r Rect) float64 {
 // to Dist.
 func (m lpMetric) MinMaxDist(a, b Rect) float64 {
 	checkDim(len(a.Lo), len(b.Lo))
+	// Every face of a point is the point: one stands for all 2d of them.
+	na, nb := 2*len(a.Lo), 2*len(b.Lo)
+	if a.IsPoint() {
+		na = 1
+	}
+	if b.IsPoint() {
+		nb = 1
+	}
 	best := math.Inf(1)
-	for _, f := range a.Faces() {
-		for _, g := range b.Faces() {
-			if d := m.MaxDist(f, g); d < best {
+	for f := 0; f < na; f++ {
+		for g := 0; g < nb; g++ {
+			if d := m.MaxDistFace(a, f, b, g); d < best {
 				best = d
 			}
 		}
 	}
 	return best
+}
+
+// MaxDistFace returns MaxDist between face fa of a and face fb of b without
+// building either. Face 2i of a rectangle fixes dimension i at its low
+// coordinate, face 2i+1 at its high one; a negative index stands for the
+// whole rectangle.
+func (m lpMetric) MaxDistFace(a Rect, fa int, b Rect, fb int) float64 {
+	checkDim(len(a.Lo), len(b.Lo))
+	return m.aggregate(func(i int) float64 {
+		alo, ahi := faceSpan(a, fa, i)
+		blo, bhi := faceSpan(b, fb, i)
+		return math.Max(math.Abs(ahi-blo), math.Abs(bhi-alo))
+	}, len(a.Lo))
+}
+
+// faceSpan returns the extent in dimension i of face f of r.
+func faceSpan(r Rect, f, i int) (lo, hi float64) {
+	lo, hi = r.Lo[i], r.Hi[i]
+	if f>>1 == i {
+		if f&1 == 0 {
+			hi = lo
+		} else {
+			lo = hi
+		}
+	}
+	return lo, hi
 }

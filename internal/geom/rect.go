@@ -173,24 +173,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
 }
 
-// Faces returns the 2d faces of r, each as a rectangle degenerate in one
-// dimension. Face 2i fixes dimension i at Lo[i]; face 2i+1 fixes it at Hi[i].
-func (r Rect) Faces() []Rect {
-	d := r.Dim()
-	faces := make([]Rect, 0, 2*d)
-	for i := 0; i < d; i++ {
-		lo := r.Lo.Clone()
-		hi := r.Hi.Clone()
-		hi[i] = r.Lo[i]
-		faces = append(faces, Rect{Lo: lo, Hi: hi})
-		lo2 := r.Lo.Clone()
-		hi2 := r.Hi.Clone()
-		lo2[i] = r.Hi[i]
-		faces = append(faces, Rect{Lo: lo2, Hi: hi2})
-	}
-	return faces
-}
-
 // String renders r as "[lo; hi]".
 func (r Rect) String() string {
 	return fmt.Sprintf("[%s; %s]", r.Lo.String(), r.Hi.String())

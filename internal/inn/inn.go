@@ -148,7 +148,7 @@ func (it *Iterator) Next() (Result, bool, error) {
 			if it.opts.MaxResults > 0 && it.reported >= it.opts.MaxResults {
 				it.done = true
 			}
-			return Result{Obj: rtree.ObjID(e.ref), Rect: e.rect, Dist: e.dist}, true, nil
+			return Result{Obj: rtree.ObjID(e.ref), Rect: e.rect.Clone(), Dist: e.dist}, true, nil
 		}
 		n, err := it.ix.Node(e.ref)
 		if err != nil {

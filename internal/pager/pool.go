@@ -1,10 +1,10 @@
 package pager
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -38,13 +38,21 @@ type IOClock interface {
 }
 
 // Frame is a buffer-pool slot holding one page. Callers access page bytes
-// through Data and must call Pool.Unpin exactly once per Get/Allocate.
+// through Data and must call Pool.Unpin exactly once per Get/Allocate. The
+// pool reuses a frame (and its buffer) for another page once it is evicted
+// or dropped, so a *Frame means nothing after its Unpin.
 type Frame struct {
-	id      PageID
-	data    []byte
-	dirty   bool
-	pins    int
-	lruElem *list.Element
+	id    PageID
+	data  []byte
+	dirty bool
+	pins  int
+	// prev and next link the frame into the pool's LRU ring while it is
+	// unpinned (both nil otherwise); a freed frame chains through next.
+	prev, next *Frame
+	// decoded is the page's reader-side form, kept for as long as the
+	// bytes it was built from: MarkDirty and every way out of the pool
+	// (eviction, Drop, Reset, a failed read) clear it.
+	decoded atomic.Pointer[any]
 }
 
 // ID returns the page this frame holds.
@@ -55,8 +63,25 @@ func (f *Frame) ID() PageID { return f.id }
 func (f *Frame) Data() []byte { return f.data }
 
 // MarkDirty records that the page bytes were modified and must be written
-// back on eviction or flush.
-func (f *Frame) MarkDirty() { f.dirty = true }
+// back on eviction or flush. It discards the decoded form.
+func (f *Frame) MarkDirty() {
+	f.dirty = true
+	f.decoded.Store(nil)
+}
+
+// Decoded returns what SetDecoded attached to the page's current bytes, or
+// nil. The frame must be pinned.
+func (f *Frame) Decoded() any {
+	if v := f.decoded.Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// SetDecoded attaches an immutable decoded form of the page bytes to the
+// pinned frame, for later readers to share until the bytes change or leave
+// the pool. Concurrent readers may each set one; any of them is kept.
+func (f *Frame) SetDecoded(v any) { f.decoded.Store(&v) }
 
 // Pool is an LRU buffer pool over a Store. It counts physical reads and
 // writes into a stats.Counters, which is how the reproduction measures the
@@ -75,7 +100,8 @@ type Pool struct {
 	store    Store
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List // unpinned frames, front = most recently used
+	lru      Frame  // ring sentinel of the unpinned frames: lru.next is the most recently used
+	free     *Frame // dropped frames awaiting reuse, chained through next
 	counters IOCounter
 }
 
@@ -85,13 +111,14 @@ func NewPool(store Store, capacity int, counters IOCounter) (*Pool, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("pager: pool capacity must be positive, got %d", capacity)
 	}
-	return &Pool{
+	p := &Pool{
 		store:    store,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame, capacity),
-		lru:      list.New(),
 		counters: counters,
-	}, nil
+	}
+	p.lru.prev, p.lru.next = &p.lru, &p.lru
+	return p, nil
 }
 
 // Store returns the underlying page store. The store itself is not
@@ -131,20 +158,29 @@ func (p *Pool) PinnedFrames() int {
 // share the frame.
 func (p *Pool) Get(id PageID) (*Frame, error) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
 		if p.counters != nil {
 			p.counters.AddHit(1)
 		}
-		p.pin(f)
+		if f.pins++; f.next != nil {
+			p.unlink(f)
+		}
+		p.mu.Unlock()
 		return f, nil
 	}
+	f, err := p.fetch(id)
+	p.mu.Unlock()
+	return f, err
+}
+
+// fetch is the miss path of Get: admit a frame and read the page into it.
+func (p *Pool) fetch(id PageID) (*Frame, error) {
 	f, err := p.admit(id)
 	if err != nil {
 		return nil, err
 	}
 	if err := p.readPage(id, f.data); err != nil {
-		p.discard(f)
+		p.release(f)
 		return nil, err
 	}
 	if p.counters != nil {
@@ -174,73 +210,72 @@ func (p *Pool) Allocate() (*Frame, error) {
 	return f, nil
 }
 
-// admit finds a frame for id (evicting if needed) and pins it. The frame
-// data is zeroed.
+// admit finds a frame for id and pins it, its data zeroed: a freed frame
+// first, then — at capacity — the least recently used one, evicted, and a
+// new one only while the pool is still filling. In steady state the pool
+// therefore allocates nothing per miss.
 func (p *Pool) admit(id PageID) (*Frame, error) {
-	if len(p.frames) >= p.capacity {
-		if err := p.evictOne(); err != nil {
-			return nil, err
+	f := p.free
+	switch {
+	case f != nil:
+		p.free, f.next = f.next, nil
+	case len(p.frames) >= p.capacity:
+		if f = p.lru.prev; f == &p.lru {
+			return nil, ErrAllPinned
 		}
+		if f.dirty {
+			if err := p.writePage(f.id, f.data); err != nil {
+				return nil, err
+			}
+			if p.counters != nil {
+				p.counters.AddWrite(1)
+			}
+		}
+		p.unlink(f)
+		delete(p.frames, f.id)
+		f.dirty = false
+		f.decoded.Store(nil)
+	default:
+		f = &Frame{data: make([]byte, p.store.PageSize())}
 	}
-	f := &Frame{id: id, data: make([]byte, p.store.PageSize()), pins: 1}
+	clear(f.data)
+	f.id, f.pins = id, 1
 	p.frames[id] = f
 	return f, nil
 }
 
-func (p *Pool) pin(f *Frame) {
-	f.pins++
-	if f.lruElem != nil {
-		p.lru.Remove(f.lruElem)
-		f.lruElem = nil
-	}
+// unlink takes f off the LRU ring.
+func (p *Pool) unlink(f *Frame) {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // Unpin releases one pin on f. When the pin count reaches zero the frame
 // becomes eligible for eviction.
 func (p *Pool) Unpin(f *Frame) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if f.pins <= 0 {
+		p.mu.Unlock()
 		panic(fmt.Sprintf("pager: unpin of unpinned frame %d", f.id))
 	}
-	f.pins--
-	if f.pins == 0 {
-		f.lruElem = p.lru.PushFront(f)
+	if f.pins--; f.pins == 0 {
+		f.prev, f.next = &p.lru, p.lru.next
+		f.prev.next, f.next.prev = f, f
 	}
+	p.mu.Unlock()
 }
 
-// evictOne writes back and drops the least recently used unpinned frame.
-func (p *Pool) evictOne() error {
-	e := p.lru.Back()
-	if e == nil {
-		return ErrAllPinned
-	}
-	f := e.Value.(*Frame)
-	if f.dirty {
-		if err := p.writePage(f.id, f.data); err != nil {
-			return err
-		}
-		if p.counters != nil {
-			p.counters.AddWrite(1)
-		}
-	}
-	p.lru.Remove(e)
-	delete(p.frames, f.id)
-	return nil
-}
-
-// discard drops a frame without write-back after a failed read, releasing
-// its pin, so the failed page is neither cached nor left pinned: a later
-// Get retries the physical read from scratch. The frame is normally still
-// pinned and off the LRU, but both are handled defensively.
-func (p *Pool) discard(f *Frame) {
-	f.pins = 0
-	f.dirty = false
-	if f.lruElem != nil {
-		p.lru.Remove(f.lruElem)
-		f.lruElem = nil
+// release takes f out of the pool without write-back — after a failed read
+// (so the failed page is neither cached nor left pinned: a later Get retries
+// the physical read from scratch) or a Drop — and keeps it for reuse.
+func (p *Pool) release(f *Frame) {
+	if f.next != nil {
+		p.unlink(f)
 	}
 	delete(p.frames, f.id)
+	f.pins, f.dirty = 0, false
+	f.decoded.Store(nil)
+	f.next, p.free = p.free, f
 }
 
 // Drop removes the page from the pool without write-back and frees it in the
@@ -252,10 +287,7 @@ func (p *Pool) Drop(id PageID) error {
 		if f.pins > 0 {
 			return fmt.Errorf("pager: dropping pinned page %d", id)
 		}
-		if f.lruElem != nil {
-			p.lru.Remove(f.lruElem)
-		}
-		delete(p.frames, id)
+		p.release(f)
 	}
 	return p.store.Free(id)
 }
@@ -297,8 +329,9 @@ func (p *Pool) Reset() error {
 	if err := p.flushAllLocked(); err != nil {
 		return err
 	}
-	p.frames = make(map[PageID]*Frame, p.capacity)
-	p.lru.Init()
+	for _, f := range p.frames {
+		p.release(f)
+	}
 	return nil
 }
 

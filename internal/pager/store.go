@@ -171,6 +171,7 @@ type FileStore struct {
 	freed    []PageID
 	isFree   map[PageID]bool
 	closed   bool
+	zero     []byte // one blank page, what Allocate writes
 }
 
 // NewFileStore creates a store backed by a new temporary file in dir (or the
@@ -238,18 +239,21 @@ func (s *FileStore) Allocate() (PageID, error) {
 	if s.closed {
 		return InvalidPage, ErrClosed
 	}
+	if s.zero == nil {
+		s.zero = make([]byte, s.pageSize)
+	}
 	if n := len(s.freed); n > 0 {
 		id := s.freed[n-1]
 		s.freed = s.freed[:n-1]
 		delete(s.isFree, id)
-		if err := s.WritePage(id, make([]byte, s.pageSize)); err != nil {
+		if err := s.WritePage(id, s.zero); err != nil {
 			return InvalidPage, err
 		}
 		return id, nil
 	}
 	s.numPages++
 	id := PageID(s.numPages)
-	if _, err := s.f.WriteAt(make([]byte, s.pageSize), s.offset(id)); err != nil {
+	if _, err := s.f.WriteAt(s.zero, s.offset(id)); err != nil {
 		s.numPages--
 		return InvalidPage, fmt.Errorf("pager: extending file: %w", err)
 	}

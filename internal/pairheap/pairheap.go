@@ -1,34 +1,56 @@
 // Package pairheap implements a pairing heap (Fredman, Sedgewick, Sleator &
 // Tarjan), the priority-queue structure the paper chose for the memory tier
 // of its hybrid queue (§3.2, reference [13]). It supports O(1) amortized
-// insert and meld, O(log n) amortized delete-min, and arbitrary deletion and
-// key decrease through node handles — the last two are needed by the
+// insert, O(log n) amortized delete-min, and arbitrary deletion and key
+// decrease through element handles — the last two are needed by the
 // maximum-distance estimation structure Q_M of §2.2.4, which must delete
 // pairs by identity.
+//
+// Elements live in a slab: fixed-size chunks of slots linked by 32-bit slot
+// indices, freed slots chained for reuse. An insert therefore allocates
+// nothing (one chunk per chunkSize inserts while the heap grows), a removal
+// frees nothing, and the garbage collector sees a few large arrays instead
+// of one object per queued element.
 package pairheap
+
+// Handle identifies an element of a heap, for Value, Delete and
+// DecreaseKey. It is valid from the Insert that returned it until the
+// element is removed; the slot is then reused.
+type Handle int32
+
+const (
+	chunkBits = 8
+	chunkSize = 1 << chunkBits // slots per chunk: one allocation per 256 inserts
+
+	none int32 = -1
+)
+
+// slot is one heap node. prev is the left sibling, or the parent for a first
+// child; a free slot chains through next.
+type slot[T any] struct {
+	value             T
+	child, next, prev int32
+}
 
 // Heap is a pairing heap ordered by the provided less function. The zero
 // Heap is not usable; create one with New. Not safe for concurrent use.
 type Heap[T any] struct {
-	less func(a, b T) bool
-	root *Node[T]
-	size int
-}
-
-// Node is a handle to an element in the heap, usable with Delete and
-// DecreaseKey. A Node belongs to exactly one heap.
-type Node[T any] struct {
-	// Value is the element payload. The portion of the value that affects
-	// ordering must not be mutated except through DecreaseKey.
-	Value T
-
-	child, next, prev *Node[T] // prev is left sibling, or parent for first child
+	less   func(a, b T) bool
+	chunks []*[chunkSize]slot[T]
+	used   int32 // slots handed out so far, free ones included
+	free   int32 // head of the free chain
+	root   int32
+	size   int
+	pairs  []int32 // mergePairs' first-pass results, reused across calls
 }
 
 // New creates an empty heap ordered by less (a min-heap when less is "<").
 func New[T any](less func(a, b T) bool) *Heap[T] {
-	return &Heap[T]{less: less}
+	return &Heap[T]{less: less, free: none, root: none}
 }
+
+// at returns slot i.
+func (h *Heap[T]) at(i int32) *slot[T] { return &h.chunks[i>>chunkBits][i&(chunkSize-1)] }
 
 // Len returns the number of elements.
 func (h *Heap[T]) Len() int { return h.size }
@@ -36,132 +58,139 @@ func (h *Heap[T]) Len() int { return h.size }
 // Empty reports whether the heap has no elements.
 func (h *Heap[T]) Empty() bool { return h.size == 0 }
 
-// Min returns the node with the smallest value without removing it, or nil
-// when the heap is empty.
-func (h *Heap[T]) Min() *Node[T] { return h.root }
+// Min returns the smallest value without removing it. It panics on an empty
+// heap.
+func (h *Heap[T]) Min() T {
+	if h.root == none {
+		panic("pairheap: Min on empty heap")
+	}
+	return h.at(h.root).value
+}
+
+// Value returns the element behind a handle.
+func (h *Heap[T]) Value(n Handle) T { return h.at(int32(n)).value }
 
 // Insert adds value to the heap and returns its handle.
-func (h *Heap[T]) Insert(value T) *Node[T] {
-	n := &Node[T]{Value: value}
-	h.root = h.meld(h.root, n)
+func (h *Heap[T]) Insert(value T) Handle {
+	i := h.free
+	if i != none {
+		h.free = h.at(i).next
+	} else {
+		if i = h.used; int(i>>chunkBits) == len(h.chunks) {
+			h.chunks = append(h.chunks, new([chunkSize]slot[T]))
+		}
+		h.used++
+	}
+	s := h.at(i)
+	s.value, s.child, s.next, s.prev = value, none, none, none
+	h.root = h.meld(h.root, i)
 	h.size++
-	return n
+	return Handle(i)
+}
+
+// release returns a removed element's slot to the free chain, dropping its
+// value so the heap keeps nothing the caller has let go of alive.
+func (h *Heap[T]) release(i int32) T {
+	s := h.at(i)
+	v := s.value
+	*s = slot[T]{next: h.free}
+	h.free = i
+	h.size--
+	return v
 }
 
 // PopMin removes and returns the smallest value. It panics on an empty heap.
 func (h *Heap[T]) PopMin() T {
-	if h.root == nil {
+	if h.root == none {
 		panic("pairheap: PopMin on empty heap")
 	}
-	n := h.root
-	h.root = h.mergePairs(n.child)
-	if h.root != nil {
-		h.root.prev = nil
-	}
-	h.size--
-	n.child, n.next, n.prev = nil, nil, nil
-	return n.Value
+	i := h.root
+	h.root = h.mergePairs(h.at(i).child)
+	return h.release(i)
 }
 
-// Delete removes an arbitrary node from the heap. The node must belong to
-// this heap and must not have been removed already.
-func (h *Heap[T]) Delete(n *Node[T]) {
-	if n == h.root {
+// Delete removes an arbitrary element from the heap.
+func (h *Heap[T]) Delete(n Handle) {
+	i := int32(n)
+	if i == h.root {
 		h.PopMin()
 		return
 	}
-	h.cut(n)
-	sub := h.mergePairs(n.child)
-	if sub != nil {
-		sub.prev = nil
-		h.root = h.meld(h.root, sub)
-	}
-	h.size--
-	n.child, n.next, n.prev = nil, nil, nil
+	h.cut(i)
+	h.root = h.meld(h.root, h.mergePairs(h.at(i).child))
+	h.release(i)
 }
 
-// DecreaseKey restores heap order after n.Value was decreased (made to
-// compare less than, or equal to, its previous value). Increasing a key
-// through this method is invalid.
-func (h *Heap[T]) DecreaseKey(n *Node[T]) {
-	if n == h.root {
+// DecreaseKey replaces the element's value by one that compares less than
+// or equal to it and restores heap order. Increasing a key through this
+// method is invalid.
+func (h *Heap[T]) DecreaseKey(n Handle, value T) {
+	i := int32(n)
+	s := h.at(i)
+	s.value = value
+	if i == h.root {
 		return
 	}
-	h.cut(n)
-	n.prev, n.next = nil, nil
-	h.root = h.meld(h.root, n)
-}
-
-// Meld moves all elements of other into h, leaving other empty. Both heaps
-// must use compatible orderings.
-func (h *Heap[T]) Meld(other *Heap[T]) {
-	if other == nil || other.root == nil {
-		return
-	}
-	h.root = h.meld(h.root, other.root)
-	h.size += other.size
-	other.root = nil
-	other.size = 0
+	h.cut(i)
+	s.prev, s.next = none, none
+	h.root = h.meld(h.root, i)
 }
 
 // Clear removes all elements.
-func (h *Heap[T]) Clear() {
-	h.root = nil
-	h.size = 0
-}
+func (h *Heap[T]) Clear() { *h = *New(h.less) }
 
-// cut detaches n (a non-root node) from its parent's child list.
-func (h *Heap[T]) cut(n *Node[T]) {
-	if n.prev.child == n { // n is the first child; prev is the parent
-		n.prev.child = n.next
+// cut detaches i (a non-root node) from its parent's child list.
+func (h *Heap[T]) cut(i int32) {
+	s := h.at(i)
+	if p := h.at(s.prev); p.child == i { // i is the first child; prev is the parent
+		p.child = s.next
 	} else {
-		n.prev.next = n.next
+		p.next = s.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if s.next != none {
+		h.at(s.next).prev = s.prev
 	}
 }
 
 // meld links two heap roots, returning the smaller as the new root.
-func (h *Heap[T]) meld(a, b *Node[T]) *Node[T] {
-	if a == nil {
+func (h *Heap[T]) meld(a, b int32) int32 {
+	if a == none {
 		return b
 	}
-	if b == nil {
+	if b == none {
 		return a
 	}
-	if h.less(b.Value, a.Value) {
-		a, b = b, a
+	sa, sb := h.at(a), h.at(b)
+	if h.less(sb.value, sa.value) {
+		a, b, sa, sb = b, a, sb, sa
 	}
 	// b becomes the first child of a.
-	b.prev = a
-	b.next = a.child
-	if a.child != nil {
-		a.child.prev = b
+	sb.prev = a
+	sb.next = sa.child
+	if sa.child != none {
+		h.at(sa.child).prev = b
 	}
-	a.child = b
-	a.next, a.prev = nil, nil
+	sa.child = b
+	sa.next, sa.prev = none, none
 	return a
 }
 
 // mergePairs performs the two-pass pairing of a sibling list, the heart of
-// delete-min.
-func (h *Heap[T]) mergePairs(first *Node[T]) *Node[T] {
-	if first == nil {
-		return nil
+// delete-min, and returns the resulting root (detached: no parent).
+func (h *Heap[T]) mergePairs(first int32) int32 {
+	if first == none {
+		return none
 	}
 	// Pass 1: meld adjacent pairs left to right.
-	var pairs []*Node[T]
-	for n := first; n != nil; {
-		a := n
-		b := n.next
-		var rest *Node[T]
-		if b != nil {
-			rest = b.next
-		}
-		a.next, a.prev = nil, nil
-		if b != nil {
-			b.next, b.prev = nil, nil
+	pairs := h.pairs[:0]
+	for n := first; n != none; {
+		a, b, rest := n, h.at(n).next, none
+		sa := h.at(a)
+		sa.next, sa.prev = none, none
+		if b != none {
+			sb := h.at(b)
+			rest = sb.next
+			sb.next, sb.prev = none, none
 		}
 		pairs = append(pairs, h.meld(a, b))
 		n = rest
@@ -171,5 +200,6 @@ func (h *Heap[T]) mergePairs(first *Node[T]) *Node[T] {
 	for i := len(pairs) - 2; i >= 0; i-- {
 		result = h.meld(result, pairs[i])
 	}
+	h.pairs = pairs
 	return result
 }

@@ -11,9 +11,15 @@ func intHeap() *Heap[int] { return New[int](func(a, b int) bool { return a < b }
 
 func TestEmptyHeap(t *testing.T) {
 	h := intHeap()
-	if !h.Empty() || h.Len() != 0 || h.Min() != nil {
+	if !h.Empty() || h.Len() != 0 {
 		t.Fatal("fresh heap not empty")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Min on an empty heap did not panic")
+		}
+	}()
+	h.Min()
 }
 
 func TestPopMinPanicsOnEmpty(t *testing.T) {
@@ -61,14 +67,14 @@ func TestMinIsSmallest(t *testing.T) {
 	h.Insert(5)
 	h.Insert(2)
 	h.Insert(8)
-	if h.Min().Value != 2 {
-		t.Fatalf("Min = %d, want 2", h.Min().Value)
+	if h.Min() != 2 {
+		t.Fatalf("Min = %d, want 2", h.Min())
 	}
 }
 
 func TestDeleteArbitrary(t *testing.T) {
 	h := intHeap()
-	var nodes []*Node[int]
+	var nodes []Handle
 	for i := 0; i < 10; i++ {
 		nodes = append(nodes, h.Insert(i))
 	}
@@ -92,8 +98,8 @@ func TestDecreaseKey(t *testing.T) {
 	n10 := h.Insert(&item{10})
 	h.Insert(&item{5})
 	h.Insert(&item{7})
-	n10.Value.key = 1
-	h.DecreaseKey(n10)
+	h.Value(n10).key = 1
+	h.DecreaseKey(n10, h.Value(n10))
 	if got := h.PopMin().key; got != 1 {
 		t.Fatalf("PopMin after decrease = %d, want 1", got)
 	}
@@ -107,33 +113,9 @@ func TestDecreaseKeyOnRoot(t *testing.T) {
 	h := New[*item](func(a, b *item) bool { return a.key < b.key })
 	n := h.Insert(&item{3})
 	h.Insert(&item{5})
-	n.Value.key = 1
-	h.DecreaseKey(n) // no-op path
+	h.DecreaseKey(n, &item{1}) // the root stays the root
 	if got := h.PopMin().key; got != 1 {
 		t.Fatalf("PopMin = %d", got)
-	}
-}
-
-func TestMeld(t *testing.T) {
-	a, b := intHeap(), intHeap()
-	for i := 0; i < 5; i++ {
-		a.Insert(2 * i)   // 0 2 4 6 8
-		b.Insert(2*i + 1) // 1 3 5 7 9
-	}
-	a.Meld(b)
-	if a.Len() != 10 || b.Len() != 0 {
-		t.Fatalf("lens after meld: %d, %d", a.Len(), b.Len())
-	}
-	for want := 0; want < 10; want++ {
-		if got := a.PopMin(); got != want {
-			t.Fatalf("PopMin = %d, want %d", got, want)
-		}
-	}
-	// Melding nil and empty heaps is a no-op.
-	a.Meld(nil)
-	a.Meld(intHeap())
-	if a.Len() != 0 {
-		t.Fatal("meld of empty changed len")
 	}
 }
 
@@ -158,7 +140,7 @@ func TestPropHeapSort(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		type item struct{ key int }
 		h := New[*item](func(a, b *item) bool { return a.key < b.key })
-		live := make(map[*Node[*item]]bool)
+		live := make(map[Handle]bool)
 		n := 50 + rnd.Intn(200)
 		for i := 0; i < n; i++ {
 			node := h.Insert(&item{rnd.Intn(1000)})
@@ -172,11 +154,14 @@ func TestPropHeapSort(t *testing.T) {
 				}
 			case 1: // decrease a random live node
 				for v := range live {
-					v.Value.key -= rnd.Intn(100)
-					h.DecreaseKey(v)
+					h.DecreaseKey(v, &item{h.Value(v).key - rnd.Intn(100)})
 					break
 				}
 			}
+		}
+		var want []int
+		for v := range live {
+			want = append(want, h.Value(v).key)
 		}
 		var got []int
 		for !h.Empty() {
@@ -184,10 +169,6 @@ func TestPropHeapSort(t *testing.T) {
 		}
 		if len(got) != len(live) {
 			return false
-		}
-		var want []int
-		for v := range live {
-			want = append(want, v.Value.key)
 		}
 		sort.Ints(want)
 		for i := range got {

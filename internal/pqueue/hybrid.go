@@ -444,7 +444,7 @@ func (q *HybridQueue[T]) Peek() (T, bool, error) {
 			return zero, false, nil
 		}
 	}
-	return q.heap.Min().Value, true, nil
+	return q.heap.Min(), true, nil
 }
 
 // PinnedFrames reports how many of the disk tier's buffer-pool frames are

@@ -62,7 +62,7 @@ func (q *MemQueue[T]) Peek() (T, bool, error) {
 	if q.heap.Empty() {
 		return zero, false, nil
 	}
-	return q.heap.Min().Value, true, nil
+	return q.heap.Min(), true, nil
 }
 
 // Len implements Queue.

@@ -38,14 +38,14 @@ type pathStep struct {
 func (t *Tree) insertEntry(e Entry, level int, reinsertDone map[int]bool) error {
 	// Descend from the root to the target level, remembering the path.
 	var path []pathStep
-	n, err := t.ReadNode(t.root)
+	n, err := t.editNode(t.root)
 	if err != nil {
 		return err
 	}
 	for n.Level > level {
 		i := t.chooseSubtree(n, e.Rect)
 		path = append(path, pathStep{node: n, childIdx: i})
-		n, err = t.ReadNode(n.Entries[i].Child)
+		n, err = t.editNode(n.Entries[i].Child)
 		if err != nil {
 			return err
 		}

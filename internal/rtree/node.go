@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
@@ -33,11 +34,32 @@ type Entry struct {
 }
 
 // Node is the decoded form of an R-tree node page. Level 0 is the leaf
-// level.
+// level. A Node returned by Tree.ReadNode is shared and read-only; see
+// there.
 type Node struct {
 	Page    pager.PageID
 	Level   int
 	Entries []Entry
+	// Coords is the one block every entry rectangle of a decoded node
+	// sub-slices: entry i's low corner then high corner at
+	// Coords[i*2*dims : (i+1)*2*dims]. Nil for a node built entry by entry.
+	Coords []float64
+
+	derived atomic.Pointer[any]
+}
+
+// Derived returns the value build made of n the first time it was asked for.
+// An adapter that traverses the tree in a form of its own keeps that form
+// here, so it lives exactly as long as the decoded node it was built from.
+// build's result must be immutable; concurrent first calls may each build
+// one, and any of them is kept.
+func (n *Node) Derived(build func(*Node) any) any {
+	if v := n.derived.Load(); v != nil {
+		return *v
+	}
+	v := build(n)
+	n.derived.Store(&v)
+	return v
 }
 
 // Leaf reports whether the node is at the leaf level.
@@ -111,7 +133,8 @@ func encodeNode(n *Node, dims int, buf []byte) {
 	}
 }
 
-// decodeNode deserializes a node from a page image.
+// decodeNode deserializes a node from a page image: one block of
+// coordinates, one slice of entries whose rectangles point into it.
 func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 	leaf := buf[0]&flagLeaf != 0
 	level := int(buf[1])
@@ -122,28 +145,24 @@ func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 	if max := maxEntriesFor(len(buf), dims); count > max {
 		return nil, fmt.Errorf("rtree: page %d: count %d exceeds capacity %d", page, count, max)
 	}
-	n := &Node{Page: page, Level: level, Entries: make([]Entry, count)}
+	w := 2 * dims
+	n := &Node{Page: page, Level: level, Entries: make([]Entry, count), Coords: make([]float64, count*w)}
 	off := nodeHeaderSize
-	for k := 0; k < count; k++ {
-		lo := make(geom.Point, dims)
-		hi := make(geom.Point, dims)
-		for i := 0; i < dims; i++ {
-			lo[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			off += 8
-		}
-		for i := 0; i < dims; i++ {
-			hi[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+	for k := range n.Entries {
+		c := n.Coords[k*w : (k+1)*w : (k+1)*w]
+		for i := range c {
+			c[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
 		}
 		ref := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
-		e := Entry{Rect: geom.Rect{Lo: lo, Hi: hi}}
+		e := &n.Entries[k]
+		e.Rect = geom.Rect{Lo: c[:dims:dims], Hi: c[dims:]}
 		if level == 0 {
 			e.Obj = ObjID(ref)
 		} else {
 			e.Child = pager.PageID(ref)
 		}
-		n.Entries[k] = e
 	}
 	return n, nil
 }

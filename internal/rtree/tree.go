@@ -164,19 +164,47 @@ func (t *Tree) MinObjectsUnder(level int) int {
 	return n
 }
 
-// ReadNode fetches and decodes the node stored on the given page. The join
-// and nearest-neighbour algorithms traverse the tree through this method, so
-// every traversal is charged through the buffer pool.
+// ReadNode returns the node stored on the given page. The join and
+// nearest-neighbour algorithms traverse the tree through this method, so
+// every traversal is charged through the buffer pool: each call is one
+// pool access. The page is decoded once per buffer residency and the result
+// shared by every reader, on every goroutine, until the page is written,
+// dropped or evicted — so the node, its entries and their rectangles are
+// READ-ONLY, and a caller that hands a rectangle on to code it does not
+// control hands on a copy. The node stays valid for as long as it is
+// referenced.
 func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	defer t.pool.Unpin(f)
-	return decodeNode(id, t.cfg.Dims, f.Data())
+	n, _ := f.Decoded().(*Node)
+	if n == nil {
+		if n, err = decodeNode(id, t.cfg.Dims, f.Data()); err == nil {
+			f.SetDecoded(n)
+		}
+	}
+	t.pool.Unpin(f)
+	return n, err
 }
 
-// writeNode encodes the node back to its page.
+// editNode decodes a private, mutable copy of the node on the given page for
+// insertion and deletion to rearrange and hand back to writeNode.
+func (t *Tree) editNode(id pager.PageID) (*Node, error) {
+	f, err := t.pool.Get(id)
+	if err != nil {
+		return nil, err
+	}
+	n, err := decodeNode(id, t.cfg.Dims, f.Data())
+	t.pool.Unpin(f)
+	if n != nil {
+		n.Coords = nil // the entries are about to stop matching it
+	}
+	return n, err
+}
+
+// writeNode encodes the node back to its page; marking the frame dirty
+// discards the page's shared decoded form.
 func (t *Tree) writeNode(n *Node) error {
 	f, err := t.pool.Get(n.Page)
 	if err != nil {

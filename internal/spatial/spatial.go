@@ -32,7 +32,11 @@ type Index interface {
 	// NumObjects() > 0.
 	Root() (NodeRef, error)
 	// Node reads the node behind a reference produced by Root or a prior
-	// Node call.
+	// Node call. The result is READ-ONLY and may be shared: an
+	// implementation is free to hand the same node, rectangles included,
+	// to every caller on every goroutine (the R*-tree adapter does), so
+	// callers never modify it and copy any geometry they pass on to code
+	// they do not control. It stays valid for as long as it is referenced.
 	Node(ref uint64) (*IndexNode, error)
 	// MinObjectsUnder returns a guaranteed lower bound on the number of
 	// objects in the subtree of a non-root node at the given level, used
@@ -74,6 +78,11 @@ type IndexNode struct {
 	Level    int
 	Children []NodeRef   // populated for non-leaf nodes
 	Objects  []ObjectRef // populated for leaf nodes
+	// Coords, when set, is the one block all of the node's entry
+	// rectangles sub-slice: entry i's low corner then high corner at
+	// Coords[i*2*dims : (i+1)*2*dims]. The join engine then queues views of
+	// it instead of a copy of the node's coordinates per visit.
+	Coords []float64
 }
 
 // rtreeIndex adapts *rtree.Tree to SpatialIndex. R-tree levels already
@@ -96,36 +105,59 @@ func WrapRTree(t *rtree.Tree) Index {
 func (ix rtreeIndex) Dims() int       { return ix.t.Dims() }
 func (ix rtreeIndex) NumObjects() int { return ix.t.Len() }
 
-func (ix rtreeIndex) Root() (NodeRef, error) {
-	root, err := ix.t.ReadNode(ix.t.RootPage())
-	if err != nil {
-		return NodeRef{}, err
-	}
-	return NodeRef{
-		Ref:   uint64(ix.t.RootPage()),
-		Level: root.Level,
-		Rect:  root.MBR(),
-	}, nil
+// rtreeNode is the adapter's form of a decoded R-tree node, built once per
+// buffer residency of its page and kept on the decoded node: the node as the
+// engines traverse it (its rectangles are the decoded node's own) plus a
+// reference to it, which is what Root returns without recomputing the MBR.
+type rtreeNode struct {
+	IndexNode
+	self NodeRef
 }
 
-func (ix rtreeIndex) Node(ref uint64) (*IndexNode, error) {
-	n, err := ix.t.ReadNode(pager.PageID(ref))
+func (ix rtreeIndex) read(page pager.PageID) (*rtreeNode, error) {
+	n, err := ix.t.ReadNode(page)
 	if err != nil {
 		return nil, err
 	}
-	out := &IndexNode{Leaf: n.Leaf(), Level: n.Level}
+	return n.Derived(adaptRTreeNode).(*rtreeNode), nil
+}
+
+func adaptRTreeNode(n *rtree.Node) any {
+	out := &rtreeNode{
+		IndexNode: IndexNode{Leaf: n.Leaf(), Level: n.Level, Coords: n.Coords},
+		self:      NodeRef{Ref: uint64(n.Page), Level: n.Level},
+	}
+	if len(n.Entries) > 0 {
+		out.self.Rect = n.MBR()
+	}
 	if n.Leaf() {
 		out.Objects = make([]ObjectRef, len(n.Entries))
 		for i, e := range n.Entries {
 			out.Objects[i] = ObjectRef{ID: uint64(e.Obj), Rect: e.Rect}
 		}
-		return out, nil
+		return out
 	}
 	out.Children = make([]NodeRef, len(n.Entries))
 	for i, e := range n.Entries {
 		out.Children[i] = NodeRef{Ref: uint64(e.Child), Level: n.Level - 1, Rect: e.Rect}
 	}
-	return out, nil
+	return out
+}
+
+func (ix rtreeIndex) Root() (NodeRef, error) {
+	n, err := ix.read(ix.t.RootPage())
+	if err != nil {
+		return NodeRef{}, err
+	}
+	return n.self, nil
+}
+
+func (ix rtreeIndex) Node(ref uint64) (*IndexNode, error) {
+	n, err := ix.read(pager.PageID(ref))
+	if err != nil {
+		return nil, err
+	}
+	return &n.IndexNode, nil
 }
 
 func (ix rtreeIndex) MinObjectsUnder(level int) int { return ix.t.MinObjectsUnder(level) }
