@@ -110,14 +110,15 @@ func (idx *Index) InsertPoint(p Point, id ObjID) error { return idx.tree.InsertP
 func (idx *Index) Delete(r Rect, id ObjID) (bool, error) { return idx.tree.Delete(r, id) }
 
 // Search calls fn for each object whose geometry intersects query; return
-// false from fn to stop early.
+// false from fn to stop early. fn gets its own copy of the geometry (the
+// index's decoded nodes are shared with every open query).
 func (idx *Index) Search(query Rect, fn func(Rect, ObjID) bool) error {
-	return idx.tree.Search(query, func(e rtree.Entry) bool { return fn(e.Rect, e.Obj) })
+	return idx.tree.Search(query, func(e rtree.Entry) bool { return fn(e.Rect.Clone(), e.Obj) })
 }
 
-// Scan calls fn for every indexed object.
+// Scan calls fn for every indexed object, with its own copy of the geometry.
 func (idx *Index) Scan(fn func(Rect, ObjID) bool) error {
-	return idx.tree.Scan(func(e rtree.Entry) bool { return fn(e.Rect, e.Obj) })
+	return idx.tree.Scan(func(e rtree.Entry) bool { return fn(e.Rect.Clone(), e.Obj) })
 }
 
 // Len returns the number of indexed objects.

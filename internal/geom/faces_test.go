@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"distjoin/internal/racecheck"
 )
 
 // Faces returns the 2d faces of r, each as a rectangle degenerate in one
@@ -145,3 +147,24 @@ func TestFaceBoundsMatchFaces(t *testing.T) {
 		checkFaceBounds(t, a, b, mk().Lo)
 	}
 }
+
+// TestAllocBounds gates the d_max bounds at zero allocations, for points and
+// for boxes, under every metric.
+func TestAllocBounds(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	box, box2 := R(Pt(0, 0, 0), Pt(2, 3, 4)), R(Pt(5, 5, 5), Pt(6, 9, 7))
+	pt, pt2 := Pt(1, 7, 2), Pt(8, 1, 1)
+	for _, m := range []Metric{Manhattan, Euclidean, Chessboard, Lp(3), Lp(2.5)} {
+		if n := testing.AllocsPerRun(200, func() {
+			sink += m.MinMaxDist(box, box2) + m.MinMaxDist(pt.Rect(), box) + m.MinMaxDist(pt.Rect(), pt2.Rect())
+			sink += m.MinMaxDistPR(pt, box) + m.MinMaxDistPR(pt, pt2.Rect())
+			sink += m.MaxDistFace(box, -1, box2, 3) + m.MaxDistFace(box, 0, pt.Rect(), 5)
+		}); n != 0 {
+			t.Errorf("%s: the d_max bounds allocate %v times, want 0", m.Name(), n)
+		}
+	}
+}
+
+var sink float64

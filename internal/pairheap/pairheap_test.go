@@ -2,9 +2,12 @@ package pairheap
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"distjoin/internal/racecheck"
 )
 
 func intHeap() *Heap[int] { return New[int](func(a, b int) bool { return a < b }) }
@@ -192,5 +195,78 @@ func BenchmarkInsertPop(b *testing.B) {
 		if h.Len() > 1000 {
 			h.PopMin()
 		}
+	}
+}
+
+// TestSlabGrowthAndReuse drives a heap across many chunks, with deletes
+// through handles and slot reuse in between, against a sorted reference.
+func TestSlabGrowthAndReuse(t *testing.T) {
+	rnd := rand.New(rand.NewSource(7))
+	h := intHeap()
+	live := map[Handle]int{}
+	for i := 0; i < 20*chunkSize; i++ {
+		v := rnd.Intn(1 << 20)
+		live[h.Insert(v)] = v
+		if i%3 == 2 {
+			for n, v := range live { // delete an arbitrary element
+				if h.Value(n) != v {
+					t.Fatalf("handle %d holds %d, inserted %d", n, h.Value(n), v)
+				}
+				h.Delete(n)
+				delete(live, n)
+				break
+			}
+		}
+	}
+	if len(h.chunks) > 20*2/3+2 {
+		t.Errorf("%d chunks for %d live elements: freed slots are not reused", len(h.chunks), len(live))
+	}
+	want := make([]int, 0, len(live))
+	for _, v := range live {
+		want = append(want, v)
+	}
+	sort.Ints(want)
+	if h.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", h.Len(), len(want))
+	}
+	for i, w := range want {
+		if got := h.PopMin(); got != w {
+			t.Fatalf("pop %d = %d, want %d", i, got, w)
+		}
+	}
+}
+
+// TestAllocInsertPop gates the slab: an insert allocates one chunk per
+// chunkSize elements while the heap grows and nothing once slots are being
+// reused; a pop allocates nothing.
+func TestAllocInsertPop(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	type elem struct {
+		key float64
+		pad [10]uint64
+	}
+	h := New(func(a, b elem) bool { return a.key < b.key })
+	rnd := rand.New(rand.NewSource(1))
+	const n = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		h.Insert(elem{key: rnd.Float64()})
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per > 0.01 {
+		t.Errorf("Insert allocates %.4f times per element, want <= 0.01", per)
+	}
+	h.PopMin() // sizes mergePairs' scratch for the widest sibling list
+	if got := testing.AllocsPerRun(1000, func() { h.PopMin() }); got != 0 {
+		t.Errorf("PopMin allocates %v times, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() {
+		h.Insert(elem{key: rnd.Float64()})
+		h.PopMin()
+	}); got != 0 {
+		t.Errorf("Insert into a freed slot + PopMin allocate %v times, want 0", got)
 	}
 }

@@ -6,6 +6,8 @@
 package spatial
 
 import (
+	"sync/atomic"
+
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
 	"distjoin/internal/quadtree"
@@ -107,29 +109,15 @@ func (ix rtreeIndex) NumObjects() int { return ix.t.Len() }
 
 // rtreeNode is the adapter's form of a decoded R-tree node, built once per
 // buffer residency of its page and kept on the decoded node: the node as the
-// engines traverse it (its rectangles are the decoded node's own) plus a
-// reference to it, which is what Root returns without recomputing the MBR.
+// engines traverse it — its rectangles are the decoded node's own — and, once
+// a query has opened on it as the root, its bounding rectangle.
 type rtreeNode struct {
 	IndexNode
-	self NodeRef
-}
-
-func (ix rtreeIndex) read(page pager.PageID) (*rtreeNode, error) {
-	n, err := ix.t.ReadNode(page)
-	if err != nil {
-		return nil, err
-	}
-	return n.Derived(adaptRTreeNode).(*rtreeNode), nil
+	mbr atomic.Pointer[geom.Rect]
 }
 
 func adaptRTreeNode(n *rtree.Node) any {
-	out := &rtreeNode{
-		IndexNode: IndexNode{Leaf: n.Leaf(), Level: n.Level, Coords: n.Coords},
-		self:      NodeRef{Ref: uint64(n.Page), Level: n.Level},
-	}
-	if len(n.Entries) > 0 {
-		out.self.Rect = n.MBR()
-	}
+	out := &rtreeNode{IndexNode: IndexNode{Leaf: n.Leaf(), Level: n.Level, Coords: n.Coords}}
 	if n.Leaf() {
 		out.Objects = make([]ObjectRef, len(n.Entries))
 		for i, e := range n.Entries {
@@ -145,19 +133,26 @@ func adaptRTreeNode(n *rtree.Node) any {
 }
 
 func (ix rtreeIndex) Root() (NodeRef, error) {
-	n, err := ix.read(ix.t.RootPage())
+	n, err := ix.t.ReadNode(ix.t.RootPage())
 	if err != nil {
 		return NodeRef{}, err
 	}
-	return n.self, nil
+	cached := n.Derived(adaptRTreeNode).(*rtreeNode)
+	mbr := cached.mbr.Load()
+	if mbr == nil {
+		r := n.MBR()
+		mbr = &r
+		cached.mbr.Store(mbr)
+	}
+	return NodeRef{Ref: uint64(n.Page), Level: n.Level, Rect: *mbr}, nil
 }
 
 func (ix rtreeIndex) Node(ref uint64) (*IndexNode, error) {
-	n, err := ix.read(pager.PageID(ref))
+	n, err := ix.t.ReadNode(pager.PageID(ref))
 	if err != nil {
 		return nil, err
 	}
-	return &n.IndexNode, nil
+	return &n.Derived(adaptRTreeNode).(*rtreeNode).IndexNode, nil
 }
 
 func (ix rtreeIndex) MinObjectsUnder(level int) int { return ix.t.MinObjectsUnder(level) }

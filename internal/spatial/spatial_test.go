@@ -6,6 +6,7 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/quadtree"
+	"distjoin/internal/racecheck"
 	"distjoin/internal/rtree"
 )
 
@@ -115,5 +116,47 @@ func TestWrapNilReturnsNil(t *testing.T) {
 	}
 	if WrapQuadtree(nil) != nil {
 		t.Fatal("WrapQuadtree(nil) not nil")
+	}
+}
+
+// TestAllocIndexNodeResident gates the R*-tree adapter's Node and Root on a
+// resident page at zero allocations: the IndexNode and the root's MBR are
+// built once per residency and shared.
+func TestAllocIndexNodeResident(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	pts := randPts(3, 3000)
+	items := make([]rtree.Item, len(pts))
+	for i, p := range pts {
+		items[i] = rtree.Item{Rect: p.Rect(), Obj: rtree.ObjID(i)}
+	}
+	tr, err := rtree.BulkLoad(rtree.Config{Dims: 2}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	ix := WrapRTree(tr)
+	root, err := ix.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := ix.Node(root.Ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		n, err := ix.Node(root.Ref)
+		if err != nil || n != first {
+			t.Fatal("resident node not shared", err)
+		}
+		if _, err := ix.Root(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Node + Root on a resident page allocate %v times, want 0", n)
+	}
+	if len(first.Coords) == 0 || &first.Children[0].Rect.Lo[0] != &first.Coords[0] {
+		t.Error("the adapter's rectangles are not views of the node's coordinate block")
 	}
 }
