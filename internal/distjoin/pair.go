@@ -127,12 +127,25 @@ type pairCodec struct {
 	dims int
 	// spare is the unused rest of the block Decode last cut coordinate
 	// runs from: a reloaded pair's geometry comes out of a block shared by
-	// decodeBatch pairs, not out of slices of its own.
+	// decodeBatch pairs — a bucket's pairs are reloaded together and popped
+	// together — not out of slices of its own.
 	spare []float64
 }
 
 // decodeBatch is how many decoded pairs share one coordinate block.
 const decodeBatch = 64
+
+// Own implements pqueue.Owner: the pair with its coordinates copied out of
+// the index nodes they view into one small block of its own. The pairs that
+// rest in the hybrid queue's memory tiers are few and die one by one; views
+// would each keep a whole node block alive (and a shared block its 63
+// neighbours), several times the bytes of the tiers themselves.
+func (c *pairCodec) Own(p qpair) qpair {
+	w := 2 * c.dims
+	co := append(append(make([]float64, 0, 2*w), p.i1.c...), p.i2.c...)
+	p.i1.c, p.i2.c = co[:w:w], co[w:]
+	return p
+}
 
 const pairHeaderSize = 8 + 4 + 4 + 8 + 8
 

@@ -25,6 +25,16 @@ type Codec[T any] interface {
 	Decode(src []byte) T
 }
 
+// Owner is optionally implemented by a Codec whose elements may hold views
+// of memory they share with other structures (the join's pairs view blocks of
+// index-node coordinates). The queue passes every element it keeps in memory
+// rather than spills through Own, which returns it holding its own copy: the
+// memory tiers of a queue that exists to be small then pin nothing but
+// themselves.
+type Owner[T any] interface {
+	Own(v T) T
+}
+
 // HybridConfig configures a HybridQueue.
 type HybridConfig struct {
 	// DT is the fixed distance increment of the paper's scheme: the heap
@@ -65,6 +75,7 @@ type HybridQueue[T any] struct {
 	less  func(a, b T) bool
 	key   func(T) float64
 	codec Codec[T]
+	own   func(T) T // the codec's Own, or nil
 	cfg   HybridConfig
 
 	heap *pairheap.Heap[T]
@@ -172,6 +183,9 @@ func NewHybridQueue[T any](less func(a, b T) bool, key func(T) float64, codec Co
 		perPage: (cfg.PageSize - bucketHeaderSize) / codec.Size(),
 		m:       cfg.Meter,
 	}
+	if o, ok := codec.(Owner[T]); ok {
+		q.own = o.Own
+	}
 	if !cfg.Adaptive {
 		q.d1 = cfg.DT
 		q.d2 = 2 * cfg.DT
@@ -217,13 +231,16 @@ func (q *HybridQueue[T]) fail(err error) error {
 
 // place routes an element to the tier covering its distance.
 func (q *HybridQueue[T]) place(v T, d float64) error {
-	switch {
-	case d < q.d1:
-		q.heap.Insert(v)
-	case d < q.d2:
-		q.list = append(q.list, v)
-	default:
+	if d >= q.d2 {
 		return q.spill(v, d)
+	}
+	if q.own != nil {
+		v = q.own(v)
+	}
+	if d < q.d1 {
+		q.heap.Insert(v)
+	} else {
+		q.list = append(q.list, v)
 	}
 	return nil
 }
