@@ -790,7 +790,7 @@ func (e *engine) report(p qpair) (Pair, bool) {
 	// the index shares: the caller gets copies, both in one block of its
 	// own.
 	w := len(p.i1.c)
-	c := append(append(make([]float64, 0, 2*w), p.i1.c...), p.i2.c...)
+	c := concat(p.i1.c, p.i2.c)
 	return Pair{
 		Obj1:  rtree.ObjID(p.i1.ref),
 		Obj2:  rtree.ObjID(p.i2.ref),

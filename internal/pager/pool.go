@@ -206,14 +206,16 @@ func (p *Pool) Allocate() (*Frame, error) {
 		_ = p.store.Free(id)
 		return nil, err
 	}
+	clear(f.data)
 	f.dirty = true
 	return f, nil
 }
 
-// admit finds a frame for id and pins it, its data zeroed: a freed frame
-// first, then — at capacity — the least recently used one, evicted, and a
-// new one only while the pool is still filling. In steady state the pool
-// therefore allocates nothing per miss.
+// admit finds a frame for id and pins it: a freed frame first, then — at
+// capacity — the least recently used one, evicted, and a new one only while
+// the pool is still filling. In steady state the pool therefore allocates
+// nothing per miss. The frame's data is whatever its last page left: Get
+// reads over it, Allocate clears it.
 func (p *Pool) admit(id PageID) (*Frame, error) {
 	f := p.free
 	switch {
@@ -238,7 +240,6 @@ func (p *Pool) admit(id PageID) (*Frame, error) {
 	default:
 		f = &Frame{data: make([]byte, p.store.PageSize())}
 	}
-	clear(f.data)
 	f.id, f.pins = id, 1
 	p.frames[id] = f
 	return f, nil

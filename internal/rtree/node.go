@@ -40,9 +40,10 @@ type Node struct {
 	Page    pager.PageID
 	Level   int
 	Entries []Entry
-	// Coords is the one block every entry rectangle of a decoded node
-	// sub-slices: entry i's low corner then high corner at
-	// Coords[i*2*dims : (i+1)*2*dims]. Nil for a node built entry by entry.
+	// Coords is the one block every entry rectangle of a node ReadNode
+	// returned sub-slices: entry i's low corner then high corner at
+	// Coords[i*2*dims : (i+1)*2*dims]. It means nothing on a node built or
+	// rearranged by insertion, deletion or bulk load.
 	Coords []float64
 
 	derived atomic.Pointer[any]

@@ -197,9 +197,6 @@ func (t *Tree) editNode(id pager.PageID) (*Node, error) {
 	}
 	n, err := decodeNode(id, t.cfg.Dims, f.Data())
 	t.pool.Unpin(f)
-	if n != nil {
-		n.Coords = nil // the entries are about to stop matching it
-	}
 	return n, err
 }
 
