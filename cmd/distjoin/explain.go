@@ -100,7 +100,7 @@ func printSpan(w io.Writer, sp *distjoin.QuerySpan, depth int, wall float64) {
 func printExplain(w io.Writer, d *explainDoc) {
 	qt := d.Trace
 	fmt.Fprintf(w, "=== EXPLAIN ANALYZE: %s %s ===\n", qt.Kind, qt.ID)
-	fmt.Fprintf(w, "wall %.4fs, phase coverage %.1f%%\n", qt.WallSeconds, qt.Coverage*100)
+	fmt.Fprintf(w, "wall %.4fs (caller %.4fs between Next calls), phase coverage %.1f%%\n", qt.WallSeconds, qt.CallerSeconds, qt.Coverage*100)
 	fmt.Fprintf(w, "%-24s %12s %8s %12s\n", "span", "seconds", "%wall", "count")
 	printSpan(w, &qt.Root, 0, qt.WallSeconds)
 	r := qt.Resources

@@ -1029,8 +1029,7 @@ func (e *engine) batchMinDist(query geom.Rect, items []item) []float64 {
 // appendNodeItems converts a node's entries into queue items, appending to
 // buf. Callers pass a per-engine scratch buffer so steady-state expansions
 // allocate nothing; the partitioner passes nil to build fresh slices. The
-// items view the node's coordinate block; a node that comes without one (an
-// index that builds its nodes per visit) gets one laid out here.
+// items view the node's coordinate block.
 func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
 	count := len(n.Children)
 	if n.Leaf {
@@ -1039,16 +1038,9 @@ func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
 	if count == 0 {
 		return buf
 	}
-	coords := n.Coords
-	if coords == nil {
-		for i := 0; i < count; i++ {
-			r := entryRect(n, i)
-			coords = append(append(coords, r.Lo...), r.Hi...)
-		}
-	}
-	w := len(coords) / count
+	w := len(n.Coords) / count
 	for i := 0; i < count; i++ {
-		it := item{c: coords[i*w : (i+1)*w : (i+1)*w], kind: leafKind, level: -1}
+		it := item{c: n.Coords[i*w : (i+1)*w : (i+1)*w], kind: leafKind, level: -1}
 		if n.Leaf {
 			it.ref = n.Objects[i].ID
 		} else {
@@ -1057,14 +1049,6 @@ func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
 		buf = append(buf, it)
 	}
 	return buf
-}
-
-// entryRect returns the rectangle of a node's i-th entry.
-func entryRect(n *IndexNode, i int) geom.Rect {
-	if n.Leaf {
-		return n.Objects[i].Rect
-	}
-	return n.Children[i].Rect
 }
 
 // expandBoth processes both nodes of a node/node pair simultaneously

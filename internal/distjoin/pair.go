@@ -63,10 +63,7 @@ func concat(a, b []float64) []float64 {
 func (it item) isNode() bool { return it.kind == kindNode }
 
 // rect returns the item's rectangle, a view of its coordinates.
-func (it item) rect() geom.Rect {
-	d := len(it.c) / 2
-	return geom.Rect{Lo: it.c[:d:d], Hi: it.c[d:]}
-}
+func (it item) rect() geom.Rect { return geom.RectOf(it.c) }
 
 // lo0 and hi0 are the item's extent along axis 0, the plane sweep's axis.
 func (it item) lo0() float64 { return it.c[0] }

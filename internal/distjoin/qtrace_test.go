@@ -107,11 +107,7 @@ func TestQueryTraceSequential(t *testing.T) {
 // includes the blocking waits that dominate the coordinator's wall time).
 func TestQueryTraceParallel(t *testing.T) {
 	tr := qtrace.New(qtrace.Config{})
-	// A bounded drain: what the span tree cannot explain is the caller's own
-	// loop between Next calls (~0.1 µs each). Draining all 90,000 pairs of
-	// this small input, at the under 2 µs a pair the engine needs since
-	// PR 18, would make that loop 5 % of the wall by itself.
-	qt, sp, c := drainTraced(t, tr, Options{Parallelism: 2, MaxPairs: 5000})
+	qt, sp, c := drainTraced(t, tr, Options{Parallelism: 2})
 	s := c.Snapshot()
 
 	if qt.Workers < 2 {

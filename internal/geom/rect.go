@@ -26,6 +26,14 @@ func R(lo, hi Point) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
+// RectOf returns the rectangle stored as one run of coordinates, low corner
+// then high corner: the layout of a decoded index node's coordinate block.
+// The result is a view of run, not a copy.
+func RectOf(run []float64) Rect {
+	d := len(run) / 2
+	return Rect{Lo: run[:d:d], Hi: run[d:]}
+}
+
 // Dim returns the dimensionality of r.
 func (r Rect) Dim() int { return len(r.Lo) }
 

@@ -55,7 +55,8 @@ const (
 	PhaseMerge  = profile.PhaseMerge
 	PhaseEmit   = profile.PhaseEmit
 
-	// idle is the meter's phase outside any bracket; its time is dropped.
+	// idle is the meter's phase outside any bracket. Idle time between two
+	// steps is the caller's (Meter.away); the rest is dropped.
 	idle = Phase(profile.NumPhases)
 )
 
@@ -176,6 +177,8 @@ type Meter struct {
 	phase   Phase // the bracket the engine is in; idle between steps
 	entered int64 // when phase was entered, in ns since the run's epoch
 	step    int64 // when the current step began, likewise
+	ended   int64 // when the last step ended, likewise; 0 before the first
+	away    int64 // ns between one step's end and the next one's start
 }
 
 // enter switches the running phase, charging the elapsed time to the phase
@@ -193,9 +196,11 @@ func (m *Meter) enter(p Phase) Phase {
 }
 
 // Begin opens a bracket of phase p nested in the running phase, whose
-// clock stops until the matching End(prev).
+// clock stops until the matching End(prev). Outside a step nothing is
+// timed: the only work there is seeding the queue at construction, which
+// the trace's plan span already covers.
 func (m *Meter) Begin(p Phase) (prev Phase) {
-	if m == nil || !m.timed {
+	if m == nil || !m.timed || m.phase == idle {
 		return idle
 	}
 	return m.enter(p)
@@ -203,7 +208,7 @@ func (m *Meter) Begin(p Phase) (prev Phase) {
 
 // End closes the bracket Begin opened, resuming phase prev.
 func (m *Meter) End(prev Phase) {
-	if m != nil && m.timed {
+	if m != nil && m.timed && m.phase != idle {
 		m.enter(prev)
 	}
 }
@@ -217,6 +222,9 @@ func (m *Meter) BeginStep(p Phase) {
 	case m.timed:
 		m.enter(p)
 		m.step = m.entered
+		if m.ended != 0 {
+			m.away += m.step - m.ended
+		}
 	default:
 		m.step = int64(since(m.run.epoch))
 	}
@@ -237,6 +245,7 @@ func (m *Meter) EndStep(p Phase) {
 	}
 	if m.timed {
 		m.enter(idle)
+		m.ended = m.entered
 	}
 }
 
@@ -274,6 +283,11 @@ func (m *Meter) Close(pairs int64) {
 	}
 	m.fold()
 	t := m.tally()
+	if !m.atClose {
+		// The sequential engine and the merge are stepped by the caller's
+		// Next calls; a partition worker's gaps are channel waits instead.
+		m.run.q.AddCaller(m.away)
+	}
 	if m.merge {
 		m.run.q.AddMerge(t.NS[PhaseMerge], t.Counts[PhaseMerge])
 		return

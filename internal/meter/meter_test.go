@@ -151,6 +151,32 @@ func TestPhasesAreExclusive(t *testing.T) {
 	}
 }
 
+// TestCallerTimeIsNotTheQuerys pins what the trace does with the time
+// between two Next calls: it is reported as caller_seconds, not as a phase
+// (TestQueryTraceParallel pins that coverage leaves it out), and a bracket
+// opened before the first step (queue seeding, inside the plan span) is not
+// timed a second time.
+func TestCallerTimeIsNotTheQuerys(t *testing.T) {
+	tr := qtrace.New(qtrace.Config{})
+	run := Begin(Sinks{Tracer: tr}, "join")
+	m := run.Meter(-1)
+	fakeClock(t, time.Microsecond)
+	m.End(m.Begin(PhasePush)) // seeding: no clock read
+	run.PlanDone()
+	everyHook(m) // reads 1..12
+	everyHook(m) // reads 13..24: the caller held the iterator from 12 to 13
+	m.Close(2)
+	run.Finish(nil)
+
+	qt := tr.Traces()[0]
+	if got := time.Duration(qt.CallerSeconds * 1e9).Round(time.Nanosecond); got != time.Microsecond {
+		t.Errorf("caller time = %v, want the 1µs between the two steps", got)
+	}
+	if w := qt.Root.Find("worker"); time.Duration(w.Seconds*1e9).Round(time.Nanosecond) != 22*time.Microsecond {
+		t.Errorf("worker span = %vs, want the 22µs of the two steps", w.Seconds)
+	}
+}
+
 // TestFoldRule pins when views see a meter: the sequential engine's and the
 // merge's after every step, a partition worker's only once it closes, and a
 // cancellation at once.

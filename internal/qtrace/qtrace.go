@@ -326,7 +326,10 @@ type Query struct {
 	planNS  int64
 	mergeNS int64 // the parallel merge's bracket time…
 	merges  int64 // …and bracket count
-	workers []Worker
+	// callerNS is the time between the end of one Next call and the start
+	// of the next: the caller's own, not the query's.
+	callerNS int64
+	workers  []Worker
 	// nodeIO holds the pool-owned columns (NodeReads, NodeWrites,
 	// BufferHits) of the run's Counters view: the engines never see a
 	// buffer pool's hits and misses, so these are not in any Worker.
@@ -378,6 +381,17 @@ func (q *Query) AddMerge(ns, brackets int64) {
 	q.mu.Lock()
 	q.mergeNS += ns
 	q.merges += brackets
+	q.mu.Unlock()
+}
+
+// AddCaller lands the time the caller-driven engine (the sequential engine,
+// or the parallel merge) sat between two Next calls.
+func (q *Query) AddCaller(ns int64) {
+	if q == nil {
+		return
+	}
+	q.mu.Lock()
+	q.callerNS += ns
 	q.mu.Unlock()
 }
 
@@ -434,6 +448,7 @@ func (q *Query) Finish(err error) *QueryTrace {
 		qt.Restarted = qt.Restarted || q.workers[i].Counts.Restarts > 0
 	}
 	qt.Resources = q.resources()
+	qt.CallerSeconds = time.Duration(q.callerNS).Seconds()
 	qt.Coverage = q.coverage(wall)
 	q.tr.complete(qt)
 	return qt
@@ -508,13 +523,16 @@ func (w *Worker) span() Span {
 	return ws
 }
 
-// coverage computes the fraction of query wall time the span accounting
-// explains. On the sequential path the single worker's disjoint phases plus
-// the plan span should cover nearly everything; on the parallel path the
-// workers run concurrently with the merge, so the merge bracket (which
-// includes its blocking waits) stands in for them.
+// coverage computes the fraction of the query's own time the span
+// accounting explains: wall time less the time the caller spent between
+// Next calls, which no span of the query can or should claim. On the
+// sequential path the single worker's disjoint phases plus the plan span
+// should cover nearly everything; on the parallel path the workers run
+// concurrently with the merge, so the merge bracket (which includes its
+// blocking waits) stands in for them.
 func (q *Query) coverage(wall time.Duration) float64 {
-	if wall <= 0 {
+	own := wall.Nanoseconds() - q.callerNS
+	if own <= 0 {
 		return 0
 	}
 	covered := q.planNS
@@ -523,7 +541,7 @@ func (q *Query) coverage(wall time.Duration) float64 {
 	} else if len(q.workers) == 1 {
 		covered += q.workers[0].Tally.TotalNS()
 	}
-	return float64(covered) / float64(wall.Nanoseconds())
+	return float64(covered) / float64(own)
 }
 
 // resources sums the query's resource accounting from its engines' own
@@ -571,6 +589,10 @@ type QueryTrace struct {
 	TraceFlags   int     `json:"trace_flags,omitempty"`
 	StartTime    string  `json:"start_time"`
 	WallSeconds  float64 `json:"wall_seconds"`
+	// CallerSeconds is the part of WallSeconds that passed between the end
+	// of one Next call and the start of the next: the caller's loop, or a
+	// server cursor waiting for its next pull. It is not the query's time.
+	CallerSeconds float64 `json:"caller_seconds"`
 	// Workers is the number of engines the run used: 1 on the sequential
 	// path, the partition count on the parallel path.
 	Workers int `json:"workers"`
@@ -579,7 +601,8 @@ type QueryTrace struct {
 	Error string `json:"error,omitempty"`
 	// Restarted reports whether any engine used the §2.2.4 restart.
 	Restarted bool `json:"restarted,omitempty"`
-	// Coverage is the fraction of wall time the span tree explains.
+	// Coverage is the fraction of the query's own time, WallSeconds less
+	// CallerSeconds, that the span tree explains.
 	Coverage  float64   `json:"phase_coverage"`
 	Root      Span      `json:"root"`
 	Resources Resources `json:"resources"`

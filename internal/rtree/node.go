@@ -158,7 +158,7 @@ func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 		ref := binary.LittleEndian.Uint64(buf[off:])
 		off += 8
 		e := &n.Entries[k]
-		e.Rect = geom.Rect{Lo: c[:dims:dims], Hi: c[dims:]}
+		e.Rect = geom.RectOf(c)
 		if level == 0 {
 			e.Obj = ObjID(ref)
 		} else {

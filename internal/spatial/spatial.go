@@ -6,8 +6,6 @@
 package spatial
 
 import (
-	"sync/atomic"
-
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
 	"distjoin/internal/quadtree"
@@ -80,10 +78,10 @@ type IndexNode struct {
 	Level    int
 	Children []NodeRef   // populated for non-leaf nodes
 	Objects  []ObjectRef // populated for leaf nodes
-	// Coords, when set, is the one block all of the node's entry
-	// rectangles sub-slice: entry i's low corner then high corner at
-	// Coords[i*2*dims : (i+1)*2*dims]. The join engine then queues views of
-	// it instead of a copy of the node's coordinates per visit.
+	// Coords is the one block all of the node's entry rectangles
+	// sub-slice: entry i's low corner then high corner (geom.RectOf) at
+	// Coords[i*2*dims : (i+1)*2*dims]. The join engine queues views of it
+	// instead of a copy of the node's coordinates per visit.
 	Coords []float64
 }
 
@@ -109,15 +107,18 @@ func (ix rtreeIndex) NumObjects() int { return ix.t.Len() }
 
 // rtreeNode is the adapter's form of a decoded R-tree node, built once per
 // buffer residency of its page and kept on the decoded node: the node as the
-// engines traverse it — its rectangles are the decoded node's own — and, once
-// a query has opened on it as the root, its bounding rectangle.
+// engines traverse it — its rectangles are the decoded node's own — and its
+// bounding rectangle, which a query opening on it as the root asks for.
 type rtreeNode struct {
 	IndexNode
-	mbr atomic.Pointer[geom.Rect]
+	mbr geom.Rect // zero for an empty root
 }
 
 func adaptRTreeNode(n *rtree.Node) any {
 	out := &rtreeNode{IndexNode: IndexNode{Leaf: n.Leaf(), Level: n.Level, Coords: n.Coords}}
+	if len(n.Entries) > 0 {
+		out.mbr = n.MBR()
+	}
 	if n.Leaf() {
 		out.Objects = make([]ObjectRef, len(n.Entries))
 		for i, e := range n.Entries {
@@ -137,14 +138,7 @@ func (ix rtreeIndex) Root() (NodeRef, error) {
 	if err != nil {
 		return NodeRef{}, err
 	}
-	cached := n.Derived(adaptRTreeNode).(*rtreeNode)
-	mbr := cached.mbr.Load()
-	if mbr == nil {
-		r := n.MBR()
-		mbr = &r
-		cached.mbr.Store(mbr)
-	}
-	return NodeRef{Ref: uint64(n.Page), Level: n.Level, Rect: *mbr}, nil
+	return NodeRef{Ref: uint64(n.Page), Level: n.Level, Rect: n.Derived(adaptRTreeNode).(*rtreeNode).mbr}, nil
 }
 
 func (ix rtreeIndex) Node(ref uint64) (*IndexNode, error) {
@@ -196,17 +190,25 @@ func (ix quadIndex) Node(ref uint64) (*IndexNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &IndexNode{Leaf: n.Leaf, Level: n.Level}
+	d := ix.t.Dims()
+	out := &IndexNode{Leaf: n.Leaf, Level: n.Level, Coords: make([]float64, (len(n.Points)+len(n.Children))*2*d)}
+	// entry lays rectangle r out as run i of the block and returns the view.
+	entry := func(i int, r geom.Rect) geom.Rect {
+		run := out.Coords[i*2*d : (i+1)*2*d : (i+1)*2*d]
+		copy(run, r.Lo)
+		copy(run[d:], r.Hi)
+		return geom.RectOf(run)
+	}
 	if n.Leaf {
 		out.Objects = make([]ObjectRef, len(n.Points))
 		for i, p := range n.Points {
-			out.Objects[i] = ObjectRef{ID: p.ID, Rect: p.P.Rect()}
+			out.Objects[i] = ObjectRef{ID: p.ID, Rect: entry(i, p.P.Rect())}
 		}
 		return out, nil
 	}
 	out.Children = make([]NodeRef, len(n.Children))
 	for i, c := range n.Children {
-		out.Children[i] = NodeRef{Ref: uint64(c.ID), Level: c.Level, Rect: c.Rect}
+		out.Children[i] = NodeRef{Ref: uint64(c.ID), Level: c.Level, Rect: entry(i, c.Rect)}
 	}
 	return out, nil
 }

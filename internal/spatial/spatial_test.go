@@ -23,8 +23,9 @@ func randPts(seed int64, n int) []geom.Point {
 // contract every engine relies on: children sit at strictly smaller levels,
 // child regions are covered by their parent entries' rectangles (for
 // data-partitioning trees the entry rect IS the subtree MBR; for
-// space-partitioning trees the region contains the subtree), and every
-// object is reachable exactly once.
+// space-partitioning trees the region contains the subtree), every node's
+// Coords block holds its entries' rectangles in order, and every object is
+// reachable exactly once.
 func checkContract(t *testing.T, ix Index, wantObjects int) {
 	t.Helper()
 	root, err := ix.Root()
@@ -37,6 +38,17 @@ func checkContract(t *testing.T, ix Index, wantObjects int) {
 		n, err := ix.Node(ref.Ref)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The join engine queues views of Coords: run i is entry i's rectangle.
+		w, count := 2*ix.Dims(), len(n.Objects)+len(n.Children)
+		if len(n.Coords) != count*w {
+			t.Fatalf("node %d: %d coordinates for %d entries of width %d", ref.Ref, len(n.Coords), count, w)
+		}
+		for i := 0; i < count; i++ {
+			r := geom.RectOf(n.Coords[i*w : (i+1)*w])
+			if n.Leaf && !r.Equal(n.Objects[i].Rect) || !n.Leaf && !r.Equal(n.Children[i].Rect) {
+				t.Fatalf("node %d: run %d of Coords is %v, not the entry's rectangle", ref.Ref, i, r)
+			}
 		}
 		if n.Leaf {
 			for _, o := range n.Objects {
