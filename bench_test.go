@@ -267,9 +267,8 @@ func TestNilRecorderZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		rec.Emit(-1, 1.0, 3, time.Time{})
 		rec.Deliver(2.0)
-		rec.Expand(-1, 0.5, 1)
-		rec.Spill(-1, 4.0, 1, 1)
-		rec.Event(distjoin.EvMergeStall, 0, 0)
+		rec.EngineStarted()
+		rec.EngineStopped()
 		rec.Counts().Merge(nil)
 	})
 	if allocs != 0 {

@@ -8,7 +8,7 @@
 //	         [-metric euclidean|manhattan|chessboard] [-reverse] [-parallel n]
 //	         [-queue memory|hybrid] [-queue-dt d] [-retries n] [-retry-backoff 1ms]
 //	         [-timeout d]
-//	         [-stats] [-stats-json] [-trace file] [-metrics-addr :8090]
+//	         [-stats] [-stats-json] [-metrics-addr :8090]
 //	         [-progress] [-linger 30s] [-explain] [-explain-json]
 //	         [-flightrec n] [-slowlog file] [-slow-wall d] [-slow-nodeio n]
 //	         [-slow-distcalcs n] [-query-id id]
@@ -18,12 +18,10 @@
 // to see the incremental behaviour: the first pairs appear long before a
 // full join could complete.
 //
-// Observability: -trace writes a JSONL event trace (see the Observability
-// section of DESIGN.md for the schema), -metrics-addr serves live
-// Prometheus metrics on /metrics plus pprof under /debug/,
-// -progress keeps a one-line frontier/ETA display on stderr, and
-// -stats-json prints the final performance counters as one JSON object on
-// stdout after the pair stream. -linger keeps the metrics endpoint up for
+// Observability: -metrics-addr serves live Prometheus metrics on /metrics
+// plus pprof under /debug/, -progress keeps a one-line frontier/ETA display
+// on stderr, and -stats-json prints the final performance counters as one
+// JSON object on stdout after the pair stream. -linger keeps the metrics endpoint up for
 // the given duration after the join completes, so short runs can still be
 // scraped.
 //
@@ -34,7 +32,7 @@
 // JSONL file; -slow-wall, -slow-nodeio and -slow-distcalcs set the
 // thresholds (no thresholds = every query is logged). -query-id names the
 // run's trace; otherwise the tracer assigns a sequential ID. See DESIGN.md
-// §8 for the trace schema and the metric/span/event reference.
+// §8 for the trace schema and the metric/span reference.
 //
 // Profiling: -explain prints an EXPLAIN ANALYZE table on stderr when the
 // run finishes — the run's query trace (span tree with wall time attributed
@@ -79,7 +77,6 @@ type cliOptions struct {
 	timeout      time.Duration
 	showStats    bool
 	statsJSON    bool
-	tracePath    string
 	metricsAddr  string
 	progress     bool
 	linger       time.Duration
@@ -114,7 +111,6 @@ func main() {
 	flag.DurationVar(&o.timeout, "timeout", 0, "wall-time budget for the whole run; the pairs delivered before it lapses are a correct closest-first prefix (0 = unlimited)")
 	flag.BoolVar(&o.showStats, "stats", false, "print performance counters to stderr when done")
 	flag.BoolVar(&o.statsJSON, "stats-json", false, "print the final performance counters as JSON on stdout after the pairs")
-	flag.StringVar(&o.tracePath, "trace", "", "write a JSONL event trace to this file")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/queries and /debug/pprof on this address")
 	flag.BoolVar(&o.progress, "progress", false, "show a live frontier/ETA line on stderr")
 	flag.DurationVar(&o.linger, "linger", 0, "keep the metrics endpoint up this long after the join completes")
@@ -207,19 +203,9 @@ func run(o cliOptions) error {
 
 	c := &distjoin.Stats{}
 	var rec *distjoin.Recorder
-	var traceFile *os.File
 	explain := o.explain || o.explainJSON
-	if o.tracePath != "" || o.metricsAddr != "" || o.progress || explain {
-		cfg := distjoin.ObsConfig{}
-		if o.tracePath != "" {
-			traceFile, err = os.Create(o.tracePath)
-			if err != nil {
-				return err
-			}
-			defer traceFile.Close()
-			cfg.Trace = traceFile
-		}
-		rec = distjoin.NewRecorder(cfg)
+	if o.metricsAddr != "" || o.progress || explain {
+		rec = distjoin.NewRecorder(distjoin.ObsConfig{})
 	}
 	a.SetObserver(rec, c)
 	b.SetObserver(rec, c)
@@ -343,9 +329,6 @@ func run(o cliOptions) error {
 	// Closing the iterator lands the run's query trace in the tracer.
 	if err := closeFn(); err != nil {
 		return err
-	}
-	if err := rec.Close(); err != nil {
-		return fmt.Errorf("flushing trace: %w", err)
 	}
 	// With a flight recorder but no metrics endpoint to curl, dump the
 	// run's trace to stderr so it is not lost with the process.

@@ -3,7 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -152,82 +155,79 @@ func TestRunStatsJSON(t *testing.T) {
 	}
 }
 
-// TestRunTrace asserts the -trace flag writes a parseable JSONL trace whose
-// deliver events match the printed pairs.
-func TestRunTrace(t *testing.T) {
-	a := writeCSV(t, 11, 40)
-	b := writeCSV(t, 12, 50)
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	out, err := captureStdout(t, func() error {
-		return run(cliOptions{fileA: a, fileB: b, k: 9, metricName: "euclidean", tracePath: tracePath})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := countLines(out); lines != 9 {
-		t.Fatalf("printed %d pairs, want 9", lines)
-	}
-	f, err := os.Open(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := distjoin.ReadTrace(f)
-	if err != nil {
-		t.Fatalf("trace does not parse: %v", err)
-	}
-	delivers := 0
-	for _, ev := range events {
-		if ev.Type == distjoin.EvDeliver {
-			delivers++
-		}
-	}
-	if delivers != 9 {
-		t.Errorf("trace has %d deliver events, want 9", delivers)
-	}
-	if _, _, ok := distjoin.TimeToKth(events, 9); !ok {
-		t.Error("TimeToKth(9) not found in trace")
-	}
-}
-
 // TestRunParallelWithObservability exercises the parallel path with a
-// recorder attached (merge deliveries, per-partition emits).
+// recorder attached: the merged stream is the sequential run's output, and
+// the /metrics endpoint, scraped while -linger holds it up, counts every
+// delivered pair once and every partition's emissions.
 func TestRunParallelWithObservability(t *testing.T) {
 	a := writeCSV(t, 13, 200)
 	b := writeCSV(t, 14, 200)
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	out, err := captureStdout(t, func() error {
-		return run(cliOptions{fileA: a, fileB: b, k: 25, parallel: 3, metricName: "euclidean", tracePath: tracePath})
+	const k = 25
+	want, err := captureStdout(t, func() error {
+		return run(cliOptions{fileA: a, fileB: b, k: k, metricName: "euclidean"})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lines := countLines(out); lines != 25 {
-		t.Fatalf("printed %d pairs, want 25", lines)
-	}
-	f, err := os.Open(tracePath)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	events, err := distjoin.ReadTrace(f)
+	addr := ln.Addr().String()
+	ln.Close()
+	done := make(chan struct{})
+	scraped := make(chan string, 1)
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			resp, err := http.Get("http://" + addr + "/metrics")
+			if err != nil {
+				continue
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if strings.Contains(string(body), fmt.Sprintf("distjoin_pairs_delivered_total %d\n", k)) {
+				scraped <- string(body)
+				return
+			}
+		}
+	}()
+	out, err := captureStdout(t, func() error {
+		return run(cliOptions{fileA: a, fileB: b, k: k, parallel: 3, metricName: "euclidean",
+			metricsAddr: addr, linger: time.Second})
+	})
+	close(done)
 	if err != nil {
-		t.Fatalf("trace does not parse: %v", err)
+		t.Fatal(err)
 	}
-	delivers, emits := 0, 0
-	for _, ev := range events {
-		if ev.Type == distjoin.EvDeliver {
-			delivers++
+	if out != want {
+		t.Fatalf("parallel output differs from sequential:\n%s\nwant:\n%s", out, want)
+	}
+	if countLines(out) != k {
+		t.Fatalf("printed %d pairs, want %d", countLines(out), k)
+	}
+	body, ok := <-scraped
+	if !ok {
+		t.Fatalf("never scraped pairs_delivered_total = %d from %s", k, addr)
+	}
+	emits := 0
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "distjoin_partition_pairs_emitted{") {
+			var n int
+			if _, err := fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &n); err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			emits += n
 		}
-		if ev.Type == distjoin.EvEmit && ev.Part >= 0 {
-			emits++
-		}
 	}
-	if delivers != 25 {
-		t.Errorf("trace has %d deliver events, want 25", delivers)
-	}
-	if emits < 25 {
-		t.Errorf("trace has %d partition emit events, want >= 25", emits)
+	if emits < k {
+		t.Errorf("partitions emitted %d pairs, want >= %d:\n%s", emits, k, body)
 	}
 }
 

@@ -57,6 +57,9 @@ type repeatable []string
 func (r *repeatable) String() string     { return strings.Join(*r, ",") }
 func (r *repeatable) Set(v string) error { *r = append(*r, v); return nil }
 
+// otlpFlushWindow bounds the final span-export flush during shutdown.
+const otlpFlushWindow = 5 * time.Second
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stderr))
 }
@@ -77,13 +80,10 @@ func run(args []string, errw *os.File) int {
 		maxBatch             = fs.Int("max-batch", 0, "largest k honoured by one next/stream pull (0 = default)")
 		flightRec            = fs.Int("flightrec", 256, "flight-recorder size: retain the last N query traces at /debug/queries")
 		slowLogPath          = fs.String("slowlog", "", "write slow-query traces to this file as JSONL (size-capped, rotated)")
-		slowLogMaxBytes      = fs.Int64("slowlog-max-bytes", 0, "rotate the slow-query log when a file reaches this size (0 = 64 MiB)")
-		slowLogMaxFiles      = fs.Int("slowlog-max-files", 0, "total slow-query log files kept, active plus archives (0 = 3)")
 		slowWall             = fs.Duration("slow-wall", 0, "slow-log queries whose wall time reaches this threshold (0 with no other threshold = log every query)")
 		slowDist             = fs.Int64("slow-distcalcs", 0, "slow-log queries whose distance-computation count reaches this threshold")
 		otlpEndpoint         = fs.String("otlp", "", "export spans to this OTLP/HTTP-JSON endpoint (e.g. http://localhost:4318/v1/traces)")
 		otlpService          = fs.String("otlp-service", "distjoind", "service.name resource attribute on exported spans")
-		otlpFlush            = fs.Duration("otlp-flush", 5*time.Second, "final span-export flush window during shutdown")
 		logFormat            = fs.String("log-format", "text", "structured log format on stderr: text or json")
 	)
 	fs.Var(&indexFiles, "index", "register a persisted R*-tree: name=path (repeatable)")
@@ -177,8 +177,8 @@ func run(args []string, errw *os.File) int {
 	}
 	if *slowLogPath != "" {
 		// Size-capped rotation: a long-running daemon's slow-query log stays
-		// bounded at about max-files × max-bytes on disk.
-		slow, err := qtrace.OpenRotatingFile(*slowLogPath, *slowLogMaxBytes, *slowLogMaxFiles)
+		// bounded at about 3 files × 64 MiB on disk.
+		slow, err := qtrace.OpenRotatingFile(*slowLogPath, qtrace.DefaultSlowLogMaxBytes, qtrace.DefaultSlowLogMaxFiles)
 		if err != nil {
 			logger.Error("opening slow-query log", "path", *slowLogPath, "err", err)
 			return 1
@@ -262,7 +262,7 @@ func run(args []string, errw *os.File) int {
 	if exporter != nil {
 		// The drain closed every cursor, landing their query traces in the
 		// exporter's queue; push the tail out before exiting.
-		if err := exporter.Flush(*otlpFlush); err != nil {
+		if err := exporter.Flush(otlpFlushWindow); err != nil {
 			logger.Warn("final span flush", "err", err)
 		}
 		st := exporter.StatsSnapshot()

@@ -4,22 +4,20 @@
 // Usage:
 //
 //	experiments [-scale small|full] [-exp all|table1|table1r|fig6|fig7|parallel|faults|fig8|fig9|fig10|sec414|sec423|dims|trace]
-//	            [-latency 100us] [-json] [-trace file] [-metrics-addr :8090]
+//	            [-latency 100us] [-json] [-metrics-addr :8090]
 //
 // The small scale (default) runs the whole matrix in seconds; -scale full
 // uses the paper's dataset cardinalities (37,495 × 200,482 points).
 //
-// -exp trace derives a time-to-k-th-pair table from an event trace of the
-// Table-1 workload (the incrementality claim, measured); with -json it is
-// emitted as one experiments.TTKDocument. -trace saves the raw JSONL trace,
-// and -metrics-addr serves live Prometheus metrics for every experiment
-// run.
+// -exp trace stamps Next over the Table-1 workload and prints the
+// time-to-k-th-pair table (the incrementality claim, measured); with -json
+// it is emitted as one experiments.TTKDocument. -metrics-addr serves live
+// Prometheus metrics for every experiment run.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -34,7 +32,6 @@ func main() {
 	expName := flag.String("exp", "all", "experiment id: all, table1, table1r, fig6, fig7, parallel, faults, fig8, fig9, fig10, sec414, sec423, dims, trace")
 	latency := flag.Duration("latency", 0, "simulated disk latency per node I/O (e.g. 100us) to restore the paper's I/O-dominated cost model")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
-	tracePath := flag.String("trace", "", "with -exp trace: also save the raw JSONL event trace to this file")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /debug/pprof on this address during the runs")
 	version := flag.Bool("version", false, "print version and build metadata, then exit")
 	flag.Parse()
@@ -43,13 +40,13 @@ func main() {
 		return
 	}
 
-	if err := run(*scaleName, *expName, *latency, *asJSON, *tracePath, *metricsAddr); err != nil {
+	if err := run(*scaleName, *expName, *latency, *asJSON, *metricsAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scaleName, expName string, latency time.Duration, asJSON bool, tracePath, metricsAddr string) error {
+func run(scaleName, expName string, latency time.Duration, asJSON bool, metricsAddr string) error {
 	scale, err := experiments.ScaleByName(scaleName)
 	if err != nil {
 		return err
@@ -77,19 +74,6 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, tracePat
 			experiments.FormatDuration(time.Since(start)), d.Water.Height(), d.Roads.Height())
 	}
 
-	runTrace := func(d *experiments.Datasets) ([]experiments.Run, error) {
-		var extra io.Writer
-		if tracePath != "" {
-			f, err := os.Create(tracePath)
-			if err != nil {
-				return nil, err
-			}
-			defer f.Close()
-			extra = f
-		}
-		return experiments.TraceTTKTo(d, extra)
-	}
-
 	type exp struct {
 		id    string
 		title string
@@ -110,7 +94,7 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, tracePat
 		{"dims", "§5 future work: distance join across dimensionalities", func(*experiments.Datasets) ([]experiments.Run, error) {
 			return experiments.DimSweep(scale)
 		}},
-		{"trace", "Time to k-th pair, from an event trace of the Table 1 workload (incrementality, measured)", runTrace},
+		{"trace", "Time to k-th pair, stamped at Next over the Table 1 workload (incrementality, measured)", experiments.TraceTTK},
 	}
 
 	selected := strings.Split(expName, ",")

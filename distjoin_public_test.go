@@ -159,6 +159,40 @@ func TestPublicAPIIndexCRUD(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRefusesNonFinite: a NaN or infinite coordinate, distance bound
+// or queue increment is an error at the call that would let it in.
+func TestPublicAPIRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	idx := distjoin.NewIndexFromPoints(randomPoints(7, 20))
+	defer idx.Close()
+	if err := idx.InsertPoint(distjoin.Pt(inf, 1), 99); err == nil {
+		t.Error("Index.InsertPoint accepted +Inf")
+	}
+	if _, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, []distjoin.Point{distjoin.Pt(1, -inf)}); err == nil {
+		t.Error("BulkIndexPoints accepted -Inf")
+	}
+	if _, err := distjoin.NewQuadIndex(distjoin.QuadConfig{Bounds: distjoin.R(distjoin.Pt(0, 0), distjoin.Pt(inf, 100))}); err == nil {
+		t.Error("NewQuadIndex accepted a half-infinite world")
+	}
+	q, err := distjoin.NewQuadIndex(distjoin.QuadConfig{Bounds: distjoin.R(distjoin.Pt(0, 0), distjoin.Pt(100, 100))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.InsertPoint(distjoin.Pt(nan, 1), 0); err == nil {
+		t.Error("QuadIndex.InsertPoint accepted NaN")
+	}
+	for name, opts := range map[string]distjoin.Options{
+		"MinDist":  {MinDist: nan},
+		"MaxDist":  {MaxDist: nan},
+		"HybridDT": {Queue: distjoin.QueueHybrid, HybridDT: nan, HybridInMemory: true},
+	} {
+		if j, err := distjoin.DistanceJoin(idx, idx, opts); err == nil {
+			j.Close()
+			t.Errorf("DistanceJoin accepted a NaN %s", name)
+		}
+	}
+}
+
 func TestPublicAPIStats(t *testing.T) {
 	a := randomPoints(7, 500)
 	b := randomPoints(8, 500)

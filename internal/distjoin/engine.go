@@ -93,7 +93,7 @@ type engine struct {
 	scalarExpand bool
 
 	// m is this engine's one telemetry handle: every count, phase bracket
-	// and event of the engine, its queue and the queue's pool goes through
+	// and emission of the engine, its queue and the queue's pool goes through
 	// it, and it folds into the caller's sinks at every next return. nil
 	// when no sink is attached (next then bypasses the step bracket, and
 	// the per-pair path reads no clock).
@@ -296,7 +296,7 @@ func (e *engine) retryPolicy() pager.RetryPolicy {
 		}
 	}
 	pol.OnRetry = func(op string, attempt int, err error) {
-		m.Retry(attempt)
+		m.Retry()
 		if userRetry != nil {
 			userRetry(op, attempt, err)
 		}
@@ -857,7 +857,7 @@ func (e *engine) resolveOBR(p *qpair) (reportable, exact bool, err error) {
 // expand processes a pair with at least one node inside the expand phase
 // (its enqueues bracket themselves out of it).
 func (e *engine) expand(p qpair) error {
-	e.m.Expand(p.key)
+	e.m.Expand()
 	ph := e.m.Begin(meter.PhaseExpand)
 	err := e.expandPair(p)
 	e.m.End(ph)

@@ -474,6 +474,74 @@ func TestMetamorphicDegenerate(t *testing.T) {
 			})
 		}
 	}
+
+	// Rows outside the domain: non-finite input is refused at the boundary
+	// it would enter by, before any work. A row with geometry must be turned
+	// away by every index builder; a row that spoils the options, by every
+	// constructor over valid indexes, on both queues.
+	nan, inf := math.NaN(), math.Inf(1)
+	refused := []struct {
+		name  string
+		rect  geom.Rect
+		spoil func(*Options)
+	}{
+		{"nan-point", geom.Pt(nan, 1).Rect(), nil},
+		{"inf-point", geom.Pt(inf, 1).Rect(), nil},
+		{"neg-inf-point", geom.Pt(1, -inf).Rect(), nil},
+		{"half-infinite-rect", geom.R(geom.Pt(0, 0), geom.Pt(inf, 1)), nil},
+		{"nan-min-dist", geom.Rect{}, func(o *Options) { o.MinDist = nan }},
+		{"nan-max-dist", geom.Rect{}, func(o *Options) { o.MaxDist = nan }},
+		{"nan-hybrid-dt", geom.Rect{}, func(o *Options) { o.Queue, o.HybridDT = QueueHybrid, nan }},
+	}
+	for _, c := range refused {
+		t.Run("refused/"+c.name, func(t *testing.T) {
+			if c.spoil == nil {
+				metaRefusedByIndexes(t, c.rect)
+				return
+			}
+			a, b := metaRTree(t, metaRects(35, 20, 2, 0), 2), metaRTree(t, metaRects(36, 20, 2, 0), 2)
+			forEachMetaCase(t, func(t *testing.T, op metaOp, q metaQueue) {
+				opts := q.opts(1)
+				c.spoil(&opts)
+				var err error
+				if op.k == 0 {
+					_, err = NewJoinIndexes(a, b, opts)
+				} else {
+					_, err = NewKNearestJoinIndexes(a, b, op.k, FilterGlobalAll, opts)
+				}
+				if err == nil {
+					t.Fatal("constructor accepted the options")
+				}
+			})
+		})
+	}
+}
+
+// metaRefusedByIndexes: no index builder may store r — R*-tree bulk load and
+// insert, and quadtree insert when r is a point.
+func metaRefusedByIndexes(t *testing.T, r geom.Rect) {
+	cfg := rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 16}
+	if _, err := rtree.BulkLoad(cfg, []rtree.Item{{Rect: r}}); err == nil {
+		t.Errorf("R*-tree bulk load accepted %v", r)
+	}
+	tr, err := rtree.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	if err := tr.Insert(r, 0); err == nil {
+		t.Errorf("R*-tree insert accepted %v", r)
+	}
+	if r.Lo.IsFinite() {
+		return // the quadtree stores points, and this corner is a valid one
+	}
+	qt, err := quadtree.New(quadtree.Config{Bounds: geom.R(geom.Pt(-1, -1), geom.Pt(1025, 1025))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := qt.Insert(r.Lo, 0); err == nil {
+		t.Errorf("quadtree insert accepted %v", r.Lo)
+	}
 }
 
 // TestMetamorphicDimensionMismatch: every constructor refuses two indexes of

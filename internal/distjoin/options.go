@@ -189,11 +189,10 @@ type Options struct {
 	//
 	// Counters receives the Table 1 measures (the work counts).
 	Counters *meter.Counters
-	// Obs receives live observability: the event trace (engine start/stop,
-	// expansions, emissions, hybrid-queue spills, merge stalls, retries),
-	// recorded at the moment they happen; the inter-pair delay and
-	// pop-to-emit latency histograms; the sampled gauges; and the work
-	// counts behind its /metrics counter families (see internal/obs).
+	// Obs receives live observability, the /metrics aggregate: the
+	// inter-pair delay and pop-to-emit latency histograms; the sampled
+	// gauges; and the work counts behind its counter families (see
+	// internal/obs).
 	Obs *meter.Recorder
 	// Profile receives span accounting for per-join query profiles: wall
 	// time attributed exclusively to the engine phases (expand, queue
@@ -226,8 +225,7 @@ type Options struct {
 	QueueStore func(pageSize int) (pager.Store, error)
 	// RetryIO retries transient disk-tier I/O failures (errors wrapping
 	// pager.ErrTransient) with bounded exponential backoff. The zero value
-	// disables retrying. Retries are counted as IORetries / IOFaults and
-	// traced as retry events on Obs.
+	// disables retrying. Retries are counted as IORetries / IOFaults.
 	RetryIO pager.RetryPolicy
 	// QueuePageSize is the page size in bytes of the hybrid queue's disk
 	// tier (default 4096). Larger pages batch more spilled pairs per I/O;
@@ -329,8 +327,12 @@ func (o *Options) validate(t1, t2 SpatialIndex, semi bool) error {
 	if o.MaxDist == 0 {
 		o.MaxDist = math.Inf(1)
 	}
-	if o.MinDist < 0 || o.MaxDist < o.MinDist {
+	// Negated comparisons: a NaN bound fails them too.
+	if !(o.MinDist >= 0) || !(o.MaxDist >= o.MinDist) {
 		return fmt.Errorf("distjoin: invalid distance range [%g, %g]", o.MinDist, o.MaxDist)
+	}
+	if !(o.HybridDT >= 0) {
+		return fmt.Errorf("distjoin: HybridDT %g must be a non-negative number", o.HybridDT)
 	}
 	if o.MaxPairs < 0 {
 		return errors.New("distjoin: MaxPairs must be non-negative")

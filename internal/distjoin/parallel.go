@@ -364,15 +364,15 @@ func (r *parallelJoin) popHead() parHead {
 
 // pull blocks for the next result of worker src and pushes it onto the
 // heap; a closed stream simply drops out of the merge. A pull that would
-// block records a merge stall against the awaited partition — the
-// progress-skew signal of partitioned joins.
+// block counts a merge stall — the progress-skew signal of partitioned
+// joins.
 func (r *parallelJoin) pull(src int) error {
 	var res parResult
 	var ok bool
 	select {
 	case res, ok = <-r.workers[src].out:
 	default:
-		r.m.Stall(int32(src))
+		r.m.Stall()
 		res, ok = <-r.workers[src].out
 	}
 	if !ok {

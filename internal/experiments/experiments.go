@@ -81,9 +81,9 @@ type Datasets struct {
 	Water    *rtree.Tree
 	Roads    *rtree.Tree
 	Counters *stats.Counters
-	// Obs, when non-nil, is threaded into every run (engine events, latency
+	// Obs, when non-nil, is threaded into every run (work counts, latency
 	// histograms, buffer-pool gauges) — set it to watch experiments live via
-	// obs.ServeMetrics, or let TraceTTK attach its own recorder.
+	// obs.ServeMetrics.
 	Obs *obs.Recorder
 }
 
@@ -172,9 +172,19 @@ type Run struct {
 
 // runJoin executes an incremental distance join up to `pairs` results.
 func (d *Datasets) runJoin(label string, pairs int, opts distjoin.Options, reversedInputs bool) (Run, error) {
+	r, _, err := d.runJoinStamped(label, pairs, opts, reversedInputs, nil)
+	return r, err
+}
+
+// runJoinStamped is runJoin that also stamps Next: for every k in ks it
+// returns, in delivery order, the run as it stood when the k-th pair came
+// back — Time since the join was opened, LastDist the result frontier, and
+// MaxQueue the live queue depth (inserts minus pops as folded at that Next
+// return), not the high-water mark.
+func (d *Datasets) runJoinStamped(label string, pairs int, opts distjoin.Options, reversedInputs bool, ks map[int]bool) (Run, []Run, error) {
 	c, err := d.reset()
 	if err != nil {
-		return Run{}, err
+		return Run{}, nil, err
 	}
 	opts.Counters = c
 	opts.Obs = d.Obs
@@ -185,26 +195,37 @@ func (d *Datasets) runJoin(label string, pairs int, opts distjoin.Options, rever
 	start := time.Now()
 	j, err := distjoin.NewJoin(t1, t2, opts)
 	if err != nil {
-		return Run{}, err
+		return Run{}, nil, err
 	}
 	defer j.Close()
 	r := Run{Label: label, Pairs: pairs}
+	var stamps []Run
 	for r.Reported < pairs {
 		p, ok, err := j.Next()
 		if err != nil {
-			return Run{}, err
+			return Run{}, nil, err
 		}
 		if !ok {
 			break
 		}
 		r.Reported++
 		r.LastDist = p.Dist
+		if k := r.Reported; ks[k] {
+			stamps = append(stamps, Run{
+				Label:    fmt.Sprintf("time-to-%d", k),
+				Pairs:    k,
+				Reported: k,
+				Time:     time.Since(start),
+				MaxQueue: c.QueueInserts - c.QueuePops,
+				LastDist: p.Dist,
+			})
+		}
 	}
 	r.Time = time.Since(start)
 	r.DistCalcs = c.DistCalcs
 	r.MaxQueue = c.MaxQueueSize
 	r.NodeIO = c.NodeIO()
-	return r, nil
+	return r, stamps, nil
 }
 
 // runSemi executes an incremental distance semi-join up to `pairs` results

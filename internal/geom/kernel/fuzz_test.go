@@ -51,15 +51,7 @@ func FuzzKernelVsScalar(f *testing.F) {
 			for i := 0; i < rc.Len(); i++ {
 				requireRow(t, m.Name()+"/mindist", i, k.Finish(out[i]), m.MinDist(q, rc.Rect(i)), exact)
 			}
-			k.MaxDistBatch(q, &rc, out)
-			for i := 0; i < rc.Len(); i++ {
-				requireRow(t, m.Name()+"/maxdist", i, k.Finish(out[i]), m.MaxDist(q, rc.Rect(i)), exact)
-			}
 			p := geom.Point{a0, a2}
-			k.MinDistPRBatch(p, &rc, out)
-			for i := 0; i < rc.Len(); i++ {
-				requireRow(t, m.Name()+"/mindistpr", i, k.Finish(out[i]), m.MinDistPR(p, rc.Rect(i)), exact)
-			}
 			k.DistBatch(p, &pc, out[:pc.Len()])
 			for i := 0; i < pc.Len(); i++ {
 				requireRow(t, m.Name()+"/dist", i, k.Finish(out[i]), m.Dist(p, pc.Point(i)), exact)

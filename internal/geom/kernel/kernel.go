@@ -366,158 +366,6 @@ func minDelta(alo, ahi, blo, bhi float64) float64 {
 	}
 }
 
-// MaxDistBatch computes the maximum distance (pre-distance for deferred
-// kernels) from query to every rectangle of c, into out[:c.Len()].
-func (b Batch) MaxDistBatch(query geom.Rect, c *RectCols, out []float64) {
-	n := c.n
-	out = out[:n]
-	switch b.kind {
-	case kindGeneric:
-		rects := c.rects[:n]
-		for i := range out {
-			out[i] = b.m.MaxDist(query, rects[i])
-		}
-		return
-	case kindLInf:
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			qlo, qhi := query.Lo[d], query.Hi[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				delta := maxDelta(qlo, qhi, lo[i], hi[i])
-				if delta > out[i] {
-					out[i] = delta
-				}
-			}
-		}
-		return
-	case kindL1:
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			qlo, qhi := query.Lo[d], query.Hi[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				out[i] += maxDelta(qlo, qhi, lo[i], hi[i])
-			}
-		}
-		return
-	default: // kindL2, squared
-		if c.dims == 2 {
-			qlo0, qhi0 := query.Lo[0], query.Hi[0]
-			qlo1, qhi1 := query.Lo[1], query.Hi[1]
-			lo0, hi0 := c.lo[0][:n], c.hi[0][:n]
-			lo1, hi1 := c.lo[1][:n], c.hi[1][:n]
-			for i := range out {
-				d0 := maxDelta(qlo0, qhi0, lo0[i], hi0[i])
-				d1 := maxDelta(qlo1, qhi1, lo1[i], hi1[i])
-				out[i] = d0*d0 + d1*d1
-			}
-			return
-		}
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			qlo, qhi := query.Lo[d], query.Hi[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				delta := maxDelta(qlo, qhi, lo[i], hi[i])
-				out[i] += delta * delta
-			}
-		}
-	}
-}
-
-// maxDelta is the per-dimension MaxDist span — the exact expression of
-// geom.lpMetric.MaxDist (math.Max of the two absolute corner gaps), which
-// is symmetric in its operands.
-func maxDelta(alo, ahi, blo, bhi float64) float64 {
-	return math.Max(math.Abs(ahi-blo), math.Abs(bhi-alo))
-}
-
-// MinDistPRBatch computes the minimum point-to-rectangle distance
-// (pre-distance for deferred kernels) from p to every rectangle of c, into
-// out[:c.Len()].
-func (b Batch) MinDistPRBatch(p geom.Point, c *RectCols, out []float64) {
-	n := c.n
-	out = out[:n]
-	switch b.kind {
-	case kindGeneric:
-		rects := c.rects[:n]
-		for i := range out {
-			out[i] = b.m.MinDistPR(p, rects[i])
-		}
-		return
-	case kindLInf:
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			q := p[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				delta := prDelta(q, lo[i], hi[i])
-				if delta > out[i] {
-					out[i] = delta
-				}
-			}
-		}
-		return
-	case kindL1:
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			q := p[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				out[i] += prDelta(q, lo[i], hi[i])
-			}
-		}
-		return
-	default: // kindL2, squared
-		if c.dims == 2 {
-			q0, q1 := p[0], p[1]
-			lo0, hi0 := c.lo[0][:n], c.hi[0][:n]
-			lo1, hi1 := c.lo[1][:n], c.hi[1][:n]
-			for i := range out {
-				d0 := prDelta(q0, lo0[i], hi0[i])
-				d1 := prDelta(q1, lo1[i], hi1[i])
-				out[i] = d0*d0 + d1*d1
-			}
-			return
-		}
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			q := p[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				delta := prDelta(q, lo[i], hi[i])
-				out[i] += delta * delta
-			}
-		}
-	}
-}
-
-// prDelta is the per-dimension point-to-interval gap — the exact branch
-// shape of geom.lpMetric.MinDistPR.
-func prDelta(p, lo, hi float64) float64 {
-	switch {
-	case p < lo:
-		return lo - p
-	case p > hi:
-		return p - hi
-	default:
-		return 0
-	}
-}
-
 // DistBatch computes the point-to-point distance (pre-distance for deferred
 // kernels) from p to every point of c, into out[:c.Len()].
 func (b Batch) DistBatch(p geom.Point, c *PointCols, out []float64) {

@@ -106,10 +106,6 @@ func TestBatchVsScalar(t *testing.T) {
 
 			b.MinDistBatch(q, &rc, out)
 			checkBatch(t, m, "mindist", out, func(i int) float64 { return m.MinDist(q, rc.Rect(i)) })
-			b.MaxDistBatch(q, &rc, out)
-			checkBatch(t, m, "maxdist", out, func(i int) float64 { return m.MaxDist(q, rc.Rect(i)) })
-			b.MinDistPRBatch(p, &rc, out)
-			checkBatch(t, m, "mindistpr", out, func(i int) float64 { return m.MinDistPR(p, rc.Rect(i)) })
 			b.DistBatch(p, &pc, out)
 			checkBatch(t, m, "dist", out, func(i int) float64 { return m.Dist(p, pc.Point(i)) })
 		}
@@ -319,19 +315,5 @@ func BenchmarkScalarMinDist(b *testing.B) {
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mdist/s")
 		})
-	}
-}
-
-// BenchmarkKernelMinDistPR measures the point-to-rectangle kernel.
-func BenchmarkKernelMinDistPR(b *testing.B) {
-	const n = 64
-	q, rc := benchCols(n)
-	p := q.Lo
-	k := For(geom.Euclidean)
-	out := make([]float64, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.MinDistPRBatch(p, rc, out)
 	}
 }

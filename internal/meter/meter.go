@@ -14,11 +14,11 @@
 // The four user-facing sinks — Options.Counters, .Obs, .Profile and
 // .Tracer — are views: at every Next return and at close the meter folds
 // what it accumulated since the last fold into them, so a reader between
-// two Next calls sees everything the engine has done so far. Only events
-// and histogram observations (which need their own timestamps) reach the
-// Recorder at hook time. The clock is read only when a timing view is
-// attached: phase brackets when Profile or Tracer is set, the per-Next
-// stamp also when Obs is.
+// two Next calls sees everything the engine has done so far. Only the
+// histogram observations and gauges of an emitted pair (which need their own
+// timestamp) reach the Recorder at hook time. The clock is read only when a
+// timing view is attached: phase brackets when Profile or Tracer is set, the
+// per-Next stamp also when Obs is.
 //
 // With every sink nil, Begin returns a nil *Run, which hands out nil
 // *Meters, and every hook on a nil *Meter returns at once: no allocation,
@@ -143,7 +143,7 @@ func (r *Run) Meter(part int32) *Meter {
 	if r == nil {
 		return nil
 	}
-	r.Obs.Event(obs.EvEngineStart, part, 0)
+	r.Obs.EngineStarted()
 	return &Meter{run: r, part: part, atClose: part >= 0, timed: r.timed, clock: r.timed || r.Obs != nil, phase: idle}
 }
 
@@ -292,7 +292,7 @@ func (m *Meter) Close(pairs int64) {
 		m.run.q.AddMerge(t.NS[PhaseMerge], t.Counts[PhaseMerge])
 		return
 	}
-	m.run.Obs.Event(obs.EvEngineStop, m.part, pairs)
+	m.run.Obs.EngineStopped()
 	m.run.q.AddWorker(qtrace.Worker{Part: m.part, Pairs: pairs, Counts: m.n, Tally: t})
 }
 
@@ -323,11 +323,10 @@ func (m *Meter) BatchPruned(n int64) {
 	}
 }
 
-// Expand counts one node-pair expansion at queue key key.
-func (m *Meter) Expand(key float64) {
+// Expand counts one node-pair expansion.
+func (m *Meter) Expand() {
 	if m != nil {
 		m.n.Expansions++
-		m.run.Obs.Expand(m.part, key, m.n.Expansions)
 	}
 }
 
@@ -346,12 +345,10 @@ func (m *Meter) Pop() {
 	}
 }
 
-// Spill counts one pair with key dist landing on the hybrid queue's disk
-// tier, which now holds diskLen pairs.
-func (m *Meter) Spill(dist float64, diskLen int) {
+// Spill counts one pair landing on the hybrid queue's disk tier.
+func (m *Meter) Spill() {
 	if m != nil {
 		m.n.QueueDiskPairs++
-		m.run.Obs.Spill(m.part, dist, diskLen, m.n.QueueDiskPairs)
 	}
 }
 
@@ -378,11 +375,10 @@ func (m *Meter) Fault() {
 	}
 }
 
-// Retry counts one re-attempt after the attempt-th try failed transiently.
-func (m *Meter) Retry(attempt int) {
+// Retry counts one re-attempt after a try failed transiently.
+func (m *Meter) Retry() {
 	if m != nil {
 		m.n.IORetries++
-		m.run.Obs.Event(obs.EvRetry, m.part, int64(attempt))
 	}
 }
 
@@ -390,15 +386,14 @@ func (m *Meter) Retry(attempt int) {
 func (m *Meter) Restart() {
 	if m != nil {
 		m.n.Restarts++
-		m.run.Obs.Event(obs.EvRestart, m.part, 0)
 	}
 }
 
-// Stall counts the parallel merge blocking on partition part.
-func (m *Meter) Stall(part int32) {
+// Stall counts the parallel merge blocking on a partition whose stream has
+// no buffered result.
+func (m *Meter) Stall() {
 	if m != nil {
 		m.n.MergeStalls++
-		m.run.Obs.Event(obs.EvMergeStall, part, 0)
 	}
 }
 

@@ -35,7 +35,7 @@ func everyHook(m *Meter) {
 	m.End(fetch)
 	m.Pop()
 	m.End(pop)
-	m.Expand(1.5)
+	m.Expand()
 	exp := m.Begin(PhaseExpand)
 	m.DistCalc(true)
 	m.DistCalc(false)
@@ -43,15 +43,15 @@ func everyHook(m *Meter) {
 	m.BatchPruned(2)
 	push := m.Begin(PhasePush)
 	spill := m.Begin(PhaseSpill)
-	m.Spill(9, 1)
+	m.Spill()
 	m.End(spill)
 	m.Push(3)
 	m.End(push)
 	m.End(exp)
 	m.Fault()
-	m.Retry(1)
+	m.Retry()
 	m.Restart()
-	m.Stall(0)
+	m.Stall()
 	m.Emit(2.5, 3)
 	m.Deliver(2.5)
 	m.EndStep(PhaseEmit)
@@ -198,7 +198,7 @@ func TestFoldRule(t *testing.T) {
 		t.Fatalf("a closed partition worker did not publish: pops = %d, want 2", got)
 	}
 	merge.BeginStep(PhaseMerge)
-	merge.Stall(0)
+	merge.Stall()
 	merge.EndStep(PhaseMerge)
 	run.Canceled()
 	if got := c.Snapshot(); got.MergeStalls != 3 || got.Cancellations != 1 {
@@ -212,7 +212,7 @@ func BenchmarkStep(b *testing.B) {
 		sinks Sinks
 	}{
 		{"counters", Sinks{Counters: &Counters{}}},
-		{"all", Sinks{Counters: &Counters{}, Obs: obs.New(obs.Config{RingSize: 1}), Profile: &Spans{}, Tracer: qtrace.New(qtrace.Config{})}},
+		{"all", Sinks{Counters: &Counters{}, Obs: obs.New(obs.Config{}), Profile: &Spans{}, Tracer: qtrace.New(qtrace.Config{})}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			m := Begin(tc.sinks, "bench").Meter(-1)

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,15 +17,11 @@ import (
 // panic, and queries return zero values.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.Event(EvEngineStart, 0, 0)
-	r.Event(EvEngineStop, 0, 5)
-	r.Event(EvRestart, -1, 0)
-	r.Expand(0, 1.5, 1)
+	r.EngineStarted()
+	r.EngineStopped()
 	r.Emit(-1, 2.5, 10, time.Time{})
 	r.Emit(3, 2.5, 10, time.Time{})
 	r.Deliver(3.5)
-	r.Spill(0, 4.5, 100, 1)
-	r.Event(EvMergeStall, 1, 0)
 	r.SetPartitions(4)
 	if r.PartitionPairs() != nil {
 		t.Error("nil.PartitionPairs() should be nil")
@@ -34,14 +29,8 @@ func TestNilRecorder(t *testing.T) {
 	if r.Counts() != nil {
 		t.Error("nil.Counts() should be nil")
 	}
-	if r.Events() != nil {
-		t.Error("nil.Events() should be nil")
-	}
 	if s := r.Snapshot(); s.Delivered != 0 {
 		t.Error("nil.Snapshot() should be zero")
-	}
-	if err := r.Close(); err != nil {
-		t.Errorf("nil.Close() = %v", err)
 	}
 }
 
@@ -50,10 +39,10 @@ func TestNilRecorder(t *testing.T) {
 func TestNilRecorderAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.Expand(-1, 1.0, 1)
+		r.EngineStarted()
 		r.Emit(-1, 2.0, 5, time.Time{})
-		r.Spill(-1, 3.0, 1, 1)
-		r.Event(EvRetry, -1, 2)
+		r.Deliver(2.0)
+		r.EngineStopped()
 		r.Counts().Merge(nil)
 	})
 	if allocs != 0 {
@@ -62,18 +51,15 @@ func TestNilRecorderAllocs(t *testing.T) {
 }
 
 // TestRecorderCountsAndSnapshot drives the recorder the way a meter does:
-// events and histogram observations at the hooks, the work counts folded in
+// histogram observations and gauges at the hooks, the work counts folded in
 // through Counts — the snapshot's counter fields print from those counts.
 func TestRecorderCountsAndSnapshot(t *testing.T) {
 	r := New(Config{})
-	r.Event(EvEngineStart, -1, 0)
+	r.EngineStarted()
 	start := time.Now()
-	r.Expand(-1, 0.5, 1)
 	r.Emit(-1, 1.0, 7, start)
 	r.Emit(-1, 2.0, 6, start)
-	r.Spill(-1, 3.0, 42, 1)
-	r.Event(EvRestart, -1, 0)
-	r.Event(EvEngineStop, -1, 2)
+	r.EngineStopped()
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1, Restarts: 1})
 	s := r.Snapshot()
 	if s.Delivered != 2 || s.Emitted != 2 {
@@ -120,80 +106,6 @@ func TestPartitionPairs(t *testing.T) {
 	// Partition emits must not count as deliveries.
 	if s := r.Snapshot(); s.Delivered != 1 {
 		t.Errorf("delivered=%d, want 1", s.Delivered)
-	}
-}
-
-func TestRingWrap(t *testing.T) {
-	r := New(Config{RingSize: 4})
-	for i := 0; i < 10; i++ {
-		r.Expand(-1, float64(i), int64(i+1))
-	}
-	evs := r.Events()
-	if len(evs) != 4 {
-		t.Fatalf("got %d events, want 4", len(evs))
-	}
-	for i, ev := range evs {
-		if want := float64(6 + i); ev.Dist != want {
-			t.Errorf("event %d dist=%g, want %g (oldest-first after wrap)", i, ev.Dist, want)
-		}
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	r := New(Config{Trace: &buf})
-	r.Event(EvEngineStart, -1, 0)
-	r.Emit(-1, 1.25, 3, time.Now())
-	r.Spill(2, 7.5, 9, 1)
-	r.Event(EvMergeStall, 1, 0)
-	r.Event(EvEngineStop, -1, 1)
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	evs, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("ReadTrace: %v", err)
-	}
-	if len(evs) != 5 {
-		t.Fatalf("got %d events, want 5", len(evs))
-	}
-	wantTypes := []EventType{EvEngineStart, EvDeliver, EvSpill, EvMergeStall, EvEngineStop}
-	for i, w := range wantTypes {
-		if evs[i].Type != w {
-			t.Errorf("event %d type=%s, want %s", i, evs[i].Type, w)
-		}
-	}
-	if evs[1].Seq != 1 || evs[1].Dist != 1.25 {
-		t.Errorf("deliver event = %+v, want seq=1 dist=1.25", evs[1])
-	}
-	if evs[2].Part != 2 || evs[2].Dist != 7.5 || evs[2].N != 9 {
-		t.Errorf("spill event = %+v, want part=2 dist=7.5 n=9", evs[2])
-	}
-	if evs[3].Part != 1 {
-		t.Errorf("stall event = %+v, want part=1", evs[3])
-	}
-}
-
-func TestReadTraceRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(strings.NewReader("{\"t_us\":1,\"ev\":\"deliver\",\"part\":-1}\nnot json\n")); err == nil {
-		t.Error("want error for malformed line")
-	}
-	if _, err := ReadTrace(strings.NewReader("{\"t_us\":1,\"ev\":\"warp\",\"part\":-1}\n")); err == nil {
-		t.Error("want error for unknown event type")
-	}
-}
-
-func TestTimeToKth(t *testing.T) {
-	evs := []Event{
-		{T: time.Millisecond, Type: EvDeliver, Seq: 1, Dist: 0.1},
-		{T: 2 * time.Millisecond, Type: EvExpand},
-		{T: 3 * time.Millisecond, Type: EvDeliver, Seq: 2, Dist: 0.2},
-	}
-	if d, dist, ok := TimeToKth(evs, 2); !ok || d != 3*time.Millisecond || dist != 0.2 {
-		t.Errorf("TimeToKth(2) = %v,%g,%v", d, dist, ok)
-	}
-	if _, _, ok := TimeToKth(evs, 3); ok {
-		t.Error("TimeToKth(3) should miss")
 	}
 }
 
@@ -305,27 +217,21 @@ func TestServeMetrics(t *testing.T) {
 }
 
 // TestConcurrentHooks drives all hooks from many goroutines so `go test
-// -race ./internal/obs` exercises the locking.
+// -race ./internal/obs` exercises the atomics and the partition gauges' lock.
 func TestConcurrentHooks(t *testing.T) {
-	var buf bytes.Buffer
-	r := New(Config{Trace: &buf, RingSize: 64})
+	r := New(Config{})
 	r.SetPartitions(4)
 	var wg sync.WaitGroup
 	for p := int32(0); p < 4; p++ {
 		wg.Add(1)
 		go func(p int32) {
 			defer wg.Done()
-			r.Event(EvEngineStart, p, 0)
+			r.EngineStarted()
 			for i := 0; i < 200; i++ {
-				start := time.Now()
-				r.Expand(p, float64(i), int64(i+1))
-				r.Emit(p, float64(i), i, start)
-				if i%50 == 0 {
-					r.Spill(p, float64(i), i, 1)
-				}
+				r.Emit(p, float64(i), i, time.Now())
 				r.Counts().Merge(&stats.Counters{PairsReported: 1})
 			}
-			r.Event(EvEngineStop, p, 200)
+			r.EngineStopped()
 		}(p)
 	}
 	wg.Add(1)
@@ -333,21 +239,13 @@ func TestConcurrentHooks(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			r.Deliver(float64(i))
-			r.Event(EvMergeStall, int32(i%4), 0)
 			_ = r.Snapshot()
-			_ = r.Events()
 		}
 	}()
 	wg.Wait()
-	if err := r.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
 	s := r.Snapshot()
 	if s.Emitted != 800 || s.Delivered != 200 {
 		t.Errorf("emitted=%d delivered=%d, want 800/200", s.Emitted, s.Delivered)
-	}
-	if _, err := ReadTrace(&buf); err != nil {
-		t.Errorf("concurrent trace does not parse: %v", err)
 	}
 }
 

@@ -144,7 +144,7 @@ func verifyPage(id pager.PageID, data []byte) error {
 
 // NewHybridQueue creates a hybrid queue. See HybridConfig for knobs.
 func NewHybridQueue[T any](less func(a, b T) bool, key func(T) float64, codec Codec[T], cfg HybridConfig) (*HybridQueue[T], error) {
-	if cfg.DT <= 0 && !cfg.Adaptive {
+	if !(cfg.DT > 0) && !cfg.Adaptive {
 		return nil, errors.New("pqueue: DT must be positive (or Adaptive set)")
 	}
 	if cfg.PageSize == 0 {
@@ -318,7 +318,7 @@ func (q *HybridQueue[T]) doSpill(v T, d float64) error {
 			f.MarkDirty()
 			q.pool.Unpin(f)
 			b.count++
-			q.noteSpill(d)
+			q.noteSpill()
 			return nil
 		}
 		q.pool.Unpin(f)
@@ -335,14 +335,14 @@ func (q *HybridQueue[T]) doSpill(v T, d float64) error {
 	b.head = f.ID()
 	q.pool.Unpin(f)
 	b.count++
-	q.noteSpill(d)
+	q.noteSpill()
 	return nil
 }
 
 // noteSpill records one pair landing on the disk tier.
-func (q *HybridQueue[T]) noteSpill(d float64) {
+func (q *HybridQueue[T]) noteSpill() {
 	q.diskLen++
-	q.m.Spill(d, q.diskLen)
+	q.m.Spill()
 }
 
 // loadBucket reads and frees every page of bucket idx, appending the

@@ -60,8 +60,8 @@ type Tree struct {
 
 // New creates an empty quadtree over the given bounds.
 func New(cfg Config) (*Tree, error) {
-	if !cfg.Bounds.Valid() {
-		return nil, errors.New("quadtree: valid Bounds required")
+	if !cfg.Bounds.Valid() || !cfg.Bounds.Lo.IsFinite() || !cfg.Bounds.Hi.IsFinite() {
+		return nil, errors.New("quadtree: valid, finite Bounds required")
 	}
 	if cfg.BucketSize == 0 {
 		cfg.BucketSize = 8
@@ -108,12 +108,13 @@ func (t *Tree) MaxFanout() int {
 	return f
 }
 
-// Insert adds a point. Points outside the world bounds are rejected.
+// Insert adds a point. Points outside the world bounds are rejected, and so
+// is a NaN coordinate, which compares as neither below nor above them.
 func (t *Tree) Insert(p geom.Point, id uint64) error {
 	if p.Dim() != t.dims {
 		return fmt.Errorf("quadtree: point dimension %d, tree dimension %d", p.Dim(), t.dims)
 	}
-	if !t.cfg.Bounds.ContainsPoint(p) {
+	if !p.IsFinite() || !t.cfg.Bounds.ContainsPoint(p) {
 		return fmt.Errorf("quadtree: point %v outside bounds %v", p, t.cfg.Bounds)
 	}
 	cur := int32(0)

@@ -31,7 +31,7 @@ func BulkLoad(cfg Config, items []Item) (*Tree, error) {
 		return t, nil
 	}
 	for _, it := range items {
-		if err := t.checkRect(it.Rect); err != nil {
+		if err := t.checkStored(it.Rect); err != nil {
 			return nil, err
 		}
 	}

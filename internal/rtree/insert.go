@@ -9,7 +9,7 @@ import (
 
 // Insert adds an object with the given bounding rectangle to the tree.
 func (t *Tree) Insert(r geom.Rect, id ObjID) error {
-	if err := t.checkRect(r); err != nil {
+	if err := t.checkStored(r); err != nil {
 		return err
 	}
 	e := Entry{Rect: r.Clone(), Obj: id}

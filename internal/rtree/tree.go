@@ -260,3 +260,16 @@ func (t *Tree) checkRect(r geom.Rect) error {
 	}
 	return nil
 }
+
+// checkStored validates a rectangle about to be stored: a query window may
+// be half-infinite, an indexed object may not (MINDIST between two of them
+// is Inf − Inf).
+func (t *Tree) checkStored(r geom.Rect) error {
+	if err := t.checkRect(r); err != nil {
+		return err
+	}
+	if !r.Lo.IsFinite() || !r.Hi.IsFinite() {
+		return fmt.Errorf("rtree: non-finite rectangle %v", r)
+	}
+	return nil
+}

@@ -91,8 +91,8 @@ type Config struct {
 	// Tracer receives per-cursor query traces; cursor ids double as query
 	// ids. May be nil (no tracing).
 	Tracer *distjoin.QueryTracer
-	// Obs receives engine events and histograms from every cursor. May be
-	// nil.
+	// Obs receives the counts, histograms and gauges of every cursor. May
+	// be nil.
 	Obs *distjoin.Recorder
 	// Stats aggregates the work counters of every cursor — folded in at
 	// every engine step, not only at close — plus the node I/O of the

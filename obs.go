@@ -1,9 +1,7 @@
 package distjoin
 
 import (
-	"io"
 	"net/http"
-	"time"
 
 	"distjoin/internal/obs"
 	"distjoin/internal/profile"
@@ -12,44 +10,24 @@ import (
 )
 
 // Observability — the public surface of internal/obs. A Recorder attached
-// to Options.Obs collects a structured event trace, incremental-latency
+// to Options.Obs collects the work counts, incremental-latency
 // histograms (inter-pair delay, pop-to-emit), and live gauges (queue depth,
 // result frontier, per-partition progress, buffer-pool hit ratio) from a
 // running join; ServeMetrics exposes them over HTTP as Prometheus text and
 // pprof. A nil *Recorder is valid everywhere and records nothing, at zero
 // cost — the same convention as Stats.
 
-// Recorder collects events and metrics from a join execution.
+// Recorder aggregates the metrics of the join executions it is attached to.
 type Recorder = obs.Recorder
 
-// ObsConfig configures a Recorder.
+// ObsConfig configures a Recorder; it has no fields.
 type ObsConfig = obs.Config
-
-// ObsEvent is one structured engine event; ObsEventType identifies its
-// kind.
-type (
-	ObsEvent     = obs.Event
-	ObsEventType = obs.EventType
-)
 
 // ObsSnapshot is a point-in-time view of a Recorder's metrics.
 type ObsSnapshot = obs.Snapshot
 
 // MetricsServer is a running metrics/pprof HTTP server.
 type MetricsServer = obs.MetricsServer
-
-// Trace event types.
-const (
-	EvEngineStart = obs.EvEngineStart
-	EvEngineStop  = obs.EvEngineStop
-	EvExpand      = obs.EvExpand
-	EvEmit        = obs.EvEmit
-	EvDeliver     = obs.EvDeliver
-	EvSpill       = obs.EvSpill
-	EvMergeStall  = obs.EvMergeStall
-	EvRestart     = obs.EvRestart
-	EvRetry       = obs.EvRetry
-)
 
 // NewRecorder creates an observability recorder; assign it to Options.Obs
 // (and attach it to indexes with Index.SetObserver to capture buffer-pool
@@ -113,16 +91,6 @@ func ServeMetricsTraced(addr string, r *Recorder, c *Stats, qt *QueryTracer) (*M
 // recorder as JSON, for mounting at prefix in a caller-owned mux.
 func QueriesHandler(prefix string, qt *QueryTracer) http.Handler {
 	return obs.QueriesHandler(prefix, qt)
-}
-
-// ReadTrace parses a JSONL trace written via ObsConfig.Trace.
-func ReadTrace(rd io.Reader) ([]ObsEvent, error) { return obs.ReadTrace(rd) }
-
-// TimeToKth scans a trace for the k-th delivered pair, returning its
-// elapsed time and distance; ok is false when fewer than k pairs were
-// delivered.
-func TimeToKth(events []ObsEvent, k int64) (t time.Duration, dist float64, ok bool) {
-	return obs.TimeToKth(events, k)
 }
 
 // SetObserver attaches both views to the index's buffer pool: node I/O flows

@@ -25,7 +25,7 @@ type QuadIndex struct {
 
 // QuadConfig tunes quadtree construction.
 type QuadConfig struct {
-	// Bounds is the world extent; inserted points must lie inside.
+	// Bounds is the world extent, finite; inserted points must lie inside.
 	// Required.
 	Bounds Rect
 	// BucketSize is the leaf capacity before a split (default 8).
