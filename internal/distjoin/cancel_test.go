@@ -31,7 +31,7 @@ type cancelIter interface {
 }
 
 // runnerOf exposes the execution strategy behind an iterator for white-box
-// assertions (hybrid-queue pin counts on the sequential path).
+// assertions (hybrid-queue page conservation on the sequential path).
 func runnerOf(it cancelIter) runner {
 	switch v := it.(type) {
 	case *Join:
@@ -42,18 +42,19 @@ func runnerOf(it cancelIter) runner {
 	return nil
 }
 
-// assertNoPinnedFrames checks that a sequential hybrid engine holds no
-// buffer-pool pins while quiescent — a cancellation that struck mid-pop or
-// mid-retry must not abandon a pinned frame.
-func assertNoPinnedFrames(t *testing.T, it cancelIter) {
+// assertStoreConserved checks a sequential hybrid engine's disk tier while
+// quiescent: the pages allocated in its store are exactly those its class
+// chains link — a cancellation that struck mid-spill or mid-fetch must not
+// leak a page or drop a chain.
+func assertStoreConserved(t *testing.T, it cancelIter) {
 	t.Helper()
 	e, ok := runnerOf(it).(*engine)
 	if !ok {
 		return
 	}
 	if hq, ok := e.q.(*pqueue.HybridQueue[qpair]); ok {
-		if n := hq.PinnedFrames(); n != 0 {
-			t.Fatalf("%d pager frames still pinned after cancellation", n)
+		if err := hq.CheckStore(); err != nil {
+			t.Fatalf("after cancellation: %v", err)
 		}
 	}
 }
@@ -206,7 +207,7 @@ func TestCancellationSweep(t *testing.T) {
 							t.Fatalf("cut %d: Err() = %v, want ErrCanceled", cut, le)
 						}
 						checkCanceledPrefix(t, got, ref)
-						assertNoPinnedFrames(t, it)
+						assertStoreConserved(t, it)
 						if err := it.Close(); err != nil {
 							t.Fatalf("cut %d: close after cancel: %v", cut, err)
 						}
@@ -256,6 +257,52 @@ func TestDeadlineCancellation(t *testing.T) {
 		// cancel check must then fire.
 		if n == 1 {
 			<-ctx.Done()
+		}
+	}
+}
+
+// TestCancelSeenBeforeMaxPairs: a run canceled after its MaxPairs-th pair was
+// delivered, but before any Next said "exhausted", ends canceled — the
+// cancellation check comes before the MaxPairs shortcut. (A served cursor
+// drawn with exactly k = MaxPairs and then hard-canceled must answer 410, not
+// 200 done.) An engine that has already reported exhaustion stays done.
+func TestCancelSeenBeforeMaxPairs(t *testing.T) {
+	ta, tb := buildTree(t, clusteredPoints(911, 40)), buildTree(t, clusteredPoints(912, 50))
+	const k = 25
+	iters := map[string]func(Options) (cancelIter, error){
+		"join": func(o Options) (cancelIter, error) { return NewJoin(ta, tb, o) },
+		"semi": func(o Options) (cancelIter, error) { return NewSemiJoin(ta, tb, FilterGlobalAll, o) },
+	}
+	for name, mk := range iters {
+		for _, queue := range []QueueKind{QueueMemory, QueueHybrid} {
+			for _, sawEnd := range []bool{false, true} {
+				ctx, cancel := context.WithCancel(context.Background())
+				it, err := mk(Options{Context: ctx, MaxPairs: k, Queue: queue, HybridDT: 20, HybridInMemory: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < k; i++ {
+					if _, ok, err := it.Next(); !ok || err != nil {
+						t.Fatalf("%s/%s: pair %d: ok=%v err=%v", name, queue, i, ok, err)
+					}
+				}
+				if sawEnd {
+					if _, ok, err := it.Next(); ok || err != nil {
+						t.Fatalf("%s/%s: Next after pair %d: ok=%v err=%v, want exhausted", name, queue, k, ok, err)
+					}
+				}
+				cancel()
+				_, ok, err := it.Next()
+				switch {
+				case ok:
+					t.Fatalf("%s/%s: a pair beyond MaxPairs", name, queue)
+				case sawEnd && err != nil:
+					t.Fatalf("%s/%s: exhausted, then canceled: Next = %v, want still exhausted", name, queue, err)
+				case !sawEnd && !errors.Is(err, ErrCanceled):
+					t.Fatalf("%s/%s: canceled right after pair %d: Next = %v, want ErrCanceled", name, queue, k, err)
+				}
+				it.Close()
+			}
 		}
 	}
 }
@@ -343,7 +390,7 @@ func TestCancelInterruptsRetryBackoff(t *testing.T) {
 		if d := time.Since(start); d > 5*time.Second {
 			t.Fatalf("cancellation took %v to cut the backoff ladder", d)
 		}
-		assertNoPinnedFrames(t, j)
+		assertStoreConserved(t, j)
 	case <-time.After(testTimeout):
 		t.Fatalf("canceled retry ladder still sleeping after %v", testTimeout)
 	}

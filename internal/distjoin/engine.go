@@ -93,10 +93,10 @@ type engine struct {
 	scalarExpand bool
 
 	// m is this engine's one telemetry handle: every count, phase bracket
-	// and emission of the engine, its queue and the queue's pool goes through
-	// it, and it folds into the caller's sinks at every next return. nil
-	// when no sink is attached (next then bypasses the step bracket, and
-	// the per-pair path reads no clock).
+	// and emission of the engine and its queue goes through it, and it
+	// folds into the caller's sinks at every next return. nil when no sink
+	// is attached (next then bypasses the step bracket, and the per-pair
+	// path reads no clock).
 	m *meter.Meter
 
 	// ctx and ctxDone carry the run's cancellation signal. ctxDone is
@@ -637,14 +637,13 @@ func (e *engine) step() (Pair, bool, error) {
 	if e.done {
 		return Pair{}, false, nil
 	}
-	if e.opts.MaxPairs > 0 && e.reported >= e.opts.MaxPairs {
-		e.done = true
-		return Pair{}, false, nil
-	}
 	// Cancellation check, per Next call: a context canceled between Next
 	// calls is observed by the very next one, so the delivered prefix is
-	// exactly the pairs consumed before cancellation. With a nil or
-	// background context (ctxDone == nil) this is a single nil test.
+	// exactly the pairs consumed before cancellation. It comes before the
+	// MaxPairs shortcut: a run canceled after its last pair was delivered,
+	// but before any Next saw it was the last, ends canceled, not done.
+	// With a nil or background context (ctxDone == nil) this is a single
+	// nil test.
 	if e.ctxDone != nil {
 		select {
 		case <-e.ctxDone:
@@ -652,6 +651,10 @@ func (e *engine) step() (Pair, bool, error) {
 		default:
 		}
 		e.popsToCheck = cancelCheckEvery
+	}
+	if e.opts.MaxPairs > 0 && e.reported >= e.opts.MaxPairs {
+		e.done = true
+		return Pair{}, false, nil
 	}
 	for {
 		p, ok, err := e.pop()
@@ -783,9 +786,6 @@ func (e *engine) report(p qpair) (Pair, bool) {
 		e.revEst.onReport()
 	}
 	e.reported++
-	if e.opts.MaxPairs > 0 && e.reported >= e.opts.MaxPairs {
-		e.done = true
-	}
 	// The items' coordinates may be views of index nodes every cursor on
 	// the index shares: the caller gets copies, both in one block of its
 	// own.

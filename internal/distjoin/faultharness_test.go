@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,6 +83,49 @@ type faultSchedule struct {
 	// mustComplete asserts the run finishes with no error at all (clean
 	// schedules and fully-retried transient schedules).
 	mustComplete bool
+	// mustFire asserts, from the queue stores' own Stats, that the
+	// schedule injected at least one fault (the op-count schedules: a count
+	// the run never reaches would pass vacuously).
+	mustFire bool
+}
+
+// storeLog is an Options.QueueStore factory that keeps the fault stores it
+// hands out — one per engine, and one more per §2.2.4 restart — so a test can
+// read what they injected.
+type storeLog struct {
+	mu     sync.Mutex
+	stores []*faultstore.Store
+}
+
+func (l *storeLog) factory(cfg faultstore.Config) func(pageSize int) (pager.Store, error) {
+	return func(pageSize int) (pager.Store, error) {
+		mem, err := pager.NewMemStore(pageSize)
+		if err != nil {
+			return nil, err
+		}
+		fs := faultstore.New(mem, cfg)
+		l.mu.Lock()
+		l.stores = append(l.stores, fs)
+		l.mu.Unlock()
+		return fs, nil
+	}
+}
+
+// injected sums what the handed-out stores did and injected.
+func (l *storeLog) injected() (sum faultstore.Stats) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, fs := range l.stores {
+		st := fs.Stats()
+		sum.Ops += st.Ops
+		sum.Reads += st.Reads
+		sum.Writes += st.Writes
+		sum.TransientErrors += st.TransientErrors
+		sum.PermanentErrors += st.PermanentErrors
+		sum.CorruptedReads += st.CorruptedReads
+		sum.Crashed = sum.Crashed || st.Crashed
+	}
+	return sum
 }
 
 func harnessSchedules() []faultSchedule {
@@ -99,21 +143,25 @@ func harnessSchedules() []faultSchedule {
 		},
 		{
 			name:        "permanent-at-n",
-			queueFaults: faultstore.Config{FailWriteAt: 7, FailReadAt: 5},
+			queueFaults: faultstore.Config{FailWriteAt: 4, FailReadAt: 3},
 			retry:       quickRetry(4),
+			mustFire:    true,
 		},
 		{
 			name:        "corrupt-at-n",
-			queueFaults: faultstore.Config{CorruptReadAt: 3},
+			queueFaults: faultstore.Config{CorruptReadAt: 2},
+			mustFire:    true,
 		},
 		{
 			name:        "crash-after-ops",
-			queueFaults: faultstore.Config{CrashAfterOps: 40},
+			queueFaults: faultstore.Config{CrashAfterOps: 12},
 			retry:       quickRetry(4),
+			mustFire:    true,
 		},
 		{
 			name:       "tree-crash",
-			treeFaults: &faultstore.Config{CrashAfterOps: 300},
+			treeFaults: &faultstore.Config{CrashAfterOps: 20},
+			mustFire:   true,
 		},
 		{
 			name:         "tree-transient-retried",
@@ -136,6 +184,10 @@ func harnessQueues() []queueConfig {
 		{"hybrid", func(o *Options) {
 			o.Queue = QueueHybrid
 			o.HybridDT = 60
+			// 10 pairs a page: a page is written per full tail, not per
+			// pair, so with 4 KiB pages these workloads would hardly touch
+			// the store and the op-count schedules would never fire.
+			o.QueuePageSize = 1024
 		}},
 		{"spill", func(o *Options) { // tiny DT + small pages: disk-tier heavy
 			o.Queue = QueueHybrid
@@ -281,12 +333,12 @@ func TestDifferentialFaultHarness(t *testing.T) {
 						cases++
 						ta := buildTree(t, a)
 						var tb *rtree.Tree
+						var treeStore *faultstore.Store
 						if fs.treeFaults != nil {
 							cfg := *fs.treeFaults
 							cfg.Seed = seed * 31
-							var armed *faultstore.Store
-							tb, armed = buildFaultTree(t, b, cfg, fs.treeRetry)
-							armed.SetArmed(true)
+							tb, treeStore = buildFaultTree(t, b, cfg, fs.treeRetry)
+							treeStore.SetArmed(true)
 						} else {
 							tb = buildTree(t, b)
 						}
@@ -300,16 +352,11 @@ func TestDifferentialFaultHarness(t *testing.T) {
 							RetryIO:     fs.retry,
 						}
 						qc.apply(&opts)
+						var queueStores storeLog
 						if opts.Queue == QueueHybrid {
 							qcfg := fs.queueFaults
 							qcfg.Seed = seed * 17
-							opts.QueueStore = func(pageSize int) (pager.Store, error) {
-								mem, err := pager.NewMemStore(pageSize)
-								if err != nil {
-									return nil, err
-								}
-								return faultstore.New(mem, qcfg), nil
-							}
+							opts.QueueStore = queueStores.factory(qcfg)
 						}
 
 						res := runCase(t, func() (*Join, error) { return NewJoin(ta, tb, opts) })
@@ -317,6 +364,17 @@ func TestDifferentialFaultHarness(t *testing.T) {
 						if res.err != nil && !errors.Is(res.err, faultstore.ErrInjected) &&
 							!errors.Is(res.err, pqueue.ErrPageChecksum) {
 							t.Fatalf("surfaced error does not trace back to the injected fault: %v", res.err)
+						}
+						// An op-count schedule that never reaches its count passes
+						// vacuously: it must have injected its fault.
+						if fs.mustFire && treeStore != nil && !treeStore.Stats().Crashed {
+							t.Fatalf("schedule %+v never fired: the tree store saw %d ops", *fs.treeFaults, treeStore.Stats().Ops)
+						}
+						if fs.mustFire && fs.treeFaults == nil && opts.Queue == QueueHybrid {
+							if st := queueStores.injected(); st.PermanentErrors+st.CorruptedReads == 0 && !st.Crashed {
+								t.Fatalf("schedule %+v never fired: the queue stores saw %d reads, %d writes, %d ops",
+									fs.queueFaults, st.Reads, st.Writes, st.Ops)
+							}
 						}
 						if fs.name == "transient-retried" && opts.Queue == QueueHybrid {
 							snap := counters.Snapshot()

@@ -118,7 +118,12 @@ type Options struct {
 	// Queue selects the queue implementation; default QueueMemory.
 	Queue QueueKind
 	// HybridDT is the distance increment D_T of the hybrid queue; when 0
-	// the queue chooses it adaptively from the first insertions.
+	// the queue chooses it adaptively from the first insertions. D_T sizes
+	// the two memory tiers — the heap holds the pairs closer than the
+	// current D_T-wide bucket, the list that bucket — and nothing else: the
+	// disk tier writes one page per page-full of spilled pairs and keeps
+	// one page per radix class in memory however many buckets it spans, so
+	// a small D_T costs memory-tier refills, not I/O.
 	HybridDT float64
 	// HybridDir is where the hybrid queue's scratch file lives (empty:
 	// system temp). HybridInMemory replaces the scratch file with an
@@ -229,7 +234,8 @@ type Options struct {
 	RetryIO pager.RetryPolicy
 	// QueuePageSize is the page size in bytes of the hybrid queue's disk
 	// tier (default 4096). Larger pages batch more spilled pairs per I/O;
-	// smaller pages waste less memory on many near-empty partitions.
+	// the tier holds one page in memory per populated radix class (a dozen
+	// at most in practice).
 	QueuePageSize int
 	// Tracer attaches per-query lifecycle tracing (see internal/qtrace):
 	// each Join/SemiJoin/kNN run gets a query ID and a hierarchical span

@@ -173,6 +173,12 @@ func (c *pairCodec) Encode(dst []byte, p qpair) {
 	}
 }
 
+// Key implements pqueue.Keyer: the key of an encoded pair, read in place, so
+// the disk tier can move a spilled pair between classes without decoding it.
+func (c *pairCodec) Key(src []byte) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(src[0:]))
+}
+
 // Decode implements pqueue.Codec.
 func (c *pairCodec) Decode(src []byte) qpair {
 	var p qpair

@@ -6,10 +6,9 @@
 // single-writer object with plain fields — no atomics, no locks — holding
 // one copy of the work counts, the exclusive per-phase time, the disk
 // tier's physical I/O time and the current Next call's start stamp. The
-// engine, the priority queue and the queue's buffer pool report facts to it
-// at one set of hook points (step, expand, push, pop, spill, fetch, io,
-// emit, retry, restart, cancel); nothing else in those layers touches a
-// telemetry sink.
+// engine and the priority queue report facts to it at one set of hook points
+// (step, expand, push, pop, spill, fetch, page io, emit, retry, restart,
+// cancel); nothing else in those layers touches a telemetry sink.
 //
 // The four user-facing sinks — Options.Counters, .Obs, .Profile and
 // .Tracer — are views: at every Next return and at close the meter folds
@@ -29,7 +28,6 @@ import (
 	"time"
 
 	"distjoin/internal/obs"
-	"distjoin/internal/pager"
 	"distjoin/internal/profile"
 	"distjoin/internal/qtrace"
 	"distjoin/internal/stats"
@@ -405,30 +403,39 @@ func (m *Meter) Deliver(dist float64) {
 	}
 }
 
-// QueueIO returns the handle the hybrid queue's buffer pool reports its
-// physical page I/O to — nil for a nil meter, and a pager.IOClock only when
-// a timing view is attached, so the pool otherwise reads no clock.
-func (m *Meter) QueueIO() pager.IOCounter {
-	switch {
-	case m == nil:
-		return nil
-	case m.timed:
-		return timedQueueIO{queueIO{m}}
+// IOStart opens the bracket around one physical page read or write of the
+// hybrid queue's disk tier; PageRead or PageWritten closes it. The clock is
+// read only when a timing view is attached.
+func (m *Meter) IOStart() int64 {
+	if m == nil || !m.timed {
+		return 0
 	}
-	return queueIO{m}
+	return int64(since(m.run.epoch))
 }
 
-// queueIO counts the queue pool's page reads and writes; hits inside the
-// queue's small pool are not tracked.
-type queueIO struct{ m *Meter }
+// ioNS is the time since the IOStart that returned start.
+func (m *Meter) ioNS(start int64) int64 {
+	return max(int64(since(m.run.epoch))-start, 0)
+}
 
-func (q queueIO) AddRead(n int64)  { q.m.n.QueueReads += n }
-func (q queueIO) AddWrite(n int64) { q.m.n.QueueWrites += n }
-func (q queueIO) AddHit(int64)     {}
+// PageRead counts one page the disk tier read from its store, begun at
+// start: "of which" time nested inside the fetch bracket that caused it.
+func (m *Meter) PageRead(start int64) {
+	if m != nil {
+		m.n.QueueReads++
+		if m.timed {
+			m.t.IOReadNS += m.ioNS(start)
+		}
+	}
+}
 
-// timedQueueIO additionally receives the wall time of each physical I/O:
-// "of which" time nested inside the spill or fetch bracket that caused it.
-type timedQueueIO struct{ queueIO }
-
-func (q timedQueueIO) ObserveRead(d time.Duration)  { q.m.t.IOReadNS += max(int64(d), 0) }
-func (q timedQueueIO) ObserveWrite(d time.Duration) { q.m.t.IOWriteNS += max(int64(d), 0) }
+// PageWritten counts one page the disk tier wrote to its store, begun at
+// start, likewise nested inside a spill or fetch bracket.
+func (m *Meter) PageWritten(start int64) {
+	if m != nil {
+		m.n.QueueWrites++
+		if m.timed {
+			m.t.IOWriteNS += m.ioNS(start)
+		}
+	}
+}

@@ -25,13 +25,13 @@ func fakeClock(t *testing.T, tick time.Duration) (reads *int) {
 	return &n
 }
 
-// everyHook drives each hook an engine, its queue and the queue's pool call
-// during one step.
+// everyHook drives each hook an engine and its queue call during one step.
 func everyHook(m *Meter) {
 	m.BeginStep(PhaseEmit)
 	pop := m.Begin(PhasePop)
 	fetch := m.Begin(PhaseFetch)
 	m.Fetch()
+	m.PageRead(m.IOStart())
 	m.End(fetch)
 	m.Pop()
 	m.End(pop)
@@ -44,6 +44,7 @@ func everyHook(m *Meter) {
 	push := m.Begin(PhasePush)
 	spill := m.Begin(PhaseSpill)
 	m.Spill()
+	m.PageWritten(m.IOStart())
 	m.End(spill)
 	m.Push(3)
 	m.End(push)
@@ -67,8 +68,8 @@ func TestNilSinksZeroAllocsZeroClockReads(t *testing.T) {
 		t.Fatalf("Begin with no sink = %v, want nil", run)
 	}
 	m := run.Meter(-1)
-	if m != nil || run.MergeMeter(2) != nil || m.QueueIO() != nil {
-		t.Fatal("a nil run must hand out nil meters and a nil pool handle")
+	if m != nil || run.MergeMeter(2) != nil {
+		t.Fatal("a nil run must hand out nil meters")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		everyHook(m)
@@ -93,16 +94,13 @@ func TestClockOnlyForTimingViews(t *testing.T) {
 	}{
 		{"counters", Sinks{Counters: &Counters{}}, 0},
 		{"obs", Sinks{Obs: obs.New(obs.Config{})}, 1},
-		// step in, 5 brackets × (in + out), step out.
-		{"profile", Sinks{Profile: &Spans{}}, 12},
-		{"tracer", Sinks{Tracer: qtrace.New(qtrace.Config{})}, 12},
+		// step in, 5 brackets × (in + out), 2 page I/Os × (start + end),
+		// step out.
+		{"profile", Sinks{Profile: &Spans{}}, 16},
+		{"tracer", Sinks{Tracer: qtrace.New(qtrace.Config{})}, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := Begin(tc.sinks, "join").Meter(-1)
-			io := m.QueueIO()
-			if _, clocked := io.(interface{ ObserveRead(time.Duration) }); clocked != (tc.want > 1) {
-				t.Fatalf("pool handle is an IOClock = %v, want %v", clocked, tc.want > 1)
-			}
 			reads := fakeClock(t, time.Microsecond)
 			everyHook(m)
 			if *reads != tc.want {
@@ -126,7 +124,8 @@ func TestPhasesAreExclusive(t *testing.T) {
 
 	m.Close(2)
 	want := map[Phase]int64{
-		PhaseEmit: 3, PhasePop: 2, PhaseFetch: 1, PhaseExpand: 2, PhasePush: 2, PhaseSpill: 1,
+		// fetch and spill each hold one page I/O: two more reads inside.
+		PhaseEmit: 3, PhasePop: 2, PhaseFetch: 3, PhaseExpand: 2, PhasePush: 2, PhaseSpill: 3,
 	}
 	var total int64
 	for p := Phase(0); int(p) < profile.NumPhases; p++ {
@@ -136,8 +135,13 @@ func TestPhasesAreExclusive(t *testing.T) {
 			t.Errorf("phase %s = %dµs, want %d", p, got, 2*want[p])
 		}
 	}
-	if total != 2*11 { // 12 reads per step bound 11 slices
-		t.Errorf("phases sum to %dµs, want 22", total)
+	if total != 2*15 { // 16 reads per step bound 15 slices
+		t.Errorf("phases sum to %dµs, want 30", total)
+	}
+	// The page I/Os are "of which" time: one slice each, inside their phase.
+	if tl := sp.Tally(); tl.IOReadNS != 2000 || tl.IOWriteNS != 2000 || tl.IOReads != 2 || tl.IOWrites != 2 {
+		t.Errorf("page I/O = %d reads in %dns, %d writes in %dns; want 2 in 2000 each",
+			tl.IOReads, tl.IOReadNS, tl.IOWrites, tl.IOWriteNS)
 	}
 	// Span counts are the matching work counts; fetch and emit have their own.
 	s := c.Snapshot()
@@ -163,8 +167,8 @@ func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 	fakeClock(t, time.Microsecond)
 	m.End(m.Begin(PhasePush)) // seeding: no clock read
 	run.PlanDone()
-	everyHook(m) // reads 1..12
-	everyHook(m) // reads 13..24: the caller held the iterator from 12 to 13
+	everyHook(m) // reads 1..16
+	everyHook(m) // reads 17..32: the caller held the iterator from 16 to 17
 	m.Close(2)
 	run.Finish(nil)
 
@@ -172,8 +176,8 @@ func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 	if got := time.Duration(qt.CallerSeconds * 1e9).Round(time.Nanosecond); got != time.Microsecond {
 		t.Errorf("caller time = %v, want the 1µs between the two steps", got)
 	}
-	if w := qt.Root.Find("worker"); time.Duration(w.Seconds*1e9).Round(time.Nanosecond) != 22*time.Microsecond {
-		t.Errorf("worker span = %vs, want the 22µs of the two steps", w.Seconds)
+	if w := qt.Root.Find("worker"); time.Duration(w.Seconds*1e9).Round(time.Nanosecond) != 30*time.Microsecond {
+		t.Errorf("worker span = %vs, want the 30µs of the two steps", w.Seconds)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrAllPinned is returned when every frame in the pool is pinned and a new
@@ -13,10 +12,11 @@ import (
 var ErrAllPinned = errors.New("pager: all buffer frames are pinned")
 
 // IOCounter receives physical I/O accounting from a Pool. A nil IOCounter
-// is valid and records nothing. The stats package provides adapters that
-// route a pool's I/O into either the node-I/O or the queue-I/O columns of
-// the experiment counters — the paper accounts R-tree node I/O (Table 1)
-// separately from the hybrid priority queue's disk traffic.
+// is valid and records nothing. The stats package provides the adapter that
+// routes an index pool's I/O into the node-I/O columns of the experiment
+// counters — the paper accounts R-tree node I/O (Table 1) separately from
+// the hybrid priority queue's disk traffic, which has no pool and counts its
+// own page reads and writes.
 type IOCounter interface {
 	// AddRead records n physical page reads (buffer misses).
 	AddRead(n int64)
@@ -24,17 +24,6 @@ type IOCounter interface {
 	AddWrite(n int64)
 	// AddHit records n accesses served from the buffer.
 	AddHit(n int64)
-}
-
-// IOClock is optionally implemented by a pool's IOCounter that also wants
-// the wall-time cost of physical I/O. The pool carries one telemetry handle:
-// it reads the clock around a physical read or write only when that handle
-// is an IOClock, so a counting-only (or nil) handle costs no time.Now calls.
-type IOClock interface {
-	// ObserveRead records one physical page read taking d.
-	ObserveRead(d time.Duration)
-	// ObserveWrite records one physical page write taking d.
-	ObserveWrite(d time.Duration)
 }
 
 // Frame is a buffer-pool slot holding one page. Callers access page bytes
@@ -136,22 +125,6 @@ func (p *Pool) Resident() int {
 	return len(p.frames)
 }
 
-// PinnedFrames returns the number of frames with at least one outstanding
-// pin. Every Get/Allocate must be balanced by an Unpin on all paths —
-// including error and cancellation exits — so a quiescent pool reports 0;
-// the cancellation tests assert exactly that.
-func (p *Pool) PinnedFrames() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, f := range p.frames {
-		if f.pins > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Get pins the page into a frame, reading it from the store on a miss. The
 // page bytes are fully read before Get returns, and the frame stays pinned
 // (hence unevictable) until Unpin, so concurrent Gets of the same page may
@@ -179,7 +152,7 @@ func (p *Pool) fetch(id PageID) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.readPage(id, f.data); err != nil {
+	if err := p.store.ReadPage(id, f.data); err != nil {
 		p.release(f)
 		return nil, err
 	}
@@ -226,7 +199,7 @@ func (p *Pool) admit(id PageID) (*Frame, error) {
 			return nil, ErrAllPinned
 		}
 		if f.dirty {
-			if err := p.writePage(f.id, f.data); err != nil {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				return nil, err
 			}
 			if p.counters != nil {
@@ -303,7 +276,7 @@ func (p *Pool) FlushAll() error {
 func (p *Pool) flushAllLocked() error {
 	for _, f := range p.frames {
 		if f.dirty {
-			if err := p.writePage(f.id, f.data); err != nil {
+			if err := p.store.WritePage(f.id, f.data); err != nil {
 				return err
 			}
 			if p.counters != nil {
@@ -344,29 +317,4 @@ func (p *Pool) SetCounters(c IOCounter) IOCounter {
 	old := p.counters
 	p.counters = c
 	return old
-}
-
-// readPage performs one physical read, clocked when the sink is an IOClock.
-func (p *Pool) readPage(id PageID, buf []byte) error {
-	clock, ok := p.counters.(IOClock)
-	if !ok {
-		return p.store.ReadPage(id, buf)
-	}
-	start := time.Now()
-	err := p.store.ReadPage(id, buf)
-	clock.ObserveRead(time.Since(start))
-	return err
-}
-
-// writePage performs one physical write, clocked when the sink is an
-// IOClock.
-func (p *Pool) writePage(id PageID, buf []byte) error {
-	clock, ok := p.counters.(IOClock)
-	if !ok {
-		return p.store.WritePage(id, buf)
-	}
-	start := time.Now()
-	err := p.store.WritePage(id, buf)
-	clock.ObserveWrite(time.Since(start))
-	return err
 }

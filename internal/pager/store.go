@@ -35,9 +35,10 @@ var (
 )
 
 // Store is a flat collection of fixed-size pages with allocate/free.
-// Implementations are not required to be safe for concurrent use: every
-// access from query execution goes through a Pool, which serializes store
-// calls under its own lock.
+// Implementations are not required to be safe for concurrent use: an index's
+// store is reached only through its Pool, which serializes store calls under
+// its own lock, and a hybrid queue's store only by the one goroutine that
+// runs the queue's engine.
 type Store interface {
 	// PageSize returns the fixed size of every page in bytes.
 	PageSize() int

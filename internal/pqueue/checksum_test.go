@@ -31,7 +31,7 @@ func newFaultHybrid(t *testing.T, cfg faultstore.Config) (*HybridQueue[elem], *f
 	}
 	fs := faultstore.New(mem, cfg)
 	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		DT: 1, PageSize: 128, Store: fs, Frames: 2,
+		DT: 1, PageSize: 128, Store: fs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestHybridSurvivesTransientWithRetryStore(t *testing.T) {
 		OnRetry:     func(string, int, error) { retries++ },
 	})
 	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		DT: 1, PageSize: 128, Store: rs, Frames: 2,
+		DT: 1, PageSize: 128, Store: rs,
 	})
 	if err != nil {
 		t.Fatal(err)

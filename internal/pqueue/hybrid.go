@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"sort"
 
 	"distjoin/internal/meter"
@@ -35,11 +36,24 @@ type Owner[T any] interface {
 	Own(v T) T
 }
 
+// Keyer is optionally implemented by a Codec that can read an element's key
+// out of its encoded form. When the disk tier moves spilled records between
+// classes it needs only their key, and asks a Keyer for it instead of
+// decoding the whole element — a decoded join pair allocates its coordinates,
+// a re-routed record is copied as bytes and allocates nothing. Key(src) must
+// equal the queue's key(Decode(src)).
+type Keyer interface {
+	Key(src []byte) float64
+}
+
 // HybridConfig configures a HybridQueue.
 type HybridConfig struct {
-	// DT is the fixed distance increment of the paper's scheme: the heap
-	// holds distances < D1, the list [D1, D2), disk buckets
-	// [k·DT, (k+1)·DT) beyond. Initially D1 = DT and D2 = 2·DT.
+	// DT is the fixed distance increment of the paper's scheme. Distances
+	// fall into buckets [i·DT, (i+1)·DT); the list tier holds one bucket,
+	// the heap every bucket below it, the disk tier every bucket beyond.
+	// Initially the heap holds distances < DT and the list [DT, 2·DT). DT
+	// sizes the two memory tiers only: a spilled pair costs 1/perPage page
+	// writes however many buckets the disk tier spans.
 	// Required unless Adaptive is set.
 	DT float64
 	// Adaptive, when set, derives DT from the distance distribution of the
@@ -59,34 +73,48 @@ type HybridConfig struct {
 	Dir string
 	// Store overrides the disk-tier page store.
 	Store pager.Store
-	// Frames is the buffer-pool capacity for the disk tier (default 16).
-	Frames int
 	// Meter is the owning engine's telemetry: the queue reports pushes,
-	// pops, spills (as their own phase) and bucket fetches to it, and the
-	// disk tier's buffer pool its physical page I/O. May be nil (no
-	// accounting, no clock reads at all).
+	// pops, spills (as their own phase), bucket fetches and every page it
+	// reads from or writes to its store. May be nil (no accounting, no
+	// clock reads at all).
 	Meter *meter.Meter
 }
 
 // HybridQueue is the paper's three-tier queue. The ordering is determined by
 // less; key extracts the distance used for tier placement. less must be
 // consistent with key: key(a) < key(b) implies less(a, b).
+//
+// The disk tier is a radix heap over bucket indices. The queue is monotone —
+// the join never inserts below the pair it last popped — so with last the
+// list tier's bucket, a spilled pair of bucket i > last goes to class
+// bits.Len(i XOR last): one chain of sealed full pages in the store plus one
+// tail page in memory, whatever the number of buckets the class spans. When
+// heap and list drain, the lowest populated class is emptied: its smallest
+// bucket becomes the list tier and the rest of it moves, as encoded bytes,
+// into strictly lower classes. Memory is one page per populated class.
 type HybridQueue[T any] struct {
 	less  func(a, b T) bool
 	key   func(T) float64
 	codec Codec[T]
-	own   func(T) T // the codec's Own, or nil
+	own   func(T) T            // the codec's Own, or nil
+	keyOf func([]byte) float64 // the codec's Key, or nil
 	cfg   HybridConfig
 
 	heap *pairheap.Heap[T]
 	list []T
-	d1   float64
-	d2   float64
+	// last is the list tier's bucket: the heap holds buckets below it, the
+	// disk tier buckets above. It moves only when the lowest class is
+	// emptied (to that class's smallest bucket) or, by one, while the disk
+	// tier is empty — either way no populated class changes its number.
+	last int
 
-	buckets map[int]*bucket // disk tier, by distance bucket index
+	classes [numClasses]class
 	diskLen int
-	pool    *pager.Pool
-	perPage int
+	store   pager.Store
+	size    int      // encoded element size
+	perPage int      // elements per page
+	rbuf    []byte   // the page a chain is read back through
+	free    [][]byte // tail pages of emptied classes, reused
 	m       *meter.Meter
 
 	// adaptive-mode sampling
@@ -99,19 +127,35 @@ type HybridQueue[T any] struct {
 	failed error
 }
 
-// bucket is one linked page list of the disk tier.
-type bucket struct {
-	head  pager.PageID
-	count int // total elements in the bucket
+// class is one radix class of the disk tier: the buckets i with
+// bits.Len(i XOR last) equal to the class's number.
+type class struct {
+	head  pager.PageID // chain of sealed full pages, newest first
+	tail  []byte       // the page being filled; nil until the class is first used
+	n     int          // elements in tail
+	count int          // elements in the class, chain and tail
+	min   int          // smallest bucket among them; meaningless when count == 0
 }
+
+const (
+	// maxIdx is the largest bucket index: ⌊d/DT⌋ is clamped to it, so a
+	// huge (or infinite) d/DT lands in the last bucket instead of
+	// overflowing int.
+	maxIdx = 1<<62 - 1
+	// numClasses is one more than the highest class number,
+	// bits.Len(maxIdx).
+	numClasses = 63
+)
 
 // Disk-tier page layout: next page (4) + count (2) + pad (2) + CRC-32C (4)
 // + reserved (4), then count fixed-size encoded elements. The checksum
 // covers the whole page except its own field, so torn or bit-rotted pages
-// surface as ErrPageChecksum instead of decoding into garbage pairs.
+// surface as ErrPageChecksum instead of decoding into garbage pairs. A page
+// is sealed once, when its class's tail fills, and verified once, when its
+// class is emptied.
 const (
-	bucketHeaderSize = 16
-	pageCRCOffset    = 8
+	pageHeaderSize = 16
+	pageCRCOffset  = 8
 )
 
 // ErrPageChecksum reports a disk-tier page whose stored CRC-32C does not
@@ -126,8 +170,7 @@ func pageCRC(data []byte) uint32 {
 	return crc32.Update(c, crcTable, data[pageCRCOffset+4:])
 }
 
-// sealPage stamps the page's checksum; call after every mutation, before
-// the frame is unpinned.
+// sealPage stamps the page's checksum.
 func sealPage(data []byte) {
 	binary.LittleEndian.PutUint32(data[pageCRCOffset:], pageCRC(data))
 }
@@ -150,15 +193,12 @@ func NewHybridQueue[T any](less func(a, b T) bool, key func(T) float64, codec Co
 	if cfg.PageSize == 0 {
 		cfg.PageSize = 4096
 	}
-	if cfg.Frames == 0 {
-		cfg.Frames = 16
-	}
 	if cfg.AdaptiveSample == 0 {
 		cfg.AdaptiveSample = 4096
 	}
-	if codec.Size() > cfg.PageSize-bucketHeaderSize {
+	if codec.Size() > cfg.PageSize-pageHeaderSize {
 		return nil, fmt.Errorf("pqueue: element size %d exceeds page payload %d",
-			codec.Size(), cfg.PageSize-bucketHeaderSize)
+			codec.Size(), cfg.PageSize-pageHeaderSize)
 	}
 	store := cfg.Store
 	if store == nil {
@@ -168,30 +208,23 @@ func NewHybridQueue[T any](less func(a, b T) bool, key func(T) float64, codec Co
 			return nil, err
 		}
 	}
-	pool, err := pager.NewPool(store, cfg.Frames, cfg.Meter.QueueIO())
-	if err != nil {
-		return nil, err
-	}
 	q := &HybridQueue[T]{
 		less:    less,
 		key:     key,
 		codec:   codec,
 		cfg:     cfg,
 		heap:    pairheap.New(less),
-		buckets: make(map[int]*bucket),
-		pool:    pool,
-		perPage: (cfg.PageSize - bucketHeaderSize) / codec.Size(),
+		last:    1,
+		store:   store,
+		size:    codec.Size(),
+		perPage: min((cfg.PageSize-pageHeaderSize)/codec.Size(), math.MaxUint16),
 		m:       cfg.Meter,
 	}
 	if o, ok := codec.(Owner[T]); ok {
 		q.own = o.Own
 	}
-	if !cfg.Adaptive {
-		q.d1 = cfg.DT
-		q.d2 = 2 * cfg.DT
-	} else {
-		q.d1 = math.Inf(1)
-		q.d2 = math.Inf(1)
+	if k, ok := codec.(Keyer); ok {
+		q.keyOf = k.Key
 	}
 	return q, nil
 }
@@ -208,9 +241,9 @@ func (q *HybridQueue[T]) Insert(v T) error {
 	if q.failed != nil {
 		return q.failed
 	}
-	defer q.m.Push(q.Len() + 1)
+	q.m.Push(q.Len() + 1)
 	d := q.key(v)
-	if q.cfg.Adaptive && q.cfg.DT == 0 {
+	if q.cfg.DT == 0 { // adaptive, still sampling
 		q.sampled = append(q.sampled, d)
 		q.heap.Insert(v)
 		if len(q.sampled) >= q.cfg.AdaptiveSample {
@@ -229,15 +262,33 @@ func (q *HybridQueue[T]) fail(err error) error {
 	return err
 }
 
+// bucketOf returns the bucket of distance d: ⌊d/DT⌋ clamped into
+// [0, maxIdx]. It is the queue's one classifier — tier and class both follow
+// from the bucket alone, never from a second comparison against a boundary
+// computed another way, so rounding cannot send an element to a tier that
+// disagrees with its bucket. It is monotone in d: an element of a lower
+// bucket orders strictly before every element of a higher one.
+func (q *HybridQueue[T]) bucketOf(d float64) int {
+	x := d / q.cfg.DT
+	switch {
+	case x < 1:
+		return 0
+	case x < maxIdx:
+		return int(x)
+	}
+	return maxIdx // huge, +Inf or NaN
+}
+
 // place routes an element to the tier covering its distance.
 func (q *HybridQueue[T]) place(v T, d float64) error {
-	if d >= q.d2 {
-		return q.spill(v, d)
+	i := q.bucketOf(d)
+	if i > q.last {
+		return q.spill(v, i)
 	}
 	if q.own != nil {
 		v = q.own(v)
 	}
-	if d < q.d1 {
+	if i < q.last {
 		q.heap.Insert(v)
 	} else {
 		q.list = append(q.list, v)
@@ -245,14 +296,20 @@ func (q *HybridQueue[T]) place(v T, d float64) error {
 	return nil
 }
 
-// fixAdaptiveDT chooses DT so that roughly a quarter of the sampled
-// distances fall below D1, then re-tiers the sampled elements (which all
-// accumulated in the heap while sampling) into their proper tiers, since
-// correctness requires the heap to hold exactly the elements below D1.
+// fixAdaptiveDT chooses DT as the sample's 1/64 quantile, then re-tiers the
+// sampled elements (which all accumulated in the heap while sampling) into
+// their proper tiers, since correctness requires the heap to hold exactly
+// the elements below D1. The quantile is low on purpose: a join's first
+// insertions are upper-level node pairs whose distances span the whole
+// space, while the pops stay near zero for a long time, so a DT of their
+// scale (the lower quartile, as this rule once was) sends nearly every later
+// insertion to the heap — a memory queue with extra steps. The disk tier's
+// cost does not depend on DT, so erring low is cheap (DESIGN.md §5).
 func (q *HybridQueue[T]) fixAdaptiveDT() error {
-	s := append([]float64(nil), q.sampled...)
+	s := q.sampled
+	q.sampled = nil
 	sort.Float64s(s)
-	dt := s[len(s)/4]
+	dt := s[len(s)/64]
 	if dt <= 0 {
 		// Degenerate distribution (everything at distance 0): fall back to
 		// the first positive sample, or keep the queue memory-only.
@@ -267,9 +324,6 @@ func (q *HybridQueue[T]) fixAdaptiveDT() error {
 		}
 	}
 	q.cfg.DT = dt
-	q.d1 = dt
-	q.d2 = 2 * dt
-	q.sampled = nil
 	// Re-tier everything accumulated during sampling.
 	pending := make([]T, 0, q.heap.Len())
 	for !q.heap.Empty() {
@@ -283,102 +337,136 @@ func (q *HybridQueue[T]) fixAdaptiveDT() error {
 	return nil
 }
 
-// spill brackets the disk-tier append as its own phase.
-func (q *HybridQueue[T]) spill(v T, d float64) error {
+// spill appends v to the disk tier, bracketed as its own phase.
+func (q *HybridQueue[T]) spill(v T, i int) error {
 	ph := q.m.Begin(meter.PhaseSpill)
-	err := q.doSpill(v, d)
+	dst, err := q.slot(i)
+	if err == nil {
+		q.codec.Encode(dst, v)
+		q.diskLen++
+		q.m.Spill()
+	}
 	q.m.End(ph)
 	return err
 }
 
-// doSpill appends v to the disk bucket covering distance d.
-func (q *HybridQueue[T]) doSpill(v T, d float64) error {
-	idx := int(d / q.cfg.DT)
-	b := q.buckets[idx]
-	if b == nil {
-		b = &bucket{}
-		q.buckets[idx] = b
+// slot returns the next free element slot of the class bucket i > last
+// belongs to, writing the class's tail page out first if it is full. It is
+// the one way into the disk tier, for a spilled element and a re-routed one
+// alike.
+func (q *HybridQueue[T]) slot(i int) ([]byte, error) {
+	cl := &q.classes[bits.Len64(uint64(i^q.last))]
+	switch {
+	case cl.tail == nil:
+		if n := len(q.free); n > 0 {
+			cl.tail, q.free = q.free[n-1], q.free[:n-1]
+		} else {
+			cl.tail = make([]byte, q.cfg.PageSize)
+		}
+	case cl.n == q.perPage:
+		if err := q.flush(cl); err != nil {
+			return nil, err
+		}
 	}
-	size := q.codec.Size()
-	// Append into the head page if it has room; otherwise chain a new page.
-	if b.head != pager.InvalidPage {
-		f, err := q.pool.Get(b.head)
-		if err != nil {
-			return err
-		}
-		if err := verifyPage(b.head, f.Data()); err != nil {
-			q.pool.Unpin(f)
-			return err
-		}
-		n := int(binary.LittleEndian.Uint16(f.Data()[4:]))
-		if n < q.perPage {
-			q.codec.Encode(f.Data()[bucketHeaderSize+n*size:], v)
-			binary.LittleEndian.PutUint16(f.Data()[4:], uint16(n+1))
-			sealPage(f.Data())
-			f.MarkDirty()
-			q.pool.Unpin(f)
-			b.count++
-			q.noteSpill()
-			return nil
-		}
-		q.pool.Unpin(f)
+	if cl.count == 0 || i < cl.min {
+		cl.min = i
 	}
-	f, err := q.pool.Allocate()
+	off := pageHeaderSize + cl.n*q.size
+	cl.n++
+	cl.count++
+	return cl.tail[off : off+q.size], nil
+}
+
+// flush seals the class's full tail page and writes it to a new page at the
+// head of the class's chain. The buffer stays the class's tail.
+func (q *HybridQueue[T]) flush(cl *class) error {
+	id, err := q.store.Allocate()
 	if err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(f.Data()[0:], uint32(b.head))
-	binary.LittleEndian.PutUint16(f.Data()[4:], 1)
-	q.codec.Encode(f.Data()[bucketHeaderSize:], v)
-	sealPage(f.Data())
-	f.MarkDirty()
-	b.head = f.ID()
-	q.pool.Unpin(f)
-	b.count++
-	q.noteSpill()
+	binary.LittleEndian.PutUint32(cl.tail[0:], uint32(cl.head))
+	binary.LittleEndian.PutUint16(cl.tail[4:], uint16(cl.n))
+	sealPage(cl.tail)
+	start := q.m.IOStart()
+	if err := q.store.WritePage(id, cl.tail); err != nil {
+		q.store.Free(id) // best effort: the page never joined the chain
+		return err
+	}
+	q.m.PageWritten(start)
+	cl.head = id
+	cl.n = 0
 	return nil
 }
 
-// noteSpill records one pair landing on the disk tier.
-func (q *HybridQueue[T]) noteSpill() {
-	q.diskLen++
-	q.m.Spill()
+// advance empties the lowest populated class, which holds the disk tier's
+// smallest bucket: that bucket becomes the list tier and the class's other
+// elements move to the classes they have relative to the new last — all
+// strictly lower than the one being emptied, because every bucket of a class
+// shares the class's leading bit. Classes above keep their numbers. The
+// bookkeeping moves page by page, so Len() stays exact wherever an error
+// strikes (the caller then poisons the queue anyway).
+func (q *HybridQueue[T]) advance() error {
+	c := 1
+	for q.classes[c].count == 0 {
+		c++
+	}
+	cl := &q.classes[c]
+	q.last = cl.min
+	if err := q.route(cl.tail, cl.n); err != nil {
+		return err
+	}
+	cl.count -= cl.n
+	q.free = append(q.free, cl.tail)
+	cl.tail, cl.n = nil, 0
+	if cl.head != pager.InvalidPage && q.rbuf == nil {
+		q.rbuf = make([]byte, q.cfg.PageSize)
+	}
+	for cl.head != pager.InvalidPage {
+		page := cl.head
+		start := q.m.IOStart()
+		if err := q.store.ReadPage(page, q.rbuf); err != nil {
+			return err
+		}
+		q.m.PageRead(start)
+		if err := verifyPage(page, q.rbuf); err != nil {
+			return err
+		}
+		n := int(binary.LittleEndian.Uint16(q.rbuf[4:]))
+		if err := q.route(q.rbuf, n); err != nil {
+			return err
+		}
+		cl.count -= n
+		if err := q.store.Free(page); err != nil {
+			return err
+		}
+		cl.head = pager.PageID(binary.LittleEndian.Uint32(q.rbuf[0:]))
+	}
+	return nil
 }
 
-// loadBucket reads and frees every page of bucket idx, appending the
-// elements to the in-memory list. Bookkeeping is advanced page by page so
-// that a failure mid-chain leaves Len() consistent with what was actually
-// recovered (the caller then poisons the queue anyway).
-func (q *HybridQueue[T]) loadBucket(idx int) error {
-	b := q.buckets[idx]
-	if b == nil {
-		return nil
-	}
-	size := q.codec.Size()
-	for b.head != pager.InvalidPage {
-		page := b.head
-		f, err := q.pool.Get(page)
-		if err != nil {
-			return err
+// route moves the n elements of one page of the class being emptied: those
+// of the list tier's bucket are decoded into the list, the others copied as
+// they are into their new class.
+func (q *HybridQueue[T]) route(page []byte, n int) error {
+	for off := pageHeaderSize; n > 0; n, off = n-1, off+q.size {
+		rec := page[off : off+q.size]
+		var d float64
+		if q.keyOf != nil {
+			d = q.keyOf(rec)
+		} else {
+			d = q.key(q.codec.Decode(rec))
 		}
-		if err := verifyPage(page, f.Data()); err != nil {
-			q.pool.Unpin(f)
-			return err
-		}
-		next := pager.PageID(binary.LittleEndian.Uint32(f.Data()[0:]))
-		n := int(binary.LittleEndian.Uint16(f.Data()[4:]))
-		for i := 0; i < n; i++ {
-			q.list = append(q.list, q.codec.Decode(f.Data()[bucketHeaderSize+i*size:]))
-		}
-		q.pool.Unpin(f)
-		b.head = next
-		b.count -= n
-		q.diskLen -= n
-		if err := q.pool.Drop(page); err != nil {
-			return err
+		if i := q.bucketOf(d); i > q.last {
+			dst, err := q.slot(i)
+			if err != nil {
+				return err
+			}
+			copy(dst, rec)
+		} else {
+			q.list = append(q.list, q.codec.Decode(rec))
+			q.diskLen--
 		}
 	}
-	delete(q.buckets, idx)
 	return nil
 }
 
@@ -395,34 +483,22 @@ func (q *HybridQueue[T]) refill() error {
 	return err
 }
 
-// doRefill advances the tier boundaries when the heap drains: the list is
-// poured into the heap, D1 := D2, D2 += DT, and the next disk bucket is
-// loaded into the list (paper §3.2). Empty bucket ranges are skipped in one
-// jump rather than one DT step at a time.
+// doRefill advances the tiers when the heap drains: the list is poured
+// into the heap and the disk tier's smallest bucket becomes the new list
+// (paper §3.2: D1 := D2, D2 := D1 + DT, with empty bucket ranges skipped in
+// one jump rather than one DT step at a time).
 func (q *HybridQueue[T]) doRefill() error {
 	for q.heap.Empty() && (len(q.list) > 0 || q.diskLen > 0) {
 		for _, v := range q.list {
 			q.heap.Insert(v)
 		}
+		clear(q.list)
 		q.list = q.list[:0]
-		q.d1 = q.d2
 		if q.diskLen == 0 {
-			q.d2 = q.d1 + q.cfg.DT
+			q.last++
 			continue
 		}
-		// Find the lowest populated bucket at or beyond the new D1.
-		minIdx := -1
-		for idx := range q.buckets {
-			if minIdx == -1 || idx < minIdx {
-				minIdx = idx
-			}
-		}
-		// Jump boundaries so the chosen bucket maps to [D1, D2).
-		if lo := float64(minIdx) * q.cfg.DT; lo > q.d1 {
-			q.d1 = lo
-		}
-		q.d2 = float64(minIdx+1) * q.cfg.DT
-		if err := q.loadBucket(minIdx); err != nil {
+		if err := q.advance(); err != nil {
 			return err
 		}
 	}
@@ -464,11 +540,30 @@ func (q *HybridQueue[T]) Peek() (T, bool, error) {
 	return q.heap.Min(), true, nil
 }
 
-// PinnedFrames reports how many of the disk tier's buffer-pool frames are
-// still pinned. Outside an in-flight operation it must be 0 — every fetch
-// and spill unpins on success, failure and cancellation alike — which the
-// cancellation sweep asserts after abandoning runs mid-join.
-func (q *HybridQueue[T]) PinnedFrames() int { return q.pool.PinnedFrames() }
+// CheckStore verifies the disk tier's page conservation: the pages
+// allocated in the store are exactly those linked from the class chains, so
+// a drained queue holds none. It reads every chained page (unmetered) and
+// is meant for tests, which call it on a quiescent queue — after a
+// cancellation, say.
+func (q *HybridQueue[T]) CheckStore() error {
+	buf := make([]byte, q.cfg.PageSize)
+	linked := 0
+	for c := range q.classes {
+		for id := q.classes[c].head; id != pager.InvalidPage; linked++ {
+			if err := q.store.ReadPage(id, buf); err != nil {
+				return err
+			}
+			if err := verifyPage(id, buf); err != nil {
+				return err
+			}
+			id = pager.PageID(binary.LittleEndian.Uint32(buf[0:]))
+		}
+	}
+	if n := q.store.NumAllocated(); n != linked {
+		return fmt.Errorf("pqueue: store holds %d pages, class chains link %d", n, linked)
+	}
+	return nil
+}
 
 // Close implements Queue.
-func (q *HybridQueue[T]) Close() error { return q.pool.Store().Close() }
+func (q *HybridQueue[T]) Close() error { return q.store.Close() }

@@ -2,8 +2,9 @@
 // distance join: a pure in-memory queue (a pairing heap), and the paper's
 // three-tier hybrid memory/disk queue (§3.2), which keeps pairs with small
 // distances in a pairing heap, pairs with middling distances in an
-// unorganized in-memory list, and spills distant pairs to linked page lists
-// on disk, bucketed by distance range [k·D_T, (k+1)·D_T).
+// unorganized in-memory list, and spills distant pairs to disk: distances
+// fall into buckets [k·D_T, (k+1)·D_T), and the disk tier is a radix heap over
+// the bucket index, each radix class a linked list of pages.
 package pqueue
 
 import (

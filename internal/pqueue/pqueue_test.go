@@ -1,6 +1,7 @@
 package pqueue
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -292,51 +293,106 @@ func TestHybridCountsMaxQueueSize(t *testing.T) {
 	}
 }
 
+// matchesMem feeds keys to a hybrid queue of increment dt and to a memory
+// queue, pops both after every insert pop selects and then drains both: the
+// two must pop the same sequence.
+func matchesMem(dt float64, keys []float64, pop func(i int) bool) error {
+	store, _ := pager.NewMemStore(512)
+	hq, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
+		DT: dt, PageSize: 512, Store: store,
+	})
+	if err != nil {
+		return err
+	}
+	defer hq.Close()
+	mq := NewMemQueue[elem](elemLess, nil)
+	same := func() (more bool, err error) {
+		hv, hok, herr := hq.Pop()
+		mv, mok, _ := mq.Pop()
+		if herr != nil || hok != mok || hv != mv {
+			return false, fmt.Errorf("hybrid popped %v %v %v, memory %v %v", hv, hok, herr, mv, mok)
+		}
+		return hok, nil
+	}
+	for i, d := range keys {
+		e := elem{dist: d, id: uint64(i)}
+		if err := hq.Insert(e); err != nil {
+			return err
+		}
+		mq.Insert(e)
+		if pop(i) {
+			if _, err := same(); err != nil {
+				return fmt.Errorf("after insert %d: %w", i, err)
+			}
+		}
+	}
+	for {
+		if more, err := same(); err != nil || !more {
+			return err
+		}
+	}
+}
+
 // Property: hybrid and memory queues pop identical sequences for any input,
 // under any DT.
 func TestPropHybridMatchesMem(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		dt := 0.5 + rnd.Float64()*30
-		store, _ := pager.NewMemStore(512)
-		hq, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-			DT: dt, PageSize: 512, Store: store,
-		})
-		if err != nil {
-			return false
+		keys := make([]float64, 50+rnd.Intn(500))
+		for i := range keys {
+			keys[i] = rnd.Float64() * 100
 		}
-		defer hq.Close()
-		mq := NewMemQueue[elem](elemLess, nil)
-		n := 50 + rnd.Intn(500)
-		for i := 0; i < n; i++ {
-			e := elem{dist: rnd.Float64() * 100, id: uint64(i)}
-			hq.Insert(e)
-			mq.Insert(e)
-			// Occasionally interleave pops.
-			if rnd.Intn(4) == 0 {
-				hv, hok, herr := hq.Pop()
-				mv, mok, _ := mq.Pop()
-				if herr != nil || hok != mok || hv != mv {
-					return false
-				}
-			}
-		}
-		for {
-			hv, hok, herr := hq.Pop()
-			mv, mok, _ := mq.Pop()
-			if herr != nil || hok != mok {
-				return false
-			}
-			if !hok {
-				return true
-			}
-			if hv != mv {
-				return false
-			}
-		}
+		// Occasionally interleave pops.
+		return matchesMem(dt, keys, func(int) bool { return rnd.Intn(4) == 0 }) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+
+	// Boundary keys: distances on a bucket boundary and one ulp either side
+	// of it — where ⌊d/DT⌋ and a comparison against k·DT can disagree — and
+	// distances whose d/DT no int holds. The bucket is the queue's only
+	// classifier, so neither may misplace an element.
+	boundaries := func(dt float64) []float64 {
+		var keys []float64
+		for k := 0; k <= 48; k++ {
+			b := float64(k) * dt
+			keys = append(keys, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)),
+				float64(k)/(1/dt), b+dt/2)
+		}
+		return keys
+	}
+	huge := []float64{0.5, 1, 3.5, 1 << 40, 1 << 62, math.Nextafter(1<<62, 0), 1 << 63, 1 << 64,
+		5e18, 1e19, 1e300, math.MaxFloat64, math.Inf(1), 7, 1e17, math.Inf(1), 2}
+	for _, tc := range []struct {
+		name string
+		dt   float64
+		keys []float64
+	}{
+		{"DT=0.1", 0.1, boundaries(0.1)},
+		{"DT=0.7", 0.7, boundaries(0.7)},
+		{"DT=3", 3, boundaries(3)},
+		{"DT=1e-3", 1e-3, boundaries(1e-3)},
+		{"d/DT>2^62", 1, huge},
+		{"d/DT>2^62,DT=1e-9", 1e-9, append(boundaries(1e-9), 5e9, 1e10, 1e12, 1e300, math.Inf(1))},
+	} {
+		for _, order := range []string{"ascending", "descending", "shuffled"} {
+			keys := append([]float64(nil), tc.keys...)
+			switch order {
+			case "ascending":
+				sort.Float64s(keys)
+			case "descending":
+				sort.Sort(sort.Reverse(sort.Float64Slice(keys)))
+			case "shuffled":
+				rand.New(rand.NewSource(20)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			}
+			for _, every := range []int{0, 3} {
+				if err := matchesMem(tc.dt, keys, func(i int) bool { return every > 0 && i%every == 0 }); err != nil {
+					t.Errorf("%s, %s, pop every %d: %v", tc.name, order, every, err)
+				}
+			}
+		}
 	}
 }
 
@@ -400,7 +456,7 @@ func TestHybridCountsQueueIOSeparately(t *testing.T) {
 	m, publish := meterInto(c)
 	store, _ := pager.NewMemStore(256)
 	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		DT: 1, PageSize: 256, Store: store, Meter: m, Frames: 2,
+		DT: 1, PageSize: 256, Store: store, Meter: m,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -486,6 +486,10 @@ func modelOptions(hook *engineHook, stores *storeRig) distjoin.Options {
 	a, b, _, _ := modelIndexes()
 	return distjoin.Options{
 		QueueStore: stores.factory,
+		// Two pairs a page: the disk tier writes a page per full tail, so
+		// with 4 KiB pages these small queries would never reach the write
+		// the fault op arms.
+		QueuePageSize: 256,
 		ExactDist: func(o1, o2 distjoin.ObjID) (float64, error) {
 			hook.call()
 			p, q := a[o1], b[o2]
@@ -783,6 +787,12 @@ func (d *driver) opCreate() {
 	var cr CreateResponse
 	if err := json.Unmarshal(raw, &cr); err != nil || cr.Cursor == "" || cr.QueryID != cr.Cursor {
 		d.failf("create body: %v: %s", err, raw)
+	}
+	if failWriteAt > 0 {
+		modelArmed.cursors++
+		if ref.failAt >= 0 {
+			modelArmed.faulting++
+		}
 	}
 	d.ids = append(d.ids, cr.Cursor)
 	d.m.cursors[cr.Cursor] = &mCursor{
@@ -1163,6 +1173,11 @@ func runSchedule(t *testing.T, seed int64) {
 	d.quiesce(baseline)
 }
 
+// modelArmed counts the cursors the schedules created on a store armed to
+// fail a page write, and those among them whose query, drained, reaches the
+// armed write and dies of it (the schedules run one after another).
+var modelArmed struct{ cursors, faulting int }
+
 func TestCursorLifecycleModel(t *testing.T) {
 	if *modelSeed != 0 {
 		runSchedule(t, *modelSeed)
@@ -1172,8 +1187,15 @@ func TestCursorLifecycleModel(t *testing.T) {
 	if testing.Short() {
 		schedules = 40
 	}
+	modelArmed.cursors, modelArmed.faulting = 0, 0
 	for seed := int64(1); seed <= int64(schedules); seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runSchedule(t, seed) })
+	}
+	// A write count the query never reaches makes the fault op a second
+	// healthy create: the armed stores must really fail their cursors.
+	t.Logf("%d of %d armed cursors die of the injected fault", modelArmed.faulting, modelArmed.cursors)
+	if modelArmed.cursors == 0 || modelArmed.faulting*10 < modelArmed.cursors*9 {
+		t.Errorf("only %d of %d armed cursors reach their fault, want at least 90 %%", modelArmed.faulting, modelArmed.cursors)
 	}
 }
