@@ -22,17 +22,44 @@ import (
 // a prune threshold).
 
 type diffCase struct {
-	name  string
-	opts  Options
-	semi  func() *semiState
-	self  bool // self join: both sides read the same tree
-	limit int  // max pairs to drain; 0 = full drain
+	name         string
+	opts         Options
+	semi         func() *semiState
+	self         bool // self join: both sides read the same tree
+	quad1, quad2 bool // that side is indexed by a quadtree, not an R-tree
+	limit        int  // max pairs to drain; 0 = full drain
+	restarts     bool // the case is there for the §2.2.4 restart: it must happen
 }
 
-func diffCases() []diffCase {
+func diffCases(pts1, pts2 []geom.Point) []diffCase {
 	sel := func(id rtree.ObjID) bool { return id%3 != 0 }
+	sparse := func(id rtree.ObjID) bool { return id%25 == 0 }
 	win := geom.R(geom.Pt(0, 0), geom.Pt(700, 800))
+	// An exact distance at or above the bounding rectangles' (the points'
+	// own), by a different margin per pair: dequeued OBR pairs do not all
+	// beat the queue head, so resolveOBR both reports and re-queues.
+	exact := func(o1, o2 rtree.ObjID) (float64, error) {
+		return geom.Euclidean.Dist(pts1[o1], pts2[o2]) + float64((7*o1+13*o2)%5), nil
+	}
+	fetch := func(pts []geom.Point) func(rtree.ObjID) (geom.Rect, error) {
+		return func(id rtree.ObjID) (geom.Rect, error) { return pts[id].Rect(), nil }
+	}
 	return []diffCase{
+		// The side expansions, which on the memory queue enter as blocks:
+		// siblings on different levels (quadtrees) under both tie-breaks,
+		// descending keys, keys that are not distances, pairs re-queued
+		// past a peeked block head, and generation resumed after a restart.
+		{name: "quadtree-rtree", opts: Options{}, quad1: true},
+		{name: "rtree-quadtree-basic", opts: Options{Traversal: TraverseBasic}, quad2: true},
+		{name: "quadtrees-breadthfirst", opts: Options{TieBreak: BreadthFirst}, quad1: true, quad2: true},
+		{name: "reverse-drain", opts: Options{Reverse: true}},
+		{name: "reverse-quadtree-breadthfirst", opts: Options{Reverse: true, TieBreak: BreadthFirst}, quad2: true, limit: 2000},
+		{name: "intersection-order-even", opts: Options{OrderIntersectionsFrom: geom.Pt(300, 400)}, self: true, limit: 500},
+		{name: "obr-exactdist", opts: Options{ExactDist: exact}},
+		{name: "obr-fetch", opts: Options{Fetch1: fetch(pts1), Fetch2: fetch(pts2), MaxDist: 150}},
+		// Selection makes the minimum-fan-out counting overcount, so the
+		// estimator over-tightens and the engine restarts without it.
+		{name: "estimator-restart", opts: Options{Select1: sparse, Select2: sparse, MaxPairs: 20}, limit: 20, restarts: true},
 		{name: "even-default", opts: Options{}},
 		{name: "basic", opts: Options{Traversal: TraverseBasic}},
 		{name: "simultaneous-maxdist", opts: Options{Traversal: TraverseSimultaneous, MaxDist: 120}},
@@ -96,6 +123,9 @@ func drainEngineVariant(t *testing.T, t1, t2 SpatialIndex, tc diffCase, scalar b
 		}
 		out = append(out, p)
 	}
+	if tc.restarts && !e.restarted {
+		t.Fatal("the estimator never over-tightened: no restart to compare")
+	}
 	return out, opts.Counters.Snapshot()
 }
 
@@ -105,9 +135,15 @@ func TestBatchedExpansionMatchesScalar(t *testing.T) {
 	tr1 := buildTree(t, pts1)
 	tr2 := buildTree(t, pts2)
 
-	for _, tc := range diffCases() {
+	for _, tc := range diffCases(pts1, pts2) {
 		t.Run(tc.name, func(t *testing.T) {
 			i1, i2 := WrapRTree(tr1), WrapRTree(tr2)
+			if tc.quad1 {
+				i1 = WrapQuadtree(buildQuadtree(t, pts1))
+			}
+			if tc.quad2 {
+				i2 = WrapQuadtree(buildQuadtree(t, pts2))
+			}
 			if tc.self {
 				i2 = i1
 			}
@@ -133,6 +169,13 @@ func TestBatchedExpansionMatchesScalar(t *testing.T) {
 					t.Fatalf("pair %d: batch dist %v, scalar %v (diff %g)", i, b.Dist, s.Dist, diff)
 				}
 			}
+			// The one counter the two may disagree on is the one that
+			// tells them apart: the scalar expansion queues every pair as
+			// its own element, the batched one a block per expansion.
+			if cb.MaxQueueElements > cs.MaxQueueElements || cs.MaxQueueElements != cs.MaxQueueSize {
+				t.Fatalf("queue elements: batch %d, scalar %d (of %d pairs)", cb.MaxQueueElements, cs.MaxQueueElements, cs.MaxQueueSize)
+			}
+			cb.MaxQueueElements = cs.MaxQueueElements
 			if strict && cb != cs {
 				t.Fatalf("counter snapshots diverge:\nbatch:  %+v\nscalar: %+v", cb, cs)
 			}

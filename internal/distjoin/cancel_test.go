@@ -307,6 +307,52 @@ func TestCancelSeenBeforeMaxPairs(t *testing.T) {
 	}
 }
 
+// TestCancelSeenBeforeMaxPairsParallel is the parallel twin: the merge stops
+// its workers when it delivers the MaxPairs-th pair, but only a call that
+// reports the end makes the run done — a cancel that lands in between is
+// answered ErrCanceled, as the sequential engine answers it.
+func TestCancelSeenBeforeMaxPairsParallel(t *testing.T) {
+	goroutinesBefore := runtime.NumGoroutine()
+	ta, tb := buildTree(t, clusteredPoints(910, 120)), buildTree(t, clusteredPoints(911, 140))
+	const k = 25
+	for _, queue := range []QueueKind{QueueMemory, QueueHybrid} {
+		for _, sawEnd := range []bool{false, true} {
+			ctx, cancel := context.WithCancel(context.Background())
+			j, err := NewJoin(ta, tb, Options{Context: ctx, MaxPairs: k, Parallelism: 4, Queue: queue, HybridDT: 8, HybridInMemory: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := runnerOf(j).(*parallelJoin); !ok {
+				t.Fatalf("%s: the join did not take the parallel path", queue)
+			}
+			for i := 0; i < k; i++ {
+				if _, ok, err := j.Next(); !ok || err != nil {
+					t.Fatalf("%s: pair %d: ok=%v err=%v", queue, i, ok, err)
+				}
+			}
+			if sawEnd {
+				if _, ok, err := j.Next(); ok || err != nil {
+					t.Fatalf("%s: Next after pair %d: ok=%v err=%v, want exhausted", queue, k, ok, err)
+				}
+			}
+			cancel()
+			_, ok, err := j.Next()
+			switch {
+			case ok:
+				t.Fatalf("%s: a pair beyond MaxPairs", queue)
+			case sawEnd && err != nil:
+				t.Fatalf("%s: exhausted, then canceled: Next = %v, want still exhausted", queue, err)
+			case !sawEnd && !errors.Is(err, ErrCanceled):
+				t.Fatalf("%s: canceled right after pair %d: Next = %v, want ErrCanceled", queue, k, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("%s: close: %v", queue, err)
+			}
+		}
+	}
+	waitForGoroutines(t, goroutinesBefore)
+}
+
 // TestCancelCausePropagates checks that a custom cancellation cause set via
 // context.WithCancelCause is preserved on the surfaced error chain.
 func TestCancelCausePropagates(t *testing.T) {

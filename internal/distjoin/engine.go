@@ -69,6 +69,13 @@ type engine struct {
 	semi         *semiState
 	sweep        bool
 
+	// bq is q when q is the memory queue, nil on the hybrid queue: the side
+	// expansions hand it their children as one block (blockqueue.go). child
+	// is the entry index, in the node being expanded, of the child the
+	// enqueue path is deciding on — what insert collects while bq is open.
+	bq    *blockQueue
+	child int
+
 	// seedPairs, when non-nil, replaces the root/root seed with an explicit
 	// set of item pairs: the parallel path runs one engine per partition,
 	// each seeded with a disjoint slice of the top-level pair space.
@@ -215,10 +222,11 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 
 // makeQueue (re)creates the priority queue per the configured kind.
 func (e *engine) makeQueue() error {
-	less := pairLess(e.opts.TieBreak == DepthFirst, e.opts.Reverse)
+	depthFirst := e.opts.TieBreak == DepthFirst
 	switch e.opts.Queue {
 	case QueueMemory:
-		e.q = pqueue.NewMemQueue(less, e.m)
+		e.bq = newBlockQueue(depthFirst, e.opts.Reverse, e.m)
+		e.q = e.bq
 	case QueueHybrid:
 		cfg := pqueue.HybridConfig{
 			DT:       e.opts.HybridDT,
@@ -232,7 +240,7 @@ func (e *engine) makeQueue() error {
 			return err
 		}
 		cfg.Store = store
-		hq, err := pqueue.NewHybridQueue(less, func(p qpair) float64 { return p.key }, &pairCodec{dims: e.t1.Dims()}, cfg)
+		hq, err := pqueue.NewHybridQueue(pairLess(depthFirst, e.opts.Reverse), func(p qpair) float64 { return p.key }, &pairCodec{dims: e.t1.Dims()}, cfg)
 		if err != nil {
 			return err
 		}
@@ -624,8 +632,14 @@ func (e *engine) pop() (qpair, bool, error) {
 }
 
 // insert enqueues inside the push phase (the queue's disk-tier spill
-// brackets itself out of it).
+// brackets itself out of it). While the memory queue has an expansion open,
+// the pair is that expansion's child e.child and is collected into its
+// block; the push phase then is the one heap insert that closes the block.
 func (e *engine) insert(p qpair) error {
+	if e.bq != nil && e.bq.open() {
+		e.bq.collect(p.key, e.child)
+		return nil
+	}
 	ph := e.m.Begin(meter.PhasePush)
 	err := e.q.Insert(p)
 	e.m.End(ph)
@@ -936,6 +950,61 @@ func (e *engine) expandSide(p qpair, side int) error {
 	if err != nil {
 		return err
 	}
+	// On the memory queue the children enter as one block: opened only now
+	// that the node is read, so a failed expansion leaves none half open.
+	// The scalar reference expansion keeps inserting pair by pair.
+	if e.bq == nil || e.scalarExpand {
+		return e.enqueueChildren(n, other, side)
+	}
+	e.bq.begin(other, n, side, e.leafEntryKind())
+	if e.plainJoin() {
+		e.collectPlain(n, other)
+	} else {
+		err = e.enqueueChildren(n, other, side)
+	}
+	ph := e.m.Begin(meter.PhasePush)
+	e.bq.end()
+	e.m.End(ph)
+	return err
+}
+
+// plainJoin reports whether generation can decide every child from its
+// distance alone: no option in force looks at a child's item or needs its
+// d_max (selection, equal-id omission, intersection ordering, semi-join
+// filters, either estimator, Reverse, a minimum distance).
+func (e *engine) plainJoin() bool {
+	o := &e.opts
+	return e.semi == nil && e.est == nil && e.revEst == nil && !o.Reverse && !(e.dmin > 0) &&
+		o.Window1 == nil && o.Window2 == nil && o.Select1 == nil && o.Select2 == nil &&
+		!o.OmitEqualIDs && len(o.OrderIntersectionsFrom) == 0
+}
+
+// collectPlain is enqueueChildren for a plainJoin on the memory queue. It
+// works on (entry index, pre-distance) straight from the node's coordinate
+// block: per child one distance count, one range test in the pre domain, one
+// Finish and one collected entry — no item, no qpair. Counters move exactly
+// as enqueuePre moves them.
+func (e *engine) collectPlain(n *IndexNode, other item) {
+	count := len(n.Coords) / len(other.c)
+	if cap(e.dbuf) < count {
+		e.dbuf = make([]float64, count)
+	}
+	pres := e.dbuf[:count]
+	e.kern.MinDistRows(other.rect(), n.Coords, pres)
+	nodeCalc := other.isNode() || !n.Leaf
+	for i, pre := range pres {
+		e.m.DistCalc(nodeCalc)
+		if e.kern.PreGreater(pre, e.dmaxCur) {
+			e.m.Filter(1)
+			continue
+		}
+		e.bq.collect(e.kern.Finish(pre), i)
+	}
+}
+
+// enqueueChildren pairs every entry of node n, on the given side, with
+// other, and enqueues the pairs that survive the filters.
+func (e *engine) enqueueChildren(n *IndexNode, other item, side int) error {
 	e.scratch1 = appendNodeItems(e.scratch1[:0], n, e.leafEntryKind())
 	children := e.scratch1
 
@@ -965,6 +1034,7 @@ func (e *engine) expandSide(p qpair, side int) error {
 					continue
 				}
 			}
+			e.child = i
 			var err error
 			if side == 1 {
 				err = e.enqueuePre(c, other, pres[i])
@@ -1040,15 +1110,21 @@ func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
 	}
 	w := len(n.Coords) / count
 	for i := 0; i < count; i++ {
-		it := item{c: n.Coords[i*w : (i+1)*w : (i+1)*w], kind: leafKind, level: -1}
-		if n.Leaf {
-			it.ref = n.Objects[i].ID
-		} else {
-			it.kind, it.level, it.ref = kindNode, int8(n.Children[i].Level), n.Children[i].Ref
-		}
-		buf = append(buf, it)
+		buf = append(buf, childItem(n, i, w, leafKind))
 	}
 	return buf
+}
+
+// childItem is entry i of node n as a queue item: a view of its w
+// coordinates in the node's block.
+func childItem(n *IndexNode, i, w int, leafKind itemKind) item {
+	it := item{c: n.Coords[i*w : (i+1)*w : (i+1)*w], kind: leafKind, level: -1}
+	if n.Leaf {
+		it.ref = n.Objects[i].ID
+	} else {
+		it.kind, it.level, it.ref = kindNode, int8(n.Children[i].Level), n.Children[i].Ref
+	}
+	return it
 }
 
 // expandBoth processes both nodes of a node/node pair simultaneously

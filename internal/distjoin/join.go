@@ -203,10 +203,11 @@ func (j *Join) Err() error { return j.s.lastErr() }
 // Reported returns the number of pairs delivered so far.
 func (j *Join) Reported() int { return j.s.r.reportedCount() }
 
-// QueueLen returns the current priority-queue size (diagnostic). On the
-// parallel path it is the number of merged-but-undelivered result pairs
-// rather than a priority-queue size (the partition queues belong to
-// running workers).
+// QueueLen returns the current priority-queue size in pairs, on either
+// queue (the memory queue's heap holds fewer elements than that: one per
+// expansion). Diagnostic. On the parallel path it is the number of
+// merged-but-undelivered result pairs rather than a priority-queue size
+// (the partition queues belong to running workers).
 func (j *Join) QueueLen() int { return j.s.r.queueLen() }
 
 // EffectiveMaxDist returns the maximum distance currently in force: the
@@ -312,8 +313,8 @@ func (s *SemiJoin) Err() error { return s.s.lastErr() }
 // Reported returns the number of pairs delivered so far.
 func (s *SemiJoin) Reported() int { return s.s.r.reportedCount() }
 
-// QueueLen returns the current priority-queue size (diagnostic); see
-// Join.QueueLen for the parallel-path meaning.
+// QueueLen returns the current priority-queue size in pairs (diagnostic);
+// see Join.QueueLen.
 func (s *SemiJoin) QueueLen() int { return s.s.r.queueLen() }
 
 // Restarted reports whether the engine used the §2.2.4 restart (any

@@ -63,9 +63,12 @@ func (t TieBreak) String() string {
 type QueueKind int
 
 const (
-	// QueueMemory keeps the whole queue in a pairing heap.
+	// QueueMemory keeps the whole queue in memory: a pairing heap holding
+	// one element per node expansion — the expansion's nearest remaining
+	// child — with the child's siblings waiting unordered in a block.
 	QueueMemory QueueKind = iota
-	// QueueHybrid uses the paper's three-tier memory/disk queue.
+	// QueueHybrid uses the paper's three-tier memory/disk queue, one
+	// fixed-size record per pair.
 	QueueHybrid
 )
 
@@ -115,7 +118,9 @@ type Options struct {
 	// estimation — the reverse counterpart of §2.2.4; the reverse
 	// semi-join does not support MaxPairs.
 	Reverse bool
-	// Queue selects the queue implementation; default QueueMemory.
+	// Queue selects the queue implementation; default QueueMemory. Either
+	// way the queue's size — QueueLen, Stats.MaxQueueSize — is in pairs;
+	// Stats.MaxQueueElements is what the memory queue's heap held for them.
 	Queue QueueKind
 	// HybridDT is the distance increment D_T of the hybrid queue; when 0
 	// the queue chooses it adaptively from the first insertions. D_T sizes

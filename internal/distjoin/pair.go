@@ -48,6 +48,11 @@ type item struct {
 	ref   uint64
 	kind  itemKind
 	level int8 // node level; -1 for OBR/object items
+	// blk is queue bookkeeping, not part of the item: on the first item of a
+	// pair resting in the memory queue's heap, the id of the block of
+	// siblings the pair heads (0: none). It lives in what was padding, so a
+	// qpair keeps its 88 bytes; no pair outside that heap carries one.
+	blk uint32
 }
 
 // newItem builds an item on its own copy of r's coordinates.

@@ -205,14 +205,14 @@ type parallelJoin struct {
 	ctx     context.Context
 	ctxDone <-chan struct{}
 
-	done     chan struct{} // closed to cancel workers
-	stop     sync.Once
-	wg       sync.WaitGroup
-	heads    []parHead // merge heap of stream heads
-	started  bool
-	finished bool
-	failErr  error // first worker error; sticky, returned by every later next
-	nOut     int   // pairs delivered to the caller
+	done      chan struct{} // closed to cancel workers
+	stop      sync.Once
+	wg        sync.WaitGroup
+	heads     []parHead // merge heap of stream heads
+	started   bool
+	exhausted bool  // the end of the stream has been reported to the caller
+	failErr   error // first worker error; sticky, returned by every later next
+	nOut      int   // pairs delivered to the caller
 
 	anyRestart atomic.Bool
 	closeMu    sync.Mutex
@@ -402,13 +402,16 @@ func (r *parallelJoin) merge() (Pair, bool, error) {
 	if r.failErr != nil {
 		return Pair{}, false, r.failErr
 	}
-	if r.finished {
+	if r.exhausted {
 		return Pair{}, false, nil
 	}
 	// Cancellation check, per merge call: fail cancels the sibling
 	// workers (close(done) unblocks any worker parked on a full out
 	// channel) and waits for them to release their engines, so a canceled
-	// parallel join leaves no goroutines and no queue resources behind.
+	// parallel join leaves no goroutines and no queue resources behind. As
+	// in engine.step it comes before the MaxPairs shortcut: a run canceled
+	// after its last pair was delivered, but before any call reported the
+	// end, ends canceled, not done.
 	if r.ctxDone != nil {
 		select {
 		case <-r.ctxDone:
@@ -424,11 +427,8 @@ func (r *parallelJoin) merge() (Pair, bool, error) {
 			}
 		}
 	}
-	if r.maxPairs > 0 && r.nOut >= r.maxPairs {
-		r.finish()
-		return Pair{}, false, nil
-	}
-	if len(r.heads) == 0 {
+	if len(r.heads) == 0 || r.maxPairs > 0 && r.nOut >= r.maxPairs {
+		r.exhausted = true
 		r.finish()
 		return Pair{}, false, nil
 	}
@@ -445,7 +445,7 @@ func (r *parallelJoin) merge() (Pair, bool, error) {
 	r.nOut++
 	r.m.Deliver(h.pair.Dist)
 	if r.maxPairs > 0 && r.nOut >= r.maxPairs {
-		r.finish()
+		r.finish() // the workers' resources go now; the end is reported by the next call
 	}
 	return h.pair, true, nil
 }
@@ -453,7 +453,6 @@ func (r *parallelJoin) merge() (Pair, bool, error) {
 // finish cancels outstanding work and waits for the workers to release
 // their engines (queues, scratch files, meters).
 func (r *parallelJoin) finish() {
-	r.finished = true
 	r.stop.Do(func() { close(r.done) })
 	r.wg.Wait()
 }

@@ -163,11 +163,15 @@ type Run struct {
 	Reported  int // result pairs actually produced
 	Time      time.Duration
 	DistCalcs int64
-	MaxQueue  int64
-	NodeIO    int64
-	LastDist  float64 // distance of the last reported pair
-	Retries   int64   // transient queue-I/O retries (fault experiments)
-	Err       string  // surfaced error class, "" when the run completed
+	MaxQueue  int64 // high-water queue size, in pairs
+	// MaxElements is the high-water number of elements in the queue's own
+	// structure: the memory queue holds one per expansion, the hybrid queue
+	// one per pair (0: the leg does not report it).
+	MaxElements int64
+	NodeIO      int64
+	LastDist    float64 // distance of the last reported pair
+	Retries     int64   // transient queue-I/O retries (fault experiments)
+	Err         string  // surfaced error class, "" when the run completed
 }
 
 // runJoin executes an incremental distance join up to `pairs` results.
@@ -223,7 +227,7 @@ func (d *Datasets) runJoinStamped(label string, pairs int, opts distjoin.Options
 	}
 	r.Time = time.Since(start)
 	r.DistCalcs = c.DistCalcs
-	r.MaxQueue = c.MaxQueueSize
+	r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
 	r.NodeIO = c.NodeIO()
 	return r, stamps, nil
 }
@@ -261,7 +265,7 @@ func (d *Datasets) runSemi(label string, pairs int, filter distjoin.SemiFilter, 
 	}
 	r.Time = time.Since(start)
 	r.DistCalcs = c.DistCalcs
-	r.MaxQueue = c.MaxQueueSize
+	r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
 	r.NodeIO = c.NodeIO()
 	return r, nil
 }
@@ -799,7 +803,7 @@ func DimSweep(s Scale) ([]Run, error) {
 		}
 		r.Time = time.Since(start)
 		r.DistCalcs = c.DistCalcs
-		r.MaxQueue = c.MaxQueueSize
+		r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
 		r.NodeIO = c.NodeIO()
 		out = append(out, r)
 		j.Close()

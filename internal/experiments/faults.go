@@ -154,7 +154,7 @@ func (d *Datasets) runFaultJoin(label string, pairs int, opts distjoin.Options) 
 	}
 	r.Time = time.Since(start)
 	r.DistCalcs = c.DistCalcs
-	r.MaxQueue = c.MaxQueueSize
+	r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
 	r.NodeIO = c.NodeIO()
 	r.Retries = c.IORetries
 	return r, nil

@@ -24,7 +24,7 @@ func PrintRuns(w io.Writer, title string, runs []Run) {
 		}
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	header := "variant\tpairs\treported\ttime\tdist.calc\tqueue max\tnode I/O\tlast dist"
+	header := "variant\tpairs\treported\ttime\tdist.calc\tqueue max (pairs / elements)\tnode I/O\tlast dist"
 	if faults {
 		header += "\tretries\terror"
 	}
@@ -34,8 +34,14 @@ func PrintRuns(w io.Writer, title string, runs []Run) {
 		if r.Pairs <= 0 {
 			pairs = "all"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%d\t%d\t%.2f",
-			r.Label, pairs, r.Reported, FormatDuration(r.Time), r.DistCalcs, r.MaxQueue, r.NodeIO, r.LastDist)
+		// Queue size in pairs, and in elements of the queue's own structure
+		// where the leg reports them.
+		queue := fmt.Sprintf("%d", r.MaxQueue)
+		if r.MaxElements > 0 {
+			queue += fmt.Sprintf(" / %d", r.MaxElements)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%s\t%d\t%.2f",
+			r.Label, pairs, r.Reported, FormatDuration(r.Time), r.DistCalcs, queue, r.NodeIO, r.LastDist)
 		if faults {
 			errCell := r.Err
 			if errCell == "" {
@@ -73,6 +79,7 @@ func WriteJSON(w io.Writer, id string, runs []Run) error {
 		Seconds    float64 `json:"seconds"`
 		DistCalcs  int64   `json:"dist_calcs"`
 		QueueMax   int64   `json:"queue_max"`
+		QueueElems int64   `json:"queue_max_elements,omitempty"`
 		NodeIO     int64   `json:"node_io"`
 		LastDist   float64 `json:"last_dist"`
 		Retries    int64   `json:"io_retries,omitempty"`
@@ -88,6 +95,7 @@ func WriteJSON(w io.Writer, id string, runs []Run) error {
 			Seconds:    r.Time.Seconds(),
 			DistCalcs:  r.DistCalcs,
 			QueueMax:   r.MaxQueue,
+			QueueElems: r.MaxElements,
 			NodeIO:     r.NodeIO,
 			LastDist:   r.LastDist,
 			Retries:    r.Retries,

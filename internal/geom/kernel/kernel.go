@@ -366,6 +366,56 @@ func minDelta(alo, ahi, blo, bhi float64) float64 {
 	}
 }
 
+// MinDistRows is MinDistBatch over rectangles in row layout — rows holds
+// one run per rectangle, low corner then high corner (geom.RectOf), the
+// layout of a decoded index node's coordinate block — so a node's entries
+// need no columnar mirror: out[i] receives the (pre-)distance from query to
+// row i, for all len(rows)/(2·dims) rows. Each row's result is the one
+// MinDistBatch computes for the same rectangle, bit for bit (the same
+// per-dimension deltas, accumulated in the same order).
+func (b Batch) MinDistRows(query geom.Rect, rows []float64, out []float64) {
+	dims := len(query.Lo)
+	w := 2 * dims
+	out = out[:len(rows)/w]
+	switch {
+	case b.kind == kindGeneric:
+		for i := range out {
+			out[i] = b.m.MinDist(query, geom.RectOf(rows[i*w:(i+1)*w]))
+		}
+	case dims == 2 && b.kind != kindLInf:
+		qlo0, qhi0, qlo1, qhi1 := query.Lo[0], query.Hi[0], query.Lo[1], query.Hi[1]
+		for i := range out {
+			r := rows[i*4 : i*4+4 : i*4+4]
+			d0 := minDelta(qlo0, qhi0, r[0], r[2])
+			d1 := minDelta(qlo1, qhi1, r[1], r[3])
+			if b.kind == kindL2 {
+				out[i] = d0*d0 + d1*d1
+			} else {
+				out[i] = d0 + d1
+			}
+		}
+	default:
+		for i := range out {
+			r := rows[i*w : (i+1)*w : (i+1)*w]
+			var acc float64
+			for d := 0; d < dims; d++ {
+				delta := minDelta(query.Lo[d], query.Hi[d], r[d], r[dims+d])
+				switch b.kind {
+				case kindLInf:
+					if delta > acc {
+						acc = delta
+					}
+				case kindL1:
+					acc += delta
+				default: // kindL2, squared
+					acc += delta * delta
+				}
+			}
+			out[i] = acc
+		}
+	}
+}
+
 // DistBatch computes the point-to-point distance (pre-distance for deferred
 // kernels) from p to every point of c, into out[:c.Len()].
 func (b Batch) DistBatch(p geom.Point, c *PointCols, out []float64) {

@@ -106,6 +106,19 @@ func TestBatchVsScalar(t *testing.T) {
 
 			b.MinDistBatch(q, &rc, out)
 			checkBatch(t, m, "mindist", out, func(i int) float64 { return m.MinDist(q, rc.Rect(i)) })
+			// The row-layout kernel is the columnar one, bit for bit, on
+			// every architecture.
+			var rows []float64
+			for i := 0; i < n; i++ {
+				rows = append(append(rows, rc.Rect(i).Lo...), rc.Rect(i).Hi...)
+			}
+			byRow := make([]float64, n)
+			b.MinDistRows(q, rows, byRow)
+			for i := range byRow {
+				if byRow[i] != out[i] {
+					t.Fatalf("%s dims %d row %d: MinDistRows %v != MinDistBatch %v", m.Name(), dims, i, byRow[i], out[i])
+				}
+			}
 			b.DistBatch(p, &pc, out)
 			checkBatch(t, m, "dist", out, func(i int) float64 { return m.Dist(p, pc.Point(i)) })
 		}

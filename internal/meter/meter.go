@@ -328,11 +328,14 @@ func (m *Meter) Expand() {
 	}
 }
 
-// Push counts one queue insertion that left the queue at newLen elements.
-func (m *Meter) Push(newLen int) {
+// Push counts one queue insertion that left the queue standing for pairs
+// pairs in elements elements of its own structure (equal, unless the queue
+// holds several pairs behind one element).
+func (m *Meter) Push(pairs, elements int) {
 	if m != nil {
 		m.n.QueueInserts++
-		m.n.MaxQueueSize = max(m.n.MaxQueueSize, int64(newLen))
+		m.n.MaxQueueSize = max(m.n.MaxQueueSize, int64(pairs))
+		m.n.MaxQueueElements = max(m.n.MaxQueueElements, int64(elements))
 	}
 }
 

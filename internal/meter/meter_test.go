@@ -46,7 +46,7 @@ func everyHook(m *Meter) {
 	m.Spill()
 	m.PageWritten(m.IOStart())
 	m.End(spill)
-	m.Push(3)
+	m.Push(3, 3)
 	m.End(push)
 	m.End(exp)
 	m.Fault()
@@ -223,7 +223,7 @@ func BenchmarkStep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				m.BeginStep(PhaseEmit)
 				m.Pop()
-				m.Push(3)
+				m.Push(3, 3)
 				m.DistCalc(false)
 				m.EndStep(PhaseEmit)
 			}

@@ -241,7 +241,8 @@ func (q *HybridQueue[T]) Insert(v T) error {
 	if q.failed != nil {
 		return q.failed
 	}
-	q.m.Push(q.Len() + 1)
+	n := q.Len() + 1
+	q.m.Push(n, n)
 	d := q.key(v)
 	if q.cfg.DT == 0 { // adaptive, still sampling
 		q.sampled = append(q.sampled, d)

@@ -43,7 +43,7 @@ func NewMemQueue[T any](less func(a, b T) bool, m *meter.Meter) *MemQueue[T] {
 // Insert implements Queue.
 func (q *MemQueue[T]) Insert(v T) error {
 	q.heap.Insert(v)
-	q.m.Push(q.heap.Len())
+	q.m.Push(q.heap.Len(), q.heap.Len())
 	return nil
 }
 

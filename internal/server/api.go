@@ -315,7 +315,9 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 		}
 		return
 	}
-	pairs := make([]PairJSON, 0, k)
+	// Not k: the pull's deadline is already running, and zeroing room for a
+	// huge k the engine will never fill would spend it.
+	pairs := make([]PairJSON, 0, min(k, 1024))
 	res := s.pull(c, k, rctx, false, func(p PairJSON) { pairs = append(pairs, p) })
 	s.exportPullSpan(c, psc, parentSpan, start, "cursor next", k, res)
 	if res.err != nil {

@@ -49,6 +49,13 @@ type Counters struct {
 	// ("Queue Size" in Table 1). When several engines share one Counters,
 	// it is the largest size any single queue reached.
 	MaxQueueSize int64
+	// MaxQueueElements is the high-water mark of the number of elements the
+	// queue's own structure held. The memory queue keeps one element per
+	// node expansion — the expansion's nearest remaining child, standing
+	// for the block of its siblings — so this is well below MaxQueueSize
+	// there; the hybrid queue keeps one record per pair and the two are
+	// equal.
+	MaxQueueElements int64
 	// QueueDiskPairs counts pairs spilled to the disk tier of the hybrid
 	// queue.
 	QueueDiskPairs int64
@@ -89,11 +96,12 @@ type Counters struct {
 }
 
 // A Counters is nothing but int64 fields, so Snapshot and MergeSince walk
-// it as an array; the size and the index of the one field that is a
-// high-water mark rather than a sum are derived from the struct itself.
+// it as an array; the size and the indices of the two fields that are
+// high-water marks rather than sums are derived from the struct itself.
 const (
-	numFields     = unsafe.Sizeof(Counters{}) / 8
-	maxQueueField = unsafe.Offsetof(Counters{}.MaxQueueSize) / 8
+	numFields        = unsafe.Sizeof(Counters{}) / 8
+	maxQueueField    = unsafe.Offsetof(Counters{}.MaxQueueSize) / 8
+	maxElementsField = unsafe.Offsetof(Counters{}.MaxQueueElements) / 8
 )
 
 func (c *Counters) array() *[numFields]int64 { return (*[numFields]int64)(unsafe.Pointer(c)) }
@@ -151,14 +159,15 @@ func maxInt64(addr *int64, v int64) {
 	}
 }
 
-// QueueInsert records a queue insertion and updates the high-water mark
-// given the queue's new size.
+// QueueInsert records an insertion into a queue that holds one element per
+// pair and updates both high-water marks given the queue's new size.
 func (c *Counters) QueueInsert(newSize int64) {
 	if c == nil {
 		return
 	}
 	atomic.AddInt64(&c.QueueInserts, 1)
 	maxInt64(&c.MaxQueueSize, newSize)
+	maxInt64(&c.MaxQueueElements, newSize)
 }
 
 // Filter records n pairs pruned before insertion.
@@ -192,10 +201,10 @@ func (c *Counters) Snapshot() Counters {
 }
 
 // Merge folds the counts of other into c: additive fields are summed and
-// MaxQueueSize takes the maximum of the two high-water marks (queues are
-// independent, so their peak sizes do not add). other is read atomically;
-// merging a value still being written to through its methods yields a
-// momentary partial view, not corruption.
+// MaxQueueSize and MaxQueueElements take the maximum of the two high-water
+// marks (queues are independent, so their peak sizes do not add). other is
+// read atomically; merging a value still being written to through its
+// methods yields a momentary partial view, not corruption.
 func (c *Counters) Merge(other *Counters) {
 	if other != nil {
 		c.MergeSince(other, &Counters{})
@@ -205,7 +214,8 @@ func (c *Counters) Merge(other *Counters) {
 // MergeSince folds the growth of cur over prev into c — how a per-engine
 // meter publishes into a shared view: cur is its running tally, prev the
 // tally at its last fold. Additive fields add their difference (fields that
-// did not grow cost nothing); MaxQueueSize takes cur's high-water mark.
+// did not grow cost nothing); MaxQueueSize and MaxQueueElements take cur's
+// high-water marks.
 func (c *Counters) MergeSince(cur, prev *Counters) {
 	if c == nil {
 		return
@@ -213,7 +223,7 @@ func (c *Counters) MergeSince(cur, prev *Counters) {
 	dst, old := c.array(), prev.array()
 	for i := range cur.array() {
 		switch v := atomic.LoadInt64(&cur.array()[i]); {
-		case uintptr(i) == maxQueueField:
+		case uintptr(i) == maxQueueField, uintptr(i) == maxElementsField:
 			maxInt64(&dst[i], v)
 		case v != old[i]:
 			atomic.AddInt64(&dst[i], v-old[i])
