@@ -32,24 +32,81 @@ type blockQueue struct {
 
 	n int // pairs the queue stands for: heap elements, blocks' rests, and pend
 
+	// The open expansion (cur.node is nil when none is open); the store's
+	// pend collects its surviving children in generation order until end
+	// picks the head.
+	cur block
+
+	*blockStore // nil once the queue is closed
+}
+
+// blockStore is the memory a block queue works in. It outlives the queue:
+// Close hands it to freeStores and the next query's queue starts in it. A
+// query's queue storage is garbage the moment the query closes — half of
+// what a first-page query allocates — and with it the collector ran once
+// every other such query, so whether a query met a collection, not the
+// query, decided what it cost. Recycled, a repeated query allocates no
+// queue storage at all.
+type blockStore struct {
 	// blocks[id-1] is block id; freed ids are reused. A block lives while
 	// its rest is non-empty: its last child is queued standing for itself.
 	blocks  []block
 	freeIDs []uint32
-
-	// The open expansion: cur describes it (cur.node is nil when none is
-	// open), pend collects its surviving children in generation order until
-	// end picks the head.
-	cur  block
-	pend []blockEntry
+	pend    []blockEntry
 
 	// Storage of the blocks' rest arrays: carved from pointer-free chunks in
 	// multiples of restQuantum entries, recycled through one free list per
 	// size when a block is exhausted, so the storage a drain holds follows
 	// the peak of what is queued, not the total ever queued.
-	chunk  []blockEntry
+	chunks [][]blockEntry // every chunk owned; chunks[:next] have been carved from
+	next   int
+	chunk  []blockEntry // what is left of chunks[next-1]
 	free   [][][]blockEntry
 	carved int // entries carved from chunks so far
+}
+
+// freeStores holds the stores of closed queues: room for two, so two
+// cursors that take turns on a shared index both find one. Not a sync.Pool:
+// what one P puts back another P does not find, and whether the next query
+// started in a used store would depend on where the scheduler ran it.
+var freeStores = make(chan *blockStore, 2)
+
+// maxFreeEntries is the most chunk storage (32 MiB) a store may own and
+// still be kept: what one huge drain needed does not stay with a process
+// whose other queries are small. The blocks table is bounded with it (a
+// block owns at least restQuantum entries).
+const maxFreeEntries = 1 << 21
+
+func newBlockStore() *blockStore {
+	select {
+	case s := <-freeStores:
+		return s
+	default:
+		return new(blockStore)
+	}
+}
+
+// recycle offers the store of a closed queue to the next one. Blocks pin
+// decoded nodes, so the table is cleared; the chunks hold no pointers and
+// are reused as they are.
+func (s *blockStore) recycle() {
+	owned := 0
+	for _, c := range s.chunks {
+		owned += len(c)
+	}
+	if owned > maxFreeEntries {
+		return
+	}
+	clear(s.blocks)
+	s.blocks, s.freeIDs, s.pend = s.blocks[:0], s.freeIDs[:0], s.pend[:0]
+	for class := range s.free {
+		s.free[class] = s.free[class][:0]
+	}
+	s.next, s.chunk, s.carved = 0, nil, 0
+	select {
+	case freeStores <- s:
+	default:
+	}
 }
 
 // blockEntry is one child waiting in a block: its queue key and its entry
@@ -79,7 +136,7 @@ const (
 )
 
 func newBlockQueue(depthFirst, reverse bool, m *meter.Meter) *blockQueue {
-	return &blockQueue{heap: pairheap.New(pairLess(depthFirst, reverse)), m: m, depthFirst: depthFirst, reverse: reverse}
+	return &blockQueue{heap: pairheap.New(pairLess(depthFirst, reverse)), m: m, depthFirst: depthFirst, reverse: reverse, blockStore: newBlockStore()}
 }
 
 // pair materialises child c of the block as a queue pair heading block id
@@ -198,8 +255,12 @@ func (q *blockQueue) alloc(n int) []blockEntry {
 		}
 	}
 	n = class * restQuantum
-	if len(q.chunk) < n {
-		q.chunk = make([]blockEntry, max(n, min(max(q.carved, minRestChunk), maxRestChunk)))
+	for len(q.chunk) < n {
+		if q.next == len(q.chunks) {
+			q.chunks = append(q.chunks, make([]blockEntry, max(n, min(max(q.carved, minRestChunk), maxRestChunk))))
+		}
+		q.chunk = q.chunks[q.next]
+		q.next++
 	}
 	r := q.chunk[:0:n]
 	q.chunk = q.chunk[n:]
@@ -255,5 +316,11 @@ func (q *blockQueue) Peek() (qpair, bool, error) {
 // Len implements pqueue.Queue: the number of pairs queued.
 func (q *blockQueue) Len() int { return q.n }
 
-// Close implements pqueue.Queue.
-func (q *blockQueue) Close() error { return nil }
+// Close implements pqueue.Queue: the queue's storage goes to the next queue.
+func (q *blockQueue) Close() error {
+	if st := q.blockStore; st != nil {
+		q.blockStore = nil
+		st.recycle()
+	}
+	return nil
+}

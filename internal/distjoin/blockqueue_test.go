@@ -3,11 +3,14 @@ package distjoin
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/rtree"
 	"distjoin/internal/stats"
 )
 
@@ -197,6 +200,18 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 	if e.bq.heap.Len()*5 > j.QueueLen() {
 		t.Errorf("queue holds %d elements for %d pairs, want at most a fifth", e.bq.heap.Len(), j.QueueLen())
 	}
+	// What a queued pair holds, counted from the structures themselves (the
+	// benchmark's heap difference does not see a store taken from
+	// freeStores): rest entries, blocks, and heap slots of a qpair and three
+	// links. A block of these small trees stands for 9 pairs; fuller nodes
+	// spread its 184 bytes over more.
+	held := e.bq.carved*int(unsafe.Sizeof(blockEntry{})) + len(e.bq.blocks)*int(unsafe.Sizeof(block{})) +
+		e.bq.heap.Len()*int(unsafe.Sizeof(qpair{})+16)
+	if perPair := float64(held) / float64(j.QueueLen()); perPair > 48 {
+		t.Errorf("queue holds %.1f bytes per queued pair, want at most 48", perPair)
+	} else {
+		t.Logf("queue holds %.1f bytes per queued pair", perPair)
+	}
 }
 
 // flakyIndex fails the failAt-th node read once.
@@ -264,4 +279,125 @@ func TestBlockQueueFailedExpansion(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dropFreeStores makes the next queues start in fresh stores.
+func dropFreeStores() {
+	for len(freeStores) > 0 {
+		<-freeStores
+	}
+}
+
+// firstPairs runs a join of ta and tb to its first n pairs and closes it.
+func firstPairs(t *testing.T, ta, tb *rtree.Tree, opts Options, n int) ([]Pair, *blockStore) {
+	t.Helper()
+	e, err := newEngine(WrapRTree(ta), WrapRTree(tb), opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.bq.blockStore
+	var out []Pair
+	for len(out) < n {
+		p, ok, err := e.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, p)
+	}
+	if err := e.close(); err != nil {
+		t.Fatal(err)
+	}
+	return out, st
+}
+
+// TestBlockStoreRecycled: a closed queue's storage serves the next query —
+// with nothing of the closed query left pinned, whatever the chunks still
+// hold of it not showing in the next query's output, and a repeated query
+// allocating no queue storage.
+func TestBlockStoreRecycled(t *testing.T) {
+	ta, tb := buildTree(t, clusteredPoints(81, 600)), buildTree(t, clusteredPoints(82, 900))
+	reverse := Options{Reverse: true, TieBreak: BreadthFirst}
+	dropFreeStores()
+	want, _ := firstPairs(t, tb, ta, reverse, 500)
+	dropFreeStores()
+
+	first, st := firstPairs(t, ta, tb, Options{}, 2000)
+	if len(st.chunks) == 0 || cap(st.blocks) == 0 {
+		t.Fatalf("the query used no block storage: %d chunks, %d blocks", len(st.chunks), cap(st.blocks))
+	}
+	for i, b := range st.blocks[:cap(st.blocks)] {
+		if b.node != nil || b.other.c != nil || b.rest != nil {
+			t.Fatalf("block %d of the closed queue's store still pins %+v", i+1, b)
+		}
+	}
+	chunks, blocks := len(st.chunks), cap(st.blocks)
+	again, st2 := firstPairs(t, ta, tb, Options{}, 2000)
+	if st2 != st {
+		t.Fatal("the second query did not start in the first one's store")
+	}
+	if !reflect.DeepEqual(again, first) {
+		t.Error("the repeated query delivered a different sequence")
+	}
+	if len(st.chunks) != chunks || cap(st.blocks) != blocks {
+		t.Errorf("the repeated query grew the store from %d chunks and %d blocks to %d and %d", chunks, blocks, len(st.chunks), cap(st.blocks))
+	}
+	got, st3 := firstPairs(t, tb, ta, reverse, 500)
+	if st3 != st {
+		t.Fatal("the third query did not start in the first one's store")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("a query in a used store delivered a different sequence than in a fresh one")
+	}
+
+	// A store that grew past the bound is not kept.
+	dropFreeStores()
+	huge := &blockStore{chunks: make([][]blockEntry, maxFreeEntries/maxRestChunk+1)}
+	chunk := make([]blockEntry, maxRestChunk)
+	for i := range huge.chunks {
+		huge.chunks[i] = chunk
+	}
+	if huge.recycle(); len(freeStores) != 0 {
+		t.Error("a store of more than maxFreeEntries entries was kept")
+	}
+}
+
+// TestBlockStoreConcurrent: queries opening and closing on several
+// goroutines at once — partition workers, a server's cursors — share the
+// free list without sharing a store.
+func TestBlockStoreConcurrent(t *testing.T) {
+	ta, tb := buildTree(t, clusteredPoints(83, 300)), buildTree(t, clusteredPoints(84, 300))
+	want, _ := firstPairs(t, ta, tb, Options{}, 400)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				j, err := NewJoin(ta, tb, Options{MaxPairs: 400})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var got []Pair
+				for {
+					p, ok, err := j.Next()
+					if err != nil {
+						t.Error(err)
+					}
+					if !ok || err != nil {
+						break
+					}
+					got = append(got, p)
+				}
+				j.Close()
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("a concurrent query delivered %d pairs differing from the sequential sequence", len(got))
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
