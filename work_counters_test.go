@@ -45,9 +45,11 @@ func TestWorkCounters(t *testing.T) {
 		return o
 	}
 	legs := []struct {
-		name string
-		semi bool
-		opts distjoin.Options
+		name   string
+		semi   bool
+		filter distjoin.SemiFilter
+		k      int // partners per first object; 0 and 1: the plain semi-join
+		opts   distjoin.Options
 	}{
 		// The Table-1 default (Even traversal, hybrid queue) and its
 		// memory-queue and Basic-traversal ablations.
@@ -61,7 +63,12 @@ func TestWorkCounters(t *testing.T) {
 			o.Traversal = distjoin.TraverseSimultaneous
 			o.MaxPairs = pairs
 		})},
-		{name: "semi-local-hybrid", semi: true, opts: hybrid},
+		{name: "semi-local-hybrid", semi: true, filter: distjoin.FilterLocal, opts: hybrid},
+		// The semi-join family on the memory queue with no option set: the top
+		// of the filter ladder (Local bound, GlobalNodes and GlobalAll tables)
+		// and the kNN join, which degrades to Inside2.
+		{name: "semi-global-memory", semi: true, filter: distjoin.FilterGlobalAll},
+		{name: "knn-join-memory", semi: true, filter: distjoin.FilterGlobalAll, k: 3},
 		// What a served cursor runs: the request's max_pairs becomes MaxPairs.
 		// TestServerWorkloadMatchesInProcess (internal/server) pins the HTTP
 		// drain of this leg to the in-process one counted here.
@@ -85,7 +92,7 @@ func TestWorkCounters(t *testing.T) {
 		var next func() (distjoin.Pair, bool, error)
 		var closeFn func() error
 		if leg.semi {
-			s, err := distjoin.DistanceSemiJoin(water, roads, distjoin.FilterLocal, opts)
+			s, err := distjoin.KNearestJoin(water, roads, max(leg.k, 1), leg.filter, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", leg.name, err)
 			}
