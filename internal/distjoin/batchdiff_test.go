@@ -27,6 +27,7 @@ type diffCase struct {
 	semi         func() *semiState
 	self         bool // self join: both sides read the same tree
 	quad1, quad2 bool // that side is indexed by a quadtree, not an R-tree
+	rect1, rect2 bool // that side's objects are non-degenerate rectangles around its points
 	limit        int  // max pairs to drain; 0 = full drain
 	restarts     bool // the case is there for the §2.2.4 restart: it must happen
 }
@@ -44,7 +45,7 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 	fetch := func(pts []geom.Point) func(rtree.ObjID) (geom.Rect, error) {
 		return func(id rtree.ObjID) (geom.Rect, error) { return pts[id].Rect(), nil }
 	}
-	return []diffCase{
+	cases := []diffCase{
 		// The side expansions, which on the memory queue enter as blocks:
 		// siblings on different levels (quadtrees) under both tie-breaks,
 		// descending keys, keys that are not distances, pairs re-queued
@@ -94,6 +95,71 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 			limit: 60,
 		},
 	}
+
+	// The semi-join family with no option set, whose side expansions on the
+	// memory queue are generated in the index domain (collectSemi): every rung
+	// of the filter ladder under both side-expanding traversals and all three
+	// kernel metrics, the scalar d_max fallback (rectangle objects, a generic
+	// metric), quadtrees, the kNN and clustering joins — and a semi-join with
+	// a window, which must still go through enqueueChildren.
+	semiOf := func(f SemiFilter, k int, symmetric bool) func() *semiState {
+		return func() *semiState { return &semiState{filter: f, k: k, symmetric: symmetric} }
+	}
+	global := semiOf(FilterGlobalAll, 1, false)
+	for f := FilterOutside; f <= FilterGlobalAll; f++ {
+		for _, tr := range []Traversal{TraverseEven, TraverseBasic} {
+			for _, m := range []geom.Metric{geom.Manhattan, geom.Chessboard, geom.Euclidean} {
+				cases = append(cases, diffCase{
+					name: "semi-" + f.String() + "-" + tr.String() + "-" + m.Name(),
+					opts: Options{Traversal: tr, Metric: m},
+					semi: semiOf(f, 1, false),
+				})
+			}
+		}
+	}
+	return append(cases,
+		diffCase{name: "semi-global-lp3", opts: Options{Metric: geom.Lp(3)}, semi: global},
+		diffCase{name: "semi-global-maxdist", opts: Options{MaxDist: 60}, semi: global},
+		diffCase{name: "semi-global-breadthfirst", opts: Options{TieBreak: BreadthFirst}, semi: global},
+		diffCase{name: "semi-global-self", opts: Options{}, semi: global, self: true},
+		diffCase{name: "semi-global-rects1", opts: Options{}, semi: global, rect1: true},
+		diffCase{name: "semi-global-rects2", opts: Options{}, semi: global, rect2: true},
+		diffCase{name: "semi-global-rects-both-manhattan", opts: Options{Metric: geom.Manhattan, Traversal: TraverseBasic}, semi: global, rect1: true, rect2: true},
+		diffCase{name: "semi-global-quad1", opts: Options{}, semi: global, quad1: true},
+		diffCase{name: "semi-global-quad2", opts: Options{}, semi: global, quad2: true},
+		diffCase{name: "semi-local-quadtrees-chessboard", opts: Options{Metric: geom.Chessboard}, semi: semiOf(FilterLocal, 1, false), quad1: true, quad2: true},
+		diffCase{name: "knn-join-3", opts: Options{}, semi: semiOf(FilterGlobalAll, 3, false)},
+		diffCase{name: "knn-join-3-basic-manhattan", opts: Options{Traversal: TraverseBasic, Metric: geom.Manhattan}, semi: semiOf(FilterInside2, 3, false)},
+		diffCase{name: "clustering-join", opts: Options{}, semi: semiOf(FilterGlobalAll, 1, true)},
+		diffCase{name: "clustering-join-quad2-inside1", opts: Options{}, semi: semiOf(FilterInside1, 1, true), quad2: true},
+		diffCase{name: "semi-global-window", opts: Options{Window1: &win}, semi: global},
+		diffCase{name: "semi-global-window2", opts: Options{Window2: &win}, semi: global},
+	)
+}
+
+// rectsAround gives every point a non-degenerate rectangle of its own size
+// with the point as its low corner.
+func rectsAround(pts []geom.Point) []geom.Rect {
+	out := make([]geom.Rect, len(pts))
+	for i, p := range pts {
+		out[i] = geom.R(p, geom.Pt(p[0]+float64(1+i%7), p[1]+float64(1+i%11)))
+	}
+	return out
+}
+
+// buildRectTree bulk-loads rectangles into a small-node tree.
+func buildRectTree(t testing.TB, rects []geom.Rect) *rtree.Tree {
+	t.Helper()
+	items := make([]rtree.Item, len(rects))
+	for i, r := range rects {
+		items[i] = rtree.Item{Rect: r, Obj: rtree.ObjID(i)}
+	}
+	tr, err := rtree.BulkLoad(rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 32}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
 }
 
 // drainEngineVariant runs one engine over the trees with scalarExpand as
@@ -143,6 +209,12 @@ func TestBatchedExpansionMatchesScalar(t *testing.T) {
 			}
 			if tc.quad2 {
 				i2 = WrapQuadtree(buildQuadtree(t, pts2))
+			}
+			if tc.rect1 {
+				i1 = WrapRTree(buildRectTree(t, rectsAround(pts1)))
+			}
+			if tc.rect2 {
+				i2 = WrapRTree(buildRectTree(t, rectsAround(pts2)))
 			}
 			if tc.self {
 				i2 = i1
