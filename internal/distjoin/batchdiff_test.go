@@ -147,21 +147,6 @@ func rectsAround(pts []geom.Point) []geom.Rect {
 	return out
 }
 
-// buildRectTree bulk-loads rectangles into a small-node tree.
-func buildRectTree(t testing.TB, rects []geom.Rect) *rtree.Tree {
-	t.Helper()
-	items := make([]rtree.Item, len(rects))
-	for i, r := range rects {
-		items[i] = rtree.Item{Rect: r, Obj: rtree.ObjID(i)}
-	}
-	tr, err := rtree.BulkLoad(rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 32}, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tr.Close() })
-	return tr
-}
-
 // drainEngineVariant runs one engine over the trees with scalarExpand as
 // given and returns the delivered pairs and the final counter snapshot.
 func drainEngineVariant(t *testing.T, t1, t2 SpatialIndex, tc diffCase, scalar bool) ([]Pair, stats.Counters) {
@@ -255,8 +240,56 @@ func TestBatchedExpansionMatchesScalar(t *testing.T) {
 	}
 }
 
+// unflagged is an index that never says its leaves hold points, as a
+// third-party SpatialIndex written before IndexNode.Points would not.
+type unflagged struct{ SpatialIndex }
+
+func (u unflagged) Node(ref uint64) (*IndexNode, error) {
+	n, err := u.SpatialIndex.Node(ref)
+	if err != nil {
+		return nil, err
+	}
+	c := *n
+	c.Points = false
+	return &c, nil
+}
+
+// TestSemiJoinUnflaggedIndex pins the zero value of IndexNode.Points: over
+// point data, an index that leaves it unset takes the scalar d_max and must
+// deliver the flagged index's sequence and move the same counters.
+func TestSemiJoinUnflaggedIndex(t *testing.T) {
+	i1 := WrapRTree(buildTree(t, clusteredPoints(41, 130)))
+	i2 := WrapRTree(buildTree(t, clusteredPoints(42, 110)))
+	metrics := []geom.Metric{geom.Manhattan, geom.Chessboard}
+	if runtime.GOARCH == "amd64" { // elsewhere a fused L2 sum may sit an ulp off the scalar's
+		metrics = append(metrics, geom.Euclidean)
+	}
+	for _, m := range metrics {
+		tc := diffCase{opts: Options{Metric: m}, semi: func() *semiState { return &semiState{filter: FilterGlobalAll, k: 1} }}
+		want, cw := drainEngineVariant(t, i1, i2, tc, false)
+		for name, pair := range map[string][2]SpatialIndex{
+			"first":  {unflagged{i1}, i2},
+			"second": {i1, unflagged{i2}},
+			"both":   {unflagged{i1}, unflagged{i2}},
+		} {
+			got, cg := drainEngineVariant(t, pair[0], pair[1], tc, false)
+			if len(got) != len(want) || len(want) == 0 {
+				t.Fatalf("%s/%s: %d pairs, want %d", m.Name(), name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Obj1 != want[i].Obj1 || got[i].Obj2 != want[i].Obj2 || got[i].Dist != want[i].Dist {
+					t.Fatalf("%s/%s pair %d: %+v, want %+v", m.Name(), name, i, got[i], want[i])
+				}
+			}
+			if cg != cw {
+				t.Fatalf("%s/%s: counters diverge:\n got %+v\nwant %+v", m.Name(), name, cg, cw)
+			}
+		}
+	}
+}
+
 // TestBatchScratchPreSized pins the constructor's sizing contract: the row
-// scratch, columnar mirror and kernel output buffer all start with at least
+// scratch, columnar mirror and both kernel output buffers all start with at least
 // the trees' max fan-out of capacity, so first expansions do not grow
 // buffers mid-join.
 func TestBatchScratchPreSized(t *testing.T) {
@@ -273,8 +306,8 @@ func TestBatchScratchPreSized(t *testing.T) {
 	if cap(e.scratch1) < want || cap(e.scratch2) < want {
 		t.Fatalf("scratch caps %d/%d, want >= %d", cap(e.scratch1), cap(e.scratch2), want)
 	}
-	if len(e.dbuf) < want {
-		t.Fatalf("dbuf len %d, want >= %d", len(e.dbuf), want)
+	if len(e.dbuf) < want || len(e.mbuf) < want {
+		t.Fatalf("dbuf/mbuf len %d/%d, want >= %d", len(e.dbuf), len(e.mbuf), want)
 	}
 	// The columnar mirror must hold a full node's worth of rectangles
 	// without growing: filling it fan-out times allocates nothing.

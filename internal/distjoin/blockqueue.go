@@ -136,7 +136,7 @@ const (
 )
 
 func newBlockQueue(depthFirst, reverse bool, m *meter.Meter) *blockQueue {
-	return &blockQueue{heap: pairheap.New(pairLess(depthFirst, reverse)), m: m, depthFirst: depthFirst, reverse: reverse, blockStore: newBlockStore()}
+	return &blockQueue{heap: pairheap.NewInPlace(pairLessInPlace(depthFirst, reverse)), m: m, depthFirst: depthFirst, reverse: reverse, blockStore: newBlockStore()}
 }
 
 // pair materialises child c of the block as a queue pair heading block id

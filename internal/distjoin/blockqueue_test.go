@@ -127,25 +127,37 @@ func (q *blockQueue) restInUse() int {
 func TestAllocBlockQueue(t *testing.T) {
 	skipUnderRace(t)
 	ta, tb := buildTree(t, clusteredPoints(51, 300)), buildTree(t, clusteredPoints(52, 300))
-	e, err := newEngine(WrapRTree(ta), WrapRTree(tb), Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.close()
-	seed, _, _ := e.q.Pop() // the root/root pair
-	cycle := func() {
-		if err := e.expandSide(seed, 1); err != nil {
+	// A join's expansion, and a semi-join's on either side: the second side
+	// runs the Local rule over the d_max row kernel's buffer.
+	for _, c := range []struct {
+		name string
+		semi *semiState
+		side int
+	}{
+		{"join", nil, 1},
+		{"semi-join side 1", &semiState{filter: FilterGlobalAll, k: 1}, 1},
+		{"semi-join side 2", &semiState{filter: FilterGlobalAll, k: 1}, 2},
+	} {
+		e, err := newEngine(WrapRTree(ta), WrapRTree(tb), Options{}, c.semi)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for e.q.Len() > 0 {
-			if _, _, err := e.q.Pop(); err != nil {
+		defer e.close()
+		seed, _, _ := e.q.Pop() // the root/root pair
+		cycle := func() {
+			if err := e.expandSide(seed, c.side); err != nil {
 				t.Fatal(err)
 			}
+			for e.q.Len() > 0 {
+				if _, _, err := e.q.Pop(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	cycle()
-	if n := testing.AllocsPerRun(200, cycle); n != 0 {
-		t.Errorf("an expansion and the exhaustion of its block allocate %v times, want 0", n)
+		cycle()
+		if n := testing.AllocsPerRun(200, cycle); n != 0 {
+			t.Errorf("%s: an expansion and the exhaustion of its block allocate %v times, want 0", c.name, n)
+		}
 	}
 
 	// The exhaustive drain: blocks are exhausted and their storage reused

@@ -14,9 +14,20 @@ import (
 // buildTree bulk-loads points into a small-node tree.
 func buildTree(t testing.TB, pts []geom.Point) *rtree.Tree {
 	t.Helper()
-	items := make([]rtree.Item, len(pts))
+	rects := make([]geom.Rect, len(pts))
 	for i, p := range pts {
-		items[i] = rtree.Item{Rect: p.Rect(), Obj: rtree.ObjID(i)}
+		rects[i] = p.Rect()
+	}
+	return buildRectTree(t, rects)
+}
+
+// buildRectTree bulk-loads rectangles into a small-node tree, rectangle i as
+// object i.
+func buildRectTree(t testing.TB, rects []geom.Rect) *rtree.Tree {
+	t.Helper()
+	items := make([]rtree.Item, len(rects))
+	for i, r := range rects {
+		items[i] = rtree.Item{Rect: r, Obj: rtree.ObjID(i)}
 	}
 	tr, err := rtree.BulkLoad(rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 32}, items)
 	if err != nil {

@@ -88,15 +88,16 @@ type engine struct {
 	// kern dispatches the batched distance kernels for the run's metric;
 	// cols is the columnar scratch appendNodeItems-produced children are
 	// mirrored into, colsWin the no-copy window view the plane sweep uses
-	// for per-run kernel calls, and dbuf the kernel output buffer. All are
-	// reused across expansions: the batched distance layer allocates
-	// nothing in steady state. scalarExpand forces the one-at-a-time
+	// for per-run kernel calls, dbuf the kernel output buffer and mbuf a
+	// second one of the same size, for the children's d_max beside their
+	// distances. All are reused across expansions: the batched distance layer
+	// allocates nothing in steady state. scalarExpand forces the one-at-a-time
 	// reference expansion; it is set only by the in-package differential
 	// tests, which pin the two paths against each other pair for pair.
 	kern         kernel.Batch
 	cols         kernel.RectCols
 	colsWin      kernel.RectCols
-	dbuf         []float64
+	dbuf, mbuf   []float64
 	scalarExpand bool
 
 	// m is this engine's one telemetry handle: every count, phase bracket
@@ -177,7 +178,7 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 	e.scratch1 = make([]item, 0, fmax)
 	e.scratch2 = make([]item, 0, f2)
 	e.cols.Grow(t1.Dims(), fmax)
-	e.dbuf = make([]float64, fmax)
+	e.dbuf, e.mbuf = make([]float64, fmax), make([]float64, fmax)
 	if opts.MaxPairs > 0 {
 		if opts.Reverse {
 			e.revEst = newRevEstimator(opts.MaxPairs)
@@ -456,7 +457,7 @@ func (e *engine) enqueue(i1, i2 item) error {
 		e.m.Filter(1)
 		return nil
 	}
-	return e.enqueueKeyed(i1, i2, d)
+	return e.enqueueKeyed(i1, i2, d, noMax)
 }
 
 // enqueuePre is enqueue for a pair whose minimum distance was already
@@ -464,8 +465,9 @@ func (e *engine) enqueue(i1, i2 item) error {
 // deferred L2 kernel). The distance-calculation counter is bumped exactly
 // where the scalar path would have computed it — after the admit checks,
 // before the range filter — and the range filter compares in the pre
-// domain, deferring the pair's single Sqrt to survivors.
-func (e *engine) enqueuePre(i1, i2 item, pre float64) error {
+// domain, deferring the pair's single Sqrt to survivors. dmax is the pair's
+// d_max where the caller has computed it already, noMax otherwise.
+func (e *engine) enqueuePre(i1, i2 item, pre, dmax float64) error {
 	switch e.admitPair(i1, i2) {
 	case admitDrop:
 		return nil
@@ -477,24 +479,30 @@ func (e *engine) enqueuePre(i1, i2 item, pre float64) error {
 		e.m.Filter(1)
 		return nil
 	}
-	return e.enqueueKeyed(i1, i2, e.kern.Finish(pre))
+	return e.enqueueKeyed(i1, i2, e.kern.Finish(pre), dmax)
 }
+
+// noMax stands for a d_max nobody has computed yet (a d_max is never
+// negative).
+const noMax = -1.0
 
 // enqueueKeyed finishes enqueueing a pair whose minimum distance d has
 // passed the range filter: d_max bounds, estimation, semi-join global
-// pruning, and the queue insert.
-func (e *engine) enqueueKeyed(i1, i2 item, d float64) error {
+// pruning, and the queue insert. dmax is maxDist(i1, i2) if the caller has
+// it, noMax if not.
+func (e *engine) enqueueKeyed(i1, i2 item, d, dmax float64) error {
 	needMax := e.dmin > 0 || e.est != nil || e.revEst != nil || e.opts.Reverse ||
 		(e.semi != nil && e.semi.filter >= FilterGlobalNodes)
-	var dmax float64
 	if needMax {
-		dmax = e.maxDist(i1, i2)
+		if dmax == noMax {
+			dmax = e.maxDist(i1, i2)
+		}
 		if dmax < e.dmin {
 			e.m.Filter(1)
 			return nil
 		}
 	}
-	if e.semi != nil && !e.semiGlobalAdmit(i1, d, dmax) {
+	if e.semi != nil && !e.semiGlobalAdmit(i1.isNode(), i1.ref, d, dmax) {
 		e.m.Filter(1)
 		return nil
 	}
@@ -578,27 +586,20 @@ func (e *engine) enqueueIntersection(i1, i2 item) error {
 
 // semiGlobalAdmit applies the GlobalNodes/GlobalAll pruning (§4.2.1): a
 // pair is useless if some earlier pair with the same first item guarantees
-// a closer partner for every object it covers. It also updates the global
-// d_max tables.
-func (e *engine) semiGlobalAdmit(i1 item, d, dmax float64) bool {
-	s := e.semi
-	if i1.isNode() {
-		if s.bestNode == nil {
-			return true
-		}
-		best, ok := s.bestNode[i1.ref]
-		if !ok || dmax < best {
-			s.bestNode[i1.ref] = dmax
-			best = dmax
-		}
-		return d <= best
+// a closer partner for every object it covers. The first item is given as
+// what the tables are keyed by: whether it is a node, and its ref. The
+// tables are updated before the test, also by a pair the test then rejects.
+func (e *engine) semiGlobalAdmit(isNode bool, ref uint64, d, dmax float64) bool {
+	table := e.semi.bestObj
+	if isNode {
+		table = e.semi.bestNode
 	}
-	if s.bestObj == nil {
+	if table == nil {
 		return true
 	}
-	best, ok := s.bestObj[i1.ref]
+	best, ok := table[ref]
 	if !ok || dmax < best {
-		s.bestObj[i1.ref] = dmax
+		table[ref] = dmax
 		best = dmax
 	}
 	return d <= best
@@ -957,10 +958,13 @@ func (e *engine) expandSide(p qpair, side int) error {
 		return e.enqueueChildren(n, other, side)
 	}
 	e.bq.begin(other, n, side, e.leafEntryKind())
-	if e.plainJoin() {
-		e.collectPlain(n, other)
-	} else {
+	switch {
+	case !e.plain():
 		err = e.enqueueChildren(n, other, side)
+	case e.semi == nil:
+		e.collectPlain(n, other)
+	default:
+		e.collectSemi(n, other, side)
 	}
 	ph := e.m.Begin(meter.PhasePush)
 	e.bq.end()
@@ -968,27 +972,28 @@ func (e *engine) expandSide(p qpair, side int) error {
 	return err
 }
 
-// plainJoin reports whether generation can decide every child from its
-// distance alone: no option in force looks at a child's item or needs its
-// d_max (selection, equal-id omission, intersection ordering, semi-join
-// filters, either estimator, Reverse, a minimum distance).
-func (e *engine) plainJoin() bool {
+// plain reports whether generation can decide every child in the index
+// domain — from its entry index, its distance and, for the semi-join family,
+// its d_max: no option in force looks at a child's item (selection, equal-id
+// omission, intersection ordering) or bends the key or the bounds (either
+// estimator, Reverse, a minimum distance). The join then generates through
+// collectPlain, the semi-join, kNN join and clustering join through
+// collectSemi; everything else builds items in enqueueChildren.
+func (e *engine) plain() bool {
 	o := &e.opts
-	return e.semi == nil && e.est == nil && e.revEst == nil && !o.Reverse && !(e.dmin > 0) &&
+	return e.est == nil && e.revEst == nil && !o.Reverse && !(e.dmin > 0) &&
 		o.Window1 == nil && o.Window2 == nil && o.Select1 == nil && o.Select2 == nil &&
 		!o.OmitEqualIDs && len(o.OrderIntersectionsFrom) == 0
 }
 
-// collectPlain is enqueueChildren for a plainJoin on the memory queue. It
+// collectPlain is enqueueChildren for a plain join on the memory queue. It
 // works on (entry index, pre-distance) straight from the node's coordinate
 // block: per child one distance count, one range test in the pre domain, one
 // Finish and one collected entry — no item, no qpair. Counters move exactly
 // as enqueuePre moves them.
 func (e *engine) collectPlain(n *IndexNode, other item) {
 	count := len(n.Coords) / len(other.c)
-	if cap(e.dbuf) < count {
-		e.dbuf = make([]float64, count)
-	}
+	e.growOut(count)
 	pres := e.dbuf[:count]
 	e.kern.MinDistRows(other.rect(), n.Coords, pres)
 	nodeCalc := other.isNode() || !n.Leaf
@@ -1002,6 +1007,114 @@ func (e *engine) collectPlain(n *IndexNode, other item) {
 	}
 }
 
+// collectSemi is enqueueChildren for a plain semi-join, kNN join or
+// clustering join on the memory queue: collectPlain plus the filter ladder of
+// §4.2.1, run on (entry index, pre-distance, pre-d_max) and on the refs the
+// node holds. A child that is dropped never becomes an item; a d_max is
+// computed once. The checks come in the order of enqueueChildren →
+// admitPair → enqueuePre → enqueueKeyed and move the counters exactly as
+// they do there.
+//
+// d_max is the row kernel's Metric.MaxDist whenever neither operand is a
+// non-degenerate object rectangle (engine.maxDist reduces to it, bit for
+// bit); between two points it is the distance itself, so the commonest
+// expansion — an object against a leaf of points — makes no second kernel
+// call. A rectangle object, or a leaf not known to hold points, takes the
+// scalar face minimum instead, per child that needs it.
+func (e *engine) collectSemi(n *IndexNode, other item, side int) {
+	s, q := e.semi, other.rect()
+	w := len(other.c)
+	count := len(n.Coords) / w
+	e.growOut(count)
+	pres := e.dbuf[:count]
+	e.kern.MinDistRows(q, n.Coords, pres)
+
+	// maxs[i] is child i's d_max: the kernel's pre-distance if rowMax, else
+	// the finished scalar bound — filled for every child when the Local rule
+	// needs their minimum, left to the survivors otherwise.
+	local := side == 2 && s.filter >= FilterLocal
+	global := s.filter >= FilterGlobalNodes
+	rowMax := (other.isNode() || q.IsPoint()) && (!n.Leaf || n.Points)
+	maxs := e.mbuf[:count]
+	switch {
+	case !local && !global: // Inside2 and below ask for no d_max
+	case rowMax && !other.isNode() && n.Leaf: // two points
+		maxs = pres
+	case rowMax:
+		e.kern.MaxDistRows(q, n.Coords, maxs)
+	case local:
+		for i := range maxs {
+			maxs[i] = e.maxDist(other, childItem(n, i, w, e.leafEntryKind()))
+		}
+	}
+	// Local pruning (§4.2.1): nothing farther than the smallest d_max among
+	// a second-input node's entries can be anybody's nearest partner. Sqrt
+	// is monotone, so the minimum is taken before the one Finish.
+	localBound := math.Inf(1)
+	if local {
+		for _, m := range maxs {
+			if m < localBound {
+				localBound = m
+			}
+		}
+		if rowMax {
+			localBound = e.kern.Finish(localBound)
+		}
+	}
+
+	// The pair's first item is the child on side 1, other on side 2. The
+	// Inside2 rule asks only about the child: with it in force, step has
+	// dropped (Inside1) a pair whose object other is consumed before
+	// expanding it.
+	firstNode, firstRef := other.isNode(), other.ref
+	if side == 1 {
+		firstNode = !n.Leaf
+	}
+	inside2 := s.filter >= FilterInside2 && n.Leaf
+	childDone := inside2 && side == 1
+	childSeen2 := inside2 && side == 2 && s.symmetric
+	nodeCalc := other.isNode() || !n.Leaf
+	for i, pre := range pres {
+		if local && e.kern.PreGreater(pre, localBound) {
+			e.m.Filter(1)
+			continue
+		}
+		if (childDone && s.done(n.Objects[i].ID)) || (childSeen2 && s.seen2.Has(n.Objects[i].ID)) {
+			e.m.Filter(1)
+			continue
+		}
+		e.m.DistCalc(nodeCalc)
+		if e.kern.PreGreater(pre, e.dmaxCur) {
+			e.m.Filter(1)
+			continue
+		}
+		d := e.kern.Finish(pre)
+		if global {
+			var dmax float64
+			switch {
+			case rowMax:
+				dmax = e.kern.Finish(maxs[i])
+			case local:
+				dmax = maxs[i]
+			default:
+				dmax = e.maxDist(childItem(n, i, w, e.leafEntryKind()), other)
+			}
+			if side == 1 {
+				if n.Leaf {
+					firstRef = n.Objects[i].ID
+				} else {
+					firstRef = n.Children[i].Ref
+				}
+			}
+			if !e.semiGlobalAdmit(firstNode, firstRef, d, dmax) {
+				e.m.Filter(1)
+				continue
+			}
+		}
+		e.bq.collect(d, i)
+	}
+}
+
 // enqueueChildren pairs every entry of node n, on the given side, with
 // other, and enqueues the pairs that survive the filters.
 func (e *engine) enqueueChildren(n *IndexNode, other item, side int) error {
@@ -1011,12 +1124,17 @@ func (e *engine) enqueueChildren(n *IndexNode, other item, side int) error {
 	// Semi-join Local pruning (§4.2.1): when expanding a second-input
 	// node, any generated pair farther than the smallest d_max among the
 	// entries cannot supply the nearest partner for any first-input
-	// object.
+	// object. The values are kept: a survivor's d_max, which the Global rules
+	// ask enqueueKeyed for, is the same maxDist(other, c).
 	var localBound float64 = math.Inf(1)
+	var dmaxs []float64
 	if side == 2 && e.semi != nil && e.semi.filter >= FilterLocal && len(children) > 0 {
-		for _, c := range children {
-			if dm := e.maxDist(other, c); dm < localBound {
-				localBound = dm
+		e.growOut(len(children))
+		dmaxs = e.mbuf[:len(children)]
+		for i, c := range children {
+			dmaxs[i] = e.maxDist(other, c)
+			if dmaxs[i] < localBound {
+				localBound = dmaxs[i]
 			}
 		}
 	}
@@ -1035,11 +1153,15 @@ func (e *engine) enqueueChildren(n *IndexNode, other item, side int) error {
 				}
 			}
 			e.child = i
+			dmax := noMax
+			if dmaxs != nil {
+				dmax = dmaxs[i]
+			}
 			var err error
 			if side == 1 {
-				err = e.enqueuePre(c, other, pres[i])
+				err = e.enqueuePre(c, other, pres[i], dmax)
 			} else {
-				err = e.enqueuePre(other, c, pres[i])
+				err = e.enqueuePre(other, c, pres[i], dmax)
 			}
 			if err != nil {
 				return err
@@ -1080,8 +1202,14 @@ func (e *engine) fillCols(items []item) {
 	for _, it := range items {
 		e.cols.Append(it.rect())
 	}
-	if cap(e.dbuf) < len(items) {
-		e.dbuf = make([]float64, len(items))
+	e.growOut(len(items))
+}
+
+// growOut makes room for n kernel outputs in dbuf and in mbuf: a node
+// beyond the fan-out hint they were sized from grows both, once.
+func (e *engine) growOut(n int) {
+	if cap(e.dbuf) < n {
+		e.dbuf, e.mbuf = make([]float64, n), make([]float64, n)
 	}
 }
 
@@ -1192,7 +1320,7 @@ func (e *engine) expandBoth(p qpair) error {
 			out := e.dbuf[:len(c2)]
 			e.kern.MinDistBatch(a.rect(), &e.cols, out)
 			for i, b := range c2 {
-				if err := e.enqueuePre(a, b, out[i]); err != nil {
+				if err := e.enqueuePre(a, b, out[i], noMax); err != nil {
 					return err
 				}
 			}
@@ -1246,7 +1374,7 @@ func (e *engine) sweepBatch(c1, c2 []item) error {
 					break // D_max tightened mid-run; the rest is out of window
 				}
 				evaluated++
-				if err := e.enqueuePre(a, b, out[k-start]); err != nil {
+				if err := e.enqueuePre(a, b, out[k-start], noMax); err != nil {
 					return err
 				}
 			}

@@ -84,7 +84,7 @@ type qpair struct {
 
 // rank orders pair kinds at equal distance: pairs of leaf entries before
 // pairs involving nodes (§2.2.2).
-func (p qpair) rank() int {
+func (p *qpair) rank() int {
 	r := 0
 	if p.i1.isNode() {
 		r++
@@ -95,35 +95,43 @@ func (p qpair) rank() int {
 	return r
 }
 
-func (p qpair) levelSum() int { return int(p.i1.level) + int(p.i2.level) }
+func (p *qpair) levelSum() int { return int(p.i1.level) + int(p.i2.level) }
 
-// pairLess builds the queue ordering: ascending key (descending for
-// reverse), then leaf-entry pairs before node pairs, then — for equal
-// distances among node pairs — deeper nodes first (depth-first tie-breaking)
-// or shallower nodes first (breadth-first), and finally references for
-// determinism.
-func pairLess(depthFirst, reverse bool) func(a, b qpair) bool {
-	return func(a, b qpair) bool {
-		if a.key != b.key {
-			if reverse {
-				return a.key > b.key
-			}
-			return a.key < b.key
+// pairBefore is the queue ordering: ascending key (descending for reverse),
+// then leaf-entry pairs before node pairs, then — for equal distances among
+// node pairs — deeper nodes first (depth-first tie-breaking) or shallower
+// nodes first (breadth-first), and finally references for determinism.
+func pairBefore(a, b *qpair, depthFirst, reverse bool) bool {
+	if a.key != b.key {
+		if reverse {
+			return a.key > b.key
 		}
-		if ra, rb := a.rank(), b.rank(); ra != rb {
-			return ra < rb
-		}
-		if la, lb := a.levelSum(), b.levelSum(); la != lb {
-			if depthFirst {
-				return la < lb // deeper (smaller level) first
-			}
-			return la > lb // shallower first
-		}
-		if a.i1.ref != b.i1.ref {
-			return a.i1.ref < b.i1.ref
-		}
-		return a.i2.ref < b.i2.ref
+		return a.key < b.key
 	}
+	if ra, rb := a.rank(), b.rank(); ra != rb {
+		return ra < rb
+	}
+	if la, lb := a.levelSum(), b.levelSum(); la != lb {
+		if depthFirst {
+			return la < lb // deeper (smaller level) first
+		}
+		return la > lb // shallower first
+	}
+	if a.i1.ref != b.i1.ref {
+		return a.i1.ref < b.i1.ref
+	}
+	return a.i2.ref < b.i2.ref
+}
+
+// pairLess is pairBefore on pairs by value, the form pqueue's queues take.
+func pairLess(depthFirst, reverse bool) func(a, b qpair) bool {
+	return func(a, b qpair) bool { return pairBefore(&a, &b, depthFirst, reverse) }
+}
+
+// pairLessInPlace is pairBefore on pairs where they lie: the memory queue's
+// heap compares its 88-byte elements without copying either.
+func pairLessInPlace(depthFirst, reverse bool) func(a, b *qpair) bool {
+	return func(a, b *qpair) bool { return pairBefore(a, b, depthFirst, reverse) }
 }
 
 // pairCodec serializes qpairs for the disk tier of the hybrid queue: the

@@ -531,7 +531,9 @@ func Fig8(d *Datasets) ([]Run, error) {
 // request approaching the full result degenerates into computing an
 // unbounded prefix of the distance join, and "the priority queue became too
 // large ... beyond 10,000 pairs", so Outside runs only the counts below
-// outsideCap.
+// outsideCap. The figure's queue is the paper's hybrid one; the full result
+// of every rung from Inside2 up is run once more on the memory queue, whose
+// semi-join expansions are generated in the index domain ("/Memory" rows).
 func Fig9(d *Datasets) ([]Run, error) {
 	filters := []distjoin.SemiFilter{
 		distjoin.FilterOutside,
@@ -565,6 +567,13 @@ func Fig9(d *Datasets) ([]Run, error) {
 			}
 			out = append(out, r)
 		}
+	}
+	for _, f := range filters[2:] {
+		r, err := d.runSemi(f.String()+"/Memory (all)", 0, f, distjoin.Options{Queue: distjoin.QueueMemory}, false)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -715,15 +724,16 @@ func Sec414(d *Datasets) ([]Run, error) {
 
 // Sec423 reproduces §4.2.3: the full distance semi-join computed
 // incrementally (GlobalAll) versus the non-incremental
-// nearest-neighbour-per-object implementation, in both join orders.
+// nearest-neighbour-per-object implementation, in both join orders — and,
+// after those four rows, GlobalAll on the memory queue in both orders.
 func Sec423(d *Datasets) ([]Run, error) {
+	orders := []struct {
+		rev    bool
+		suffix string
+	}{{false, " (W⋉R)"}, {true, " (R⋉W)"}}
 	var out []Run
-	for _, rev := range []bool{false, true} {
-		suffix := " (W⋉R)"
-		if rev {
-			suffix = " (R⋉W)"
-		}
-		inc, err := d.runSemi("GlobalAll"+suffix, 0, distjoin.FilterGlobalAll, d.Scale.hybridOpts(), rev)
+	for _, o := range orders {
+		inc, err := d.runSemi("GlobalAll"+o.suffix, 0, distjoin.FilterGlobalAll, d.Scale.hybridOpts(), o.rev)
 		if err != nil {
 			return nil, err
 		}
@@ -734,7 +744,7 @@ func Sec423(d *Datasets) ([]Run, error) {
 			return nil, err
 		}
 		t1, t2 := d.Water, d.Roads
-		if rev {
+		if o.rev {
 			t1, t2 = d.Roads, d.Water
 		}
 		start := time.Now()
@@ -743,7 +753,7 @@ func Sec423(d *Datasets) ([]Run, error) {
 			return nil, err
 		}
 		out = append(out, Run{
-			Label:     "NN-per-object" + suffix,
+			Label:     "NN-per-object" + o.suffix,
 			Pairs:     len(pairs),
 			Reported:  len(pairs),
 			Time:      time.Since(start),
@@ -751,6 +761,13 @@ func Sec423(d *Datasets) ([]Run, error) {
 			MaxQueue:  c.MaxQueueSize,
 			NodeIO:    c.NodeIO(),
 		})
+	}
+	for _, o := range orders {
+		mem, err := d.runSemi("GlobalAll/Memory"+o.suffix, 0, distjoin.FilterGlobalAll, distjoin.Options{Queue: distjoin.QueueMemory}, o.rev)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, mem)
 	}
 	return out, nil
 }

@@ -242,8 +242,15 @@ func TestSec423BothOrders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 4 {
+	if len(runs) != 6 {
 		t.Fatalf("%d rows", len(runs))
+	}
+	// The memory queue delivers what the hybrid queue does, in both orders.
+	for i, hybrid := range []Run{runs[0], runs[2]} {
+		if mem := runs[4+i]; mem.Reported != hybrid.Reported || mem.LastDist != hybrid.LastDist || mem.DistCalcs != hybrid.DistCalcs {
+			t.Fatalf("%s: %d pairs to %v with %d distances, %s: %d to %v with %d",
+				mem.Label, mem.Reported, mem.LastDist, mem.DistCalcs, hybrid.Label, hybrid.Reported, hybrid.LastDist, hybrid.DistCalcs)
+		}
 	}
 	// Incremental and NN-based produce the same cardinalities per order.
 	if runs[0].Reported != runs[1].Reported {

@@ -51,6 +51,10 @@ func FuzzKernelVsScalar(f *testing.F) {
 			for i := 0; i < rc.Len(); i++ {
 				requireRow(t, m.Name()+"/mindist", i, k.Finish(out[i]), m.MinDist(q, rc.Rect(i)), exact)
 			}
+			k.MaxDistRows(q, rowsOf(rc.rects), out)
+			for i := 0; i < rc.Len(); i++ {
+				requireRow(t, m.Name()+"/maxdist", i, k.Finish(out[i]), m.MaxDist(q, rc.Rect(i)), exact)
+			}
 			p := geom.Point{a0, a2}
 			k.DistBatch(p, &pc, out[:pc.Len()])
 			for i := 0; i < pc.Len(); i++ {

@@ -416,6 +416,72 @@ func (b Batch) MinDistRows(query geom.Rect, rows []float64, out []float64) {
 	}
 }
 
+// maxDelta is the per-dimension MaxDist term between intervals [alo, ahi]
+// and [blo, bhi]: geom.lpMetric.MaxDist's math.Max(|ahi−blo|, |bhi−alo|).
+// Both operands are Abs results of finite coordinates (the boundaries refuse
+// non-finite input), where a plain comparison picks the value math.Max picks
+// — without math.Max's NaN, infinity and signed-zero handling, which (as
+// math.archMax, not inlined) doubled the kernel's time per rectangle.
+func maxDelta(alo, ahi, blo, bhi float64) float64 {
+	x, y := math.Abs(ahi-blo), math.Abs(bhi-alo)
+	if y > x {
+		return y
+	}
+	return x
+}
+
+// MaxDistRows is MinDistRows for the maximum distance: out[i] receives the
+// (pre-)distance Metric.MaxDist(query, row i) — the same per-dimension
+// terms, accumulated in the same order, so bit for bit the scalar value
+// (its square, for the deferred L2 kernel). MaxDist is the join's d_max
+// (§2.2.3) whenever neither operand is a non-degenerate object rectangle:
+// between two nodes, between a node and a point object, and between two
+// points, where it is their distance. The face minimum that bounds a
+// rectangle object is not a row kernel; callers take the scalar
+// Metric.MaxDistFace route for it.
+func (b Batch) MaxDistRows(query geom.Rect, rows []float64, out []float64) {
+	dims := len(query.Lo)
+	w := 2 * dims
+	out = out[:len(rows)/w]
+	switch {
+	case b.kind == kindGeneric:
+		for i := range out {
+			out[i] = b.m.MaxDist(query, geom.RectOf(rows[i*w:(i+1)*w]))
+		}
+	case dims == 2 && b.kind != kindLInf:
+		qlo0, qhi0, qlo1, qhi1 := query.Lo[0], query.Hi[0], query.Lo[1], query.Hi[1]
+		for i := range out {
+			r := rows[i*4 : i*4+4 : i*4+4]
+			d0 := maxDelta(qlo0, qhi0, r[0], r[2])
+			d1 := maxDelta(qlo1, qhi1, r[1], r[3])
+			if b.kind == kindL2 {
+				out[i] = d0*d0 + d1*d1
+			} else {
+				out[i] = d0 + d1
+			}
+		}
+	default:
+		for i := range out {
+			r := rows[i*w : (i+1)*w : (i+1)*w]
+			var acc float64
+			for d := 0; d < dims; d++ {
+				delta := maxDelta(query.Lo[d], query.Hi[d], r[d], r[dims+d])
+				switch b.kind {
+				case kindLInf:
+					if delta > acc {
+						acc = delta
+					}
+				case kindL1:
+					acc += delta
+				default: // kindL2, squared
+					acc += delta * delta
+				}
+			}
+			out[i] = acc
+		}
+	}
+}
+
 // DistBatch computes the point-to-point distance (pre-distance for deferred
 // kernels) from p to every point of c, into out[:c.Len()].
 func (b Batch) DistBatch(p geom.Point, c *PointCols, out []float64) {

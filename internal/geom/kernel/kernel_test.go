@@ -108,12 +108,8 @@ func TestBatchVsScalar(t *testing.T) {
 			checkBatch(t, m, "mindist", out, func(i int) float64 { return m.MinDist(q, rc.Rect(i)) })
 			// The row-layout kernel is the columnar one, bit for bit, on
 			// every architecture.
-			var rows []float64
-			for i := 0; i < n; i++ {
-				rows = append(append(rows, rc.Rect(i).Lo...), rc.Rect(i).Hi...)
-			}
 			byRow := make([]float64, n)
-			b.MinDistRows(q, rows, byRow)
+			b.MinDistRows(q, rowsOf(rc.rects), byRow)
 			for i := range byRow {
 				if byRow[i] != out[i] {
 					t.Fatalf("%s dims %d row %d: MinDistRows %v != MinDistBatch %v", m.Name(), dims, i, byRow[i], out[i])
@@ -151,6 +147,92 @@ func TestBatchTouchingRects(t *testing.T) {
 		for i, r := range cases {
 			if got, want := b.Finish(out[i]), m.MinDist(q, r); got != want {
 				t.Errorf("%s: MinDist(%v, %v) batch %v != scalar %v", m.Name(), q, r, got, want)
+			}
+		}
+	}
+}
+
+// rowsOf lays rectangles out as a decoded node's coordinate block: one run
+// per rectangle, low corner then high corner.
+func rowsOf(rects []geom.Rect) []float64 {
+	var rows []float64
+	for _, r := range rects {
+		rows = append(append(rows, r.Lo...), r.Hi...)
+	}
+	return rows
+}
+
+// TestMaxDistRows pins the d_max row kernel against the scalar
+// Metric.MaxDist row for row — bitwise for L1, L∞ and the generic fallback,
+// and for L2 the pre-distance is the squared sum whose Sqrt the scalar takes
+// — in two and three dimensions, over separated, overlapping, touching and
+// degenerate (point) rectangles, for a rectangle and a point query.
+func TestMaxDistRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, dims := range []int{2, 3} {
+		q := randRect(rng, dims)
+		rects := []geom.Rect{q, randPoint(rng, dims).Rect(), q.Lo.Rect(), q.Hi.Rect()}
+		// Touching q on axis 0; containing q's low corner.
+		touch := randRect(rng, dims)
+		touch.Lo[0], touch.Hi[0] = q.Hi[0], q.Hi[0]+3
+		rects = append(rects, touch, geom.Rect{Lo: q.Lo.Clone(), Hi: q.Lo.Clone()})
+		for i := 0; i < 200; i++ {
+			if i%3 == 0 {
+				rects = append(rects, randPoint(rng, dims).Rect())
+			} else {
+				rects = append(rects, randRect(rng, dims))
+			}
+		}
+		rows := rowsOf(rects)
+		for _, query := range []geom.Rect{q, randPoint(rng, dims).Rect()} {
+			for _, m := range testMetrics {
+				b := For(m)
+				out := make([]float64, len(rects))
+				b.MaxDistRows(query, rows, out)
+				checkBatch(t, m, "maxdist", out, func(i int) float64 { return m.MaxDist(query, rects[i]) })
+				if m != geom.Euclidean || !wantExact(m) {
+					continue
+				}
+				for i, r := range rects {
+					var sum float64
+					for d := 0; d < dims; d++ {
+						delta := math.Max(math.Abs(query.Hi[d]-r.Lo[d]), math.Abs(r.Hi[d]-query.Lo[d]))
+						sum += delta * delta
+					}
+					if out[i] != sum {
+						t.Fatalf("dims %d row %d: L2 pre %v != squared sum %v", dims, i, out[i], sum)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxDistRowsOfPointsIsMinDist pins what lets the engine skip the second
+// kernel call on its commonest expansion: between two points the d_max
+// pre-distance is the MinDist pre-distance, bit for bit, in every kernel.
+func TestMaxDistRowsOfPointsIsMinDist(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, dims := range []int{2, 3} {
+		q := randPoint(rng, dims)
+		rects := []geom.Rect{q.Rect()}
+		for i := 0; i < 200; i++ {
+			p := randPoint(rng, dims)
+			if i%4 == 0 {
+				p[i%dims] = q[i%dims] // equal on one axis
+			}
+			rects = append(rects, p.Rect())
+		}
+		rows := rowsOf(rects)
+		for _, m := range testMetrics {
+			b := For(m)
+			lo, hi := make([]float64, len(rects)), make([]float64, len(rects))
+			b.MinDistRows(q.Rect(), rows, lo)
+			b.MaxDistRows(q.Rect(), rows, hi)
+			for i := range lo {
+				if lo[i] != hi[i] {
+					t.Fatalf("%s dims %d row %d: MaxDistRows %v != MinDistRows %v", m.Name(), dims, i, hi[i], lo[i])
+				}
 			}
 		}
 	}
@@ -276,6 +358,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("steady-state batch cycle allocates %v per run, want 0", avg)
 	}
+	// The row kernels read a node's coordinate block in place: nothing to
+	// grow, whatever the metric.
+	rows := rowsOf(rects)
+	for _, m := range testMetrics {
+		b := For(m)
+		if avg := testing.AllocsPerRun(100, func() {
+			b.MinDistRows(q, rows, out)
+			b.MaxDistRows(q, rows, out)
+		}); avg != 0 {
+			t.Fatalf("%s: row kernels allocate %v per run, want 0", m.Name(), avg)
+		}
+	}
 }
 
 // benchCols builds a deterministic 2D batch of size n for throughput
@@ -325,6 +419,26 @@ func BenchmarkScalarMinDist(b *testing.B) {
 				for j := 0; j < n; j++ {
 					out[j] = m.MinDist(q, rc.Rect(j))
 				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mdist/s")
+		})
+	}
+}
+
+// BenchmarkKernelMaxDistRows measures the d_max row kernel over one node's
+// worth of 2-D rectangles.
+func BenchmarkKernelMaxDistRows(b *testing.B) {
+	for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan, geom.Chessboard} {
+		b.Run(m.Name(), func(b *testing.B) {
+			const n = 64
+			q, rc := benchCols(n)
+			rows := rowsOf(rc.rects)
+			k := For(m)
+			out := make([]float64, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.MaxDistRows(q, rows, out)
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mdist/s")
 		})

@@ -33,9 +33,11 @@ type slot[T any] struct {
 }
 
 // Heap is a pairing heap ordered by the provided less function. The zero
-// Heap is not usable; create one with New. Not safe for concurrent use.
+// Heap is not usable; create one with New or NewInPlace. Not safe for
+// concurrent use.
 type Heap[T any] struct {
-	less   func(a, b T) bool
+	less   func(a, b T) bool  // the order, by value; nil on an in-place heap
+	lessAt func(a, b *T) bool // the order, on the slots; nil on a by-value heap
 	chunks []*[chunkSize]slot[T]
 	used   int32 // slots handed out so far, free ones included
 	free   int32 // head of the free chain
@@ -47,6 +49,13 @@ type Heap[T any] struct {
 // New creates an empty heap ordered by less (a min-heap when less is "<").
 func New[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less, free: none, root: none}
+}
+
+// NewInPlace is New for an order that reads its operands where they lie in
+// the heap: a comparison copies neither element, which for a large T is most
+// of what a meld costs. less must not keep or modify what it is handed.
+func NewInPlace[T any](less func(a, b *T) bool) *Heap[T] {
+	return &Heap[T]{lessAt: less, free: none, root: none}
 }
 
 // at returns slot i.
@@ -136,8 +145,8 @@ func (h *Heap[T]) DecreaseKey(n Handle, value T) {
 	h.root = h.meld(h.root, i)
 }
 
-// Clear removes all elements.
-func (h *Heap[T]) Clear() { *h = *New(h.less) }
+// Clear removes all elements; the heap keeps the order it was built with.
+func (h *Heap[T]) Clear() { *h = Heap[T]{less: h.less, lessAt: h.lessAt, free: none, root: none} }
 
 // cut detaches i (a non-root node) from its parent's child list.
 func (h *Heap[T]) cut(i int32) {
@@ -161,7 +170,13 @@ func (h *Heap[T]) meld(a, b int32) int32 {
 		return a
 	}
 	sa, sb := h.at(a), h.at(b)
-	if h.less(sb.value, sa.value) {
+	var swap bool
+	if h.lessAt != nil {
+		swap = h.lessAt(&sb.value, &sa.value)
+	} else {
+		swap = h.less(sb.value, sa.value)
+	}
+	if swap {
 		a, b, sa, sb = b, a, sb, sa
 	}
 	// b becomes the first child of a.

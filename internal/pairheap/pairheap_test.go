@@ -136,6 +136,51 @@ func TestClear(t *testing.T) {
 	}
 }
 
+// TestInPlaceOrder drives a by-value heap and an in-place heap of the same
+// order through the same inserts, deletes, decreases and pops: they must agree
+// at every pop, and Clear must leave each with the order it was built with.
+func TestInPlaceOrder(t *testing.T) {
+	type wide struct {
+		key int
+		pad [10]int // an element worth not copying
+	}
+	byValue := New[wide](func(a, b wide) bool { return a.key < b.key })
+	inPlace := NewInPlace[wide](func(a, b *wide) bool { return a.key < b.key })
+	rnd := rand.New(rand.NewSource(5))
+	for round := 0; round < 3; round++ {
+		var hv, hp []Handle
+		for i, key := range rnd.Perm(600) { // distinct keys: one possible order
+			hv = append(hv, byValue.Insert(wide{key: key}))
+			hp = append(hp, inPlace.Insert(wide{key: key}))
+			switch {
+			case i%7 == 3:
+				k := rnd.Intn(len(hv))
+				byValue.Delete(hv[k])
+				inPlace.Delete(hp[k])
+				hv, hp = append(hv[:k], hv[k+1:]...), append(hp[:k], hp[k+1:]...)
+			case i%5 == 2:
+				k := rnd.Intn(len(hv))
+				v := wide{key: byValue.Value(hv[k]).key - 1000}
+				byValue.DecreaseKey(hv[k], v)
+				inPlace.DecreaseKey(hp[k], v)
+			}
+		}
+		for n := byValue.Len() / 2; n > 0; n-- {
+			if a, b := byValue.PopMin(), inPlace.PopMin(); a.key != b.key {
+				t.Fatalf("round %d: by-value heap popped %d, in-place heap %d", round, a.key, b.key)
+			}
+		}
+		if byValue.Len() != inPlace.Len() || byValue.Min().key != inPlace.Min().key {
+			t.Fatalf("round %d: heaps diverge", round)
+		}
+		byValue.Clear()
+		inPlace.Clear()
+		if !byValue.Empty() || !inPlace.Empty() {
+			t.Fatal("Clear left elements")
+		}
+	}
+}
+
 // Property: popping everything yields ascending order, interleaved with
 // random deletes, decreases and re-inserts.
 func TestPropHeapSort(t *testing.T) {

@@ -83,6 +83,14 @@ type IndexNode struct {
 	// Coords[i*2*dims : (i+1)*2*dims]. The join engine queues views of it
 	// instead of a copy of the node's coordinates per visit.
 	Coords []float64
+	// Points says that every entry of this leaf is a degenerate rectangle —
+	// a point. The join engine then takes an object pair's d_max (§2.2.3)
+	// from a row kernel over Coords instead of the scalar face minimum, and
+	// between two points from the distance it already has. An implementation
+	// decides it once, when it builds the node, not per visit. False means
+	// "not known": a node that never sets it is still traversed correctly,
+	// through the scalar bound. It says nothing about a non-leaf node.
+	Points bool
 }
 
 // rtreeIndex adapts *rtree.Tree to SpatialIndex. R-tree levels already
@@ -121,8 +129,10 @@ func adaptRTreeNode(n *rtree.Node) any {
 	}
 	if n.Leaf() {
 		out.Objects = make([]ObjectRef, len(n.Entries))
+		out.Points = true
 		for i, e := range n.Entries {
 			out.Objects[i] = ObjectRef{ID: uint64(e.Obj), Rect: e.Rect}
+			out.Points = out.Points && e.Rect.IsPoint()
 		}
 		return out
 	}
@@ -191,7 +201,7 @@ func (ix quadIndex) Node(ref uint64) (*IndexNode, error) {
 		return nil, err
 	}
 	d := ix.t.Dims()
-	out := &IndexNode{Leaf: n.Leaf, Level: n.Level, Coords: make([]float64, (len(n.Points)+len(n.Children))*2*d)}
+	out := &IndexNode{Leaf: n.Leaf, Level: n.Level, Points: n.Leaf, Coords: make([]float64, (len(n.Points)+len(n.Children))*2*d)}
 	// entry lays rectangle r out as run i of the block and returns the view.
 	entry := func(i int, r geom.Rect) geom.Rect {
 		run := out.Coords[i*2*d : (i+1)*2*d : (i+1)*2*d]
