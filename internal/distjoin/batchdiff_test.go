@@ -117,6 +117,37 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 			}
 		}
 	}
+	// Side expansions under an option, on both side-expanding traversals: the
+	// §2.2.5 selections on either input, equal-id omission, a distance range
+	// with a minimum, the estimator and the reverse order with a window — each
+	// changes what the enqueue ladder does to a child, none may change what the
+	// scalar reference delivers or counts.
+	win2 := geom.R(geom.Pt(100, 50), geom.Pt(900, 950))
+	for _, tr := range []Traversal{TraverseEven, TraverseBasic} {
+		cases = append(cases,
+			diffCase{name: "side-" + tr.String() + "-window1-select2", opts: Options{Traversal: tr, Window1: &win, Select2: sel}},
+			diffCase{name: "side-" + tr.String() + "-omit-equal-self", opts: Options{Traversal: tr, OmitEqualIDs: true}, self: true, limit: 3000},
+			diffCase{name: "side-" + tr.String() + "-mindist-maxdist", opts: Options{Traversal: tr, MinDist: 50, MaxDist: 200}},
+			diffCase{name: "side-" + tr.String() + "-maxpairs", opts: Options{Traversal: tr, MaxPairs: 350}, limit: 350},
+			diffCase{name: "side-" + tr.String() + "-reverse-window2", opts: Options{Traversal: tr, Reverse: true, Window2: &win2}, limit: 2500},
+		)
+	}
+	// The same expansions feeding the hybrid queue, pair by pair.
+	hybrid := func(o Options) Options {
+		o.Queue, o.HybridInMemory, o.HybridDT, o.QueuePageSize = QueueHybrid, true, 40, 1024
+		return o
+	}
+	local := semiOf(FilterLocal, 1, false)
+	cases = append(cases,
+		diffCase{name: "hybrid-join", opts: hybrid(Options{})},
+		diffCase{name: "hybrid-maxpairs", opts: hybrid(Options{MaxPairs: 350}), limit: 350},
+		diffCase{name: "hybrid-semi-local", opts: hybrid(Options{}), semi: local},
+		diffCase{name: "hybrid-semi-global", opts: hybrid(Options{}), semi: global},
+		diffCase{name: "hybrid-semi-local-rects", opts: hybrid(Options{}), semi: local, rect1: true, rect2: true},
+		diffCase{name: "hybrid-semi-global-rects", opts: hybrid(Options{}), semi: global, rect1: true, rect2: true},
+		diffCase{name: "hybrid-knn-join-3", opts: hybrid(Options{}), semi: semiOf(FilterGlobalAll, 3, false)},
+		diffCase{name: "hybrid-quad2", opts: hybrid(Options{}), quad2: true},
+	)
 	return append(cases,
 		diffCase{name: "semi-global-lp3", opts: Options{Metric: geom.Lp(3)}, semi: global},
 		diffCase{name: "semi-global-maxdist", opts: Options{MaxDist: 60}, semi: global},

@@ -10,6 +10,7 @@ import (
 	"distjoin/internal/geom"
 	"distjoin/internal/quadtree"
 	"distjoin/internal/rtree"
+	"distjoin/internal/stats"
 )
 
 // The engine's metamorphic suite: relations that must hold between runs of
@@ -382,6 +383,56 @@ func TestMetamorphicQueues(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMetamorphicNoOpOptions: an option that excludes nothing — a window
+// covering everything, a predicate that is always true, the distance range
+// [0, +Inf] — changes neither what is reported nor what it costs: the same
+// pairs in the same order and the same Stats snapshot, field for field, as the
+// zero Options. The d_max rungs of the ladder are unsound under a selection
+// on the second input and the engine degrades them, whatever the selection
+// lets through, so those rows are compared at Inside2.
+func TestMetamorphicNoOpOptions(t *testing.T) {
+	a, b := metaRects(37, 110, 2, 0), metaRects(38, 140, 2, 5)
+	all := geom.R(geom.Pt(-1, -1), geom.Pt(2048, 2048))
+	always := func(rtree.ObjID) bool { return true }
+	rows := []struct {
+		name   string
+		second bool // a selection on the second input
+		set    func(*Options)
+	}{
+		{"window1", false, func(o *Options) { o.Window1 = &all }},
+		{"window2", true, func(o *Options) { o.Window2 = &all }},
+		{"select1", false, func(o *Options) { o.Select1 = always }},
+		{"select2", true, func(o *Options) { o.Select2 = always }},
+		{"windows-and-selects", true, func(o *Options) {
+			o.Window1, o.Window2, o.Select1, o.Select2 = &all, &all, always, always
+		}},
+		{"full-range", false, func(o *Options) { o.MinDist, o.MaxDist = 0, math.Inf(1) }},
+	}
+	forEachMetaCase(t, func(t *testing.T, op metaOp, q metaQueue) {
+		ia, ib := metaRTree(t, a, 2), metaRTree(t, b, 2)
+		run := func(filter SemiFilter, set func(*Options)) ([]Pair, stats.Counters) {
+			opts := q.opts(1)
+			opts.Counters = &stats.Counters{}
+			if set != nil {
+				set(&opts)
+			}
+			return metaRun(t, op, ia, ib, filter, opts, limitFor(op)), opts.Counters.Snapshot()
+		}
+		for _, row := range rows {
+			filter := FilterGlobalAll
+			if row.second {
+				filter = FilterInside2
+			}
+			want, wantStats := run(filter, nil)
+			got, gotStats := run(filter, row.set)
+			sameSequence(t, row.name, got, want, 1)
+			if gotStats != wantStats {
+				t.Fatalf("%s: stats diverge from the zero Options:\n got %+v\nwant %+v", row.name, gotStats, wantStats)
+			}
+		}
+	})
 }
 
 // TestMetamorphicFilterLadder: every rung of the §4.2.1 ladder, Outside to

@@ -44,6 +44,7 @@ func TestWorkCounters(t *testing.T) {
 		mutate(&o)
 		return o
 	}
+	window := distjoin.R(distjoin.Pt(20_000, 10_000), distjoin.Pt(90_000, 80_000))
 	legs := []struct {
 		name   string
 		semi   bool
@@ -69,6 +70,15 @@ func TestWorkCounters(t *testing.T) {
 		// and the kNN join, which degrades to Inside2.
 		{name: "semi-global-memory", semi: true, filter: distjoin.FilterGlobalAll},
 		{name: "knn-join-memory", semi: true, filter: distjoin.FilterGlobalAll, k: 3},
+		// Two expansions the enqueue ladder decides differently from the legs
+		// above: the §2.2.5 selections on the memory queue (a window on the
+		// first input, a predicate on the second), and the top of the filter
+		// ladder feeding the hybrid queue pair by pair.
+		{name: "window-select-memory", opts: distjoin.Options{
+			Window1: &window,
+			Select2: func(id distjoin.ObjID) bool { return id%3 != 0 },
+		}},
+		{name: "semi-global-hybrid", semi: true, filter: distjoin.FilterGlobalAll, opts: hybrid},
 		// What a served cursor runs: the request's max_pairs becomes MaxPairs.
 		// TestServerWorkloadMatchesInProcess (internal/server) pins the HTTP
 		// drain of this leg to the in-process one counted here.
