@@ -8,11 +8,13 @@
 package distjoin_test
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
 	"distjoin"
+	"distjoin/internal/datagen"
 	idistjoin "distjoin/internal/distjoin"
 	"distjoin/internal/experiments"
 )
@@ -162,6 +164,78 @@ func BenchmarkSemiJoinFull(b *testing.B) {
 			}
 		}
 		s.Close()
+	}
+}
+
+// BenchmarkNoOpOption times a query against itself with an option that
+// excludes nothing: a Window1 that covers everything. The two must read the
+// same — one generator decides every expansion, whatever the query carries
+// (DESIGN.md §5; EXPERIMENTS.md "Options and the generation path" has the
+// numbers from before there was one). The join's first 4,000 pairs and the
+// GlobalAll semi-join's drain at the benchmark's mid scale, on both queues;
+// -short shrinks it to a smoke run.
+func BenchmarkNoOpOption(b *testing.B) {
+	water, roads, first := 12_000, 64_000, 4_000
+	if testing.Short() {
+		water, roads, first = 800, 1_600, 200
+	}
+	a, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, datagen.Water(1998, water))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer a.Close()
+	c, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, datagen.Roads(1998, roads))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	all := distjoin.R(distjoin.Pt(math.Inf(-1), math.Inf(-1)), distjoin.Pt(math.Inf(1), math.Inf(1)))
+	for _, q := range []struct {
+		name string
+		opts distjoin.Options
+	}{
+		{"memory", distjoin.Options{}},
+		{"hybrid", distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: 40, HybridInMemory: true}},
+	} {
+		for _, w := range []struct {
+			name string
+			win  *distjoin.Rect
+		}{{"zero", nil}, {"window1-all", &all}} {
+			opts := q.opts
+			opts.Window1 = w.win
+			b.Run("join-first/"+q.name+"/"+w.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					j, err := distjoin.DistanceJoin(a, c, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for n := 0; n < first; n++ {
+						if _, ok, err := j.Next(); err != nil || !ok {
+							b.Fatal("short join", err)
+						}
+					}
+					j.Close()
+				}
+			})
+			b.Run("semi-drain/"+q.name+"/"+w.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s, err := distjoin.DistanceSemiJoin(a, c, distjoin.FilterGlobalAll, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for {
+						_, ok, err := s.Next()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if !ok {
+							break
+						}
+					}
+					s.Close()
+				}
+			})
+		}
 	}
 }
 

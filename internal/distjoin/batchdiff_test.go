@@ -6,14 +6,18 @@ import (
 	"testing"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/geom/kernel"
+	"distjoin/internal/racecheck"
 	"distjoin/internal/rtree"
 	"distjoin/internal/stats"
 )
 
-// The differential suite pins the batched (columnar-kernel) expansion
-// against the legacy scalar expansion pair for pair: the same trees and
-// options are drained through two engines, one with scalarExpand set, and
-// the result streams and full counter snapshots must agree. On amd64 the
+// The differential suite pins the batched (row-kernel) expansion — the child
+// generator of every side expansion, and the simultaneous expansion over the
+// same kernels — against the one-at-a-time scalar expansion pair for pair:
+// the same trees and options are drained through two engines, one with
+// scalarExpand set, and the result streams and full counter snapshots must
+// agree. On amd64 the
 // agreement is exact (the kernels replicate the scalar delta expressions
 // and accumulation order bit for bit); architectures whose compilers fuse
 // floating-point operations may differ by an ulp in L2 sums, so there the
@@ -96,12 +100,10 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 		},
 	}
 
-	// The semi-join family with no option set, whose side expansions on the
-	// memory queue are generated in the index domain (collectSemi): every rung
-	// of the filter ladder under both side-expanding traversals and all three
-	// kernel metrics, the scalar d_max fallback (rectangle objects, a generic
-	// metric), quadtrees, the kNN and clustering joins — and a semi-join with
-	// a window, which must still go through enqueueChildren.
+	// The semi-join family: every rung of the filter ladder under both
+	// side-expanding traversals and all three kernel metrics, the scalar d_max
+	// fallback (rectangle objects, a generic metric), quadtrees, the kNN and
+	// clustering joins — and a semi-join with a window on either input.
 	semiOf := func(f SemiFilter, k int, symmetric bool) func() *semiState {
 		return func() *semiState { return &semiState{filter: f, k: k, symmetric: symmetric} }
 	}
@@ -319,10 +321,10 @@ func TestSemiJoinUnflaggedIndex(t *testing.T) {
 	}
 }
 
-// TestBatchScratchPreSized pins the constructor's sizing contract: the row
-// scratch, columnar mirror and both kernel output buffers all start with at least
-// the trees' max fan-out of capacity, so first expansions do not grow
-// buffers mid-join.
+// TestBatchScratchPreSized pins the constructor's sizing contract: the item
+// scratch, the sweep's row scratch and both kernel output buffers all start
+// with at least the trees' max fan-out of capacity, so first expansions do not
+// grow buffers mid-join.
 func TestBatchScratchPreSized(t *testing.T) {
 	tr := buildTree(t, clusteredPoints(7, 300))
 	e, err := newEngine(WrapRTree(tr), WrapRTree(tr), Options{}, nil)
@@ -340,32 +342,33 @@ func TestBatchScratchPreSized(t *testing.T) {
 	if len(e.dbuf) < want || len(e.mbuf) < want {
 		t.Fatalf("dbuf/mbuf len %d/%d, want >= %d", len(e.dbuf), len(e.mbuf), want)
 	}
-	// The columnar mirror must hold a full node's worth of rectangles
-	// without growing: filling it fan-out times allocates nothing.
-	r := geom.R(geom.Pt(0, 0), geom.Pt(1, 1))
+	// The row scratch must hold a full node's worth of rectangles without
+	// growing: gathering fan-out of them allocates nothing.
+	if cap(e.rows) < want*4 {
+		t.Fatalf("row scratch holds %d coordinates, want >= %d", cap(e.rows), want*4)
+	}
+	r := newItem(kindObj, -1, 0, geom.R(geom.Pt(0, 0), geom.Pt(1, 1)))
 	avg := testing.AllocsPerRun(10, func() {
-		e.cols.Reset(2)
+		e.rows = e.rows[:0]
 		for i := 0; i < want; i++ {
-			e.cols.Append(r)
+			e.rows = append(e.rows, r.c...)
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("columnar fill allocates %.1f times for %d rects, want 0", avg, want)
+		t.Fatalf("gathering %d rows allocates %.1f times, want 0", want, avg)
 	}
 }
 
-// TestBatchedExpansionZeroAllocs pins the steady-state allocation contract
-// of the batched distance layer: once the engine is constructed, mirroring
-// a node's entries into the columnar scratch, running a kernel over them,
-// and taking a sweep window allocates nothing.
-func TestBatchedExpansionZeroAllocs(t *testing.T) {
+// TestMinDistRowsSubRun pins what the plane sweep relies on: the row kernel
+// over a sub-run of a block of rows computes, for each row, the value it
+// computes for that row in the whole block — and allocates nothing.
+func TestMinDistRowsSubRun(t *testing.T) {
 	tr := buildTree(t, clusteredPoints(9, 400))
 	e, err := newEngine(WrapRTree(tr), WrapRTree(tr), Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.close()
-
 	root, err := e.t1.Root()
 	if err != nil {
 		t.Fatal(err)
@@ -374,22 +377,103 @@ func TestBatchedExpansionZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := appendNodeItems(nil, n, kindNode)
-	if len(items) < 2 {
-		t.Fatalf("root has %d entries, need >= 2", len(items))
+	count := len(n.Coords) / 4
+	if count < 3 {
+		t.Fatalf("root has %d entries, need >= 3", count)
 	}
 	q := geom.R(geom.Pt(100, 100), geom.Pt(300, 300))
+	for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan, geom.Chessboard, geom.Lp(3)} {
+		kern := kernel.For(m)
+		whole, part := make([]float64, count), make([]float64, count-2)
+		kern.MinDistRows(q, n.Coords, whole)
+		kern.MinDistRows(q, n.Coords[4:4*(count-1)], part)
+		for i, d := range part {
+			if d != whole[i+1] {
+				t.Fatalf("%s: row %d is %v in the sub-run, %v in the block", m.Name(), i+1, d, whole[i+1])
+			}
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			kern.MinDistRows(q, n.Coords, whole)
+			kern.MinDistRows(q, n.Coords[4:4*(count-1)], part)
+		}); avg != 0 && !racecheck.Enabled {
+			t.Fatalf("%s: the row kernel allocates %.1f times per run, want 0", m.Name(), avg)
+		}
+	}
+}
 
-	// Warm the window scratch's outer slices once.
-	_ = e.batchMinDist(q, items)
-	e.colsWin.Window(&e.cols, 0, len(items))
-
-	avg := testing.AllocsPerRun(200, func() {
-		out := e.batchMinDist(q, items)
-		e.colsWin.Window(&e.cols, 1, len(items))
-		e.kern.MinDistBatch(q, &e.colsWin, out[:len(items)-1])
-	})
-	if avg != 0 {
-		t.Fatalf("batched expansion allocates %.1f times per run, want 0", avg)
+// TestBatchedExpansionZeroAllocs pins the steady-state allocation contract
+// of child generation beyond the zero Options (whose expansions
+// TestAllocBlockQueue gates): once the engine is constructed, a side
+// expansion allocates nothing when the query carries options the ladder
+// consults per child, and nothing on the hybrid queue when its survivors go
+// to the disk tier's open page — a pair is encoded from the node's
+// coordinate block where it lies. (A survivor that lands in the hybrid
+// queue's memory tiers is given its own copy of its coordinates; that is the
+// queue's doing, DESIGN.md §16.)
+func TestBatchedExpansionZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
+	ta, tb := buildTree(t, clusteredPoints(51, 300)), buildTree(t, clusteredPoints(52, 300))
+	win := geom.R(geom.Pt(0, 0), geom.Pt(700, 800))
+	sel := func(id rtree.ObjID) bool { return id%3 != 0 }
+	for _, c := range []struct {
+		name string
+		opts Options
+		semi *semiState
+		side int
+		// far: expand the root on that side against an object far away —
+		// farther every run, since the hybrid queue's tiers only move up —
+		// instead of against the other root, so that every survivor is beyond
+		// the memory tiers.
+		far bool
+	}{
+		{"window and predicate, side 1", Options{Window1: &win, Select1: sel}, nil, 1, false},
+		{"window, range with a minimum, equal ids, side 2", Options{Window2: &win, MinDist: 5, MaxDist: 900, OmitEqualIDs: true}, nil, 2, false},
+		{"reverse", Options{Reverse: true}, nil, 1, false},
+		{"semi-join with a window", Options{Window1: &win}, &semiState{filter: FilterGlobalAll, k: 1}, 2, false},
+		{"hybrid queue", Options{Queue: QueueHybrid, HybridInMemory: true, HybridDT: 1, QueuePageSize: 1 << 16}, nil, 1, true},
+		{"hybrid queue, semi-join", Options{Queue: QueueHybrid, HybridInMemory: true, HybridDT: 1, QueuePageSize: 1 << 16}, &semiState{filter: FilterGlobalAll, k: 1}, 2, true},
+	} {
+		e, err := newEngine(WrapRTree(ta), WrapRTree(tb), c.opts, c.semi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.close()
+		seed, _, _ := e.q.Pop() // the root/root pair
+		var allocs uint64
+		var before, after runtime.MemStats
+		for run := 0; run < 100; run++ {
+			if c.far {
+				far := newItem(kindObj, -1, 7, geom.Pt(5000+4000*float64(run), 5000).Rect())
+				if c.side == 1 {
+					seed.i2 = far
+				} else {
+					seed.i1 = far
+				}
+			}
+			runtime.ReadMemStats(&before)
+			err := e.expandSide(seed, c.side)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.q.Len() == 0 {
+				t.Fatalf("%s: the expansion queued nothing", c.name)
+			}
+			if run > 0 { // the first run sizes the queue's storage
+				allocs += after.Mallocs - before.Mallocs
+			}
+			for e.q.Len() > 0 {
+				if _, _, err := e.q.Pop(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if c.semi != nil { // the bounds the Global rules keep would reject a farther rerun
+				clear(c.semi.bestNode)
+				clear(c.semi.bestObj)
+			}
+		}
+		if allocs != 0 {
+			t.Errorf("%s: 99 expansions allocate %d times, want 0", c.name, allocs)
+		}
 	}
 }

@@ -192,9 +192,6 @@ func (q *blockQueue) begin(other item, n *IndexNode, side int, leafKind itemKind
 	q.cur = block{other: other, node: n, side: uint8(side), kind: leafKind}
 }
 
-// open reports whether an expansion is open.
-func (q *blockQueue) open() bool { return q.cur.node != nil }
-
 // collect queues entry idx of the open expansion's node under key. It is
 // the logical insertion: counted, and sized in pairs.
 func (q *blockQueue) collect(key float64, idx int) {

@@ -264,7 +264,7 @@ func TestBlockQueueFailedExpansion(t *testing.T) {
 						t.Fatalf("failAt %d: %v", failAt, err)
 					}
 					failed = true
-					if e.bq.open() || len(e.bq.pend) != 0 {
+					if e.bq.cur.node != nil || len(e.bq.pend) != 0 {
 						t.Fatalf("failAt %d: the failed expansion left a block open", failAt)
 					}
 					if s := c.Snapshot(); int64(e.q.Len()) != s.QueueInserts-s.QueuePops {

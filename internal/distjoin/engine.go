@@ -69,12 +69,9 @@ type engine struct {
 	semi         *semiState
 	sweep        bool
 
-	// bq is q when q is the memory queue, nil on the hybrid queue: the side
-	// expansions hand it their children as one block (blockqueue.go). child
-	// is the entry index, in the node being expanded, of the child the
-	// enqueue path is deciding on — what insert collects while bq is open.
-	bq    *blockQueue
-	child int
+	// bq is q when q is the memory queue, nil on the hybrid queue: a side
+	// expansion hands it the surviving children as one block (blockqueue.go).
+	bq *blockQueue
 
 	// seedPairs, when non-nil, replaces the root/root seed with an explicit
 	// set of item pairs: the parallel path runs one engine per partition,
@@ -85,18 +82,17 @@ type engine struct {
 	// are pre-sized from the trees' max fan-out at construction.
 	scratch1, scratch2 []item
 
-	// kern dispatches the batched distance kernels for the run's metric;
-	// cols is the columnar scratch appendNodeItems-produced children are
-	// mirrored into, colsWin the no-copy window view the plane sweep uses
-	// for per-run kernel calls, dbuf the kernel output buffer and mbuf a
-	// second one of the same size, for the children's d_max beside their
-	// distances. All are reused across expansions: the batched distance layer
-	// allocates nothing in steady state. scalarExpand forces the one-at-a-time
-	// reference expansion; it is set only by the in-package differential
-	// tests, which pin the two paths against each other pair for pair.
+	// kern dispatches the row kernels for the run's metric: they read a node's
+	// entries where they lie, in IndexNode.Coords. dbuf is the kernel output
+	// buffer and mbuf a second one of the same size, for the children's d_max
+	// beside their distances; rows holds the one thing that is gathered — the
+	// second node's entries in sweep order, so each run of the plane sweep is a
+	// sub-run of rows. All are reused across expansions: generation allocates
+	// nothing in steady state. scalarExpand forces the one-at-a-time reference
+	// expansion; it is set only by the in-package differential tests, which
+	// pin the two against each other pair for pair.
 	kern         kernel.Batch
-	cols         kernel.RectCols
-	colsWin      kernel.RectCols
+	rows         []float64
 	dbuf, mbuf   []float64
 	scalarExpand bool
 
@@ -166,18 +162,15 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 		e.ctx = opts.Context
 		e.ctxDone = opts.Context.Done()
 	}
-	// Pre-size the expansion scratch (row items, columnar mirror, kernel
-	// outputs) from the trees' max fan-out so first expansions do not grow
-	// buffers mid-join. scratch1 serves either tree; scratch2 only holds
-	// second-tree entries on the simultaneous path.
+	// Pre-size the expansion scratch (items, sweep rows, kernel outputs) from
+	// the trees' max fan-out so first expansions do not grow buffers mid-join.
+	// scratch1 serves either tree; scratch2 and rows only hold second-tree
+	// entries on the simultaneous path.
 	f1, f2 := indexFanout(t1), indexFanout(t2)
-	fmax := f1
-	if f2 > fmax {
-		fmax = f2
-	}
+	fmax := max(f1, f2)
 	e.scratch1 = make([]item, 0, fmax)
 	e.scratch2 = make([]item, 0, f2)
-	e.cols.Grow(t1.Dims(), fmax)
+	e.rows = make([]float64, 0, f2*2*t1.Dims())
 	e.dbuf, e.mbuf = make([]float64, fmax), make([]float64, fmax)
 	if opts.MaxPairs > 0 {
 		if opts.Reverse {
@@ -327,10 +320,10 @@ func (e *engine) seed() error {
 	}
 	e.root1, e.root2 = r1.ref, r2.ref
 	if e.seedPairs == nil {
-		return e.enqueue(r1, r2)
+		return e.enqueue(r1, r2, noPre)
 	}
 	for _, sp := range e.seedPairs {
-		if err := e.enqueue(sp[0], sp[1]); err != nil {
+		if err := e.enqueue(sp[0], sp[1], noPre); err != nil {
 			return err
 		}
 	}
@@ -396,192 +389,164 @@ func (e *engine) leafEntryKind() itemKind {
 	return kindObj
 }
 
-// admitVerdict is admitPair's decision for a candidate pair.
-type admitVerdict uint8
+// The enqueue ladder — what decides whether a generated pair reaches the
+// queue, and under which key — is stated twice over the same rules: on items
+// in enqueue, for the seeds, the simultaneous expansion and the scalar
+// reference, and on a node's entries where they lie in generate, for every
+// side expansion. Both move the counters at the same points and share the
+// pieces that are not per-child arithmetic: admitted, intersectionKey,
+// needMax, semiGlobalAdmit, keyedByMax, observe.
 
-const (
-	// admitDrop: the pair was filtered before any distance work.
-	admitDrop admitVerdict = iota
-	// admitIntersection: the pair belongs to the §2.2.5 secondary-ordering
-	// mode and must go through enqueueIntersection.
-	admitIntersection
-	// admitProceed: the pair proceeds to distance keying.
-	admitProceed
-)
+// noPre stands for a minimum distance no kernel has computed (a pre-distance
+// is never negative): enqueue then asks the scalar metric.
+const noPre = -1.0
 
-// admitPair applies every pre-distance check of the enqueue path: the
-// §2.2.5 selection criteria, equal-id omission, the intersection-ordering
-// dispatch, and the semi-join Inside2 filters. Shared by the scalar and
-// batched expansions so their filtering (and Filter accounting) is
-// identical.
-func (e *engine) admitPair(i1, i2 item) admitVerdict {
-	// Spatial and attribute selection criteria (§2.2.5): discard items
-	// outside their window or rejected by their predicate before any
-	// distance work.
-	if !e.admit(i1, 1) || !e.admit(i2, 2) {
-		e.m.Filter(1)
-		return admitDrop
-	}
-	if e.opts.OmitEqualIDs && !i1.isNode() && !i2.isNode() && i1.ref == i2.ref {
-		e.m.Filter(1)
-		return admitDrop
-	}
-	if len(e.opts.OrderIntersectionsFrom) > 0 {
-		return admitIntersection
-	}
-	// Semi-join Inside2 filtering: drop pairs whose first object has been
-	// reported before they ever reach the queue.
-	if e.semi != nil && e.semi.filter >= FilterInside2 && !i1.isNode() && e.semi.done(i1.ref) {
-		e.m.Filter(1)
-		return admitDrop
-	}
-	if e.semi != nil && e.semi.symmetric && e.semi.filter >= FilterInside2 &&
-		!i2.isNode() && e.semi.seen2.Has(i2.ref) {
-		e.m.Filter(1)
-		return admitDrop
-	}
-	return admitProceed
-}
-
-// enqueue computes the pair's key and bounds, applies range, estimation and
-// semi-join pruning, and inserts it into the queue.
-func (e *engine) enqueue(i1, i2 item) error {
-	switch e.admitPair(i1, i2) {
-	case admitDrop:
-		return nil
-	case admitIntersection:
-		return e.enqueueIntersection(i1, i2)
-	}
-	d := e.minDist(i1, i2)
-	if d > e.dmaxCur {
+// enqueue puts a pair of items through the ladder and inserts it if it
+// survives: the §2.2.5 selections, equal-id omission, the intersection
+// ordering's own keying, the semi-join's Inside2 rules, the distance count,
+// the range filter, then — for what asks for a d_max — the minimum-distance
+// test, the Global rules, the reverse key and estimation. pre is the pair's
+// minimum distance as a row kernel computed it (squared, for the deferred L2
+// kernel: the range filter then compares in the pre domain and only a
+// survivor pays its Sqrt), or noPre.
+func (e *engine) enqueue(i1, i2 item, pre float64) error {
+	o, s := &e.opts, e.semi
+	if !admitted(o.Window1, o.Select1, i1.isNode(), i1.ref, i1.rect()) ||
+		!admitted(o.Window2, o.Select2, i2.isNode(), i2.ref, i2.rect()) ||
+		(o.OmitEqualIDs && !i1.isNode() && !i2.isNode() && i1.ref == i2.ref) {
 		e.m.Filter(1)
 		return nil
 	}
-	return e.enqueueKeyed(i1, i2, d, noMax)
-}
-
-// enqueuePre is enqueue for a pair whose minimum distance was already
-// computed by a batch kernel, as the pre-distance pre (squared, for the
-// deferred L2 kernel). The distance-calculation counter is bumped exactly
-// where the scalar path would have computed it — after the admit checks,
-// before the range filter — and the range filter compares in the pre
-// domain, deferring the pair's single Sqrt to survivors. dmax is the pair's
-// d_max where the caller has computed it already, noMax otherwise.
-func (e *engine) enqueuePre(i1, i2 item, pre, dmax float64) error {
-	switch e.admitPair(i1, i2) {
-	case admitDrop:
+	if len(o.OrderIntersectionsFrom) > 0 {
+		key, ok := e.intersectionKey(i1, i2)
+		if !ok {
+			return nil
+		}
+		return e.insert(qpair{key: key, i1: i1, i2: i2})
+	}
+	// Inside2: drop a pair whose first object has been reported (or, in the
+	// clustering join, whose second is consumed) before it reaches the queue.
+	if s != nil && s.filter >= FilterInside2 &&
+		((!i1.isNode() && s.done(i1.ref)) || (s.symmetric && !i2.isNode() && s.seen2.Has(i2.ref))) {
+		e.m.Filter(1)
 		return nil
-	case admitIntersection:
-		return e.enqueueIntersection(i1, i2)
 	}
 	e.countDistCalc(i1, i2)
-	if e.kern.PreGreater(pre, e.dmaxCur) {
+	var d float64
+	var far bool
+	if pre == noPre {
+		d = o.Metric.MinDist(i1.rect(), i2.rect())
+		far = d > e.dmaxCur
+	} else {
+		far = e.kern.PreGreater(pre, e.dmaxCur)
+	}
+	if far {
 		e.m.Filter(1)
 		return nil
 	}
-	return e.enqueueKeyed(i1, i2, e.kern.Finish(pre), dmax)
-}
-
-// noMax stands for a d_max nobody has computed yet (a d_max is never
-// negative).
-const noMax = -1.0
-
-// enqueueKeyed finishes enqueueing a pair whose minimum distance d has
-// passed the range filter: d_max bounds, estimation, semi-join global
-// pruning, and the queue insert. dmax is maxDist(i1, i2) if the caller has
-// it, noMax if not.
-func (e *engine) enqueueKeyed(i1, i2 item, d, dmax float64) error {
-	needMax := e.dmin > 0 || e.est != nil || e.revEst != nil || e.opts.Reverse ||
-		(e.semi != nil && e.semi.filter >= FilterGlobalNodes)
-	if needMax {
-		if dmax == noMax {
-			dmax = e.maxDist(i1, i2)
-		}
+	if pre != noPre {
+		d = e.kern.Finish(pre)
+	}
+	var dmax float64 // read only where needMax has filled it
+	if e.needMax() {
+		dmax = e.maxDist(i1, i2)
 		if dmax < e.dmin {
 			e.m.Filter(1)
 			return nil
 		}
 	}
-	if e.semi != nil && !e.semiGlobalAdmit(i1.isNode(), i1.ref, d, dmax) {
+	if s != nil && !e.semiGlobalAdmit(i1.isNode(), i1.ref, d, dmax) {
 		e.m.Filter(1)
 		return nil
 	}
 	p := qpair{key: d, i1: i1, i2: i2}
-	if e.opts.Reverse && (i1.isNode() || i2.isNode() || i1.kind == kindOBR || i2.kind == kindOBR) {
-		// Farthest-first ordering keys node and OBR pairs by their upper
-		// bound (§2.2.5). Exact object pairs keep their true distance.
+	if e.keyedByMax(i1.kind, i2.kind) {
 		p.key = dmax
 	}
-	if e.revEst != nil {
-		// Reverse estimation (§2.2.5): raise the minimum-distance bound
-		// from the pairs seen so far, then prune anything that cannot be
-		// among the K farthest.
-		count := e.minObjects(i1, 1) * e.minObjects(i2, 2)
-		e.dmin = e.revEst.observe(p, d, dmax, e.dmin, e.opts.MaxDist, count)
-		if dmax < e.dmin {
-			e.revEst.onPop(p) // keep M consistent with the queue
-			e.m.Filter(1)
-			return nil
-		}
-	}
-	if e.est != nil {
-		// An already-reported semi-join object can produce no further
-		// results; letting it into M would overcount and overtighten D_max
-		// (forcing more restarts), so keep it out. Nodes can still hide
-		// reported objects in their subtrees — that residual overcount is
-		// what the restart path recovers from.
-		estimable := true
-		if e.est.semi && !i1.isNode() && e.semi.seen.Has(i1.ref) {
-			estimable = false
-		}
-		if estimable {
-			count := e.minObjects(i1, 1)
-			if !e.est.semi {
-				count *= e.minObjects(i2, 2)
-			}
-			e.dmaxCur = e.est.observe(p, dmax, e.dmin, e.dmaxCur, count)
-		}
+	if !e.observe(p, d, dmax) {
+		return nil
 	}
 	return e.insert(p)
 }
 
-// admit applies the per-input selection criteria of §2.2.5: a window test
-// (pruning whole subtrees whose region misses the window) and an attribute
-// predicate on object ids.
-func (e *engine) admit(it item, side int) bool {
-	w, sel := e.opts.Window1, e.opts.Select1
-	if side == 2 {
-		w, sel = e.opts.Window2, e.opts.Select2
-	}
-	if w != nil {
-		if it.isNode() {
-			if !it.rect().Intersects(*w) {
-				return false
-			}
-		} else if !w.Contains(it.rect()) {
+// needMax reports whether the ladder asks for a pair's d_max once its
+// distance has passed the range filter: a minimum distance, either
+// estimator, the reverse order's keys, or the semi-join's Global rules.
+func (e *engine) needMax() bool {
+	return e.dmin > 0 || e.est != nil || e.revEst != nil || e.opts.Reverse ||
+		(e.semi != nil && e.semi.filter >= FilterGlobalNodes)
+}
+
+// keyedByMax reports whether a pair of these kinds is queued under its upper
+// bound: farthest-first ordering keys node and OBR pairs by d_max (§2.2.5),
+// exact object pairs keep their true distance.
+func (e *engine) keyedByMax(k1, k2 itemKind) bool {
+	return e.opts.Reverse && (k1 != kindObj || k2 != kindObj)
+}
+
+// observe shows a pair that is about to be queued — under p.key, with minimum
+// distance d and upper bound dmax — to the estimator in force, which may
+// tighten the engine's distance range. It is false when the reverse
+// estimator's raised bound prunes the pair itself.
+func (e *engine) observe(p qpair, d, dmax float64) bool {
+	if e.revEst != nil {
+		// Reverse estimation (§2.2.5): raise the minimum-distance bound
+		// from the pairs seen so far, then prune anything that cannot be
+		// among the K farthest.
+		count := e.minObjects(p.i1, 1) * e.minObjects(p.i2, 2)
+		e.dmin = e.revEst.observe(p, d, dmax, e.dmin, e.opts.MaxDist, count)
+		if dmax < e.dmin {
+			e.revEst.onPop(p) // keep M consistent with the queue
+			e.m.Filter(1)
 			return false
 		}
 	}
-	if sel != nil && !it.isNode() && !sel(rtree.ObjID(it.ref)) {
-		return false
+	// An already-reported semi-join object can produce no further results;
+	// letting it into M would overcount and overtighten D_max (forcing more
+	// restarts), so keep it out. Nodes can still hide reported objects in
+	// their subtrees — that residual overcount is what the restart path
+	// recovers from.
+	if e.est != nil && !(e.est.semi && !p.i1.isNode() && e.semi.seen.Has(p.i1.ref)) {
+		count := e.minObjects(p.i1, 1)
+		if !e.est.semi {
+			count *= e.minObjects(p.i2, 2)
+		}
+		e.dmaxCur = e.est.observe(p, dmax, e.dmin, e.dmaxCur, count)
 	}
 	return true
 }
 
-// enqueueIntersection keys a pair for the §2.2.5 secondary-ordering mode:
-// pairs that cannot intersect are discarded, and the rest are ordered by
+// admitted applies one input's selection criteria of §2.2.5 — its window w
+// and its predicate sel, either of which may be nil — to an item of that
+// input, given as what they ask about: a window test on its rectangle
+// (pruning whole subtrees whose region misses the window) and an attribute
+// predicate on an object's id.
+func admitted(w *geom.Rect, sel func(rtree.ObjID) bool, isNode bool, ref uint64, r geom.Rect) bool {
+	if w != nil {
+		if isNode {
+			if !r.Intersects(*w) {
+				return false
+			}
+		} else if !w.Contains(r) {
+			return false
+		}
+	}
+	return sel == nil || isNode || sel(rtree.ObjID(ref))
+}
+
+// intersectionKey keys a pair for the §2.2.5 secondary-ordering mode: pairs
+// that cannot intersect are discarded (ok false), and the rest are ordered by
 // the distance of their (potential) intersection region from the anchor
 // point. Shrinking to child regions shrinks the intersection, which can
 // only increase that distance, so the ordering is consistent.
-func (e *engine) enqueueIntersection(i1, i2 item) error {
+func (e *engine) intersectionKey(i1, i2 item) (key float64, ok bool) {
 	x, ok := i1.rect().Intersection(i2.rect())
 	e.m.DistCalc(i1.kind != kindObj || i2.kind != kindObj)
 	if !ok {
 		e.m.Filter(1)
-		return nil
+		return 0, false
 	}
-	key := e.opts.Metric.MinDistPR(e.opts.OrderIntersectionsFrom, x)
-	return e.insert(qpair{key: key, i1: i1, i2: i2})
+	return e.opts.Metric.MinDistPR(e.opts.OrderIntersectionsFrom, x), true
 }
 
 // semiGlobalAdmit applies the GlobalNodes/GlobalAll pruning (§4.2.1): a
@@ -632,15 +597,9 @@ func (e *engine) pop() (qpair, bool, error) {
 	return p, ok, err
 }
 
-// insert enqueues inside the push phase (the queue's disk-tier spill
-// brackets itself out of it). While the memory queue has an expansion open,
-// the pair is that expansion's child e.child and is collected into its
-// block; the push phase then is the one heap insert that closes the block.
+// insert enqueues a pair that stands for itself inside the push phase (the
+// queue's disk-tier spill brackets itself out of it).
 func (e *engine) insert(p qpair) error {
-	if e.bq != nil && e.bq.open() {
-		e.bq.collect(p.key, e.child)
-		return nil
-	}
 	ph := e.m.Begin(meter.PhasePush)
 	err := e.q.Insert(p)
 	e.m.End(ph)
@@ -938,82 +897,47 @@ func (e *engine) isLeaf(t SpatialIndex, it item) (bool, error) {
 
 // expandSide replaces the node on the given side with its entries,
 // enqueueing one new pair per entry (ProcessNode1/ProcessNode2 of Figure 3,
-// with the Figure 5 range checks applied inside enqueue).
+// with the Figure 5 range checks applied as the pairs are generated).
 func (e *engine) expandSide(p qpair, side int) error {
-	var t SpatialIndex
-	var nodeItem, other item
-	if side == 1 {
-		t, nodeItem, other = e.t1, p.i1, p.i2
-	} else {
+	t, nodeItem, other := e.t1, p.i1, p.i2
+	if side == 2 {
 		t, nodeItem, other = e.t2, p.i2, p.i1
 	}
 	n, err := t.Node(nodeItem.ref)
 	if err != nil {
 		return err
 	}
+	if e.scalarExpand {
+		return e.scalarChildren(n, other, side)
+	}
+	if e.bq == nil {
+		return e.generate(&block{other: other, node: n, side: uint8(side), kind: e.leafEntryKind()}, nodeItem.rect())
+	}
 	// On the memory queue the children enter as one block: opened only now
 	// that the node is read, so a failed expansion leaves none half open.
-	// The scalar reference expansion keeps inserting pair by pair.
-	if e.bq == nil || e.scalarExpand {
-		return e.enqueueChildren(n, other, side)
-	}
 	e.bq.begin(other, n, side, e.leafEntryKind())
-	switch {
-	case !e.plain():
-		err = e.enqueueChildren(n, other, side)
-	case e.semi == nil:
-		e.collectPlain(n, other)
-	default:
-		e.collectSemi(n, other, side)
-	}
+	err = e.generate(&e.bq.cur, nodeItem.rect())
 	ph := e.m.Begin(meter.PhasePush)
 	e.bq.end()
 	e.m.End(ph)
 	return err
 }
 
-// plain reports whether generation can decide every child in the index
-// domain — from its entry index, its distance and, for the semi-join family,
-// its d_max: no option in force looks at a child's item (selection, equal-id
-// omission, intersection ordering) or bends the key or the bounds (either
-// estimator, Reverse, a minimum distance). The join then generates through
-// collectPlain, the semi-join, kNN join and clustering join through
-// collectSemi; everything else builds items in enqueueChildren.
-func (e *engine) plain() bool {
-	o := &e.opts
-	return e.est == nil && e.revEst == nil && !o.Reverse && !(e.dmin > 0) &&
-		o.Window1 == nil && o.Window2 == nil && o.Select1 == nil && o.Select2 == nil &&
-		!o.OmitEqualIDs && len(o.OrderIntersectionsFrom) == 0
-}
-
-// collectPlain is enqueueChildren for a plain join on the memory queue. It
-// works on (entry index, pre-distance) straight from the node's coordinate
-// block: per child one distance count, one range test in the pre domain, one
-// Finish and one collected entry — no item, no qpair. Counters move exactly
-// as enqueuePre moves them.
-func (e *engine) collectPlain(n *IndexNode, other item) {
-	count := len(n.Coords) / len(other.c)
-	e.growOut(count)
-	pres := e.dbuf[:count]
-	e.kern.MinDistRows(other.rect(), n.Coords, pres)
-	nodeCalc := other.isNode() || !n.Leaf
-	for i, pre := range pres {
-		e.m.DistCalc(nodeCalc)
-		if e.kern.PreGreater(pre, e.dmaxCur) {
-			e.m.Filter(1)
-			continue
-		}
-		e.bq.collect(e.kern.Finish(pre), i)
-	}
-}
-
-// collectSemi is enqueueChildren for a plain semi-join, kNN join or
-// clustering join on the memory queue: collectPlain plus the filter ladder of
-// §4.2.1, run on (entry index, pre-distance, pre-d_max) and on the refs the
-// node holds. A child that is dropped never becomes an item; a d_max is
-// computed once. The checks come in the order of enqueueChildren →
-// admitPair → enqueuePre → enqueueKeyed and move the counters exactly as
-// they do there.
+// generate is the child generator of every side expansion, whatever the
+// query and the queue: it pairs each entry of expansion b's node, which
+// covers region, with b's other item and runs the enqueue ladder on (entry
+// index, pre-distance, pre-d_max) straight from the node's coordinate block
+// — MinDistRows, and MaxDistRows where a d_max is asked for — and on the refs
+// the node holds. A child that is dropped never becomes an item, and a d_max
+// is computed once. A survivor goes to the memory queue's open block as
+// (key, entry index); it is made a pair only for what must look at it as
+// one: intersection ordering, an estimator, the hybrid queue's insert.
+//
+// The rungs come in enqueue's order, after the semi-join's Local rule on a
+// second-input node, and move the counters as they do there; each drop is
+// one Filter. Nothing is asked of other again: it passed the selections when
+// it was queued, and step has just applied the Inside1 rule to it, which is
+// all Inside2 would ask.
 //
 // d_max is the row kernel's Metric.MaxDist whenever neither operand is a
 // non-degenerate object rectangle (engine.maxDist reduces to it, bit for
@@ -1021,30 +945,66 @@ func (e *engine) collectPlain(n *IndexNode, other item) {
 // expansion — an object against a leaf of points — makes no second kernel
 // call. A rectangle object, or a leaf not known to hold points, takes the
 // scalar face minimum instead, per child that needs it.
-func (e *engine) collectSemi(n *IndexNode, other item, side int) {
-	s, q := e.semi, other.rect()
+func (e *engine) generate(b *block, region geom.Rect) error {
+	n, other, side := b.node, b.other, int(b.side)
+	s, o, bq, q := e.semi, &e.opts, e.bq, other.rect()
 	w := len(other.c)
 	count := len(n.Coords) / w
 	e.growOut(count)
 	pres := e.dbuf[:count]
 	e.kern.MinDistRows(q, n.Coords, pres)
 
+	// What the query asks of a child before its distance counts (§2.2.5):
+	// its side's window and predicate, equal ids, intersection ordering. A
+	// window that contains the node's region contains every entry of it, and
+	// a predicate has nothing to say about child nodes.
+	win, sel := o.Window1, o.Select1
+	if side == 2 {
+		win, sel = o.Window2, o.Select2
+	}
+	if win != nil && win.Contains(region) {
+		win = nil
+	}
+	if !n.Leaf {
+		sel = nil
+	}
+	omit := o.OmitEqualIDs && n.Leaf && !other.isNode()
+	byIntersection := len(o.OrderIntersectionsFrom) > 0
+	selects := win != nil || sel != nil || omit || byIntersection
+	// The semi-join's Inside2 rule asks about a pair's first object — the
+	// child on side 1 — and the clustering join's about its second.
+	inside2 := s != nil && s.filter >= FilterInside2 && n.Leaf
+	childDone := inside2 && side == 1
+	childSeen2 := inside2 && side == 2 && s.symmetric
+	// The pair's first item, whose d_max tables the Global rules consult, is
+	// the child on side 1 and other on side 2.
+	global := s != nil && s.filter >= FilterGlobalNodes
+	firstNode, firstRef := other.isNode(), other.ref
+	if side == 1 {
+		firstNode = !n.Leaf
+	}
+	needMax, estimating := e.needMax(), e.est != nil || e.revEst != nil
+	childKind := b.kind
+	if !n.Leaf {
+		childKind = kindNode
+	}
+	keyMax := e.keyedByMax(other.kind, childKind)
+
 	// maxs[i] is child i's d_max: the kernel's pre-distance if rowMax, else
 	// the finished scalar bound — filled for every child when the Local rule
 	// needs their minimum, left to the survivors otherwise.
-	local := side == 2 && s.filter >= FilterLocal
-	global := s.filter >= FilterGlobalNodes
+	local := s != nil && side == 2 && s.filter >= FilterLocal
 	rowMax := (other.isNode() || q.IsPoint()) && (!n.Leaf || n.Points)
 	maxs := e.mbuf[:count]
 	switch {
-	case !local && !global: // Inside2 and below ask for no d_max
+	case !local && !needMax:
 	case rowMax && !other.isNode() && n.Leaf: // two points
 		maxs = pres
 	case rowMax:
 		e.kern.MaxDistRows(q, n.Coords, maxs)
 	case local:
 		for i := range maxs {
-			maxs[i] = e.maxDist(other, childItem(n, i, w, e.leafEntryKind()))
+			maxs[i] = e.maxDist(other, childItem(n, i, w, b.kind))
 		}
 	}
 	// Local pruning (§4.2.1): nothing farther than the smallest d_max among
@@ -1062,22 +1022,44 @@ func (e *engine) collectSemi(n *IndexNode, other item, side int) {
 		}
 	}
 
-	// The pair's first item is the child on side 1, other on side 2. The
-	// Inside2 rule asks only about the child: with it in force, step has
-	// dropped (Inside1) a pair whose object other is consumed before
-	// expanding it.
-	firstNode, firstRef := other.isNode(), other.ref
-	if side == 1 {
-		firstNode = !n.Leaf
-	}
-	inside2 := s.filter >= FilterInside2 && n.Leaf
-	childDone := inside2 && side == 1
-	childSeen2 := inside2 && side == 2 && s.symmetric
+	// early: some rung stands before the distance count. needMax: some rung
+	// stands after the range test. With neither — a join with no option set —
+	// the ladder is the count, the range test and the Finish, and on the
+	// memory queue that loop is kept apart: inside the full one below it costs
+	// a first page 8–11 % (§11 of DESIGN.md has the numbers).
+	early := local || selects || childDone || childSeen2
 	nodeCalc := other.isNode() || !n.Leaf
+	if !early && !needMax && bq != nil {
+		for i, pre := range pres {
+			e.m.DistCalc(nodeCalc)
+			if e.kern.PreGreater(pre, e.dmaxCur) {
+				e.m.Filter(1)
+				continue
+			}
+			bq.collect(e.kern.Finish(pre), i)
+		}
+		return nil
+	}
 	for i, pre := range pres {
 		if local && e.kern.PreGreater(pre, localBound) {
 			e.m.Filter(1)
 			continue
+		}
+		if selects {
+			isNode, ref := entryRef(n, i)
+			if !admitted(win, sel, isNode, ref, geom.RectOf(n.Coords[i*w:(i+1)*w])) || (omit && ref == other.ref) {
+				e.m.Filter(1)
+				continue
+			}
+			if byIntersection {
+				p := b.pair(blockEntry{idx: int32(i)}, 0)
+				if key, ok := e.intersectionKey(p.i1, p.i2); ok {
+					if err := e.put(b, key, i); err != nil {
+						return err
+					}
+				}
+				continue
+			}
 		}
 		if (childDone && s.done(n.Objects[i].ID)) || (childSeen2 && s.seen2.Has(n.Objects[i].ID)) {
 			e.m.Filter(1)
@@ -1089,120 +1071,93 @@ func (e *engine) collectSemi(n *IndexNode, other item, side int) {
 			continue
 		}
 		d := e.kern.Finish(pre)
-		if global {
+		key := d
+		if needMax {
 			var dmax float64
 			switch {
 			case rowMax:
 				dmax = e.kern.Finish(maxs[i])
 			case local:
 				dmax = maxs[i]
+			case side == 1:
+				dmax = e.maxDist(childItem(n, i, w, b.kind), other)
 			default:
-				dmax = e.maxDist(childItem(n, i, w, e.leafEntryKind()), other)
+				dmax = e.maxDist(other, childItem(n, i, w, b.kind))
 			}
-			if side == 1 {
-				if n.Leaf {
-					firstRef = n.Objects[i].ID
-				} else {
-					firstRef = n.Children[i].Ref
-				}
-			}
-			if !e.semiGlobalAdmit(firstNode, firstRef, d, dmax) {
+			if dmax < e.dmin {
 				e.m.Filter(1)
 				continue
 			}
-		}
-		e.bq.collect(d, i)
-	}
-}
-
-// enqueueChildren pairs every entry of node n, on the given side, with
-// other, and enqueues the pairs that survive the filters.
-func (e *engine) enqueueChildren(n *IndexNode, other item, side int) error {
-	e.scratch1 = appendNodeItems(e.scratch1[:0], n, e.leafEntryKind())
-	children := e.scratch1
-
-	// Semi-join Local pruning (§4.2.1): when expanding a second-input
-	// node, any generated pair farther than the smallest d_max among the
-	// entries cannot supply the nearest partner for any first-input
-	// object. The values are kept: a survivor's d_max, which the Global rules
-	// ask enqueueKeyed for, is the same maxDist(other, c).
-	var localBound float64 = math.Inf(1)
-	var dmaxs []float64
-	if side == 2 && e.semi != nil && e.semi.filter >= FilterLocal && len(children) > 0 {
-		e.growOut(len(children))
-		dmaxs = e.mbuf[:len(children)]
-		for i, c := range children {
-			dmaxs[i] = e.maxDist(other, c)
-			if dmaxs[i] < localBound {
-				localBound = dmaxs[i]
-			}
-		}
-	}
-
-	if !e.scalarExpand && len(children) > 0 {
-		// Batched path: one kernel call computes the distance from the
-		// opposite item to every child; the localBound prune and the range
-		// filter inside enqueuePre then compare the precomputed values
-		// (in the pre domain, so L2 pays its Sqrt only for survivors).
-		pres := e.batchMinDist(other.rect(), children)
-		for i, c := range children {
-			if side == 2 && localBound < math.Inf(1) {
-				if e.kern.PreGreater(pres[i], localBound) {
+			if global {
+				if side == 1 {
+					_, firstRef = entryRef(n, i)
+				}
+				if !e.semiGlobalAdmit(firstNode, firstRef, d, dmax) {
 					e.m.Filter(1)
 					continue
 				}
 			}
-			e.child = i
-			dmax := noMax
-			if dmaxs != nil {
-				dmax = dmaxs[i]
+			if keyMax {
+				key = dmax
 			}
-			var err error
-			if side == 1 {
-				err = e.enqueuePre(c, other, pres[i], dmax)
-			} else {
-				err = e.enqueuePre(other, c, pres[i], dmax)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for _, c := range children {
-		if side == 2 && localBound < math.Inf(1) {
-			if e.opts.Metric.MinDist(other.rect(), c.rect()) > localBound {
-				e.m.Filter(1)
+			if estimating && !e.observe(b.pair(blockEntry{key: key, idx: int32(i)}, 0), d, dmax) {
 				continue
 			}
 		}
-		var err error
-		if side == 1 {
-			err = e.enqueue(c, other)
-		} else {
-			err = e.enqueue(other, c)
-		}
-		if err != nil {
+		if err := e.put(b, key, i); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// fillCols mirrors items into the engine's columnar scratch and sizes the
-// kernel output buffer; both are reused across expansions, so the fill
-// allocates nothing in steady state.
-func (e *engine) fillCols(items []item) {
-	dims := 0
-	if len(items) > 0 {
-		dims = len(items[0].c) / 2
+// put queues child i of expansion b under key: collected into the memory
+// queue's open block, or inserted into the hybrid queue as a pair of its own.
+func (e *engine) put(b *block, key float64, i int) error {
+	if e.bq != nil {
+		e.bq.collect(key, i)
+		return nil
 	}
-	e.cols.Reset(dims)
-	for _, it := range items {
-		e.cols.Append(it.rect())
+	return e.insert(b.pair(blockEntry{key: key, idx: int32(i)}, 0))
+}
+
+// entryRef names entry i of node n the way an item of it would: whether it
+// is a node, and its ref.
+func entryRef(n *IndexNode, i int) (isNode bool, ref uint64) {
+	if n.Leaf {
+		return false, n.Objects[i].ID
 	}
-	e.growOut(len(items))
+	return true, n.Children[i].Ref
+}
+
+// scalarChildren is the reference generate is pinned against: every entry of
+// node n made an item, its distance computed by the scalar metric, the pair
+// put through enqueue and inserted on its own.
+func (e *engine) scalarChildren(n *IndexNode, other item, side int) error {
+	e.scratch1 = appendNodeItems(e.scratch1[:0], n, e.leafEntryKind())
+	children := e.scratch1
+	localBound := math.Inf(1)
+	if side == 2 && e.semi != nil && e.semi.filter >= FilterLocal {
+		for _, c := range children {
+			if m := e.maxDist(other, c); m < localBound {
+				localBound = m
+			}
+		}
+	}
+	for _, c := range children {
+		if localBound < math.Inf(1) && e.opts.Metric.MinDist(other.rect(), c.rect()) > localBound {
+			e.m.Filter(1)
+			continue
+		}
+		i1, i2 := c, other
+		if side == 2 {
+			i1, i2 = other, c
+		}
+		if err := e.enqueue(i1, i2, noPre); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // growOut makes room for n kernel outputs in dbuf and in mbuf: a node
@@ -1211,17 +1166,6 @@ func (e *engine) growOut(n int) {
 	if cap(e.dbuf) < n {
 		e.dbuf, e.mbuf = make([]float64, n), make([]float64, n)
 	}
-}
-
-// batchMinDist computes the minimum (pre-)distance from query to every
-// item in one kernel call over the columnar scratch. The computation
-// itself is unaccounted: callers bump the distance counters per pair, at
-// the same points the scalar path counts.
-func (e *engine) batchMinDist(query geom.Rect, items []item) []float64 {
-	e.fillCols(items)
-	out := e.dbuf[:len(items)]
-	e.kern.MinDistBatch(query, &e.cols, out)
-	return out
 }
 
 // appendNodeItems converts a node's entries into queue items, appending to
@@ -1259,7 +1203,10 @@ func childItem(n *IndexNode, i, w int, leafKind itemKind) item {
 // (§2.2.2, "Simultaneous"), pairing up the entries of the two nodes. When a
 // finite maximum distance is in force, entries outside the range of the
 // opposite node are filtered first and a plane sweep along axis 0 limits
-// the candidate pairs (Figure 4, with the sweep extended by D_max).
+// the candidate pairs (Figure 4, with the sweep extended by D_max). Both
+// entries of a pair are children here, so the pairs are made of items and go
+// through enqueue; their distances come from the same row kernel as a side
+// expansion's (minDists).
 func (e *engine) expandBoth(p qpair) error {
 	n1, err := e.t1.Node(p.i1.ref)
 	if err != nil {
@@ -1277,59 +1224,25 @@ func (e *engine) expandBoth(p qpair) error {
 	if e.sweep && !math.IsInf(e.dmaxCur, 1) {
 		// Restrict the search space: keep only entries within D_max of the
 		// space spanned by the opposite node.
-		c1 = e.withinOf(c1, p.i2.rect())
-		c2 = e.withinOf(c2, p.i1.rect())
+		c1 = e.withinOf(c1, n1.Coords, p.i2.rect())
+		c2 = e.withinOf(c2, n2.Coords, p.i1.rect())
 		// Plane sweep along axis 0 over entries sorted by low edge.
 		// slices.SortFunc avoids sort.Slice's reflection and per-call
 		// closure allocations on this hot path.
 		byLowEdge := func(a, b item) int { return cmp.Compare(a.lo0(), b.lo0()) }
 		slices.SortFunc(c1, byLowEdge)
 		slices.SortFunc(c2, byLowEdge)
-		if !e.scalarExpand {
-			return e.sweepBatch(c1, c2)
-		}
-		start := 0
-		var pruned int64
-		for _, a := range c1 {
-			// Advance past entries that end before the sweep window.
-			for start < len(c2) && c2[start].hi0() < a.lo0()-e.dmaxCur {
-				start++
-			}
-			evaluated := 0
-			for k := start; k < len(c2); k++ {
-				b := c2[k]
-				if b.lo0() > a.hi0()+e.dmaxCur {
-					break // beyond the sweep window along the axis
-				}
-				evaluated++
-				if err := e.enqueue(a, b); err != nil {
-					return err
-				}
-			}
-			pruned += int64(len(c2) - evaluated)
-		}
-		e.m.BatchPruned(pruned)
-		return nil
+		return e.sweepPairs(c1, c2)
 	}
-	if !e.scalarExpand && len(c1) > 0 && len(c2) > 0 {
-		// Full cross product, batched: mirror the second node's entries into
-		// the columnar scratch once, then one kernel call per first-side
-		// entry covers its whole row of the pair block.
-		e.fillCols(c2)
-		for _, a := range c1 {
-			out := e.dbuf[:len(c2)]
-			e.kern.MinDistBatch(a.rect(), &e.cols, out)
-			for i, b := range c2 {
-				if err := e.enqueuePre(a, b, out[i], noMax); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
+	// Full cross product: one kernel call per first-side entry covers its
+	// whole row of the pair block, over the second node's entries where they
+	// lie.
+	e.growOut(len(c2))
+	out := e.dbuf[:len(c2)]
 	for _, a := range c1 {
-		for _, b := range c2 {
-			if err := e.enqueue(a, b); err != nil {
+		e.minDists(a.rect(), n2.Coords, out)
+		for i, b := range c2 {
+			if err := e.enqueue(a, b, out[i]); err != nil {
 				return err
 			}
 		}
@@ -1337,21 +1250,34 @@ func (e *engine) expandBoth(p qpair) error {
 	return nil
 }
 
-// sweepBatch is the batched form of the Figure 4 plane sweep: the candidate
-// run of each first-side entry is evaluated by a single kernel call over a
-// no-copy window of the columnar mirror of c2. The run is delimited against
-// the current D_max, and the live bound — which estimation can only
-// tighten, never relax, during a join — is re-checked per pair before
-// enqueueing, so the pairs actually admitted are exactly the scalar sweep's
-// (a tightened bound truncates the precomputed run the same way it breaks
-// the scalar inner loop). Pairs the sweep window skips cost no distance
-// computation and no queue work; they are tallied as BatchPruned, matching
-// the scalar sweep's tally.
-func (e *engine) sweepBatch(c1, c2 []item) error {
-	if len(c1) == 0 || len(c2) == 0 {
-		return nil
+// minDists fills out with the minimum pre-distance from query to each of
+// rows — or, for the scalar reference, with noPre, which leaves every pair's
+// distance to the scalar metric.
+func (e *engine) minDists(query geom.Rect, rows, out []float64) {
+	if !e.scalarExpand {
+		e.kern.MinDistRows(query, rows, out)
+		return
 	}
-	e.fillCols(c2)
+	for i := range out {
+		out[i] = noPre
+	}
+}
+
+// sweepPairs is the Figure 4 plane sweep over two lists sorted by low edge:
+// c2's rectangles are gathered into rows in sweep order, and the candidate
+// run of each first-side entry is evaluated by a single kernel call over its
+// sub-run of them. The run is delimited against the current D_max, and the
+// live bound — which estimation can only tighten, never relax, during a
+// join — is re-checked per pair before enqueueing, so a tightened bound
+// truncates the precomputed run exactly where it would break a sweep that
+// computed one distance at a time. Pairs the sweep window skips cost no
+// distance computation and no queue work; they are tallied as BatchPruned.
+func (e *engine) sweepPairs(c1, c2 []item) error {
+	e.rows = e.rows[:0]
+	for _, b := range c2 {
+		e.rows = append(e.rows, b.c...)
+	}
+	e.growOut(len(c2))
 	start := 0
 	var pruned int64
 	for _, a := range c1 {
@@ -1363,20 +1289,17 @@ func (e *engine) sweepBatch(c1, c2 []item) error {
 		for end < len(c2) && c2[end].lo0() <= a.hi0()+e.dmaxCur {
 			end++
 		}
+		w, out := len(a.c), e.dbuf[:end-start]
+		e.minDists(a.rect(), e.rows[start*w:end*w], out)
 		evaluated := 0
-		if end > start {
-			e.colsWin.Window(&e.cols, start, end)
-			out := e.dbuf[:end-start]
-			e.kern.MinDistBatch(a.rect(), &e.colsWin, out)
-			for k := start; k < end; k++ {
-				b := c2[k]
-				if b.lo0() > a.hi0()+e.dmaxCur {
-					break // D_max tightened mid-run; the rest is out of window
-				}
-				evaluated++
-				if err := e.enqueuePre(a, b, out[k-start], noMax); err != nil {
-					return err
-				}
+		for k := start; k < end; k++ {
+			b := c2[k]
+			if b.lo0() > a.hi0()+e.dmaxCur {
+				break // D_max tightened mid-run; the rest is out of window
+			}
+			evaluated++
+			if err := e.enqueue(a, b, out[k-start]); err != nil {
+				return err
 			}
 		}
 		pruned += int64(len(c2) - evaluated)
@@ -1385,25 +1308,23 @@ func (e *engine) sweepBatch(c1, c2 []item) error {
 	return nil
 }
 
-// withinOf filters items to those within the effective maximum distance of
-// the region spanned by the opposite node. The batched form computes every
-// candidate's distance in one kernel call and compares in the pre domain.
-func (e *engine) withinOf(items []item, opposite geom.Rect) []item {
-	if !e.scalarExpand && len(items) > 0 {
-		pres := e.batchMinDist(opposite, items)
-		out := items[:0]
-		for i, it := range items {
-			if e.kern.PreLessEq(pres[i], e.dmaxCur) {
-				out = append(out, it)
-			} else {
-				e.m.Filter(1)
-			}
-		}
-		return out
-	}
+// withinOf filters items — all of a node's entries, whose rectangles lie in
+// rows — to those within the effective maximum distance of the region
+// spanned by the opposite node: every candidate's distance from one kernel
+// call, compared in the pre domain.
+func (e *engine) withinOf(items []item, rows []float64, opposite geom.Rect) []item {
+	e.growOut(len(items))
+	pres := e.dbuf[:len(items)]
+	e.minDists(opposite, rows, pres)
 	out := items[:0]
-	for _, it := range items {
-		if e.opts.Metric.MinDist(it.rect(), opposite) <= e.dmaxCur {
+	for i, it := range items {
+		var within bool
+		if pres[i] == noPre {
+			within = e.opts.Metric.MinDist(it.rect(), opposite) <= e.dmaxCur
+		} else {
+			within = e.kern.PreLessEq(pres[i], e.dmaxCur)
+		}
+		if within {
 			out = append(out, it)
 		} else {
 			e.m.Filter(1)

@@ -127,23 +127,29 @@ func TestEngineAdmitWindowAndSelect(t *testing.T) {
 	nodeTouching := newItem(kindNode, 0, 0, geom.R(geom.Pt(8, 8), geom.Pt(30, 30)))
 	nodeOutside := newItem(kindNode, 0, 0, geom.R(geom.Pt(20, 20), geom.Pt(30, 30)))
 
-	if !e.admit(inWindow, 1) {
+	admit := func(it item, side int) bool {
+		if side == 2 {
+			return admitted(e.opts.Window2, e.opts.Select2, it.isNode(), it.ref, it.rect())
+		}
+		return admitted(e.opts.Window1, e.opts.Select1, it.isNode(), it.ref, it.rect())
+	}
+	if !admit(inWindow, 1) {
 		t.Fatal("in-window even object rejected")
 	}
-	if e.admit(outWindow, 1) {
+	if admit(outWindow, 1) {
 		t.Fatal("out-of-window object admitted")
 	}
-	if e.admit(oddID, 1) {
+	if admit(oddID, 1) {
 		t.Fatal("odd-id object admitted")
 	}
-	if !e.admit(nodeTouching, 1) {
+	if !admit(nodeTouching, 1) {
 		t.Fatal("window-intersecting node rejected")
 	}
-	if e.admit(nodeOutside, 1) {
+	if admit(nodeOutside, 1) {
 		t.Fatal("window-disjoint node admitted")
 	}
 	// Side 2 has no restrictions here.
-	if !e.admit(outWindow, 2) || !e.admit(oddID, 2) {
+	if !admit(outWindow, 2) || !admit(oddID, 2) {
 		t.Fatal("side-2 items wrongly restricted")
 	}
 }

@@ -1,11 +1,14 @@
-// Package kernel provides batched distance kernels over a columnar
-// (struct-of-arrays) rectangle layout. The join engine's expansion phase
-// computes the distance from one query region to every entry of a node; the
-// scalar path pays an interface call plus a per-dimension closure per entry
-// (geom.lpMetric.aggregate). The kernels here compute the whole batch in
-// closure-free loops over contiguous per-dimension columns, specialized for
-// the L1, L2 and L∞ metrics (with the 2D case unrolled), so the compiler
-// can keep the accumulators in registers and eliminate bounds checks.
+// Package kernel provides batched distance kernels. The join engine's
+// expansion phase computes the distance from one query region to every entry
+// of a node; the scalar path pays an interface call plus a per-dimension
+// closure per entry (geom.lpMetric.aggregate). The kernels here compute the
+// whole batch in closure-free loops, specialized for the L1, L2 and L∞
+// metrics (with the 2D case unrolled), so the compiler can keep the
+// accumulators in registers and eliminate bounds checks. The engine calls
+// the row kernels (MinDistRows, MaxDistRows), which read a decoded node's
+// coordinate block where it lies; the column layout (RectCols, PointCols and
+// their kernels) needs a copy of every rectangle first and has no caller in
+// the engine any more — the benchmark's micro rows still time it.
 //
 // The L2 kernels are "deferred": they produce squared distances, postponing
 // the single math.Sqrt to survivors of the caller's prune (Finish). The

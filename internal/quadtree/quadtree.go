@@ -15,6 +15,7 @@ package quadtree
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/stats"
@@ -48,6 +49,10 @@ type node struct {
 	leaf     bool
 	points   []Point // leaf payload
 	children []int32 // child node ids; -1 for empty quadrants
+	// view is the node as ReadNode hands it out, built on the first read and
+	// dropped by whatever changes the node: a point added or removed, a
+	// split, a quadrant materialised.
+	view atomic.Pointer[NodeView]
 }
 
 // Tree is a bucket PR quadtree. Not safe for concurrent use.
@@ -122,6 +127,7 @@ func (t *Tree) Insert(p geom.Point, id uint64) error {
 		n := t.nodes[cur]
 		if n.leaf {
 			n.points = append(n.points, Point{P: p.Clone(), ID: id})
+			n.view.Store(nil)
 			t.size++
 			if len(n.points) > t.cfg.BucketSize && n.depth < t.cfg.MaxDepth {
 				t.split(cur)
@@ -150,6 +156,7 @@ func (t *Tree) childFor(id int32, p geom.Point) int32 {
 	t.nodes = append(t.nodes, child)
 	cid := int32(len(t.nodes) - 1)
 	n.children[q] = cid
+	n.view.Store(nil)
 	return cid
 }
 
@@ -174,6 +181,7 @@ func (t *Tree) split(id int32) {
 	pts := n.points
 	n.leaf = false
 	n.points = nil
+	n.view.Store(nil)
 	n.children = make([]int32, 1<<t.dims)
 	for i := range n.children {
 		n.children[i] = -1
@@ -182,6 +190,7 @@ func (t *Tree) split(id int32) {
 		cid := t.childFor(id, pt.P)
 		child := t.nodes[cid]
 		child.points = append(child.points, pt)
+		child.view.Store(nil)
 		// Recursive overflow is handled lazily: if every point landed in
 		// one quadrant, split that child too (subject to the depth cap).
 		if len(child.points) > t.cfg.BucketSize && child.depth < t.cfg.MaxDepth {
@@ -204,6 +213,7 @@ func (t *Tree) Delete(p geom.Point, id uint64) bool {
 			for i, pt := range n.points {
 				if pt.ID == id && pt.P.Equal(p) {
 					n.points = append(n.points[:i], n.points[i+1:]...)
+					n.view.Store(nil)
 					t.size--
 					return true
 				}
@@ -268,13 +278,30 @@ type ChildRef struct {
 }
 
 // NodeView is the read-only traversal view of a node, used by the join
-// engine's SpatialIndex adapter.
+// engine's SpatialIndex adapter. The tree keeps one per node for as long as
+// the node is unchanged, so every visit in between gets the same view.
 type NodeView struct {
 	Leaf     bool
 	Level    int
 	Rect     geom.Rect
 	Points   []Point    // leaf payload
 	Children []ChildRef // materialized quadrants of an internal node
+
+	derived atomic.Pointer[any]
+}
+
+// Derived returns the value build made of v the first time it was asked for.
+// An adapter that traverses the tree in a form of its own keeps that form
+// here, so it lives exactly as long as the view it was built from. build's
+// result must be immutable; concurrent first calls may each build one, and
+// any of them is kept.
+func (v *NodeView) Derived(build func(*NodeView) any) any {
+	if d := v.derived.Load(); d != nil {
+		return *d
+	}
+	d := build(v)
+	v.derived.Store(&d)
+	return d
 }
 
 // NodeRef returns a reference to the node with the given id.
@@ -286,19 +313,21 @@ func (t *Tree) NodeRef(id int32) (ChildRef, error) {
 	return ChildRef{ID: id, Level: t.cfg.MaxDepth - n.depth, Rect: n.rect}, nil
 }
 
-// ReadNode decodes the node with the given id for traversal. Each call is
-// counted as a node read.
+// ReadNode returns the view of the node with the given id for traversal:
+// the one view every read gets until the node changes. Each call is counted
+// as a node read. Reads may run concurrently with each other (concurrent
+// first reads may each build a view, and any of them is kept), not with
+// Insert or Delete.
 func (t *Tree) ReadNode(id int32) (*NodeView, error) {
 	if id < 0 || int(id) >= len(t.nodes) {
 		return nil, fmt.Errorf("quadtree: node id %d out of range", id)
 	}
 	t.cfg.Counters.AddNodeRead(1)
 	n := t.nodes[id]
-	v := &NodeView{Leaf: n.leaf, Level: t.cfg.MaxDepth - n.depth, Rect: n.rect}
-	if n.leaf {
-		v.Points = n.points
+	if v := n.view.Load(); v != nil {
 		return v, nil
 	}
+	v := &NodeView{Leaf: n.leaf, Level: t.cfg.MaxDepth - n.depth, Rect: n.rect, Points: n.points}
 	for _, cid := range n.children {
 		if cid < 0 {
 			continue
@@ -310,5 +339,6 @@ func (t *Tree) ReadNode(id int32) (*NodeView, error) {
 			Rect:  c.rect,
 		})
 	}
+	n.view.Store(v)
 	return v, nil
 }

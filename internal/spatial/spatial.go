@@ -195,12 +195,20 @@ func (ix quadIndex) Root() (NodeRef, error) {
 	return NodeRef{Ref: 0, Level: ref.Level, Rect: ref.Rect}, nil
 }
 
+// Node returns the adapter's form of the node: built once per view the tree
+// keeps of it — until an insert, a delete or a split changes the node — and
+// handed to every visit in between, as the R*-tree adapter hands out one per
+// buffer residency.
 func (ix quadIndex) Node(ref uint64) (*IndexNode, error) {
 	n, err := ix.t.ReadNode(int32(ref))
 	if err != nil {
 		return nil, err
 	}
-	d := ix.t.Dims()
+	return n.Derived(adaptQuadNode).(*IndexNode), nil
+}
+
+func adaptQuadNode(n *quadtree.NodeView) any {
+	d := n.Rect.Dim()
 	out := &IndexNode{Leaf: n.Leaf, Level: n.Level, Points: n.Leaf, Coords: make([]float64, (len(n.Points)+len(n.Children))*2*d)}
 	// entry lays rectangle r out as run i of the block and returns the view.
 	entry := func(i int, r geom.Rect) geom.Rect {
@@ -214,13 +222,13 @@ func (ix quadIndex) Node(ref uint64) (*IndexNode, error) {
 		for i, p := range n.Points {
 			out.Objects[i] = ObjectRef{ID: p.ID, Rect: entry(i, p.P.Rect())}
 		}
-		return out, nil
+		return out
 	}
 	out.Children = make([]NodeRef, len(n.Children))
 	for i, c := range n.Children {
 		out.Children[i] = NodeRef{Ref: uint64(c.ID), Level: c.Level, Rect: entry(i, c.Rect)}
 	}
-	return out, nil
+	return out
 }
 
 // MinObjectsUnder returns 1: quadtrees have no minimum-fill invariant, so

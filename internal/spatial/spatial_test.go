@@ -122,6 +122,82 @@ func TestQuadtreeAdapterContract(t *testing.T) {
 	checkContract(t, ix, len(pts))
 }
 
+// TestQuadtreeNodeKeptUntilMutation: the quadtree adapter hands every visit
+// of an unchanged node the same IndexNode; a point inserted into it or deleted
+// from it, a split of it, and a quadrant materialised under it each end that,
+// and the next visit sees the node as it then is — while the contract holds
+// throughout.
+func TestQuadtreeNodeKeptUntilMutation(t *testing.T) {
+	qt, err := quadtree.New(quadtree.Config{
+		Bounds: geom.R(geom.Pt(0, 0), geom.Pt(100, 100)), BucketSize: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := WrapQuadtree(qt)
+	visit := func(ref uint64) *IndexNode {
+		t.Helper()
+		n, err := ix.Node(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := ix.Node(ref); again != n {
+			t.Fatalf("node %d: two visits with nothing in between got two IndexNodes", ref)
+		}
+		return n
+	}
+	insert := func(id uint64, x, y float64) {
+		t.Helper()
+		if err := qt.Insert(geom.Pt(x, y), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The root as a leaf: a point in, a point out.
+	insert(0, 10, 10)
+	insert(1, 20, 20)
+	leaf := visit(0)
+	insert(2, 30, 30)
+	grown := visit(0)
+	if grown == leaf || len(leaf.Objects) != 2 || len(grown.Objects) != 3 {
+		t.Fatalf("after an insert: same node %v, %d then %d objects", grown == leaf, len(leaf.Objects), len(grown.Objects))
+	}
+	if !qt.Delete(geom.Pt(20, 20), 1) {
+		t.Fatal("delete missed")
+	}
+	shrunk := visit(0)
+	if shrunk == grown || len(shrunk.Objects) != 2 || len(grown.Objects) != 3 {
+		t.Fatalf("after a delete: same node %v, %d objects (the earlier node now shows %d)", shrunk == grown, len(shrunk.Objects), len(grown.Objects))
+	}
+	if qt.Delete(geom.Pt(99, 99), 77) {
+		t.Fatal("deleted a point that is not there")
+	}
+	if visit(0) != shrunk {
+		t.Fatal("a delete that removed nothing dropped the node")
+	}
+
+	// The split: all five points in the lower-left quadrant.
+	insert(3, 15, 40)
+	insert(4, 40, 15)
+	insert(5, 45, 45)
+	internal := visit(0)
+	if internal.Leaf || len(internal.Children) != 1 {
+		t.Fatalf("after the split the root is leaf=%v with %d children, want an internal node with 1", internal.Leaf, len(internal.Children))
+	}
+	// A point in an untouched quadrant materialises a child of the root and
+	// leaves the first quadrant's node alone.
+	first := visit(internal.Children[0].Ref)
+	insert(6, 90, 90)
+	wider := visit(0)
+	if wider == internal || len(wider.Children) != 2 {
+		t.Fatalf("after a new quadrant: same node %v, %d children", wider == internal, len(wider.Children))
+	}
+	if visit(internal.Children[0].Ref) != first {
+		t.Fatal("an insert elsewhere dropped an unchanged node")
+	}
+	checkContract(t, ix, 6)
+}
+
 func TestWrapNilReturnsNil(t *testing.T) {
 	if WrapRTree(nil) != nil {
 		t.Fatal("WrapRTree(nil) not nil")
