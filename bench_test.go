@@ -171,9 +171,11 @@ func BenchmarkSemiJoinFull(b *testing.B) {
 // excludes nothing: a Window1 that covers everything. The two must read the
 // same — one generator decides every expansion, whatever the query carries
 // (DESIGN.md §5; EXPERIMENTS.md "Options and the generation path" has the
-// numbers from before there was one). The join's first 4,000 pairs and the
-// GlobalAll semi-join's drain at the benchmark's mid scale, on both queues;
-// -short shrinks it to a smoke run.
+// numbers from before there was one). A third input, the window that keeps
+// the western half of the first relation, is a different query — it is there
+// to show what a window that does cut costs. The join's first 4,000 pairs and
+// the GlobalAll semi-join's drain at the benchmark's mid scale, on both
+// queues; -short shrinks it to a smoke run.
 func BenchmarkNoOpOption(b *testing.B) {
 	water, roads, first := 12_000, 64_000, 4_000
 	if testing.Short() {
@@ -190,6 +192,7 @@ func BenchmarkNoOpOption(b *testing.B) {
 	}
 	defer c.Close()
 	all := distjoin.R(distjoin.Pt(math.Inf(-1), math.Inf(-1)), distjoin.Pt(math.Inf(1), math.Inf(1)))
+	west := distjoin.R(distjoin.Pt(datagen.World.Lo[0], datagen.World.Lo[1]), distjoin.Pt((datagen.World.Lo[0]+datagen.World.Hi[0])/2, datagen.World.Hi[1]))
 	for _, q := range []struct {
 		name string
 		opts distjoin.Options
@@ -200,7 +203,7 @@ func BenchmarkNoOpOption(b *testing.B) {
 		for _, w := range []struct {
 			name string
 			win  *distjoin.Rect
-		}{{"zero", nil}, {"window1-all", &all}} {
+		}{{"zero", nil}, {"window1-all", &all}, {"window1-west", &west}} {
 			opts := q.opts
 			opts.Window1 = w.win
 			b.Run("join-first/"+q.name+"/"+w.name, func(b *testing.B) {

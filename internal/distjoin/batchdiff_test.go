@@ -412,6 +412,9 @@ func TestMinDistRowsSubRun(t *testing.T) {
 // queue's doing, DESIGN.md §16.)
 func TestBatchedExpansionZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
+	// Mallocs is the whole process's: keep what other tests left running off
+	// the processor while it is read, as testing.AllocsPerRun does.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ta, tb := buildTree(t, clusteredPoints(51, 300)), buildTree(t, clusteredPoints(52, 300))
 	win := geom.R(geom.Pt(0, 0), geom.Pt(700, 800))
 	sel := func(id rtree.ObjID) bool { return id%3 != 0 }

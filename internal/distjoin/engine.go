@@ -947,7 +947,7 @@ func (e *engine) expandSide(p qpair, side int) error {
 // scalar face minimum instead, per child that needs it.
 func (e *engine) generate(b *block, region geom.Rect) error {
 	n, other, side := b.node, b.other, int(b.side)
-	s, o, bq, q := e.semi, &e.opts, e.bq, other.rect()
+	s, o, q := e.semi, &e.opts, other.rect()
 	w := len(other.c)
 	count := len(n.Coords) / w
 	e.growOut(count)
@@ -956,8 +956,9 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 
 	// What the query asks of a child before its distance counts (§2.2.5):
 	// its side's window and predicate, equal ids, intersection ordering. A
-	// window that contains the node's region contains every entry of it, and
-	// a predicate has nothing to say about child nodes.
+	// window that contains the node's region contains every entry of it (a
+	// NodeRef's Rect covers its node), and a predicate has nothing to say
+	// about child nodes.
 	win, sel := o.Window1, o.Select1
 	if side == 2 {
 		win, sel = o.Window2, o.Select2
@@ -1022,24 +1023,7 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 		}
 	}
 
-	// early: some rung stands before the distance count. needMax: some rung
-	// stands after the range test. With neither — a join with no option set —
-	// the ladder is the count, the range test and the Finish, and on the
-	// memory queue that loop is kept apart: inside the full one below it costs
-	// a first page 8–11 % (§11 of DESIGN.md has the numbers).
-	early := local || selects || childDone || childSeen2
 	nodeCalc := other.isNode() || !n.Leaf
-	if !early && !needMax && bq != nil {
-		for i, pre := range pres {
-			e.m.DistCalc(nodeCalc)
-			if e.kern.PreGreater(pre, e.dmaxCur) {
-				e.m.Filter(1)
-				continue
-			}
-			bq.collect(e.kern.Finish(pre), i)
-		}
-		return nil
-	}
 	for i, pre := range pres {
 		if local && e.kern.PreGreater(pre, localBound) {
 			e.m.Filter(1)
@@ -1206,7 +1190,7 @@ func childItem(n *IndexNode, i, w int, leafKind itemKind) item {
 // the candidate pairs (Figure 4, with the sweep extended by D_max). Both
 // entries of a pair are children here, so the pairs are made of items and go
 // through enqueue; their distances come from the same row kernel as a side
-// expansion's (minDists).
+// expansion's — or, under scalarExpand, from the scalar metric (noPre).
 func (e *engine) expandBoth(p qpair) error {
 	n1, err := e.t1.Node(p.i1.ref)
 	if err != nil {
@@ -1240,27 +1224,20 @@ func (e *engine) expandBoth(p qpair) error {
 	e.growOut(len(c2))
 	out := e.dbuf[:len(c2)]
 	for _, a := range c1 {
-		e.minDists(a.rect(), n2.Coords, out)
+		if !e.scalarExpand {
+			e.kern.MinDistRows(a.rect(), n2.Coords, out)
+		}
 		for i, b := range c2 {
-			if err := e.enqueue(a, b, out[i]); err != nil {
+			pre := noPre
+			if !e.scalarExpand {
+				pre = out[i]
+			}
+			if err := e.enqueue(a, b, pre); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// minDists fills out with the minimum pre-distance from query to each of
-// rows — or, for the scalar reference, with noPre, which leaves every pair's
-// distance to the scalar metric.
-func (e *engine) minDists(query geom.Rect, rows, out []float64) {
-	if !e.scalarExpand {
-		e.kern.MinDistRows(query, rows, out)
-		return
-	}
-	for i := range out {
-		out[i] = noPre
-	}
 }
 
 // sweepPairs is the Figure 4 plane sweep over two lists sorted by low edge:
@@ -1290,7 +1267,9 @@ func (e *engine) sweepPairs(c1, c2 []item) error {
 			end++
 		}
 		w, out := len(a.c), e.dbuf[:end-start]
-		e.minDists(a.rect(), e.rows[start*w:end*w], out)
+		if !e.scalarExpand {
+			e.kern.MinDistRows(a.rect(), e.rows[start*w:end*w], out)
+		}
 		evaluated := 0
 		for k := start; k < end; k++ {
 			b := c2[k]
@@ -1298,7 +1277,11 @@ func (e *engine) sweepPairs(c1, c2 []item) error {
 				break // D_max tightened mid-run; the rest is out of window
 			}
 			evaluated++
-			if err := e.enqueue(a, b, out[k-start]); err != nil {
+			pre := noPre
+			if !e.scalarExpand {
+				pre = out[k-start]
+			}
+			if err := e.enqueue(a, b, pre); err != nil {
 				return err
 			}
 		}
@@ -1315,11 +1298,13 @@ func (e *engine) sweepPairs(c1, c2 []item) error {
 func (e *engine) withinOf(items []item, rows []float64, opposite geom.Rect) []item {
 	e.growOut(len(items))
 	pres := e.dbuf[:len(items)]
-	e.minDists(opposite, rows, pres)
+	if !e.scalarExpand {
+		e.kern.MinDistRows(opposite, rows, pres)
+	}
 	out := items[:0]
 	for i, it := range items {
 		var within bool
-		if pres[i] == noPre {
+		if e.scalarExpand {
 			within = e.opts.Metric.MinDist(it.rect(), opposite) <= e.dmaxCur
 		} else {
 			within = e.kern.PreLessEq(pres[i], e.dmaxCur)

@@ -58,7 +58,10 @@ type Fanout interface {
 }
 
 // NodeRef is a child pointer: an opaque reference plus the level and
-// bounding region of the referenced node.
+// bounding region of the referenced node. Rect must cover every entry of that
+// node — the consistency the join's distance bounds rest on (§2.1: no entry
+// is nearer than its node), and what lets the engine skip a window's test on
+// the entries of a node the window contains.
 type NodeRef struct {
 	Ref   uint64
 	Level int
