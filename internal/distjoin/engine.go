@@ -937,7 +937,9 @@ func (e *engine) expandSide(p qpair, side int) error {
 // second-input node, and move the counters as they do there; each drop is
 // one Filter. Nothing is asked of other again: it passed the selections when
 // it was queued, and step has just applied the Inside1 rule to it, which is
-// all Inside2 would ask.
+// all Inside2 would ask. The one loop below holds the rungs every query
+// climbs — Local, the count, the range test, the Finish; the others stand in
+// selected and bounded, behind one test each (ladder says why).
 //
 // d_max is the row kernel's Metric.MaxDist whenever neither operand is a
 // non-degenerate object rectangle (engine.maxDist reduces to it, bit for
@@ -948,8 +950,8 @@ func (e *engine) expandSide(p qpair, side int) error {
 func (e *engine) generate(b *block, region geom.Rect) error {
 	n, other, side := b.node, b.other, int(b.side)
 	s, o, q := e.semi, &e.opts, other.rect()
-	w := len(other.c)
-	count := len(n.Coords) / w
+	g := ladder{b: b, w: len(other.c)}
+	count := len(n.Coords) / g.w
 	e.growOut(count)
 	pres := e.dbuf[:count]
 	e.kern.MinDistRows(q, n.Coords, pres)
@@ -959,132 +961,95 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 	// window that contains the node's region contains every entry of it (a
 	// NodeRef's Rect covers its node), and a predicate has nothing to say
 	// about child nodes.
-	win, sel := o.Window1, o.Select1
+	g.win, g.sel = o.Window1, o.Select1
 	if side == 2 {
-		win, sel = o.Window2, o.Select2
+		g.win, g.sel = o.Window2, o.Select2
 	}
-	if win != nil && win.Contains(region) {
-		win = nil
+	if g.win != nil && g.win.Contains(region) {
+		g.win = nil
 	}
 	if !n.Leaf {
-		sel = nil
+		g.sel = nil
 	}
-	omit := o.OmitEqualIDs && n.Leaf && !other.isNode()
-	byIntersection := len(o.OrderIntersectionsFrom) > 0
-	selects := win != nil || sel != nil || omit || byIntersection
+	g.omit = o.OmitEqualIDs && n.Leaf && !other.isNode()
+	g.byIntersection = len(o.OrderIntersectionsFrom) > 0
+	g.selects = g.win != nil || g.sel != nil || g.omit || g.byIntersection
 	// The semi-join's Inside2 rule asks about a pair's first object — the
 	// child on side 1 — and the clustering join's about its second.
 	inside2 := s != nil && s.filter >= FilterInside2 && n.Leaf
-	childDone := inside2 && side == 1
-	childSeen2 := inside2 && side == 2 && s.symmetric
+	g.childDone = inside2 && side == 1
+	g.childSeen2 = inside2 && side == 2 && s.symmetric
 	// The pair's first item, whose d_max tables the Global rules consult, is
 	// the child on side 1 and other on side 2.
-	global := s != nil && s.filter >= FilterGlobalNodes
-	firstNode, firstRef := other.isNode(), other.ref
+	g.global = s != nil && s.filter >= FilterGlobalNodes
+	g.firstNode = other.isNode()
 	if side == 1 {
-		firstNode = !n.Leaf
+		g.firstNode = !n.Leaf
 	}
-	needMax, estimating := e.needMax(), e.est != nil || e.revEst != nil
+	g.estimating = e.est != nil || e.revEst != nil
 	childKind := b.kind
 	if !n.Leaf {
 		childKind = kindNode
 	}
-	keyMax := e.keyedByMax(other.kind, childKind)
+	g.keyMax = e.keyedByMax(other.kind, childKind)
 
 	// maxs[i] is child i's d_max: the kernel's pre-distance if rowMax, else
 	// the finished scalar bound — filled for every child when the Local rule
 	// needs their minimum, left to the survivors otherwise.
-	local := s != nil && side == 2 && s.filter >= FilterLocal
-	rowMax := (other.isNode() || q.IsPoint()) && (!n.Leaf || n.Points)
-	maxs := e.mbuf[:count]
+	needMax := e.needMax()
+	g.local = s != nil && side == 2 && s.filter >= FilterLocal
+	g.rowMax = (other.isNode() || q.IsPoint()) && (!n.Leaf || n.Points)
+	g.maxs = e.mbuf[:count]
 	switch {
-	case !local && !needMax:
-	case rowMax && !other.isNode() && n.Leaf: // two points
-		maxs = pres
-	case rowMax:
-		e.kern.MaxDistRows(q, n.Coords, maxs)
-	case local:
-		for i := range maxs {
-			maxs[i] = e.maxDist(other, childItem(n, i, w, b.kind))
+	case !g.local && !needMax:
+	case g.rowMax && !other.isNode() && n.Leaf: // two points
+		g.maxs = pres
+	case g.rowMax:
+		e.kern.MaxDistRows(q, n.Coords, g.maxs)
+	case g.local:
+		for i := range g.maxs {
+			g.maxs[i] = e.maxDist(other, childItem(n, i, g.w, b.kind))
 		}
 	}
 	// Local pruning (§4.2.1): nothing farther than the smallest d_max among
 	// a second-input node's entries can be anybody's nearest partner. Sqrt
 	// is monotone, so the minimum is taken before the one Finish.
-	localBound := math.Inf(1)
+	local, localBound := g.local, math.Inf(1)
 	if local {
-		for _, m := range maxs {
+		for _, m := range g.maxs {
 			if m < localBound {
 				localBound = m
 			}
 		}
-		if rowMax {
+		if g.rowMax {
 			localBound = e.kern.Finish(localBound)
 		}
 	}
 
+	early := g.selects || g.childDone || g.childSeen2
 	nodeCalc := other.isNode() || !n.Leaf
 	for i, pre := range pres {
 		if local && e.kern.PreGreater(pre, localBound) {
 			e.m.Filter(1)
 			continue
 		}
-		if selects {
-			isNode, ref := entryRef(n, i)
-			if !admitted(win, sel, isNode, ref, geom.RectOf(n.Coords[i*w:(i+1)*w])) || (omit && ref == other.ref) {
-				e.m.Filter(1)
-				continue
-			}
-			if byIntersection {
-				p := b.pair(blockEntry{idx: int32(i)}, 0)
-				if key, ok := e.intersectionKey(p.i1, p.i2); ok {
-					if err := e.put(b, key, i); err != nil {
-						return err
-					}
+		if early {
+			if ok, err := e.selected(&g, i); !ok {
+				if err != nil {
+					return err
 				}
 				continue
 			}
-		}
-		if (childDone && s.done(n.Objects[i].ID)) || (childSeen2 && s.seen2.Has(n.Objects[i].ID)) {
-			e.m.Filter(1)
-			continue
 		}
 		e.m.DistCalc(nodeCalc)
 		if e.kern.PreGreater(pre, e.dmaxCur) {
 			e.m.Filter(1)
 			continue
 		}
-		d := e.kern.Finish(pre)
-		key := d
+		key := e.kern.Finish(pre)
 		if needMax {
-			var dmax float64
-			switch {
-			case rowMax:
-				dmax = e.kern.Finish(maxs[i])
-			case local:
-				dmax = maxs[i]
-			case side == 1:
-				dmax = e.maxDist(childItem(n, i, w, b.kind), other)
-			default:
-				dmax = e.maxDist(other, childItem(n, i, w, b.kind))
-			}
-			if dmax < e.dmin {
-				e.m.Filter(1)
-				continue
-			}
-			if global {
-				if side == 1 {
-					_, firstRef = entryRef(n, i)
-				}
-				if !e.semiGlobalAdmit(firstNode, firstRef, d, dmax) {
-					e.m.Filter(1)
-					continue
-				}
-			}
-			if keyMax {
-				key = dmax
-			}
-			if estimating && !e.observe(b.pair(blockEntry{key: key, idx: int32(i)}, 0), d, dmax) {
+			var ok bool
+			if key, ok = e.bounded(&g, i, key); !ok {
 				continue
 			}
 		}
@@ -1093,6 +1058,89 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 		}
 	}
 	return nil
+}
+
+// ladder is what one side expansion asks of a child off the path every query
+// takes: the rungs before the distance count (selected) and after the range
+// test (bounded), as generate settled them before the first child. They are
+// methods of their own, not blocks of generate's loop, for the loop's sake:
+// with two dozen values live across it the compiler spills and reloads them
+// around every child, and the join with no option set paid 10 % of its first
+// page for rungs it does not have (§11 of DESIGN.md).
+type ladder struct {
+	b *block
+	w int // coordinates per entry
+
+	win                                   *geom.Rect
+	sel                                   func(rtree.ObjID) bool
+	omit, byIntersection, selects         bool // selects: any of win, sel, omit, byIntersection
+	childDone, childSeen2                 bool
+	maxs                                  []float64
+	rowMax, local                         bool
+	global, firstNode, keyMax, estimating bool
+}
+
+// selected runs the rungs that stand before the distance count on child i:
+// the selections, intersection ordering — which queues the child under a key
+// of its own, so ok is false then too — and Inside2.
+func (e *engine) selected(g *ladder, i int) (ok bool, err error) {
+	n, other := g.b.node, g.b.other
+	if g.selects {
+		isNode, ref := entryRef(n, i)
+		if !admitted(g.win, g.sel, isNode, ref, geom.RectOf(n.Coords[i*g.w:(i+1)*g.w])) || (g.omit && ref == other.ref) {
+			e.m.Filter(1)
+			return false, nil
+		}
+		if g.byIntersection {
+			p := g.b.pair(blockEntry{idx: int32(i)}, 0)
+			if key, ok := e.intersectionKey(p.i1, p.i2); ok {
+				err = e.put(g.b, key, i)
+			}
+			return false, err
+		}
+	}
+	if (g.childDone && e.semi.done(n.Objects[i].ID)) || (g.childSeen2 && e.semi.seen2.Has(n.Objects[i].ID)) {
+		e.m.Filter(1)
+		return false, nil
+	}
+	return true, nil
+}
+
+// bounded runs the rungs that stand after the range test on child i, at
+// distance d: its d_max and the MinDist test on it, the Global rules, the key
+// it is queued under and the estimator's look at the pair.
+func (e *engine) bounded(g *ladder, i int, d float64) (key float64, ok bool) {
+	n, other := g.b.node, g.b.other
+	var dmax float64
+	switch {
+	case g.rowMax:
+		dmax = e.kern.Finish(g.maxs[i])
+	case g.local:
+		dmax = g.maxs[i]
+	case g.b.side == 1:
+		dmax = e.maxDist(childItem(n, i, g.w, g.b.kind), other)
+	default:
+		dmax = e.maxDist(other, childItem(n, i, g.w, g.b.kind))
+	}
+	if dmax < e.dmin {
+		e.m.Filter(1)
+		return 0, false
+	}
+	if g.global {
+		firstRef := other.ref
+		if g.b.side == 1 {
+			_, firstRef = entryRef(n, i)
+		}
+		if !e.semiGlobalAdmit(g.firstNode, firstRef, d, dmax) {
+			e.m.Filter(1)
+			return 0, false
+		}
+	}
+	key = d
+	if g.keyMax {
+		key = dmax
+	}
+	return key, !g.estimating || e.observe(g.b.pair(blockEntry{key: key, idx: int32(i)}, 0), d, dmax)
 }
 
 // put queues child i of expansion b under key: collected into the memory

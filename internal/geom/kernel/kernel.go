@@ -214,16 +214,24 @@ func (b Batch) Finish(pre float64) float64 {
 // margins are decided by monotonicity of sqrt (the factor-4 guard bands
 // absorb the rounding of bound*bound and of the sqrt itself), and anything
 // inside the gray zone — or any non-finite corner — falls back to the
-// exact math.Sqrt comparison.
+// exact math.Sqrt comparison. The unbounded case — every child of a join
+// with no maximum distance — is decided inline, without a call.
 func (b Batch) PreGreater(pre, bound float64) bool {
+	if bound > math.MaxFloat64 {
+		return false // nothing exceeds +Inf
+	}
+	return b.preGreater(pre, bound)
+}
+
+func (b Batch) preGreater(pre, bound float64) bool {
 	if b.kind != kindL2 {
 		return pre > bound
 	}
 	if !(pre >= 0) {
 		return false // NaN pre: sqrt(NaN) > bound is false for every bound
 	}
-	if math.IsInf(bound, 1) || bound != bound {
-		return false // nothing exceeds +Inf; comparisons with NaN are false
+	if bound != bound {
+		return false // comparisons with NaN are false
 	}
 	if bound < 0 {
 		return true // sqrt(pre) >= 0 > bound
