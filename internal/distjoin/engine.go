@@ -1053,6 +1053,10 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 				continue
 			}
 		}
+		if e.bq != nil { // put's first half, inline: a call per survivor is 7 % of the join's first pair
+			e.bq.collect(key, i)
+			continue
+		}
 		if err := e.put(b, key, i); err != nil {
 			return err
 		}
