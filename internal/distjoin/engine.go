@@ -942,11 +942,9 @@ func (e *engine) expandSide(p qpair, side int) error {
 // selected and bounded, behind one test each (ladder says why).
 //
 // d_max is the row kernel's Metric.MaxDist whenever neither operand is a
-// non-degenerate object rectangle (engine.maxDist reduces to it, bit for
-// bit); between two points it is the distance itself, so the commonest
-// expansion — an object against a leaf of points — makes no second kernel
-// call. A rectangle object, or a leaf not known to hold points, takes the
-// scalar face minimum instead, per child that needs it.
+// non-degenerate object rectangle (engine.maxDist reduces to it, bit for bit:
+// §11 of DESIGN.md), and between two points the distance itself; a rectangle
+// object, or a leaf not known to hold points, takes the scalar face minimum.
 func (e *engine) generate(b *block, region geom.Rect) error {
 	n, other, side := b.node, b.other, int(b.side)
 	s, o, q := e.semi, &e.opts, other.rect()
@@ -979,14 +977,6 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 	inside2 := s != nil && s.filter >= FilterInside2 && n.Leaf
 	g.childDone = inside2 && side == 1
 	g.childSeen2 = inside2 && side == 2 && s.symmetric
-	// The pair's first item, whose d_max tables the Global rules consult, is
-	// the child on side 1 and other on side 2.
-	g.global = s != nil && s.filter >= FilterGlobalNodes
-	g.firstNode = other.isNode()
-	if side == 1 {
-		g.firstNode = !n.Leaf
-	}
-	g.estimating = e.est != nil || e.revEst != nil
 	childKind := b.kind
 	if !n.Leaf {
 		childKind = kindNode
@@ -1065,23 +1055,21 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 }
 
 // ladder is what one side expansion asks of a child off the path every query
-// takes: the rungs before the distance count (selected) and after the range
-// test (bounded), as generate settled them before the first child. They are
-// methods of their own, not blocks of generate's loop, for the loop's sake:
-// with two dozen values live across it the compiler spills and reloads them
-// around every child, and the join with no option set paid 10 % of its first
-// page for rungs it does not have (§11 of DESIGN.md).
+// takes — the rungs before the distance count (selected) and after the range
+// test (bounded) — as generate settled it before the first child. They are
+// methods, not blocks of generate's loop, for the loop's sake: written out
+// there they keep two dozen values live across it, spilled and reloaded
+// around every child (§11 of DESIGN.md has what that costs a join).
 type ladder struct {
 	b *block
 	w int // coordinates per entry
 
-	win                                   *geom.Rect
-	sel                                   func(rtree.ObjID) bool
-	omit, byIntersection, selects         bool // selects: any of win, sel, omit, byIntersection
-	childDone, childSeen2                 bool
-	maxs                                  []float64
-	rowMax, local                         bool
-	global, firstNode, keyMax, estimating bool
+	win                           *geom.Rect
+	sel                           func(rtree.ObjID) bool
+	omit, byIntersection, selects bool // selects: any of win, sel, omit, byIntersection
+	childDone, childSeen2         bool
+	maxs                          []float64
+	rowMax, local, keyMax         bool
 }
 
 // selected runs the rungs that stand before the distance count on child i:
@@ -1130,12 +1118,14 @@ func (e *engine) bounded(g *ladder, i int, d float64) (key float64, ok bool) {
 		e.m.Filter(1)
 		return 0, false
 	}
-	if g.global {
-		firstRef := other.ref
+	if e.semi != nil && e.semi.filter >= FilterGlobalNodes {
+		// The pair's first item, whose d_max tables the Global rules consult,
+		// is the child on side 1 and other on side 2.
+		firstNode, firstRef := other.isNode(), other.ref
 		if g.b.side == 1 {
-			_, firstRef = entryRef(n, i)
+			firstNode, firstRef = entryRef(n, i)
 		}
-		if !e.semiGlobalAdmit(g.firstNode, firstRef, d, dmax) {
+		if !e.semiGlobalAdmit(firstNode, firstRef, d, dmax) {
 			e.m.Filter(1)
 			return 0, false
 		}
@@ -1144,7 +1134,7 @@ func (e *engine) bounded(g *ladder, i int, d float64) (key float64, ok bool) {
 	if g.keyMax {
 		key = dmax
 	}
-	return key, !g.estimating || e.observe(g.b.pair(blockEntry{key: key, idx: int32(i)}, 0), d, dmax)
+	return key, (e.est == nil && e.revEst == nil) || e.observe(g.b.pair(blockEntry{key: key, idx: int32(i)}, 0), d, dmax)
 }
 
 // put queues child i of expansion b under key: collected into the memory
