@@ -231,6 +231,84 @@ func TestLatencyStoreCharges(t *testing.T) {
 	}
 }
 
+// TestFileStoreBlankPages: Allocate writes nothing. A fresh page past the
+// end of the file and a reused page whose old bytes are still in the file
+// both read as zeros until written; Sync puts every allocated page in the
+// file, so a store reopened on it holds them all, the blank ones as zeros.
+func TestFileStoreBlankPages(t *testing.T) {
+	const size = 64
+	path := t.TempDir() + "/blank.pages"
+	s, err := OpenNamedFileStore(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fileSize := func() int64 {
+		t.Helper()
+		info, err := s.f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Size()
+	}
+	readsZero := func(s *FileStore, id PageID) {
+		t.Helper()
+		buf := bytes.Repeat([]byte{0xaa}, size)
+		if err := s.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf, make([]byte, size)) {
+			t.Fatalf("blank page %d reads %v", id, buf)
+		}
+	}
+	full := bytes.Repeat([]byte{7}, size)
+	a, _ := s.Allocate()
+	b, _ := s.Allocate()
+	if got := fileSize(); got != 0 {
+		t.Fatalf("two allocations wrote %d bytes", got)
+	}
+	readsZero(s, a) // past the end of the file
+	if err := s.WritePage(a, full); err != nil {
+		t.Fatal(err)
+	}
+	readsZero(s, b)
+	if err := s.WritePage(b, full); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if reused, _ := s.Allocate(); reused != a {
+		t.Fatalf("reused page %d, want %d", reused, a)
+	}
+	readsZero(s, a) // its old bytes are still in the file
+	c, _ := s.Allocate()
+	if got := fileSize(); got != 2*size {
+		t.Fatalf("file is %d bytes after two written pages", got)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileSize(); got != 3*size {
+		t.Fatalf("Sync left the file %d bytes for 3 allocated pages", got)
+	}
+
+	s2, err := OpenNamedFileStore(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.NumAllocated() != 3 {
+		t.Fatalf("reopened NumAllocated = %d, want 3", s2.NumAllocated())
+	}
+	readsZero(s2, a)
+	readsZero(s2, c)
+	got := make([]byte, size)
+	if err := s2.ReadPage(b, got); err != nil || !bytes.Equal(got, full) {
+		t.Fatalf("written page reads %v after reopen (%v)", got, err)
+	}
+}
+
 func TestOpenNamedFileStore(t *testing.T) {
 	path := t.TempDir() + "/named.pages"
 	s, err := OpenNamedFileStore(path, 64)
