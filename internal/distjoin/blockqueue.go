@@ -199,9 +199,9 @@ func (q *blockQueue) tieOrder(h *head) tieOrder {
 // child is the tie order of entry idx of the block's node as an item.
 func (b *block) child(idx int32) tieOrder {
 	if n := b.node; !n.Leaf {
-		return tieOrder{1, int(int8(n.Children[idx].Level)), n.Children[idx].Ref, 0}
+		return tieOrder{1, int(int8(n.ChildLevel(int(idx)))), n.Refs[idx], 0}
 	}
-	return tieOrder{0, -1, b.node.Objects[idx].ID, 0}
+	return tieOrder{0, -1, b.node.Refs[idx], 0}
 }
 
 // push adds h to the heap.

@@ -30,12 +30,10 @@ func randomBlockNode(rnd *rand.Rand, leaf bool, n int) *IndexNode {
 	for i := range node.Coords {
 		node.Coords[i] = rnd.Float64()
 	}
-	for i, ref := range rnd.Perm(n) {
-		r := geom.RectOf(node.Coords[4*i : 4*i+4])
-		if leaf {
-			node.Objects = append(node.Objects, ObjectRef{ID: uint64(ref), Rect: r})
-		} else {
-			node.Children = append(node.Children, NodeRef{Ref: uint64(ref), Level: rnd.Intn(3), Rect: r})
+	for _, ref := range rnd.Perm(n) {
+		node.Refs = append(node.Refs, uint64(ref))
+		if !leaf {
+			node.Levels = append(node.Levels, int8(rnd.Intn(3)))
 		}
 	}
 	return node
@@ -198,10 +196,9 @@ func runBlockQueueScript(t *testing.T, depthFirst, reverse bool, ops int, pick f
 				refs[i], refs[j] = refs[j], i
 			}
 			for _, r := range refs {
-				if leaf {
-					node.Objects = append(node.Objects, ObjectRef{ID: uint64(r)})
-				} else {
-					node.Children = append(node.Children, NodeRef{Ref: uint64(r), Level: pick(3)})
+				node.Refs = append(node.Refs, uint64(r))
+				if !leaf {
+					node.Levels = append(node.Levels, int8(pick(3)))
 				}
 			}
 			kind, level := itemKind(pick(3)), int8(-1)

@@ -957,7 +957,7 @@ func (e *engine) generate(b *block, region geom.Rect) error {
 	// What the query asks of a child before its distance counts (§2.2.5):
 	// its side's window and predicate, equal ids, intersection ordering. A
 	// window that contains the node's region contains every entry of it (a
-	// NodeRef's Rect covers its node), and a predicate has nothing to say
+	// node's region covers its entries), and a predicate has nothing to say
 	// about child nodes.
 	g.win, g.sel = o.Window1, o.Select1
 	if side == 2 {
@@ -1078,8 +1078,8 @@ type ladder struct {
 func (e *engine) selected(g *ladder, i int) (ok bool, err error) {
 	n, other := g.b.node, g.b.other
 	if g.selects {
-		isNode, ref := entryRef(n, i)
-		if !admitted(g.win, g.sel, isNode, ref, geom.RectOf(n.Coords[i*g.w:(i+1)*g.w])) || (g.omit && ref == other.ref) {
+		ref := n.Refs[i]
+		if !admitted(g.win, g.sel, !n.Leaf, ref, geom.RectOf(n.Coords[i*g.w:(i+1)*g.w])) || (g.omit && ref == other.ref) {
 			e.m.Filter(1)
 			return false, nil
 		}
@@ -1091,7 +1091,7 @@ func (e *engine) selected(g *ladder, i int) (ok bool, err error) {
 			return false, err
 		}
 	}
-	if (g.childDone && e.semi.done(n.Objects[i].ID)) || (g.childSeen2 && e.semi.seen2.Has(n.Objects[i].ID)) {
+	if (g.childDone && e.semi.done(n.Refs[i])) || (g.childSeen2 && e.semi.seen2.Has(n.Refs[i])) {
 		e.m.Filter(1)
 		return false, nil
 	}
@@ -1123,7 +1123,7 @@ func (e *engine) bounded(g *ladder, i int, d float64) (key float64, ok bool) {
 		// is the child on side 1 and other on side 2.
 		firstNode, firstRef := other.isNode(), other.ref
 		if g.b.side == 1 {
-			firstNode, firstRef = entryRef(n, i)
+			firstNode, firstRef = !n.Leaf, n.Refs[i]
 		}
 		if !e.semiGlobalAdmit(firstNode, firstRef, d, dmax) {
 			e.m.Filter(1)
@@ -1145,15 +1145,6 @@ func (e *engine) put(b *block, key float64, i int) error {
 		return nil
 	}
 	return e.insert(b.pair(key, i))
-}
-
-// entryRef names entry i of node n the way an item of it would: whether it
-// is a node, and its ref.
-func entryRef(n *IndexNode, i int) (isNode bool, ref uint64) {
-	if n.Leaf {
-		return false, n.Objects[i].ID
-	}
-	return true, n.Children[i].Ref
 }
 
 // scalarChildren is the reference generate is pinned against: every entry of
@@ -1199,10 +1190,7 @@ func (e *engine) growOut(n int) {
 // allocate nothing; the partitioner passes nil to build fresh slices. The
 // items view the node's coordinate block.
 func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
-	count := len(n.Children)
-	if n.Leaf {
-		count = len(n.Objects)
-	}
+	count := len(n.Refs)
 	if count == 0 {
 		return buf
 	}
@@ -1216,11 +1204,9 @@ func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
 // childItem is entry i of node n as a queue item: a view of its w
 // coordinates in the node's block.
 func childItem(n *IndexNode, i, w int, leafKind itemKind) item {
-	it := item{c: n.Coords[i*w : (i+1)*w : (i+1)*w], kind: leafKind, level: -1}
-	if n.Leaf {
-		it.ref = n.Objects[i].ID
-	} else {
-		it.kind, it.level, it.ref = kindNode, int8(n.Children[i].Level), n.Children[i].Ref
+	it := item{c: n.Coords[i*w : (i+1)*w : (i+1)*w], kind: leafKind, level: -1, ref: n.Refs[i]}
+	if !n.Leaf {
+		it.kind, it.level = kindNode, int8(n.ChildLevel(i))
 	}
 	return it
 }

@@ -10,10 +10,9 @@ import (
 // see the spatial package for the contract and the provided adapters.
 type SpatialIndex = spatial.Index
 
-// NodeRef, ObjectRef and IndexNode re-export the traversal types.
+// NodeRef and IndexNode re-export the traversal types.
 type (
 	NodeRef   = spatial.NodeRef
-	ObjectRef = spatial.ObjectRef
 	IndexNode = spatial.IndexNode
 )
 
