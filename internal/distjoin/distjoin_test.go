@@ -29,7 +29,11 @@ func buildRectTree(t testing.TB, rects []geom.Rect) *rtree.Tree {
 	for i, r := range rects {
 		items[i] = rtree.Item{Rect: r, Obj: rtree.ObjID(i)}
 	}
-	tr, err := rtree.BulkLoad(rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 32}, items)
+	dims := 2
+	if len(rects) > 0 {
+		dims = rects[0].Dim()
+	}
+	tr, err := rtree.BulkLoad(rtree.Config{Dims: dims, PageSize: 512, BufferFrames: 32}, items)
 	if err != nil {
 		t.Fatal(err)
 	}

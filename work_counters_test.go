@@ -83,6 +83,9 @@ func TestWorkCounters(t *testing.T) {
 		// TestServerWorkloadMatchesInProcess (internal/server) pins the HTTP
 		// drain of this leg to the in-process one counted here.
 		{name: "server-cursor-hybrid", opts: with(func(o *distjoin.Options) { o.MaxPairs = pairs })},
+		// The hybrid queue choosing D_T from its first insertions, and
+		// re-tiering what it holds once it has.
+		{name: "adaptive-hybrid", opts: with(func(o *distjoin.Options) { o.HybridDT = 0 })},
 	}
 
 	got := make(map[string]distjoin.Stats, len(legs))
