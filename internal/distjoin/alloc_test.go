@@ -1,6 +1,7 @@
 package distjoin
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -33,34 +34,34 @@ func TestAllocMinOverFacesMaxDist(t *testing.T) {
 	_ = sink
 }
 
-// TestAllocPairCodec gates the disk tier's codec: encoding allocates
-// nothing, and decoding nothing per pair — decodeBatch pairs share one
-// coordinate block.
-func TestAllocPairCodec(t *testing.T) {
+// TestAllocSpillRecord gates the hybrid queue's spill at zero allocations:
+// once the class tails exist, an expansion whose children all lie beyond the
+// list tier's bucket is written as records straight from the node's
+// coordinate block, as is a single pair.
+func TestAllocSpillRecord(t *testing.T) {
 	skipUnderRace(t)
-	for _, dims := range []int{2, 3, 5} {
-		lo, hi := make(geom.Point, dims), make(geom.Point, dims)
-		for i := range hi {
-			hi[i] = float64(i + 1)
+	q, _ := newSpillQueue(t, 2, 1<<16)
+	node := randomBlockNode(rand.New(rand.NewSource(5)), true, 40)
+	other := newItem(kindNode, 1, 7, geom.R(geom.Pt(0, 0), geom.Pt(1, 1)))
+	single := qpair{key: 150, i1: newItem(kindObj, -1, 8, geom.Pt(2, 2).Rect()), i2: other}
+	spill := func() {
+		q.begin(other, node, 1, kindObj)
+		for i := range 40 {
+			q.collect(float64(2+7*i), i)
 		}
-		c := pairCodec{dims: dims}
-		p := qpair{key: 3, i1: newItem(kindNode, 2, 7, geom.Rect{Lo: lo, Hi: hi}), i2: newItem(kindObj, -1, 9, hi.Rect())}
-		buf := make([]byte, c.Size())
-		if n := testing.AllocsPerRun(1000, func() { c.Encode(buf, p) }); n != 0 {
-			t.Errorf("dims %d: Encode allocates %v times, want 0", dims, n)
+		if err := q.end(); err != nil {
+			t.Fatal(err)
 		}
-		const runs = 50 * decodeBatch
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			if got := c.Decode(buf); got.i2.ref != 9 {
-				t.Fatal("bad decode")
-			}
+		if err := q.Insert(single); err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		if blocks := after.Mallocs - before.Mallocs; blocks > runs/decodeBatch+1 {
-			t.Errorf("dims %d: %d allocations for %d decodes, want one block per %d", dims, blocks, runs, decodeBatch)
-		}
+	}
+	spill()
+	if q.disk.Len() != 41 || len(q.heads) != 0 || len(q.list) != 0 {
+		t.Fatalf("%d of 41 pairs spilled (%d in the heap, %d list blocks)", q.disk.Len(), len(q.heads), len(q.list))
+	}
+	if n := testing.AllocsPerRun(20, spill); n != 0 {
+		t.Errorf("spilling an expansion and a single pair allocates %v times, want 0", n)
 	}
 }
 

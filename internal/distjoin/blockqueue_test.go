@@ -303,12 +303,10 @@ func recordJoin(t testing.TB, ta, tb *rtree.Tree, pops int) (qpair, []queueOp) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e.bq.begin(other, n, side, e.leafEntryKind())
-		if err := e.generate(&e.bq.cur, nodeItem.rect()); err != nil {
-			t.Fatal(err)
-		}
-		ops = append(ops, queueOp{blk: e.bq.cur, children: slices.Clone(e.bq.pend)})
-		e.bq.end()
+		e.q.begin(other, n, side, e.leafEntryKind())
+		e.generate(&e.q.cur, nodeItem.rect())
+		ops = append(ops, queueOp{blk: e.q.cur, children: slices.Clone(e.q.pend)})
+		e.q.end()
 	}
 	return root, ops
 }
@@ -423,14 +421,14 @@ func TestAllocBlockQueue(t *testing.T) {
 			break
 		}
 		pairs++
-		peak = max(peak, j.bq.restInUse())
+		peak = max(peak, j.q.restInUse())
 	}
-	t.Logf("%d pairs drained: %d entries of block storage carved, %d in use at the peak", pairs, j.bq.carved, peak)
-	if pairs != 300*300 || j.bq.restInUse() != 0 {
-		t.Fatalf("drained %d pairs leaving %d entries in use", pairs, j.bq.restInUse())
+	t.Logf("%d pairs drained: %d entries of block storage carved, %d in use at the peak", pairs, j.q.carved, peak)
+	if pairs != 300*300 || j.q.restInUse() != 0 {
+		t.Fatalf("drained %d pairs leaving %d entries in use", pairs, j.q.restInUse())
 	}
-	if j.bq.carved > 2*peak {
-		t.Errorf("block storage is %d entries, more than twice the %d in use at the peak", j.bq.carved, peak)
+	if j.q.carved > 2*peak {
+		t.Errorf("block storage is %d entries, more than twice the %d in use at the peak", j.q.carved, peak)
 	}
 }
 
@@ -455,18 +453,48 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 		t.Errorf("queue peaked at %d elements for %d pairs, want at most a fifth", s.MaxQueueElements, s.MaxQueueSize)
 	}
 	e := runnerOf(j).(*engine)
-	if len(e.bq.heads)*5 > j.QueueLen() {
-		t.Errorf("queue holds %d elements for %d pairs, want at most a fifth", len(e.bq.heads), j.QueueLen())
+	if len(e.q.heads)*5 > j.QueueLen() {
+		t.Errorf("queue holds %d elements for %d pairs, want at most a fifth", len(e.q.heads), j.QueueLen())
 	}
 	// What a queued pair holds, counted from the structures themselves (the
 	// benchmark's heap difference does not see a store taken from
 	// freeStores): 16-byte heads, 88-byte singles, blocks, and rest entries.
-	held := len(e.bq.heads)*int(unsafe.Sizeof(head{})) + len(e.bq.singles)*int(unsafe.Sizeof(qpair{})) +
-		len(e.bq.blocks)*int(unsafe.Sizeof(block{})) + e.bq.carved*int(unsafe.Sizeof(head{}))
+	held := len(e.q.heads)*int(unsafe.Sizeof(head{})) + len(e.q.singles)*int(unsafe.Sizeof(qpair{})) +
+		len(e.q.blocks)*int(unsafe.Sizeof(block{})) + e.q.carved*int(unsafe.Sizeof(head{}))
 	if perPair := float64(held) / float64(j.QueueLen()); perPair > 35 {
 		t.Errorf("queue holds %.1f bytes per queued pair, want at most 35", perPair)
 	} else {
 		t.Logf("queue holds %.1f bytes per queued pair", perPair)
+	}
+
+	// The hybrid queue (adaptive D_T) at the first pair of a 12,000 ×
+	// 64,000 join: its memory tiers — the heads, the singles and blocks
+	// slabs, the rest entries, and the arena nodes the blocks of the heap
+	// and the list tier hold their pairs in — come to at most a byte per
+	// queued pair. Everything else is on disk.
+	ta, tb = buildTree(t, clusteredPoints(63, 12000)), buildTree(t, clusteredPoints(64, 64000))
+	h, err := NewJoin(ta, tb, Options{Traversal: TraverseEven, TieBreak: DepthFirst, Queue: QueueHybrid, HybridInMemory: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if _, ok, err := h.Next(); !ok || err != nil {
+		t.Fatal("no first pair", err)
+	}
+	q := runnerOf(h).(*engine).q
+	held = len(q.heads)*int(unsafe.Sizeof(head{})) + len(q.singles)*int(unsafe.Sizeof(qpair{})) +
+		len(q.blocks)*int(unsafe.Sizeof(block{})) + q.carved*int(unsafe.Sizeof(head{}))
+	arenas := map[*IndexNode]bool{}
+	for _, b := range q.blocks {
+		if n := b.node; n != nil && !arenas[n] {
+			arenas[n] = true
+			held += int(unsafe.Sizeof(*n)) + 8*cap(n.Coords) + 8*cap(n.Refs) + cap(n.Levels)
+		}
+	}
+	if perPair := float64(held) / float64(h.QueueLen()); perPair > 1 {
+		t.Errorf("hybrid queue's memory tiers hold %.2f bytes per queued pair in %d arenas (%d on disk of %d), want at most 1", perPair, len(arenas), q.disk.Len(), h.QueueLen())
+	} else {
+		t.Logf("hybrid queue's memory tiers hold %.2f bytes per queued pair in %d arenas (%d of %d pairs on disk)", perPair, len(arenas), q.disk.Len(), h.QueueLen())
 	}
 }
 
@@ -508,7 +536,7 @@ func TestBlockQueueFailedExpansion(t *testing.T) {
 						t.Fatalf("failAt %d: %v", failAt, err)
 					}
 					failed = true
-					if e.bq.cur.node != nil || len(e.bq.pend) != 0 {
+					if e.q.cur.node != nil || len(e.q.pend) != 0 {
 						t.Fatalf("failAt %d: the failed expansion left a block open", failAt)
 					}
 					if s := c.Snapshot(); int64(e.q.Len()) != s.QueueInserts-s.QueuePops {
@@ -551,7 +579,7 @@ func firstPairs(t *testing.T, ta, tb *rtree.Tree, opts Options, n int) ([]Pair, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := e.bq.blockStore
+	st := e.q.blockStore
 	var out []Pair
 	for len(out) < n {
 		p, ok, err := e.next()

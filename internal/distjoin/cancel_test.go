@@ -11,7 +11,6 @@ import (
 
 	"distjoin/internal/faultstore"
 	"distjoin/internal/pager"
-	"distjoin/internal/pqueue"
 	"distjoin/internal/rtree"
 	"distjoin/internal/stats"
 )
@@ -52,8 +51,8 @@ func assertStoreConserved(t *testing.T, it cancelIter) {
 	if !ok {
 		return
 	}
-	if hq, ok := e.q.(*pqueue.HybridQueue[qpair]); ok {
-		if err := hq.CheckStore(); err != nil {
+	if e.q.disk != nil {
+		if err := e.q.disk.CheckStore(); err != nil {
 			t.Fatalf("after cancellation: %v", err)
 		}
 	}

@@ -8,6 +8,18 @@ import (
 	"distjoin/internal/rtree"
 )
 
+// pairLess is the queue ordering the block queue keeps, on pairs: ascending
+// key (descending for reverse), then the tie order. The tests hold the queue
+// to it.
+func pairLess(depthFirst, reverse bool) func(a, b qpair) bool {
+	return func(a, b qpair) bool {
+		if a.key != b.key {
+			return a.key < b.key != reverse
+		}
+		return a.tieOrder().before(b.tieOrder(), depthFirst)
+	}
+}
+
 func mkItem(kind itemKind, level int8, ref uint64) item {
 	return newItem(kind, level, ref, geom.Pt(0, 0).Rect())
 }

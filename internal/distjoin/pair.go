@@ -16,9 +16,6 @@
 package distjoin
 
 import (
-	"encoding/binary"
-	"math"
-
 	"distjoin/internal/geom"
 	"distjoin/internal/rtree"
 )
@@ -119,105 +116,6 @@ func (a tieOrder) before(b tieOrder, depthFirst bool) bool {
 		return a.ref1 < b.ref1
 	}
 	return a.ref2 < b.ref2
-}
-
-// pairBefore is the queue ordering: ascending key (descending for reverse),
-// then the tie order.
-func pairBefore(a, b *qpair, depthFirst, reverse bool) bool {
-	if a.key != b.key {
-		if reverse {
-			return a.key > b.key
-		}
-		return a.key < b.key
-	}
-	return a.tieOrder().before(b.tieOrder(), depthFirst)
-}
-
-// pairLess is pairBefore on pairs by value, the form pqueue's queues take.
-func pairLess(depthFirst, reverse bool) func(a, b qpair) bool {
-	return func(a, b qpair) bool { return pairBefore(&a, &b, depthFirst, reverse) }
-}
-
-// pairCodec serializes qpairs for the disk tier of the hybrid queue: the
-// key, the kinds, levels and refs, then each item's coordinate run as it
-// lies in memory.
-type pairCodec struct {
-	dims int
-	// spare is the unused rest of the block Decode last cut coordinate
-	// runs from: a reloaded pair's geometry comes out of a block shared by
-	// decodeBatch pairs — a bucket's pairs are reloaded together and popped
-	// together — not out of slices of its own.
-	spare []float64
-}
-
-// decodeBatch is how many decoded pairs share one coordinate block.
-const decodeBatch = 64
-
-// Own implements pqueue.Owner: the pair with its coordinates copied out of
-// the index nodes they view into one small block of its own. The pairs that
-// rest in the hybrid queue's memory tiers are few and die one by one; views
-// would each keep a whole node block alive (and a shared block its 63
-// neighbours), several times the bytes of the tiers themselves.
-func (c *pairCodec) Own(p qpair) qpair {
-	w := len(p.i1.c)
-	co := concat(p.i1.c, p.i2.c)
-	p.i1.c, p.i2.c = co[:w:w], co[w:]
-	return p
-}
-
-const pairHeaderSize = 8 + 4 + 4 + 8 + 8
-
-// Size implements pqueue.Codec.
-func (c *pairCodec) Size() int { return pairHeaderSize + c.dims*4*8 }
-
-// Encode implements pqueue.Codec.
-func (c *pairCodec) Encode(dst []byte, p qpair) {
-	binary.LittleEndian.PutUint64(dst[0:], math.Float64bits(p.key))
-	dst[8] = byte(p.i1.kind)
-	dst[9] = byte(p.i1.level)
-	dst[10] = byte(p.i2.kind)
-	dst[11] = byte(p.i2.level)
-	binary.LittleEndian.PutUint32(dst[12:], 0)
-	binary.LittleEndian.PutUint64(dst[16:], p.i1.ref)
-	binary.LittleEndian.PutUint64(dst[24:], p.i2.ref)
-	w := 2 * c.dims
-	dst = dst[pairHeaderSize : pairHeaderSize+2*w*8]
-	for i, v := range p.i1.c[:w] {
-		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(v))
-	}
-	for i, v := range p.i2.c[:w] {
-		binary.LittleEndian.PutUint64(dst[(w+i)*8:], math.Float64bits(v))
-	}
-}
-
-// Key implements pqueue.Keyer: the key of an encoded pair, read in place, so
-// the disk tier can move a spilled pair between classes without decoding it.
-func (c *pairCodec) Key(src []byte) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(src[0:]))
-}
-
-// Decode implements pqueue.Codec.
-func (c *pairCodec) Decode(src []byte) qpair {
-	var p qpair
-	p.key = math.Float64frombits(binary.LittleEndian.Uint64(src[0:]))
-	p.i1.kind = itemKind(src[8])
-	p.i1.level = int8(src[9])
-	p.i2.kind = itemKind(src[10])
-	p.i2.level = int8(src[11])
-	p.i1.ref = binary.LittleEndian.Uint64(src[16:])
-	p.i2.ref = binary.LittleEndian.Uint64(src[24:])
-	w := 2 * c.dims
-	if len(c.spare) < 2*w {
-		c.spare = make([]float64, decodeBatch*2*w)
-	}
-	co := c.spare[: 2*w : 2*w]
-	c.spare = c.spare[2*w:]
-	src = src[pairHeaderSize : pairHeaderSize+2*w*8]
-	for i := range co {
-		co[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[i*8:]))
-	}
-	p.i1.c, p.i2.c = co[:w:w], co[w:]
-	return p
 }
 
 // Pair is one result tuple of a distance join: the two object ids, their

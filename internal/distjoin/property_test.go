@@ -171,41 +171,6 @@ func TestPropSemiJoinAllFilters(t *testing.T) {
 	}
 }
 
-// TestPropPairCodecRoundTrip exercises the hybrid-queue codec over random
-// pairs and dimensionalities.
-func TestPropPairCodecRoundTrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		dims := 1 + rnd.Intn(5)
-		c := pairCodec{dims: dims}
-		mkRect := func() geom.Rect {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
-			for i := range lo {
-				lo[i] = rnd.NormFloat64() * 100
-				hi[i] = lo[i] + rnd.Float64()*50
-			}
-			return geom.Rect{Lo: lo, Hi: hi}
-		}
-		p := qpair{
-			key: rnd.Float64() * 1000,
-			i1:  newItem(itemKind(rnd.Intn(3)), int8(rnd.Intn(10)-1), rnd.Uint64(), mkRect()),
-			i2:  newItem(itemKind(rnd.Intn(3)), int8(rnd.Intn(10)-1), rnd.Uint64(), mkRect()),
-		}
-		buf := make([]byte, c.Size())
-		c.Encode(buf, p)
-		got := c.Decode(buf)
-		return got.key == p.key &&
-			got.i1.kind == p.i1.kind && got.i1.level == p.i1.level && got.i1.ref == p.i1.ref &&
-			got.i1.rect().Equal(p.i1.rect()) &&
-			got.i2.kind == p.i2.kind && got.i2.level == p.i2.level && got.i2.ref == p.i2.ref &&
-			got.i2.rect().Equal(p.i2.rect())
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPropDmaxConsistency: the engine's d_max bound must never be below the
 // exact distance of any object pair drawn from the two items' regions —
 // verified here for node/node and node/point combinations.

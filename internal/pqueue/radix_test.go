@@ -15,12 +15,12 @@ import (
 // residentPages counts the page buffers a queue holds in memory: the class
 // tails, the spare tails of emptied classes and the read-back page.
 func residentPages(q *HybridQueue[elem]) int {
-	n := len(q.free)
-	if q.rbuf != nil {
+	n := len(q.disk.free)
+	if q.disk.rbuf != nil {
 		n++
 	}
-	for c := range q.classes {
-		if q.classes[c].tail != nil {
+	for c := range q.disk.classes {
+		if q.disk.classes[c].tail != nil {
 			n++
 		}
 	}
@@ -78,6 +78,12 @@ func TestHybridResidentPagesBounded(t *testing.T) {
 	}
 }
 
+// perPage is how many elements a page of q's disk tier holds: one record,
+// each element its key and its encoding.
+func perPage(q *HybridQueue[elem]) int64 {
+	return int64((q.disk.cfg.PageSize - pageHeaderSize - recHeaderSize) / q.disk.width)
+}
+
 // TestHybridPageWriteBounds pins what a spill costs: every spilled element
 // is written once when its tail page fills and at most once more per class
 // it is re-routed through, and a page is written only when it is full —
@@ -99,20 +105,21 @@ func TestHybridPageWriteBounds(t *testing.T) {
 		}
 		publish()
 		classes := int64(bits.Len(uint(buckets)))
-		pages := (c.QueueDiskPairs + int64(q.perPage) - 1) / int64(q.perPage)
+		perPage := perPage(q)
+		pages := (c.QueueDiskPairs + perPage - 1) / perPage
 		if c.QueueDiskPairs < keys*9/10 {
 			t.Fatalf("%d buckets: only %d of %d keys spilled", buckets, c.QueueDiskPairs, keys)
 		}
 		if lo, hi := pages-classes, pages*(1+classes); c.QueueWrites < lo || c.QueueWrites > hi {
 			t.Errorf("%d buckets: %d page writes for %d spilled (%d per page), want within [%d, %d]",
-				buckets, c.QueueWrites, c.QueueDiskPairs, q.perPage, lo, hi)
+				buckets, c.QueueWrites, c.QueueDiskPairs, perPage, lo, hi)
 		}
 		// Every written page is read back exactly once.
 		if c.QueueReads != c.QueueWrites {
 			t.Errorf("%d buckets: %d page reads, %d page writes", buckets, c.QueueReads, c.QueueWrites)
 		}
 		t.Logf("%d buckets: %d spilled, %d page writes (%.3f per pair; 1/perPage = %.3f)",
-			buckets, c.QueueDiskPairs, c.QueueWrites, float64(c.QueueWrites)/float64(c.QueueDiskPairs), 1/float64(q.perPage))
+			buckets, c.QueueDiskPairs, c.QueueWrites, float64(c.QueueWrites)/float64(c.QueueDiskPairs), 1/float64(perPage))
 	}
 }
 
@@ -294,7 +301,7 @@ func TestHybridStorePagesConserved(t *testing.T) {
 			}
 		}
 		if step%250 == 0 {
-			if err := q.CheckStore(); err != nil {
+			if err := q.disk.CheckStore(); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		}
@@ -303,7 +310,7 @@ func TestHybridStorePagesConserved(t *testing.T) {
 		t.Fatal("nothing on disk mid-run")
 	}
 	drain[elem](t, q)
-	if err := q.CheckStore(); err != nil {
+	if err := q.disk.CheckStore(); err != nil {
 		t.Fatal(err)
 	}
 	if n := store.NumAllocated(); n != 0 {
@@ -337,22 +344,22 @@ func TestHybridAdaptiveRetiersThroughClasses(t *testing.T) {
 	for i := 0; i < 1999; i++ {
 		insert(i)
 	}
-	if q.DT() != 0 || q.diskLen != 0 || store.NumAllocated() != 0 {
-		t.Fatalf("before the sample is full: DT %g, %d on disk, %d pages", q.DT(), q.diskLen, store.NumAllocated())
+	if q.disk.DT() != 0 || q.disk.Len() != 0 || store.NumAllocated() != 0 {
+		t.Fatalf("before the sample is full: DT %g, %d on disk, %d pages", q.disk.DT(), q.disk.Len(), store.NumAllocated())
 	}
 	insert(1999)
 	// DT is the sample's lower quartile: about half the sample lies beyond
 	// 2·DT and was spilled, over many buckets, through several classes.
 	populated := 0
-	for i := range q.classes {
-		if q.classes[i].count > 0 {
+	for i := range q.disk.classes {
+		if q.disk.classes[i].count > 0 {
 			populated++
 		}
 	}
-	if q.DT() <= 0 || q.diskLen < 600 || populated < 3 || store.NumAllocated() == 0 {
-		t.Fatalf("after re-tiering: DT %g, %d on disk in %d classes, %d pages", q.DT(), q.diskLen, populated, store.NumAllocated())
+	if q.disk.DT() <= 0 || q.disk.Len() < 600 || populated < 3 || store.NumAllocated() == 0 {
+		t.Fatalf("after re-tiering: DT %g, %d on disk in %d classes, %d pages", q.disk.DT(), q.disk.Len(), populated, store.NumAllocated())
 	}
-	if err := q.CheckStore(); err != nil {
+	if err := q.disk.CheckStore(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 2000; i < 3000; i++ {
@@ -397,15 +404,15 @@ func TestAllocHybridSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		spilled += q.diskLen
+		spilled += q.disk.Len()
 		for q.Len() > 0 {
-			before := q.diskLen
+			before := q.disk.Len()
 			v, _, err := q.Pop()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if q.diskLen > 0 && q.diskLen < before {
-				routed += q.diskLen
+			if q.disk.Len() > 0 && q.disk.Len() < before {
+				routed += q.disk.Len()
 			}
 			floor = v.dist
 		}
