@@ -50,11 +50,10 @@ type Counters struct {
 	// it is the largest size any single queue reached.
 	MaxQueueSize int64
 	// MaxQueueElements is the high-water mark of the number of elements the
-	// queue's own structure held. The memory queue keeps one element per
-	// node expansion — the expansion's nearest remaining child, standing
-	// for the block of its siblings — so this is well below MaxQueueSize
-	// there; the hybrid queue keeps one record per pair and the two are
-	// equal.
+	// queue's heap held: one per node expansion — the expansion's nearest
+	// remaining child, standing for the block of its siblings — so this is
+	// well below MaxQueueSize; on the hybrid queue the list and disk tiers'
+	// pairs are not in the heap at all.
 	MaxQueueElements int64
 	// QueueDiskPairs counts pairs spilled to the disk tier of the hybrid
 	// queue.
