@@ -47,7 +47,10 @@ type RectCols struct {
 // Reset empties the batch and sets its dimensionality, retaining all
 // backing storage from previous use.
 func (c *RectCols) Reset(dims int) {
-	c.ensureDims(dims)
+	for len(c.lo) < dims {
+		c.lo = append(c.lo, nil)
+		c.hi = append(c.hi, nil)
+	}
 	for d := 0; d < dims; d++ {
 		c.lo[d] = c.lo[d][:0]
 		c.hi[d] = c.hi[d][:0]
@@ -55,31 +58,6 @@ func (c *RectCols) Reset(dims int) {
 	c.rects = c.rects[:0]
 	c.n = 0
 	c.dims = dims
-}
-
-// ensureDims grows the per-dimension column headers to dims entries.
-func (c *RectCols) ensureDims(dims int) {
-	for len(c.lo) < dims {
-		c.lo = append(c.lo, nil)
-		c.hi = append(c.hi, nil)
-	}
-}
-
-// Grow pre-allocates column capacity for n rectangles of the given
-// dimensionality, so steady-state Append calls never allocate.
-func (c *RectCols) Grow(dims, n int) {
-	c.ensureDims(dims)
-	for d := 0; d < dims; d++ {
-		if cap(c.lo[d]) < n {
-			c.lo[d] = append(make([]float64, 0, n), c.lo[d]...)
-		}
-		if cap(c.hi[d]) < n {
-			c.hi[d] = append(make([]float64, 0, n), c.hi[d]...)
-		}
-	}
-	if cap(c.rects) < n {
-		c.rects = append(make([]geom.Rect, 0, n), c.rects...)
-	}
 }
 
 // Append adds one rectangle to the batch. r must have the dimensionality
@@ -101,23 +79,6 @@ func (c *RectCols) Dims() int { return c.dims }
 
 // Rect returns the row form of rectangle i.
 func (c *RectCols) Rect(i int) geom.Rect { return c.rects[i] }
-
-// Window points c at rows [i, j) of src without copying any coordinate
-// data: the column headers are re-sliced in place, so a long-lived window
-// scratch reuses its own outer slices and allocates nothing in steady
-// state. c must not be src.
-func (c *RectCols) Window(src *RectCols, i, j int) {
-	c.ensureDims(src.dims)
-	c.lo = c.lo[:0]
-	c.hi = c.hi[:0]
-	for d := 0; d < src.dims; d++ {
-		c.lo = append(c.lo, src.lo[d][i:j])
-		c.hi = append(c.hi, src.hi[d][i:j])
-	}
-	c.rects = src.rects[i:j]
-	c.n = j - i
-	c.dims = src.dims
-}
 
 // PointCols is a struct-of-arrays batch of points: col[d][i] holds
 // coordinate d of point i.

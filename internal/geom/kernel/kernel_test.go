@@ -303,36 +303,9 @@ func TestFinishDeferred(t *testing.T) {
 	}
 }
 
-// TestWindow pins the no-copy window view.
-func TestWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var rc, win RectCols
-	rc.Reset(2)
-	for i := 0; i < 20; i++ {
-		rc.Append(randRect(rng, 2))
-	}
-	win.Window(&rc, 5, 17)
-	if win.Len() != 12 || win.Dims() != 2 {
-		t.Fatalf("window len=%d dims=%d, want 12, 2", win.Len(), win.Dims())
-	}
-	q := randRect(rng, 2)
-	full := make([]float64, rc.Len())
-	part := make([]float64, win.Len())
-	b := For(geom.Euclidean)
-	b.MinDistBatch(q, &rc, full)
-	b.MinDistBatch(q, &win, part)
-	for i := range part {
-		if part[i] != full[5+i] {
-			t.Fatalf("window row %d: %v != full row %d: %v", i, part[i], 5+i, full[5+i])
-		}
-		if !win.Rect(i).Equal(rc.Rect(5 + i)) {
-			t.Fatalf("window rect %d mismatches source", i)
-		}
-	}
-}
-
-// TestSteadyStateAllocs pins the zero-allocation contract of the reuse
-// cycle: once grown, Reset+Append+kernel+Window allocates nothing.
+// TestSteadyStateAllocs pins the zero-allocation contract of the row
+// kernels: they read a node's coordinate block in place, so there is nothing
+// to grow, whatever the metric.
 func TestSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 64
@@ -341,25 +314,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		rects[i] = randRect(rng, 2)
 	}
 	q := randRect(rng, 2)
-	var rc, win RectCols
-	rc.Grow(2, n)
 	out := make([]float64, n)
-	b := For(geom.Euclidean)
-	cycle := func() {
-		rc.Reset(2)
-		for _, r := range rects {
-			rc.Append(r)
-		}
-		b.MinDistBatch(q, &rc, out)
-		win.Window(&rc, n/4, 3*n/4)
-		b.MinDistBatch(q, &win, out[:win.Len()])
-	}
-	cycle() // warm the window's outer headers
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("steady-state batch cycle allocates %v per run, want 0", avg)
-	}
-	// The row kernels read a node's coordinate block in place: nothing to
-	// grow, whatever the metric.
 	rows := rowsOf(rects)
 	for _, m := range testMetrics {
 		b := For(m)
