@@ -73,7 +73,7 @@ func BenchmarkFig8Adaptive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j, err := idistjoin.NewJoin(d.Water, d.Roads, idistjoin.Options{
-			Queue: idistjoin.QueueHybrid, HybridInMemory: true, // DT 0 = adaptive
+			Queue: idistjoin.QueueHybrid, QueueStore: distjoin.NewMemPageStore, // DT 0 = adaptive
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -198,7 +198,7 @@ func BenchmarkNoOpOption(b *testing.B) {
 		opts distjoin.Options
 	}{
 		{"memory", distjoin.Options{}},
-		{"hybrid", distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: 40, HybridInMemory: true}},
+		{"hybrid", distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: 40, QueueStore: distjoin.NewMemPageStore}},
 	} {
 		for _, w := range []struct {
 			name string

@@ -239,7 +239,7 @@ func run(o cliOptions) error {
 	}
 
 	if o.metricsAddr != "" {
-		srv, err := distjoin.ServeMetricsTraced(o.metricsAddr, rec, c, tracer)
+		srv, err := distjoin.ServeMetrics(o.metricsAddr, rec, tracer)
 		if err != nil {
 			return err
 		}
@@ -278,7 +278,6 @@ func run(o cliOptions) error {
 	case "hybrid":
 		opts.Queue = distjoin.QueueHybrid
 		opts.HybridDT = o.queueDT
-		opts.HybridInMemory = true
 	default:
 		return fmt.Errorf("unknown queue %q (want memory or hybrid)", o.queueName)
 	}

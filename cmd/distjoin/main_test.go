@@ -94,6 +94,33 @@ func TestRunSemiJoin(t *testing.T) {
 	}
 }
 
+// TestRunHybridQueueOnDisk pins that -queue hybrid runs the library's
+// default disk tier, a scratch file in TMPDIR, so storage faults (and
+// -retries) can reach it: with TMPDIR present the pairs are the memory
+// queue's, with TMPDIR missing the run fails.
+func TestRunHybridQueueOnDisk(t *testing.T) {
+	a := writeCSV(t, 11, 400)
+	b := writeCSV(t, 12, 400)
+	hybrid := cliOptions{fileA: a, fileB: b, k: 300, metricName: "euclidean", queueName: "hybrid", queueDT: 0.5}
+	memory := hybrid
+	memory.queueName = "memory"
+	want, err := captureStdout(t, func() error { return run(memory) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := captureStdout(t, func() error { return run(hybrid) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("-queue hybrid printed\n%s\nwant the memory queue's\n%s", got, want)
+	}
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	if _, err := captureStdout(t, func() error { return run(hybrid) }); err == nil {
+		t.Fatal("-queue hybrid ran with TMPDIR missing: its disk tier never touched a file")
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	a := writeCSV(t, 5, 10)
 	if err := run(cliOptions{fileB: a, metricName: "euclidean"}); err == nil {

@@ -19,8 +19,9 @@
 //	curl -s localhost:8080/v1/cursor/c0000001/next?k=100
 //	curl -s -X DELETE localhost:8080/v1/cursor/c0000001
 //
-// /metrics serves Prometheus text (engine counters, node I/O of the shared
-// index pools, RED/SLO families, and the two saturation gauges
+// /metrics serves Prometheus text (the one Recorder's work counts, node I/O
+// of the shared index pools, delay histograms, RED/SLO families, and the two
+// saturation gauges
 // distjoind_cursors_open/_max and distjoind_pulls_inflight/_max),
 // /debug/queries the flight recorder with
 // every per-query number, /debug/pprof the usual profiles. There is no
@@ -201,7 +202,6 @@ func run(args []string, errw *os.File) int {
 	tracer := distjoin.NewQueryTracer(traceCfg)
 	defer tracer.Close()
 	rec := distjoin.NewRecorder(distjoin.ObsConfig{})
-	counters := &distjoin.Stats{}
 	red := obs.NewRED(obs.REDConfig{})
 
 	running, err := server.Start(*addr, server.Config{
@@ -214,15 +214,14 @@ func run(args []string, errw *os.File) int {
 		PullTimeout:   *pullTimeout,
 		Tracer:        tracer,
 		Obs:           rec,
-		Stats:         counters,
 		Logger:        logger,
 		RED:           red,
 		Exporter:      exporter,
 	}, func(srv *server.Server, mux *http.ServeMux) {
-		// /metrics = engine counters + active-query gauge + RED/SLO families
-		// + OTLP exporter health + cursor-table and in-flight occupancy, one
-		// exposition.
-		mux.Handle("/metrics", obs.HandlerTraced(rec, counters, tracer,
+		// /metrics = the recorder's counts, histograms and gauges +
+		// active-query gauge + RED/SLO families + OTLP exporter health +
+		// cursor-table and in-flight occupancy, one exposition.
+		mux.Handle("/metrics", obs.HandlerTraced(rec, tracer,
 			red.WritePrometheus, exporter.WritePrometheus, srv.WritePrometheus))
 		mux.Handle("/debug/queries", distjoin.QueriesHandler("/debug/queries", tracer))
 		mux.Handle("/debug/queries/", distjoin.QueriesHandler("/debug/queries", tracer))

@@ -62,7 +62,7 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, metricsA
 	defer d.Close()
 	if metricsAddr != "" {
 		d.Obs = obs.New(obs.Config{})
-		srv, err := obs.ServeMetricsTraced(metricsAddr, d.Obs, nil, nil)
+		srv, err := obs.ServeMetricsTraced(metricsAddr, d.Obs, nil)
 		if err != nil {
 			return err
 		}

@@ -184,7 +184,7 @@ func TestPublicAPIRefusesNonFinite(t *testing.T) {
 	for name, opts := range map[string]distjoin.Options{
 		"MinDist":  {MinDist: nan},
 		"MaxDist":  {MaxDist: nan},
-		"HybridDT": {Queue: distjoin.QueueHybrid, HybridDT: nan, HybridInMemory: true},
+		"HybridDT": {Queue: distjoin.QueueHybrid, HybridDT: nan, QueueStore: distjoin.NewMemPageStore},
 	} {
 		if j, err := distjoin.DistanceJoin(idx, idx, opts); err == nil {
 			j.Close()

@@ -82,7 +82,7 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 		{name: "omit-equal-self", opts: Options{OmitEqualIDs: true, Traversal: TraverseSimultaneous, MaxDist: 80}, self: true},
 		{name: "window-select", opts: Options{Traversal: TraverseSimultaneous, MaxDist: 150, Window1: &win, Select2: sel}},
 		{name: "intersection-order", opts: Options{Traversal: TraverseSimultaneous, OrderIntersectionsFrom: geom.Pt(300, 400)}, limit: 500},
-		{name: "hybrid-queue-sweep", opts: Options{Traversal: TraverseSimultaneous, MaxDist: 120, Queue: QueueHybrid, HybridInMemory: true, HybridDT: 40}},
+		{name: "hybrid-queue-sweep", opts: Options{Traversal: TraverseSimultaneous, MaxDist: 120, Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 40}},
 		{
 			name: "semi-local",
 			opts: Options{Traversal: TraverseSimultaneous, MaxDist: 200},
@@ -137,7 +137,7 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 	}
 	// The same expansions feeding the hybrid queue, pair by pair.
 	hybrid := func(o Options) Options {
-		o.Queue, o.HybridInMemory, o.HybridDT, o.QueuePageSize = QueueHybrid, true, 40, 1024
+		o.Queue, o.QueueStore, o.HybridDT, o.QueuePageSize = QueueHybrid, memQueueStore, 40, 1024
 		return o
 	}
 	local := semiOf(FilterLocal, 1, false)
@@ -152,14 +152,14 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 		diffCase{name: "hybrid-quad2", opts: hybrid(Options{}), quad2: true},
 		// D_T chosen from the first insertions: whatever the queue holds when
 		// it is fixed is re-tiered.
-		diffCase{name: "hybrid-adaptive", opts: Options{Queue: QueueHybrid, HybridInMemory: true, QueuePageSize: 1024}},
+		diffCase{name: "hybrid-adaptive", opts: Options{Queue: QueueHybrid, QueueStore: memQueueStore, QueuePageSize: 1024}},
 		diffCase{name: "hybrid-breadthfirst", opts: hybrid(Options{TieBreak: BreadthFirst})},
 		diffCase{name: "hybrid-3d", opts: hybrid(Options{}), dims3: true},
 		diffCase{name: "hybrid-intersection-order", opts: hybrid(Options{OrderIntersectionsFrom: geom.Pt(300, 400)}), self: true, limit: 500},
 		diffCase{name: "hybrid-window1-select2", opts: hybrid(Options{Window1: &win, Select2: sel})},
 		// Small pages and a small D_T: an expansion's survivors span many
 		// buckets, descend several radix classes and fill many pages.
-		diffCase{name: "hybrid-small-pages", opts: Options{Queue: QueueHybrid, HybridInMemory: true, HybridDT: 5, QueuePageSize: 512}},
+		diffCase{name: "hybrid-small-pages", opts: Options{Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 5, QueuePageSize: 512}},
 	)
 	return append(cases,
 		diffCase{name: "semi-global-lp3", opts: Options{Metric: geom.Lp(3)}, semi: global},
@@ -462,8 +462,8 @@ func TestBatchedExpansionZeroAllocs(t *testing.T) {
 		{"window, range with a minimum, equal ids, side 2", Options{Window2: &win, MinDist: 5, MaxDist: 900, OmitEqualIDs: true}, nil, 2, false},
 		{"reverse", Options{Reverse: true}, nil, 1, false},
 		{"semi-join with a window", Options{Window1: &win}, &semiState{filter: FilterGlobalAll, k: 1}, 2, false},
-		{"hybrid queue", Options{Queue: QueueHybrid, HybridInMemory: true, HybridDT: 1, QueuePageSize: 1 << 16}, nil, 1, true},
-		{"hybrid queue, semi-join", Options{Queue: QueueHybrid, HybridInMemory: true, HybridDT: 1, QueuePageSize: 1 << 16}, &semiState{filter: FilterGlobalAll, k: 1}, 2, true},
+		{"hybrid queue", Options{Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 1, QueuePageSize: 1 << 16}, nil, 1, true},
+		{"hybrid queue, semi-join", Options{Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 1, QueuePageSize: 1 << 16}, &semiState{filter: FilterGlobalAll, k: 1}, 2, true},
 	} {
 		e, err := newEngine(WrapRTree(ta), WrapRTree(tb), c.opts, c.semi)
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 // the children an expansion generates only the nearest remaining one has to
 // be ordered against the rest of the queue. So the surviving children of an
 // expansion are collected as (key, entry index), and the expansion ends by
-// pushing a head for its smallest child — under the full pairLess order —
+// pushing a head for its smallest child — by key, then tieOrder.before —
 // that names a block holding the siblings, unordered. A pair that stands for
 // itself (a seed, an Insert, an expansion's lone child) is a single, kept in
 // a slab. A pair is materialised only when popped or peeked; popping a
@@ -23,7 +23,7 @@ import (
 // linear scan of at most fan-out entries) and sifts it down once.
 //
 // Invariant: a block's head is its minimum — every child in a block's rest
-// follows, in pairLess order, the child of that block currently in the
+// follows, in queue order, the child of that block currently in the
 // heap. The heap's minimum is therefore the minimum of every pair the queue
 // stands for, and the popped sequence is exactly the one a heap of all of
 // them would give.
@@ -192,8 +192,9 @@ func (q *blockQueue) pair(h head) qpair {
 	return q.blocks[h.id].pair(q.sign*h.key, int(h.idx))
 }
 
-// before is pairLess on the pairs two heads stand for; a tie of keys is
-// settled from the singles and blocks without building either pair.
+// before is the queue order on the pairs two heads stand for — key, then
+// tieOrder.before; a tie of keys is settled from the singles and blocks
+// without building either pair.
 func (q *blockQueue) before(a, b *head) bool {
 	if a.key != b.key {
 		return a.key < b.key
@@ -256,7 +257,7 @@ func (q *blockQueue) down() {
 }
 
 // takeMin removes and returns the smallest of entries (non-empty children
-// of block b) under pairLess, returning the rest in no particular order.
+// of block b) in queue order, returning the rest in no particular order.
 // Siblings share the opposite item, so at equal keys the children decide.
 func (q *blockQueue) takeMin(b *block, entries []head) (head, []head) {
 	m, key := 0, entries[0].key

@@ -473,7 +473,7 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 	// and the list tier hold their pairs in — come to at most a byte per
 	// queued pair. Everything else is on disk.
 	ta, tb = buildTree(t, clusteredPoints(63, 12000)), buildTree(t, clusteredPoints(64, 64000))
-	h, err := NewJoin(ta, tb, Options{Traversal: TraverseEven, TieBreak: DepthFirst, Queue: QueueHybrid, HybridInMemory: true})
+	h, err := NewJoin(ta, tb, Options{Traversal: TraverseEven, TieBreak: DepthFirst, Queue: QueueHybrid, QueueStore: memQueueStore})
 	if err != nil {
 		t.Fatal(err)
 	}

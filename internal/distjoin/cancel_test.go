@@ -146,7 +146,7 @@ func TestCancellationSweep(t *testing.T) {
 		{"hybrid", func(o *Options) {
 			o.Queue = QueueHybrid
 			o.HybridDT = 20
-			o.HybridInMemory = true
+			o.QueueStore = memQueueStore
 		}},
 	}
 
@@ -276,7 +276,7 @@ func TestCancelSeenBeforeMaxPairs(t *testing.T) {
 		for _, queue := range []QueueKind{QueueMemory, QueueHybrid} {
 			for _, sawEnd := range []bool{false, true} {
 				ctx, cancel := context.WithCancel(context.Background())
-				it, err := mk(Options{Context: ctx, MaxPairs: k, Queue: queue, HybridDT: 20, HybridInMemory: true})
+				it, err := mk(Options{Context: ctx, MaxPairs: k, Queue: queue, HybridDT: 20, QueueStore: memQueueStore})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -317,7 +317,7 @@ func TestCancelSeenBeforeMaxPairsParallel(t *testing.T) {
 	for _, queue := range []QueueKind{QueueMemory, QueueHybrid} {
 		for _, sawEnd := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
-			j, err := NewJoin(ta, tb, Options{Context: ctx, MaxPairs: k, Parallelism: 4, Queue: queue, HybridDT: 8, HybridInMemory: true})
+			j, err := NewJoin(ta, tb, Options{Context: ctx, MaxPairs: k, Parallelism: 4, Queue: queue, HybridDT: 8, QueueStore: memQueueStore})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -454,12 +454,12 @@ func TestCanceledParallelJoinLeaksNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	j, err := NewJoin(ta, tb, Options{
-		Context:        ctx,
-		Parallelism:    4,
-		Queue:          QueueHybrid,
-		HybridDT:       8,
-		HybridInMemory: true,
-		QueuePageSize:  512,
+		Context:       ctx,
+		Parallelism:   4,
+		Queue:         QueueHybrid,
+		HybridDT:      8,
+		QueueStore:    memQueueStore,
+		QueuePageSize: 512,
 	})
 	if err != nil {
 		t.Fatal(err)

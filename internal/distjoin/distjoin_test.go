@@ -7,9 +7,14 @@ import (
 	"testing"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/pager"
 	"distjoin/internal/rtree"
 	"distjoin/internal/stats"
 )
+
+// memQueueStore is the Options.QueueStore of hermetic hybrid-queue tests:
+// the disk tier runs and counts its page I/O on an in-memory store.
+func memQueueStore(pageSize int) (pager.Store, error) { return pager.NewMemStore(pageSize) }
 
 // buildTree bulk-loads points into a small-node tree.
 func buildTree(t testing.TB, pts []geom.Point) *rtree.Tree {
@@ -120,11 +125,11 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		{"Basic/DepthFirst", Options{Traversal: TraverseBasic}},
 		{"Simultaneous/DepthFirst", Options{Traversal: TraverseSimultaneous}},
 		{"Simultaneous/NoSweep", Options{Traversal: TraverseSimultaneous, NoPlaneSweep: true}},
-		{"Hybrid", Options{Queue: QueueHybrid, HybridDT: 25, HybridInMemory: true}},
-		{"HybridAdaptive", Options{Queue: QueueHybrid, HybridInMemory: true}},
-		{"HybridSmallPages", Options{Queue: QueueHybrid, HybridDT: 25, HybridInMemory: true, QueuePageSize: 512}},
+		{"Hybrid", Options{Queue: QueueHybrid, HybridDT: 25, QueueStore: memQueueStore}},
+		{"HybridAdaptive", Options{Queue: QueueHybrid, QueueStore: memQueueStore}},
+		{"HybridSmallPages", Options{Queue: QueueHybrid, HybridDT: 25, QueueStore: memQueueStore, QueuePageSize: 512}},
 		{"Parallel", Options{Parallelism: 4}},
-		{"ParallelHybrid", Options{Parallelism: 3, Queue: QueueHybrid, HybridDT: 25, HybridInMemory: true, QueuePageSize: 1024}},
+		{"ParallelHybrid", Options{Parallelism: 3, Queue: QueueHybrid, HybridDT: 25, QueueStore: memQueueStore, QueuePageSize: 1024}},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

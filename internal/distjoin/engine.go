@@ -222,9 +222,11 @@ func (e *engine) makeQueue() error {
 		if err != nil {
 			return err
 		}
-		cfg := pqueue.HybridConfig{DT: e.opts.HybridDT, Adaptive: e.opts.HybridDT == 0, Dir: e.opts.HybridDir, PageSize: pageSize, Store: store, Meter: e.m}
+		cfg := pqueue.HybridConfig{DT: e.opts.HybridDT, PageSize: pageSize, Store: store, Meter: e.m}
 		e.q.w = 2 * e.t1.Dims()
-		e.q.disk, err = pqueue.NewTier(cfg, recordHeader(e.q.w), recordItem(e.q.w, false), e.q.load)
+		if e.q.disk, err = pqueue.NewTier(cfg, recordHeader(e.q.w), recordItem(e.q.w, false), e.q.load); err != nil {
+			store.Close()
+		}
 		return err
 	default:
 		return fmt.Errorf("distjoin: unknown queue kind %d", e.opts.Queue)
@@ -233,33 +235,17 @@ func (e *engine) makeQueue() error {
 }
 
 // queueStore builds the disk-tier store for one (re)creation of the
-// hybrid queue, honouring the QueueStore factory, HybridInMemory and
-// RetryIO. A nil result lets NewTier create its own file store
-// (only possible with retrying off — the retry layer needs a store to
-// wrap).
+// hybrid queue: the QueueStore factory's, else a scratch file in HybridDir,
+// behind the retry layer when RetryIO is on.
 func (e *engine) queueStore(pageSize int) (pager.Store, error) {
 	var store pager.Store
-	switch {
-	case e.opts.QueueStore != nil:
-		s, err := e.opts.QueueStore(pageSize)
-		if err != nil {
+	var err error
+	if e.opts.QueueStore != nil {
+		if store, err = e.opts.QueueStore(pageSize); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrQueueStore, err)
 		}
-		store = s
-	case e.opts.HybridInMemory:
-		s, err := pager.NewMemStore(pageSize)
-		if err != nil {
-			return nil, err
-		}
-		store = s
-	case e.opts.RetryIO.Enabled():
-		s, err := pager.NewFileStore(e.opts.HybridDir, pageSize)
-		if err != nil {
-			return nil, err
-		}
-		store = s
-	default:
-		return nil, nil
+	} else if store, err = pager.NewFileStore(e.opts.HybridDir, pageSize); err != nil {
+		return nil, err
 	}
 	if e.opts.RetryIO.Enabled() {
 		store = pager.NewRetryStore(store, e.retryPolicy())

@@ -39,7 +39,7 @@ type metaQueue struct {
 var metaQueues = []metaQueue{
 	{"memory", func(float64) Options { return Options{} }},
 	{"hybrid", func(scale float64) Options {
-		return Options{Queue: QueueHybrid, HybridDT: 20 * scale, HybridInMemory: true, QueuePageSize: 1024}
+		return Options{Queue: QueueHybrid, HybridDT: 20 * scale, QueueStore: memQueueStore, QueuePageSize: 1024}
 	}},
 }
 
@@ -367,10 +367,10 @@ func TestMetamorphicIndexStructures(t *testing.T) {
 func TestMetamorphicQueues(t *testing.T) {
 	a, b := metaRects(7, 100, 2, 4), metaRects(8, 120, 2, 4)
 	hybrids := []Options{
-		{Queue: QueueHybrid, HybridDT: 5, HybridInMemory: true, QueuePageSize: 512},
-		{Queue: QueueHybrid, HybridDT: 60, HybridInMemory: true},
-		{Queue: QueueHybrid, HybridInMemory: true, QueuePageSize: 1024}, // adaptive D_T
-		{Queue: QueueHybrid, HybridDT: 1e9, HybridInMemory: true},       // never spills
+		{Queue: QueueHybrid, HybridDT: 5, QueueStore: memQueueStore, QueuePageSize: 512},
+		{Queue: QueueHybrid, HybridDT: 60, QueueStore: memQueueStore},
+		{Queue: QueueHybrid, QueueStore: memQueueStore, QueuePageSize: 1024}, // adaptive D_T
+		{Queue: QueueHybrid, HybridDT: 1e9, QueueStore: memQueueStore},       // never spills
 	}
 	for _, op := range metaOps {
 		t.Run(op.name, func(t *testing.T) {

@@ -134,11 +134,8 @@ type Options struct {
 	// a small D_T costs memory-tier refills, not I/O.
 	HybridDT float64
 	// HybridDir is where the hybrid queue's scratch file lives (empty:
-	// system temp). HybridInMemory replaces the scratch file with an
-	// in-memory store, which keeps the tier mechanics (and spill
-	// accounting) while making tests hermetic.
-	HybridDir      string
-	HybridInMemory bool
+	// system temp) unless QueueStore supplies the store.
+	HybridDir string
 	// NoPlaneSweep disables the plane sweep TraverseSimultaneous applies
 	// when a finite maximum distance is in force (Figure 4).
 	NoPlaneSweep bool
@@ -233,8 +230,10 @@ type Options struct {
 	// factory, not a store: each engine owns and closes its own store, and
 	// the parallel path runs one engine per partition (a §2.2.4 restart
 	// also rebuilds the queue, calling the factory again). When set it
-	// overrides HybridInMemory and HybridDir. Useful for injecting
-	// instrumented or fault-injecting stores.
+	// overrides HybridDir. Useful for injecting instrumented or
+	// fault-injecting stores, or an in-memory one (NewMemPageStore), which
+	// keeps the tier mechanics and spill accounting while making tests
+	// hermetic.
 	QueueStore func(pageSize int) (pager.Store, error)
 	// RetryIO retries transient disk-tier I/O failures (errors wrapping
 	// pager.ErrTransient) with bounded exponential backoff. The zero value
@@ -250,8 +249,8 @@ type Options struct {
 	// tree (plan → partition workers → engine phases → queue disk-tier
 	// I/O), landed in the tracer's flight recorder — and slow-query log,
 	// when it qualifies — on iterator Close. The trace's resources are the
-	// run's own engines' counts; its node I/O is what the Counters view (if
-	// any) observed while the query was open.
+	// run's own engines' counts; its node I/O is what the Counters view —
+	// else the Obs recorder's counts — observed while the query was open.
 	Tracer *meter.Tracer
 	// QueryID overrides the Tracer-assigned query ID ("q0000042") for this
 	// run. Ignored when Tracer is nil.

@@ -97,7 +97,7 @@ func TestPropParallelJoinMatchesSequential(t *testing.T) {
 		}
 		if rnd.Intn(3) == 0 {
 			opts.Queue = QueueHybrid
-			opts.HybridInMemory = true
+			opts.QueueStore = memQueueStore
 		}
 		if opts.Queue == QueueMemory && rnd.Intn(4) == 0 {
 			opts.Reverse = true

@@ -59,7 +59,7 @@ func TestPropJoinPrefixCorrect(t *testing.T) {
 		}
 		if rnd.Intn(3) == 0 {
 			opts.Queue = QueueHybrid
-			opts.HybridInMemory = true
+			opts.QueueStore = memQueueStore
 			opts.HybridDT = 10 + rnd.Float64()*100
 		}
 		if rnd.Intn(3) == 0 {

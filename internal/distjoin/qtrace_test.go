@@ -139,9 +139,9 @@ func TestQueryTraceParallel(t *testing.T) {
 func TestQueryTraceHybridIO(t *testing.T) {
 	tr := qtrace.New(qtrace.Config{})
 	qt, _, c := drainTraced(t, tr, Options{
-		Queue:          QueueHybrid,
-		HybridDT:       5,
-		HybridInMemory: true,
+		Queue:      QueueHybrid,
+		HybridDT:   5,
+		QueueStore: memQueueStore,
 	})
 	if c.Snapshot().QueueDiskPairs == 0 {
 		t.Fatal("workload did not exercise the disk tier")

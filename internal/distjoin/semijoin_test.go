@@ -253,7 +253,7 @@ func TestSemiJoinHybridQueue(t *testing.T) {
 	ta, tb := buildTree(t, a), buildTree(t, b)
 	want := bruteSemiJoin(a, b, geom.Euclidean)
 	s, err := NewSemiJoin(ta, tb, FilterLocal, Options{
-		Queue: QueueHybrid, HybridDT: 20, HybridInMemory: true,
+		Queue: QueueHybrid, HybridDT: 20, QueueStore: memQueueStore,
 	})
 	if err != nil {
 		t.Fatal(err)

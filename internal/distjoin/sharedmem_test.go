@@ -81,7 +81,7 @@ func TestSharedNodesConcurrentCursors(t *testing.T) {
 			return drain(s.Next, s.Close, 0)
 		}
 	}
-	hybrid := Options{Queue: QueueHybrid, HybridDT: 15, HybridInMemory: true, QueuePageSize: 1024}
+	hybrid := Options{Queue: QueueHybrid, HybridDT: 15, QueueStore: memQueueStore, QueuePageSize: 1024}
 	queries := []query{
 		{"join", join(Options{}, 3000)},
 		{"join-simultaneous", join(Options{Traversal: TraverseSimultaneous, MaxDist: 60}, 3000)},
@@ -142,7 +142,7 @@ func TestSharedNodesConcurrentCursors(t *testing.T) {
 func TestReportedRectsAreCopies(t *testing.T) {
 	a, b := clusteredPoints(53, 300), clusteredPoints(54, 400)
 	ta, tb := buildTree(t, a), buildTree(t, b)
-	for _, opts := range []Options{{}, {Queue: QueueHybrid, HybridDT: 10, HybridInMemory: true, QueuePageSize: 1024}} {
+	for _, opts := range []Options{{}, {Queue: QueueHybrid, HybridDT: 10, QueueStore: memQueueStore, QueuePageSize: 1024}} {
 		clean, err := NewJoin(ta, tb, opts)
 		if err != nil {
 			t.Fatal(err)

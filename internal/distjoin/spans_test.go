@@ -68,9 +68,9 @@ func TestSpansHybridSpillFetch(t *testing.T) {
 	// A tiny DT forces the disk tier into play, so spill and fetch phases
 	// must both show up, along with physical queue I/O.
 	sp, c, _ := drainWithSpans(t, Options{
-		Queue:          QueueHybrid,
-		HybridDT:       5,
-		HybridInMemory: true,
+		Queue:      QueueHybrid,
+		HybridDT:   5,
+		QueueStore: memQueueStore,
 	})
 	s := c.Snapshot()
 	if s.QueueDiskPairs == 0 {

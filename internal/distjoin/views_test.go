@@ -53,7 +53,7 @@ func TestViewEquivalence(t *testing.T) {
 						t.Helper()
 						opts := Options{Parallelism: par}
 						if hybrid {
-							opts.Queue, opts.HybridDT, opts.HybridInMemory = QueueHybrid, 15, true
+							opts.Queue, opts.HybridDT, opts.QueueStore = QueueHybrid, 15, memQueueStore
 						}
 						// The Counters view starts non-zero and also receives the
 						// index pools' node I/O, like a long-lived shared Stats.
@@ -245,7 +245,7 @@ func TestNoSinkNoMeter(t *testing.T) {
 	tb := buildTree(t, clusteredPoints(7, 100))
 	for _, opts := range []Options{
 		{},
-		{Queue: QueueHybrid, HybridDT: 15, HybridInMemory: true},
+		{Queue: QueueHybrid, HybridDT: 15, QueueStore: memQueueStore},
 		{Parallelism: 2},
 	} {
 		j, err := NewJoin(ta, tb, opts)

@@ -83,7 +83,7 @@ type Datasets struct {
 	Counters *stats.Counters
 	// Obs, when non-nil, is threaded into every run (work counts, latency
 	// histograms, buffer-pool gauges) — set it to watch experiments live via
-	// obs.ServeMetrics.
+	// obs.ServeMetricsTraced.
 	Obs *obs.Recorder
 }
 
@@ -270,13 +270,17 @@ func (d *Datasets) runSemi(label string, pairs int, filter distjoin.SemiFilter, 
 	return r, nil
 }
 
+// memQueueStore keeps the hybrid queue's disk tier in memory: the tier runs
+// and counts its page I/O as on a file, and the experiments stay hermetic.
+func memQueueStore(pageSize int) (pager.Store, error) { return pager.NewMemStore(pageSize) }
+
 // hybridOpts is the paper's default configuration for the distance join
 // experiments: hybrid queue, even traversal, depth-first ties.
 func (s Scale) hybridOpts() distjoin.Options {
 	return distjoin.Options{
-		Queue:          distjoin.QueueHybrid,
-		HybridDT:       s.HybridDT2,
-		HybridInMemory: true,
+		Queue:      distjoin.QueueHybrid,
+		HybridDT:   s.HybridDT2,
+		QueueStore: memQueueStore,
 	}
 }
 
@@ -509,9 +513,9 @@ func Fig8(d *Datasets) ([]Run, error) {
 		opts  distjoin.Options
 	}{
 		{"Memory", distjoin.Options{Queue: distjoin.QueueMemory}},
-		{"Hybrid1", distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: d.Scale.HybridDT1, HybridInMemory: true}},
-		{"Hybrid2", distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: d.Scale.HybridDT2, HybridInMemory: true}},
-		{"HybridAdaptive", distjoin.Options{Queue: distjoin.QueueHybrid, HybridInMemory: true}},
+		{"Hybrid1", distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: d.Scale.HybridDT1, QueueStore: memQueueStore}},
+		{"Hybrid2", distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: d.Scale.HybridDT2, QueueStore: memQueueStore}},
+		{"HybridAdaptive", distjoin.Options{Queue: distjoin.QueueHybrid, QueueStore: memQueueStore}},
 	}
 	var out []Run
 	for _, v := range variants {

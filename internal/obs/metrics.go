@@ -14,31 +14,20 @@ import (
 
 	"distjoin/internal/buildinfo"
 	"distjoin/internal/qtrace"
-	"distjoin/internal/stats"
 )
 
-// WriteMetricsTraced writes the recorder's current state, the run's
-// stats.Counters and the query tracer's live count of running queries —
-// each when non-nil — in Prometheus text exposition format (per-query
-// numbers are served as JSON by QueriesHandler, not as labeled families: a
-// label per query id is unbounded cardinality). Each extra, if any, is
-// invoked in order after the built-in families — the hook other subsystems
-// (RED middleware, OTLP exporter, build info beyond the default) use to join
-// the same exposition without obs importing them.
-func WriteMetricsTraced(w io.Writer, r *Recorder, c *stats.Counters, qt *qtrace.Tracer, extras ...func(io.Writer)) {
+// WriteMetricsTraced writes the recorder's current state and the query
+// tracer's live count of running queries — each when non-nil — in
+// Prometheus text exposition format, every number once (per-query numbers
+// are served as JSON by QueriesHandler, not as labeled families: a label per
+// query id is unbounded cardinality). Each extra, if any, is invoked in order
+// after the built-in families — the hook other subsystems (RED middleware,
+// OTLP exporter, the server's saturation gauges) use to join the same
+// exposition without obs importing them.
+func WriteMetricsTraced(w io.Writer, r *Recorder, qt *qtrace.Tracer, extras ...func(io.Writer)) {
 	buildinfo.WritePrometheus(w)
 	if r != nil {
 		writeRecorderMetrics(w, r)
-	}
-	if c != nil {
-		cs := c.Snapshot()
-		writeCounter(w, "distjoin_stats_pairs_reported_total", "Pairs reported (stats.Counters).", cs.PairsReported)
-		writeCounter(w, "distjoin_stats_dist_calcs_total", "Distance computations (stats.Counters).", cs.DistCalcs)
-		writeCounter(w, "distjoin_stats_queue_inserts_total", "Priority-queue inserts (stats.Counters).", cs.QueueInserts)
-		writeCounter(w, "distjoin_stats_node_reads_total", "Index node reads (stats.Counters).", cs.NodeReads)
-		writeCounter(w, "distjoin_stats_buffer_hits_total", "Index node buffer hits (stats.Counters).", cs.BufferHits)
-		writeCounter(w, "distjoin_queries_canceled_total", "Queries that surfaced ErrCanceled (context canceled or deadline exceeded).", cs.Cancellations)
-		writeGauge(w, "distjoin_stats_max_queue_size", "High-water priority-queue size (stats.Counters).", float64(cs.MaxQueueSize))
 	}
 	if qt != nil {
 		writeGauge(w, "distjoin_queries_active", "Queries begun but not yet finished.", float64(qt.Active()))
@@ -50,16 +39,25 @@ func WriteMetricsTraced(w io.Writer, r *Recorder, c *stats.Counters, qt *qtrace.
 	}
 }
 
+// writeRecorderMetrics prints each of the recorder's work counts under one
+// family, then its gauges and its two histograms.
 func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	s := r.Snapshot()
+	c := r.counts.Snapshot()
 	writeCounter(w, "distjoin_pairs_delivered_total", "Result pairs delivered to the caller, in distance order.", s.Delivered)
-	writeCounter(w, "distjoin_pairs_emitted_total", "Result pairs emitted by engines (per-partition, pre-merge on the parallel path).", s.Emitted)
-	writeCounter(w, "distjoin_expansions_total", "Node-pair expansions across all engines.", s.Expansions)
-	writeCounter(w, "distjoin_batch_prune_total", "Candidate pairs skipped by the plane-sweep/block prune before any distance computation.", s.BatchPruned)
-	writeCounter(w, "distjoin_queue_spilled_pairs_total", "Pairs spilled to the hybrid priority queue's disk tier.", s.SpilledPairs)
-	writeCounter(w, "distjoin_merge_stalls_total", "Times the parallel merge blocked waiting on a partition stream.", s.MergeStalls)
-	writeCounter(w, "distjoin_restarts_total", "Engine restarts after an over-tight estimated maximum distance.", s.Restarts)
-	writeCounter(w, "distjoin_io_retries_total", "Retries of transient queue-store I/O failures (Options.RetryIO).", s.IORetries)
+	writeCounter(w, "distjoin_pairs_emitted_total", "Result pairs emitted by engines (per-partition, pre-merge on the parallel path).", c.PairsReported)
+	writeCounter(w, "distjoin_expansions_total", "Node-pair expansions across all engines.", c.Expansions)
+	writeCounter(w, "distjoin_batch_prune_total", "Candidate pairs skipped by the plane-sweep/block prune before any distance computation.", c.BatchPruned)
+	writeCounter(w, "distjoin_queue_spilled_pairs_total", "Pairs spilled to the hybrid priority queue's disk tier.", c.QueueDiskPairs)
+	writeCounter(w, "distjoin_merge_stalls_total", "Times the parallel merge blocked waiting on a partition stream.", c.MergeStalls)
+	writeCounter(w, "distjoin_restarts_total", "Engine restarts after an over-tight estimated maximum distance.", c.Restarts)
+	writeCounter(w, "distjoin_io_retries_total", "Retries of transient queue-store I/O failures (Options.RetryIO).", c.IORetries)
+	writeCounter(w, "distjoin_stats_dist_calcs_total", "Object distance computations.", c.DistCalcs)
+	writeCounter(w, "distjoin_stats_queue_inserts_total", "Priority-queue inserts.", c.QueueInserts)
+	writeCounter(w, "distjoin_stats_node_reads_total", "Index node reads (buffer-pool misses).", c.NodeReads)
+	writeCounter(w, "distjoin_stats_buffer_hits_total", "Index node accesses served from the buffer pool.", c.BufferHits)
+	writeCounter(w, "distjoin_queries_canceled_total", "Queries that surfaced ErrCanceled (context canceled or deadline exceeded).", c.Cancellations)
+	writeGauge(w, "distjoin_stats_max_queue_size", "High-water priority-queue size of any one queue, in pairs.", float64(c.MaxQueueSize))
 	writeCounter(w, "distjoin_engines_started_total", "Engines (sequential or partition workers) started.", s.EnginesStarted)
 	writeCounter(w, "distjoin_engines_stopped_total", "Engines stopped.", s.EnginesStopped)
 	writeGauge(w, "distjoin_queue_depth", "Last sampled priority-queue length.", float64(s.QueueDepth))
@@ -74,8 +72,6 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	}
 	writeHistogram(w, "distjoin_inter_pair_delay_seconds", "Delay between consecutive delivered pairs (enumeration delay).", &r.interPair)
 	writeHistogram(w, "distjoin_pop_to_emit_seconds", "Latency from queue pop to result emission within one engine.", &r.popToEmit)
-	writeQuantiles(w, "distjoin_inter_pair_delay_quantiles_seconds", "Quantile estimates of the inter-pair delay (log2-bucket midpoints).", &r.interPair)
-	writeQuantiles(w, "distjoin_pop_to_emit_quantiles_seconds", "Quantile estimates of the pop-to-emit latency (log2-bucket midpoints).", &r.popToEmit)
 }
 
 // QueriesHandler serves the query tracer's flight recorder as JSON:
@@ -135,24 +131,12 @@ func writeHistogram(w io.Writer, name, help string, h *Histogram) {
 	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
 }
 
-// writeQuantiles emits summary-style p50/p95/p99 estimates from a log2
-// histogram as a quantile-labelled gauge family. Prometheus forbids a
-// histogram and a summary under one metric name, so the quantiles live in
-// their own family next to the raw buckets.
-func writeQuantiles(w io.Writer, name, help string, h *Histogram) {
-	q := h.Quantiles()
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	fmt.Fprintf(w, "%s{quantile=\"0.5\"} %g\n", name, q.P50S)
-	fmt.Fprintf(w, "%s{quantile=\"0.95\"} %g\n", name, q.P95S)
-	fmt.Fprintf(w, "%s{quantile=\"0.99\"} %g\n", name, q.P99S)
-}
-
 // HandlerTraced returns an http.Handler serving WriteMetricsTraced output.
 // Extras are forwarded on every scrape.
-func HandlerTraced(r *Recorder, c *stats.Counters, qt *qtrace.Tracer, extras ...func(io.Writer)) http.Handler {
+func HandlerTraced(r *Recorder, qt *qtrace.Tracer, extras ...func(io.Writer)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteMetricsTraced(w, r, c, qt, extras...)
+		WriteMetricsTraced(w, r, qt, extras...)
 	})
 }
 
@@ -185,15 +169,15 @@ func (s *MetricsServer) Close() error {
 //	/debug/queries/<id>  one trace by query ID
 //	/debug/pprof         the standard pprof handlers
 //
-// Any of r, c and qt may be nil. The default http mux is untouched; callers
+// Either of r and qt may be nil. The default http mux is untouched; callers
 // own the returned server's lifetime.
-func ServeMetricsTraced(addr string, r *Recorder, c *stats.Counters, qt *qtrace.Tracer) (*MetricsServer, error) {
+func ServeMetricsTraced(addr string, r *Recorder, qt *qtrace.Tracer) (*MetricsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/metrics", HandlerTraced(r, c, qt))
+	mux.Handle("/metrics", HandlerTraced(r, qt))
 	mux.Handle("/debug/queries", QueriesHandler("/debug/queries", qt))
 	mux.Handle("/debug/queries/", QueriesHandler("/debug/queries", qt))
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -162,7 +162,7 @@ func TestMetricsHandler(t *testing.T) {
 	r.Deliver(1.0)
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 5})
 	rec := httptest.NewRecorder()
-	HandlerTraced(r, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	HandlerTraced(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE distjoin_pairs_delivered_total counter",
@@ -184,7 +184,7 @@ func TestMetricsHandler(t *testing.T) {
 func TestServeMetrics(t *testing.T) {
 	r := New(Config{})
 	r.Deliver(5.0)
-	srv, err := ServeMetricsTraced("127.0.0.1:0", r, nil, nil)
+	srv, err := ServeMetricsTraced("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatalf("ServeMetrics: %v", err)
 	}
@@ -272,23 +272,29 @@ func TestQuantilesMethod(t *testing.T) {
 	}
 }
 
+// TestMetricsQuantileGauges pins that /metrics prints no quantile gauges:
+// they were derived from the histogram buckets printed beside them. The
+// quantiles stay readable from the snapshot (-explain and ObsSnapshot).
 func TestMetricsQuantileGauges(t *testing.T) {
 	r := New(Config{})
 	r.Emit(-1, 1.0, 4, time.Now())
 	r.Deliver(1.0)
 	r.Deliver(2.0)
 	rec := httptest.NewRecorder()
-	HandlerTraced(r, nil, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	HandlerTraced(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
+	if strings.Contains(body, "quantile") {
+		t.Errorf("metrics output has a quantile family:\n%s", body)
+	}
 	for _, want := range []string{
-		"# TYPE distjoin_inter_pair_delay_quantiles_seconds gauge",
-		`distjoin_inter_pair_delay_quantiles_seconds{quantile="0.5"}`,
-		`distjoin_inter_pair_delay_quantiles_seconds{quantile="0.95"}`,
-		`distjoin_inter_pair_delay_quantiles_seconds{quantile="0.99"}`,
-		`distjoin_pop_to_emit_quantiles_seconds{quantile="0.99"}`,
+		`distjoin_inter_pair_delay_seconds_count 2`,
+		`distjoin_pop_to_emit_seconds_count 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)
 		}
+	}
+	if s := r.Snapshot(); s.InterPairDelay.Count != 2 || s.PopToEmit.P99S <= 0 {
+		t.Errorf("snapshot quantiles = %+v / %+v, want 2 delays and a pop-to-emit p99", s.InterPairDelay, s.PopToEmit)
 	}
 }

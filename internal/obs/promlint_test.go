@@ -1,6 +1,7 @@
 package obs_test // external: the daemon's exposition includes internal/server's families, and server imports obs
 
 import (
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -14,22 +15,27 @@ import (
 )
 
 // TestPrometheusExpositionLint runs the full /metrics output — recorder
-// (its counter families printing from folded counts), engine counters, the
-// active-query gauge, build info, the RED/SLO extras and the server's
-// cursor-table and in-flight saturation gauges — through a
-// text-format linter (per-query numbers are no longer exposition families;
-// TestPerQueryNumbersLiveInDebugQueries covers their /debug/queries home): every line parses, HELP/TYPE precede their
-// samples, no family is declared twice, counters end in _total, and
+// (its counter families printing from its counts), the active-query gauge,
+// build info, the RED/SLO extras and the server's cursor-table and in-flight
+// saturation gauges — through a text-format linter (per-query numbers are
+// no longer exposition families; TestPerQueryNumbersLiveInDebugQueries
+// covers their /debug/queries home): every line parses, HELP/TYPE precede
+// their samples, no family is declared twice, counters end in _total, and
 // histograms are cumulative with consistent _count/_sum series. This is the
-// contract a real Prometheus scraper enforces.
+// contract a real Prometheus scraper enforces. Every work count of the
+// recorder holds a distinct value, and each value may appear in one sample
+// at most: the exposition prints every number once.
 func TestPrometheusExpositionLint(t *testing.T) {
 	rec := obs.New(obs.Config{})
 	rec.Deliver(0.25)
 	rec.Deliver(0.50)
 	rec.Emit(0, 0.25, 3, time.Now().Add(-50*time.Microsecond))
-	rec.Counts().Merge(&stats.Counters{PairsReported: 1, Expansions: 4, NodeReads: 1, BufferHits: 3})
-	c := &stats.Counters{PairsReported: 1}
-	c.AddDistCalc(7)
+	var c stats.Counters
+	fields := reflect.ValueOf(&c).Elem()
+	for i := 0; i < fields.NumField(); i++ {
+		fields.Field(i).SetInt(int64(1000 + i))
+	}
+	rec.Counts().Merge(&c)
 	qt := qtrace.New(qtrace.Config{})
 	q := qt.Begin("join", "lint-q")
 	q.Finish(nil)
@@ -40,11 +46,24 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	defer srv.Close()
 
 	var b strings.Builder
-	obs.WriteMetricsTraced(&b, rec, c, qt, red.WritePrometheus, srv.WritePrometheus)
+	obs.WriteMetricsTraced(&b, rec, qt, red.WritePrometheus, srv.WritePrometheus)
 	lintExposition(t, b.String())
 	for _, family := range []string{"distjoind_cursors_open", "distjoind_cursors_max", "distjoind_pulls_inflight", "distjoind_pulls_inflight_max"} {
 		if !strings.Contains(b.String(), "\n"+family+" ") {
 			t.Errorf("exposition has no %s sample", family)
+		}
+	}
+	samples := map[float64][]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if m := sampleRe.FindStringSubmatch(line); m != nil {
+			if v, err := strconv.ParseFloat(m[5], 64); err == nil {
+				samples[v] = append(samples[v], m[1])
+			}
+		}
+	}
+	for i := 0; i < fields.NumField(); i++ {
+		if in := samples[float64(1000+i)]; len(in) > 1 {
+			t.Errorf("Counters.%s is printed by %d samples %v, want at most one", fields.Type().Field(i).Name, len(in), in)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // RED aggregates the three golden signals — Rate, Errors, Duration — per
-// HTTP endpoint of the query service, plus multi-window SLO burn rates for
+// HTTP endpoint of the query service (errors are the 4xx and 5xx classes of
+// the request counts), plus multi-window SLO burn rates for
 // the latency objective on the pull path. One RED instance backs the whole
 // server; Observe is called once per finished request by the server's
 // middleware and WritePrometheus joins the /metrics exposition through the
@@ -40,7 +41,6 @@ type RED struct {
 // histogram, which is internally atomic.
 type redEndpoint struct {
 	codes     map[string]int64 // status class ("2xx".."5xx") → requests
-	errors    map[string]int64 // error class ("client"/"server") → requests
 	dur       Histogram
 	exemplars map[int]redExemplar // log2 latency bucket → latest exemplar
 }
@@ -122,18 +122,11 @@ func (r *RED) Observe(endpoint string, status int, d time.Duration, query string
 	if ep == nil {
 		ep = &redEndpoint{
 			codes:     make(map[string]int64),
-			errors:    make(map[string]int64),
 			exemplars: make(map[int]redExemplar),
 		}
 		r.eps[endpoint] = ep
 	}
 	ep.codes[class]++
-	switch {
-	case status >= 500:
-		ep.errors["server"]++
-	case status >= 400:
-		ep.errors["client"]++
-	}
 	if query != "" {
 		ep.exemplars[histBucketOf(d)] = redExemplar{query: query, seconds: d.Seconds()}
 	}
@@ -187,24 +180,10 @@ func (r *RED) WritePrometheus(w io.Writer) {
 			fmt.Fprintf(w, "distjoin_http_requests_total{endpoint=%q,code=%q} %d\n", name, class, ep.codes[class])
 		}
 	}
-	fmt.Fprintf(w, "# HELP distjoin_http_errors_total Failed requests, by endpoint and error class (client = 4xx, server = 5xx).\n# TYPE distjoin_http_errors_total counter\n")
-	for _, name := range names {
-		ep := r.eps[name]
-		for _, class := range sortedKeys(ep.errors) {
-			fmt.Fprintf(w, "distjoin_http_errors_total{endpoint=%q,class=%q} %d\n", name, class, ep.errors[class])
-		}
-	}
 
 	fmt.Fprintf(w, "# HELP distjoin_http_request_duration_seconds Wall duration of served requests, by endpoint.\n# TYPE distjoin_http_request_duration_seconds histogram\n")
 	for _, name := range names {
 		writeLabeledHistogram(w, "distjoin_http_request_duration_seconds", "endpoint", name, &r.eps[name].dur)
-	}
-	fmt.Fprintf(w, "# HELP distjoin_http_request_duration_quantiles_seconds Quantile estimates of request duration (log2-bucket midpoints), by endpoint.\n# TYPE distjoin_http_request_duration_quantiles_seconds gauge\n")
-	for _, name := range names {
-		q := r.eps[name].dur.Quantiles()
-		fmt.Fprintf(w, "distjoin_http_request_duration_quantiles_seconds{endpoint=%q,quantile=\"0.5\"} %g\n", name, q.P50S)
-		fmt.Fprintf(w, "distjoin_http_request_duration_quantiles_seconds{endpoint=%q,quantile=\"0.95\"} %g\n", name, q.P95S)
-		fmt.Fprintf(w, "distjoin_http_request_duration_quantiles_seconds{endpoint=%q,quantile=\"0.99\"} %g\n", name, q.P99S)
 	}
 
 	// Exemplars: which query trace last landed in each latency bucket.

@@ -241,8 +241,10 @@ func TestHybridEmpty(t *testing.T) {
 }
 
 func TestHybridConfigValidation(t *testing.T) {
-	if _, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{}); err == nil {
-		t.Fatal("DT=0 non-adaptive accepted")
+	for _, dt := range []float64{-1, math.NaN()} {
+		if _, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{DT: dt}); err == nil {
+			t.Fatalf("DT=%g accepted", dt)
+		}
 	}
 	if _, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{DT: 1, PageSize: 16}); err == nil {
 		t.Fatal("element bigger than page accepted")
@@ -252,7 +254,7 @@ func TestHybridConfigValidation(t *testing.T) {
 func TestHybridAdaptive(t *testing.T) {
 	store, _ := pager.NewMemStore(256)
 	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		Adaptive: true, AdaptiveSample: 100, PageSize: 256, Store: store,
+		AdaptiveSample: 100, PageSize: 256, Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +490,7 @@ func TestHybridAdaptiveDegenerateDistances(t *testing.T) {
 	// All-zero sampled distances must not wedge the adaptive DT choice.
 	store, _ := pager.NewMemStore(256)
 	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		Adaptive: true, AdaptiveSample: 16, PageSize: 256, Store: store,
+		AdaptiveSample: 16, PageSize: 256, Store: store,
 	})
 	if err != nil {
 		t.Fatal(err)

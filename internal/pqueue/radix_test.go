@@ -326,7 +326,7 @@ func TestHybridAdaptiveRetiersThroughClasses(t *testing.T) {
 	c := &stats.Counters{}
 	m, publish := meterInto(c)
 	q, err := NewHybridQueue[elem](elemLess, elemKey, elemCodec{}, HybridConfig{
-		Adaptive: true, AdaptiveSample: 2000, PageSize: 256, Store: store, Meter: m,
+		AdaptiveSample: 2000, PageSize: 256, Store: store, Meter: m,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,14 +18,12 @@ type HybridConfig struct {
 	// DT is the fixed distance increment of the paper's scheme: buckets
 	// [i·DT, (i+1)·DT), the list tier one bucket, the heap every bucket
 	// below it, the disk tier every bucket beyond; initially the heap holds
-	// d < DT and the list [DT, 2·DT). Required unless Adaptive is set.
+	// d < DT and the list [DT, 2·DT). 0 derives DT from the first
+	// AdaptiveSample insertions, the dynamic partitioning the paper lists as
+	// future work (§5); until then every element stays in the heap.
 	DT float64
-	// Adaptive derives DT from the first AdaptiveSample insertions, the
-	// dynamic partitioning the paper lists as future work (§5); until then
-	// every element stays in the heap.
-	Adaptive bool
-	// AdaptiveSample is the number of insertions observed before fixing
-	// DT. Defaults to 4096.
+	// AdaptiveSample is the number of insertions observed before fixing an
+	// adaptive DT. Defaults to 4096.
 	AdaptiveSample int
 	// PageSize is the page size of the disk tier (default 4096).
 	PageSize int
@@ -141,8 +139,8 @@ func verifyPage(id pager.PageID, data []byte) error {
 // at Advance, each record's items of the new list bucket with the record's
 // header; both slices are valid only during the call.
 func NewTier(cfg HybridConfig, hdr, item int, load func(hdr, items []byte)) (*Tier, error) {
-	if !(cfg.DT > 0) && !cfg.Adaptive {
-		return nil, errors.New("pqueue: DT must be positive (or Adaptive set)")
+	if !(cfg.DT >= 0) {
+		return nil, errors.New("pqueue: DT must be positive (or 0: adaptive)")
 	}
 	if cfg.PageSize == 0 {
 		cfg.PageSize = 4096

@@ -13,7 +13,7 @@
 //
 //   - a flight recorder: a bounded ring of the last N completed query
 //     traces, always on while a Tracer is attached, dumpable as JSON via
-//     the /debug/queries handlers of internal/obs.ServeMetrics;
+//     the /debug/queries handlers of internal/obs.ServeMetricsTraced;
 //   - a slow-query log: queries exceeding a wall-time or work-counter
 //     threshold (node I/O, distance calculations) emit their full span
 //     tree as one structured JSONL line;

@@ -59,9 +59,9 @@ func TestClientDisconnectStopsEngineWork(t *testing.T) {
 	// The engine must be quiescent now: the server-wide counters (this is
 	// the only cursor, and its engine folds into them at every step) stop
 	// advancing.
-	s1 := f.stats.Snapshot()
+	s1 := f.rec.Counts().Snapshot()
 	time.Sleep(100 * time.Millisecond)
-	s2 := f.stats.Snapshot()
+	s2 := f.rec.Counts().Snapshot()
 	if s2.PairsReported != s1.PairsReported || s2.DistCalcs != s1.DistCalcs || s2.QueuePops != s1.QueuePops {
 		t.Fatalf("engine still working after client disconnect: %+v then %+v", s1, s2)
 	}

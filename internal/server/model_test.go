@@ -607,7 +607,7 @@ func newDriver(t *testing.T, seed int64) *driver {
 	d.srv = newModelServer(Config{
 		Registry:      reg,
 		Tracer:        d.tracer,
-		Stats:         &distjoin.Stats{},
+		Obs:           distjoin.NewRecorder(distjoin.ObsConfig{}),
 		MaxCursors:    modelMaxCursors,
 		MaxInflight:   d.maxInfl,
 		MaxBatch:      1000,

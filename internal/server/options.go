@@ -75,6 +75,8 @@ func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Optio
 		opts.Parallelism = req.Parallelism
 	}
 	if s.cfg.Obs != nil && opts.Obs == nil {
+		// Every cursor's engines fold straight into the server-wide view; a
+		// cursor's own numbers are its query trace's resources.
 		opts.Obs = s.cfg.Obs
 	}
 	if s.cfg.Tracer != nil && opts.Tracer == nil {
@@ -84,11 +86,6 @@ func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Optio
 		// Cursor id doubles as query id — and as the key the createCursor
 		// PreBegin registration is consumed under.
 		opts.QueryID = queryID
-	}
-	if opts.Counters == nil {
-		// Every cursor's engines fold straight into the server-wide view;
-		// a cursor's own numbers are its query trace's resources.
-		opts.Counters = s.cfg.Stats
 	}
 	return opts, nil
 }

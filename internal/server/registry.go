@@ -17,11 +17,9 @@ import (
 type Registry struct {
 	mu      sync.RWMutex
 	entries map[string]*regEntry
-	// obs and stats are the server-wide views every R*-tree's buffer pool
-	// reports node I/O to (see SetObserver); nil until a server adopts the
-	// registry.
-	obs   *distjoin.Recorder
-	stats *distjoin.Stats
+	// obs is the server-wide view every R*-tree's buffer pool reports node
+	// I/O to (see SetObserver); nil until a server adopts the registry.
+	obs *distjoin.Recorder
 }
 
 // regEntry is one registered index plus its ownership: close is non-nil
@@ -96,25 +94,25 @@ func (r *Registry) add(e *regEntry) error {
 	return nil
 }
 
-// SetObserver attaches the server-wide views to the buffer pool of every
+// SetObserver attaches the server-wide recorder to the buffer pool of every
 // registered R*-tree, now and at every later registration: node reads,
-// writes and buffer hits flow into c and into rec's pool-hit-ratio gauge.
-// A server calls it with its Config.Obs and Config.Stats; without it the
-// daemon's node-I/O metrics stay at zero.
-func (r *Registry) SetObserver(rec *distjoin.Recorder, c *distjoin.Stats) {
+// writes and buffer hits flow into rec's counts (and its pool-hit-ratio
+// gauge). A server calls it with its Config.Obs; without it the daemon's
+// node-I/O metrics stay at zero.
+func (r *Registry) SetObserver(rec *distjoin.Recorder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.obs, r.stats = rec, c
+	r.obs = rec
 	for _, e := range r.entries {
 		r.observe(e)
 	}
 }
 
-// observe attaches the registry's views to one entry's pool. Callers hold
-// mu.
+// observe attaches the registry's recorder to one entry's pool. Callers
+// hold mu.
 func (r *Registry) observe(e *regEntry) {
-	if e.idx != nil && (r.obs != nil || r.stats != nil) {
-		e.idx.SetObserver(r.obs, r.stats)
+	if e.idx != nil && r.obs != nil {
+		e.idx.SetObserver(r.obs, nil)
 	}
 }
 

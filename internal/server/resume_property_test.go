@@ -110,7 +110,7 @@ func oneShot(t *testing.T, s1, s2 distjoin.SpatialIndex, req QueryRequest) []Pai
 	if req.Queue == "hybrid" {
 		opts.Queue = distjoin.QueueHybrid
 		opts.HybridDT = req.HybridDT
-		opts.HybridInMemory = true
+		opts.QueueStore = distjoin.NewMemPageStore
 	}
 	var next func() (distjoin.Pair, bool, error)
 	var closeFn func() error

@@ -91,13 +91,11 @@ type Config struct {
 	// Tracer receives per-cursor query traces; cursor ids double as query
 	// ids. May be nil (no tracing).
 	Tracer *distjoin.QueryTracer
-	// Obs receives the counts, histograms and gauges of every cursor. May
-	// be nil.
+	// Obs is the server's one counts view: every cursor's engines fold their
+	// work counts into it at every step, not only at close, and the
+	// registry's R*-tree buffer pools add their node I/O; it also keeps the
+	// histograms and gauges of every cursor. May be nil.
 	Obs *distjoin.Recorder
-	// Stats aggregates the work counters of every cursor — folded in at
-	// every engine step, not only at close — plus the node I/O of the
-	// registry's R*-tree buffer pools. May be nil.
-	Stats *distjoin.Stats
 	// Logger receives one structured line per finished HTTP request,
 	// carrying endpoint, status, duration, and the trace/query identity of
 	// the cursor it touched. May be nil (no request logging).
@@ -166,10 +164,10 @@ func NewServer(cfg Config) *Server {
 
 func newServer(cfg Config, now func() time.Time, after func(time.Duration, func()) func() bool) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.Obs != nil || cfg.Stats != nil {
+	if cfg.Obs != nil {
 		// Node I/O happens in the registry's shared buffer pools, not in any
-		// one cursor's engine: route it into the server-wide views.
-		cfg.Registry.SetObserver(cfg.Obs, cfg.Stats)
+		// one cursor's engine: route it into the server-wide view.
+		cfg.Registry.SetObserver(cfg.Obs)
 	}
 	s := &Server{
 		cfg:         cfg,

@@ -22,7 +22,7 @@ type testFixture struct {
 	srv    *Server
 	ts     *httptest.Server
 	tracer *distjoin.QueryTracer
-	stats  *distjoin.Stats
+	rec    *distjoin.Recorder
 }
 
 // newFixture builds a server over water(nA) × roads(nB) with a tracer and
@@ -48,12 +48,12 @@ func newFixtureOn(t testing.TB, nA, nB int, clk *fakeClock, mutate func(*Config)
 	}
 	f := &testFixture{
 		tracer: distjoin.NewQueryTracer(distjoin.QueryTraceConfig{FlightSize: 64}),
-		stats:  &distjoin.Stats{},
+		rec:    distjoin.NewRecorder(distjoin.ObsConfig{}),
 	}
 	cfg := Config{
 		Registry: reg,
 		Tracer:   f.tracer,
-		Stats:    f.stats,
+		Obs:      f.rec,
 		TTL:      time.Minute,
 	}
 	if mutate != nil {
@@ -207,7 +207,7 @@ func TestBasicCursorSession(t *testing.T) {
 	}
 
 	// The per-cursor counters were merged into the server aggregate.
-	if got := f.stats.Snapshot().PairsReported; got != 25 {
+	if got := f.rec.Counts().Snapshot().PairsReported; got != 25 {
 		t.Fatalf("aggregated PairsReported = %d, want 25", got)
 	}
 }

@@ -362,8 +362,9 @@ func TestEndpointNames(t *testing.T) {
 	}
 }
 
-// TestMiddlewareObservesErrors: a 404 pull lands in the RED error counters
-// and the log at the right status even though no cursor handler ran.
+// TestMiddlewareObservesErrors: a 404 pull lands in the RED request counts
+// as a 4xx and in the log at the right status even though no cursor handler
+// ran.
 func TestMiddlewareObservesErrors(t *testing.T) {
 	tf := newTraceFixture(t)
 	code, _, _ := tf.doTraced(t, http.MethodGet, "/v1/cursor/c9999999/next", "", nil)
@@ -372,7 +373,7 @@ func TestMiddlewareObservesErrors(t *testing.T) {
 	}
 	var b strings.Builder
 	tf.red.WritePrometheus(&b)
-	if !strings.Contains(b.String(), `distjoin_http_errors_total{endpoint="next",class="client"}`) {
+	if !strings.Contains(b.String(), `distjoin_http_requests_total{endpoint="next",code="4xx"} 1`) {
 		t.Errorf("404 not classified as a client error:\n%s", b.String())
 	}
 	if !strings.Contains(tf.log.String(), fmt.Sprintf(`"status":%d`, http.StatusNotFound)) {

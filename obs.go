@@ -13,8 +13,8 @@ import (
 // to Options.Obs collects the work counts, incremental-latency
 // histograms (inter-pair delay, pop-to-emit), and live gauges (queue depth,
 // result frontier, per-partition progress, buffer-pool hit ratio) from a
-// running join; ServeMetrics exposes them over HTTP as Prometheus text and
-// pprof. A nil *Recorder is valid everywhere and records nothing, at zero
+// running join; ServeMetrics exposes them over HTTP as Prometheus text,
+// with the query tracer's flight recorder and pprof. A nil *Recorder is valid everywhere and records nothing, at zero
 // cost — the same convention as Stats.
 
 // Recorder aggregates the metrics of the join executions it is attached to.
@@ -33,18 +33,6 @@ type MetricsServer = obs.MetricsServer
 // (and attach it to indexes with Index.SetObserver to capture buffer-pool
 // hit ratios).
 func NewRecorder(cfg ObsConfig) *Recorder { return obs.New(cfg) }
-
-// ServeMetrics serves /metrics (Prometheus text) and /debug/pprof on addr in
-// a background goroutine. The stats argument may be nil.
-func ServeMetrics(addr string, r *Recorder, c *Stats) (*MetricsServer, error) {
-	return obs.ServeMetricsTraced(addr, r, (*stats.Counters)(c), nil)
-}
-
-// MetricsHandler returns an http.Handler serving the Prometheus text
-// exposition, for mounting in a caller-owned mux.
-func MetricsHandler(r *Recorder, c *Stats) http.Handler {
-	return obs.HandlerTraced(r, (*stats.Counters)(c), nil)
-}
 
 // Per-query lifecycle tracing — the public surface of internal/qtrace. A
 // QueryTracer attached to Options.Tracer assigns every Join/SemiJoin/kNN
@@ -80,11 +68,13 @@ type ProfileSpans = profile.Spans
 // NewQueryTracer creates a query tracer; assign it to Options.Tracer.
 func NewQueryTracer(cfg QueryTraceConfig) *QueryTracer { return qtrace.New(cfg) }
 
-// ServeMetricsTraced is ServeMetrics with per-query tracing attached: the
-// /metrics exposition gains distjoin_queries_active, and the tracer's flight
-// recorder is served as JSON at /debug/queries and /debug/queries/<id>.
-func ServeMetricsTraced(addr string, r *Recorder, c *Stats, qt *QueryTracer) (*MetricsServer, error) {
-	return obs.ServeMetricsTraced(addr, r, (*stats.Counters)(c), qt)
+// ServeMetrics serves, on addr in a background goroutine, /metrics
+// (Prometheus text: the recorder's counts, histograms and gauges, and with a
+// tracer distjoin_queries_active), the tracer's flight recorder as JSON at
+// /debug/queries and /debug/queries/<id>, and /debug/pprof. Either r or qt
+// may be nil.
+func ServeMetrics(addr string, r *Recorder, qt *QueryTracer) (*MetricsServer, error) {
+	return obs.ServeMetricsTraced(addr, r, qt)
 }
 
 // QueriesHandler returns an http.Handler serving the tracer's flight

@@ -38,7 +38,7 @@ func TestWorkCounters(t *testing.T) {
 	}
 	defer roads.Close()
 
-	hybrid := distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: 120, HybridInMemory: true}
+	hybrid := distjoin.Options{Queue: distjoin.QueueHybrid, HybridDT: 120, QueueStore: distjoin.NewMemPageStore}
 	with := func(mutate func(*distjoin.Options)) distjoin.Options {
 		o := hybrid
 		mutate(&o)
