@@ -20,8 +20,9 @@
 //	curl -s -X DELETE localhost:8080/v1/cursor/c0000001
 //
 // /metrics serves Prometheus text (the one Recorder's work counts, node I/O
-// of the shared index pools, delay histograms, RED/SLO families, and the two
-// saturation gauges
+// of the shared index pools, delay histograms, the RED families, the pull
+// SLO's bad-request counter — burn rates are the scraper's ratio of it to
+// the pull count — and the two saturation gauges
 // distjoind_cursors_open/_max and distjoind_pulls_inflight/_max),
 // /debug/queries the flight recorder with
 // every per-query number, /debug/pprof the usual profiles. There is no
@@ -179,7 +180,7 @@ func run(args []string, errw *os.File) int {
 	if *slowLogPath != "" {
 		// Size-capped rotation: a long-running daemon's slow-query log stays
 		// bounded at about 3 files × 64 MiB on disk.
-		slow, err := qtrace.OpenRotatingFile(*slowLogPath, qtrace.DefaultSlowLogMaxBytes, qtrace.DefaultSlowLogMaxFiles)
+		slow, err := qtrace.OpenRotatingFile(*slowLogPath)
 		if err != nil {
 			logger.Error("opening slow-query log", "path", *slowLogPath, "err", err)
 			return 1
@@ -202,7 +203,7 @@ func run(args []string, errw *os.File) int {
 	tracer := distjoin.NewQueryTracer(traceCfg)
 	defer tracer.Close()
 	rec := distjoin.NewRecorder(distjoin.ObsConfig{})
-	red := obs.NewRED(obs.REDConfig{})
+	red := obs.NewRED()
 
 	running, err := server.Start(*addr, server.Config{
 		Registry:      reg,
@@ -219,7 +220,7 @@ func run(args []string, errw *os.File) int {
 		Exporter:      exporter,
 	}, func(srv *server.Server, mux *http.ServeMux) {
 		// /metrics = the recorder's counts, histograms and gauges +
-		// active-query gauge + RED/SLO families + OTLP exporter health +
+		// active-query gauge + RED and SLO families + OTLP exporter health +
 		// cursor-table and in-flight occupancy, one exposition.
 		mux.Handle("/metrics", obs.HandlerTraced(rec, tracer,
 			red.WritePrometheus, exporter.WritePrometheus, srv.WritePrometheus))

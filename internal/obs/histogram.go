@@ -13,6 +13,10 @@ import (
 // every representable duration.
 const histBuckets = 64
 
+// histBucketOf is the bucket rule: the bucket a non-negative duration lands
+// in. RED's exemplars use it too, so they line up with the le bounds.
+func histBucketOf(d time.Duration) int { return bits.Len64(uint64(d)) }
+
 // Histogram is a fixed-size log2-bucketed latency histogram updated with
 // atomic operations only, so many engines may observe into one histogram
 // without locking. The zero value is ready to use.
@@ -24,13 +28,10 @@ type Histogram struct {
 
 // Observe records one duration. Negative durations (clock steps) count as 0.
 func (h *Histogram) Observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	h.buckets[bits.Len64(uint64(ns))].Add(1)
+	d = max(d, 0)
+	h.buckets[histBucketOf(d)].Add(1)
 	h.count.Add(1)
-	h.sum.Add(ns)
+	h.sum.Add(int64(d))
 }
 
 // Count returns the number of observations.
@@ -100,8 +101,9 @@ type HistogramSnapshot struct {
 	P99S  float64 `json:"p99_seconds"`
 }
 
-// snapshot summarizes the histogram.
-func (h *Histogram) snapshot() HistogramSnapshot {
+// Quantiles returns the standard latency summary (count, mean, p50/p90/p95/
+// p99) in seconds, the shape Recorder.Snapshot carries.
+func (h *Histogram) Quantiles() HistogramSnapshot {
 	return HistogramSnapshot{
 		Count: h.Count(),
 		MeanS: h.Mean().Seconds(),
@@ -111,8 +113,3 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 		P99S:  h.Quantile(0.99).Seconds(),
 	}
 }
-
-// Quantiles returns the standard latency summary (p50/p95/p99, count, mean)
-// in seconds — the shape both the /metrics quantile gauges and the query
-// profiles consume.
-func (h *Histogram) Quantiles() HistogramSnapshot { return h.snapshot() }

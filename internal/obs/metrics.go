@@ -64,14 +64,15 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	writeGauge(w, "distjoin_frontier_distance", "Distance of the most recently delivered pair (the result frontier).", s.Frontier)
 	writeGauge(w, "distjoin_pool_hit_ratio", "Buffer-pool hit ratio since the recorder started.", s.PoolHitRatio)
 	if pp := s.PartitionPairs; len(pp) > 0 {
-		fmt.Fprintf(w, "# HELP distjoin_partition_pairs_emitted Pairs emitted by each parallel partition worker.\n")
-		fmt.Fprintf(w, "# TYPE distjoin_partition_pairs_emitted gauge\n")
+		writeHeader(w, "distjoin_partition_pairs_emitted", "gauge", "Pairs emitted by each parallel partition worker.")
 		for i, n := range pp {
 			fmt.Fprintf(w, "distjoin_partition_pairs_emitted{part=%q} %d\n", strconv.Itoa(i), n)
 		}
 	}
-	writeHistogram(w, "distjoin_inter_pair_delay_seconds", "Delay between consecutive delivered pairs (enumeration delay).", &r.interPair)
-	writeHistogram(w, "distjoin_pop_to_emit_seconds", "Latency from queue pop to result emission within one engine.", &r.popToEmit)
+	writeHeader(w, "distjoin_inter_pair_delay_seconds", "histogram", "Delay between consecutive delivered pairs (enumeration delay).")
+	writeHistogram(w, "distjoin_inter_pair_delay_seconds", "", &r.interPair)
+	writeHeader(w, "distjoin_pop_to_emit_seconds", "histogram", "Latency from queue pop to result emission within one engine.")
+	writeHistogram(w, "distjoin_pop_to_emit_seconds", "", &r.popToEmit)
 }
 
 // QueriesHandler serves the query tracer's flight recorder as JSON:
@@ -104,31 +105,39 @@ func QueriesHandler(prefix string, qt *qtrace.Tracer) http.Handler {
 	})
 }
 
+// writeHeader writes a family's HELP and TYPE lines, once before its samples.
+func writeHeader(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
 func writeCounter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+	writeHeader(w, name, "counter", help)
+	fmt.Fprintf(w, "%s %d\n", name, v)
 }
 
 func writeGauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
+	writeHeader(w, name, "gauge", help)
+	fmt.Fprintf(w, "%s %g\n", name, v)
 }
 
-// writeHistogram emits cumulative le-labelled buckets. Only populated
-// buckets (plus +Inf) are written — with log2 buckets, 64 lines of zeros
-// help nobody.
-func writeHistogram(w io.Writer, name, help string, h *Histogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+// writeHistogram emits one series of a histogram family: cumulative
+// le-labelled buckets, _sum and _count. labels (`endpoint="next"`, or empty)
+// goes on every sample. Only populated buckets (plus +Inf) are written —
+// with log2 buckets, 64 lines of zeros help nobody.
+func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
+	sel, le := "", ""
+	if labels != "" {
+		sel, le = "{"+labels+"}", labels+","
+	}
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
+		if n := h.buckets[i].Load(); n > 0 {
+			cum += n
+			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, le, strconv.FormatFloat(bucketUpper(i), 'g', -1, 64), cum)
 		}
-		cum += n
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, strconv.FormatFloat(bucketUpper(i), 'g', -1, 64), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count())
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum().Seconds())
-	fmt.Fprintf(w, "%s_count %d\n", name, h.Count())
+	n := h.Count()
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n%s_sum%s %g\n%s_count%s %d\n", name, le, n, name, sel, h.Sum().Seconds(), name, sel, n)
 }
 
 // HandlerTraced returns an http.Handler serving WriteMetricsTraced output.

@@ -224,7 +224,7 @@ func (r *Recorder) Snapshot() Snapshot {
 		PoolHits:       c.BufferHits,
 		PoolHitRatio:   ratio,
 		PartitionPairs: r.PartitionPairs(),
-		InterPairDelay: r.interPair.snapshot(),
-		PopToEmit:      r.popToEmit.snapshot(),
+		InterPairDelay: r.interPair.Quantiles(),
+		PopToEmit:      r.popToEmit.Quantiles(),
 	}
 }

@@ -39,7 +39,7 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	qt := qtrace.New(qtrace.Config{})
 	q := qt.Begin("join", "lint-q")
 	q.Finish(nil)
-	red := obs.NewRED(obs.REDConfig{})
+	red := obs.NewRED()
 	red.Observe("next", 200, 12*time.Millisecond, "lint-q")
 	red.Observe("query", 429, time.Millisecond, "")
 	srv := server.NewServer(server.Config{})

@@ -4,18 +4,13 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-func redAt(t0 time.Time) (*RED, *time.Time) {
-	now := t0
-	r := NewRED(REDConfig{now: func() time.Time { return now }})
-	return r, &now
-}
-
 func TestREDFamilies(t *testing.T) {
-	r, _ := redAt(time.Unix(1_700_000_000, 0))
+	r := NewRED()
 	r.Observe("next", 200, 10*time.Millisecond, "c0000001")
 	r.Observe("next", 200, 20*time.Millisecond, "c0000002")
 	r.Observe("next", 500, 5*time.Millisecond, "c0000003")
@@ -31,14 +26,16 @@ func TestREDFamilies(t *testing.T) {
 		`distjoin_http_request_duration_seconds_count{endpoint="next"} 3`,
 		`distjoin_slo_target_seconds 0.25`,
 		`distjoin_slo_objective_ratio 0.95`,
+		`distjoin_slo_bad_requests_total 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	// Error classes are the 4xx/5xx request counts, and quantiles are read
-	// from the duration buckets: neither is printed a second time.
-	for _, gone := range []string{"distjoin_http_errors_total", "_quantiles_seconds"} {
+	// Error classes are the 4xx/5xx request counts, quantiles are read from
+	// the duration buckets, and burn is the scraper's ratio of two counters:
+	// none is printed a second time.
+	for _, gone := range []string{"distjoin_http_errors_total", "_quantiles_seconds", "distjoin_slo_burn_rate", "distjoin_slo_requests{"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition restates %s:\n%s", gone, out)
 		}
@@ -53,52 +50,103 @@ func TestREDFamilies(t *testing.T) {
 	}
 }
 
-func TestREDBurnRate(t *testing.T) {
-	t0 := time.Unix(1_700_000_000, 0)
-	r, now := redAt(t0)
-	// 10 good pulls and 10 bad ones (slow): bad fraction 0.5, objective
-	// 0.95 → burn rate 0.5/0.05 = 10 on both windows.
-	for i := 0; i < 10; i++ {
-		r.Observe("next", 200, time.Millisecond, "q")
-		r.Observe("next", 200, time.Second, "q") // over the 250ms target
+// TestREDSLOBadRequests pins the SLO counter: a "next" pull is bad when it
+// is slower than the 250 ms target or answered 5xx, no other endpoint
+// counts, and bad never exceeds the pulls the duration histogram counted.
+func TestREDSLOBadRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		endpoint string
+		status   int
+		d        time.Duration
+		bad      float64
+	}{
+		{"slow 2xx pull", "next", 200, time.Second, 1},
+		{"fast 5xx pull", "next", 503, time.Millisecond, 1},
+		{"fast 2xx pull", "next", 200, time.Millisecond, 0},
+		{"pull at the target", "next", 200, 250 * time.Millisecond, 0},
+		{"slow query request", "query", 200, time.Second, 0},
+		{"slow 5xx query request", "query", 500, time.Second, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRED()
+			r.Observe(tc.endpoint, tc.status, tc.d, "q")
+			var b strings.Builder
+			r.WritePrometheus(&b)
+			if got := sampleValue(t, b.String(), "distjoin_slo_bad_requests_total"); got != tc.bad {
+				t.Errorf("bad = %g, want %g:\n%s", got, tc.bad, b.String())
+			}
+		})
 	}
-	var b strings.Builder
-	r.WritePrometheus(&b)
-	for _, window := range []string{"5m", "1h"} {
-		got := sampleValue(t, b.String(), `distjoin_slo_burn_rate{window="`+window+`"}`)
-		if got < 9.99 || got > 10.01 {
-			t.Errorf("burn rate[%s] = %g, want ~10:\n%s", window, got, grepLines(b.String(), "slo_"))
+
+	// Under concurrent pulls, every scrape reads bad ≤ the pull count.
+	r := NewRED()
+	r.Observe("next", 200, time.Millisecond, "q")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				r.Observe("next", 200, time.Second, "q")
+			}
+		}()
+	}
+	scrape := func() (bad, pulls float64) {
+		var b strings.Builder
+		r.WritePrometheus(&b)
+		return sampleValue(t, b.String(), "distjoin_slo_bad_requests_total"),
+			sampleValue(t, b.String(), `distjoin_http_request_duration_seconds_count{endpoint="next"}`)
+	}
+	for i := 0; i < 200; i++ {
+		if bad, pulls := scrape(); bad > pulls {
+			t.Fatalf("scrape %d: bad %g > pulls %g", i, bad, pulls)
 		}
 	}
-
-	// 5xx counts as bad regardless of latency.
-	r2, _ := redAt(t0)
-	r2.Observe("next", 503, time.Millisecond, "q")
-	var b2 strings.Builder
-	r2.WritePrometheus(&b2)
-	if out := b2.String(); !strings.Contains(out, `distjoin_slo_requests{window="5m",outcome="bad"} 1`) {
-		t.Errorf("5xx not counted bad:\n%s", grepLines(out, "slo_requests"))
+	wg.Wait()
+	if bad, pulls := scrape(); bad != 2000 || pulls != 2001 {
+		t.Errorf("after one fast and 2,000 slow pulls: bad %g, pulls %g", bad, pulls)
 	}
+}
 
-	// Only the SLO endpoint feeds the windows.
-	r3, _ := redAt(t0)
-	r3.Observe("query", 200, time.Second, "q")
-	var b3 strings.Builder
-	r3.WritePrometheus(&b3)
-	if out := b3.String(); !strings.Contains(out, `distjoin_slo_requests{window="5m",outcome="good"} 0`) ||
-		!strings.Contains(out, `distjoin_slo_requests{window="5m",outcome="bad"} 0`) {
-		t.Errorf("non-SLO endpoint fed the window:\n%s", grepLines(out, "slo_requests"))
-	}
+// blockingWriter stands in for a scraper that stops reading: its first Write
+// signals entered and every Write waits for release.
+type blockingWriter struct {
+	once             sync.Once
+	entered, release chan struct{}
+}
 
-	// Sliding expiry: events age out once the window passes them.
-	*now = t0.Add(6 * time.Minute)
-	var b4 strings.Builder
-	r.WritePrometheus(&b4)
-	if out := b4.String(); !strings.Contains(out, `distjoin_slo_requests{window="5m",outcome="bad"} 0`) {
-		t.Errorf("5m window did not expire after 6m:\n%s", grepLines(out, "slo_requests"))
-	}
-	if out := b4.String(); !strings.Contains(out, `distjoin_slo_requests{window="1h",outcome="bad"} 10`) {
-		t.Errorf("1h window lost events at 6m:\n%s", grepLines(out, "slo_requests"))
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.entered) })
+	<-w.release
+	return len(p), nil
+}
+
+// TestREDScrapeDoesNotBlockObserve: a scrape stuck writing to its client
+// must not stall the requests RED observes meanwhile.
+func TestREDScrapeDoesNotBlockObserve(t *testing.T) {
+	r := NewRED()
+	r.Observe("next", 200, time.Millisecond, "q")
+	w := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	scraped := make(chan struct{})
+	go func() {
+		r.WritePrometheus(w)
+		close(scraped)
+	}()
+	defer func() {
+		close(w.release)
+		<-scraped
+	}()
+	<-w.entered
+	observed := make(chan struct{})
+	go func() {
+		r.Observe("next", 200, time.Millisecond, "q")
+		close(observed)
+	}()
+	select {
+	case <-observed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Observe blocked behind a scrape stuck in Write")
 	}
 }
 
@@ -129,38 +177,10 @@ func sampleValue(t *testing.T, exposition, prefix string) float64 {
 	return 0
 }
 
-func grepLines(s, substr string) string {
-	var b strings.Builder
-	for _, l := range strings.Split(s, "\n") {
-		if strings.Contains(l, substr) {
-			b.WriteString(l)
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
 func TestStatusClass(t *testing.T) {
 	for in, want := range map[int]string{200: "2xx", 204: "2xx", 301: "3xx", 404: "4xx", 503: "5xx", 99: "other", 700: "other", 0: "other"} {
 		if got := statusClass(in); got != want {
 			t.Errorf("statusClass(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestHistBucketOfMatchesHistogram(t *testing.T) {
-	for _, d := range []time.Duration{0, 1, 500, time.Microsecond, time.Millisecond, 250 * time.Millisecond, time.Hour} {
-		var h Histogram
-		h.Observe(d)
-		b := histBucketOf(d)
-		if h.buckets[b].Load() != 1 {
-			t.Errorf("histBucketOf(%v) = %d, but Histogram.Observe used a different bucket", d, b)
-		}
-		if b > 0 {
-			// The exemplar's le label must be a bound the histogram also emits.
-			if _, err := strconv.ParseFloat(strconv.FormatFloat(bucketUpper(b), 'g', -1, 64), 64); err != nil {
-				t.Errorf("bucketUpper(%d) not a float: %v", b, err)
-			}
 		}
 	}
 }

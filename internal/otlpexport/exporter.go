@@ -22,37 +22,39 @@ type Config struct {
 	Endpoint string
 	// Service is the resource's service.name. Default "distjoind".
 	Service string
-	// QueueSize bounds the number of span groups (one completed query or
-	// one pull span each) buffered between producers and the export
-	// goroutine. When the queue is full, Enqueue drops and counts — trace
-	// export must never apply backpressure to the query path. Default 256.
-	QueueSize int
-	// BatchSize caps how many buffered groups one POST carries. Default 32.
-	BatchSize int
-	// FlushInterval bounds how long a buffered span waits for its batch to
-	// fill. Default 3s.
-	FlushInterval time.Duration
-	// Retry bounds re-attempts of a failed POST. Retryable failures are
-	// transport errors and HTTP 429/5xx; anything else drops the batch
-	// immediately. The zero value uses 4 attempts with 250ms exponential
-	// backoff capped at 2s.
-	Retry pager.RetryPolicy
-	// Client is the HTTP client to POST with; nil uses a client with a 10s
-	// timeout.
-	Client *http.Client
 	// Logger, when non-nil, receives a warn line per dropped batch and per
 	// retry ladder exhaustion.
 	Logger *slog.Logger
 }
+
+// The exporter's fixed settings (tests inject only the retry policy).
+const (
+	// queueSize bounds the span groups (one completed query or one pull
+	// span each) buffered between producers and the export goroutine. When
+	// the queue is full, Enqueue drops and counts — trace export must never
+	// apply backpressure to the query path.
+	queueSize = 256
+	// batchSize caps how many buffered groups one POST carries.
+	batchSize = 32
+	// flushInterval bounds how long a buffered span waits for its batch.
+	flushInterval = 3 * time.Second
+)
+
+// exportRetry bounds re-attempts of a failed POST: transport errors and
+// HTTP 429/5xx are retried with exponential backoff; anything else drops the
+// batch at once.
+var exportRetry = pager.RetryPolicy{MaxAttempts: 4, Backoff: 250 * time.Millisecond, Multiplier: 2, MaxBackoff: 2 * time.Second}
+
+// postClient is the HTTP client every export POST goes through.
+var postClient = &http.Client{Timeout: 10 * time.Second}
 
 // Exporter converts span groups to OTLP/HTTP-JSON and ships them to a
 // collector from a single background goroutine, batching and retrying with
 // bounded buffering. A nil *Exporter is valid and inert everywhere, so the
 // server wires it unconditionally and disabled deployments pay nothing.
 type Exporter struct {
-	cfg    Config
-	client *http.Client
-	log    *slog.Logger
+	cfg   Config
+	retry pager.RetryPolicy
 
 	mu     sync.Mutex // guards closed + send into ch
 	closed bool
@@ -72,46 +74,21 @@ type Exporter struct {
 
 // New starts an exporter. Callers own its lifetime: Close (or Flush at
 // shutdown) before process exit, or buffered spans are lost.
-func New(cfg Config) *Exporter {
+func New(cfg Config) *Exporter { return newExporter(cfg, exportRetry) }
+
+// newExporter is New with the retry policy injected, for tests.
+func newExporter(cfg Config, retry pager.RetryPolicy) *Exporter {
 	if cfg.Service == "" {
 		cfg.Service = "distjoind"
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 256
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 32
-	}
-	if cfg.FlushInterval <= 0 {
-		cfg.FlushInterval = 3 * time.Second
-	}
-	if cfg.Retry.MaxAttempts == 0 {
-		cfg.Retry = pager.RetryPolicy{
-			MaxAttempts: 4,
-			Backoff:     250 * time.Millisecond,
-			Multiplier:  2,
-			MaxBackoff:  2 * time.Second,
-		}
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
 	e := &Exporter{
 		cfg:      cfg,
-		client:   client,
-		log:      cfg.Logger,
-		ch:       make(chan []Span, cfg.QueueSize),
+		retry:    retry,
+		ch:       make(chan []Span, queueSize),
 		flushReq: make(chan chan struct{}),
 		done:     make(chan struct{}),
 	}
-	onRetry := cfg.Retry.OnRetry
-	e.cfg.Retry.OnRetry = func(op string, attempt int, err error) {
-		e.retries.Add(1)
-		if onRetry != nil {
-			onRetry(op, attempt, err)
-		}
-	}
+	e.retry.OnRetry = func(string, int, error) { e.retries.Add(1) }
 	go e.run()
 	return e
 }
@@ -196,7 +173,7 @@ func (e *Exporter) Close() error {
 // or shutdown.
 func (e *Exporter) run() {
 	defer close(e.done)
-	ticker := time.NewTicker(e.cfg.FlushInterval)
+	ticker := time.NewTicker(flushInterval)
 	defer ticker.Stop()
 	var batch []Span
 	groups := 0
@@ -214,7 +191,7 @@ func (e *Exporter) run() {
 				return
 			}
 			batch = append(batch, spans...)
-			if groups++; groups >= e.cfg.BatchSize {
+			if groups++; groups >= batchSize {
 				flush()
 			}
 		case <-ticker.C:
@@ -248,11 +225,11 @@ func (e *Exporter) export(spans []Span) {
 		e.droppedExport.Add(int64(len(spans)))
 		return
 	}
-	err = e.cfg.Retry.Do("otlp export", func() error { return e.post(body) })
+	err = e.retry.Do("otlp export", func() error { return e.post(body) })
 	if err != nil {
 		e.droppedExport.Add(int64(len(spans)))
-		if e.log != nil {
-			e.log.Warn("otlp export failed, batch dropped",
+		if e.cfg.Logger != nil {
+			e.cfg.Logger.Warn("otlp export failed, batch dropped",
 				"spans", len(spans), "endpoint", e.cfg.Endpoint, "error", err)
 		}
 		return
@@ -264,7 +241,7 @@ func (e *Exporter) export(spans []Span) {
 // post performs one POST attempt, classifying retryable outcomes as
 // pager.ErrTransient for the retry policy.
 func (e *Exporter) post(body []byte) error {
-	resp, err := e.client.Post(e.cfg.Endpoint, "application/json", bytes.NewReader(body))
+	resp, err := postClient.Post(e.cfg.Endpoint, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("%w: %v", pager.ErrTransient, err)
 	}

@@ -21,7 +21,7 @@ func TestExporterEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(col)
 	defer srv.Close()
 
-	exp := New(Config{Endpoint: srv.URL + "/v1/traces", Service: "distjoind-test", Retry: fastRetry(1)})
+	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces", Service: "distjoind-test"}, fastRetry(1))
 	// Wire the exporter the way distjoind does: as the tracer's completion
 	// hook. Every finished query lands at the collector.
 	tr := qtrace.New(qtrace.Config{OnComplete: exp.OnComplete})
@@ -57,7 +57,7 @@ func TestExporterRetriesTransientFailures(t *testing.T) {
 	srv := httptest.NewServer(col)
 	defer srv.Close()
 
-	exp := New(Config{Endpoint: srv.URL + "/v1/traces", Retry: fastRetry(4)})
+	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces"}, fastRetry(4))
 	exp.EnqueueSpans(SpansFromQueryTrace(tracedQuery(qtrace.New(qtrace.Config{}), "retry-q", qtrace.SpanContext{}, nil)))
 	if err := exp.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestExporterDropsAfterExhaustedRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	exp := New(Config{Endpoint: srv.URL + "/v1/traces", Retry: fastRetry(3)})
+	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces"}, fastRetry(3))
 	exp.EnqueueSpans(SpansFromQueryTrace(tracedQuery(qtrace.New(qtrace.Config{}), "doomed", qtrace.SpanContext{}, nil)))
 	if err := exp.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -104,7 +104,7 @@ func TestExporterPermanentFailureSkipsRetry(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	exp := New(Config{Endpoint: srv.URL + "/v1/traces", Retry: fastRetry(5)})
+	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces"}, fastRetry(5))
 	exp.EnqueueSpans(SpansFromQueryTrace(tracedQuery(qtrace.New(qtrace.Config{}), "rejected", qtrace.SpanContext{}, nil)))
 	exp.Flush(5 * time.Second)
 	exp.Close()

@@ -30,7 +30,6 @@
 package qtrace
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -60,8 +59,8 @@ type Config struct {
 	// FlightSize completed query traces (default DefaultFlightSize).
 	FlightSize int
 	// SlowLog, when non-nil, receives slow-query traces as JSONL — one
-	// QueryTrace document per line. Writes are buffered; call Tracer.Close
-	// to flush.
+	// QueryTrace document per line, each line one Write. Tracer.Close ends
+	// the log and reports its first write error.
 	SlowLog io.Writer
 	// SlowWall logs queries whose wall time reaches the threshold.
 	// With SlowLog set and every threshold zero, every query is logged.
@@ -91,7 +90,7 @@ type Tracer struct {
 
 	mu      sync.Mutex
 	ring    []*QueryTrace // completed traces, oldest first
-	slow    *bufio.Writer
+	slow    io.Writer     // cfg.SlowLog until Close
 	slowErr error
 	// pre maps a query id to trace context registered via PreBegin before
 	// the engine's Begin call; entries are consumed by Begin (or dropped by
@@ -111,11 +110,7 @@ func New(cfg Config) *Tracer {
 	if cfg.FlightSize <= 0 {
 		cfg.FlightSize = DefaultFlightSize
 	}
-	t := &Tracer{cfg: cfg}
-	if cfg.SlowLog != nil {
-		t.slow = bufio.NewWriterSize(cfg.SlowLog, 64*1024)
-	}
-	return t
+	return &Tracer{cfg: cfg, slow: cfg.SlowLog}
 }
 
 // Begin starts tracing one query run. kind names the operation ("join",
@@ -231,7 +226,7 @@ func (t *Tracer) Trace(id string) *QueryTrace {
 	return nil
 }
 
-// Close flushes the slow-query log and returns the first write error
+// Close ends the slow-query log and returns the first write error
 // encountered, if any. The flight recorder remains readable after Close;
 // further completed queries are still recorded to the ring but not the log.
 func (t *Tracer) Close() error {
@@ -240,12 +235,6 @@ func (t *Tracer) Close() error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.slow == nil {
-		return t.slowErr
-	}
-	if err := t.slow.Flush(); err != nil && t.slowErr == nil {
-		t.slowErr = err
-	}
 	t.slow = nil
 	return t.slowErr
 }
@@ -272,13 +261,10 @@ func (t *Tracer) landTrace(qt *QueryTrace) {
 	if t.slow != nil && t.isSlow(qt) {
 		line, err := json.Marshal(qt)
 		if err == nil {
-			line = append(line, '\n')
-			if _, err = t.slow.Write(line); err == nil {
-				// One flush per slow query: the log is low-volume by
-				// definition, and a line must be readable while the
-				// process is still running (and survive a crash).
-				err = t.slow.Flush()
-			}
+			// One unbuffered Write per line: a line is readable while the
+			// process runs (and survives a crash), and a RotatingFile
+			// rotates between lines, never inside one.
+			_, err = t.slow.Write(append(line, '\n'))
 		}
 		if err != nil && t.slowErr == nil {
 			t.slowErr = err

@@ -8,11 +8,10 @@ import (
 )
 
 // RotatingFile is a size-capped io.WriteCloser for JSONL logs: when a write
-// would push the active file past MaxBytes, the file rotates — path becomes
-// path.1, path.1 becomes path.2, and so on up to MaxFiles-1 retained
-// archives (the oldest is deleted) — and the write lands in a fresh file.
-// A long-running daemon's slow-query log is therefore bounded at roughly
-// MaxFiles × MaxBytes on disk regardless of uptime.
+// would push the active file past 64 MiB, the file rotates — path becomes
+// path.1 and path.1 becomes path.2, the oldest archive falling off — and the
+// write lands in a fresh file. A long-running daemon's slow-query log is
+// therefore bounded at about 3 × 64 MiB on disk regardless of uptime.
 //
 // Rotation happens between writes, never inside one, so each JSONL line
 // stays whole in exactly one file. Writes are serialized by an internal
@@ -21,30 +20,26 @@ import (
 type RotatingFile struct {
 	path     string
 	maxBytes int64
-	maxFiles int
 
 	mu   sync.Mutex
 	f    *os.File
 	size int64
 }
 
-// Default rotation bounds when OpenRotatingFile receives zero values.
+// Rotation bounds.
 const (
-	DefaultSlowLogMaxBytes = 64 << 20 // 64 MiB per file
-	DefaultSlowLogMaxFiles = 3        // active file + 2 archives
+	slowLogMaxBytes = 64 << 20 // per file
+	slowLogFiles    = 3        // active file + 2 archives
 )
 
 // OpenRotatingFile opens (creating or appending to) the log at path.
-// maxBytes caps one file (0: DefaultSlowLogMaxBytes); maxFiles is the total
-// file count including the active one (0: DefaultSlowLogMaxFiles; 1 keeps
-// no archives — rotation truncates).
-func OpenRotatingFile(path string, maxBytes int64, maxFiles int) (*RotatingFile, error) {
-	if maxBytes <= 0 {
-		maxBytes = DefaultSlowLogMaxBytes
-	}
-	if maxFiles <= 0 {
-		maxFiles = DefaultSlowLogMaxFiles
-	}
+func OpenRotatingFile(path string) (*RotatingFile, error) {
+	return openRotatingFile(path, slowLogMaxBytes)
+}
+
+// openRotatingFile is OpenRotatingFile with the per-file cap injected, for
+// tests.
+func openRotatingFile(path string, maxBytes int64) (*RotatingFile, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -54,7 +49,7 @@ func OpenRotatingFile(path string, maxBytes int64, maxFiles int) (*RotatingFile,
 		f.Close()
 		return nil, err
 	}
-	return &RotatingFile{path: path, maxBytes: maxBytes, maxFiles: maxFiles, f: f, size: st.Size()}, nil
+	return &RotatingFile{path: path, maxBytes: maxBytes, f: f, size: st.Size()}, nil
 }
 
 // Write appends p, rotating first when the active file would exceed the
@@ -83,16 +78,12 @@ func (r *RotatingFile) rotate() error {
 		return err
 	}
 	r.f = nil
-	// Shift path.(maxFiles-2) → path.(maxFiles-1) … path → path.1; the
-	// archive past the retention bound falls off (os.Rename replaces it).
-	if r.maxFiles > 1 {
-		for i := r.maxFiles - 2; i >= 1; i-- {
-			os.Rename(r.archive(i), r.archive(i+1))
-		}
-		if err := os.Rename(r.path, r.archive(1)); err != nil {
-			return fmt.Errorf("qtrace: rotating %s: %w", r.path, err)
-		}
-	} else if err := os.Remove(r.path); err != nil {
+	// Shift path.(slowLogFiles-2) → path.(slowLogFiles-1) … path → path.1;
+	// the archive past the retention bound falls off (os.Rename replaces it).
+	for i := slowLogFiles - 2; i >= 1; i-- {
+		os.Rename(r.archive(i), r.archive(i+1))
+	}
+	if err := os.Rename(r.path, r.archive(1)); err != nil {
 		return fmt.Errorf("qtrace: rotating %s: %w", r.path, err)
 	}
 	f, err := os.OpenFile(r.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

@@ -13,7 +13,7 @@ func TestRotatingFileRotates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "slow.jsonl")
 	// Cap of 100 bytes, 3 files total (active + 2 archives).
-	rf, err := OpenRotatingFile(path, 100, 3)
+	rf, err := openRotatingFile(path, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestRotatingFileRotates(t *testing.T) {
 
 func TestRotatingFileOversizeLineLandsWhole(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "slow.jsonl")
-	rf, err := OpenRotatingFile(path, 10, 2)
+	rf, err := openRotatingFile(path, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +71,13 @@ func TestRotatingFileOversizeLineLandsWhole(t *testing.T) {
 
 func TestRotatingFileAppendsAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "slow.jsonl")
-	rf, err := OpenRotatingFile(path, 1000, 2)
+	rf, err := openRotatingFile(path, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rf.Write([]byte("one\n"))
 	rf.Close()
-	rf, err = OpenRotatingFile(path, 1000, 2)
+	rf, err = openRotatingFile(path, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestRotatingFileAppendsAcrossReopen(t *testing.T) {
 func TestTracerSlowLogOnRotatingFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "slow.jsonl")
-	rf, err := OpenRotatingFile(path, 2048, 3)
+	rf, err := openRotatingFile(path, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,8 +101,8 @@ type Config struct {
 	// the cursor it touched. May be nil (no request logging).
 	Logger *slog.Logger
 	// RED records per-endpoint request rate, error classes, and duration
-	// histograms plus the pull-latency SLO burn rate; mount it on /metrics
-	// via obs.HandlerTraced extras. May be nil.
+	// histograms plus the count of pulls that miss the latency SLO; mount it
+	// on /metrics via obs.HandlerTraced extras. May be nil.
 	RED *obs.RED
 	// Exporter receives one OTLP server span per pull, linked to the
 	// cursor's query span, so multi-pull sessions stitch into one

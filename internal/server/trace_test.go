@@ -15,7 +15,6 @@ import (
 	"distjoin"
 	"distjoin/internal/obs"
 	"distjoin/internal/otlpexport"
-	"distjoin/internal/pager"
 	"distjoin/internal/qtrace"
 )
 
@@ -53,13 +52,9 @@ func newTraceFixture(t *testing.T) *traceFixture {
 	col := &otlpexport.Collector{}
 	cts := httptest.NewServer(col)
 	t.Cleanup(cts.Close)
-	exp := otlpexport.New(otlpexport.Config{
-		Endpoint: cts.URL + "/v1/traces",
-		Service:  "distjoind-test",
-		Retry:    pager.RetryPolicy{MaxAttempts: 2, Backoff: time.Nanosecond, Sleep: func(time.Duration) {}},
-	})
+	exp := otlpexport.New(otlpexport.Config{Endpoint: cts.URL + "/v1/traces", Service: "distjoind-test"})
 	t.Cleanup(func() { exp.Close() })
-	tf := &traceFixture{col: col, exp: exp, red: obs.NewRED(obs.REDConfig{}), log: &syncBuffer{}}
+	tf := &traceFixture{col: col, exp: exp, red: obs.NewRED(), log: &syncBuffer{}}
 	tf.testFixture = newFixture(t, 120, 160, func(cfg *Config) {
 		// The tracer's completion hook ships every finished query's engine
 		// span tree; the server ships one span per pull.

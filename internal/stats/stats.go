@@ -1,7 +1,7 @@
 // Package stats provides the performance counters used throughout the
 // repository to reproduce the measures the paper reports in Table 1: the
 // number of object distance calculations, the maximum priority-queue size,
-// and the number of node I/O operations, plus wall-clock timing helpers.
+// and the number of node I/O operations.
 //
 // A Counters value plays two roles. As a shared VIEW (Options.Counters, a
 // buffer pool's sink, a Recorder's counts) it is updated only through its
@@ -20,7 +20,6 @@ package stats
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"distjoin/internal/pager"
@@ -277,14 +276,3 @@ func (s nodeIOSink) AddHit(n int64) {
 		c.AddBufferHit(n)
 	}
 }
-
-// Timer measures wall-clock elapsed time for an experiment leg.
-type Timer struct {
-	start time.Time
-}
-
-// StartTimer begins timing.
-func StartTimer() Timer { return Timer{start: time.Now()} }
-
-// Elapsed returns the time since StartTimer.
-func (t Timer) Elapsed() time.Duration { return time.Since(t.start) }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestNilCountersAreSafe(t *testing.T) {
@@ -105,14 +104,6 @@ func TestMergeSince(t *testing.T) {
 	want.MaxQueueSize = 9
 	if got := view.Snapshot(); got != want {
 		t.Fatalf("view = %+v, want %+v", got, want)
-	}
-}
-
-func TestTimer(t *testing.T) {
-	tm := StartTimer()
-	time.Sleep(time.Millisecond)
-	if tm.Elapsed() < time.Millisecond {
-		t.Fatal("timer did not advance")
 	}
 }
 

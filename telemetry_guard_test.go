@@ -71,13 +71,14 @@ func TestOneTelemetryDoor(t *testing.T) {
 // internal/meter) was 4,946 lines before the per-engine meter replaced the
 // four-sink fan-out, 4,362 before the Recorder's event stream was deleted,
 // 4,042 before the daemon's second counts view and the restating /metrics
-// families went; with the four files that carried the fan-out (engine.go,
-// parallel.go, hybrid.go, pool.go) it was 7,599 and 6,930. The carriers are
-// now the engine, its block queue and disk tier, and the pool. The set is
-// the root package's telemetry surface (obs.go), the server's, and every
-// telemetry package. footprintBound is the set's line count once every
-// /metrics number printed once (4,003) plus 2 % slack.
-const footprintBound = 4083
+// families went, 4,003 before the SLO became one counter and the telemetry
+// knobs nothing set went; with the four files that carried the fan-out
+// (engine.go, parallel.go, hybrid.go, pool.go) it was 7,599 and 6,930. The
+// carriers are now the engine, its block queue and disk tier, and the pool.
+// The set is the root package's telemetry surface (obs.go), the server's,
+// and every telemetry package. footprintBound is the set's line count once
+// the SLO was one counter (3,813) plus 2 % slack.
+const footprintBound = 3889
 
 func TestTelemetryFootprint(t *testing.T) {
 	count := func(files []string) (n int) {
