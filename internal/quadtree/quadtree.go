@@ -287,20 +287,20 @@ type NodeView struct {
 	Points   []Point    // leaf payload
 	Children []ChildRef // materialized quadrants of an internal node
 
-	derived atomic.Pointer[any]
+	derived atomic.Value
 }
 
 // Derived returns the value build made of v the first time it was asked for.
 // An adapter that traverses the tree in a form of its own keeps that form
 // here, so it lives exactly as long as the view it was built from. build's
-// result must be immutable; concurrent first calls may each build one, and
-// any of them is kept.
+// result must be immutable, and of one type on every view; concurrent first
+// calls may each build one, and any of them is kept.
 func (v *NodeView) Derived(build func(*NodeView) any) any {
 	if d := v.derived.Load(); d != nil {
-		return *d
+		return d
 	}
 	d := build(v)
-	v.derived.Store(&d)
+	v.derived.Store(d)
 	return d
 }
 

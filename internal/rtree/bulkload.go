@@ -63,7 +63,7 @@ func BulkLoad(cfg Config, items []Item) (*Tree, error) {
 		parentItems := make([]Item, len(nodes))
 		byPage := make(map[ObjID]*Node, len(nodes))
 		for i, n := range nodes {
-			parentItems[i] = Item{Rect: n.MBR(), Obj: ObjID(n.Page)}
+			parentItems[i] = Item{Rect: groupMBR(n.Entries), Obj: ObjID(n.Page)}
 			byPage[ObjID(n.Page)] = n
 		}
 		tiles := strTile(parentItems, capacity, t.cfg.Dims, 0)

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -195,15 +196,26 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Level != n.Level || len(got.Entries) != len(n.Entries) {
+		// The decode is lean: Coords, Refs and Points, no Entries.
+		if got.Entries != nil || got.Points {
+			t.Fatalf("decode built Entries (%v) or set Points on boxes (%v)", got.Entries != nil, got.Points)
+		}
+		if got.Level != n.Level || len(got.Refs) != len(n.Entries) || len(got.Coords) != 4*len(n.Entries) {
 			t.Fatalf("level/count mismatch: %v vs %v", got, n)
 		}
 		for i := range n.Entries {
-			if !got.Entries[i].Rect.Equal(n.Entries[i].Rect) ||
-				got.Entries[i].Obj != n.Entries[i].Obj ||
-				got.Entries[i].Child != n.Entries[i].Child {
-				t.Fatalf("entry %d mismatch: %+v vs %+v", i, got.Entries[i], n.Entries[i])
+			if e := got.entry(i); !e.Rect.Equal(n.Entries[i].Rect) ||
+				e.Obj != n.Entries[i].Obj ||
+				e.Child != n.Entries[i].Child {
+				t.Fatalf("entry %d mismatch: %+v vs %+v", i, e, n.Entries[i])
 			}
+		}
+		// Through the entry form the page re-encodes to the same bytes.
+		got.Entries = got.entryViews()
+		again := make([]byte, len(buf))
+		encodeNode(got, 2, again)
+		if !bytes.Equal(again, buf) {
+			t.Fatal("the decoded node re-encodes to other bytes")
 		}
 	}
 }

@@ -3,6 +3,7 @@ package rtree
 import (
 	"fmt"
 
+	"distjoin/internal/geom"
 	"distjoin/internal/pager"
 )
 
@@ -15,7 +16,7 @@ import (
 //   - every non-root node holds between MinEntries and MaxEntries entries,
 //   - the recorded height and object count match the structure.
 func (t *Tree) CheckInvariants() error {
-	objs, err := t.checkNode(t.root, t.height-1, true)
+	objs, _, err := t.checkNode(t.root, t.height-1, true)
 	if err != nil {
 		return err
 	}
@@ -25,48 +26,44 @@ func (t *Tree) CheckInvariants() error {
 	return nil
 }
 
-func (t *Tree) checkNode(page pager.PageID, wantLevel int, isRoot bool) (int, error) {
-	n, err := t.ReadNode(page)
+// checkNode checks the subtree on page, reading each of its nodes once, and
+// returns its object count and the node's MBR for the parent's entry.
+func (t *Tree) checkNode(page pager.PageID, wantLevel int, isRoot bool) (int, geom.Rect, error) {
+	n, err := t.ReadNodeLean(page)
 	if err != nil {
-		return 0, err
+		return 0, geom.Rect{}, err
 	}
+	count := len(n.Refs)
 	if n.Level != wantLevel {
-		return 0, fmt.Errorf("rtree: page %d at level %d, want %d", page, n.Level, wantLevel)
+		return 0, geom.Rect{}, fmt.Errorf("rtree: page %d at level %d, want %d", page, n.Level, wantLevel)
 	}
-	if len(n.Entries) > t.maxEntries {
-		return 0, fmt.Errorf("rtree: page %d overflows: %d > %d", page, len(n.Entries), t.maxEntries)
+	if count > t.maxEntries {
+		return 0, geom.Rect{}, fmt.Errorf("rtree: page %d overflows: %d > %d", page, count, t.maxEntries)
 	}
-	if !isRoot && len(n.Entries) < t.minEntries {
-		return 0, fmt.Errorf("rtree: page %d underflows: %d < %d", page, len(n.Entries), t.minEntries)
+	if !isRoot && count < t.minEntries {
+		return 0, geom.Rect{}, fmt.Errorf("rtree: page %d underflows: %d < %d", page, count, t.minEntries)
 	}
-	if isRoot && n.Level > 0 && len(n.Entries) < 2 {
-		return 0, fmt.Errorf("rtree: non-leaf root has %d entries", len(n.Entries))
+	if isRoot && n.Level > 0 && count < 2 {
+		return 0, geom.Rect{}, fmt.Errorf("rtree: non-leaf root has %d entries", count)
 	}
-	for i, e := range n.Entries {
-		if !e.Rect.Valid() {
-			return 0, fmt.Errorf("rtree: page %d entry %d has invalid rect %v", page, i, e.Rect)
+	for i := 0; i < count; i++ {
+		if r := n.rect(i); !r.Valid() {
+			return 0, geom.Rect{}, fmt.Errorf("rtree: page %d entry %d has invalid rect %v", page, i, r)
 		}
 	}
 	if n.Level == 0 {
-		return len(n.Entries), nil
+		return count, n.MBR(), nil
 	}
 	total := 0
-	for i, e := range n.Entries {
-		child, err := t.ReadNode(e.Child)
+	for i, ref := range n.Refs {
+		objs, mbr, err := t.checkNode(pager.PageID(ref), wantLevel-1, false)
 		if err != nil {
-			return 0, err
+			return 0, geom.Rect{}, err
 		}
-		if len(child.Entries) == 0 {
-			return 0, fmt.Errorf("rtree: page %d entry %d references empty child %d", page, i, e.Child)
-		}
-		if got := child.MBR(); !got.Equal(e.Rect) {
-			return 0, fmt.Errorf("rtree: page %d entry %d rect %v != child MBR %v", page, i, e.Rect, got)
-		}
-		objs, err := t.checkNode(e.Child, wantLevel-1, false)
-		if err != nil {
-			return 0, err
+		if r := n.rect(i); !mbr.Equal(r) {
+			return 0, geom.Rect{}, fmt.Errorf("rtree: page %d entry %d rect %v != child MBR %v", page, i, r, mbr)
 		}
 		total += objs
 	}
-	return total, nil
+	return total, n.MBR(), nil
 }

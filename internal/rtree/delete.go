@@ -47,7 +47,7 @@ func (t *Tree) Delete(r geom.Rect, id ObjID) (bool, error) {
 		if err := t.writeNode(cur); err != nil {
 			return false, err
 		}
-		parent.Entries[idx].Rect = cur.MBR()
+		parent.Entries[idx].Rect = groupMBR(cur.Entries)
 	}
 	root := path[0].node
 	if err := t.writeNode(root); err != nil {
@@ -63,14 +63,14 @@ func (t *Tree) Delete(r geom.Rect, id ObjID) (bool, error) {
 
 	// Shrink the root while it is a non-leaf with a single child.
 	for {
-		root, err := t.ReadNode(t.root)
+		root, err := t.ReadNodeLean(t.root)
 		if err != nil {
 			return false, err
 		}
-		if root.Level == 0 || len(root.Entries) != 1 {
+		if root.Level == 0 || len(root.Refs) != 1 {
 			break
 		}
-		child := root.Entries[0].Child
+		child := pager.PageID(root.Refs[0])
 		if err := t.freeNode(t.root); err != nil {
 			return false, err
 		}

@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzDecodeNode: on arbitrary page bytes the node deserializer — where
-// persisted bytes enter the engine — either returns an error or a node whose
-// entries and coordinate block agree, and which re-encodes to the same entry
-// bytes, NaN payloads included. It never panics.
+// persisted bytes enter the engine — either returns an error or a lean read
+// node, no Entries, whose coordinate block, refs and Points agree with the
+// entries built from them, and which re-encodes through that entry form to
+// the same entry bytes, NaN payloads included. It never panics.
 func FuzzDecodeNode(f *testing.F) {
 	const dims = 2
 	// Seed with a valid page.
@@ -37,12 +38,16 @@ func FuzzDecodeNode(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if decoded.Entries != nil {
+			t.Fatal("the shared decode built Entries")
+		}
 		w := 2 * dims
-		if len(decoded.Coords) != len(decoded.Entries)*w || len(decoded.Refs) != len(decoded.Entries) {
-			t.Fatalf("%d coordinates and %d refs for %d entries", len(decoded.Coords), len(decoded.Refs), len(decoded.Entries))
+		entries := decoded.entryViews()
+		if len(decoded.Coords) != len(entries)*w || len(decoded.Refs) != len(entries) {
+			t.Fatalf("%d coordinates and %d refs for %d entries", len(decoded.Coords), len(decoded.Refs), len(entries))
 		}
 		points := decoded.Leaf()
-		for k, e := range decoded.Entries {
+		for k, e := range entries {
 			if &e.Rect.Lo[0] != &decoded.Coords[k*w] || &e.Rect.Hi[0] != &decoded.Coords[k*w+dims] {
 				t.Fatalf("entry %d's rectangle is not a view of its run of the coordinate block", k)
 			}
@@ -54,9 +59,10 @@ func FuzzDecodeNode(f *testing.F) {
 		if decoded.Points != points {
 			t.Fatalf("Points %v on a node whose leaf entries are all points: %v", decoded.Points, points)
 		}
+		decoded.Entries = entries
 		buf := make([]byte, len(page))
 		encodeNode(decoded, dims, buf)
-		end := nodeHeaderSize + len(decoded.Entries)*entrySize(dims)
+		end := nodeHeaderSize + len(entries)*entrySize(dims)
 		if !bytes.Equal(buf[1:4], page[1:4]) || !bytes.Equal(buf[nodeHeaderSize:end], page[nodeHeaderSize:end]) {
 			t.Fatalf("the decoded node re-encodes to other bytes")
 		}

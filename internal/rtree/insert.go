@@ -75,11 +75,8 @@ func (t *Tree) insertEntry(e Entry, level int, reinsertDone map[int]bool) error 
 		}
 		if cur.Page == t.root {
 			newRoot := &Node{
-				Level: cur.Level + 1,
-				Entries: []Entry{
-					{Rect: left.MBR(), Child: left.Page},
-					{Rect: right.MBR(), Child: right.Page},
-				},
+				Level:   cur.Level + 1,
+				Entries: []Entry{entryForChild(left), entryForChild(right)},
 			}
 			if err := t.allocNode(newRoot); err != nil {
 				return err
@@ -90,8 +87,8 @@ func (t *Tree) insertEntry(e Entry, level int, reinsertDone map[int]bool) error 
 		}
 		parent := path[len(path)-1].node
 		idx := path[len(path)-1].childIdx
-		parent.Entries[idx] = Entry{Rect: left.MBR(), Child: left.Page}
-		parent.Entries = append(parent.Entries, Entry{Rect: right.MBR(), Child: right.Page})
+		parent.Entries[idx] = entryForChild(left)
+		parent.Entries = append(parent.Entries, entryForChild(right))
 		path = path[:len(path)-1]
 		cur = parent
 	}
@@ -102,7 +99,7 @@ func (t *Tree) insertEntry(e Entry, level int, reinsertDone map[int]bool) error 
 func (t *Tree) adjustPath(path []pathStep, child *Node) error {
 	mbr := geom.Rect{}
 	if len(child.Entries) > 0 {
-		mbr = child.MBR()
+		mbr = groupMBR(child.Entries)
 	}
 	for i := len(path) - 1; i >= 0; i-- {
 		step := path[i]
@@ -113,7 +110,7 @@ func (t *Tree) adjustPath(path []pathStep, child *Node) error {
 			return err
 		}
 		child = step.node
-		mbr = child.MBR()
+		mbr = groupMBR(child.Entries)
 	}
 	return nil
 }
@@ -172,7 +169,7 @@ func (t *Tree) overlapEnlargement(entries []Entry, i int, r geom.Rect) float64 {
 // node's MBR center, restores tree consistency, and re-inserts them
 // (closest first — the R* "close reinsert").
 func (t *Tree) forcedReinsert(n *Node, path []pathStep, reinsertDone map[int]bool) error {
-	center := n.MBR().Center()
+	center := groupMBR(n.Entries).Center()
 	type ranked struct {
 		e Entry
 		d float64
@@ -298,5 +295,5 @@ func groupMBR(entries []Entry) geom.Rect {
 
 // entryForChild builds the parent entry describing child.
 func entryForChild(child *Node) Entry {
-	return Entry{Rect: child.MBR(), Child: child.Page}
+	return Entry{Rect: groupMBR(child.Entries), Child: child.Page}
 }

@@ -130,3 +130,38 @@ func TestReadNodeSharedUntilWritten(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckInvariantsReadsEachNodeOnce: CheckInvariants holds each child's
+// MBR against its parent's entry from the one read that checks the child, so
+// it makes one pool access per node — on a tree larger than its pool, where a
+// second read of a child could miss.
+func TestCheckInvariantsReadsEachNodeOnce(t *testing.T) {
+	var c stats.Counters
+	cfg := smallConfig()
+	cfg.Counters = &c
+	tr := mustNew(t, cfg)
+	for i, p := range randomPoints(3, 1500) {
+		if err := tr.InsertPoint(p, ObjID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts, err := tr.CountNodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := 0
+	for _, n := range counts {
+		nodes += n
+	}
+	if nodes <= cfg.BufferFrames {
+		t.Fatalf("%d nodes fit the %d-frame pool", nodes, cfg.BufferFrames)
+	}
+	before := c.Snapshot()
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	after := c.Snapshot()
+	if got := after.NodeReads - before.NodeReads + after.BufferHits - before.BufferHits; got != int64(nodes) {
+		t.Errorf("CheckInvariants made %d pool accesses for %d nodes", got, nodes)
+	}
+}

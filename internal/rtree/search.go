@@ -16,11 +16,12 @@ func (t *Tree) Search(query geom.Rect, fn func(Entry) bool) error {
 }
 
 func (t *Tree) searchPage(page pager.PageID, query geom.Rect, fn func(Entry) bool) (bool, error) {
-	n, err := t.ReadNode(page)
+	n, err := t.ReadNodeLean(page)
 	if err != nil {
 		return false, err
 	}
-	for _, e := range n.Entries {
+	for i := range n.Refs {
+		e := n.entry(i)
 		if !e.Rect.Intersects(query) {
 			continue
 		}
@@ -46,11 +47,12 @@ func (t *Tree) Scan(fn func(Entry) bool) error {
 }
 
 func (t *Tree) scanPage(page pager.PageID, fn func(Entry) bool) (bool, error) {
-	n, err := t.ReadNode(page)
+	n, err := t.ReadNodeLean(page)
 	if err != nil {
 		return false, err
 	}
-	for _, e := range n.Entries {
+	for i := range n.Refs {
+		e := n.entry(i)
 		if n.Level == 0 {
 			if !fn(e) {
 				return false, nil
@@ -76,7 +78,7 @@ func (t *Tree) CountNodes() ([]int, error) {
 }
 
 func (t *Tree) countPage(page pager.PageID, counts []int) error {
-	n, err := t.ReadNode(page)
+	n, err := t.ReadNodeLean(page)
 	if err != nil {
 		return err
 	}
@@ -84,8 +86,8 @@ func (t *Tree) countPage(page pager.PageID, counts []int) error {
 	if n.Level == 0 {
 		return nil
 	}
-	for _, e := range n.Entries {
-		if err := t.countPage(e.Child, counts); err != nil {
+	for _, ref := range n.Refs {
+		if err := t.countPage(pager.PageID(ref), counts); err != nil {
 			return err
 		}
 	}

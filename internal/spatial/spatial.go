@@ -149,24 +149,22 @@ func adaptRTreeNode(n *rtree.Node) any {
 }
 
 func (ix rtreeIndex) Root() (NodeRef, error) {
-	n, err := ix.t.ReadNode(ix.t.RootPage())
+	n, err := ix.t.ReadNodeLean(ix.t.RootPage())
 	if err != nil {
 		return NodeRef{}, err
 	}
 	a := n.Derived(adaptRTreeNode).(*rtreeNode)
 	mbr := a.mbr.Load()
 	if mbr == nil {
-		mbr = new(geom.Rect) // zero for an empty root
-		if len(n.Entries) > 0 {
-			*mbr = n.MBR()
-		}
+		mbr = new(geom.Rect)
+		*mbr = n.MBR() // zero for an empty root
 		a.mbr.Store(mbr)
 	}
 	return NodeRef{Ref: uint64(n.Page), Level: n.Level, Rect: *mbr}, nil
 }
 
 func (ix rtreeIndex) Node(ref uint64) (*IndexNode, error) {
-	n, err := ix.t.ReadNode(pager.PageID(ref))
+	n, err := ix.t.ReadNodeLean(pager.PageID(ref))
 	if err != nil {
 		return nil, err
 	}
