@@ -72,7 +72,7 @@ func BenchmarkFig8Adaptive(b *testing.B) {
 	d := loadBench(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, err := idistjoin.NewJoin(d.Water, d.Roads, idistjoin.Options{
+		j, err := idistjoin.NewJoinIndexes(idistjoin.WrapRTree(d.Water), idistjoin.WrapRTree(d.Roads), idistjoin.Options{
 			Queue: idistjoin.QueueHybrid, QueueStore: distjoin.NewMemPageStore, // DT 0 = adaptive
 		})
 		if err != nil {
@@ -150,7 +150,7 @@ func BenchmarkSemiJoinFull(b *testing.B) {
 	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := distjoin.DistanceSemiJoin(a, c, distjoin.FilterGlobalAll, distjoin.Options{})
+		s, err := distjoin.DistanceSemiJoinIndexes(a.AsSpatialIndex(), c.AsSpatialIndex(), distjoin.FilterGlobalAll, distjoin.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +208,7 @@ func BenchmarkNoOpOption(b *testing.B) {
 			opts.Window1 = w.win
 			b.Run("join-first/"+q.name+"/"+w.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					j, err := distjoin.DistanceJoin(a, c, opts)
+					j, err := distjoin.DistanceJoinIndexes(a.AsSpatialIndex(), c.AsSpatialIndex(), opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -222,7 +222,7 @@ func BenchmarkNoOpOption(b *testing.B) {
 			})
 			b.Run("semi-drain/"+q.name+"/"+w.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s, err := distjoin.DistanceSemiJoin(a, c, distjoin.FilterGlobalAll, opts)
+					s, err := distjoin.DistanceSemiJoinIndexes(a.AsSpatialIndex(), c.AsSpatialIndex(), distjoin.FilterGlobalAll, opts)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -253,7 +253,7 @@ func BenchmarkAblationDeferLeaves(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				j, err := idistjoin.NewJoin(d.Water, d.Roads, idistjoin.Options{DeferLeaves: defer_})
+				j, err := idistjoin.NewJoinIndexes(idistjoin.WrapRTree(d.Water), idistjoin.WrapRTree(d.Roads), idistjoin.Options{DeferLeaves: defer_})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -280,7 +280,7 @@ func BenchmarkAblationPlaneSweep(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				j, err := idistjoin.NewJoin(d.Water, d.Roads, idistjoin.Options{
+				j, err := idistjoin.NewJoinIndexes(idistjoin.WrapRTree(d.Water), idistjoin.WrapRTree(d.Roads), idistjoin.Options{
 					Traversal:    idistjoin.TraverseSimultaneous,
 					NoPlaneSweep: !sweep,
 					MaxDist:      500,
@@ -307,7 +307,7 @@ func BenchmarkKNearestJoin(b *testing.B) {
 	defer c.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := distjoin.KNearestJoin(a, c, 5, distjoin.FilterInside2, distjoin.Options{})
+		s, err := distjoin.KNearestJoinIndexes(a.AsSpatialIndex(), c.AsSpatialIndex(), 5, distjoin.FilterInside2, distjoin.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -294,15 +294,15 @@ func run(o cliOptions) error {
 	defer out.Flush()
 	start := time.Now()
 	var marks []kthMark
-	next, closeFn, err := makeIterator(a, b, o.semi, o.knn, opts)
+	it, err := makeIterator(a, b, o.semi, o.knn, opts)
 	if err != nil {
 		return err
 	}
-	defer closeFn()
+	defer it.Close()
 	var nPairs int64
 	var lastDist float64
 	for {
-		p, ok, err := next()
+		p, ok, err := it.Next()
 		if err != nil {
 			if errors.Is(err, distjoin.ErrCanceled) {
 				// Graceful degradation: the timeout cut the run short, but
@@ -326,7 +326,7 @@ func run(o cliOptions) error {
 		}
 	}
 	// Closing the iterator lands the run's query trace in the tracer.
-	if err := closeFn(); err != nil {
+	if err := it.Close(); err != nil {
 		return err
 	}
 	// With a flight recorder but no metrics endpoint to curl, dump the
@@ -437,21 +437,11 @@ func startProgress(a, b *distjoin.Index, o cliOptions, rec *distjoin.Recorder) f
 	}
 }
 
-// makeIterator abstracts over join, semi-join and k-NN join.
-func makeIterator(a, b *distjoin.Index, semi bool, knn int, opts distjoin.Options) (func() (distjoin.Pair, bool, error), func() error, error) {
+// makeIterator starts the join, or with semi the k-NN join (k = 1 being
+// the semi-join).
+func makeIterator(a, b *distjoin.Index, semi bool, knn int, opts distjoin.Options) (*distjoin.Join, error) {
 	if semi {
-		if knn < 1 {
-			knn = 1
-		}
-		s, err := distjoin.KNearestJoin(a, b, knn, distjoin.FilterGlobalAll, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s.Next, s.Close, nil
+		return distjoin.KNearestJoinIndexes(a.AsSpatialIndex(), b.AsSpatialIndex(), max(knn, 1), distjoin.FilterGlobalAll, opts)
 	}
-	j, err := distjoin.DistanceJoin(a, b, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return j.Next, j.Close, nil
+	return distjoin.DistanceJoinIndexes(a.AsSpatialIndex(), b.AsSpatialIndex(), opts)
 }

@@ -9,7 +9,7 @@ func KClosestPairs(a, b *Index, k int, opts Options) ([]Pair, error) {
 		return nil, nil
 	}
 	opts.MaxPairs = k
-	j, err := DistanceJoin(a, b, opts)
+	j, err := DistanceJoinIndexes(a.AsSpatialIndex(), b.AsSpatialIndex(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func ClosestPair(a, b *Index, opts Options) (Pair, bool, error) {
 // spread across cores.
 func WithinPairs(a, b *Index, maxDist float64, opts Options, fn func(Pair) bool) error {
 	opts.MaxDist = maxDist
-	j, err := DistanceJoin(a, b, opts)
+	j, err := DistanceJoinIndexes(a.AsSpatialIndex(), b.AsSpatialIndex(), opts)
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,8 @@ func WithinPairs(a, b *Index, maxDist float64, opts Options, fn func(Pair) bool)
 // for any result to exist.
 func AllNearestNeighbors(idx *Index, opts Options) ([]Pair, error) {
 	opts.OmitEqualIDs = true
-	s, err := KNearestJoin(idx, idx, 1, FilterInside2, opts)
+	ix := idx.AsSpatialIndex()
+	s, err := KNearestJoinIndexes(ix, ix, 1, FilterInside2, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func AllNearestNeighbors(idx *Index, opts Options) ([]Pair, error) {
 // first-input object to its nearest second-input partner — the clustering
 // operation of §1 (a discrete Voronoi assignment for point data).
 func AssignNearest(a, b *Index, opts Options) (map[ObjID]Pair, error) {
-	s, err := DistanceSemiJoin(a, b, FilterGlobalAll, opts)
+	s, err := DistanceSemiJoinIndexes(a.AsSpatialIndex(), b.AsSpatialIndex(), FilterGlobalAll, opts)
 	if err != nil {
 		return nil, err
 	}

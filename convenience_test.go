@@ -191,7 +191,7 @@ func TestPublicKNearestJoin(t *testing.T) {
 	defer ia.Close()
 	ib := distjoin.NewIndexFromPoints(b)
 	defer ib.Close()
-	s, err := distjoin.KNearestJoin(ia, ib, 3, distjoin.FilterInside2, distjoin.Options{})
+	s, err := distjoin.KNearestJoinIndexes(ia.AsSpatialIndex(), ib.AsSpatialIndex(), 3, distjoin.FilterInside2, distjoin.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestPublicClusteringJoin(t *testing.T) {
 	defer ia.Close()
 	ib := distjoin.NewIndexFromPoints(b)
 	defer ib.Close()
-	s, err := distjoin.ClusteringJoin(ia, ib, distjoin.FilterInside2, distjoin.Options{})
+	s, err := distjoin.ClusteringJoinIndexes(ia.AsSpatialIndex(), ib.AsSpatialIndex(), distjoin.FilterInside2, distjoin.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,7 +153,7 @@ func TestProfileExplainAgreesWithStats(t *testing.T) {
 	ia.SetCounters(c)
 	ib.SetCounters(c)
 	tracer := distjoin.NewQueryTracer(distjoin.QueryTraceConfig{})
-	j, err := distjoin.DistanceJoin(ia, ib, distjoin.Options{MaxDist: maxDist, Counters: c, Tracer: tracer})
+	j, err := distjoin.DistanceJoinIndexes(ia.AsSpatialIndex(), ib.AsSpatialIndex(), distjoin.Options{MaxDist: maxDist, Counters: c, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	ib := distjoin.NewIndexFromPoints(b)
 	defer ib.Close()
 
-	j, err := distjoin.DistanceJoin(ia, ib, distjoin.Options{})
+	j, err := distjoin.DistanceJoinIndexes(ia.AsSpatialIndex(), ib.AsSpatialIndex(), distjoin.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPublicAPISemiJoin(t *testing.T) {
 	iw := distjoin.NewIndexFromPoints(warehouses)
 	defer iw.Close()
 
-	s, err := distjoin.DistanceSemiJoin(is, iw, distjoin.FilterGlobalAll, distjoin.Options{})
+	s, err := distjoin.DistanceSemiJoinIndexes(is.AsSpatialIndex(), iw.AsSpatialIndex(), distjoin.FilterGlobalAll, distjoin.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +186,9 @@ func TestPublicAPIRefusesNonFinite(t *testing.T) {
 		"MaxDist":  {MaxDist: nan},
 		"HybridDT": {Queue: distjoin.QueueHybrid, HybridDT: nan, QueueStore: distjoin.NewMemPageStore},
 	} {
-		if j, err := distjoin.DistanceJoin(idx, idx, opts); err == nil {
+		if j, err := distjoin.DistanceJoinIndexes(idx.AsSpatialIndex(), idx.AsSpatialIndex(), opts); err == nil {
 			j.Close()
-			t.Errorf("DistanceJoin accepted a NaN %s", name)
+			t.Errorf("DistanceJoinIndexes accepted a NaN %s", name)
 		}
 	}
 }
@@ -203,7 +203,7 @@ func TestPublicAPIStats(t *testing.T) {
 	c := &distjoin.Stats{}
 	ia.SetCounters(c)
 	ib.SetCounters(c)
-	j, err := distjoin.DistanceJoin(ia, ib, distjoin.Options{Counters: c})
+	j, err := distjoin.DistanceJoinIndexes(ia.AsSpatialIndex(), ib.AsSpatialIndex(), distjoin.Options{Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}

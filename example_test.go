@@ -8,7 +8,7 @@ import (
 
 // The distance join streams pairs of two indexed sets in ascending order of
 // distance — consume only as many as you need.
-func ExampleDistanceJoin() {
+func ExampleDistanceJoinIndexes() {
 	shops := distjoin.NewIndexFromPoints([]distjoin.Point{
 		distjoin.Pt(0, 0), distjoin.Pt(10, 0), distjoin.Pt(0, 10),
 	})
@@ -18,7 +18,7 @@ func ExampleDistanceJoin() {
 	})
 	defer homes.Close()
 
-	j, _ := distjoin.DistanceJoin(shops, homes, distjoin.Options{})
+	j, _ := distjoin.DistanceJoinIndexes(shops.AsSpatialIndex(), homes.AsSpatialIndex(), distjoin.Options{})
 	defer j.Close()
 	for i := 0; i < 3; i++ {
 		p, ok, _ := j.Next()
@@ -35,7 +35,7 @@ func ExampleDistanceJoin() {
 
 // The distance semi-join assigns each first-input object its nearest
 // second-input partner, closest assignments first.
-func ExampleDistanceSemiJoin() {
+func ExampleDistanceSemiJoinIndexes() {
 	stores := distjoin.NewIndexFromPoints([]distjoin.Point{
 		distjoin.Pt(1, 1), distjoin.Pt(9, 9), distjoin.Pt(9, 1),
 	})
@@ -45,7 +45,7 @@ func ExampleDistanceSemiJoin() {
 	})
 	defer warehouses.Close()
 
-	s, _ := distjoin.DistanceSemiJoin(stores, warehouses, distjoin.FilterGlobalAll, distjoin.Options{})
+	s, _ := distjoin.DistanceSemiJoinIndexes(stores.AsSpatialIndex(), warehouses.AsSpatialIndex(), distjoin.FilterGlobalAll, distjoin.Options{})
 	defer s.Close()
 	for {
 		p, ok, _ := s.Next()
@@ -108,13 +108,13 @@ func ExampleWithinPairs() {
 
 // The clustering join pairs the two inputs mutually: each reported pair
 // consumes both of its objects.
-func ExampleClusteringJoin() {
+func ExampleClusteringJoinIndexes() {
 	a := distjoin.NewIndexFromPoints([]distjoin.Point{distjoin.Pt(0, 0), distjoin.Pt(1, 0)})
 	defer a.Close()
 	b := distjoin.NewIndexFromPoints([]distjoin.Point{distjoin.Pt(0, 1), distjoin.Pt(5, 5)})
 	defer b.Close()
 
-	s, _ := distjoin.ClusteringJoin(a, b, distjoin.FilterInside2, distjoin.Options{})
+	s, _ := distjoin.ClusteringJoinIndexes(a.AsSpatialIndex(), b.AsSpatialIndex(), distjoin.FilterInside2, distjoin.Options{})
 	defer s.Close()
 	for {
 		p, ok, _ := s.Next()

@@ -58,7 +58,7 @@ func main() {
 	defer riverIdx.Close()
 
 	// Query 1: the city nearest to any river. One Next() call does it.
-	j, err := distjoin.DistanceJoin(cityIdx, riverIdx, distjoin.Options{})
+	j, err := distjoin.DistanceJoinIndexes(cityIdx.AsSpatialIndex(), riverIdx.AsSpatialIndex(), distjoin.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func main() {
 	// The join stays incremental: it stops as soon as a qualifying city
 	// appears, without computing the rest.
 	const minPop = 5_000_000
-	j, err = distjoin.DistanceJoin(cityIdx, riverIdx, distjoin.Options{})
+	j, err = distjoin.DistanceJoinIndexes(cityIdx.AsSpatialIndex(), riverIdx.AsSpatialIndex(), distjoin.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer bigIdx.Close()
-	j, err = distjoin.DistanceJoin(bigIdx, riverIdx, distjoin.Options{})
+	j, err = distjoin.DistanceJoinIndexes(bigIdx.AsSpatialIndex(), riverIdx.AsSpatialIndex(), distjoin.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func main() {
 	// Query 3: cities within 5 miles of any river — a within join expressed
 	// as a distance join with MaxDist, de-duplicated on the city.
 	const withinMiles = 5.0
-	s, err := distjoin.DistanceSemiJoin(cityIdx, riverIdx, distjoin.FilterGlobalAll,
+	s, err := distjoin.DistanceSemiJoinIndexes(cityIdx.AsSpatialIndex(), riverIdx.AsSpatialIndex(), distjoin.FilterGlobalAll,
 		distjoin.Options{MaxDist: withinMiles})
 	if err != nil {
 		log.Fatal(err)

@@ -32,7 +32,7 @@ func main() {
 	defer customers.Close()
 
 	// Farthest pairs first.
-	j, err := distjoin.DistanceJoin(depots, customers, distjoin.Options{Reverse: true})
+	j, err := distjoin.DistanceJoinIndexes(depots.AsSpatialIndex(), customers.AsSpatialIndex(), distjoin.Options{Reverse: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 
 	// Reverse semi-join: for each depot, its FARTHEST customer, reported
 	// farthest-first (the second interpretation discussed in §2.3).
-	s, err := distjoin.DistanceSemiJoin(depots, customers, distjoin.FilterInside2,
+	s, err := distjoin.DistanceSemiJoinIndexes(depots.AsSpatialIndex(), customers.AsSpatialIndex(), distjoin.FilterInside2,
 		distjoin.Options{Reverse: true})
 	if err != nil {
 		log.Fatal(err)

@@ -67,7 +67,7 @@ func main() {
 	}
 
 	// The five closest (road, power line) encounters.
-	j, err := distjoin.DistanceJoin(roadIdx, lineIdx, opts)
+	j, err := distjoin.DistanceJoinIndexes(roadIdx.AsSpatialIndex(), lineIdx.AsSpatialIndex(), opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func main() {
 
 	// Crossings: a within join at distance zero (§2.2.5's intersection
 	// case expressed through the range restriction).
-	j, err = distjoin.DistanceJoin(roadIdx, lineIdx, distjoin.Options{
+	j, err = distjoin.DistanceJoinIndexes(roadIdx.AsSpatialIndex(), lineIdx.AsSpatialIndex(), distjoin.Options{
 		MaxDist:   1e-9,
 		ExactDist: opts.ExactDist,
 	})
@@ -109,7 +109,7 @@ func main() {
 
 	// For each power line, its nearest road (a clearance report), worst
 	// clearance last.
-	s, err := distjoin.DistanceSemiJoin(lineIdx, roadIdx, distjoin.FilterInside2, distjoin.Options{
+	s, err := distjoin.DistanceSemiJoinIndexes(lineIdx.AsSpatialIndex(), roadIdx.AsSpatialIndex(), distjoin.FilterInside2, distjoin.Options{
 		ExactDist: func(o1, o2 distjoin.ObjID) (float64, error) {
 			return geom.SegmentDist(powerLines[o1], roads[o2]), nil
 		},

@@ -31,7 +31,7 @@ func main() {
 	defer cafes.Close()
 
 	// Stream the ten closest (hotel, cafe) pairs.
-	j, err := distjoin.DistanceJoin(hotels, cafes, distjoin.Options{})
+	j, err := distjoin.DistanceJoinIndexes(hotels.AsSpatialIndex(), cafes.AsSpatialIndex(), distjoin.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

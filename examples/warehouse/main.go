@@ -41,7 +41,7 @@ func main() {
 	whIdx := distjoin.NewIndexFromPoints(warehouses)
 	defer whIdx.Close()
 
-	s, err := distjoin.DistanceSemiJoin(storeIdx, whIdx, distjoin.FilterGlobalAll, distjoin.Options{})
+	s, err := distjoin.DistanceSemiJoinIndexes(storeIdx.AsSpatialIndex(), whIdx.AsSpatialIndex(), distjoin.FilterGlobalAll, distjoin.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -213,12 +213,13 @@ func NNSemiJoin(t1, t2 *rtree.Tree, opts Options) ([]distjoin.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
+	inner := distjoin.WrapRTree(t2)
 	pairs := make([]distjoin.Pair, 0, len(outer))
 	for _, e := range outer {
 		if !e.Rect.IsPoint() {
 			return nil, errors.New("baseline: NNSemiJoin requires point objects")
 		}
-		res, err := inn.Nearest(t2, e.Rect.Lo, 1, inn.Options{
+		res, err := inn.Nearest(inner, e.Rect.Lo, 1, inn.Options{
 			Metric:   opts.Metric,
 			Counters: opts.Counters,
 		})

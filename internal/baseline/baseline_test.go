@@ -37,7 +37,7 @@ func randPts(seed int64, n int) []geom.Point {
 // incrementalJoin drains the incremental algorithm for comparison.
 func incrementalJoin(t *testing.T, t1, t2 *rtree.Tree, limit int, opts distjoin.Options) []distjoin.Pair {
 	t.Helper()
-	j, err := distjoin.NewJoin(t1, t2, opts)
+	j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestNNSemiJoinMatchesIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := distjoin.NewSemiJoin(ta, tb, distjoin.FilterGlobalAll, distjoin.Options{})
+	s, err := distjoin.NewSemiJoinIndexes(distjoin.WrapRTree(ta), distjoin.WrapRTree(tb), distjoin.FilterGlobalAll, distjoin.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,7 +139,7 @@ func TestSuggestMaxDistDrivesJoin(t *testing.T) {
 	}
 
 	run := func(maxDist float64) (dists []float64, queue int) {
-		j, err := distjoin.NewJoin(ta, tb, distjoin.Options{MaxDist: maxDist})
+		j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(ta), distjoin.WrapRTree(tb), distjoin.Options{MaxDist: maxDist})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -237,12 +237,12 @@ func drainEngineVariant(t *testing.T, t1, t2 SpatialIndex, tc diffCase, scalar b
 func TestBatchedExpansionMatchesScalar(t *testing.T) {
 	pts1 := clusteredPoints(41, 130)
 	pts2 := clusteredPoints(42, 110)
-	tr1 := buildTree(t, pts1)
-	tr2 := buildTree(t, pts2)
+	tr1 := WrapRTree(buildTree(t, pts1))
+	tr2 := WrapRTree(buildTree(t, pts2))
 
 	for _, tc := range diffCases(pts1, pts2) {
 		t.Run(tc.name, func(t *testing.T) {
-			i1, i2 := WrapRTree(tr1), WrapRTree(tr2)
+			i1, i2 := tr1, tr2
 			if tc.quad1 {
 				i1 = WrapQuadtree(buildQuadtree(t, pts1))
 			}
@@ -392,8 +392,8 @@ func TestBatchScratchPreSized(t *testing.T) {
 // over a sub-run of a block of rows computes, for each row, the value it
 // computes for that row in the whole block — and allocates nothing.
 func TestMinDistRowsSubRun(t *testing.T) {
-	tr := buildTree(t, clusteredPoints(9, 400))
-	e, err := newEngine(WrapRTree(tr), WrapRTree(tr), Options{}, nil)
+	tr := WrapRTree(buildTree(t, clusteredPoints(9, 400)))
+	e, err := newEngine(tr, tr, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestBatchedExpansionZeroAllocs(t *testing.T) {
 	// Mallocs is the whole process's: keep what other tests left running off
 	// the processor while it is read, as testing.AllocsPerRun does.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	ta, tb := buildTree(t, clusteredPoints(51, 300)), buildTree(t, clusteredPoints(52, 300))
+	ta, tb := WrapRTree(buildTree(t, clusteredPoints(51, 300))), WrapRTree(buildTree(t, clusteredPoints(52, 300)))
 	win := geom.R(geom.Pt(0, 0), geom.Pt(700, 800))
 	sel := func(id rtree.ObjID) bool { return id%3 != 0 }
 	for _, c := range []struct {
@@ -465,7 +465,7 @@ func TestBatchedExpansionZeroAllocs(t *testing.T) {
 		{"hybrid queue", Options{Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 1, QueuePageSize: 1 << 16}, nil, 1, true},
 		{"hybrid queue, semi-join", Options{Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 1, QueuePageSize: 1 << 16}, &semiState{filter: FilterGlobalAll, k: 1}, 2, true},
 	} {
-		e, err := newEngine(WrapRTree(ta), WrapRTree(tb), c.opts, c.semi)
+		e, err := newEngine(ta, tb, c.opts, c.semi)
 		if err != nil {
 			t.Fatal(err)
 		}

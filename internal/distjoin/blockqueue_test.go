@@ -370,7 +370,7 @@ func (q *blockQueue) restInUse() int {
 // — and its storage at the peak, not the total, of what a drain queues.
 func TestAllocBlockQueue(t *testing.T) {
 	skipUnderRace(t)
-	ta, tb := buildTree(t, clusteredPoints(51, 300)), buildTree(t, clusteredPoints(52, 300))
+	ta, tb := WrapRTree(buildTree(t, clusteredPoints(51, 300))), WrapRTree(buildTree(t, clusteredPoints(52, 300)))
 	// A join's expansion, and a semi-join's on either side: the second side
 	// runs the Local rule over the d_max row kernel's buffer.
 	for _, c := range []struct {
@@ -382,7 +382,7 @@ func TestAllocBlockQueue(t *testing.T) {
 		{"semi-join side 1", &semiState{filter: FilterGlobalAll, k: 1}, 1},
 		{"semi-join side 2", &semiState{filter: FilterGlobalAll, k: 1}, 2},
 	} {
-		e, err := newEngine(WrapRTree(ta), WrapRTree(tb), Options{}, c.semi)
+		e, err := newEngine(ta, tb, Options{}, c.semi)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func TestAllocBlockQueue(t *testing.T) {
 
 	// The exhaustive drain: blocks are exhausted and their storage reused
 	// while later expansions still open new ones.
-	j, err := newEngine(WrapRTree(ta), WrapRTree(tb), Options{}, nil)
+	j, err := newEngine(ta, tb, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestAllocBlockQueue(t *testing.T) {
 func TestQueueElementsAtFirstPair(t *testing.T) {
 	ta, tb := buildTree(t, clusteredPoints(61, 2000)), buildTree(t, clusteredPoints(62, 4000))
 	c := &stats.Counters{}
-	j, err := NewJoin(ta, tb, Options{Traversal: TraverseEven, TieBreak: DepthFirst, Counters: c})
+	j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{Traversal: TraverseEven, TieBreak: DepthFirst, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 	if s.MaxQueueElements == 0 || s.MaxQueueElements*5 > s.MaxQueueSize {
 		t.Errorf("queue peaked at %d elements for %d pairs, want at most a fifth", s.MaxQueueElements, s.MaxQueueSize)
 	}
-	e := runnerOf(j).(*engine)
+	e := j.r.(*engine)
 	if len(e.q.heads)*5 > j.QueueLen() {
 		t.Errorf("queue holds %d elements for %d pairs, want at most a fifth", len(e.q.heads), j.QueueLen())
 	}
@@ -473,7 +473,7 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 	// and the list tier hold their pairs in — come to at most a byte per
 	// queued pair. Everything else is on disk.
 	ta, tb = buildTree(t, clusteredPoints(63, 12000)), buildTree(t, clusteredPoints(64, 64000))
-	h, err := NewJoin(ta, tb, Options{Traversal: TraverseEven, TieBreak: DepthFirst, Queue: QueueHybrid, QueueStore: memQueueStore})
+	h, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{Traversal: TraverseEven, TieBreak: DepthFirst, Queue: QueueHybrid, QueueStore: memQueueStore})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 	if _, ok, err := h.Next(); !ok || err != nil {
 		t.Fatal("no first pair", err)
 	}
-	q := runnerOf(h).(*engine).q
+	q := h.r.(*engine).q
 	held = len(q.heads)*int(unsafe.Sizeof(head{})) + len(q.singles)*int(unsafe.Sizeof(qpair{})) +
 		len(q.blocks)*int(unsafe.Sizeof(block{})) + q.carved*int(unsafe.Sizeof(head{}))
 	arenas := map[*IndexNode]bool{}
@@ -518,12 +518,12 @@ func (f *flakyIndex) Node(ref uint64) (*IndexNode, error) {
 // it, exactly as under per-pair insertion, so an engine driven on past the
 // error delivers the same sequence as the scalar reference does.
 func TestBlockQueueFailedExpansion(t *testing.T) {
-	ta, tb := buildTree(t, clusteredPoints(71, 200)), buildTree(t, clusteredPoints(72, 200))
+	ta, tb := WrapRTree(buildTree(t, clusteredPoints(71, 200))), WrapRTree(buildTree(t, clusteredPoints(72, 200)))
 	for _, failAt := range []int{3, 9, 40} {
 		var streams [2][]Pair
 		for v, scalar := range []bool{false, true} {
 			c := &stats.Counters{}
-			e, err := newEngine(WrapRTree(ta), &flakyIndex{SpatialIndex: WrapRTree(tb), failAt: failAt}, Options{Counters: c}, nil)
+			e, err := newEngine(ta, &flakyIndex{SpatialIndex: tb, failAt: failAt}, Options{Counters: c}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -674,7 +674,7 @@ func TestBlockStoreConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				j, err := NewJoin(ta, tb, Options{MaxPairs: 400})
+				j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{MaxPairs: 400})
 				if err != nil {
 					t.Error(err)
 					return

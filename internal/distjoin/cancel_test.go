@@ -22,32 +22,13 @@ import (
 // a leaked goroutine or pinned pager frame.
 // ---------------------------------------------------------------------------
 
-// cancelIter is the common surface of Join and SemiJoin the sweep needs.
-type cancelIter interface {
-	Next() (Pair, bool, error)
-	Close() error
-	Err() error
-}
-
-// runnerOf exposes the execution strategy behind an iterator for white-box
-// assertions (hybrid-queue page conservation on the sequential path).
-func runnerOf(it cancelIter) runner {
-	switch v := it.(type) {
-	case *Join:
-		return v.s.r
-	case *SemiJoin:
-		return v.s.r
-	}
-	return nil
-}
-
 // assertStoreConserved checks a sequential hybrid engine's disk tier while
 // quiescent: the pages allocated in its store are exactly those its class
 // chains link — a cancellation that struck mid-spill or mid-fetch must not
 // leak a page or drop a chain.
-func assertStoreConserved(t *testing.T, it cancelIter) {
+func assertStoreConserved(t *testing.T, it *Join) {
 	t.Helper()
-	e, ok := runnerOf(it).(*engine)
+	e, ok := it.r.(*engine)
 	if !ok {
 		return
 	}
@@ -60,7 +41,7 @@ func assertStoreConserved(t *testing.T, it cancelIter) {
 
 // drainReference runs one configuration to completion with no context and
 // returns the full delivered stream as the oracle for canceled prefixes.
-func drainReference(t *testing.T, mk func(opts Options) (cancelIter, error), opts Options) []Pair {
+func drainReference(t *testing.T, mk func(opts Options) (*Join, error), opts Options) []Pair {
 	t.Helper()
 	it, err := mk(opts)
 	if err != nil {
@@ -124,21 +105,21 @@ func TestCancellationSweep(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	a := clusteredPoints(901, 55)
 	b := clusteredPoints(902, 65)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	kinds := []struct {
 		name string
-		mk   func(opts Options) (cancelIter, error)
+		mk   func(opts Options) (*Join, error)
 	}{
-		{"join", func(opts Options) (cancelIter, error) {
+		{"join", func(opts Options) (*Join, error) {
 			opts.MaxPairs = 400
-			return NewJoin(ta, tb, opts)
+			return NewJoinIndexes(ta, tb, opts)
 		}},
-		{"semijoin", func(opts Options) (cancelIter, error) {
-			return NewSemiJoin(ta, tb, FilterGlobalAll, opts)
+		{"semijoin", func(opts Options) (*Join, error) {
+			return NewSemiJoinIndexes(ta, tb, FilterGlobalAll, opts)
 		}},
-		{"knn", func(opts Options) (cancelIter, error) {
-			return NewKNearestJoin(ta, tb, 3, FilterGlobalAll, opts)
+		{"knn", func(opts Options) (*Join, error) {
+			return NewKNearestJoinIndexes(ta, tb, 3, FilterGlobalAll, opts)
 		}},
 	}
 	queues := []queueConfig{
@@ -230,11 +211,11 @@ func TestCancellationSweep(t *testing.T) {
 func TestDeadlineCancellation(t *testing.T) {
 	a := clusteredPoints(903, 80)
 	b := clusteredPoints(904, 90)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	j, err := NewJoin(ta, tb, Options{Context: ctx})
+	j, err := NewJoinIndexes(ta, tb, Options{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +247,11 @@ func TestDeadlineCancellation(t *testing.T) {
 // drawn with exactly k = MaxPairs and then hard-canceled must answer 410, not
 // 200 done.) An engine that has already reported exhaustion stays done.
 func TestCancelSeenBeforeMaxPairs(t *testing.T) {
-	ta, tb := buildTree(t, clusteredPoints(911, 40)), buildTree(t, clusteredPoints(912, 50))
+	ta, tb := WrapRTree(buildTree(t, clusteredPoints(911, 40))), WrapRTree(buildTree(t, clusteredPoints(912, 50)))
 	const k = 25
-	iters := map[string]func(Options) (cancelIter, error){
-		"join": func(o Options) (cancelIter, error) { return NewJoin(ta, tb, o) },
-		"semi": func(o Options) (cancelIter, error) { return NewSemiJoin(ta, tb, FilterGlobalAll, o) },
+	iters := map[string]func(Options) (*Join, error){
+		"join": func(o Options) (*Join, error) { return NewJoinIndexes(ta, tb, o) },
+		"semi": func(o Options) (*Join, error) { return NewSemiJoinIndexes(ta, tb, FilterGlobalAll, o) },
 	}
 	for name, mk := range iters {
 		for _, queue := range []QueueKind{QueueMemory, QueueHybrid} {
@@ -312,16 +293,16 @@ func TestCancelSeenBeforeMaxPairs(t *testing.T) {
 // answered ErrCanceled, as the sequential engine answers it.
 func TestCancelSeenBeforeMaxPairsParallel(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
-	ta, tb := buildTree(t, clusteredPoints(910, 120)), buildTree(t, clusteredPoints(911, 140))
+	ta, tb := WrapRTree(buildTree(t, clusteredPoints(910, 120))), WrapRTree(buildTree(t, clusteredPoints(911, 140)))
 	const k = 25
 	for _, queue := range []QueueKind{QueueMemory, QueueHybrid} {
 		for _, sawEnd := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
-			j, err := NewJoin(ta, tb, Options{Context: ctx, MaxPairs: k, Parallelism: 4, Queue: queue, HybridDT: 8, QueueStore: memQueueStore})
+			j, err := NewJoinIndexes(ta, tb, Options{Context: ctx, MaxPairs: k, Parallelism: 4, Queue: queue, HybridDT: 8, QueueStore: memQueueStore})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := runnerOf(j).(*parallelJoin); !ok {
+			if _, ok := j.r.(*parallelJoin); !ok {
 				t.Fatalf("%s: the join did not take the parallel path", queue)
 			}
 			for i := 0; i < k; i++ {
@@ -357,11 +338,11 @@ func TestCancelSeenBeforeMaxPairsParallel(t *testing.T) {
 func TestCancelCausePropagates(t *testing.T) {
 	a := clusteredPoints(905, 40)
 	b := clusteredPoints(906, 40)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	reason := errors.New("operator killed the query")
 	ctx, cancel := context.WithCancelCause(context.Background())
-	j, err := NewJoin(ta, tb, Options{Context: ctx})
+	j, err := NewJoinIndexes(ta, tb, Options{Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +364,7 @@ func TestCancelCausePropagates(t *testing.T) {
 func TestCancelInterruptsRetryBackoff(t *testing.T) {
 	a := clusteredPoints(907, 60)
 	b := clusteredPoints(908, 70)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -405,7 +386,7 @@ func TestCancelInterruptsRetryBackoff(t *testing.T) {
 			}), nil
 		},
 	}
-	j, err := NewJoin(ta, tb, opts)
+	j, err := NewJoinIndexes(ta, tb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,11 +430,11 @@ func TestCanceledParallelJoinLeaksNothing(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	a := clusteredPoints(910, 120)
 	b := clusteredPoints(911, 140)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	j, err := NewJoin(ta, tb, Options{
+	j, err := NewJoinIndexes(ta, tb, Options{
 		Context:       ctx,
 		Parallelism:   4,
 		Queue:         QueueHybrid,
@@ -486,7 +467,7 @@ func TestCanceledParallelJoinLeaksNothing(t *testing.T) {
 func TestBackgroundContextZeroCost(t *testing.T) {
 	a := clusteredPoints(912, 30)
 	b := clusteredPoints(913, 30)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	for _, tc := range []struct {
 		name string
@@ -496,12 +477,12 @@ func TestBackgroundContextZeroCost(t *testing.T) {
 		{"background", context.Background()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			j, err := NewJoin(ta, tb, Options{Context: tc.ctx})
+			j, err := NewJoinIndexes(ta, tb, Options{Context: tc.ctx})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			e, ok := runnerOf(j).(*engine)
+			e, ok := j.r.(*engine)
 			if !ok {
 				t.Fatal("sequential join did not use the sequential engine")
 			}

@@ -43,15 +43,15 @@ func bruteClusteringJoin(a, b []geom.Point, m geom.Metric) []bruteResult {
 func TestClusteringJoinMatchesGreedy(t *testing.T) {
 	a := clusteredPoints(121, 60)
 	b := clusteredPoints(122, 80)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteClusteringJoin(a, b, geom.Euclidean)
 
 	for _, f := range allFilters {
-		s, err := NewClusteringJoin(ta, tb, f, Options{})
+		s, err := NewClusteringJoinIndexes(ta, tb, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainSemi(t, s, 0)
+		got := drainJoin(t, s, 0)
 		s.Close()
 		if len(got) != len(want) {
 			t.Fatalf("filter %v: %d pairs, want %d (= min cardinality %d)",
@@ -76,22 +76,22 @@ func TestClusteringJoinCardinality(t *testing.T) {
 	// The clustering join pairs up min(|A|, |B|) objects.
 	a := clusteredPoints(123, 25)
 	b := clusteredPoints(124, 90)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	s, err := NewClusteringJoin(ta, tb, FilterInside2, Options{})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	s, err := NewClusteringJoinIndexes(ta, tb, FilterInside2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := len(drainSemi(t, s, 0)); got != 25 {
+	if got := len(drainJoin(t, s, 0)); got != 25 {
 		t.Fatalf("clustering join produced %d pairs, want 25", got)
 	}
 	// Reversed operands: still min cardinality.
-	s2, err := NewClusteringJoin(tb, ta, FilterInside2, Options{})
+	s2, err := NewClusteringJoinIndexes(tb, ta, FilterInside2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := len(drainSemi(t, s2, 0)); got != 25 {
+	if got := len(drainJoin(t, s2, 0)); got != 25 {
 		t.Fatalf("reversed clustering join produced %d pairs, want 25", got)
 	}
 }
@@ -101,22 +101,22 @@ func TestClusteringJoinSymmetryOfDistances(t *testing.T) {
 	// operand-order independent (the operation is symmetric, §1).
 	a := clusteredPoints(125, 40)
 	b := clusteredPoints(126, 40)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	s1, err := NewClusteringJoin(ta, tb, FilterInside2, Options{})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	s1, err := NewClusteringJoinIndexes(ta, tb, FilterInside2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1 := []float64{}
-	for _, p := range drainSemi(t, s1, 0) {
+	for _, p := range drainJoin(t, s1, 0) {
 		d1 = append(d1, p.Dist)
 	}
 	s1.Close()
-	s2, err := NewClusteringJoin(tb, ta, FilterInside2, Options{})
+	s2, err := NewClusteringJoinIndexes(tb, ta, FilterInside2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2 := []float64{}
-	for _, p := range drainSemi(t, s2, 0) {
+	for _, p := range drainJoin(t, s2, 0) {
 		d2 = append(d2, p.Dist)
 	}
 	s2.Close()
@@ -133,14 +133,14 @@ func TestClusteringJoinSymmetryOfDistances(t *testing.T) {
 func TestClusteringJoinWithMaxPairs(t *testing.T) {
 	a := clusteredPoints(127, 50)
 	b := clusteredPoints(128, 50)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteClusteringJoin(a, b, geom.Euclidean)
 	for _, k := range []int{1, 7, 30} {
-		s, err := NewClusteringJoin(ta, tb, FilterInside2, Options{MaxPairs: k})
+		s, err := NewClusteringJoinIndexes(ta, tb, FilterInside2, Options{MaxPairs: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainSemi(t, s, 0)
+		got := drainJoin(t, s, 0)
 		s.Close()
 		if len(got) != k {
 			t.Fatalf("MaxPairs=%d delivered %d", k, len(got))

@@ -55,7 +55,7 @@ func TestJoinQuadtreeQuadtree(t *testing.T) {
 func TestJoinMixedRTreeQuadtree(t *testing.T) {
 	a := clusteredPoints(73, 120)
 	b := clusteredPoints(74, 160)
-	ta := buildTree(t, a) // R-tree
+	ta := WrapRTree(buildTree(t, a)) // R-tree
 	qb := buildQuadtree(t, b)
 	for _, variants := range []struct {
 		name string
@@ -67,7 +67,7 @@ func TestJoinMixedRTreeQuadtree(t *testing.T) {
 		{"BreadthFirst", Options{TieBreak: BreadthFirst}},
 	} {
 		t.Run(variants.name, func(t *testing.T) {
-			j, err := NewJoinIndexes(WrapRTree(ta), WrapQuadtree(qb), variants.opts)
+			j, err := NewJoinIndexes(ta, WrapQuadtree(qb), variants.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestSemiJoinOverQuadtrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainSemi(t, s, 0)
+		got := drainJoin(t, s, 0)
 		s.Close()
 		if len(got) != len(a) {
 			t.Fatalf("filter %v: %d pairs, want %d", f, len(got), len(a))
@@ -109,7 +109,7 @@ func TestSemiJoinOverQuadtrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainSemi(t, s, 0)
+		got := drainJoin(t, s, 0)
 		s.Close()
 		if len(got) != k {
 			t.Fatalf("MaxPairs=%d delivered %d", k, len(got))
@@ -199,8 +199,8 @@ func TestPropRTreeQuadtreeAgree(t *testing.T) {
 		na, nb := 20+rnd.Intn(80), 20+rnd.Intn(80)
 		a := clusteredPoints(seed*5+1, na)
 		b := clusteredPoints(seed*5+2, nb)
-		taR := buildTree(t, a)
-		tbR := buildTree(t, b)
+		taR := WrapRTree(buildTree(t, a))
+		tbR := WrapRTree(buildTree(t, b))
 		taQ, tbQ := buildQuadtree(t, a), buildQuadtree(t, b)
 
 		opts := Options{
@@ -224,9 +224,9 @@ func TestPropRTreeQuadtreeAgree(t *testing.T) {
 			}
 			return out
 		}
-		dr := run(WrapRTree(taR), WrapRTree(tbR))
+		dr := run(taR, tbR)
 		dq := run(WrapQuadtree(taQ), WrapQuadtree(tbQ))
-		dm := run(WrapRTree(taR), WrapQuadtree(tbQ))
+		dm := run(taR, WrapQuadtree(tbQ))
 		if len(dr) != len(dq) || len(dr) != len(dm) {
 			return false
 		}

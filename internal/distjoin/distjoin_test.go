@@ -113,7 +113,7 @@ func assertDistancesMatch(t *testing.T, got []Pair, want []bruteResult) {
 func TestJoinMatchesBruteForce(t *testing.T) {
 	a := clusteredPoints(1, 150)
 	b := clusteredPoints(2, 180)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteJoin(a, b, geom.Euclidean)
 
 	variants := []struct {
@@ -133,7 +133,7 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			j, err := NewJoin(ta, tb, v.opts)
+			j, err := NewJoinIndexes(ta, tb, v.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,8 +157,8 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 func TestJoinFullResult(t *testing.T) {
 	a := clusteredPoints(3, 40)
 	b := clusteredPoints(4, 50)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	j, err := NewJoin(ta, tb, Options{})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	j, err := NewJoinIndexes(ta, tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestJoinFullResult(t *testing.T) {
 func TestJoinOtherMetrics(t *testing.T) {
 	a := clusteredPoints(5, 60)
 	b := clusteredPoints(6, 70)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	for _, m := range []geom.Metric{geom.Manhattan, geom.Chessboard} {
 		t.Run(m.Name(), func(t *testing.T) {
-			j, err := NewJoin(ta, tb, Options{Metric: m})
+			j, err := NewJoinIndexes(ta, tb, Options{Metric: m})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,9 +200,9 @@ func TestJoinOtherMetrics(t *testing.T) {
 func TestJoinDistanceRange(t *testing.T) {
 	a := clusteredPoints(7, 100)
 	b := clusteredPoints(8, 100)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	const dmin, dmax = 50.0, 120.0
-	j, err := NewJoin(ta, tb, Options{MinDist: dmin, MaxDist: dmax})
+	j, err := NewJoinIndexes(ta, tb, Options{MinDist: dmin, MaxDist: dmax})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,10 +228,10 @@ func TestJoinDistanceRange(t *testing.T) {
 func TestJoinMaxPairs(t *testing.T) {
 	a := clusteredPoints(9, 200)
 	b := clusteredPoints(10, 220)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteJoin(a, b, geom.Euclidean)
 	for _, k := range []int{1, 10, 100, 1000} {
-		j, err := NewJoin(ta, tb, Options{MaxPairs: k})
+		j, err := NewJoinIndexes(ta, tb, Options{MaxPairs: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,8 +251,8 @@ func TestJoinMaxPairs(t *testing.T) {
 func TestJoinMaxPairsTightensBound(t *testing.T) {
 	a := clusteredPoints(11, 300)
 	b := clusteredPoints(12, 300)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	j, err := NewJoin(ta, tb, Options{MaxPairs: 50})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	j, err := NewJoinIndexes(ta, tb, Options{MaxPairs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +266,8 @@ func TestJoinMaxPairsTightensBound(t *testing.T) {
 func TestJoinReverse(t *testing.T) {
 	a := clusteredPoints(13, 60)
 	b := clusteredPoints(14, 70)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	j, err := NewJoin(ta, tb, Options{Reverse: true})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	j, err := NewJoinIndexes(ta, tb, Options{Reverse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +286,8 @@ func TestJoinReverse(t *testing.T) {
 func TestJoinReverseFull(t *testing.T) {
 	a := clusteredPoints(15, 25)
 	b := clusteredPoints(16, 30)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	j, err := NewJoin(ta, tb, Options{Reverse: true})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	j, err := NewJoinIndexes(ta, tb, Options{Reverse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestJoinEmptyInputs(t *testing.T) {
 	empty := buildTree(t, nil)
 	full := buildTree(t, clusteredPoints(17, 20))
 	for _, pair := range [][2]*rtree.Tree{{empty, full}, {full, empty}, {empty, empty}} {
-		j, err := NewJoin(pair[0], pair[1], Options{})
+		j, err := NewJoinIndexes(WrapRTree(pair[0]), WrapRTree(pair[1]), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,9 +319,9 @@ func TestJoinEmptyInputs(t *testing.T) {
 }
 
 func TestJoinSingleObjects(t *testing.T) {
-	ta := buildTree(t, []geom.Point{geom.Pt(0, 0)})
-	tb := buildTree(t, []geom.Point{geom.Pt(3, 4)})
-	j, err := NewJoin(ta, tb, Options{})
+	ta := WrapRTree(buildTree(t, []geom.Point{geom.Pt(0, 0)}))
+	tb := WrapRTree(buildTree(t, []geom.Point{geom.Pt(3, 4)}))
+	j, err := NewJoinIndexes(ta, tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +345,8 @@ func TestJoinDuplicatePoints(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Pt(5, 5)
 	}
-	ta, tb := buildTree(t, pts), buildTree(t, pts)
-	j, err := NewJoin(ta, tb, Options{})
+	ta, tb := WrapRTree(buildTree(t, pts)), WrapRTree(buildTree(t, pts))
+	j, err := NewJoinIndexes(ta, tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,8 +364,8 @@ func TestJoinDuplicatePoints(t *testing.T) {
 
 func TestJoinSelfJoin(t *testing.T) {
 	pts := clusteredPoints(19, 80)
-	tr := buildTree(t, pts)
-	j, err := NewJoin(tr, tr, Options{})
+	tr := WrapRTree(buildTree(t, pts))
+	j, err := NewJoinIndexes(tr, tr, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestJoinOBRMode(t *testing.T) {
 	}
 	ta, tb := mkTree(oa), mkTree(ob)
 	fetches := 0
-	j, err := NewJoin(ta, tb, Options{
+	j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{
 		Fetch1: func(id rtree.ObjID) (geom.Rect, error) { fetches++; return oa[id].exact, nil },
 		Fetch2: func(id rtree.ObjID) (geom.Rect, error) { fetches++; return ob[id].exact, nil },
 	})
@@ -444,8 +444,8 @@ func TestJoinOBRMode(t *testing.T) {
 }
 
 func TestJoinOptionValidation(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(25, 10))
-	tb := buildTree(t, clusteredPoints(26, 10))
+	ta := WrapRTree(buildTree(t, clusteredPoints(25, 10)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(26, 10)))
 	cases := []Options{
 		{MinDist: -1},
 		{MinDist: 10, MaxDist: 5},
@@ -455,24 +455,24 @@ func TestJoinOptionValidation(t *testing.T) {
 		{QueuePageSize: -1},
 	}
 	for i, o := range cases {
-		if _, err := NewJoin(ta, tb, o); err == nil {
+		if _, err := NewJoinIndexes(ta, tb, o); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
-	if _, err := NewJoin(nil, tb, Options{}); err == nil {
+	if _, err := NewJoinIndexes(WrapRTree(nil), tb, Options{}); err == nil {
 		t.Error("nil tree accepted")
 	}
 	t3d, _ := rtree.New(rtree.Config{Dims: 3})
 	defer t3d.Close()
-	if _, err := NewJoin(ta, t3d, Options{}); err == nil {
+	if _, err := NewJoinIndexes(ta, WrapRTree(t3d), Options{}); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
 
 func TestJoinStopAfterMaxPairsThenDone(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(27, 50))
-	tb := buildTree(t, clusteredPoints(28, 50))
-	j, err := NewJoin(ta, tb, Options{MaxPairs: 7})
+	ta := WrapRTree(buildTree(t, clusteredPoints(27, 50)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(28, 50)))
+	j, err := NewJoinIndexes(ta, tb, Options{MaxPairs: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,9 +497,9 @@ func TestJoinStopAfterMaxPairsThenDone(t *testing.T) {
 func TestAccountingSemantics(t *testing.T) {
 	a := clusteredPoints(91, 100)
 	b := clusteredPoints(92, 100)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	c := &stats.Counters{}
-	j, err := NewJoin(ta, tb, Options{Counters: c})
+	j, err := NewJoinIndexes(ta, tb, Options{Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,9 +531,9 @@ func TestAccountingSemantics(t *testing.T) {
 
 // TestCountersNilSafe runs a join with no counters attached end to end.
 func TestCountersNilSafe(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(93, 50))
-	tb := buildTree(t, clusteredPoints(94, 50))
-	j, err := NewJoin(ta, tb, Options{})
+	ta := WrapRTree(buildTree(t, clusteredPoints(93, 50)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(94, 50)))
+	j, err := NewJoinIndexes(ta, tb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,14 +550,14 @@ func TestCountersNilSafe(t *testing.T) {
 func TestJoinDeferLeaves(t *testing.T) {
 	a := clusteredPoints(95, 120)
 	b := clusteredPoints(96, 140)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteJoin(a, b, geom.Euclidean)
 	for _, opts := range []Options{
 		{DeferLeaves: true},
 		{DeferLeaves: true, Traversal: TraverseBasic},
 		{DeferLeaves: true, TieBreak: BreadthFirst},
 	} {
-		j, err := NewJoin(ta, tb, opts)
+		j, err := NewJoinIndexes(ta, tb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -566,12 +566,12 @@ func TestJoinDeferLeaves(t *testing.T) {
 		assertDistancesMatch(t, got, want)
 	}
 	// And a semi-join with deferral.
-	s, err := NewSemiJoin(ta, tb, FilterInside2, Options{DeferLeaves: true})
+	s, err := NewSemiJoinIndexes(ta, tb, FilterInside2, Options{DeferLeaves: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := drainSemi(t, s, 0)
+	got := drainJoin(t, s, 0)
 	wantSemi := bruteSemiJoin(a, b, geom.Euclidean)
 	if len(got) != len(wantSemi) {
 		t.Fatalf("deferred semi-join: %d pairs, want %d", len(got), len(wantSemi))
@@ -589,10 +589,10 @@ func TestJoinDeferLeaves(t *testing.T) {
 func TestJoinReverseWithMaxPairs(t *testing.T) {
 	a := clusteredPoints(131, 150)
 	b := clusteredPoints(132, 170)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	brute := bruteJoin(a, b, geom.Euclidean)
 	for _, k := range []int{1, 10, 200, 2000} {
-		j, err := NewJoin(ta, tb, Options{Reverse: true, MaxPairs: k})
+		j, err := NewJoinIndexes(ta, tb, Options{Reverse: true, MaxPairs: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -611,7 +611,7 @@ func TestJoinReverseWithMaxPairs(t *testing.T) {
 	// The estimation must actually raise the bound (prune something) for a
 	// modest K on this data.
 	c := &stats.Counters{}
-	jBounded, err := NewJoin(ta, tb, Options{Reverse: true, MaxPairs: 50, Counters: c})
+	jBounded, err := NewJoinIndexes(ta, tb, Options{Reverse: true, MaxPairs: 50, Counters: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +619,7 @@ func TestJoinReverseWithMaxPairs(t *testing.T) {
 	boundedQueue := c.MaxQueueSize
 	jBounded.Close()
 	c2 := &stats.Counters{}
-	jFree, err := NewJoin(ta, tb, Options{Reverse: true, Counters: c2})
+	jFree, err := NewJoinIndexes(ta, tb, Options{Reverse: true, Counters: c2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,9 +632,9 @@ func TestJoinReverseWithMaxPairs(t *testing.T) {
 
 // TestSemiJoinReverseMaxPairsStillRejected pins the unsupported combination.
 func TestSemiJoinReverseMaxPairsStillRejected(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(133, 10))
-	tb := buildTree(t, clusteredPoints(134, 10))
-	if _, err := NewSemiJoin(ta, tb, FilterInside2, Options{Reverse: true, MaxPairs: 3}); err == nil {
+	ta := WrapRTree(buildTree(t, clusteredPoints(133, 10)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(134, 10)))
+	if _, err := NewSemiJoinIndexes(ta, tb, FilterInside2, Options{Reverse: true, MaxPairs: 3}); err == nil {
 		t.Fatal("reverse semi-join with MaxPairs accepted")
 	}
 }

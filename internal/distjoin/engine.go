@@ -132,7 +132,7 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 	if err := opts.validate(t1, t2, semi != nil); err != nil {
 		return nil, err
 	}
-	// An engine built outside newRunner (the in-package tests) begins its
+	// An engine built outside newJoin (the in-package tests) begins its
 	// own run; nothing finishes it, so it lands no query trace.
 	if opts.run == nil {
 		opts.run = meter.Begin(opts.sinks(), queryKind(semi))

@@ -13,10 +13,10 @@ import (
 func TestJoinWithWindows(t *testing.T) {
 	a := clusteredPoints(51, 200)
 	b := clusteredPoints(52, 200)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	w1 := geom.R(geom.Pt(100, 100), geom.Pt(600, 600))
 	w2 := geom.R(geom.Pt(0, 0), geom.Pt(500, 900))
-	j, err := NewJoin(ta, tb, Options{Window1: &w1, Window2: &w2})
+	j, err := NewJoinIndexes(ta, tb, Options{Window1: &w1, Window2: &w2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,10 @@ func TestJoinWithWindows(t *testing.T) {
 func TestJoinWithSelectPredicates(t *testing.T) {
 	a := clusteredPoints(53, 150)
 	b := clusteredPoints(54, 150)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	sel1 := func(id rtree.ObjID) bool { return id%3 == 0 }
 	sel2 := func(id rtree.ObjID) bool { return id%2 == 1 }
-	j, err := NewJoin(ta, tb, Options{Select1: sel1, Select2: sel2})
+	j, err := NewJoinIndexes(ta, tb, Options{Select1: sel1, Select2: sel2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,15 +87,15 @@ func TestJoinWithSelectPredicates(t *testing.T) {
 func TestSemiJoinWithWindowAndSelect(t *testing.T) {
 	a := clusteredPoints(55, 150)
 	b := clusteredPoints(56, 200)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	w2 := geom.R(geom.Pt(0, 0), geom.Pt(600, 600))
 	sel1 := func(id rtree.ObjID) bool { return id%2 == 0 }
-	s, err := NewSemiJoin(ta, tb, FilterGlobalAll, Options{Select1: sel1, Window2: &w2})
+	s, err := NewSemiJoinIndexes(ta, tb, FilterGlobalAll, Options{Select1: sel1, Window2: &w2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := drainSemi(t, s, 0)
+	got := drainJoin(t, s, 0)
 	// Brute force: even-id objects of a, nearest among b ∩ window.
 	var want []float64
 	for i, p := range a {
@@ -156,7 +156,7 @@ func TestIntersectionOrdering(t *testing.T) {
 	ta, tb := mkTree(ra), mkTree(rb)
 	anchor := geom.Pt(rnd.Float64()*500, rnd.Float64()*500)
 
-	j, err := NewJoin(ta, tb, Options{OrderIntersectionsFrom: anchor})
+	j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{OrderIntersectionsFrom: anchor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestIntersectionOrdering(t *testing.T) {
 }
 
 func TestIntersectionOrderingValidation(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(60, 10))
-	tb := buildTree(t, clusteredPoints(61, 10))
+	ta := WrapRTree(buildTree(t, clusteredPoints(60, 10)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(61, 10)))
 	anchor := geom.Pt(0, 0)
 	bad := []Options{
 		{OrderIntersectionsFrom: anchor, Reverse: true},
@@ -199,33 +199,33 @@ func TestIntersectionOrderingValidation(t *testing.T) {
 		{OrderIntersectionsFrom: geom.Pt(1, 2, 3)},
 	}
 	for i, o := range bad {
-		if _, err := NewJoin(ta, tb, o); err == nil {
+		if _, err := NewJoinIndexes(ta, tb, o); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
 	}
-	if _, err := NewSemiJoin(ta, tb, FilterInside2, Options{OrderIntersectionsFrom: anchor}); err == nil {
+	if _, err := NewSemiJoinIndexes(ta, tb, FilterInside2, Options{OrderIntersectionsFrom: anchor}); err == nil {
 		t.Error("semi-join with intersection ordering accepted")
 	}
 }
 
 func TestWindowValidation(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(62, 10))
-	tb := buildTree(t, clusteredPoints(63, 10))
+	ta := WrapRTree(buildTree(t, clusteredPoints(62, 10)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(63, 10)))
 	bad := geom.Rect{Lo: geom.Pt(1, 1), Hi: geom.Pt(0, 0)}
-	if _, err := NewJoin(ta, tb, Options{Window1: &bad}); err == nil {
+	if _, err := NewJoinIndexes(ta, tb, Options{Window1: &bad}); err == nil {
 		t.Error("invalid window accepted")
 	}
 	wrongDim := geom.R(geom.Pt(0), geom.Pt(1))
-	if _, err := NewJoin(ta, tb, Options{Window2: &wrongDim}); err == nil {
+	if _, err := NewJoinIndexes(ta, tb, Options{Window2: &wrongDim}); err == nil {
 		t.Error("wrong-dimension window accepted")
 	}
 }
 
 func TestWindowExcludesEverything(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(64, 50))
-	tb := buildTree(t, clusteredPoints(65, 50))
+	ta := WrapRTree(buildTree(t, clusteredPoints(64, 50)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(65, 50)))
 	w := geom.R(geom.Pt(-100, -100), geom.Pt(-50, -50))
-	j, err := NewJoin(ta, tb, Options{Window1: &w})
+	j, err := NewJoinIndexes(ta, tb, Options{Window1: &w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestWindowExcludesEverything(t *testing.T) {
 func TestJoinRestartWithSelection(t *testing.T) {
 	a := clusteredPoints(81, 150)
 	b := clusteredPoints(82, 150)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	// Keep 1 in 25 objects: subtree counts overstate qualifying pairs 625x.
 	sel := func(id rtree.ObjID) bool { return id%25 == 0 }
 	var want []bruteResult
@@ -261,7 +261,7 @@ func TestJoinRestartWithSelection(t *testing.T) {
 
 	restartSeen := false
 	for _, k := range []int{1, 5, 20, len(want)} {
-		j, err := NewJoin(ta, tb, Options{Select1: sel, Select2: sel, MaxPairs: k})
+		j, err := NewJoinIndexes(ta, tb, Options{Select1: sel, Select2: sel, MaxPairs: k})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -331,7 +331,7 @@ func TestDifferentialFaultHarness(t *testing.T) {
 					fs, qc, par, seed := fs, qc, par, seed
 					t.Run(name, func(t *testing.T) {
 						cases++
-						ta := buildTree(t, a)
+						ta := WrapRTree(buildTree(t, a))
 						var tb *rtree.Tree
 						var treeStore *faultstore.Store
 						if fs.treeFaults != nil {
@@ -359,7 +359,7 @@ func TestDifferentialFaultHarness(t *testing.T) {
 							opts.QueueStore = queueStores.factory(qcfg)
 						}
 
-						res := runCase(t, func() (*Join, error) { return NewJoin(ta, tb, opts) })
+						res := runCase(t, func() (*Join, error) { return NewJoinIndexes(ta, WrapRTree(tb), opts) })
 						checkOracle(t, res.pairs, oracle, res, wantN, fs.mustComplete)
 						if res.err != nil && !errors.Is(res.err, faultstore.ErrInjected) &&
 							!errors.Is(res.err, pqueue.ErrPageChecksum) {
@@ -420,7 +420,7 @@ func TestParallelPartitionFailureCancelsSiblings(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	a := clusteredPoints(71, 120)
 	b := clusteredPoints(72, 140)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	calls := 0
 	opts := Options{
@@ -441,7 +441,7 @@ func TestParallelPartitionFailureCancelsSiblings(t *testing.T) {
 			return faultstore.New(mem, cfg), nil
 		},
 	}
-	res := runCase(t, func() (*Join, error) { return NewJoin(ta, tb, opts) })
+	res := runCase(t, func() (*Join, error) { return NewJoinIndexes(ta, tb, opts) })
 	if res.err == nil {
 		t.Fatal("permanently failing partition completed cleanly")
 	}

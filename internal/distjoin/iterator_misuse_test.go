@@ -1,7 +1,9 @@
 package distjoin
 
 import (
+	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -10,104 +12,187 @@ import (
 )
 
 // Iterator-misuse coverage: Next after exhaustion, Next after Close,
-// double Close, Close mid-parallel-join, and error stickiness — the
-// terminal-state machine of the public API.
+// double Close, Abort after Close, Close mid-parallel-join, and error
+// stickiness — the terminal-state machine of the public API. Every
+// operator returns a *Join, so every row of one table answers to the same
+// contract.
 
-func smallJoin(t *testing.T, opts Options) *Join {
+// iterCase is one row of the contract table: an operator over a pair of
+// fixtures, and the number of pairs a full drain delivers.
+type iterCase struct {
+	name string
+	open func(opts Options) (*Join, error)
+	want int
+}
+
+// iterCases is the contract table: the four operators on an R-tree pair
+// and on an R-tree × quadtree pair.
+func iterCases(t *testing.T) []iterCase {
+	const na, nb = 30, 35
+	b := clusteredPoints(42, nb)
+	ra := WrapRTree(buildTree(t, clusteredPoints(41, na)))
+	var cases []iterCase
+	for _, fx := range []struct {
+		name string
+		b    SpatialIndex
+	}{
+		{"rtree×rtree", WrapRTree(buildTree(t, b))},
+		{"rtree×quadtree", WrapQuadtree(buildQuadtree(t, b))},
+	} {
+		rb := fx.b
+		cases = append(cases,
+			iterCase{"join/" + fx.name, func(o Options) (*Join, error) {
+				return NewJoinIndexes(ra, rb, o)
+			}, na * nb},
+			iterCase{"semijoin/" + fx.name, func(o Options) (*Join, error) {
+				return NewSemiJoinIndexes(ra, rb, FilterGlobalAll, o)
+			}, na},
+			iterCase{"knn/" + fx.name, func(o Options) (*Join, error) {
+				return NewKNearestJoinIndexes(ra, rb, 3, FilterGlobalAll, o)
+			}, 3 * na},
+			iterCase{"clustering/" + fx.name, func(o Options) (*Join, error) {
+				return NewClusteringJoinIndexes(ra, rb, FilterInside2, o)
+			}, na},
+		)
+	}
+	return cases
+}
+
+// mustOpen opens the row's operator or fails the test.
+func (c iterCase) mustOpen(t *testing.T, opts Options) *Join {
 	t.Helper()
-	ta := buildTree(t, clusteredPoints(41, 30))
-	tb := buildTree(t, clusteredPoints(42, 35))
-	j, err := NewJoin(ta, tb, opts)
+	j, err := c.open(opts)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s: %v", c.name, err)
 	}
 	return j
 }
 
 func TestNextAfterExhaustion(t *testing.T) {
-	j := smallJoin(t, Options{})
-	defer j.Close()
-	n := 0
-	for {
-		_, ok, err := j.Next()
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range iterCases(t) {
+		j := c.mustOpen(t, Options{})
+		if n := len(drainJoin(t, j, 0)); n != c.want {
+			t.Fatalf("%s: drained %d pairs, want %d", c.name, n, c.want)
 		}
-		if !ok {
-			break
+		for i := 0; i < 3; i++ {
+			if _, ok, err := j.Next(); ok || err != nil {
+				t.Fatalf("%s: Next after exhaustion: ok=%v err=%v, want quiet false", c.name, ok, err)
+			}
 		}
-		n++
-	}
-	if n != 30*35 {
-		t.Fatalf("drained %d pairs, want %d", n, 30*35)
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok, err := j.Next(); ok || err != nil {
-			t.Fatalf("Next after exhaustion: ok=%v err=%v, want quiet false", ok, err)
+		if j.Err() != nil {
+			t.Fatalf("%s: Err after clean exhaustion: %v", c.name, j.Err())
 		}
-	}
-	if j.Err() != nil {
-		t.Fatalf("Err after clean exhaustion: %v", j.Err())
+		if err := j.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", c.name, err)
+		}
+		if j.Err() != nil {
+			t.Fatalf("%s: Err after clean close: %v", c.name, j.Err())
+		}
 	}
 }
 
 func TestNextAfterClose(t *testing.T) {
-	for _, par := range []int{1, 3} {
-		j := smallJoin(t, Options{Parallelism: par})
-		if _, _, err := j.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := j.Next(); ok || !errors.Is(err, ErrIteratorClosed) {
-			t.Fatalf("parallelism %d: Next after Close: ok=%v err=%v, want ErrIteratorClosed", par, ok, err)
+	for _, c := range iterCases(t) {
+		for _, par := range []int{1, 3} {
+			j := c.mustOpen(t, Options{Parallelism: par})
+			if _, _, err := j.Next(); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, err := j.Next(); ok || !errors.Is(err, ErrIteratorClosed) {
+				t.Fatalf("%s, parallelism %d: Next after Close: ok=%v err=%v, want ErrIteratorClosed", c.name, par, ok, err)
+			}
 		}
 	}
 }
 
 func TestDoubleClose(t *testing.T) {
-	for _, par := range []int{1, 3} {
-		j := smallJoin(t, Options{Parallelism: par})
-		if err := j.Close(); err != nil {
-			t.Fatalf("parallelism %d: first Close: %v", par, err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatalf("parallelism %d: second Close: %v", par, err)
+	for _, c := range iterCases(t) {
+		for _, par := range []int{1, 3} {
+			j := c.mustOpen(t, Options{Parallelism: par})
+			if err := j.Close(); err != nil {
+				t.Fatalf("%s, parallelism %d: first Close: %v", c.name, par, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatalf("%s, parallelism %d: second Close: %v", c.name, par, err)
+			}
 		}
 	}
 }
 
-func TestSemiJoinMisuse(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(43, 25))
-	tb := buildTree(t, clusteredPoints(44, 25))
-	s, err := NewSemiJoin(ta, tb, FilterGlobalAll, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, ok, err := s.Next()
-		if err != nil {
+// TestAbortAfterClose: Abort on a closed iterator does nothing, as Close
+// does. It must not latch its cause as the terminal error of a run whose
+// Close already landed it clean, nor replace the cause an earlier Abort
+// latched.
+func TestAbortAfterClose(t *testing.T) {
+	late := errors.New("late abort")
+	for _, c := range iterCases(t) {
+		j := c.mustOpen(t, Options{})
+		drainJoin(t, j, 5)
+		if err := j.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			break
+		if err := j.Abort(late); err != nil {
+			t.Fatalf("%s: Abort after Close = %v, want nil", c.name, err)
+		}
+		if err := j.Err(); err != nil {
+			t.Fatalf("%s: Err after Close then Abort = %v, want nil", c.name, err)
+		}
+
+		first := errors.New("first abort")
+		j = c.mustOpen(t, Options{})
+		if err := j.Abort(first); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Abort(late); err != nil {
+			t.Fatalf("%s: second Abort = %v, want nil", c.name, err)
+		}
+		if err := j.Err(); err != first {
+			t.Fatalf("%s: Err after two Aborts = %v, want the first cause", c.name, err)
+		}
+		if _, _, err := j.Next(); !errors.Is(err, ErrIteratorClosed) {
+			t.Fatalf("%s: Next after Abort = %v, want ErrIteratorClosed", c.name, err)
 		}
 	}
-	if _, ok, err := s.Next(); ok || err != nil {
-		t.Fatalf("Next after exhaustion: ok=%v err=%v", ok, err)
+}
+
+// TestSemiJoinEffectiveMaxDist: with MaxPairs the §2.3 estimation tightens
+// the semi-join's maximum distance, but never below a distance it has
+// already reported — the bound in force covers the whole delivered prefix.
+func TestSemiJoinEffectiveMaxDist(t *testing.T) {
+	a, b := clusteredPoints(45, 400), clusteredPoints(46, 500)
+	ra := WrapRTree(buildTree(t, a))
+	tightened := false
+	for _, rb := range []SpatialIndex{WrapRTree(buildTree(t, b)), WrapQuadtree(buildQuadtree(t, b))} {
+		for _, k := range []int{1, 10, 60, 250} {
+			j, err := NewSemiJoinIndexes(ra, rb, FilterGlobalAll, Options{MaxPairs: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; ; n++ {
+				p, ok, err := j.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					if n != k {
+						t.Fatalf("MaxPairs %d: delivered %d pairs", k, n)
+					}
+					break
+				}
+				if d := j.EffectiveMaxDist(); d < p.Dist {
+					t.Fatalf("MaxPairs %d, pair %d at %g: EffectiveMaxDist %g is below it", k, n, p.Dist, d)
+				} else if !math.IsInf(d, 1) {
+					tightened = true
+				}
+			}
+			j.Close()
+		}
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("double Close: %v", err)
-	}
-	if _, _, err := s.Next(); !errors.Is(err, ErrIteratorClosed) {
-		t.Fatalf("Next after Close: %v", err)
-	}
-	if s.Err() != nil {
-		t.Fatalf("Err after clean close: %v", s.Err())
+	if !tightened {
+		t.Fatal("the estimation never tightened the bound: the check saw nothing")
 	}
 }
 
@@ -116,9 +201,9 @@ func TestSemiJoinMisuse(t *testing.T) {
 func TestCloseMidParallelJoin(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		ta := buildTree(t, clusteredPoints(51, 150))
-		tb := buildTree(t, clusteredPoints(52, 170))
-		j, err := NewJoin(ta, tb, Options{Parallelism: 4})
+		ta := WrapRTree(buildTree(t, clusteredPoints(51, 150)))
+		tb := WrapRTree(buildTree(t, clusteredPoints(52, 170)))
+		j, err := NewJoinIndexes(ta, tb, Options{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,13 +219,14 @@ func TestCloseMidParallelJoin(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestErrorIsSticky drives a join into a storage error and checks the
-// public iterator latches it: repeated Next returns the same error and
-// Err() agrees.
+// TestErrorIsSticky drives a join into a storage error, and every operator
+// into a cancellation, and checks the public iterator latches it: repeated
+// Next returns the same error, Err() agrees, and a later Abort does not
+// replace it.
 func TestErrorIsSticky(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(61, 60))
-	tb := buildTree(t, clusteredPoints(62, 70))
-	j, err := NewJoin(ta, tb, Options{
+	ta := WrapRTree(buildTree(t, clusteredPoints(61, 60)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(62, 70)))
+	j, err := NewJoinIndexes(ta, tb, Options{
 		Queue:         QueueHybrid,
 		HybridDT:      4,
 		QueuePageSize: 256,
@@ -180,5 +266,24 @@ func TestErrorIsSticky(t *testing.T) {
 	}
 	if !errors.Is(firstErr, faultstore.ErrInjected) {
 		t.Fatalf("error lost its cause chain: %v", firstErr)
+	}
+	for _, c := range iterCases(t) {
+		ctx, cancel := context.WithCancel(context.Background())
+		j := c.mustOpen(t, Options{Context: ctx})
+		if _, ok, err := j.Next(); !ok || err != nil {
+			t.Fatalf("%s: first pair: ok=%v err=%v", c.name, ok, err)
+		}
+		cancel()
+		for i := 0; i < 3; i++ {
+			if _, ok, err := j.Next(); ok || !errors.Is(err, ErrCanceled) {
+				t.Fatalf("%s: Next %d after cancel: ok=%v err=%v, want ErrCanceled", c.name, i, ok, err)
+			}
+		}
+		if err := j.Abort(errors.New("teardown")); err != nil {
+			t.Fatalf("%s: Abort: %v", c.name, err)
+		}
+		if !errors.Is(j.Err(), ErrCanceled) {
+			t.Fatalf("%s: Err() = %v, want the latched ErrCanceled", c.name, j.Err())
+		}
 	}
 }

@@ -31,14 +31,14 @@ func bruteKNNJoin(a, b []geom.Point, k int, m geom.Metric) []float64 {
 func TestKNearestJoinMatchesBruteForce(t *testing.T) {
 	a := clusteredPoints(101, 60)
 	b := clusteredPoints(102, 90)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	for _, k := range []int{1, 2, 3, 7} {
 		for _, f := range []SemiFilter{FilterOutside, FilterInside1, FilterInside2} {
-			s, err := NewKNearestJoin(ta, tb, k, f, Options{})
+			s, err := NewKNearestJoinIndexes(ta, tb, k, f, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drainSemi(t, s, 0)
+			got := drainJoin(t, s, 0)
 			s.Close()
 			want := bruteKNNJoin(a, b, k, geom.Euclidean)
 			if len(got) != len(want) {
@@ -68,15 +68,15 @@ func TestKNearestJoinMatchesBruteForce(t *testing.T) {
 func TestKNearestJoinPartnersDistinct(t *testing.T) {
 	a := clusteredPoints(103, 40)
 	b := clusteredPoints(104, 60)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	const k = 4
-	s, err := NewKNearestJoin(ta, tb, k, FilterInside2, Options{})
+	s, err := NewKNearestJoinIndexes(ta, tb, k, FilterInside2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	partners := map[uint64]map[uint64]bool{}
-	for _, p := range drainSemi(t, s, 0) {
+	for _, p := range drainJoin(t, s, 0) {
 		if partners[uint64(p.Obj1)] == nil {
 			partners[uint64(p.Obj1)] = map[uint64]bool{}
 		}
@@ -120,14 +120,14 @@ func TestKNearestJoinPartnersDistinct(t *testing.T) {
 func TestKNearestJoinClampsAggressiveFilters(t *testing.T) {
 	a := clusteredPoints(105, 50)
 	b := clusteredPoints(106, 70)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteKNNJoin(a, b, 3, geom.Euclidean)
 	for _, f := range []SemiFilter{FilterLocal, FilterGlobalNodes, FilterGlobalAll} {
-		s, err := NewKNearestJoin(ta, tb, 3, f, Options{})
+		s, err := NewKNearestJoinIndexes(ta, tb, 3, f, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainSemi(t, s, 0)
+		got := drainJoin(t, s, 0)
 		s.Close()
 		if len(got) != len(want) {
 			t.Fatalf("filter %v: %d pairs, want %d", f, len(got), len(want))
@@ -143,13 +143,13 @@ func TestKNearestJoinClampsAggressiveFilters(t *testing.T) {
 func TestKNearestJoinKLargerThanInner(t *testing.T) {
 	a := clusteredPoints(107, 20)
 	b := clusteredPoints(108, 5)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	s, err := NewKNearestJoin(ta, tb, 10, FilterInside2, Options{})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	s, err := NewKNearestJoinIndexes(ta, tb, 10, FilterInside2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := drainSemi(t, s, 0)
+	got := drainJoin(t, s, 0)
 	// Only 5 partners exist per object.
 	if len(got) != 20*5 {
 		t.Fatalf("got %d pairs, want %d", len(got), 20*5)
@@ -157,9 +157,9 @@ func TestKNearestJoinKLargerThanInner(t *testing.T) {
 }
 
 func TestKNearestJoinValidation(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(109, 5))
-	tb := buildTree(t, clusteredPoints(110, 5))
-	if _, err := NewKNearestJoin(ta, tb, 0, FilterInside2, Options{}); err == nil {
+	ta := WrapRTree(buildTree(t, clusteredPoints(109, 5)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(110, 5)))
+	if _, err := NewKNearestJoinIndexes(ta, tb, 0, FilterInside2, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -167,14 +167,14 @@ func TestKNearestJoinValidation(t *testing.T) {
 func TestKNearestJoinWithMaxPairs(t *testing.T) {
 	a := clusteredPoints(111, 80)
 	b := clusteredPoints(112, 80)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteKNNJoin(a, b, 2, geom.Euclidean)
 	for _, mp := range []int{1, 15, 60} {
-		s, err := NewKNearestJoin(ta, tb, 2, FilterInside2, Options{MaxPairs: mp})
+		s, err := NewKNearestJoinIndexes(ta, tb, 2, FilterInside2, Options{MaxPairs: mp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainSemi(t, s, 0)
+		got := drainJoin(t, s, 0)
 		s.Close()
 		if len(got) != mp {
 			t.Fatalf("MaxPairs=%d delivered %d", mp, len(got))
@@ -191,13 +191,13 @@ func TestKNearestJoinWithMaxPairs(t *testing.T) {
 // join of a dataset with itself, excluding the identity pairs.
 func TestAllNearestNeighbors(t *testing.T) {
 	pts := clusteredPoints(113, 100)
-	tr := buildTree(t, pts)
+	tr := WrapRTree(buildTree(t, pts))
 	for _, f := range []SemiFilter{FilterInside2, FilterGlobalAll} {
-		s, err := NewKNearestJoin(tr, tr, 1, f, Options{OmitEqualIDs: true})
+		s, err := NewKNearestJoinIndexes(tr, tr, 1, f, Options{OmitEqualIDs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := drainSemi(t, s, 0)
+		got := drainJoin(t, s, 0)
 		s.Close()
 		if len(got) != len(pts) {
 			t.Fatalf("filter %v: ANN returned %d pairs, want %d", f, len(got), len(pts))
@@ -225,8 +225,8 @@ func TestAllNearestNeighbors(t *testing.T) {
 // TestJoinOmitEqualIDs checks the plain join drops only the diagonal.
 func TestJoinOmitEqualIDs(t *testing.T) {
 	pts := clusteredPoints(114, 30)
-	tr := buildTree(t, pts)
-	j, err := NewJoin(tr, tr, Options{OmitEqualIDs: true})
+	tr := WrapRTree(buildTree(t, pts))
+	j, err := NewJoinIndexes(tr, tr, Options{OmitEqualIDs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

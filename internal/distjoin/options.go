@@ -245,7 +245,7 @@ type Options struct {
 	// at most in practice).
 	QueuePageSize int
 	// Tracer attaches per-query lifecycle tracing (see internal/qtrace):
-	// each Join/SemiJoin/kNN run gets a query ID and a hierarchical span
+	// each join, semi-join and kNN run gets a query ID and a hierarchical span
 	// tree (plan → partition workers → engine phases → queue disk-tier
 	// I/O), landed in the tracer's flight recorder — and slow-query log,
 	// when it qualifies — on iterator Close. The trace's resources are the
@@ -256,7 +256,7 @@ type Options struct {
 	// run. Ignored when Tracer is nil.
 	QueryID string
 
-	// run is the live telemetry of this query run, begun by newRunner when
+	// run is the live telemetry of this query run, begun by newJoin when
 	// any view is attached and finished by the iterator's Close.
 	run *meter.Run
 }

@@ -186,7 +186,7 @@ type parHead struct {
 	src  int
 }
 
-// parallelJoin is the runner behind Join/SemiJoin when Options.Parallelism
+// parallelJoin is the runner behind a Join when Options.Parallelism
 // selects the parallel path.
 type parallelJoin struct {
 	workers  []*parWorker

@@ -27,22 +27,6 @@ func drainAll(t testing.TB, j *Join) []Pair {
 	}
 }
 
-// drainAllSemi pulls every pair from a SemiJoin.
-func drainAllSemi(t testing.TB, s *SemiJoin) []Pair {
-	t.Helper()
-	var out []Pair
-	for {
-		p, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, p)
-	}
-}
-
 // comparePairs asserts two result streams are identical, field for field.
 func comparePairs(t *testing.T, seq, par []Pair, label string) bool {
 	t.Helper()
@@ -69,7 +53,7 @@ func TestPropParallelJoinMatchesSequential(t *testing.T) {
 		na, nb := 30+rnd.Intn(170), 30+rnd.Intn(170)
 		a := clusteredPoints(seed*3+1, na)
 		b := clusteredPoints(seed*3+2, nb)
-		ta, tb := buildTree(t, a), buildTree(t, b)
+		ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 		opts := Options{
 			Traversal: Traversal(rnd.Intn(3)),
@@ -105,7 +89,7 @@ func TestPropParallelJoinMatchesSequential(t *testing.T) {
 
 		seqOpts := opts
 		seqOpts.Parallelism = 1
-		js, err := NewJoin(ta, tb, seqOpts)
+		js, err := NewJoinIndexes(ta, tb, seqOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +98,7 @@ func TestPropParallelJoinMatchesSequential(t *testing.T) {
 
 		parOpts := opts
 		parOpts.Parallelism = 2 + rnd.Intn(7)
-		jp, err := NewJoin(ta, tb, parOpts)
+		jp, err := NewJoinIndexes(ta, tb, parOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +121,7 @@ func TestPropParallelSemiJoinMatchesSequential(t *testing.T) {
 		na, nb := 30+rnd.Intn(120), 30+rnd.Intn(120)
 		a := clusteredPoints(seed*7+1, na)
 		b := clusteredPoints(seed*7+2, nb)
-		ta, tb := buildTree(t, a), buildTree(t, b)
+		ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 		filter := SemiFilter(rnd.Intn(6))
 		k := 1 + rnd.Intn(2)
@@ -155,20 +139,20 @@ func TestPropParallelSemiJoinMatchesSequential(t *testing.T) {
 		}
 
 		seqOpts := opts
-		ss, err := NewKNearestJoin(ta, tb, k, filter, seqOpts)
+		ss, err := NewKNearestJoinIndexes(ta, tb, k, filter, seqOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := drainAllSemi(t, ss)
+		seq := drainAll(t, ss)
 		ss.Close()
 
 		parOpts := opts
 		parOpts.Parallelism = 2 + rnd.Intn(7)
-		sp, err := NewKNearestJoin(ta, tb, k, filter, parOpts)
+		sp, err := NewKNearestJoinIndexes(ta, tb, k, filter, parOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := drainAllSemi(t, sp)
+		par := drainAll(t, sp)
 		sp.Close()
 
 		return comparePairs(t, seq, par, "semi-join")
@@ -183,7 +167,7 @@ func TestPropParallelSemiJoinMatchesSequential(t *testing.T) {
 func TestParallelQuadtreeMatchesSequential(t *testing.T) {
 	a := clusteredPoints(401, 150)
 	b := clusteredPoints(402, 150)
-	taR, tbR := buildTree(t, a), buildTree(t, b)
+	taR, tbR := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	taQ, tbQ := buildQuadtree(t, a), buildQuadtree(t, b)
 
 	cases := []struct {
@@ -191,8 +175,8 @@ func TestParallelQuadtreeMatchesSequential(t *testing.T) {
 		i1, i2 SpatialIndex
 	}{
 		{"quad-quad", WrapQuadtree(taQ), WrapQuadtree(tbQ)},
-		{"rtree-quad", WrapRTree(taR), WrapQuadtree(tbQ)},
-		{"quad-rtree", WrapQuadtree(taQ), WrapRTree(tbR)},
+		{"rtree-quad", taR, WrapQuadtree(tbQ)},
+		{"quad-rtree", WrapQuadtree(taQ), tbR},
 	}
 	for _, tc := range cases {
 		js, err := NewJoinIndexes(tc.i1, tc.i2, Options{})
@@ -218,18 +202,18 @@ func TestParallelQuadtreeMatchesSequential(t *testing.T) {
 func TestParallelFallbacks(t *testing.T) {
 	a := clusteredPoints(501, 80)
 	b := clusteredPoints(502, 80)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	t.Run("obr", func(t *testing.T) {
 		fetch1 := func(id rtree.ObjID) (geom.Rect, error) { return a[id].Rect(), nil }
 		fetch2 := func(id rtree.ObjID) (geom.Rect, error) { return b[id].Rect(), nil }
-		js, err := NewJoin(ta, tb, Options{Fetch1: fetch1, Fetch2: fetch2})
+		js, err := NewJoinIndexes(ta, tb, Options{Fetch1: fetch1, Fetch2: fetch2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq := drainAll(t, js)
 		js.Close()
-		jp, err := NewJoin(ta, tb, Options{Fetch1: fetch1, Fetch2: fetch2, Parallelism: 4})
+		jp, err := NewJoinIndexes(ta, tb, Options{Fetch1: fetch1, Fetch2: fetch2, Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,24 +223,24 @@ func TestParallelFallbacks(t *testing.T) {
 	})
 
 	t.Run("clustering", func(t *testing.T) {
-		ss, err := NewClusteringJoin(ta, tb, FilterInside2, Options{})
+		ss, err := NewClusteringJoinIndexes(ta, tb, FilterInside2, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := drainAllSemi(t, ss)
+		seq := drainAll(t, ss)
 		ss.Close()
-		sp, err := NewClusteringJoin(ta, tb, FilterInside2, Options{Parallelism: 4})
+		sp, err := NewClusteringJoinIndexes(ta, tb, FilterInside2, Options{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		par := drainAllSemi(t, sp)
+		par := drainAll(t, sp)
 		sp.Close()
 		comparePairs(t, seq, par, "clustering")
 	})
 
 	t.Run("tiny", func(t *testing.T) {
-		tt := buildTree(t, clusteredPoints(503, 2))
-		jp, err := NewJoin(tt, tt, Options{Parallelism: 8, OmitEqualIDs: true})
+		tt := WrapRTree(buildTree(t, clusteredPoints(503, 2)))
+		jp, err := NewJoinIndexes(tt, tt, Options{Parallelism: 8, OmitEqualIDs: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,8 +252,8 @@ func TestParallelFallbacks(t *testing.T) {
 	})
 
 	t.Run("empty", func(t *testing.T) {
-		te := buildTree(t, nil)
-		jp, err := NewJoin(te, tb, Options{Parallelism: 4})
+		te := WrapRTree(buildTree(t, nil))
+		jp, err := NewJoinIndexes(te, tb, Options{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,9 +270,9 @@ func TestParallelFallbacks(t *testing.T) {
 func TestParallelEarlyClose(t *testing.T) {
 	a := clusteredPoints(601, 400)
 	b := clusteredPoints(602, 400)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	for i := 0; i < 10; i++ {
-		j, err := NewJoin(ta, tb, Options{Parallelism: 4})
+		j, err := NewJoinIndexes(ta, tb, Options{Parallelism: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,9 +300,9 @@ func TestParallelEarlyClose(t *testing.T) {
 func TestParallelCounters(t *testing.T) {
 	a := clusteredPoints(701, 120)
 	b := clusteredPoints(702, 120)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	var c stats.Counters
-	j, err := NewJoin(ta, tb, Options{Parallelism: 4, Counters: &c})
+	j, err := NewJoinIndexes(ta, tb, Options{Parallelism: 4, Counters: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +329,11 @@ func TestParallelCounters(t *testing.T) {
 func TestParallelRaceStress(t *testing.T) {
 	a := clusteredPoints(801, 200)
 	b := clusteredPoints(802, 200)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
 	var want []Pair
 	{
-		j, err := NewJoin(ta, tb, Options{MaxPairs: 500})
+		j, err := NewJoinIndexes(ta, tb, Options{MaxPairs: 500})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +344,7 @@ func TestParallelRaceStress(t *testing.T) {
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		go func(g int) {
-			j, err := NewJoin(ta, tb, Options{Parallelism: 3 + g, MaxPairs: 500})
+			j, err := NewJoinIndexes(ta, tb, Options{Parallelism: 3 + g, MaxPairs: 500})
 			if err != nil {
 				done <- err
 				return

@@ -66,7 +66,7 @@ func TestPropJoinPrefixCorrect(t *testing.T) {
 			opts.MaxPairs = 1 + rnd.Intn(200)
 		}
 
-		j, err := NewJoin(ta, tb, opts)
+		j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), opts)
 		if err != nil {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestPropSemiJoinAllFilters(t *testing.T) {
 		if rnd.Intn(3) == 0 {
 			opts.MaxPairs = 1 + rnd.Intn(na)
 		}
-		s, err := NewSemiJoin(ta, tb, filter, opts)
+		s, err := NewSemiJoinIndexes(WrapRTree(ta), WrapRTree(tb), filter, opts)
 		if err != nil {
 			return false
 		}

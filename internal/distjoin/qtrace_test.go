@@ -17,14 +17,14 @@ import (
 // attached, returning the completed trace from the flight recorder.
 func drainTraced(t *testing.T, tr *qtrace.Tracer, opts Options) (*qtrace.QueryTrace, *profile.Spans, *stats.Counters) {
 	t.Helper()
-	ta := buildTree(t, clusteredPoints(11, 300))
-	tb := buildTree(t, clusteredPoints(23, 300))
+	ta := WrapRTree(buildTree(t, clusteredPoints(11, 300)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(23, 300)))
 	sp := &profile.Spans{}
 	c := &stats.Counters{}
 	opts.Tracer = tr
 	opts.Profile = sp
 	opts.Counters = c
-	j, err := NewJoin(ta, tb, opts)
+	j, err := NewJoinIndexes(ta, tb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestQueryTraceQueryID(t *testing.T) {
 // to open) lands an error-annotated trace.
 func TestQueryTraceConstructorError(t *testing.T) {
 	tr := qtrace.New(qtrace.Config{})
-	ta := buildTree(t, clusteredPoints(5, 50))
-	tb := buildTree(t, clusteredPoints(7, 50))
+	ta := WrapRTree(buildTree(t, clusteredPoints(5, 50)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(7, 50)))
 
 	// Validation failure: before Begin, nothing recorded.
-	if _, err := NewJoin(ta, tb, Options{Tracer: tr, MinDist: -1}); err == nil {
+	if _, err := NewJoinIndexes(ta, tb, Options{Tracer: tr, MinDist: -1}); err == nil {
 		t.Fatal("invalid options accepted")
 	}
 	if tr.Active() != 0 || len(tr.Traces()) != 0 {
@@ -191,7 +191,7 @@ func TestQueryTraceConstructorError(t *testing.T) {
 
 	// Constructor failure after Begin: the plan dies, the trace lands.
 	boom := errors.New("store refused")
-	_, err := NewJoin(ta, tb, Options{
+	_, err := NewJoinIndexes(ta, tb, Options{
 		Tracer:     tr,
 		Queue:      QueueHybrid,
 		QueueStore: func(pageSize int) (pager.Store, error) { return nil, boom },
@@ -215,10 +215,10 @@ func TestQueryTraceConstructorError(t *testing.T) {
 // the work done before the failure.
 func TestQueryTraceFaultAnnotated(t *testing.T) {
 	tr := qtrace.New(qtrace.Config{})
-	ta := buildTree(t, clusteredPoints(71, 120))
-	tb := buildTree(t, clusteredPoints(72, 140))
+	ta := WrapRTree(buildTree(t, clusteredPoints(71, 120)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(72, 140)))
 	c := &stats.Counters{}
-	j, err := NewJoin(ta, tb, Options{
+	j, err := NewJoinIndexes(ta, tb, Options{
 		Tracer:        tr,
 		Counters:      c,
 		Queue:         QueueHybrid,
@@ -280,9 +280,9 @@ func TestQueryTraceFaultAnnotated(t *testing.T) {
 // join without a tracer takes the exact untraced constructor path (no
 // query, no worker registration, engine spans untouched).
 func TestQueryTraceDisabledUntouched(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(5, 100))
-	tb := buildTree(t, clusteredPoints(7, 100))
-	j, err := NewJoin(ta, tb, Options{MaxPairs: 50})
+	ta := WrapRTree(buildTree(t, clusteredPoints(5, 100)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(7, 100)))
+	j, err := NewJoinIndexes(ta, tb, Options{MaxPairs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,42 +298,42 @@ func TestQueryTraceDisabledUntouched(t *testing.T) {
 	}
 	// With no sink, iterState must carry no run and Close must not
 	// fabricate traces out of thin air.
-	if j.s.run != nil {
+	if j.run != nil {
 		t.Fatal("untraced join carries a telemetry run")
 	}
 }
 
 // TestQueryTraceKinds: each public constructor stamps its kind.
 func TestQueryTraceKinds(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(5, 60))
-	tb := buildTree(t, clusteredPoints(7, 60))
+	ta := WrapRTree(buildTree(t, clusteredPoints(5, 60)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(7, 60)))
 	cases := []struct {
 		kind string
 		run  func(tr *qtrace.Tracer) error
 	}{
 		{"join", func(tr *qtrace.Tracer) error {
-			j, err := NewJoin(ta, tb, Options{Tracer: tr, MaxPairs: 5})
+			j, err := NewJoinIndexes(ta, tb, Options{Tracer: tr, MaxPairs: 5})
 			if err != nil {
 				return err
 			}
 			return j.Close()
 		}},
 		{"semijoin", func(tr *qtrace.Tracer) error {
-			s, err := NewSemiJoin(ta, tb, FilterInside2, Options{Tracer: tr, MaxPairs: 5})
+			s, err := NewSemiJoinIndexes(ta, tb, FilterInside2, Options{Tracer: tr, MaxPairs: 5})
 			if err != nil {
 				return err
 			}
 			return s.Close()
 		}},
 		{"knn", func(tr *qtrace.Tracer) error {
-			s, err := NewKNearestJoin(ta, tb, 3, FilterInside2, Options{Tracer: tr, MaxPairs: 5})
+			s, err := NewKNearestJoinIndexes(ta, tb, 3, FilterInside2, Options{Tracer: tr, MaxPairs: 5})
 			if err != nil {
 				return err
 			}
 			return s.Close()
 		}},
 		{"clustering", func(tr *qtrace.Tracer) error {
-			s, err := NewClusteringJoin(ta, tb, FilterInside2, Options{Tracer: tr, MaxPairs: 5})
+			s, err := NewClusteringJoinIndexes(ta, tb, FilterInside2, Options{Tracer: tr, MaxPairs: 5})
 			if err != nil {
 				return err
 			}

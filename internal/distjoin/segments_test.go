@@ -46,7 +46,7 @@ func TestSegmentJoin(t *testing.T) {
 	sa := randomSegments(1, 80)
 	sb := randomSegments(2, 90)
 	ta, tb := segTree(t, sa), segTree(t, sb)
-	j, err := NewJoin(ta, tb, Options{
+	j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{
 		ExactDist: func(o1, o2 rtree.ObjID) (float64, error) {
 			return geom.SegmentDist(sa[o1], sb[o2]), nil
 		},
@@ -79,7 +79,7 @@ func TestSegmentSemiJoin(t *testing.T) {
 	sa := randomSegments(3, 60)
 	sb := randomSegments(4, 70)
 	ta, tb := segTree(t, sa), segTree(t, sb)
-	s, err := NewSemiJoin(ta, tb, FilterInside2, Options{
+	s, err := NewSemiJoinIndexes(WrapRTree(ta), WrapRTree(tb), FilterInside2, Options{
 		ExactDist: func(o1, o2 rtree.ObjID) (float64, error) {
 			return geom.SegmentDist(sa[o1], sb[o2]), nil
 		},
@@ -88,7 +88,7 @@ func TestSegmentSemiJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := drainSemi(t, s, 0)
+	got := drainJoin(t, s, 0)
 	if len(got) != len(sa) {
 		t.Fatalf("segment semi-join: %d pairs, want %d", len(got), len(sa))
 	}
@@ -118,7 +118,7 @@ func TestSegmentJoinIntersections(t *testing.T) {
 	ta, tb := segTree(t, sa), segTree(t, sb)
 	// MaxDist epsilon: exact 0 pairs only (floating point makes exactly-0
 	// robust here since SegmentDist returns 0 for true intersections).
-	j, err := NewJoin(ta, tb, Options{
+	j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{
 		MaxDist: 1e-12,
 		ExactDist: func(o1, o2 rtree.ObjID) (float64, error) {
 			return geom.SegmentDist(sa[o1], sb[o2]), nil
@@ -143,13 +143,13 @@ func TestSegmentJoinIntersections(t *testing.T) {
 }
 
 func TestExactDistValidation(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(83, 5))
-	tb := buildTree(t, clusteredPoints(84, 5))
+	ta := WrapRTree(buildTree(t, clusteredPoints(83, 5)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(84, 5)))
 	ed := func(rtree.ObjID, rtree.ObjID) (float64, error) { return 0, nil }
-	if _, err := NewJoin(ta, tb, Options{ExactDist: ed, Reverse: true}); err == nil {
+	if _, err := NewJoinIndexes(ta, tb, Options{ExactDist: ed, Reverse: true}); err == nil {
 		t.Fatal("ExactDist + Reverse accepted")
 	}
-	if _, err := NewJoin(ta, tb, Options{ExactDist: ed, OrderIntersectionsFrom: geom.Pt(0, 0)}); err == nil {
+	if _, err := NewJoinIndexes(ta, tb, Options{ExactDist: ed, OrderIntersectionsFrom: geom.Pt(0, 0)}); err == nil {
 		t.Fatal("ExactDist + intersection ordering accepted")
 	}
 }

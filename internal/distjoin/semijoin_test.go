@@ -25,22 +25,6 @@ func bruteSemiJoin(a, b []geom.Point, m geom.Metric) []bruteResult {
 	return out
 }
 
-func drainSemi(t *testing.T, s *SemiJoin, limit int) []Pair {
-	t.Helper()
-	var out []Pair
-	for limit <= 0 || len(out) < limit {
-		p, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
 var allFilters = []SemiFilter{
 	FilterOutside, FilterInside1, FilterInside2,
 	FilterLocal, FilterGlobalNodes, FilterGlobalAll,
@@ -49,17 +33,17 @@ var allFilters = []SemiFilter{
 func TestSemiJoinAllFiltersMatchBruteForce(t *testing.T) {
 	a := clusteredPoints(31, 120)
 	b := clusteredPoints(32, 150)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteSemiJoin(a, b, geom.Euclidean)
 
 	for _, f := range allFilters {
 		t.Run(f.String(), func(t *testing.T) {
-			s, err := NewSemiJoin(ta, tb, f, Options{})
+			s, err := NewSemiJoinIndexes(ta, tb, f, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			got := drainSemi(t, s, 0)
+			got := drainJoin(t, s, 0)
 			if len(got) != len(a) {
 				t.Fatalf("semi-join reported %d pairs, want %d", len(got), len(a))
 			}
@@ -96,21 +80,21 @@ func TestSemiJoinAsymmetric(t *testing.T) {
 	// result cardinality (one pair per first-input object).
 	a := clusteredPoints(33, 40)
 	b := clusteredPoints(34, 90)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	s1, err := NewSemiJoin(ta, tb, FilterGlobalAll, Options{})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	s1, err := NewSemiJoinIndexes(ta, tb, FilterGlobalAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	s2, err := NewSemiJoin(tb, ta, FilterGlobalAll, Options{})
+	s2, err := NewSemiJoinIndexes(tb, ta, FilterGlobalAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := len(drainSemi(t, s1, 0)); got != 40 {
+	if got := len(drainJoin(t, s1, 0)); got != 40 {
 		t.Fatalf("A⋉B produced %d pairs", got)
 	}
-	if got := len(drainSemi(t, s2, 0)); got != 90 {
+	if got := len(drainJoin(t, s2, 0)); got != 90 {
 		t.Fatalf("B⋉A produced %d pairs", got)
 	}
 }
@@ -118,15 +102,15 @@ func TestSemiJoinAsymmetric(t *testing.T) {
 func TestSemiJoinMaxPairs(t *testing.T) {
 	a := clusteredPoints(35, 200)
 	b := clusteredPoints(36, 200)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteSemiJoin(a, b, geom.Euclidean)
 	for _, k := range []int{1, 10, 50} {
 		for _, f := range []SemiFilter{FilterInside2, FilterLocal, FilterGlobalAll} {
-			s, err := NewSemiJoin(ta, tb, f, Options{MaxPairs: k})
+			s, err := NewSemiJoinIndexes(ta, tb, f, Options{MaxPairs: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drainSemi(t, s, 0)
+			got := drainJoin(t, s, 0)
 			if len(got) != k {
 				t.Fatalf("filter %v MaxPairs=%d returned %d", f, k, len(got))
 			}
@@ -143,14 +127,14 @@ func TestSemiJoinMaxPairs(t *testing.T) {
 func TestSemiJoinDistanceRange(t *testing.T) {
 	a := clusteredPoints(37, 100)
 	b := clusteredPoints(38, 100)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	const dmax = 30.0
-	s, err := NewSemiJoin(ta, tb, FilterGlobalAll, Options{MaxDist: dmax})
+	s, err := NewSemiJoinIndexes(ta, tb, FilterGlobalAll, Options{MaxDist: dmax})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := drainSemi(t, s, 0)
+	got := drainJoin(t, s, 0)
 	// Expect exactly the objects whose nearest neighbour is within dmax.
 	want := 0
 	for _, r := range bruteSemiJoin(a, b, geom.Euclidean) {
@@ -176,13 +160,13 @@ func TestSemiJoinClusteringProperty(t *testing.T) {
 	warehouses := []geom.Point{
 		geom.Pt(100, 150), geom.Pt(500, 150), geom.Pt(100, 650), geom.Pt(500, 650),
 	}
-	ts, tw := buildTree(t, stores), buildTree(t, warehouses)
-	s, err := NewSemiJoin(ts, tw, FilterGlobalAll, Options{})
+	ts, tw := WrapRTree(buildTree(t, stores)), WrapRTree(buildTree(t, warehouses))
+	s, err := NewSemiJoinIndexes(ts, tw, FilterGlobalAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, p := range drainSemi(t, s, 0) {
+	for _, p := range drainJoin(t, s, 0) {
 		store := stores[p.Obj1]
 		assigned := warehouses[p.Obj2]
 		for _, w := range warehouses {
@@ -198,13 +182,13 @@ func TestSemiJoinReverse(t *testing.T) {
 	// partner, farthest pairs first (the second interpretation in §2.3).
 	a := clusteredPoints(41, 30)
 	b := clusteredPoints(42, 40)
-	ta, tb := buildTree(t, a), buildTree(t, b)
-	s, err := NewSemiJoin(ta, tb, FilterInside2, Options{Reverse: true})
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	s, err := NewSemiJoinIndexes(ta, tb, FilterInside2, Options{Reverse: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := drainSemi(t, s, 0)
+	got := drainJoin(t, s, 0)
 	if len(got) != len(a) {
 		t.Fatalf("reverse semi-join: %d pairs, want %d", len(got), len(a))
 	}
@@ -228,8 +212,8 @@ func TestSemiJoinReverse(t *testing.T) {
 
 func TestSemiJoinEmpty(t *testing.T) {
 	empty := buildTree(t, nil)
-	full := buildTree(t, clusteredPoints(43, 10))
-	s, err := NewSemiJoin(empty, full, FilterGlobalAll, Options{})
+	full := WrapRTree(buildTree(t, clusteredPoints(43, 10)))
+	s, err := NewSemiJoinIndexes(WrapRTree(empty), full, FilterGlobalAll, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,9 +224,9 @@ func TestSemiJoinEmpty(t *testing.T) {
 }
 
 func TestSemiJoinInvalidFilter(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(44, 5))
-	tb := buildTree(t, clusteredPoints(45, 5))
-	if _, err := NewSemiJoin(ta, tb, SemiFilter(99), Options{}); err == nil {
+	ta := WrapRTree(buildTree(t, clusteredPoints(44, 5)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(45, 5)))
+	if _, err := NewSemiJoinIndexes(ta, tb, SemiFilter(99), Options{}); err == nil {
 		t.Fatal("invalid filter accepted")
 	}
 }
@@ -250,16 +234,16 @@ func TestSemiJoinInvalidFilter(t *testing.T) {
 func TestSemiJoinHybridQueue(t *testing.T) {
 	a := clusteredPoints(46, 100)
 	b := clusteredPoints(47, 120)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteSemiJoin(a, b, geom.Euclidean)
-	s, err := NewSemiJoin(ta, tb, FilterLocal, Options{
+	s, err := NewSemiJoinIndexes(ta, tb, FilterLocal, Options{
 		Queue: QueueHybrid, HybridDT: 20, QueueStore: memQueueStore,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	got := drainSemi(t, s, 0)
+	got := drainJoin(t, s, 0)
 	if len(got) != len(a) {
 		t.Fatalf("%d pairs, want %d", len(got), len(a))
 	}
@@ -305,15 +289,15 @@ func TestSemiJoinEstimationRestart(t *testing.T) {
 	var seed int64 = -4090533858772004629 // wraps on *3, matching the original failure
 	a := clusteredPoints(seed*3+1, 64)
 	b := clusteredPoints(seed*3+2, 75)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	want := bruteSemiJoin(a, b, geom.Euclidean)
 	for _, f := range allFilters {
 		for _, k := range []int{1, 10, 47, 64} {
-			s, err := NewSemiJoin(ta, tb, f, Options{MaxPairs: k})
+			s, err := NewSemiJoinIndexes(ta, tb, f, Options{MaxPairs: k})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := drainSemi(t, s, 0)
+			got := drainJoin(t, s, 0)
 			s.Close()
 			if len(got) != k {
 				t.Fatalf("filter %v MaxPairs=%d delivered %d", f, k, len(got))

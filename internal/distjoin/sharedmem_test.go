@@ -65,7 +65,7 @@ func TestSharedNodesConcurrentCursors(t *testing.T) {
 	}
 	join := func(opts Options, limit int) func() ([]Pair, error) {
 		return func() ([]Pair, error) {
-			j, err := NewJoin(ta, tb, opts)
+			j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), opts)
 			if err != nil {
 				return nil, err
 			}
@@ -74,7 +74,7 @@ func TestSharedNodesConcurrentCursors(t *testing.T) {
 	}
 	semi := func(f SemiFilter, opts Options) func() ([]Pair, error) {
 		return func() ([]Pair, error) {
-			s, err := NewSemiJoin(ta, tb, f, opts)
+			s, err := NewSemiJoinIndexes(WrapRTree(ta), WrapRTree(tb), f, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -141,20 +141,20 @@ func TestSharedNodesConcurrentCursors(t *testing.T) {
 // indexes, reports afterwards.
 func TestReportedRectsAreCopies(t *testing.T) {
 	a, b := clusteredPoints(53, 300), clusteredPoints(54, 400)
-	ta, tb := buildTree(t, a), buildTree(t, b)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 	for _, opts := range []Options{{}, {Queue: QueueHybrid, HybridDT: 10, QueueStore: memQueueStore, QueuePageSize: 1024}} {
-		clean, err := NewJoin(ta, tb, opts)
+		clean, err := NewJoinIndexes(ta, tb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := drainJoin(t, clean, 4000)
 		clean.Close()
 
-		vandal, err := NewJoin(ta, tb, opts)
+		vandal, err := NewJoinIndexes(ta, tb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		other, err := NewJoin(ta, tb, opts) // a second cursor, advanced in step
+		other, err := NewJoinIndexes(ta, tb, opts) // a second cursor, advanced in step
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestJoinAfterIndexModification(t *testing.T) {
 				t.Fatal(stage, err)
 			}
 		}
-		j, err := NewJoin(ta, tb, Options{})
+		j, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,14 +12,14 @@ import (
 // the spans, counters and observed wall time.
 func drainWithSpans(t *testing.T, opts Options) (*profile.Spans, *stats.Counters, time.Duration) {
 	t.Helper()
-	ta := buildTree(t, clusteredPoints(11, 300))
-	tb := buildTree(t, clusteredPoints(23, 300))
+	ta := WrapRTree(buildTree(t, clusteredPoints(11, 300)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(23, 300)))
 	sp := &profile.Spans{}
 	c := &stats.Counters{}
 	opts.Profile = sp
 	opts.Counters = c
 	start := time.Now()
-	j, err := NewJoin(ta, tb, opts)
+	j, err := NewJoinIndexes(ta, tb, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +112,9 @@ func TestSpansParallelMerged(t *testing.T) {
 // engine on the uninstrumented path end to end (the zero-alloc guarantee
 // for the hook methods themselves is pinned in internal/profile).
 func TestSpansNilUntouched(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(5, 100))
-	tb := buildTree(t, clusteredPoints(7, 100))
-	j, err := NewJoin(ta, tb, Options{MaxPairs: 50})
+	ta := WrapRTree(buildTree(t, clusteredPoints(5, 100)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(7, 100)))
+	j, err := NewJoinIndexes(ta, tb, Options{MaxPairs: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,12 +81,12 @@ func TestViewEquivalence(t *testing.T) {
 						}
 						before := c.Snapshot()
 
-						var it cancelIter
+						var it *Join
 						var err error
 						if semi {
-							it, err = NewSemiJoin(ta, tb, FilterGlobalAll, opts)
+							it, err = NewSemiJoinIndexes(WrapRTree(ta), WrapRTree(tb), FilterGlobalAll, opts)
 						} else {
-							it, err = NewJoin(ta, tb, opts)
+							it, err = NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), opts)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -241,21 +241,21 @@ func fieldsOf(c *stats.Counters) []*int64 {
 // (TestNilSinksZeroAllocsZeroClockReads in internal/meter pins that a nil
 // meter allocates nothing and reads no clock).
 func TestNoSinkNoMeter(t *testing.T) {
-	ta := buildTree(t, clusteredPoints(5, 100))
-	tb := buildTree(t, clusteredPoints(7, 100))
+	ta := WrapRTree(buildTree(t, clusteredPoints(5, 100)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(7, 100)))
 	for _, opts := range []Options{
 		{},
 		{Queue: QueueHybrid, HybridDT: 15, QueueStore: memQueueStore},
 		{Parallelism: 2},
 	} {
-		j, err := NewJoin(ta, tb, opts)
+		j, err := NewJoinIndexes(ta, tb, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if j.s.run != nil {
+		if j.run != nil {
 			t.Fatal("a sink-less join carries a telemetry run")
 		}
-		switch r := runnerOf(j).(type) {
+		switch r := j.r.(type) {
 		case *engine:
 			if r.m != nil {
 				t.Fatal("a sink-less engine carries a meter")

@@ -197,7 +197,7 @@ func (d *Datasets) runJoinStamped(label string, pairs int, opts distjoin.Options
 		t1, t2 = d.Roads, d.Water
 	}
 	start := time.Now()
-	j, err := distjoin.NewJoin(t1, t2, opts)
+	j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), opts)
 	if err != nil {
 		return Run{}, nil, err
 	}
@@ -246,7 +246,7 @@ func (d *Datasets) runSemi(label string, pairs int, filter distjoin.SemiFilter, 
 		t1, t2 = d.Roads, d.Water
 	}
 	start := time.Now()
-	s, err := distjoin.NewSemiJoin(t1, t2, filter, opts)
+	s, err := distjoin.NewSemiJoinIndexes(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), filter, opts)
 	if err != nil {
 		return Run{}, err
 	}
@@ -483,7 +483,7 @@ func (d *Datasets) runJoinCollect(limit int, ranks []int) (map[int]float64, erro
 	}
 	opts := d.Scale.hybridOpts()
 	opts.Counters = c
-	j, err := distjoin.NewJoin(d.Water, d.Roads, opts)
+	j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(d.Water), distjoin.WrapRTree(d.Roads), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -677,7 +677,7 @@ func (d *Datasets) runSemiCollect(limit int, ranks []int) (map[int]float64, erro
 	}
 	opts := d.Scale.hybridOpts()
 	opts.Counters = c
-	s, err := distjoin.NewSemiJoin(d.Water, d.Roads, distjoin.FilterLocal, opts)
+	s, err := distjoin.NewSemiJoinIndexes(distjoin.WrapRTree(d.Water), distjoin.WrapRTree(d.Roads), distjoin.FilterLocal, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -801,7 +801,7 @@ func DimSweep(s Scale) ([]Run, error) {
 			return nil, err
 		}
 		start := time.Now()
-		j, err := distjoin.NewJoin(t1, t2, distjoin.Options{Counters: c})
+		j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), distjoin.Options{Counters: c})
 		if err != nil {
 			t1.Close()
 			t2.Close()

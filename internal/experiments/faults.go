@@ -134,7 +134,7 @@ func (d *Datasets) runFaultJoin(label string, pairs int, opts distjoin.Options) 
 	opts.Counters = c
 	opts.Obs = d.Obs
 	start := time.Now()
-	j, err := distjoin.NewJoin(d.Water, d.Roads, opts)
+	j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(d.Water), distjoin.WrapRTree(d.Roads), opts)
 	if err != nil {
 		return Run{}, err
 	}

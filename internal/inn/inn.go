@@ -67,18 +67,10 @@ type Iterator struct {
 	done     bool
 }
 
-// New creates an incremental nearest-neighbour iterator over an R*-tree for
-// the given query point.
-func New(tree *rtree.Tree, query geom.Point, opts Options) (*Iterator, error) {
-	if tree == nil {
-		return nil, errors.New("inn: tree is required")
-	}
-	return NewOverIndex(spatial.WrapRTree(tree), query, opts)
-}
-
-// NewOverIndex creates an incremental nearest-neighbour iterator over any
-// hierarchical spatial index — the same generality the join enjoys (§2.2).
-func NewOverIndex(ix spatial.Index, query geom.Point, opts Options) (*Iterator, error) {
+// New creates an incremental nearest-neighbour iterator for the given query
+// point over any hierarchical spatial index — the same generality the join
+// enjoys (§2.2); spatial.WrapRTree adapts an R*-tree.
+func New(ix spatial.Index, query geom.Point, opts Options) (*Iterator, error) {
 	if ix == nil {
 		return nil, errors.New("inn: index is required")
 	}
@@ -184,10 +176,10 @@ func (it *Iterator) Next() (Result, bool, error) {
 }
 
 // Nearest is a convenience wrapper returning the k nearest neighbours of
-// query (fewer when the tree is smaller or MaxDist intervenes).
-func Nearest(tree *rtree.Tree, query geom.Point, k int, opts Options) ([]Result, error) {
+// query (fewer when the index is smaller or MaxDist intervenes).
+func Nearest(ix spatial.Index, query geom.Point, k int, opts Options) ([]Result, error) {
 	opts.MaxResults = k
-	it, err := New(tree, query, opts)
+	it, err := New(ix, query, opts)
 	if err != nil {
 		return nil, err
 	}

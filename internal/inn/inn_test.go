@@ -13,7 +13,9 @@ import (
 	"distjoin/internal/spatial"
 )
 
-func buildTree(t testing.TB, pts []geom.Point) *rtree.Tree {
+// buildTree bulk-loads pts into an R*-tree and returns it as the index the
+// search runs over.
+func buildTree(t testing.TB, pts []geom.Point) spatial.Index {
 	t.Helper()
 	items := make([]rtree.Item, len(pts))
 	for i, p := range pts {
@@ -24,7 +26,7 @@ func buildTree(t testing.TB, pts []geom.Point) *rtree.Tree {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	return tr
+	return spatial.WrapRTree(tr)
 }
 
 func randPts(seed int64, n int) []geom.Point {
@@ -155,9 +157,6 @@ func TestNNEmptyTree(t *testing.T) {
 
 func TestNNValidation(t *testing.T) {
 	tr := buildTree(t, randPts(5, 10))
-	if _, err := New(nil, geom.Pt(0, 0), Options{}); err == nil {
-		t.Error("nil tree accepted")
-	}
 	if _, err := New(tr, geom.Pt(0, 0, 0), Options{}); err == nil {
 		t.Error("3-D query on 2-D tree accepted")
 	}
@@ -203,7 +202,7 @@ func TestPropNNCorrect(t *testing.T) {
 		defer tr.Close()
 		q := geom.Pt(rnd.Float64()*1200-100, rnd.Float64()*1200-100)
 		k := 1 + rnd.Intn(len(pts))
-		res, err := Nearest(tr, q, k, Options{})
+		res, err := Nearest(spatial.WrapRTree(tr), q, k, Options{})
 		if err != nil || len(res) != k {
 			return false
 		}
@@ -304,7 +303,7 @@ func TestNNOverQuadtree(t *testing.T) {
 		}
 	}
 	q := geom.Pt(321, 654)
-	it, err := NewOverIndex(spatial.WrapQuadtree(qt), q, Options{})
+	it, err := New(spatial.WrapQuadtree(qt), q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +334,7 @@ func TestNNOverQuadtree(t *testing.T) {
 }
 
 func TestNNOverIndexValidation(t *testing.T) {
-	if _, err := NewOverIndex(nil, geom.Pt(0, 0), Options{}); err == nil {
+	if _, err := New(nil, geom.Pt(0, 0), Options{}); err == nil {
 		t.Fatal("nil index accepted")
 	}
 }

@@ -1,5 +1,5 @@
 // Package qtrace is the per-query lifecycle tracing layer of the
-// incremental distance join: every Join/SemiJoin/kNN run gets a query ID
+// incremental distance join: every join, semi-join and kNN run gets a query ID
 // and a hierarchical span tree (plan → partition workers → engine phases →
 // queue disk-tier I/O), assembled from the closing reports of the run's
 // per-engine meters (internal/meter): each engine's exclusive phase times

@@ -514,14 +514,14 @@ func reference(t *testing.T, req QueryRequest, failWriteAt int) *modelRef {
 		if req.Queue == "hybrid" {
 			opts.Queue, opts.HybridDT = distjoin.QueueHybrid, req.HybridDT
 		}
-		next, abort, err := openIterator(&req, water.AsSpatialIndex(), roads.AsSpatialIndex(), opts)
+		it, err := openIterator(&req, water.AsSpatialIndex(), roads.AsSpatialIndex(), opts)
 		if err != nil {
 			t.Fatalf("reference %s: %v", key, err)
 		}
-		defer abort(nil)
+		defer it.Close()
 		var out []PairJSON
 		for {
-			p, ok, err := next()
+			p, ok, err := it.Next()
 			if err != nil {
 				return out, true
 			}
@@ -968,9 +968,14 @@ func (d *driver) opGated() {
 	case <-d.hook.hit:
 	case r := <-out:
 		// The pull never reached the gate (its pairs were already resolved):
-		// an ordinary pull.
+		// an ordinary pull. A 1 ms timeout may also lapse before the first
+		// Next, which the pull answers as an empty soft stop.
 		out <- r
-		finish(event{})
+		var ev event
+		if action == "timeout" {
+			ev.soft = "pull timeout"
+		}
+		finish(ev)
 		return
 	}
 

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -72,7 +73,10 @@ func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Optio
 		return opts, badRequest("unknown traversal " + strconv.Quote(req.Traversal))
 	}
 	if req.Parallelism != 0 {
-		opts.Parallelism = req.Parallelism
+		// A client may not start more partition engines, each a goroutine
+		// with its own queue and scratch store, than the host has CPUs to
+		// run them; a negative value stays "one per CPU".
+		opts.Parallelism = min(req.Parallelism, runtime.GOMAXPROCS(0))
 	}
 	if s.cfg.Obs != nil && opts.Obs == nil {
 		// Every cursor's engines fold straight into the server-wide view; a
@@ -110,50 +114,29 @@ func parseFilter(name string) (distjoin.SemiFilter, error) {
 }
 
 // openIterator starts the engine for the requested operation over the two
-// registry indexes, returning the iterator's Next and its Abort (Close,
-// latching a terminal error the engine never saw).
-func openIterator(req *QueryRequest, si1, si2 distjoin.SpatialIndex, opts distjoin.Options) (func() (distjoin.Pair, bool, error), func(error) error, error) {
-	switch normKind(req.Kind) {
+// registry indexes.
+func openIterator(req *QueryRequest, si1, si2 distjoin.SpatialIndex, opts distjoin.Options) (*distjoin.Join, error) {
+	kind := normKind(req.Kind)
+	switch kind {
 	case "join":
-		j, err := distjoin.DistanceJoinIndexes(si1, si2, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return j.Next, j.Abort, nil
+		return distjoin.DistanceJoinIndexes(si1, si2, opts)
+	case "semijoin", "knn", "clustering":
+	default:
+		return nil, fmt.Errorf("unknown kind %q (want join, semijoin, knn or clustering)", req.Kind)
+	}
+	f, err := parseFilter(req.Filter)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
 	case "semijoin":
-		f, err := parseFilter(req.Filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		sj, err := distjoin.DistanceSemiJoinIndexes(si1, si2, f, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sj.Next, sj.Abort, nil
+		return distjoin.DistanceSemiJoinIndexes(si1, si2, f, opts)
 	case "knn":
-		f, err := parseFilter(req.Filter)
-		if err != nil {
-			return nil, nil, err
-		}
 		k := req.K
 		if k == 0 {
 			k = 1
 		}
-		sj, err := distjoin.KNearestJoinIndexes(si1, si2, k, f, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sj.Next, sj.Abort, nil
-	case "clustering":
-		f, err := parseFilter(req.Filter)
-		if err != nil {
-			return nil, nil, err
-		}
-		sj, err := distjoin.ClusteringJoinIndexes(si1, si2, f, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sj.Next, sj.Abort, nil
+		return distjoin.KNearestJoinIndexes(si1, si2, k, f, opts)
 	}
-	return nil, nil, fmt.Errorf("unknown kind %q (want join, semijoin, knn or clustering)", req.Kind)
+	return distjoin.ClusteringJoinIndexes(si1, si2, f, opts)
 }

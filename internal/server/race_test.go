@@ -122,7 +122,7 @@ func TestTTLExpiryDuringPull(t *testing.T) {
 	clk.Advance(2 * time.Hour)
 	f.srv.sweep(clk.Now())
 	c.mu.Lock()
-	retiring, state, engineOpen := c.retiring, c.state, c.next != nil
+	retiring, state, engineOpen := c.retiring, c.state, c.it != nil
 	c.mu.Unlock()
 	if retiring != errCursorExpired.Error() || state != cursorOpen || !engineOpen {
 		t.Fatalf("after sweep: retiring=%q state=%v engine open=%v, want retiring, open, engine untouched", retiring, state, engineOpen)
@@ -144,7 +144,7 @@ func TestTTLExpiryDuringPull(t *testing.T) {
 		t.Fatalf("retiring cursor not evicted at release: %d open", n)
 	}
 	c.mu.Lock()
-	state, engineOpen = c.state, c.next != nil
+	state, engineOpen = c.state, c.it != nil
 	c.mu.Unlock()
 	if state != cursorGone || engineOpen {
 		t.Fatalf("after release: state=%v engine open=%v, want gone with the engine closed", state, engineOpen)

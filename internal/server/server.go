@@ -1,6 +1,6 @@
 // Package server is the network query service of the incremental distance
-// join: an HTTP/JSON API (with NDJSON streaming) that exposes Join /
-// SemiJoin / kNN / Clustering over named, registry-shared indexes as
+// join: an HTTP/JSON API (with NDJSON streaming) that exposes the join,
+// semi-join, kNN and clustering join over named, registry-shared indexes as
 // resumable cursors — the paper's incrementality ("pull the next closest
 // pair on demand") lifted to a served system.
 //
@@ -285,7 +285,7 @@ func (s *Server) openCursor(r *http.Request) (*cursor, *httpError) {
 	// trace root). Nil-safe — an untraced server still propagates context.
 	parent := inboundContext(r)
 	sc := opts.Tracer.PreBegin(id, parent)
-	next, abort, err := openIterator(&req, si1, si2, opts)
+	it, err := openIterator(&req, si1, si2, opts)
 	if err != nil {
 		opts.Tracer.Unlink(id)
 		cancel(nil)
@@ -305,8 +305,7 @@ func (s *Server) openCursor(r *http.Request) (*cursor, *httpError) {
 		created:  now,
 		sc:       sc,
 		client:   parent,
-		next:     next,
-		abort:    abort,
+		it:       it,
 		cancel:   cancel,
 		gone:     make(chan struct{}),
 		deadline: now.Add(s.cfg.TTL),

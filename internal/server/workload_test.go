@@ -82,18 +82,18 @@ func TestServerWorkloadMatchesInProcess(t *testing.T) {
 			roads.SetCounters(inproc)
 			opts := hybrid
 			opts.MaxPairs, opts.Counters = pairs, inproc
-			next, abort, err := openIterator(&req, water.AsSpatialIndex(), roads.AsSpatialIndex(), opts)
+			it, err := openIterator(&req, water.AsSpatialIndex(), roads.AsSpatialIndex(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for n = 0; ; n++ {
-				if _, ok, err := next(); err != nil {
+				if _, ok, err := it.Next(); err != nil {
 					t.Fatal(err)
 				} else if !ok {
 					break
 				}
 			}
-			if err := abort(nil); err != nil {
+			if err := it.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if n != pairs {

@@ -35,7 +35,7 @@ type MetricsServer = obs.MetricsServer
 func NewRecorder(cfg ObsConfig) *Recorder { return obs.New(cfg) }
 
 // Per-query lifecycle tracing — the public surface of internal/qtrace. A
-// QueryTracer attached to Options.Tracer assigns every Join/SemiJoin/kNN
+// QueryTracer attached to Options.Tracer assigns every join, semi-join and kNN
 // run a query ID and records a hierarchical span tree (plan → partition
 // workers → engine phases → queue disk-tier I/O) plus per-query resource
 // accounting, retained in a bounded flight recorder (served as JSON by

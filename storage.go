@@ -35,7 +35,7 @@ type RetryPolicy = pager.RetryPolicy
 // wrapping this sentinel.
 var ErrTransientIO = pager.ErrTransient
 
-// ErrIteratorClosed is returned by Join.Next / SemiJoin.Next after Close.
+// ErrIteratorClosed is returned by Join.Next after Close.
 var ErrIteratorClosed = distjoin.ErrIteratorClosed
 
 // ErrQueueStore wraps every failure of the Options.QueueStore factory, so

@@ -2,11 +2,13 @@ package distjoin_test
 
 import (
 	"bytes"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -61,6 +63,117 @@ func TestOneTelemetryDoor(t *testing.T) {
 		}
 		if len(seen) > 1 {
 			t.Errorf("internal/%s imports %d telemetry packages %v, want at most one", pkg, len(seen), seen)
+		}
+	}
+}
+
+// TestOneConstructorFamily is the API guard of the query constructors:
+// every operator over any SpatialIndex pair returns the one iterator type,
+// *Join, and there is one constructor per operator. In the root package and
+// in internal/distjoin the exported functions returning a *Join are exactly
+// the four ...Indexes constructors, no type SemiJoin exists, and no exported
+// function anywhere takes an *rtree.Tree (or the root's *Index) and returns
+// a *Join.
+func TestOneConstructorFamily(t *testing.T) {
+	isJoin := func(e ast.Expr) bool {
+		star, ok := e.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		switch x := star.X.(type) {
+		case *ast.Ident:
+			return x.Name == "Join"
+		case *ast.SelectorExpr:
+			return x.Sel.Name == "Join"
+		}
+		return false
+	}
+	isTree := func(e ast.Expr) bool {
+		star, ok := e.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		switch x := star.X.(type) {
+		case *ast.Ident:
+			return x.Name == "Index"
+		case *ast.SelectorExpr:
+			pkg, _ := x.X.(*ast.Ident)
+			return pkg != nil && pkg.Name == "rtree" && x.Sel.Name == "Tree"
+		}
+		return false
+	}
+	type ctor struct {
+		name      string
+		takesTree bool
+	}
+	scan := func(file string) (ctors []ctor, semi bool) {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil || !d.Name.IsExported() || d.Type.Results == nil {
+					continue
+				}
+				for _, res := range d.Type.Results.List {
+					if !isJoin(res.Type) {
+						continue
+					}
+					c := ctor{name: d.Name.Name}
+					for _, p := range d.Type.Params.List {
+						if isTree(p.Type) {
+							c.takesTree = true
+						}
+					}
+					ctors = append(ctors, c)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "SemiJoin" {
+						semi = true
+					}
+				}
+			}
+		}
+		return ctors, semi
+	}
+	rootFiles, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range []struct {
+		files []string
+		want  []string
+	}{
+		{rootFiles, []string{"ClusteringJoinIndexes", "DistanceJoinIndexes", "DistanceSemiJoinIndexes", "KNearestJoinIndexes"}},
+		{nonTestGoFiles(t, filepath.Join("internal", "distjoin")), []string{"NewClusteringJoinIndexes", "NewJoinIndexes", "NewKNearestJoinIndexes", "NewSemiJoinIndexes"}},
+	} {
+		var got []string
+		for _, file := range pkg.files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			ctors, semi := scan(file)
+			for _, c := range ctors {
+				got = append(got, c.name)
+			}
+			if semi {
+				t.Errorf("%s declares a SemiJoin type: every operator returns *Join", file)
+			}
+		}
+		sort.Strings(got)
+		if strings.Join(got, " ") != strings.Join(pkg.want, " ") {
+			t.Errorf("exported functions returning *Join: %v, want exactly %v", got, pkg.want)
+		}
+	}
+	for _, file := range nonTestGoFiles(t, ".") {
+		ctors, _ := scan(file)
+		for _, c := range ctors {
+			if c.takesTree {
+				t.Errorf("%s: %s takes an R-tree and returns *Join: wrap the tree as a SpatialIndex and call the ...Indexes constructor", file, c.name)
+			}
 		}
 	}
 }

@@ -105,13 +105,13 @@ func TestWorkCounters(t *testing.T) {
 		var next func() (distjoin.Pair, bool, error)
 		var closeFn func() error
 		if leg.semi {
-			s, err := distjoin.KNearestJoin(water, roads, max(leg.k, 1), leg.filter, opts)
+			s, err := distjoin.KNearestJoinIndexes(water.AsSpatialIndex(), roads.AsSpatialIndex(), max(leg.k, 1), leg.filter, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", leg.name, err)
 			}
 			next, closeFn = s.Next, s.Close
 		} else {
-			j, err := distjoin.DistanceJoin(water, roads, opts)
+			j, err := distjoin.DistanceJoinIndexes(water.AsSpatialIndex(), roads.AsSpatialIndex(), opts)
 			if err != nil {
 				t.Fatalf("%s: %v", leg.name, err)
 			}
