@@ -3,6 +3,7 @@ package distjoin
 import (
 	"errors"
 
+	"distjoin/internal/distjoin"
 	"distjoin/internal/rtree"
 	"distjoin/internal/stats"
 )
@@ -173,6 +174,9 @@ func OpenIndexFile(path string, counters *Stats) (*Index, error) {
 	}
 	return &Index{tree: t}, nil
 }
+
+// AsSpatialIndex exposes the R*-tree index for joins.
+func (idx *Index) AsSpatialIndex() SpatialIndex { return distjoin.WrapRTree(idx.tree) }
 
 // Tree exposes the underlying R*-tree for advanced integrations (the
 // baseline algorithms in internal/baseline operate on it directly).
