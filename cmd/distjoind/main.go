@@ -147,7 +147,11 @@ func run(args []string, errw *os.File) int {
 			logger.Error("reading csv", "path", path, "err", err)
 			return 1
 		}
-		idx := distjoin.NewIndexFromPoints(pts)
+		idx, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, pts)
+		if err != nil {
+			logger.Error("building csv index", "name", name, "path", path, "err", err)
+			return 1
+		}
 		owned = append(owned, idx)
 		if err := reg.RegisterIndex(name, idx); err != nil {
 			logger.Error("registering csv index", "name", name, "err", err)

@@ -20,6 +20,12 @@ import (
 // TestBadInvocations checks flag and configuration errors exit non-zero
 // without starting a listener.
 func TestBadInvocations(t *testing.T) {
+	// A CSV the daemon reads but cannot index: 40 columns do not fit a
+	// 2 KiB page's minimum fan-out.
+	wide := filepath.Join(t.TempDir(), "wide.csv")
+	if err := os.WriteFile(wide, []byte(strings.Repeat("1,", 39)+"1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for name, tc := range map[string]struct {
 		args []string
 		code int
@@ -28,6 +34,7 @@ func TestBadInvocations(t *testing.T) {
 		"bad-index":    {[]string{"-index", "nopath"}, 2},
 		"bad-csv":      {[]string{"-csv", "nopath"}, 2},
 		"missing-file": {[]string{"-index", "x=/does/not/exist"}, 1},
+		"csv-too-wide": {[]string{"-addr", "127.0.0.1:0", "-csv", "wide=" + wide}, 1},
 		"bad-flag":     {[]string{"-nope"}, 2},
 	} {
 		t.Run(name, func(t *testing.T) {
