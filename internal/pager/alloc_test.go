@@ -55,7 +55,7 @@ func TestPoolRecyclesDroppedFrames(t *testing.T) {
 	f, _ := p.Allocate()
 	id := f.ID()
 	copy(f.Data(), "old page")
-	f.SetDecoded("decoded old page")
+	f.SetDecoded(boxed("decoded old page"))
 	p.Unpin(f)
 	if err := p.Drop(id); err != nil {
 		t.Fatal(err)
@@ -78,13 +78,16 @@ func TestPoolRecyclesDroppedFrames(t *testing.T) {
 	}
 }
 
+// boxed is v as a frame keeps a decoded form.
+func boxed(v any) *any { return &v }
+
 // TestFrameDecodedLifetime: the decoded form lives exactly as long as the
 // bytes it was made from are resident and unchanged.
 func TestFrameDecodedLifetime(t *testing.T) {
 	p, _ := newTestPool(t, 2)
 	f, _ := p.Allocate()
 	id := f.ID()
-	f.SetDecoded(1)
+	f.SetDecoded(boxed(1))
 	p.Unpin(f)
 	get := func() *Frame {
 		t.Helper()
@@ -102,7 +105,7 @@ func TestFrameDecodedLifetime(t *testing.T) {
 	if f.Decoded() != nil {
 		t.Fatal("MarkDirty kept the decoded form")
 	}
-	f.SetDecoded(2)
+	f.SetDecoded(boxed(2))
 	p.Unpin(f)
 	// Evict it: two other pages through a two-frame pool.
 	for i := 0; i < 2; i++ {
@@ -116,7 +119,7 @@ func TestFrameDecodedLifetime(t *testing.T) {
 	if f.Decoded() != nil {
 		t.Fatal("decoded form survived eviction")
 	}
-	f.SetDecoded(3)
+	f.SetDecoded(boxed(3))
 	p.Unpin(f)
 	if err := p.Reset(); err != nil {
 		t.Fatal(err)

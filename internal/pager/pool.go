@@ -67,10 +67,12 @@ func (f *Frame) Decoded() any {
 	return nil
 }
 
-// SetDecoded attaches an immutable decoded form of the page bytes to the
-// pinned frame, for later readers to share until the bytes change or leave
-// the pool. Concurrent readers may each set one; any of them is kept.
-func (f *Frame) SetDecoded(v any) { f.decoded.Store(&v) }
+// SetDecoded attaches *v, an immutable decoded form of the page bytes, to
+// the pinned frame, for later readers to share until the bytes change or
+// leave the pool. Concurrent readers may each set one; any of them is kept.
+// The frame keeps v itself, so a form attached to frame after frame is boxed
+// once, by its owner, and attaching it allocates nothing.
+func (f *Frame) SetDecoded(v *any) { f.decoded.Store(v) }
 
 // Pool is an LRU buffer pool over a Store. It counts physical reads and
 // writes into a stats.Counters, which is how the reproduction measures the

@@ -18,6 +18,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
@@ -39,8 +40,8 @@ type Entry struct {
 //
 //   - A read node — Tree.ReadNodeLean, Tree.ReadNode — is shared and
 //     read-only (see ReadNodeLean). Page, Level, Coords, Refs and Points hold;
-//     Entries is nil until ReadNode builds it, once per residency, as views
-//     of Coords.
+//     Entries is nil until ReadNode builds it, once per page version, as
+//     views of Coords.
 //   - An edit node — what insertion, deletion, a split or bulk load
 //     rearranges — holds Page, Level and Entries only.
 type Node struct {
@@ -57,6 +58,9 @@ type Node struct {
 
 	derived atomic.Value
 	entries sync.Once
+	// self is a read node as the buffer frames hold it, so that attaching
+	// the node to a frame again after an eviction allocates nothing.
+	self any
 }
 
 // Derived returns the value build made of n the first time it was asked for.
@@ -169,8 +173,8 @@ func encodeNode(n *Node, dims int, buf []byte) {
 	}
 }
 
-// decodeNode deserializes a read node from a page image: one block of
-// coordinates and the refs.
+// decodeNode deserializes a read node from a page image into one
+// allocation: the coordinates, then the refs.
 func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 	leaf := buf[0]&flagLeaf != 0
 	level := int(buf[1])
@@ -182,7 +186,9 @@ func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 		return nil, fmt.Errorf("rtree: page %d: count %d exceeds capacity %d", page, count, max)
 	}
 	w := 2 * dims
-	n := &Node{Page: page, Level: level, Coords: make([]float64, count*w), Refs: make([]uint64, count), Points: leaf}
+	block := make([]float64, count*(w+1))
+	refs := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(block[count*w:]))), count)
+	n := &Node{Page: page, Level: level, Coords: block[: count*w : count*w], Refs: refs, Points: leaf}
 	off := nodeHeaderSize
 	for k := range n.Refs {
 		c := n.Coords[k*w : (k+1)*w : (k+1)*w]

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
@@ -47,10 +49,11 @@ func TestAllocReadNodeResident(t *testing.T) {
 	}
 }
 
-// TestReadNodeSharedUntilWritten: readers of a resident page get the very
-// same node, every read is still one pool access, and a write, a drop of the
-// cache or an eviction makes the next read decode afresh — never serving the
-// stale form.
+// TestReadNodeSharedUntilWritten: readers of a page get the very same node,
+// every read is still one pool access, a write or a drop of the cache makes
+// the next read decode afresh — never serving the stale form — and an
+// eviction does not: while the node is referenced, the read that brings the
+// page back into the pool hands it out again.
 func TestReadNodeSharedUntilWritten(t *testing.T) {
 	var c stats.Counters
 	cfg := smallConfig()
@@ -120,14 +123,60 @@ func TestReadNodeSharedUntilWritten(t *testing.T) {
 	if err := tr.Scan(func(Entry) bool { return true }); err != nil { // more pages than frames
 		t.Fatal(err)
 	}
-	if b, _ := tr.ReadNode(page); a == b {
-		t.Fatal("decoded node survived eviction")
+	before = c.Snapshot()
+	if b, _ := tr.ReadNode(page); a != b {
+		t.Fatal("a referenced node was decoded again after eviction")
+	}
+	if d := c.Snapshot(); d.NodeReads != before.NodeReads+1 || d.BufferHits != before.BufferHits {
+		t.Fatalf("a read after eviction must count one node read: %+v -> %+v", before, d)
 	}
 	if ok, err := tr.Delete(geom.Rect{Lo: target.Lo, Hi: target.Hi}, 9999); err != nil || !ok {
 		t.Fatalf("delete after cached reads: %v %v", ok, err)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeNotRetained: the tree keeps no decode alive. Once no reference
+// to a node is left and its page has left the pool, the collector reclaims
+// the node, and the next read of the page — one node read — decodes it
+// afresh.
+func TestDecodeNotRetained(t *testing.T) {
+	var c stats.Counters
+	cfg := smallConfig()
+	cfg.Counters = &c
+	tr := mustNew(t, cfg)
+	for i, p := range randomPoints(4, 300) {
+		if err := tr.InsertPoint(p, ObjID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	page := leafPage(t, tr)
+	was := func() weak.Pointer[Node] {
+		n, err := tr.ReadNode(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(n)
+	}()
+	if err := tr.Scan(func(Entry) bool { return true }); err != nil { // more pages than frames
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if was.Value() != nil {
+		t.Fatal("an evicted node with no reference left survived a collection")
+	}
+	before := c.Snapshot()
+	n, err := tr.ReadNode(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := c.Snapshot(); d.NodeReads != before.NodeReads+1 || d.BufferHits != before.BufferHits {
+		t.Fatalf("the page was not evicted: %+v -> %+v", before, d)
+	}
+	if diff := sameNode(n, storedNode(t, tr, page)); diff != "" {
+		t.Fatalf("the fresh decode of page %d: %s", page, diff)
 	}
 }
 

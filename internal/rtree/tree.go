@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"weak"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
@@ -65,8 +66,12 @@ type Tree struct {
 	maxEntries int
 	minEntries int
 	// decoding is held by a miss's decode, so that readers meeting on one
-	// cold page share one decode of it.
+	// cold page share one decode of it, and guards decodes.
 	decoding sync.Mutex
+	// decodes[id] points weakly at page id's last decode until the page's
+	// bytes change: a miss attaches that node to the frame again while the
+	// collector has not reclaimed it, instead of decoding the page afresh.
+	decodes []weak.Pointer[Node]
 }
 
 // New creates an empty R*-tree.
@@ -170,7 +175,7 @@ func (t *Tree) MinObjectsUnder(level int) int {
 
 // ReadNode returns the node stored on the given page with its Entries: the
 // node ReadNodeLean returns, whose Entries — views of its Coords — are built
-// the first time ReadNode reads it in a residency.
+// the first time ReadNode reads that decode of the page.
 func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
 	n, err := t.ReadNodeLean(id)
 	if err == nil {
@@ -182,12 +187,13 @@ func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
 // ReadNodeLean returns the read node stored on the given page: Coords, Refs
 // and Points, no Entries. The join engines and the tree's own traversals
 // read it, so every traversal is charged through the buffer pool: each call
-// is one pool access. The page is decoded once per buffer residency and the
-// result shared by every reader, on every goroutine, until the page is
-// written, dropped or evicted — so the node and every rectangle read from it
-// are READ-ONLY, and a caller that hands a rectangle on to code it does not
-// control hands on a copy. The node stays valid for as long as it is
-// referenced.
+// is one pool access, and a miss reads the page into a frame. The page is
+// decoded once per page version and the result shared by every reader, on
+// every goroutine, until the page is written, freed or the cache dropped —
+// across evictions, for as long as the collector has not reclaimed the node
+// — so the node and every rectangle read from it are READ-ONLY, and a caller
+// that hands a rectangle on to code it does not control hands on a copy. The
+// node stays valid for as long as it is referenced.
 func (t *Tree) ReadNodeLean(id pager.PageID) (*Node, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
@@ -197,14 +203,44 @@ func (t *Tree) ReadNodeLean(id pager.PageID) (*Node, error) {
 	if n == nil {
 		t.decoding.Lock()
 		if n, _ = f.Decoded().(*Node); n == nil {
-			if n, err = decodeNode(id, t.cfg.Dims, f.Data()); err == nil {
-				f.SetDecoded(n)
+			if n, err = t.decode(id, f.Data()); err == nil {
+				f.SetDecoded(&n.self)
 			}
 		}
 		t.decoding.Unlock()
 	}
 	t.pool.Unpin(f)
 	return n, err
+}
+
+// decode returns the page's last decode if the collector has not reclaimed
+// it, or else decodes buf, the page's bytes, and remembers the result.
+// t.decoding is held.
+func (t *Tree) decode(id pager.PageID, buf []byte) (*Node, error) {
+	if int(id) < len(t.decodes) {
+		if n := t.decodes[id].Value(); n != nil {
+			return n, nil
+		}
+	}
+	n, err := decodeNode(id, t.cfg.Dims, buf)
+	if err != nil {
+		return nil, err
+	}
+	n.self = n
+	if grow := int(id) + 1 - len(t.decodes); grow > 0 {
+		t.decodes = append(t.decodes, make([]weak.Pointer[Node], grow)...)
+	}
+	t.decodes[id] = weak.Make(n)
+	return n, nil
+}
+
+// forget drops the page's last decode: its bytes are about to change.
+func (t *Tree) forget(id pager.PageID) {
+	t.decoding.Lock()
+	if int(id) < len(t.decodes) {
+		t.decodes[id] = weak.Pointer[Node]{}
+	}
+	t.decoding.Unlock()
 }
 
 // editNode decodes a private, mutable edit node from the given page for
@@ -223,13 +259,14 @@ func (t *Tree) editNode(id pager.PageID) (*Node, error) {
 }
 
 // writeNode encodes the node back to its page; marking the frame dirty
-// discards the page's shared decoded form.
+// discards the page's shared decoded form, and the tree forgets it.
 func (t *Tree) writeNode(n *Node) error {
 	f, err := t.pool.Get(n.Page)
 	if err != nil {
 		return err
 	}
 	defer t.pool.Unpin(f)
+	t.forget(n.Page)
 	encodeNode(n, t.cfg.Dims, f.Data())
 	f.MarkDirty()
 	return nil
@@ -243,13 +280,17 @@ func (t *Tree) allocNode(n *Node) error {
 	}
 	defer t.pool.Unpin(f)
 	n.Page = f.ID()
+	t.forget(n.Page)
 	encodeNode(n, t.cfg.Dims, f.Data())
 	f.MarkDirty()
 	return nil
 }
 
 // freeNode releases the node's page.
-func (t *Tree) freeNode(id pager.PageID) error { return t.pool.Drop(id) }
+func (t *Tree) freeNode(id pager.PageID) error {
+	t.forget(id)
+	return t.pool.Drop(id)
+}
 
 // Bounds returns the MBR of all indexed objects, or false when empty.
 func (t *Tree) Bounds() (geom.Rect, bool) {
@@ -263,9 +304,15 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	return root.MBR(), true
 }
 
-// DropCache flushes and empties the buffer pool so the next traversal runs
-// against a cold buffer; the experiment harness calls this between runs.
-func (t *Tree) DropCache() error { return t.pool.Reset() }
+// DropCache flushes and empties the buffer pool, and forgets every page's
+// last decode, so the next traversal runs against a cold buffer and decodes
+// every page it reads; the experiment harness calls this between runs.
+func (t *Tree) DropCache() error {
+	t.decoding.Lock()
+	clear(t.decodes)
+	t.decoding.Unlock()
+	return t.pool.Reset()
+}
 
 // Close releases the underlying store.
 func (t *Tree) Close() error {

@@ -11,6 +11,7 @@ import (
 	"distjoin/internal/quadtree"
 	"distjoin/internal/racecheck"
 	"distjoin/internal/rtree"
+	"distjoin/internal/stats"
 )
 
 // randRect is a point two times in three, otherwise a small box, inside
@@ -331,5 +332,54 @@ func TestAllocIndexNodeMiss(t *testing.T) {
 	t.Logf("one miss of a %d-entry leaf: %.1f allocations, %.0f bytes", tr.MaxEntries(), allocs, bytes)
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Errorf("one node miss allocates %.1f times and %.0f bytes, gate %d and %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// TestAllocIndexNodeEvicted gates a node read through the R*-tree adapter
+// whose page the pool evicted by capacity while the node stayed referenced:
+// the pool reads the page again and is charged the miss, and the read hands
+// out the referenced node's adapter form without allocating.
+func TestAllocIndexNodeEvicted(t *testing.T) {
+	if racecheck.Enabled {
+		t.Skip("allocation counts mean nothing under the race detector")
+	}
+	var c stats.Counters
+	tr, err := rtree.New(rtree.Config{Dims: 2, BufferFrames: 8, Counters: &c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for i, p := range randPts(6, 20*tr.MaxEntries()) {
+		if err := tr.InsertPoint(p, rtree.ObjID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix := WrapRTree(tr)
+	refs, held := []uint64{uint64(tr.RootPage())}, []*IndexNode(nil)
+	for i := 0; i < len(refs); i++ { // every page, its node referenced
+		n, err := ix.Node(refs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held = append(held, n); !n.Leaf {
+			refs = append(refs, n.Refs...)
+		}
+	}
+	if len(refs) <= 8 {
+		t.Fatalf("%d pages fit the 8-frame pool", len(refs))
+	}
+	// A cyclic scan of more pages than frames misses and evicts every time.
+	i, runs, before := 0, 4*len(refs), c.Snapshot()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if n, err := ix.Node(refs[i%len(refs)]); err != nil || n != held[i%len(refs)] {
+			t.Fatalf("page %d: another node than the referenced one (%v)", refs[i%len(refs)], err)
+		}
+		i++
+	})
+	if d := c.Snapshot(); d.NodeReads-before.NodeReads != int64(runs+1) || d.BufferHits != before.BufferHits {
+		t.Fatalf("%d reads were not all misses: %+v -> %+v", runs+1, before, d)
+	}
+	if allocs != 0 {
+		t.Errorf("reading an evicted page whose node is referenced allocates %v times, want 0", allocs)
 	}
 }

@@ -135,7 +135,7 @@ func (ix rtreeIndex) Dims() int       { return ix.t.Dims() }
 func (ix rtreeIndex) NumObjects() int { return ix.t.Len() }
 
 // rtreeNode is the adapter's form of a decoded R-tree node, built once per
-// buffer residency of its page and kept on the decoded node: the node as the
+// version of its page and kept on the decoded node: the node as the
 // engines traverse it, whose coordinates and refs are the decoded node's
 // own, and its bounding rectangle, built the first time a query opens on the
 // node as its root.
@@ -210,7 +210,7 @@ func (ix quadIndex) Root() (NodeRef, error) {
 // Node returns the adapter's form of the node: built once per view the tree
 // keeps of it — until an insert, a delete or a split changes the node — and
 // handed to every visit in between, as the R*-tree adapter hands out one per
-// buffer residency.
+// page version.
 func (ix quadIndex) Node(ref uint64) (*IndexNode, error) {
 	n, err := ix.t.ReadNode(int32(ref))
 	if err != nil {
