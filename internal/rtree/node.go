@@ -18,7 +18,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
@@ -173,8 +172,9 @@ func encodeNode(n *Node, dims int, buf []byte) {
 	}
 }
 
-// decodeNode deserializes a read node from a page image into one
-// allocation: the coordinates, then the refs.
+// decodeNode deserializes a read node from a page image: one block of
+// coordinates and the refs. The two stay separate allocations: a queued pair
+// that views a node's coordinates would otherwise keep its refs alive too.
 func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 	leaf := buf[0]&flagLeaf != 0
 	level := int(buf[1])
@@ -186,9 +186,7 @@ func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 		return nil, fmt.Errorf("rtree: page %d: count %d exceeds capacity %d", page, count, max)
 	}
 	w := 2 * dims
-	block := make([]float64, count*(w+1))
-	refs := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(block[count*w:]))), count)
-	n := &Node{Page: page, Level: level, Coords: block[: count*w : count*w], Refs: refs, Points: leaf}
+	n := &Node{Page: page, Level: level, Coords: make([]float64, count*w), Refs: make([]uint64, count), Points: leaf}
 	off := nodeHeaderSize
 	for k := range n.Refs {
 		c := n.Coords[k*w : (k+1)*w : (k+1)*w]
