@@ -188,12 +188,13 @@ func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
 // and Points, no Entries. The join engines and the tree's own traversals
 // read it, so every traversal is charged through the buffer pool: each call
 // is one pool access, and a miss reads the page into a frame. The page is
-// decoded once per page version and the result shared by every reader, on
-// every goroutine, until the page is written, freed or the cache dropped —
-// across evictions, for as long as the collector has not reclaimed the node
-// — so the node and every rectangle read from it are READ-ONLY, and a caller
-// that hands a rectangle on to code it does not control hands on a copy. The
-// node stays valid for as long as it is referenced.
+// decoded once per page version: the result is shared by every reader, on
+// every goroutine, until the page is written or freed or the cache dropped,
+// and a miss after an eviction hands it out again while the collector has
+// not reclaimed it. So the node and every rectangle read from it are
+// READ-ONLY, and a caller that hands a rectangle on to code it does not
+// control hands on a copy. The node stays valid for as long as it is
+// referenced.
 func (t *Tree) ReadNodeLean(id pager.PageID) (*Node, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {

@@ -355,13 +355,18 @@ func TestAllocIndexNodeEvicted(t *testing.T) {
 		}
 	}
 	ix := WrapRTree(tr)
-	refs, held := []uint64{uint64(tr.RootPage())}, []*IndexNode(nil)
+	refs, nodes, held := []uint64{uint64(tr.RootPage())}, []*rtree.Node(nil), []*IndexNode(nil)
 	for i := 0; i < len(refs); i++ { // every page, its node referenced
+		node, err := tr.ReadNodeLean(pager.PageID(refs[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
 		n, err := ix.Node(refs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if held = append(held, n); !n.Leaf {
+		nodes, held = append(nodes, node), append(held, n)
+		if !n.Leaf {
 			refs = append(refs, n.Refs...)
 		}
 	}
@@ -382,4 +387,5 @@ func TestAllocIndexNodeEvicted(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("reading an evicted page whose node is referenced allocates %v times, want 0", allocs)
 	}
+	runtime.KeepAlive(nodes)
 }
