@@ -182,6 +182,9 @@ func TestJoinQuadtreeReverse(t *testing.T) {
 }
 
 func TestWrapNil(t *testing.T) {
+	if WrapRTree(nil) != nil {
+		t.Fatal("WrapRTree(nil) not nil")
+	}
 	if WrapQuadtree(nil) != nil {
 		t.Fatal("WrapQuadtree(nil) not nil")
 	}

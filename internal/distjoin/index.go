@@ -7,7 +7,8 @@ import (
 )
 
 // SpatialIndex is the hierarchical-index abstraction the engine traverses;
-// see the spatial package for the contract and the provided adapters.
+// see the spatial package for the contract. *rtree.Tree and *quadtree.Tree
+// implement it.
 type SpatialIndex = spatial.Index
 
 // NodeRef and IndexNode re-export the traversal types.
@@ -16,8 +17,20 @@ type (
 	IndexNode = spatial.IndexNode
 )
 
-// WrapRTree exposes an R*-tree as a SpatialIndex.
-func WrapRTree(t *rtree.Tree) SpatialIndex { return spatial.WrapRTree(t) }
+// WrapRTree returns an R*-tree as a SpatialIndex, and a nil tree as the nil
+// SpatialIndex rather than a non-nil interface holding a nil pointer.
+func WrapRTree(t *rtree.Tree) SpatialIndex {
+	if t == nil {
+		return nil
+	}
+	return t
+}
 
-// WrapQuadtree exposes a bucket PR quadtree as a SpatialIndex.
-func WrapQuadtree(t *quadtree.Tree) SpatialIndex { return spatial.WrapQuadtree(t) }
+// WrapQuadtree returns a bucket PR quadtree as a SpatialIndex, and a nil tree
+// as the nil SpatialIndex.
+func WrapQuadtree(t *quadtree.Tree) SpatialIndex {
+	if t == nil {
+		return nil
+	}
+	return t
+}

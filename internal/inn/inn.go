@@ -69,7 +69,7 @@ type Iterator struct {
 
 // New creates an incremental nearest-neighbour iterator for the given query
 // point over any hierarchical spatial index — the same generality the join
-// enjoys (§2.2); spatial.WrapRTree adapts an R*-tree.
+// enjoys (§2.2); *rtree.Tree and *quadtree.Tree are each one.
 func New(ix spatial.Index, query geom.Point, opts Options) (*Iterator, error) {
 	if ix == nil {
 		return nil, errors.New("inn: index is required")

@@ -26,7 +26,7 @@ func buildTree(t testing.TB, pts []geom.Point) spatial.Index {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	return spatial.WrapRTree(tr)
+	return tr
 }
 
 func randPts(seed int64, n int) []geom.Point {
@@ -202,7 +202,7 @@ func TestPropNNCorrect(t *testing.T) {
 		defer tr.Close()
 		q := geom.Pt(rnd.Float64()*1200-100, rnd.Float64()*1200-100)
 		k := 1 + rnd.Intn(len(pts))
-		res, err := Nearest(spatial.WrapRTree(tr), q, k, Options{})
+		res, err := Nearest(tr, q, k, Options{})
 		if err != nil || len(res) != k {
 			return false
 		}
@@ -303,7 +303,7 @@ func TestNNOverQuadtree(t *testing.T) {
 		}
 	}
 	q := geom.Pt(321, 654)
-	it, err := New(spatial.WrapQuadtree(qt), q, Options{})
+	it, err := New(qt, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

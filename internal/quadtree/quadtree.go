@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/spatial"
 	"distjoin/internal/stats"
 )
 
@@ -49,13 +50,20 @@ type node struct {
 	leaf     bool
 	points   []Point // leaf payload
 	children []int32 // child node ids; -1 for empty quadrants
-	// view is the node as ReadNode hands it out, built on the first read and
+	// view is the node as Node hands it out, built on the first read and
 	// dropped by whatever changes the node: a point added or removed, a
 	// split, a quadrant materialised.
-	view atomic.Pointer[NodeView]
+	view atomic.Pointer[spatial.IndexNode]
 }
 
-// Tree is a bucket PR quadtree. Not safe for concurrent use.
+var (
+	_ spatial.Index  = (*Tree)(nil)
+	_ spatial.Fanout = (*Tree)(nil)
+)
+
+// Tree is a bucket PR quadtree. It is a spatial.Index, so the incremental
+// join runs over it as over an R-tree (§2.2), on either side of a join. Not
+// safe for concurrent use, except for Node calls among themselves.
 type Tree struct {
 	cfg   Config
 	dims  int
@@ -95,16 +103,19 @@ func (t *Tree) Dims() int { return t.dims }
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.size }
 
+// NumObjects implements spatial.Index; it is Len.
+func (t *Tree) NumObjects() int { return t.size }
+
 // Bounds returns the world extent.
 func (t *Tree) Bounds() geom.Rect { return t.cfg.Bounds }
 
 // MaxDepth returns the configured subdivision cap.
 func (t *Tree) MaxDepth() int { return t.cfg.MaxDepth }
 
-// MaxFanout returns the expected maximum node fan-out: internal nodes hold
-// 2^dims children, leaves BucketSize points. Leaves at the depth cap may
-// exceed BucketSize; callers use the value as a buffer pre-sizing hint, not
-// a bound.
+// MaxFanout implements the optional spatial.Fanout extension with the
+// expected maximum node fan-out: internal nodes hold 2^dims children, leaves
+// BucketSize points. Leaves at the depth cap may exceed BucketSize; callers
+// use the value as a buffer pre-sizing hint, not a bound.
 func (t *Tree) MaxFanout() int {
 	f := 1 << t.dims
 	if t.cfg.BucketSize > f {
@@ -268,77 +279,54 @@ func (t *Tree) searchNode(id int32, query geom.Rect, fn func(Point) bool) bool {
 // NumNodes returns the number of materialized nodes (diagnostic).
 func (t *Tree) NumNodes() int { return len(t.nodes) }
 
-// ChildRef is a reference to a node: its id, level and region. Levels
-// number upward from the deepest possible leaf (level = MaxDepth − depth),
-// so that deeper nodes have smaller levels as traversal algorithms expect.
-type ChildRef struct {
-	ID    int32
-	Level int
-	Rect  geom.Rect
+// Root implements spatial.Index: node 0, at the top level, over the world
+// extent. It reads no node, so it counts no node read.
+func (t *Tree) Root() (spatial.NodeRef, error) {
+	root := t.nodes[0]
+	return spatial.NodeRef{Ref: 0, Level: t.level(root), Rect: root.rect}, nil
 }
 
-// NodeView is the read-only traversal view of a node, used by the join
-// engine's SpatialIndex adapter. The tree keeps one per node for as long as
-// the node is unchanged, so every visit in between gets the same view.
-type NodeView struct {
-	Leaf     bool
-	Level    int
-	Rect     geom.Rect
-	Points   []Point    // leaf payload
-	Children []ChildRef // materialized quadrants of an internal node
+// level is a node's level. Levels number upward from the deepest possible
+// leaf (level = MaxDepth − depth), so that deeper nodes have smaller levels
+// as traversal algorithms expect.
+func (t *Tree) level(n *node) int { return t.cfg.MaxDepth - n.depth }
 
-	derived atomic.Value
-}
-
-// Derived returns the value build made of v the first time it was asked for.
-// An adapter that traverses the tree in a form of its own keeps that form
-// here, so it lives exactly as long as the view it was built from. build's
-// result must be immutable, and of one type on every view; concurrent first
-// calls may each build one, and any of them is kept.
-func (v *NodeView) Derived(build func(*NodeView) any) any {
-	if d := v.derived.Load(); d != nil {
-		return d
-	}
-	d := build(v)
-	v.derived.Store(d)
-	return d
-}
-
-// NodeRef returns a reference to the node with the given id.
-func (t *Tree) NodeRef(id int32) (ChildRef, error) {
-	if id < 0 || int(id) >= len(t.nodes) {
-		return ChildRef{}, fmt.Errorf("quadtree: node id %d out of range", id)
-	}
-	n := t.nodes[id]
-	return ChildRef{ID: id, Level: t.cfg.MaxDepth - n.depth, Rect: n.rect}, nil
-}
-
-// ReadNode returns the view of the node with the given id for traversal:
-// the one view every read gets until the node changes. Each call is counted
-// as a node read. Reads may run concurrently with each other (concurrent
-// first reads may each build a view, and any of them is kept), not with
-// Insert or Delete.
-func (t *Tree) ReadNode(id int32) (*NodeView, error) {
-	if id < 0 || int(id) >= len(t.nodes) {
-		return nil, fmt.Errorf("quadtree: node id %d out of range", id)
+// Node implements spatial.Index: the node with the given id as the engines
+// traverse it, leaf points as point entries and materialised quadrants as
+// child entries. It is built on the first read and handed to every read
+// until the node changes. Each call is counted as a node read. Reads may run
+// concurrently with each other (concurrent first reads may each build the
+// node, and any of them is kept), not with Insert or Delete.
+func (t *Tree) Node(ref uint64) (*spatial.IndexNode, error) {
+	if ref >= uint64(len(t.nodes)) {
+		return nil, fmt.Errorf("quadtree: node id %d out of range", ref)
 	}
 	t.cfg.Counters.AddNodeRead(1)
-	n := t.nodes[id]
+	n := t.nodes[ref]
 	if v := n.view.Load(); v != nil {
 		return v, nil
 	}
-	v := &NodeView{Leaf: n.leaf, Level: t.cfg.MaxDepth - n.depth, Rect: n.rect, Points: n.points}
+	count, w := len(n.points)+len(n.children), 2*t.dims
+	v := &spatial.IndexNode{Leaf: n.leaf, Level: t.level(n), Points: n.leaf, Coords: make([]float64, 0, count*w), Refs: make([]uint64, 0, count), Levels: make([]int8, 0, len(n.children))}
+	for _, p := range n.points {
+		v.Coords = append(append(v.Coords, p.P...), p.P...)
+		v.Refs = append(v.Refs, p.ID)
+	}
 	for _, cid := range n.children {
 		if cid < 0 {
 			continue
 		}
 		c := t.nodes[cid]
-		v.Children = append(v.Children, ChildRef{
-			ID:    cid,
-			Level: t.cfg.MaxDepth - c.depth,
-			Rect:  c.rect,
-		})
+		v.Coords = append(append(v.Coords, c.rect.Lo...), c.rect.Hi...)
+		v.Refs = append(v.Refs, uint64(cid))
+		v.Levels = append(v.Levels, int8(t.level(c)))
 	}
 	n.view.Store(v)
 	return v, nil
 }
+
+// MinObjectsUnder implements spatial.Index with 1: quadtrees have no
+// minimum-fill invariant, so the §2.2.4 estimation can only count one
+// guaranteed object per node (the restart path recovers from the residual
+// optimism).
+func (t *Tree) MinObjectsUnder(int) int { return 1 }

@@ -1,11 +1,13 @@
 package quadtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"distjoin/internal/geom"
+	"distjoin/internal/spatial"
 	"distjoin/internal/stats"
 )
 
@@ -176,58 +178,124 @@ func TestNodeReadCounting(t *testing.T) {
 	}
 }
 
+// TestReadNodeTraversal walks the tree through Root and Node: levels fall by
+// one per step down, every entry lies inside its node's region, every object
+// is reached, and an id out of range is refused.
 func TestReadNodeTraversal(t *testing.T) {
 	tr := mustNew(t, worldCfg())
 	pts := randPts(6, 400)
 	for i, p := range pts {
 		tr.Insert(p, uint64(i))
 	}
-	root, err := tr.NodeRef(0)
+	root, err := tr.Root()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if root.Level != tr.MaxDepth() {
-		t.Fatalf("root level %d, want %d", root.Level, tr.MaxDepth())
+	if root.Ref != 0 || root.Level != tr.MaxDepth() || !root.Rect.Equal(tr.Bounds()) {
+		t.Fatalf("root is %+v, want node 0 at level %d over %v", root, tr.MaxDepth(), tr.Bounds())
 	}
-	// Walk the whole tree via ReadNode; count objects and check levels and
-	// region containment.
-	var walk func(id int32, level int, region geom.Rect) int
-	walk = func(id int32, level int, region geom.Rect) int {
-		n, err := tr.ReadNode(id)
+	var walk func(ref spatial.NodeRef) int
+	walk = func(ref spatial.NodeRef) int {
+		n, err := tr.Node(ref.Ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.Level != level {
-			t.Fatalf("node %d level %d, want %d", id, n.Level, level)
-		}
-		if !region.Contains(n.Rect) {
-			t.Fatalf("node %d region escapes parent", id)
-		}
-		if n.Leaf {
-			for _, p := range n.Points {
-				if !n.Rect.ContainsPoint(p.P) {
-					t.Fatalf("point %v outside its leaf region %v", p.P, n.Rect)
-				}
-			}
-			return len(n.Points)
+		if n.Level != ref.Level {
+			t.Fatalf("node %d level %d, want %d", ref.Ref, n.Level, ref.Level)
 		}
 		total := 0
-		for _, c := range n.Children {
-			if c.Level != level-1 {
-				t.Fatalf("child level %d under level %d", c.Level, level)
+		for i := range n.Refs {
+			r := n.Rect(i)
+			if !ref.Rect.Contains(r) {
+				t.Fatalf("node %d: entry %d, %v, escapes its region %v", ref.Ref, i, r, ref.Rect)
 			}
-			total += walk(c.ID, c.Level, n.Rect)
+			if n.Leaf {
+				total++
+				continue
+			}
+			if n.ChildLevel(i) != ref.Level-1 {
+				t.Fatalf("child level %d under level %d", n.ChildLevel(i), ref.Level)
+			}
+			total += walk(spatial.NodeRef{Ref: n.Refs[i], Level: n.ChildLevel(i), Rect: r})
 		}
 		return total
 	}
-	if got := walk(0, root.Level, tr.Bounds()); got != 400 {
+	if got := walk(root); got != 400 {
 		t.Fatalf("walk found %d objects", got)
 	}
-	if _, err := tr.ReadNode(-1); err == nil {
-		t.Fatal("negative id accepted")
+	if _, err := tr.Node(math.MaxUint64); err == nil {
+		t.Fatal("id 2^64-1 accepted")
 	}
-	if _, err := tr.ReadNode(int32(tr.NumNodes())); err == nil {
+	if _, err := tr.Node(uint64(tr.NumNodes())); err == nil {
 		t.Fatal("out-of-range id accepted")
+	}
+}
+
+// TestNodeEntriesMatchSource: over random quadtrees, built by inserts and
+// deletes in two and three dimensions, every node Node returns holds entry
+// by entry what the tree's own node holds: its points, in order, as point
+// entries, then its materialised quadrants, in order, with their regions,
+// ids and levels.
+func TestNodeEntriesMatchSource(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rnd := rand.New(rand.NewSource(seed))
+		dims := 2 + rnd.Intn(2)
+		lo, hi := make(geom.Point, dims), make(geom.Point, dims)
+		for i := range hi {
+			hi[i] = 100
+		}
+		tr := mustNew(t, Config{Bounds: geom.Rect{Lo: lo, Hi: hi}, BucketSize: 1 + rnd.Intn(8), MaxDepth: 6 + rnd.Intn(10)})
+		pts := make([]geom.Point, 1+rnd.Intn(1500))
+		for i := range pts {
+			pts[i] = make(geom.Point, dims)
+			for d := range pts[i] {
+				pts[i][d] = rnd.Float64() * 95
+			}
+			if err := tr.Insert(pts[i], uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+			if i%4 == 3 {
+				j := rnd.Intn(i)
+				tr.Delete(pts[j], uint64(j))
+			}
+		}
+		for id, src := range tr.nodes {
+			n, err := tr.Node(uint64(id))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Leaf != src.leaf || n.Level != tr.MaxDepth()-src.depth || n.Points != src.leaf || len(n.Coords) != 2*dims*len(n.Refs) {
+				t.Fatalf("seed %d node %d: leaf %v level %d points %v with %d coordinates for %d entries, the node is leaf %v at depth %d",
+					seed, id, n.Leaf, n.Level, n.Points, len(n.Coords), len(n.Refs), src.leaf, src.depth)
+			}
+			i := 0
+			check := func(rect geom.Rect, ref uint64, level int) {
+				t.Helper()
+				if i >= len(n.Refs) {
+					t.Fatalf("seed %d node %d: %d entries, the node holds more", seed, id, len(n.Refs))
+				}
+				got := -1
+				if !n.Leaf {
+					got = n.ChildLevel(i)
+				}
+				if !n.Rect(i).Equal(rect) || n.Refs[i] != ref || got != level {
+					t.Fatalf("seed %d node %d: entry %d is (%v, %d, level %d), the node holds (%v, %d, level %d)",
+						seed, id, i, n.Rect(i), n.Refs[i], got, rect, ref, level)
+				}
+				i++
+			}
+			for _, p := range src.points {
+				check(p.P.Rect(), p.ID, -1)
+			}
+			for _, cid := range src.children {
+				if cid >= 0 {
+					check(tr.nodes[cid].rect, uint64(cid), tr.MaxDepth()-tr.nodes[cid].depth)
+				}
+			}
+			if i != len(n.Refs) {
+				t.Fatalf("seed %d node %d: %d entries, the node holds %d", seed, id, len(n.Refs), i)
+			}
+		}
 	}
 }
 

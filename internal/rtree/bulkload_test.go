@@ -9,6 +9,7 @@ import (
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
 	"distjoin/internal/racecheck"
+	"distjoin/internal/spatial"
 )
 
 func TestBulkLoadEmpty(t *testing.T) {
@@ -203,7 +204,7 @@ func TestPropSearchMatchesBruteForce(t *testing.T) {
 func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(77))
 	for _, level := range []int{0, 1, 3} {
-		n := &Node{Page: 42, Level: level}
+		n := &Node{Page: 42, IndexNode: spatial.IndexNode{Level: level}}
 		for i := 0; i < 20; i++ {
 			e := Entry{Rect: geom.R(
 				geom.Pt(rnd.Float64(), rnd.Float64()),
@@ -246,7 +247,7 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestNodeEncodeOverflowPanics(t *testing.T) {
-	n := &Node{Level: 0}
+	n := new(Node)
 	for i := 0; i < 100; i++ {
 		n.Entries = append(n.Entries, Entry{Rect: geom.Pt(0, 0).Rect()})
 	}

@@ -29,7 +29,7 @@ func (t *Tree) CheckInvariants() error {
 // checkNode checks the subtree on page, reading each of its nodes once, and
 // returns its object count and the node's MBR for the parent's entry.
 func (t *Tree) checkNode(page pager.PageID, wantLevel int, isRoot bool) (int, geom.Rect, error) {
-	n, err := t.ReadNodeLean(page)
+	n, err := t.readNode(page)
 	if err != nil {
 		return 0, geom.Rect{}, err
 	}
@@ -47,7 +47,7 @@ func (t *Tree) checkNode(page pager.PageID, wantLevel int, isRoot bool) (int, ge
 		return 0, geom.Rect{}, fmt.Errorf("rtree: non-leaf root has %d entries", count)
 	}
 	for i := 0; i < count; i++ {
-		if r := n.rect(i); !r.Valid() {
+		if r := n.Rect(i); !r.Valid() {
 			return 0, geom.Rect{}, fmt.Errorf("rtree: page %d entry %d has invalid rect %v", page, i, r)
 		}
 	}
@@ -60,7 +60,7 @@ func (t *Tree) checkNode(page pager.PageID, wantLevel int, isRoot bool) (int, ge
 		if err != nil {
 			return 0, geom.Rect{}, err
 		}
-		if r := n.rect(i); !mbr.Equal(r) {
+		if r := n.Rect(i); !mbr.Equal(r) {
 			return 0, geom.Rect{}, fmt.Errorf("rtree: page %d entry %d rect %v != child MBR %v", page, i, r, mbr)
 		}
 		total += objs

@@ -9,6 +9,7 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
+	"distjoin/internal/spatial"
 	"distjoin/internal/stats"
 )
 
@@ -20,15 +21,15 @@ type heldNode struct {
 
 // copyNode is a private copy of a read node's page fields.
 func copyNode(n *Node) *Node {
-	return &Node{Page: n.Page, Level: n.Level, Coords: append([]float64(nil), n.Coords...), Refs: append([]uint64(nil), n.Refs...), Points: n.Points}
+	return &Node{Page: n.Page, IndexNode: spatial.IndexNode{Leaf: n.IndexNode.Leaf, Level: n.Level, Coords: append([]float64(nil), n.Coords...), Refs: append([]uint64(nil), n.Refs...), Points: n.Points}}
 }
 
-// sameNode reports how got differs from want in Page, Level, Points, Coords
-// (bit for bit) and Refs, or "" when it does not.
+// sameNode reports how got differs from want in Page, Leaf, Level, Points,
+// Coords (bit for bit) and Refs, or "" when it does not.
 func sameNode(got, want *Node) string {
 	switch {
-	case got.Page != want.Page || got.Level != want.Level || got.Points != want.Points:
-		return fmt.Sprintf("page/level/points %d/%d/%v, want %d/%d/%v", got.Page, got.Level, got.Points, want.Page, want.Level, want.Points)
+	case got.Page != want.Page || got.IndexNode.Leaf != want.IndexNode.Leaf || got.Level != want.Level || got.Points != want.Points:
+		return fmt.Sprintf("page/leaf/level/points %d/%v/%d/%v, want %d/%v/%d/%v", got.Page, got.IndexNode.Leaf, got.Level, got.Points, want.Page, want.IndexNode.Leaf, want.Level, want.Points)
 	case len(got.Coords) != len(want.Coords) || len(got.Refs) != len(want.Refs):
 		return fmt.Sprintf("%d coords and %d refs, want %d and %d", len(got.Coords), len(got.Refs), len(want.Coords), len(want.Refs))
 	}
@@ -127,7 +128,7 @@ func TestDecodeLifetimeModel(t *testing.T) {
 				if rnd.Intn(2) == 0 {
 					n, err = tr.ReadNode(id)
 				} else {
-					n, err = tr.ReadNodeLean(id)
+					n, err = tr.readNode(id)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -63,7 +63,7 @@ func (t *Tree) Delete(r geom.Rect, id ObjID) (bool, error) {
 
 	// Shrink the root while it is a non-leaf with a single child.
 	for {
-		root, err := t.ReadNodeLean(t.root)
+		root, err := t.readNode(t.root)
 		if err != nil {
 			return false, err
 		}

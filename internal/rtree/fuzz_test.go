@@ -18,7 +18,7 @@ func FuzzDecodeNode(f *testing.F) {
 	const dims = 2
 	// Seed with a valid page.
 	valid := make([]byte, 512)
-	n := &Node{Page: 1, Level: 0, Entries: []Entry{
+	n := &Node{Page: 1, Entries: []Entry{
 		{Rect: geom.R(geom.Pt(1, 2), geom.Pt(3, 4)), Obj: 7},
 	}}
 	encodeNode(n, dims, valid)

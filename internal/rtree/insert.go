@@ -74,10 +74,8 @@ func (t *Tree) insertEntry(e Entry, level int, reinsertDone map[int]bool) error 
 			return err
 		}
 		if cur.Page == t.root {
-			newRoot := &Node{
-				Level:   cur.Level + 1,
-				Entries: []Entry{entryForChild(left), entryForChild(right)},
-			}
+			newRoot := &Node{Entries: []Entry{entryForChild(left), entryForChild(right)}}
+			newRoot.Level = cur.Level + 1
 			if err := t.allocNode(newRoot); err != nil {
 				return err
 			}
@@ -210,8 +208,8 @@ func (t *Tree) forcedReinsert(n *Node, path []pathStep, reinsertDone map[int]boo
 // group reuses n's page; the right group is written to a fresh page.
 func (t *Tree) split(n *Node) (left, right *Node, err error) {
 	leftEntries, rightEntries := t.chooseSplit(n.Entries)
-	left = &Node{Page: n.Page, Level: n.Level, Entries: leftEntries}
-	right = &Node{Level: n.Level, Entries: rightEntries}
+	left, right = &Node{Page: n.Page, Entries: leftEntries}, &Node{Entries: rightEntries}
+	left.Level, right.Level = n.Level, n.Level
 	if err := t.writeNode(left); err != nil {
 		return nil, nil, err
 	}

@@ -112,7 +112,7 @@ func Open(store pager.Store, counters *stats.Counters) (*Tree, error) {
 	}
 	// Sanity-probe the root so obviously corrupt files fail at Open rather
 	// than at first query.
-	if _, err := t.ReadNodeLean(t.root); err != nil {
+	if _, err := t.readNode(t.root); err != nil {
 		return nil, fmt.Errorf("rtree: reading root: %w", err)
 	}
 	return t, nil

@@ -16,7 +16,7 @@ func (t *Tree) Search(query geom.Rect, fn func(Entry) bool) error {
 }
 
 func (t *Tree) searchPage(page pager.PageID, query geom.Rect, fn func(Entry) bool) (bool, error) {
-	n, err := t.ReadNodeLean(page)
+	n, err := t.readNode(page)
 	if err != nil {
 		return false, err
 	}
@@ -47,7 +47,7 @@ func (t *Tree) Scan(fn func(Entry) bool) error {
 }
 
 func (t *Tree) scanPage(page pager.PageID, fn func(Entry) bool) (bool, error) {
-	n, err := t.ReadNodeLean(page)
+	n, err := t.readNode(page)
 	if err != nil {
 		return false, err
 	}
@@ -78,7 +78,7 @@ func (t *Tree) CountNodes() ([]int, error) {
 }
 
 func (t *Tree) countPage(page pager.PageID, counts []int) error {
-	n, err := t.ReadNodeLean(page)
+	n, err := t.readNode(page)
 	if err != nil {
 		return err
 	}

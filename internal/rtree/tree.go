@@ -8,6 +8,7 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
+	"distjoin/internal/spatial"
 	"distjoin/internal/stats"
 )
 
@@ -52,11 +53,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+var (
+	_ spatial.Index  = (*Tree)(nil)
+	_ spatial.Fanout = (*Tree)(nil)
+)
+
 // Tree is a disk-paged R*-tree. Mutation (Insert, Delete, bulk loading) is
 // single-goroutine, but a fully built tree supports concurrent readers:
-// ReadNodeLean and the search/join traversals built on it go through the buffer
-// pool, which serializes frame management internally — this is what lets the
-// parallel partitioned distance join share one tree among its workers.
+// node reads and the search/join traversals built on them go through the
+// buffer pool, which serializes frame management internally — this is what
+// lets the parallel partitioned distance join share one tree among its
+// workers.
+//
+// A *Tree is a spatial.Index: R-tree levels already number upward from the
+// leaves (leaf = 0), as the interface asks.
 type Tree struct {
 	cfg        Config
 	pool       *pager.Pool
@@ -124,7 +134,7 @@ func New(cfg Config) (*Tree, error) {
 		pool.Unpin(meta)
 		return nil, fmt.Errorf("rtree: store is not fresh (first page is %d)", meta.ID())
 	}
-	rootNode := &Node{Level: 0}
+	rootNode := new(Node)
 	if err := t.allocNode(rootNode); err != nil {
 		pool.Unpin(meta)
 		return nil, err
@@ -147,6 +157,13 @@ func (t *Tree) Height() int { return t.height }
 
 // MaxEntries returns the node capacity (fan-out).
 func (t *Tree) MaxEntries() int { return t.maxEntries }
+
+// MaxFanout implements the optional spatial.Fanout extension: nodes hold at
+// most MaxEntries entries.
+func (t *Tree) MaxFanout() int { return t.maxEntries }
+
+// NumObjects implements spatial.Index; it is Len.
+func (t *Tree) NumObjects() int { return t.size }
 
 // MinEntries returns the minimum entries per non-root node.
 func (t *Tree) MinEntries() int { return t.minEntries }
@@ -173,29 +190,56 @@ func (t *Tree) MinObjectsUnder(level int) int {
 	return n
 }
 
+// Root implements spatial.Index: the root page, its level and its MBR. The
+// MBR is built once per decode of the root page, so Root on a resident root
+// allocates nothing.
+func (t *Tree) Root() (spatial.NodeRef, error) {
+	n, err := t.readNode(t.root)
+	if err != nil {
+		return spatial.NodeRef{}, err
+	}
+	mbr := n.mbr.Load()
+	if mbr == nil {
+		mbr = new(geom.Rect)
+		*mbr = n.MBR() // zero for an empty root
+		n.mbr.Store(mbr)
+	}
+	return spatial.NodeRef{Ref: uint64(n.Page), Level: n.Level, Rect: *mbr}, nil
+}
+
+// Node implements spatial.Index: the node on page ref as the engines
+// traverse it, which is the decoded read node itself (see readNode).
+func (t *Tree) Node(ref uint64) (*spatial.IndexNode, error) {
+	n, err := t.readNode(pager.PageID(ref))
+	if err != nil {
+		return nil, err
+	}
+	return &n.IndexNode, nil
+}
+
 // ReadNode returns the node stored on the given page with its Entries: the
-// node ReadNodeLean returns, whose Entries — views of its Coords — are built
-// the first time ReadNode reads that decode of the page.
+// shared read node, whose Entries — views of its Coords — are built the
+// first time ReadNode reads that decode of the page.
 func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
-	n, err := t.ReadNodeLean(id)
+	n, err := t.readNode(id)
 	if err == nil {
 		n.entries.Do(func() { n.Entries = n.entryViews() })
 	}
 	return n, err
 }
 
-// ReadNodeLean returns the read node stored on the given page: Coords, Refs
-// and Points, no Entries. The join engines and the tree's own traversals
-// read it, so every traversal is charged through the buffer pool: each call
-// is one pool access, and a miss reads the page into a frame. The page is
-// decoded once per page version: the result is shared by every reader, on
-// every goroutine, until the page is written or freed or the cache dropped,
-// and a miss after an eviction hands it out again while the collector has
-// not reclaimed it. So the node and every rectangle read from it are
-// READ-ONLY, and a caller that hands a rectangle on to code it does not
-// control hands on a copy. The node stays valid for as long as it is
-// referenced.
-func (t *Tree) ReadNodeLean(id pager.PageID) (*Node, error) {
+// readNode returns the read node stored on the given page: Coords, Refs
+// and Points, no Entries. The join engines, through Node and Root, and the
+// tree's own traversals read it, so every traversal is charged through the
+// buffer pool: each call is one pool access, and a miss reads the page into
+// a frame. The page is decoded once per page version: the result is shared
+// by every reader, on every goroutine, until the page is written or freed or
+// the cache dropped, and a miss after an eviction hands it out again while
+// the collector has not reclaimed it. So the node and every rectangle read
+// from it are READ-ONLY, and a caller that hands a rectangle on to code it
+// does not control hands on a copy. The node stays valid for as long as it
+// is referenced.
+func (t *Tree) readNode(id pager.PageID) (*Node, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
@@ -298,7 +342,7 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	if t.size == 0 {
 		return geom.Rect{}, false
 	}
-	root, err := t.ReadNodeLean(t.root)
+	root, err := t.readNode(t.root)
 	if err != nil || len(root.Refs) == 0 {
 		return geom.Rect{}, false
 	}

@@ -1,4 +1,4 @@
-package spatial
+package spatial_test
 
 import (
 	"math/rand"
@@ -8,9 +8,9 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
-	"distjoin/internal/quadtree"
 	"distjoin/internal/racecheck"
 	"distjoin/internal/rtree"
+	"distjoin/internal/spatial"
 	"distjoin/internal/stats"
 )
 
@@ -33,7 +33,7 @@ func randRect(rnd *rand.Rand, dims int) geom.Rect {
 
 // checkEntry compares entry i of n, read through entryOf, with what the
 // source structure holds for it.
-func checkEntry(t *testing.T, n *IndexNode, i int, rect geom.Rect, ref uint64, level int) {
+func checkEntry(t *testing.T, n *spatial.IndexNode, i int, rect geom.Rect, ref uint64, level int) {
 	t.Helper()
 	r, gotRef, gotLevel := entryOf(n, i)
 	if !r.Equal(rect) || gotRef != ref || gotLevel != level {
@@ -65,12 +65,11 @@ func checkEntryViews(t *testing.T, n *rtree.Node, dims int) {
 	}
 }
 
-// checkRTreeEntries walks tr from its root and holds every node the adapter
+// checkRTreeEntries walks tr from its root and holds every node Index.Node
 // returns against the node rtree.ReadNode returns for the same page.
 func checkRTreeEntries(t *testing.T, tr *rtree.Tree) {
 	t.Helper()
-	ix := WrapRTree(tr)
-	root, err := ix.Root()
+	root, err := tr.Root()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func checkRTreeEntries(t *testing.T, tr *rtree.Tree) {
 	}
 	var walk func(page pager.PageID)
 	walk = func(page pager.PageID) {
-		n, err := ix.Node(uint64(page))
+		n, err := tr.Node(uint64(page))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,49 +111,12 @@ func checkRTreeEntries(t *testing.T, tr *rtree.Tree) {
 	walk(tr.RootPage())
 }
 
-// checkQuadEntries walks qt from its root and holds every node the adapter
-// returns against the quadtree's own view of it.
-func checkQuadEntries(t *testing.T, qt *quadtree.Tree) {
-	t.Helper()
-	ix := WrapQuadtree(qt)
-	root, err := ix.Root()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Ref != 0 || root.Level != qt.MaxDepth() || !root.Rect.Equal(qt.Bounds()) {
-		t.Fatalf("Root is %+v, want node 0 at level %d over %v", root, qt.MaxDepth(), qt.Bounds())
-	}
-	var walk func(id int32)
-	walk = func(id int32) {
-		n, err := ix.Node(uint64(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := qt.ReadNode(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n.Leaf != v.Leaf || n.Level != v.Level || n.Points != v.Leaf || entryCount(n) != len(v.Points)+len(v.Children) {
-			t.Fatalf("node %d: leaf %v level %d points %v with %d entries, the view leaf %v level %d with %d",
-				id, n.Leaf, n.Level, n.Points, entryCount(n), v.Leaf, v.Level, len(v.Points)+len(v.Children))
-		}
-		for i, p := range v.Points {
-			checkEntry(t, n, i, p.P.Rect(), p.ID, -1)
-		}
-		for i, c := range v.Children {
-			checkEntry(t, n, i, c.Rect, uint64(c.ID), c.Level)
-			walk(c.ID)
-		}
-	}
-	walk(0)
-}
-
 // TestNodeEntriesMatchSource: over random R*-trees — bulk-loaded, and built
-// by inserts and deletes — and random quadtrees, in two and three
-// dimensions, every node Index.Node returns holds entry by entry what the
-// source structure holds: the rectangle, the ref and the child level of
-// rtree.ReadNode's entries and of the quadtree's NodeView. rtree.ReadNode's
-// entries in turn are views of the node's own Coords and Refs.
+// by inserts and deletes — in two and three dimensions, every node
+// Index.Node returns holds entry by entry what rtree.ReadNode's entries
+// hold: the rectangle, the ref and the child level. rtree.ReadNode's entries
+// in turn are views of the node's own Coords and Refs. The quadtree's half
+// of this test is the quadtree package's own, against its unexported nodes.
 func TestNodeEntriesMatchSource(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -192,33 +154,13 @@ func TestNodeEntriesMatchSource(t *testing.T) {
 		}
 		checkRTreeEntries(t, edited)
 		edited.Close()
-
-		lo, hi := make(geom.Point, dims), make(geom.Point, dims)
-		for i := range hi {
-			hi[i] = 100
-		}
-		qt, err := quadtree.New(quadtree.Config{Bounds: geom.Rect{Lo: lo, Hi: hi}, BucketSize: 1 + rnd.Intn(8), MaxDepth: 6 + rnd.Intn(10)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, it := range items {
-			if err := qt.Insert(it.Rect.Lo, uint64(i)); err != nil {
-				t.Fatal(err)
-			}
-			if i%4 == 3 {
-				j := rnd.Intn(i)
-				qt.Delete(items[j].Rect.Lo, uint64(j))
-			}
-		}
-		checkQuadEntries(t, qt)
 	}
 }
 
 // TestReadNodeEntriesConcurrent: eight goroutines that meet on one cold page,
-// half through rtree.ReadNode and half through the adapter's Index.Node, all
-// get its one decode — the same *rtree.Node, or an IndexNode over that node's
-// very Coords and Refs — and ReadNode's entries are views of it. CI runs it
-// under -race.
+// half through rtree.ReadNode and half through Index.Node, all get its one
+// decode — the same *rtree.Node, or that node's own IndexNode — and
+// ReadNode's entries are views of it. CI runs it under -race.
 func TestReadNodeEntriesConcurrent(t *testing.T) {
 	tr, err := rtree.New(rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 8})
 	if err != nil {
@@ -241,7 +183,6 @@ func TestReadNodeEntriesConcurrent(t *testing.T) {
 		}
 		page = pager.PageID(n.Refs[0])
 	}
-	ix := WrapRTree(tr)
 	const readers = 8
 	for round := 0; round < 50; round++ {
 		if err := tr.DropCache(); err != nil {
@@ -249,7 +190,7 @@ func TestReadNodeEntriesConcurrent(t *testing.T) {
 		}
 		var (
 			nodes [readers]*rtree.Node
-			views [readers]*IndexNode
+			views [readers]*spatial.IndexNode
 			errs  [readers]error
 			wg    sync.WaitGroup
 		)
@@ -262,7 +203,7 @@ func TestReadNodeEntriesConcurrent(t *testing.T) {
 				if g%2 == 0 {
 					nodes[g], errs[g] = tr.ReadNode(page)
 				} else {
-					views[g], errs[g] = ix.Node(uint64(page))
+					views[g], errs[g] = tr.Node(uint64(page))
 				}
 			}()
 		}
@@ -280,7 +221,7 @@ func TestReadNodeEntriesConcurrent(t *testing.T) {
 				t.Fatalf("round %d: ReadNode on goroutine %d got another decode of page %d", round, g, page)
 			case g%2 == 0:
 				checkEntryViews(t, nodes[g], tr.Dims())
-			case len(views[g].Refs) == 0 || &views[g].Coords[0] != &kept.Coords[0] || &views[g].Refs[0] != &kept.Refs[0]:
+			case views[g] != &kept.IndexNode:
 				t.Fatalf("round %d: Index.Node on goroutine %d got another decode of page %d", round, g, page)
 			}
 		}
@@ -302,14 +243,14 @@ func allocsAndBytes(runs int, f func()) (allocs, bytes float64) {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
-// TestAllocIndexNodeMiss gates what one node miss through the R*-tree
-// adapter allocates — the page read into a free frame, decoded and adapted —
-// in count and in bytes, on a full 2-D leaf of points.
+// TestAllocIndexNodeMiss gates what one node miss through the R*-tree's
+// Index.Node allocates — the page read into a free frame and decoded — in
+// count and in bytes, on a full 2-D leaf of points.
 func TestAllocIndexNodeMiss(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
-	const maxAllocs, maxBytes = 5, 2500
+	const maxAllocs, maxBytes = 4, 2450
 	tr, err := rtree.New(rtree.Config{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -320,12 +261,12 @@ func TestAllocIndexNodeMiss(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, root := WrapRTree(tr), uint64(tr.RootPage())
+	root := uint64(tr.RootPage())
 	allocs, bytes := allocsAndBytes(200, func() {
 		if err := tr.DropCache(); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := ix.Node(root); err != nil || entryCount(n) != tr.MaxEntries() {
+		if n, err := tr.Node(root); err != nil || entryCount(n) != tr.MaxEntries() {
 			t.Fatal("the full leaf did not come back", err)
 		}
 	})
@@ -335,10 +276,10 @@ func TestAllocIndexNodeMiss(t *testing.T) {
 	}
 }
 
-// TestAllocIndexNodeEvicted gates a node read through the R*-tree adapter
-// whose page the pool evicted by capacity while the node stayed referenced:
-// the pool reads the page again and is charged the miss, and the read hands
-// out the referenced node's adapter form without allocating.
+// TestAllocIndexNodeEvicted gates a node read through the R*-tree's
+// Index.Node whose page the pool evicted by capacity while the node stayed
+// referenced: the pool reads the page again and is charged the miss, and the
+// read hands out the referenced node without allocating.
 func TestAllocIndexNodeEvicted(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector")
@@ -354,18 +295,13 @@ func TestAllocIndexNodeEvicted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix := WrapRTree(tr)
-	refs, nodes, held := []uint64{uint64(tr.RootPage())}, []*rtree.Node(nil), []*IndexNode(nil)
+	refs, held := []uint64{uint64(tr.RootPage())}, []*spatial.IndexNode(nil)
 	for i := 0; i < len(refs); i++ { // every page, its node referenced
-		node, err := tr.ReadNodeLean(pager.PageID(refs[i]))
+		n, err := tr.Node(refs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		n, err := ix.Node(refs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes, held = append(nodes, node), append(held, n)
+		held = append(held, n)
 		if !n.Leaf {
 			refs = append(refs, n.Refs...)
 		}
@@ -376,7 +312,7 @@ func TestAllocIndexNodeEvicted(t *testing.T) {
 	// A cyclic scan of more pages than frames misses and evicts every time.
 	i, runs, before := 0, 4*len(refs), c.Snapshot()
 	allocs := testing.AllocsPerRun(runs, func() {
-		if n, err := ix.Node(refs[i%len(refs)]); err != nil || n != held[i%len(refs)] {
+		if n, err := tr.Node(refs[i%len(refs)]); err != nil || n != held[i%len(refs)] {
 			t.Fatalf("page %d: another node than the referenced one (%v)", refs[i%len(refs)], err)
 		}
 		i++
@@ -387,5 +323,5 @@ func TestAllocIndexNodeEvicted(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("reading an evicted page whose node is referenced allocates %v times, want 0", allocs)
 	}
-	runtime.KeepAlive(nodes)
+	runtime.KeepAlive(held)
 }

@@ -1,18 +1,13 @@
 // Package spatial defines the hierarchical-decomposition abstraction the
 // incremental algorithms traverse — the paper's "large class of
-// hierarchical spatial data structures" (§2.2) — together with adapters for
-// the two provided structures: the disk-paged R*-tree and the bucket PR
-// quadtree.
+// hierarchical spatial data structures" (§2.2) — and nothing else. The
+// structures implement it themselves: *rtree.Tree (the disk-paged R*-tree)
+// and *quadtree.Tree (the bucket PR quadtree) are each an Index, and each
+// hands out its own node as the IndexNode, so what a traversal reads of a
+// node is decided in exactly one place per structure.
 package spatial
 
-import (
-	"sync/atomic"
-
-	"distjoin/internal/geom"
-	"distjoin/internal/pager"
-	"distjoin/internal/quadtree"
-	"distjoin/internal/rtree"
-)
+import "distjoin/internal/geom"
 
 // Index is the abstraction the join and nearest-neighbour engines traverse. The paper's
 // algorithms "work for any spatial data structure based on a hierarchical
@@ -36,7 +31,7 @@ type Index interface {
 	// Node reads the node behind a reference produced by Root or a prior
 	// Node call. The result is READ-ONLY and may be shared: an
 	// implementation is free to hand the same node, rectangles included,
-	// to every caller on every goroutine (the R*-tree adapter does), so
+	// to every caller on every goroutine (the R*-tree does), so
 	// callers never modify it and copy any geometry they pass on to code
 	// they do not control. It stays valid for as long as it is referenced.
 	Node(ref uint64) (*IndexNode, error)
@@ -113,134 +108,3 @@ func (n *IndexNode) ChildLevel(i int) int {
 	}
 	return n.Level - 1
 }
-
-// rtreeIndex adapts *rtree.Tree to SpatialIndex. R-tree levels already
-// number upward from the leaves (leaf = 0), matching the interface
-// contract.
-type rtreeIndex struct {
-	t *rtree.Tree
-}
-
-// WrapRTree exposes an R*-tree as a SpatialIndex. The public join
-// constructors apply it implicitly; it is exported for callers composing an
-// R-tree with a different structure on the other side.
-func WrapRTree(t *rtree.Tree) Index {
-	if t == nil {
-		return nil
-	}
-	return rtreeIndex{t: t}
-}
-
-func (ix rtreeIndex) Dims() int       { return ix.t.Dims() }
-func (ix rtreeIndex) NumObjects() int { return ix.t.Len() }
-
-// rtreeNode is the adapter's form of a decoded R-tree node, built once per
-// version of its page and kept on the decoded node: the node as the
-// engines traverse it, whose coordinates and refs are the decoded node's
-// own, and its bounding rectangle, built the first time a query opens on the
-// node as its root.
-type rtreeNode struct {
-	IndexNode
-	mbr atomic.Pointer[geom.Rect]
-}
-
-func adaptRTreeNode(n *rtree.Node) any {
-	return &rtreeNode{IndexNode: IndexNode{Leaf: n.Leaf(), Level: n.Level, Coords: n.Coords, Refs: n.Refs, Points: n.Points}}
-}
-
-func (ix rtreeIndex) Root() (NodeRef, error) {
-	n, err := ix.t.ReadNodeLean(ix.t.RootPage())
-	if err != nil {
-		return NodeRef{}, err
-	}
-	a := n.Derived(adaptRTreeNode).(*rtreeNode)
-	mbr := a.mbr.Load()
-	if mbr == nil {
-		mbr = new(geom.Rect)
-		*mbr = n.MBR() // zero for an empty root
-		a.mbr.Store(mbr)
-	}
-	return NodeRef{Ref: uint64(n.Page), Level: n.Level, Rect: *mbr}, nil
-}
-
-func (ix rtreeIndex) Node(ref uint64) (*IndexNode, error) {
-	n, err := ix.t.ReadNodeLean(pager.PageID(ref))
-	if err != nil {
-		return nil, err
-	}
-	return &n.Derived(adaptRTreeNode).(*rtreeNode).IndexNode, nil
-}
-
-func (ix rtreeIndex) MinObjectsUnder(level int) int { return ix.t.MinObjectsUnder(level) }
-
-// MaxFanout implements the optional Fanout extension: R-tree nodes hold at
-// most MaxEntries entries.
-func (ix rtreeIndex) MaxFanout() int { return ix.t.MaxEntries() }
-
-// quadIndex adapts a bucket PR quadtree to SpatialIndex. Quadtrees are
-// unbalanced: leaves sit at varying depths, which the engine's levels
-// accommodate by numbering from the deepest possible leaf upward
-// (level = MaxDepth − depth).
-type quadIndex struct {
-	t *quadtree.Tree
-}
-
-// WrapQuadtree exposes a quadtree as a SpatialIndex, demonstrating the
-// paper's claim (§2.2) that the incremental join runs over any hierarchical
-// spatial decomposition — including joins that mix an R-tree on one side
-// with a quadtree on the other.
-func WrapQuadtree(t *quadtree.Tree) Index {
-	if t == nil {
-		return nil
-	}
-	return quadIndex{t: t}
-}
-
-func (ix quadIndex) Dims() int       { return ix.t.Dims() }
-func (ix quadIndex) NumObjects() int { return ix.t.Len() }
-
-func (ix quadIndex) Root() (NodeRef, error) {
-	ref, err := ix.t.NodeRef(0)
-	if err != nil {
-		return NodeRef{}, err
-	}
-	return NodeRef{Ref: 0, Level: ref.Level, Rect: ref.Rect}, nil
-}
-
-// Node returns the adapter's form of the node: built once per view the tree
-// keeps of it — until an insert, a delete or a split changes the node — and
-// handed to every visit in between, as the R*-tree adapter hands out one per
-// page version.
-func (ix quadIndex) Node(ref uint64) (*IndexNode, error) {
-	n, err := ix.t.ReadNode(int32(ref))
-	if err != nil {
-		return nil, err
-	}
-	return n.Derived(adaptQuadNode).(*IndexNode), nil
-}
-
-func adaptQuadNode(n *quadtree.NodeView) any {
-	count, w := len(n.Points)+len(n.Children), 2*n.Rect.Dim()
-	out := &IndexNode{Leaf: n.Leaf, Level: n.Level, Points: n.Leaf, Coords: make([]float64, 0, count*w), Refs: make([]uint64, 0, count), Levels: make([]int8, 0, len(n.Children))}
-	for _, p := range n.Points {
-		out.Coords = append(append(out.Coords, p.P...), p.P...)
-		out.Refs = append(out.Refs, p.ID)
-	}
-	for _, c := range n.Children {
-		out.Coords = append(append(out.Coords, c.Rect.Lo...), c.Rect.Hi...)
-		out.Refs = append(out.Refs, uint64(c.ID))
-		out.Levels = append(out.Levels, int8(c.Level))
-	}
-	return out
-}
-
-// MinObjectsUnder returns 1: quadtrees have no minimum-fill invariant, so
-// the §2.2.4 estimation can only count one guaranteed object per node (the
-// restart path recovers from the residual optimism).
-func (ix quadIndex) MinObjectsUnder(int) int { return 1 }
-
-// MaxFanout implements the optional Fanout extension with the quadtree's
-// sizing hint: internal nodes hold 2^dims children and leaves BucketSize
-// points (leaves at the depth cap may exceed it; the hint remains valid
-// as a pre-sizing estimate).
-func (ix quadIndex) MaxFanout() int { return ix.t.MaxFanout() }
