@@ -3,6 +3,7 @@ package rtree
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"distjoin/internal/geom"
@@ -46,6 +47,14 @@ func TestAllocReadNodeResident(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ReadNode of a resident page allocates %v times, want 0", n)
+	}
+}
+
+// TestReadNodeSize: a read node, which queued pairs keep alive, takes 160
+// bytes, the top of its allocation size class.
+func TestReadNodeSize(t *testing.T) {
+	if size := unsafe.Sizeof(Node{}); size > 160 {
+		t.Errorf("a Node takes %d bytes, want at most 160", size)
 	}
 }
 
