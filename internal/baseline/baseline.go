@@ -17,8 +17,8 @@ import (
 	"distjoin/internal/distjoin"
 	"distjoin/internal/geom"
 	"distjoin/internal/inn"
-	"distjoin/internal/pager"
 	"distjoin/internal/rtree"
+	"distjoin/internal/spatial"
 	"distjoin/internal/stats"
 )
 
@@ -58,7 +58,7 @@ func NestedLoopJoin(t1, t2 *rtree.Tree, limit int, opts Options) ([]distjoin.Pai
 			opts.Counters.AddDistCalc(1)
 			pairs = append(pairs, distjoin.Pair{
 				Obj1: ea.Obj, Obj2: eb.Obj,
-				Rect1: ea.Rect, Rect2: eb.Rect,
+				Rect1: ea.Rect.Clone(), Rect2: eb.Rect.Clone(),
 				Dist: d,
 			})
 		}
@@ -110,7 +110,15 @@ func WithinJoinSort(t1, t2 *rtree.Tree, maxDist float64, opts Options) ([]distjo
 	if t1.Len() == 0 || t2.Len() == 0 {
 		return nil, nil
 	}
-	if err := j.visit(t1.RootPage(), t2.RootPage()); err != nil {
+	r1, err := t1.Root()
+	if err != nil {
+		return nil, err
+	}
+	r2, err := t2.Root()
+	if err != nil {
+		return nil, err
+	}
+	if err := j.visit(r1.Ref, r2.Ref); err != nil {
 		return nil, err
 	}
 	sortPairs(j.out)
@@ -124,43 +132,46 @@ type withinJoin struct {
 	out     []distjoin.Pair
 }
 
-// visit joins the subtrees rooted at the two pages.
-func (j *withinJoin) visit(p1, p2 pager.PageID) error {
-	n1, err := j.t1.ReadNode(p1)
+// visit joins the subtrees rooted at the two nodes. The nodes are the
+// trees' shared read nodes, so a result pair takes copies of their
+// rectangles.
+func (j *withinJoin) visit(ref1, ref2 uint64) error {
+	n1, err := j.t1.Node(ref1)
 	if err != nil {
 		return err
 	}
-	n2, err := j.t2.ReadNode(p2)
+	n2, err := j.t2.Node(ref2)
 	if err != nil {
 		return err
 	}
 	// Unbalanced heights: descend the non-leaf side alone.
 	switch {
-	case n1.Leaf() && !n2.Leaf():
-		for _, e2 := range n2.Entries {
-			if err := j.visit(p1, e2.Child); err != nil {
+	case n1.Leaf && !n2.Leaf:
+		for _, child := range n2.Refs {
+			if err := j.visit(ref1, child); err != nil {
 				return err
 			}
 		}
 		return nil
-	case !n1.Leaf() && n2.Leaf():
-		for _, e1 := range n1.Entries {
-			if err := j.visit(e1.Child, p2); err != nil {
+	case !n1.Leaf && n2.Leaf:
+		for _, child := range n1.Refs {
+			if err := j.visit(child, ref2); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	pairs := j.sweepPairs(n1.Entries, n2.Entries)
-	if n1.Leaf() { // both leaves
+	pairs := j.sweepPairs(n1, n2)
+	if n1.Leaf { // both leaves
 		for _, pr := range pairs {
-			d := j.opts.Metric.MinDist(pr[0].Rect, pr[1].Rect)
+			r1, r2 := n1.Rect(pr[0]), n2.Rect(pr[1])
+			d := j.opts.Metric.MinDist(r1, r2)
 			j.opts.Counters.AddDistCalc(1)
 			if d <= j.maxDist {
 				j.out = append(j.out, distjoin.Pair{
-					Obj1: pr[0].Obj, Obj2: pr[1].Obj,
-					Rect1: pr[0].Rect, Rect2: pr[1].Rect,
+					Obj1: rtree.ObjID(n1.Refs[pr[0]]), Obj2: rtree.ObjID(n2.Refs[pr[1]]),
+					Rect1: r1.Clone(), Rect2: r2.Clone(),
 					Dist: d,
 				})
 			}
@@ -168,10 +179,10 @@ func (j *withinJoin) visit(p1, p2 pager.PageID) error {
 		return nil
 	}
 	for _, pr := range pairs {
-		d := j.opts.Metric.MinDist(pr[0].Rect, pr[1].Rect)
+		d := j.opts.Metric.MinDist(n1.Rect(pr[0]), n2.Rect(pr[1]))
 		j.opts.Counters.AddNodeDistCalc(1)
 		if d <= j.maxDist {
-			if err := j.visit(pr[0].Child, pr[1].Child); err != nil {
+			if err := j.visit(n1.Refs[pr[0]], n2.Refs[pr[1]]); err != nil {
 				return err
 			}
 		}
@@ -179,28 +190,37 @@ func (j *withinJoin) visit(p1, p2 pager.PageID) error {
 	return nil
 }
 
-// sweepPairs pairs up entries of the two nodes whose axis-0 extents come
-// within maxDist of each other — the plane sweep of Figure 4, with the
-// sweep window extended by the maximum distance.
-func (j *withinJoin) sweepPairs(a, b []rtree.Entry) [][2]rtree.Entry {
-	as := append([]rtree.Entry(nil), a...)
-	bs := append([]rtree.Entry(nil), b...)
-	sort.Slice(as, func(i, k int) bool { return as[i].Rect.Lo[0] < as[k].Rect.Lo[0] })
-	sort.Slice(bs, func(i, k int) bool { return bs[i].Rect.Lo[0] < bs[k].Rect.Lo[0] })
-	var out [][2]rtree.Entry
+// sweepPairs pairs up entries of the two nodes, by index, whose axis-0
+// extents come within maxDist of each other — the plane sweep of Figure 4,
+// with the sweep window extended by the maximum distance.
+func (j *withinJoin) sweepPairs(n1, n2 *spatial.IndexNode) [][2]int {
+	as, bs := byLow0(n1), byLow0(n2)
+	var out [][2]int
 	start := 0
-	for _, ea := range as {
-		for start < len(bs) && bs[start].Rect.Hi[0] < ea.Rect.Lo[0]-j.maxDist {
+	for _, a := range as {
+		ra := n1.Rect(a)
+		for start < len(bs) && n2.Rect(bs[start]).Hi[0] < ra.Lo[0]-j.maxDist {
 			start++
 		}
-		for k := start; k < len(bs); k++ {
-			if bs[k].Rect.Lo[0] > ea.Rect.Hi[0]+j.maxDist {
+		for _, b := range bs[start:] {
+			if n2.Rect(b).Lo[0] > ra.Hi[0]+j.maxDist {
 				break
 			}
-			out = append(out, [2]rtree.Entry{ea, bs[k]})
+			out = append(out, [2]int{a, b})
 		}
 	}
 	return out
+}
+
+// byLow0 is the indices of n's entries in ascending order of their low
+// axis-0 coordinate.
+func byLow0(n *spatial.IndexNode) []int {
+	idx := make([]int, len(n.Refs))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return n.Rect(idx[a]).Lo[0] < n.Rect(idx[b]).Lo[0] })
+	return idx
 }
 
 // NNSemiJoin computes the distance semi-join non-incrementally: one
@@ -231,7 +251,7 @@ func NNSemiJoin(t1, t2 *rtree.Tree, opts Options) ([]distjoin.Pair, error) {
 		}
 		pairs = append(pairs, distjoin.Pair{
 			Obj1: e.Obj, Obj2: res[0].Obj,
-			Rect1: e.Rect, Rect2: res[0].Rect,
+			Rect1: e.Rect.Clone(), Rect2: res[0].Rect,
 			Dist: res[0].Dist,
 		})
 	}
@@ -239,7 +259,8 @@ func NNSemiJoin(t1, t2 *rtree.Tree, opts Options) ([]distjoin.Pair, error) {
 	return pairs, nil
 }
 
-// collect reads every leaf entry of a tree.
+// collect reads every leaf entry of a tree. The rectangles are views of the
+// tree's shared read nodes, so a result pair takes copies of them.
 func collect(t *rtree.Tree) ([]rtree.Entry, error) {
 	out := make([]rtree.Entry, 0, t.Len())
 	err := t.Scan(func(e rtree.Entry) bool {

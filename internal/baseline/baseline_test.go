@@ -220,3 +220,57 @@ func TestNNSemiJoinEmptyInner(t *testing.T) {
 		t.Fatalf("semi-join against empty inner returned %d pairs", len(pairs))
 	}
 }
+
+// TestResultRectsAreCopies: a baseline's result pairs own their rectangles,
+// as distjoin.Pair documents. Writing every coordinate of every returned
+// rectangle leaves the indexes reading as they did.
+func TestResultRectsAreCopies(t *testing.T) {
+	scan := func(t *testing.T, tr *rtree.Tree) []rtree.Entry {
+		t.Helper()
+		var out []rtree.Entry
+		if err := tr.Scan(func(e rtree.Entry) bool {
+			out = append(out, rtree.Entry{Rect: e.Rect.Clone(), Obj: e.Obj})
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t1, t2 *rtree.Tree) ([]distjoin.Pair, error)
+	}{
+		{"NestedLoopJoin", func(t1, t2 *rtree.Tree) ([]distjoin.Pair, error) { return NestedLoopJoin(t1, t2, 0, Options{}) }},
+		{"WithinJoinSort", func(t1, t2 *rtree.Tree) ([]distjoin.Pair, error) { return WithinJoinSort(t1, t2, 60, Options{}) }},
+		{"NNSemiJoin", func(t1, t2 *rtree.Tree) ([]distjoin.Pair, error) { return NNSemiJoin(t1, t2, Options{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t1, t2 := buildTree(t, randPts(5, 80)), buildTree(t, randPts(6, 90))
+			want := [][]rtree.Entry{scan(t, t1), scan(t, t2)}
+			pairs, err := tc.run(t1, t2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pairs) == 0 {
+				t.Fatal("no pairs")
+			}
+			for _, p := range pairs {
+				for _, r := range []geom.Rect{p.Rect1, p.Rect2} {
+					for i := range r.Lo {
+						r.Lo[i], r.Hi[i] = -1, -1
+					}
+				}
+			}
+			for i, got := range [][]rtree.Entry{scan(t, t1), scan(t, t2)} {
+				if len(got) != len(want[i]) {
+					t.Fatalf("tree %d scans %d entries, was %d", i+1, len(got), len(want[i]))
+				}
+				for k, w := range want[i] {
+					if got[k].Obj != w.Obj || !got[k].Rect.Equal(w.Rect) {
+						t.Fatalf("after writing the results, tree %d reads entry %d as %v, was %v", i+1, k, got[k], w)
+					}
+				}
+			}
+		})
+	}
+}

@@ -216,22 +216,6 @@ func InsertTree(cfg rtree.Config, pts []geom.Point) (*rtree.Tree, error) {
 	return t, nil
 }
 
-// UniformD generates n points distributed uniformly over the unit
-// hyper-cube in the given dimensionality — the workload for the
-// higher-dimension sweep the paper's conclusion lists as future work (§5).
-func UniformD(seed int64, n, dims int) []geom.Point {
-	rnd := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		p := make(geom.Point, dims)
-		for d := range p {
-			p[d] = rnd.Float64()
-		}
-		pts[i] = p
-	}
-	return pts
-}
-
 // ClusteredD generates n points in k Gaussian blobs inside the unit
 // hyper-cube in the given dimensionality.
 func ClusteredD(seed int64, n, dims, k int, spread float64) []geom.Point {

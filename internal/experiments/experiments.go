@@ -19,6 +19,7 @@ import (
 	"distjoin/internal/baseline"
 	"distjoin/internal/datagen"
 	"distjoin/internal/distjoin"
+	"distjoin/internal/faultstore"
 	"distjoin/internal/geom"
 	"distjoin/internal/obs"
 	"distjoin/internal/pager"
@@ -100,8 +101,11 @@ func Load(s Scale) (*Datasets, error) { return LoadWithLatency(s, 0) }
 // perIO of wall-clock time on every physical node read and write. The
 // default substrate counts I/O but performs it at memory speed, which
 // flattens the paper's wall-clock curves (its 1998 testbed was
-// I/O-dominated); a non-zero latency restores that cost model. I/O counts
-// are unaffected.
+// I/O-dominated); a non-zero latency restores that cost model. Each tree's
+// store is wrapped in a faultstore that slows every page read and write by
+// perIO and injects nothing else: a uniform delay for the average access
+// cost of the paper's disk, with no seek-distance model. I/O counts are
+// unaffected.
 func LoadWithLatency(s Scale, perIO time.Duration) (*Datasets, error) {
 	c := &stats.Counters{}
 	mkStore := func() (pager.Store, error) {
@@ -110,7 +114,7 @@ func LoadWithLatency(s Scale, perIO time.Duration) (*Datasets, error) {
 			return nil, err
 		}
 		if perIO > 0 {
-			return pager.NewLatencyStore(mem, perIO, perIO), nil
+			return faultstore.New(mem, faultstore.Config{SlowProb: 1, SlowLatency: perIO}), nil
 		}
 		return mem, nil
 	}
@@ -174,100 +178,102 @@ type Run struct {
 	Err         string  // surfaced error class, "" when the run completed
 }
 
-// runJoin executes an incremental distance join up to `pairs` results.
-func (d *Datasets) runJoin(label string, pairs int, opts distjoin.Options, reversedInputs bool) (Run, error) {
-	r, _, err := d.runJoinStamped(label, pairs, opts, reversedInputs, nil)
-	return r, err
+// constructor is an operator's constructor: distjoin.NewJoinIndexes, or one
+// of semi's.
+type constructor func(t1, t2 distjoin.SpatialIndex, opts distjoin.Options) (*distjoin.Join, error)
+
+// semi is the distance semi-join's constructor with the given filter.
+func semi(f distjoin.SemiFilter) constructor {
+	return func(t1, t2 distjoin.SpatialIndex, opts distjoin.Options) (*distjoin.Join, error) {
+		return distjoin.NewSemiJoinIndexes(t1, t2, f, opts)
+	}
 }
 
-// runJoinStamped is runJoin that also stamps Next: for every k in ks it
-// returns, in delivery order, the run as it stood when the k-th pair came
-// back — Time since the join was opened, LastDist the result frontier, and
-// MaxQueue the live queue depth (inserts minus pops as folded at that Next
-// return), not the high-water mark.
-func (d *Datasets) runJoinStamped(label string, pairs int, opts distjoin.Options, reversedInputs bool, ks map[int]bool) (Run, []Run, error) {
+// leg is one opened experiment leg: the query, the counter set only it
+// charges, and when it was opened. err is the error opening it, which drain
+// returns.
+type leg struct {
+	j     *distjoin.Join
+	c     *stats.Counters
+	start time.Time
+	err   error
+}
+
+// open starts a leg of newJoin over Water and Roads — Roads and Water when
+// reversed — with cold caches and a fresh counter set.
+func (d *Datasets) open(newJoin constructor, opts distjoin.Options, reversed bool) leg {
 	c, err := d.reset()
 	if err != nil {
-		return Run{}, nil, err
+		return leg{err: err}
 	}
-	opts.Counters = c
 	opts.Obs = d.Obs
 	t1, t2 := d.Water, d.Roads
-	if reversedInputs {
+	if reversed {
 		t1, t2 = d.Roads, d.Water
 	}
-	start := time.Now()
-	j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), opts)
-	if err != nil {
-		return Run{}, nil, err
+	return openLeg(newJoin, t1, t2, c, opts)
+}
+
+// openLeg opens a leg of newJoin over t1 and t2, charged to c; its clock
+// starts before the constructor runs.
+func openLeg(newJoin constructor, t1, t2 *rtree.Tree, c *stats.Counters, opts distjoin.Options) leg {
+	opts.Counters = c
+	l := leg{c: c, start: time.Now()}
+	l.j, l.err = newJoin(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), opts)
+	return l
+}
+
+// drain reads the leg until it has delivered pairs results — every result
+// when pairs <= 0 — closes it, and returns it as a Run labelled label, with
+// the Table 1 measures taken from the leg's counters once, at the end.
+//
+// For every rank k in stamps it also returns, in delivery order, the leg as
+// it stood when the k-th pair came back: Time since the leg was opened,
+// LastDist the result frontier, and MaxQueue the live queue depth (inserts
+// minus pops as folded at that Next return), not the high-water mark.
+//
+// An error from Next is returned, unless keepErr is set: then it ends the
+// leg and its class is the Run's Err. On a fault leg the error is the
+// measurement, not a failure of the harness.
+func (l leg) drain(label string, pairs int, stamps map[int]bool, keepErr bool) (Run, []Run, error) {
+	if l.err != nil {
+		return Run{}, nil, l.err
 	}
-	defer j.Close()
+	defer l.j.Close()
+	c := l.c
 	r := Run{Label: label, Pairs: pairs}
-	var stamps []Run
-	for r.Reported < pairs {
-		p, ok, err := j.Next()
+	var at []Run
+	for pairs <= 0 || r.Reported < pairs {
+		p, ok, err := l.j.Next()
 		if err != nil {
-			return Run{}, nil, err
+			if !keepErr {
+				return Run{}, nil, err
+			}
+			r.Err = faultClass(err)
+			break
 		}
 		if !ok {
 			break
 		}
 		r.Reported++
 		r.LastDist = p.Dist
-		if k := r.Reported; ks[k] {
-			stamps = append(stamps, Run{
+		if k := r.Reported; stamps[k] {
+			at = append(at, Run{
 				Label:    fmt.Sprintf("time-to-%d", k),
 				Pairs:    k,
 				Reported: k,
-				Time:     time.Since(start),
+				Time:     time.Since(l.start),
 				MaxQueue: c.QueueInserts - c.QueuePops,
 				LastDist: p.Dist,
 			})
 		}
 	}
-	r.Time = time.Since(start)
+	r.Time = time.Since(l.start)
 	r.DistCalcs = c.DistCalcs
 	r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
 	r.NodeIO = c.NodeIO()
-	return r, stamps, nil
-}
-
-// runSemi executes an incremental distance semi-join up to `pairs` results
-// (all when pairs <= 0).
-func (d *Datasets) runSemi(label string, pairs int, filter distjoin.SemiFilter, opts distjoin.Options, reversedInputs bool) (Run, error) {
-	c, err := d.reset()
-	if err != nil {
-		return Run{}, err
-	}
-	opts.Counters = c
-	opts.Obs = d.Obs
-	t1, t2 := d.Water, d.Roads
-	if reversedInputs {
-		t1, t2 = d.Roads, d.Water
-	}
-	start := time.Now()
-	s, err := distjoin.NewSemiJoinIndexes(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), filter, opts)
-	if err != nil {
-		return Run{}, err
-	}
-	defer s.Close()
-	r := Run{Label: label, Pairs: pairs}
-	for pairs <= 0 || r.Reported < pairs {
-		p, ok, err := s.Next()
-		if err != nil {
-			return Run{}, err
-		}
-		if !ok {
-			break
-		}
-		r.Reported++
-		r.LastDist = p.Dist
-	}
-	r.Time = time.Since(start)
-	r.DistCalcs = c.DistCalcs
-	r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
-	r.NodeIO = c.NodeIO()
-	return r, nil
+	r.Retries = c.IORetries
+	return r, at, nil
 }
 
 // memQueueStore keeps the hybrid queue's disk tier in memory: the tier runs
@@ -289,7 +295,7 @@ func (s Scale) hybridOpts() distjoin.Options {
 func Table1(d *Datasets) ([]Run, error) {
 	out := make([]Run, 0, len(d.Scale.PairCounts))
 	for _, n := range d.Scale.PairCounts {
-		r, err := d.runJoin("Even/DepthFirst", n, d.Scale.hybridOpts(), false)
+		r, _, err := d.open(distjoin.NewJoinIndexes, d.Scale.hybridOpts(), false).drain("Even/DepthFirst", n, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +329,7 @@ func Table1Reversed(d *Datasets) ([]Run, error) {
 			if variant.maxPairs > 0 && n > variant.maxPairs {
 				continue
 			}
-			r, err := d.runJoin(variant.label, n, variant.opts, true)
+			r, _, err := d.open(distjoin.NewJoinIndexes, variant.opts, true).drain(variant.label, n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -348,7 +354,7 @@ func ParallelSpeedup(d *Datasets) ([]Run, error) {
 	var out []Run
 	for _, p := range degrees {
 		opts := distjoin.Options{MaxPairs: pairs, Parallelism: p}
-		r, err := d.runJoin(fmt.Sprintf("P=%d", p), pairs, opts, false)
+		r, _, err := d.open(distjoin.NewJoinIndexes, opts, false).drain(fmt.Sprintf("P=%d", p), pairs, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -379,7 +385,7 @@ func Fig6(d *Datasets) ([]Run, error) {
 			opts := d.Scale.hybridOpts()
 			opts.Traversal = v.traversal
 			opts.TieBreak = v.tie
-			r, err := d.runJoin(v.label, n, opts, false)
+			r, _, err := d.open(distjoin.NewJoinIndexes, opts, false).drain(v.label, n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -396,24 +402,19 @@ func Fig6(d *Datasets) ([]Run, error) {
 func Fig7(d *Datasets) ([]Run, error) {
 	counts := d.Scale.PairCounts
 	var out []Run
-	// Regular.
+	// Regular. Its legs stamp the reference ranks, so the largest one also
+	// gives the k-th distances the MaxDist variants take as their maximum.
+	kRefs := refCounts(counts)
+	distOf := map[int]float64{}
 	for _, n := range counts {
-		r, err := d.runJoin("Regular", n, d.Scale.hybridOpts(), false)
+		r, stamps, err := d.open(distjoin.NewJoinIndexes, d.Scale.hybridOpts(), false).drain("Regular", n, ranks(kRefs), false)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
-	}
-	// Determine the distances of the reference pairs by running once to
-	// the largest count.
-	kRefs := refCounts(counts)
-	distOf := map[int]float64{}
-	probe, err := d.runJoinCollect(maxInt(kRefs), kRefs)
-	if err != nil {
-		return nil, err
-	}
-	for k, dist := range probe {
-		distOf[k] = dist
+		for _, s := range stamps {
+			distOf[s.Pairs] = s.LastDist
+		}
 	}
 	// MaxDist variants: set the true k-th distance as the maximum and
 	// compute up to k pairs.
@@ -425,7 +426,7 @@ func Fig7(d *Datasets) ([]Run, error) {
 			}
 			opts := d.Scale.hybridOpts()
 			opts.MaxDist = distOf[k]
-			r, err := d.runJoin(label, n, opts, false)
+			r, _, err := d.open(distjoin.NewJoinIndexes, opts, false).drain(label, n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -441,7 +442,7 @@ func Fig7(d *Datasets) ([]Run, error) {
 			}
 			opts := d.Scale.hybridOpts()
 			opts.MaxPairs = k
-			r, err := d.runJoin(label, n, opts, false)
+			r, _, err := d.open(distjoin.NewJoinIndexes, opts, false).drain(label, n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -460,6 +461,15 @@ func refCounts(counts []int) []int {
 	return counts[len(counts)-3:]
 }
 
+// ranks is the set of the given result ranks, for drain to stamp.
+func ranks(ks []int) map[int]bool {
+	set := make(map[int]bool, len(ks))
+	for _, k := range ks {
+		set[k] = true
+	}
+	return set
+}
+
 func maxInt(xs []int) int {
 	m := xs[0]
 	for _, x := range xs[1:] {
@@ -468,40 +478,6 @@ func maxInt(xs []int) int {
 		}
 	}
 	return m
-}
-
-// runJoinCollect runs a plain join up to `limit` pairs and returns the
-// distances at the requested ranks.
-func (d *Datasets) runJoinCollect(limit int, ranks []int) (map[int]float64, error) {
-	want := map[int]bool{}
-	for _, r := range ranks {
-		want[r] = true
-	}
-	c, err := d.reset()
-	if err != nil {
-		return nil, err
-	}
-	opts := d.Scale.hybridOpts()
-	opts.Counters = c
-	j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(d.Water), distjoin.WrapRTree(d.Roads), opts)
-	if err != nil {
-		return nil, err
-	}
-	defer j.Close()
-	out := map[int]float64{}
-	for i := 1; i <= limit; i++ {
-		p, ok, err := j.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if want[i] {
-			out[i] = p.Dist
-		}
-	}
-	return out, nil
 }
 
 // Fig8 reproduces Figure 8: the memory-only queue against the hybrid queue
@@ -520,7 +496,7 @@ func Fig8(d *Datasets) ([]Run, error) {
 	var out []Run
 	for _, v := range variants {
 		for _, n := range d.Scale.PairCounts {
-			r, err := d.runJoin(v.label, n, v.opts, false)
+			r, _, err := d.open(distjoin.NewJoinIndexes, v.opts, false).drain(v.label, n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -562,7 +538,7 @@ func Fig9(d *Datasets) ([]Run, error) {
 			if f != distjoin.FilterOutside && n > 0 && n >= d.Water.Len() {
 				continue
 			}
-			r, err := d.runSemi(f.String(), n, f, d.Scale.hybridOpts(), false)
+			r, _, err := d.open(semi(f), d.Scale.hybridOpts(), false).drain(f.String(), n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -573,7 +549,7 @@ func Fig9(d *Datasets) ([]Run, error) {
 		}
 	}
 	for _, f := range filters[2:] {
-		r, err := d.runSemi(f.String()+"/Memory (all)", 0, f, distjoin.Options{Queue: distjoin.QueueMemory}, false)
+		r, _, err := d.open(semi(f), distjoin.Options{Queue: distjoin.QueueMemory}, false).drain(f.String()+"/Memory (all)", 0, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -592,27 +568,29 @@ func Fig10(d *Datasets) ([]Run, error) {
 			counts = append(counts, n)
 		}
 	}
+	// The Regular legs stamp the reference ranks, so the largest one also
+	// gives the k-th semi-join distances the MaxDist variants take as their
+	// maximum.
+	kRefs := refCounts(counts)
+	distOf := map[int]float64{}
 	for _, n := range counts {
-		r, err := d.runSemi("Regular", n, distjoin.FilterLocal, d.Scale.hybridOpts(), false)
+		r, stamps, err := d.open(semi(distjoin.FilterLocal), d.Scale.hybridOpts(), false).drain("Regular", n, ranks(kRefs), false)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
+		for _, s := range stamps {
+			distOf[s.Pairs] = s.LastDist
+		}
 	}
 	// Full-result run gives both the total count and the maximum semi-join
 	// distance ("MaxDist All").
-	full, err := d.runSemi("Regular (all)", 0, distjoin.FilterLocal, d.Scale.hybridOpts(), false)
+	full, _, err := d.open(semi(distjoin.FilterLocal), d.Scale.hybridOpts(), false).drain("Regular (all)", 0, nil, false)
 	if err != nil {
 		return nil, err
 	}
 	out = append(out, full)
 
-	kRefs := refCounts(counts)
-	// Probe the k-th semi-join distances.
-	distOf, err := d.runSemiCollect(maxInt(kRefs), kRefs)
-	if err != nil {
-		return nil, err
-	}
 	for _, k := range kRefs {
 		label := fmt.Sprintf("MaxDist %d", k)
 		for _, n := range counts {
@@ -621,7 +599,7 @@ func Fig10(d *Datasets) ([]Run, error) {
 			}
 			opts := d.Scale.hybridOpts()
 			opts.MaxDist = distOf[k]
-			r, err := d.runSemi(label, n, distjoin.FilterLocal, opts, false)
+			r, _, err := d.open(semi(distjoin.FilterLocal), opts, false).drain(label, n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -632,7 +610,7 @@ func Fig10(d *Datasets) ([]Run, error) {
 	{
 		opts := d.Scale.hybridOpts()
 		opts.MaxDist = full.LastDist
-		r, err := d.runSemi("MaxDist All", 0, distjoin.FilterLocal, opts, false)
+		r, _, err := d.open(semi(distjoin.FilterLocal), opts, false).drain("MaxDist All", 0, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -646,7 +624,7 @@ func Fig10(d *Datasets) ([]Run, error) {
 			}
 			opts := d.Scale.hybridOpts()
 			opts.MaxPairs = k
-			r, err := d.runSemi(label, n, distjoin.FilterLocal, opts, false)
+			r, _, err := d.open(semi(distjoin.FilterLocal), opts, false).drain(label, n, nil, false)
 			if err != nil {
 				return nil, err
 			}
@@ -657,43 +635,11 @@ func Fig10(d *Datasets) ([]Run, error) {
 	{
 		opts := d.Scale.hybridOpts()
 		opts.MaxPairs = d.Water.Len()
-		r, err := d.runSemi("MaxPair All", 0, distjoin.FilterLocal, opts, false)
+		r, _, err := d.open(semi(distjoin.FilterLocal), opts, false).drain("MaxPair All", 0, nil, false)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, r)
-	}
-	return out, nil
-}
-
-func (d *Datasets) runSemiCollect(limit int, ranks []int) (map[int]float64, error) {
-	want := map[int]bool{}
-	for _, r := range ranks {
-		want[r] = true
-	}
-	c, err := d.reset()
-	if err != nil {
-		return nil, err
-	}
-	opts := d.Scale.hybridOpts()
-	opts.Counters = c
-	s, err := distjoin.NewSemiJoinIndexes(distjoin.WrapRTree(d.Water), distjoin.WrapRTree(d.Roads), distjoin.FilterLocal, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	out := map[int]float64{}
-	for i := 1; i <= limit; i++ {
-		p, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if want[i] {
-			out[i] = p.Dist
-		}
 	}
 	return out, nil
 }
@@ -719,7 +665,7 @@ func Sec414(d *Datasets) ([]Run, error) {
 		DistCalcs: c.DistCalcs,
 		NodeIO:    c.NodeIO(),
 	}
-	inc, err := d.runJoin("Incremental", maxInt(d.Scale.PairCounts), d.Scale.hybridOpts(), false)
+	inc, _, err := d.open(distjoin.NewJoinIndexes, d.Scale.hybridOpts(), false).drain("Incremental", maxInt(d.Scale.PairCounts), nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -737,7 +683,7 @@ func Sec423(d *Datasets) ([]Run, error) {
 	}{{false, " (W⋉R)"}, {true, " (R⋉W)"}}
 	var out []Run
 	for _, o := range orders {
-		inc, err := d.runSemi("GlobalAll"+o.suffix, 0, distjoin.FilterGlobalAll, d.Scale.hybridOpts(), o.rev)
+		inc, _, err := d.open(semi(distjoin.FilterGlobalAll), d.Scale.hybridOpts(), o.rev).drain("GlobalAll"+o.suffix, 0, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -767,7 +713,7 @@ func Sec423(d *Datasets) ([]Run, error) {
 		})
 	}
 	for _, o := range orders {
-		mem, err := d.runSemi("GlobalAll/Memory"+o.suffix, 0, distjoin.FilterGlobalAll, distjoin.Options{Queue: distjoin.QueueMemory}, o.rev)
+		mem, _, err := d.open(semi(distjoin.FilterGlobalAll), distjoin.Options{Queue: distjoin.QueueMemory}, o.rev).drain("GlobalAll/Memory"+o.suffix, 0, nil, false)
 		if err != nil {
 			return nil, err
 		}
@@ -800,36 +746,13 @@ func DimSweep(s Scale) ([]Run, error) {
 			t1.Close()
 			return nil, err
 		}
-		start := time.Now()
-		j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(t1), distjoin.WrapRTree(t2), distjoin.Options{Counters: c})
-		if err != nil {
-			t1.Close()
-			t2.Close()
-			return nil, err
-		}
-		r := Run{Label: fmt.Sprintf("%d-D", dims), Pairs: pairTarget}
-		for r.Reported < pairTarget {
-			p, ok, err := j.Next()
-			if err != nil {
-				j.Close()
-				t1.Close()
-				t2.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			r.Reported++
-			r.LastDist = p.Dist
-		}
-		r.Time = time.Since(start)
-		r.DistCalcs = c.DistCalcs
-		r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
-		r.NodeIO = c.NodeIO()
-		out = append(out, r)
-		j.Close()
+		r, _, err := openLeg(distjoin.NewJoinIndexes, t1, t2, c, distjoin.Options{}).drain(fmt.Sprintf("%d-D", dims), pairTarget, nil, false)
 		t1.Close()
 		t2.Close()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, r)
 	}
 	return out, nil
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"distjoin/internal/distjoin"
 )
 
 // tiny is a minimal scale that keeps the full experiment matrix fast enough
@@ -394,11 +396,11 @@ func TestLoadWithLatencyCharges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer slow.Close()
-	rf, err := fast.runJoin("fast", 50, tinyLat.hybridOpts(), false)
+	rf, _, err := fast.open(distjoin.NewJoinIndexes, tinyLat.hybridOpts(), false).drain("fast", 50, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := slow.runJoin("slow", 50, tinyLat.hybridOpts(), false)
+	rs, _, err := slow.open(distjoin.NewJoinIndexes, tinyLat.hybridOpts(), false).drain("slow", 50, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

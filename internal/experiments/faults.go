@@ -65,7 +65,7 @@ func Faults(d *Datasets) ([]Run, error) {
 			// negligible even over the full scale's disk traffic.
 			opts.RetryIO = pager.RetryPolicy{MaxAttempts: 6, Sleep: func(time.Duration) {}}
 		}
-		r, err := d.runFaultJoin(fmt.Sprintf("transient p=%.3f", p), pairs, opts)
+		r, _, err := d.open(distjoin.NewJoinIndexes, opts, false).drain(fmt.Sprintf("transient p=%.3f", p), pairs, nil, true)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +99,7 @@ func Faults(d *Datasets) ([]Run, error) {
 	failRead := int(3 * cleanStats.Reads / 4)
 	corruptRead := int(7 * cleanStats.Reads / 8)
 	crashOp := int(9 * cleanStats.Ops / 10)
-	for _, leg := range []struct {
+	for _, fault := range []struct {
 		label string
 		cfg   faultstore.Config
 	}{
@@ -109,55 +109,18 @@ func Faults(d *Datasets) ([]Run, error) {
 		{fmt.Sprintf("store crashes after %d ops", crashOp), faultstore.Config{CrashAfterOps: crashOp}},
 	} {
 		opts := baseOpts()
-		opts.QueueStore = mkStore(leg.cfg)
+		opts.QueueStore = mkStore(fault.cfg)
 		opts.RetryIO = pager.RetryPolicy{MaxAttempts: 4, Sleep: func(time.Duration) {}}
-		r, err := d.runFaultJoin(leg.label, pairs, opts)
+		r, _, err := d.open(distjoin.NewJoinIndexes, opts, false).drain(fault.label, pairs, nil, true)
 		if err != nil {
 			return nil, err
 		}
 		if r.Err == "" {
-			return nil, fmt.Errorf("faults: %q completed without surfacing an error", leg.label)
+			return nil, fmt.Errorf("faults: %q completed without surfacing an error", fault.label)
 		}
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// runFaultJoin is runJoin with the error surfaced as a table column instead
-// of aborting the experiment: a join stopped by an injected fault is the
-// measurement, not a failure of the harness.
-func (d *Datasets) runFaultJoin(label string, pairs int, opts distjoin.Options) (Run, error) {
-	c, err := d.reset()
-	if err != nil {
-		return Run{}, err
-	}
-	opts.Counters = c
-	opts.Obs = d.Obs
-	start := time.Now()
-	j, err := distjoin.NewJoinIndexes(distjoin.WrapRTree(d.Water), distjoin.WrapRTree(d.Roads), opts)
-	if err != nil {
-		return Run{}, err
-	}
-	defer j.Close()
-	r := Run{Label: label, Pairs: pairs}
-	for r.Reported < pairs {
-		p, ok, err := j.Next()
-		if err != nil {
-			r.Err = faultClass(err)
-			break
-		}
-		if !ok {
-			break
-		}
-		r.Reported++
-		r.LastDist = p.Dist
-	}
-	r.Time = time.Since(start)
-	r.DistCalcs = c.DistCalcs
-	r.MaxQueue, r.MaxElements = c.MaxQueueSize, c.MaxQueueElements
-	r.NodeIO = c.NodeIO()
-	r.Retries = c.IORetries
-	return r, nil
 }
 
 // faultClass maps a surfaced join error to a short table cell.

@@ -119,13 +119,3 @@ func SeriesByLabel(runs []Run) map[string][]Run {
 	}
 	return out
 }
-
-// Summary formats a one-line time comparison between two runs (used for the
-// §4.1.4 and §4.2.3 narratives).
-func Summary(a, b Run) string {
-	s := fmt.Sprintf("%s: %s vs %s: %s", a.Label, FormatDuration(a.Time), b.Label, FormatDuration(b.Time))
-	if b.Time > 0 {
-		s += fmt.Sprintf(" (ratio %.2fx)", float64(a.Time)/float64(b.Time))
-	}
-	return s
-}

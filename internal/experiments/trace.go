@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"distjoin/internal/distjoin"
 )
 
 // TraceTTK runs the Table-1 workload once, stamping Next, and returns the
@@ -12,12 +14,8 @@ import (
 // result pair was delivered, its distance (the result frontier at that
 // moment), and the live queue depth.
 func TraceTTK(d *Datasets) ([]Run, error) {
-	ks := make(map[int]bool, len(d.Scale.PairCounts))
-	for _, k := range d.Scale.PairCounts {
-		ks[k] = true
-	}
 	target := maxInt(d.Scale.PairCounts)
-	run, out, err := d.runJoinStamped("trace", target, d.Scale.hybridOpts(), false, ks)
+	run, out, err := d.open(distjoin.NewJoinIndexes, d.Scale.hybridOpts(), false).drain("trace", target, ranks(d.Scale.PairCounts), false)
 	if err != nil {
 		return nil, err
 	}

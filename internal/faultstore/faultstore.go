@@ -58,7 +58,9 @@ type Config struct {
 	// every call returns pager.ErrClosed. 0 disables.
 	CrashAfterOps int
 
-	// SlowProb delays an operation by SlowLatency before it proceeds.
+	// SlowProb delays a ReadPage or WritePage by SlowLatency before it
+	// proceeds; Allocate and Free are never delayed. SlowProb 1 is a disk
+	// with a uniform access cost.
 	SlowProb    float64
 	SlowLatency time.Duration
 }
@@ -117,13 +119,14 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Inner returns the wrapped store.
-func (s *Store) Inner() pager.Store { return s.inner }
-
 // fault is the per-operation injection decision, taken under s.mu so the
 // random sequence is deterministic. It returns an error to inject, and
 // whether to corrupt the read buffer afterwards.
 func (s *Store) fault(read bool, id pager.PageID) (err error, corrupt bool) {
+	// A slow operation sleeps after the unlock (defers run last in, first
+	// out), so it holds up no other operation.
+	var slow time.Duration
+	defer func() { time.Sleep(slow) }()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.armed {
@@ -141,9 +144,7 @@ func (s *Store) fault(read bool, id pager.PageID) (err error, corrupt bool) {
 	}
 	if s.cfg.SlowProb > 0 && s.rng.Float64() < s.cfg.SlowProb {
 		s.stats.SlowOps++
-		if s.cfg.SlowLatency > 0 {
-			time.Sleep(s.cfg.SlowLatency)
-		}
+		slow = s.cfg.SlowLatency
 	}
 	op, transientProb, permanentProb, failAt := "write", s.cfg.TransientWriteProb, s.cfg.PermanentWriteProb, s.cfg.FailWriteAt
 	var n int64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"distjoin/internal/pager"
 )
@@ -139,5 +140,57 @@ func TestDisarmedIsTransparent(t *testing.T) {
 	}
 	if fs.Stats().Ops != 0 {
 		t.Fatal("disarmed ops were counted")
+	}
+}
+
+// TestSlowChargesEveryPageIO: with SlowProb 1 the store is a disk with a
+// uniform access cost — the simulated latency of the experiments. Every
+// ReadPage and WritePage is charged SlowLatency, Allocate and Free are not,
+// and an operation sleeping out its charge holds up no other operation.
+func TestSlowChargesEveryPageIO(t *testing.T) {
+	const lat = 2 * time.Millisecond
+	fs, id := newStore(t, Config{SlowProb: 1, SlowLatency: lat})
+	buf := make([]byte, 64)
+	start := time.Now()
+	for i := 0; i < 5; i++ {
+		if err := fs.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed < 5*lat {
+		t.Fatalf("5 reads took only %v, want >= %v", elapsed, 5*lat)
+	}
+	if err := fs.WritePage(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	extra, err := fs.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Free(extra); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats().SlowOps; got != 6 {
+		t.Fatalf("SlowOps=%d after 5 reads, a write, an allocate and a free; want 6", got)
+	}
+	if fs.PageSize() != 64 || fs.NumAllocated() != 1 {
+		t.Fatalf("page size %d and %d pages allocated, the inner store has 64 and 1", fs.PageSize(), fs.NumAllocated())
+	}
+	if err := fs.ReadPage(id, buf); err != nil || !bytes.Equal(buf, bytes.Repeat([]byte{7}, 64)) {
+		t.Fatalf("a slowed read returned %v, %v; want the page as written", buf, err)
+	}
+
+	slow, id := newStore(t, Config{SlowProb: 1, SlowLatency: 300 * time.Millisecond})
+	done := make(chan error, 1)
+	go func() { done <- slow.ReadPage(id, make([]byte, 64)) }()
+	start = time.Now()
+	for slow.Stats().SlowOps == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if waited := time.Since(start); waited > 150*time.Millisecond {
+		t.Fatalf("Stats waited %v on a read sleeping out its latency", waited)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

@@ -122,9 +122,6 @@ func NewRetryStore(inner Store, policy RetryPolicy) *RetryStore {
 	return &RetryStore{inner: inner, policy: policy}
 }
 
-// Inner returns the wrapped store.
-func (s *RetryStore) Inner() Store { return s.inner }
-
 func (s *RetryStore) do(op string, f func() error) error {
 	return s.policy.Do(op, f)
 }

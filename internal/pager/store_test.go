@@ -3,7 +3,6 @@ package pager
 import (
 	"bytes"
 	"testing"
-	"time"
 )
 
 // storeFactories lets every test run against both backings.
@@ -182,52 +181,6 @@ func TestStoreManyPages(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestLatencyStoreDelegates(t *testing.T) {
-	inner, _ := NewMemStore(32)
-	s := NewLatencyStore(inner, 0, 0)
-	defer s.Close()
-	if s.PageSize() != 32 {
-		t.Fatal("PageSize not delegated")
-	}
-	id, err := s.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 32)
-	buf[0] = 9
-	if err := s.WritePage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 32)
-	if err := s.ReadPage(id, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 9 {
-		t.Fatal("round trip failed")
-	}
-	if s.NumAllocated() != 1 {
-		t.Fatal("NumAllocated not delegated")
-	}
-	if err := s.Free(id); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLatencyStoreCharges(t *testing.T) {
-	inner, _ := NewMemStore(32)
-	s := NewLatencyStore(inner, 2*time.Millisecond, 0)
-	defer s.Close()
-	id, _ := s.Allocate()
-	buf := make([]byte, 32)
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		s.ReadPage(id, buf)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("5 reads took only %v, want >= 10ms", elapsed)
 	}
 }
 

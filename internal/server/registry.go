@@ -57,11 +57,6 @@ func (r *Registry) RegisterIndex(name string, idx *distjoin.Index) error {
 	return r.add(&regEntry{name: name, kind: "rtree", si: idx.AsSpatialIndex(), idx: idx})
 }
 
-// RegisterQuadIndex adds a caller-owned quadtree index under the given name.
-func (r *Registry) RegisterQuadIndex(name string, idx *distjoin.QuadIndex) error {
-	return r.Register(name, "quadtree", idx.AsSpatialIndex())
-}
-
 // OpenFile opens a persisted R*-tree (CreateIndexFile + Flush) and registers
 // it. The registry owns the index and closes it on Close.
 func (r *Registry) OpenFile(name, path string) error {
