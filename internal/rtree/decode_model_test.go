@@ -13,23 +13,24 @@ import (
 	"distjoin/internal/stats"
 )
 
-// heldNode is a node a model run keeps referenced, with a copy of what it
-// held when it was read.
+// heldNode is a node a model run keeps referenced, with its page and a copy
+// of what it held when it was read.
 type heldNode struct {
-	n, was *Node
+	page   pager.PageID
+	n, was *spatial.IndexNode
 }
 
-// copyNode is a private copy of a read node's page fields.
-func copyNode(n *Node) *Node {
-	return &Node{Page: n.Page, IndexNode: spatial.IndexNode{Leaf: n.IndexNode.Leaf, Level: n.Level, Coords: append([]float64(nil), n.Coords...), Refs: append([]uint64(nil), n.Refs...), Points: n.Points}}
+// copyNode is a private copy of a read node.
+func copyNode(n *spatial.IndexNode) *spatial.IndexNode {
+	return &spatial.IndexNode{Leaf: n.Leaf, Level: n.Level, Coords: append([]float64(nil), n.Coords...), Refs: append([]uint64(nil), n.Refs...), Points: n.Points}
 }
 
-// sameNode reports how got differs from want in Page, Leaf, Level, Points,
-// Coords (bit for bit) and Refs, or "" when it does not.
-func sameNode(got, want *Node) string {
+// sameNode reports how got differs from want in Leaf, Level, Points, Coords
+// (bit for bit) and Refs, or "" when it does not.
+func sameNode(got, want *spatial.IndexNode) string {
 	switch {
-	case got.Page != want.Page || got.IndexNode.Leaf != want.IndexNode.Leaf || got.Level != want.Level || got.Points != want.Points:
-		return fmt.Sprintf("page/leaf/level/points %d/%v/%d/%v, want %d/%v/%d/%v", got.Page, got.IndexNode.Leaf, got.Level, got.Points, want.Page, want.IndexNode.Leaf, want.Level, want.Points)
+	case got.Leaf != want.Leaf || got.Level != want.Level || got.Points != want.Points:
+		return fmt.Sprintf("leaf/level/points %v/%d/%v, want %v/%d/%v", got.Leaf, got.Level, got.Points, want.Leaf, want.Level, want.Points)
 	case len(got.Coords) != len(want.Coords) || len(got.Refs) != len(want.Refs):
 		return fmt.Sprintf("%d coords and %d refs, want %d and %d", len(got.Coords), len(got.Refs), len(want.Coords), len(want.Refs))
 	}
@@ -46,34 +47,9 @@ func sameNode(got, want *Node) string {
 	return ""
 }
 
-// entriesMatch reports how a read node's Entries, when ReadNode built them,
-// fail to be views of its Coords and Refs, or "" when they are.
-func entriesMatch(n *Node) string {
-	if n.Entries == nil {
-		return ""
-	}
-	if len(n.Entries) != len(n.Refs) {
-		return fmt.Sprintf("%d entries for %d refs", len(n.Entries), len(n.Refs))
-	}
-	if len(n.Refs) == 0 {
-		return ""
-	}
-	w := len(n.Coords) / len(n.Refs)
-	for i, e := range n.Entries {
-		ref := uint64(e.Child)
-		if n.Leaf() {
-			ref = uint64(e.Obj)
-		}
-		if ref != n.Refs[i] || &e.Rect.Lo[0] != &n.Coords[i*w] || &e.Rect.Hi[0] != &n.Coords[i*w+w/2] {
-			return fmt.Sprintf("entry %d is not a view of the node's coords and refs", i)
-		}
-	}
-	return ""
-}
-
 // storedNode decodes the page's current bytes from the store, after writing
 // back every dirty frame. It reads the store directly: no pool access.
-func storedNode(t *testing.T, tr *Tree, id pager.PageID) *Node {
+func storedNode(t *testing.T, tr *Tree, id pager.PageID) *spatial.IndexNode {
 	t.Helper()
 	if err := tr.Pool().FlushAll(); err != nil {
 		t.Fatal(err)
@@ -86,13 +62,14 @@ func storedNode(t *testing.T, tr *Tree, id pager.PageID) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n
+	return &n.IndexNode
 }
 
 // TestDecodeLifetimeModel runs seeded random interleavings of node reads
 // through a pool smaller than the tree, inserts, deletes, DropCache and
 // runtime.GC, while the run keeps some of the nodes it read referenced and
-// lets go of others. Every node read must equal, bit for bit, a decode of
+// lets go of others. Every node read — through Tree.Node, or the readNode
+// that the tree's own traversals call — must equal, bit for bit, a decode of
 // its page's current bytes in the store — however the page's earlier decodes
 // were shared, kept or collected — and every node still referenced must hold
 // what it held when it was read. The sequence's NodeReads and BufferHits
@@ -121,14 +98,16 @@ func TestDecodeLifetimeModel(t *testing.T) {
 			}
 			var live []object
 			var held []heldNode
-			read := func(id pager.PageID) *Node {
+			read := func(id pager.PageID) *spatial.IndexNode {
 				t.Helper()
-				var n *Node
+				var n *spatial.IndexNode
 				var err error
 				if rnd.Intn(2) == 0 {
-					n, err = tr.ReadNode(id)
+					n, err = tr.Node(uint64(id))
+				} else if rn, rerr := tr.readNode(id); rerr == nil {
+					n = &rn.IndexNode
 				} else {
-					n, err = tr.readNode(id)
+					err = rerr
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -136,17 +115,14 @@ func TestDecodeLifetimeModel(t *testing.T) {
 				if diff := sameNode(n, storedNode(t, tr, id)); diff != "" {
 					t.Fatalf("read of page %d: %s", id, diff)
 				}
-				if diff := entriesMatch(n); diff != "" {
-					t.Fatalf("read of page %d: %s", id, diff)
-				}
 				if rnd.Intn(3) == 0 {
-					held = append(held, heldNode{n, copyNode(n)})
+					held = append(held, heldNode{id, n, copyNode(n)})
 				}
 				return n
 			}
 			var walk func(id pager.PageID)
 			walk = func(id pager.PageID) {
-				if n := read(id); !n.Leaf() {
+				if n := read(id); !n.Leaf {
 					for _, ref := range n.Refs {
 						walk(pager.PageID(ref))
 					}
@@ -172,7 +148,7 @@ func TestDecodeLifetimeModel(t *testing.T) {
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
 				case k < 15:
-					for n := read(tr.RootPage()); !n.Leaf() && len(n.Refs) > 0; {
+					for n := read(tr.RootPage()); !n.Leaf && len(n.Refs) > 0; {
 						n = read(pager.PageID(n.Refs[rnd.Intn(len(n.Refs))]))
 					}
 				case k < 16:
@@ -193,7 +169,7 @@ func TestDecodeLifetimeModel(t *testing.T) {
 				default:
 					for _, h := range held {
 						if diff := sameNode(h.n, h.was); diff != "" {
-							t.Fatalf("a referenced node of page %d changed: %s", h.was.Page, diff)
+							t.Fatalf("a referenced node of page %d changed: %s", h.page, diff)
 						}
 					}
 				}
