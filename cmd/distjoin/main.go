@@ -58,6 +58,7 @@ import (
 	"distjoin"
 	"distjoin/internal/buildinfo"
 	"distjoin/internal/datagen"
+	"distjoin/internal/geom"
 )
 
 // cliOptions carries every flag; tests drive run with a literal.
@@ -178,15 +179,8 @@ func run(o cliOptions) error {
 			}
 		}()
 	}
-	metric := distjoin.Metric(nil)
-	switch o.metricName {
-	case "euclidean":
-		metric = distjoin.Euclidean
-	case "manhattan":
-		metric = distjoin.Manhattan
-	case "chessboard":
-		metric = distjoin.Chessboard
-	default:
+	metric := geom.MetricByName(o.metricName)
+	if metric == nil {
 		return fmt.Errorf("unknown metric %q", o.metricName)
 	}
 

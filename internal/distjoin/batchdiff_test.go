@@ -361,7 +361,7 @@ func TestBatchScratchPreSized(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.close()
-	want := tr.MaxEntries()
+	want := tr.MaxFanout()
 	if want <= 0 {
 		t.Fatalf("tree reports max entries %d", want)
 	}

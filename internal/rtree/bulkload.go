@@ -42,9 +42,9 @@ func BulkLoad(cfg Config, items []Item) (*Tree, error) {
 	}
 
 	// Tile one level at a time, leaves first, until a single node remains.
-	// Every page is encoded from the one edit node n and n is reused, so its
-	// entries may alias the tiles' rectangles: nothing keeps them. The level
-	// above is one item per node, its MBR and its page.
+	// Every page is encoded from the one entry-form node n, which is reused,
+	// so its entries may alias the tiles' rectangles: nothing keeps them. The
+	// level above is one item per node, its MBR and its page.
 	n := &Node{Entries: make([]Entry, 0, capacity)}
 	work := append([]Item(nil), items...)
 	level := 0

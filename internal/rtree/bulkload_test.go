@@ -9,7 +9,6 @@ import (
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
 	"distjoin/internal/racecheck"
-	"distjoin/internal/spatial"
 )
 
 func TestBulkLoadEmpty(t *testing.T) {
@@ -204,7 +203,7 @@ func TestPropSearchMatchesBruteForce(t *testing.T) {
 func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 	rnd := rand.New(rand.NewSource(77))
 	for _, level := range []int{0, 1, 3} {
-		n := &Node{Page: 42, IndexNode: spatial.IndexNode{Level: level}}
+		n := &Node{Page: 42, Level: level}
 		for i := 0; i < 20; i++ {
 			e := Entry{Rect: geom.R(
 				geom.Pt(rnd.Float64(), rnd.Float64()),
@@ -222,9 +221,8 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The decode is lean: Coords, Refs and Points, no Entries.
-		if got.Entries != nil || got.Points {
-			t.Fatalf("decode built Entries (%v) or set Points on boxes (%v)", got.Entries != nil, got.Points)
+		if got.Points {
+			t.Fatal("decode set Points on boxes")
 		}
 		if got.Level != n.Level || len(got.Refs) != len(n.Entries) || len(got.Coords) != 4*len(n.Entries) {
 			t.Fatalf("level/count mismatch: %v vs %v", got, n)
@@ -237,9 +235,8 @@ func TestNodeEncodeDecodeRoundTrip(t *testing.T) {
 			}
 		}
 		// Through the entry form the page re-encodes to the same bytes.
-		got.Entries = got.entryViews()
 		again := make([]byte, len(buf))
-		encodeNode(got, 2, again)
+		encodeNode(got.entryForm(), 2, again)
 		if !bytes.Equal(again, buf) {
 			t.Fatal("the decoded node re-encodes to other bytes")
 		}

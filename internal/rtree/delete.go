@@ -90,7 +90,7 @@ type deletePath struct {
 // entries whose rectangles contain r. It returns the path from the root to
 // the leaf and the index of the matching entry.
 func (t *Tree) findLeaf(page pager.PageID, path []deletePath, r geom.Rect, id ObjID) ([]deletePath, int, bool, error) {
-	n, err := t.editNode(page)
+	n, err := t.ReadNode(page)
 	if err != nil {
 		return nil, 0, false, err
 	}

@@ -38,14 +38,14 @@ type pathStep struct {
 func (t *Tree) insertEntry(e Entry, level int, reinsertDone map[int]bool) error {
 	// Descend from the root to the target level, remembering the path.
 	var path []pathStep
-	n, err := t.editNode(t.root)
+	n, err := t.ReadNode(t.root)
 	if err != nil {
 		return err
 	}
 	for n.Level > level {
 		i := t.chooseSubtree(n, e.Rect)
 		path = append(path, pathStep{node: n, childIdx: i})
-		n, err = t.editNode(n.Entries[i].Child)
+		n, err = t.ReadNode(n.Entries[i].Child)
 		if err != nil {
 			return err
 		}
@@ -74,8 +74,7 @@ func (t *Tree) insertEntry(e Entry, level int, reinsertDone map[int]bool) error 
 			return err
 		}
 		if cur.Page == t.root {
-			newRoot := &Node{Entries: []Entry{entryForChild(left), entryForChild(right)}}
-			newRoot.Level = cur.Level + 1
+			newRoot := &Node{Level: cur.Level + 1, Entries: []Entry{entryForChild(left), entryForChild(right)}}
 			if err := t.allocNode(newRoot); err != nil {
 				return err
 			}
@@ -208,8 +207,8 @@ func (t *Tree) forcedReinsert(n *Node, path []pathStep, reinsertDone map[int]boo
 // group reuses n's page; the right group is written to a fresh page.
 func (t *Tree) split(n *Node) (left, right *Node, err error) {
 	leftEntries, rightEntries := t.chooseSplit(n.Entries)
-	left, right = &Node{Page: n.Page, Entries: leftEntries}, &Node{Entries: rightEntries}
-	left.Level, right.Level = n.Level, n.Level
+	left = &Node{Page: n.Page, Level: n.Level, Entries: leftEntries}
+	right = &Node{Level: n.Level, Entries: rightEntries}
 	if err := t.writeNode(left); err != nil {
 		return nil, nil, err
 	}

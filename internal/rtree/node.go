@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"distjoin/internal/geom"
@@ -35,57 +34,52 @@ type Entry struct {
 	Obj   ObjID        // valid in leaf nodes
 }
 
-// Node is the decoded form of an R-tree node page. Level 0 is the leaf
-// level. Which fields hold depends on where the node came from:
-//
-//   - A read node — Tree.Node, Tree.ReadNode — is shared and read-only (see
-//     readNode). Its embedded IndexNode is the node as the join engines
-//     traverse it: Tree.Node hands out a pointer to it, so the engines read
-//     the decode itself. Page, Leaf, Level, Coords, Refs and Points hold;
-//     Entries is nil until ReadNode builds it, once per page version, as
-//     views of Coords.
-//   - An edit node — what insertion, deletion, a split or bulk load
-//     rearranges — holds Page, Level and Entries only.
+// Node is an R-tree node in entry form: what insertion, deletion, a split
+// or bulk load rearranges, and what ReadNode hands its caller. Level 0 is
+// the leaf level.
 type Node struct {
-	spatial.IndexNode
+	Page    pager.PageID
+	Level   int
 	Entries []Entry
+}
 
-	entries sync.Once
-	// Page sits in the padding after entries, so that a read node, which
-	// queued pairs keep alive, takes 160 bytes, not 168 in a 176-byte class.
-	Page pager.PageID
-	// mbr is a read node's bounding rectangle, built the first time a query
+// Leaf reports whether the node is at the leaf level.
+func (n *Node) Leaf() bool { return n.Level == 0 }
+
+// node is the decoded form of a node page as the join engines traverse it:
+// Tree.Node hands out a pointer to its IndexNode, so the engines read the
+// decode itself. It is shared and read-only (see Tree.readNode).
+type node struct {
+	spatial.IndexNode
+	page pager.PageID
+	// mbr is the node's bounding rectangle, built the first time a query
 	// opens on the node as its root.
 	mbr atomic.Pointer[geom.Rect]
-	// self is a read node as the buffer frames hold it, so that attaching
-	// the node to a frame again after an eviction allocates nothing.
+	// self is the node as the buffer frames hold it, so that attaching the
+	// node to a frame again after an eviction allocates nothing.
 	self any
 }
 
-// Leaf reports whether the node is at the leaf level. It shadows the
-// embedded IndexNode.Leaf, which a read node sets to the same answer.
-func (n *Node) Leaf() bool { return n.Level == 0 }
-
-// entry is entry i of a read node, a view of Coords.
-func (n *Node) entry(i int) Entry {
+// entry is entry i of the node, a view of Coords.
+func (n *node) entry(i int) Entry {
 	if n.Level == 0 {
 		return Entry{Rect: n.Rect(i), Obj: ObjID(n.Refs[i])}
 	}
 	return Entry{Rect: n.Rect(i), Child: pager.PageID(n.Refs[i])}
 }
 
-// entryViews builds a read node's entries from its Coords and Refs.
-func (n *Node) entryViews() []Entry {
+// entryForm is the node in entry form, its entries views of Coords.
+func (n *node) entryForm() *Node {
 	es := make([]Entry, len(n.Refs))
 	for i := range es {
 		es[i] = n.entry(i)
 	}
-	return es
+	return &Node{Page: n.page, Level: n.Level, Entries: es}
 }
 
-// MBR returns the minimum bounding rectangle of a read node's entries, or
-// the zero Rect for an empty node (only a fresh root may be empty).
-func (n *Node) MBR() geom.Rect {
+// MBR returns the minimum bounding rectangle of the node's entries, or the
+// zero Rect for an empty node (only a fresh root may be empty).
+func (n *node) MBR() geom.Rect {
 	if len(n.Refs) == 0 {
 		return geom.Rect{}
 	}
@@ -153,10 +147,10 @@ func encodeNode(n *Node, dims int, buf []byte) {
 	}
 }
 
-// decodeNode deserializes a read node from a page image: one block of
+// decodeNode deserializes a node from a page image: one block of
 // coordinates and the refs. The two stay separate allocations: a queued pair
 // that views a node's coordinates would otherwise keep its refs alive too.
-func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
+func decodeNode(page pager.PageID, dims int, buf []byte) (*node, error) {
 	leaf := buf[0]&flagLeaf != 0
 	level := int(buf[1])
 	count := int(binary.LittleEndian.Uint16(buf[2:]))
@@ -167,7 +161,7 @@ func decodeNode(page pager.PageID, dims int, buf []byte) (*Node, error) {
 		return nil, fmt.Errorf("rtree: page %d: count %d exceeds capacity %d", page, count, max)
 	}
 	w := 2 * dims
-	n := &Node{Page: page, IndexNode: spatial.IndexNode{Leaf: leaf, Level: level, Coords: make([]float64, count*w), Refs: make([]uint64, count), Points: leaf}}
+	n := &node{page: page, IndexNode: spatial.IndexNode{Leaf: leaf, Level: level, Coords: make([]float64, count*w), Refs: make([]uint64, count), Points: leaf}}
 	off := nodeHeaderSize
 	for k := range n.Refs {
 		c := n.Coords[k*w : (k+1)*w : (k+1)*w]

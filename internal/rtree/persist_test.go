@@ -7,7 +7,6 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
-	"distjoin/internal/spatial"
 )
 
 func namedStore(t *testing.T, path string, pageSize int) *pager.FileStore {
@@ -230,7 +229,7 @@ func TestCreateFileOpenFile(t *testing.T) {
 }
 
 func TestNodeLeafAccessor(t *testing.T) {
-	if !(&Node{}).Leaf() || (&Node{IndexNode: spatial.IndexNode{Level: 2}}).Leaf() {
+	if !(&Node{}).Leaf() || (&Node{Level: 2}).Leaf() {
 		t.Fatal("Leaf() wrong")
 	}
 }

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"math"
+
 	"distjoin/internal/geom"
 	"distjoin/internal/pager"
 )
@@ -39,32 +41,14 @@ func (t *Tree) searchPage(page pager.PageID, query geom.Rect, fn func(Entry) boo
 	return true, nil
 }
 
-// Scan invokes fn for every leaf entry in the tree, in storage order.
-// Traversal stops early when fn returns false.
+// Scan invokes fn for every leaf entry in the tree, in storage order: a
+// Search over the whole space. Traversal stops early when fn returns false.
 func (t *Tree) Scan(fn func(Entry) bool) error {
-	_, err := t.scanPage(t.root, fn)
-	return err
-}
-
-func (t *Tree) scanPage(page pager.PageID, fn func(Entry) bool) (bool, error) {
-	n, err := t.readNode(page)
-	if err != nil {
-		return false, err
+	lo, hi := make(geom.Point, t.cfg.Dims), make(geom.Point, t.cfg.Dims)
+	for i := range lo {
+		lo[i], hi[i] = math.Inf(-1), math.Inf(1)
 	}
-	for i := range n.Refs {
-		e := n.entry(i)
-		if n.Level == 0 {
-			if !fn(e) {
-				return false, nil
-			}
-			continue
-		}
-		cont, err := t.scanPage(e.Child, fn)
-		if err != nil || !cont {
-			return cont, err
-		}
-	}
-	return true, nil
+	return t.Search(geom.Rect{Lo: lo, Hi: hi}, fn)
 }
 
 // CountNodes returns the number of nodes on each level, leaf level first.

@@ -81,7 +81,7 @@ type Tree struct {
 	// decodes[id] points weakly at page id's last decode until the page's
 	// bytes change: a miss attaches that node to the frame again while the
 	// collector has not reclaimed it, instead of decoding the page afresh.
-	decodes []weak.Pointer[Node]
+	decodes []weak.Pointer[node]
 }
 
 // New creates an empty R*-tree.
@@ -155,11 +155,8 @@ func (t *Tree) Len() int { return t.size }
 // Height returns the number of levels (1 when the root is a leaf).
 func (t *Tree) Height() int { return t.height }
 
-// MaxEntries returns the node capacity (fan-out).
-func (t *Tree) MaxEntries() int { return t.maxEntries }
-
-// MaxFanout implements the optional spatial.Fanout extension: nodes hold at
-// most MaxEntries entries.
+// MaxFanout returns the node capacity (fan-out); it implements the optional
+// spatial.Fanout extension.
 func (t *Tree) MaxFanout() int { return t.maxEntries }
 
 // NumObjects implements spatial.Index; it is Len.
@@ -204,11 +201,11 @@ func (t *Tree) Root() (spatial.NodeRef, error) {
 		*mbr = n.MBR() // zero for an empty root
 		n.mbr.Store(mbr)
 	}
-	return spatial.NodeRef{Ref: uint64(n.Page), Level: n.Level, Rect: *mbr}, nil
+	return spatial.NodeRef{Ref: uint64(n.page), Level: n.Level, Rect: *mbr}, nil
 }
 
 // Node implements spatial.Index: the node on page ref as the engines
-// traverse it, which is the decoded read node itself (see readNode).
+// traverse it, which is the shared decode itself (see readNode).
 func (t *Tree) Node(ref uint64) (*spatial.IndexNode, error) {
 	n, err := t.readNode(pager.PageID(ref))
 	if err != nil {
@@ -217,37 +214,42 @@ func (t *Tree) Node(ref uint64) (*spatial.IndexNode, error) {
 	return &n.IndexNode, nil
 }
 
-// ReadNode returns the node stored on the given page with its Entries: the
-// shared read node, whose Entries — views of its Coords — are built the
-// first time ReadNode reads that decode of the page.
+// ReadNode returns the node stored on the given page in entry form: a
+// private decode of the page, read through the buffer pool like every node
+// read, which belongs to the caller.
 func (t *Tree) ReadNode(id pager.PageID) (*Node, error) {
-	n, err := t.readNode(id)
-	if err == nil {
-		n.entries.Do(func() { n.Entries = n.entryViews() })
+	f, err := t.pool.Get(id)
+	if err != nil {
+		return nil, err
 	}
-	return n, err
+	n, err := decodeNode(id, t.cfg.Dims, f.Data())
+	t.pool.Unpin(f)
+	if err != nil {
+		return nil, err
+	}
+	return n.entryForm(), nil
 }
 
-// readNode returns the read node stored on the given page: Coords, Refs
-// and Points, no Entries. The join engines, through Node and Root, and the
-// tree's own traversals read it, so every traversal is charged through the
-// buffer pool: each call is one pool access, and a miss reads the page into
-// a frame. The page is decoded once per page version: the result is shared
-// by every reader, on every goroutine, until the page is written or freed or
+// readNode returns the node stored on the given page as the join engines
+// traverse it. The engines, through Node and Root, and the tree's own
+// traversals read it, so every traversal is charged through the buffer
+// pool: each call is one pool access, and a miss reads the page into a
+// frame. The page is decoded once per page version: the result is shared by
+// every reader, on every goroutine, until the page is written or freed or
 // the cache dropped, and a miss after an eviction hands it out again while
 // the collector has not reclaimed it. So the node and every rectangle read
 // from it are READ-ONLY, and a caller that hands a rectangle on to code it
 // does not control hands on a copy. The node stays valid for as long as it
 // is referenced.
-func (t *Tree) readNode(id pager.PageID) (*Node, error) {
+func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	f, err := t.pool.Get(id)
 	if err != nil {
 		return nil, err
 	}
-	n, _ := f.Decoded().(*Node)
+	n, _ := f.Decoded().(*node)
 	if n == nil {
 		t.decoding.Lock()
-		if n, _ = f.Decoded().(*Node); n == nil {
+		if n, _ = f.Decoded().(*node); n == nil {
 			if n, err = t.decode(id, f.Data()); err == nil {
 				f.SetDecoded(&n.self)
 			}
@@ -261,7 +263,7 @@ func (t *Tree) readNode(id pager.PageID) (*Node, error) {
 // decode returns the page's last decode if the collector has not reclaimed
 // it, or else decodes buf, the page's bytes, and remembers the result.
 // t.decoding is held.
-func (t *Tree) decode(id pager.PageID, buf []byte) (*Node, error) {
+func (t *Tree) decode(id pager.PageID, buf []byte) (*node, error) {
 	if int(id) < len(t.decodes) {
 		if n := t.decodes[id].Value(); n != nil {
 			return n, nil
@@ -273,7 +275,7 @@ func (t *Tree) decode(id pager.PageID, buf []byte) (*Node, error) {
 	}
 	n.self = n
 	if grow := int(id) + 1 - len(t.decodes); grow > 0 {
-		t.decodes = append(t.decodes, make([]weak.Pointer[Node], grow)...)
+		t.decodes = append(t.decodes, make([]weak.Pointer[node], grow)...)
 	}
 	t.decodes[id] = weak.Make(n)
 	return n, nil
@@ -283,24 +285,9 @@ func (t *Tree) decode(id pager.PageID, buf []byte) (*Node, error) {
 func (t *Tree) forget(id pager.PageID) {
 	t.decoding.Lock()
 	if int(id) < len(t.decodes) {
-		t.decodes[id] = weak.Pointer[Node]{}
+		t.decodes[id] = weak.Pointer[node]{}
 	}
 	t.decoding.Unlock()
-}
-
-// editNode decodes a private, mutable edit node from the given page for
-// insertion and deletion to rearrange and hand back to writeNode.
-func (t *Tree) editNode(id pager.PageID) (*Node, error) {
-	f, err := t.pool.Get(id)
-	if err != nil {
-		return nil, err
-	}
-	n, err := decodeNode(id, t.cfg.Dims, f.Data())
-	t.pool.Unpin(f)
-	if err == nil {
-		n.Entries, n.Coords, n.Refs = n.entryViews(), nil, nil
-	}
-	return n, err
 }
 
 // writeNode encodes the node back to its page; marking the frame dirty

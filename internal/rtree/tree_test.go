@@ -370,10 +370,10 @@ func TestHigherDimensions(t *testing.T) {
 func TestPaperDefaults(t *testing.T) {
 	tr := mustNew(t, Config{Dims: 2})
 	// 2048-byte pages, 2-D float64 entries: fan-out 51 ≈ the paper's 50.
-	if tr.MaxEntries() < 45 || tr.MaxEntries() > 55 {
-		t.Fatalf("default fan-out = %d, want ≈50", tr.MaxEntries())
+	if tr.MaxFanout() < 45 || tr.MaxFanout() > 55 {
+		t.Fatalf("default fan-out = %d, want ≈50", tr.MaxFanout())
 	}
-	if tr.MinEntries() != int(0.4*float64(tr.MaxEntries())) {
+	if tr.MinEntries() != int(0.4*float64(tr.MaxFanout())) {
 		t.Fatalf("min entries = %d", tr.MinEntries())
 	}
 }

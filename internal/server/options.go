@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"distjoin"
+	"distjoin/internal/geom"
 )
 
 // From a QueryRequest to a running engine: the request's fields laid over
@@ -38,16 +39,10 @@ func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Optio
 		opts.MaxDist = math.Inf(1)
 	}
 	opts.OmitEqualIDs = opts.OmitEqualIDs || req.OmitEqualIDs
-	switch strings.ToLower(req.Metric) {
-	case "":
-	case "euclidean":
-		opts.Metric = distjoin.Euclidean
-	case "manhattan":
-		opts.Metric = distjoin.Manhattan
-	case "chessboard":
-		opts.Metric = distjoin.Chessboard
-	default:
-		return opts, badRequest("unknown metric " + strconv.Quote(req.Metric))
+	if req.Metric != "" {
+		if opts.Metric = geom.MetricByName(strings.ToLower(req.Metric)); opts.Metric == nil {
+			return opts, badRequest("unknown metric " + strconv.Quote(req.Metric))
+		}
 	}
 	switch strings.ToLower(req.Queue) {
 	case "":

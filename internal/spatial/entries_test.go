@@ -41,32 +41,9 @@ func checkEntry(t *testing.T, n *spatial.IndexNode, i int, rect geom.Rect, ref u
 	}
 }
 
-// checkEntryViews holds the Entries rtree.ReadNode returned against the
-// node's Coords and Refs: one entry per ref, entry i's ref is Refs[i], and
-// its rectangle is a capped view of run i of Coords, not a copy.
-func checkEntryViews(t *testing.T, n *rtree.Node, dims int) {
-	t.Helper()
-	w := 2 * dims
-	if len(n.Coords) != len(n.Entries)*w || len(n.Refs) != len(n.Entries) {
-		t.Fatalf("page %d: %d coordinates and %d refs for %d entries", n.Page, len(n.Coords), len(n.Refs), len(n.Entries))
-	}
-	for i, e := range n.Entries {
-		if len(e.Rect.Lo) != dims || cap(e.Rect.Lo) != dims || len(e.Rect.Hi) != dims ||
-			&e.Rect.Lo[0] != &n.Coords[i*w] || &e.Rect.Hi[0] != &n.Coords[i*w+dims] {
-			t.Fatalf("page %d: entry %d's rectangle is not a view of its run of Coords", n.Page, i)
-		}
-		ref := uint64(e.Child)
-		if n.Leaf() {
-			ref = uint64(e.Obj)
-		}
-		if n.Refs[i] != ref {
-			t.Fatalf("page %d: entry %d names %d, Refs holds %d", n.Page, i, ref, n.Refs[i])
-		}
-	}
-}
-
 // checkRTreeEntries walks tr from its root and holds every node Index.Node
-// returns against the node rtree.ReadNode returns for the same page.
+// returns against the node rtree.ReadNode, a private decode, returns for the
+// same page.
 func checkRTreeEntries(t *testing.T, tr *rtree.Tree) {
 	t.Helper()
 	root, err := tr.Root()
@@ -89,7 +66,6 @@ func checkRTreeEntries(t *testing.T, tr *rtree.Tree) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkEntryViews(t, src, tr.Dims())
 		if n.Leaf != src.Leaf() || n.Level != src.Level || entryCount(n) != len(src.Entries) {
 			t.Fatalf("page %d: leaf %v level %d with %d entries, the source leaf %v level %d with %d",
 				page, n.Leaf, n.Level, entryCount(n), src.Leaf(), src.Level, len(src.Entries))
@@ -114,9 +90,8 @@ func checkRTreeEntries(t *testing.T, tr *rtree.Tree) {
 // TestNodeEntriesMatchSource: over random R*-trees — bulk-loaded, and built
 // by inserts and deletes — in two and three dimensions, every node
 // Index.Node returns holds entry by entry what rtree.ReadNode's entries
-// hold: the rectangle, the ref and the child level. rtree.ReadNode's entries
-// in turn are views of the node's own Coords and Refs. The quadtree's half
-// of this test is the quadtree package's own, against its unexported nodes.
+// hold: the rectangle, the ref and the child level. The quadtree's half of
+// this test is the quadtree package's own, against its unexported nodes.
 func TestNodeEntriesMatchSource(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -158,9 +133,10 @@ func TestNodeEntriesMatchSource(t *testing.T) {
 }
 
 // TestReadNodeEntriesConcurrent: eight goroutines that meet on one cold page,
-// half through rtree.ReadNode and half through Index.Node, all get its one
-// decode — the same *rtree.Node, or that node's own IndexNode — and
-// ReadNode's entries are views of it. CI runs it under -race.
+// half through rtree.ReadNode and half through Index.Node. Those through
+// Index.Node all get the page's one decode, the same *IndexNode; those
+// through ReadNode each get a private node, which holds entry by entry what
+// that decode holds. CI runs it under -race.
 func TestReadNodeEntriesConcurrent(t *testing.T) {
 	tr, err := rtree.New(rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 8})
 	if err != nil {
@@ -174,11 +150,11 @@ func TestReadNodeEntriesConcurrent(t *testing.T) {
 	}
 	page := tr.RootPage()
 	for {
-		n, err := tr.ReadNode(page)
+		n, err := tr.Node(uint64(page))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n.Leaf() {
+		if n.Leaf {
 			break
 		}
 		page = pager.PageID(n.Refs[0])
@@ -209,7 +185,7 @@ func TestReadNodeEntriesConcurrent(t *testing.T) {
 		}
 		close(start)
 		wg.Wait()
-		kept, err := tr.ReadNode(page)
+		kept, err := tr.Node(uint64(page))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,12 +193,16 @@ func TestReadNodeEntriesConcurrent(t *testing.T) {
 			switch {
 			case errs[g] != nil:
 				t.Fatal(errs[g])
-			case g%2 == 0 && nodes[g] != kept:
-				t.Fatalf("round %d: ReadNode on goroutine %d got another decode of page %d", round, g, page)
-			case g%2 == 0:
-				checkEntryViews(t, nodes[g], tr.Dims())
-			case views[g] != &kept.IndexNode:
+			case g%2 == 1 && views[g] != kept:
 				t.Fatalf("round %d: Index.Node on goroutine %d got another decode of page %d", round, g, page)
+			case g%2 == 0:
+				n := nodes[g]
+				if g > 0 && n == nodes[g-2] || len(n.Entries) != entryCount(kept) || &n.Entries[0].Rect.Lo[0] == &kept.Coords[0] {
+					t.Fatalf("round %d: ReadNode on goroutine %d got no private node of page %d", round, g, page)
+				}
+				for i, e := range n.Entries {
+					checkEntry(t, kept, i, e.Rect, uint64(e.Obj), -1)
+				}
 			}
 		}
 	}
@@ -250,13 +230,13 @@ func TestAllocIndexNodeMiss(t *testing.T) {
 	if racecheck.Enabled {
 		t.Skip("allocation counts mean nothing under the race detector")
 	}
-	const maxAllocs, maxBytes = 4, 2450
+	const maxAllocs, maxBytes = 4, 2344
 	tr, err := rtree.New(rtree.Config{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	for i, p := range randPts(5, tr.MaxEntries()) {
+	for i, p := range randPts(5, tr.MaxFanout()) {
 		if err := tr.InsertPoint(p, rtree.ObjID(i)); err != nil {
 			t.Fatal(err)
 		}
@@ -266,11 +246,11 @@ func TestAllocIndexNodeMiss(t *testing.T) {
 		if err := tr.DropCache(); err != nil {
 			t.Fatal(err)
 		}
-		if n, err := tr.Node(root); err != nil || entryCount(n) != tr.MaxEntries() {
+		if n, err := tr.Node(root); err != nil || entryCount(n) != tr.MaxFanout() {
 			t.Fatal("the full leaf did not come back", err)
 		}
 	})
-	t.Logf("one miss of a %d-entry leaf: %.1f allocations, %.0f bytes", tr.MaxEntries(), allocs, bytes)
+	t.Logf("one miss of a %d-entry leaf: %.1f allocations, %.0f bytes", tr.MaxFanout(), allocs, bytes)
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Errorf("one node miss allocates %.1f times and %.0f bytes, gate %d and %d", allocs, bytes, maxAllocs, maxBytes)
 	}
@@ -290,7 +270,7 @@ func TestAllocIndexNodeEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	for i, p := range randPts(6, 20*tr.MaxEntries()) {
+	for i, p := range randPts(6, 20*tr.MaxFanout()) {
 		if err := tr.InsertPoint(p, rtree.ObjID(i)); err != nil {
 			t.Fatal(err)
 		}
