@@ -121,6 +121,41 @@ func TestBatchVsScalar(t *testing.T) {
 	}
 }
 
+// TestDistBatchIsMinDistRows pins the point batch kernel to the row kernel
+// the engine runs over point leaves: DistBatch from p over a batch of points
+// is MinDistRows from p's degenerate rectangle over the points' degenerate
+// rows, bit for bit, for every metric family.
+func TestDistBatchIsMinDistRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, dims := range []int{2, 3, 5} {
+		for _, m := range testMetrics {
+			b := For(m)
+			var pc PointCols
+			dist, rows := make([]float64, 64), make([]float64, 64)
+			for batch := 0; batch < 200; batch++ {
+				pc.Reset(dims)
+				pts := make([]geom.Rect, len(dist))
+				p := randPoint(rng, dims)
+				for i := range pts {
+					q := randPoint(rng, dims)
+					if i%5 == 0 {
+						q[i%dims] = p[i%dims] // equal on one axis
+					}
+					pc.Append(q)
+					pts[i] = q.Rect()
+				}
+				b.DistBatch(p, &pc, dist)
+				b.MinDistRows(p.Rect(), rowsOf(pts), rows)
+				for i := range dist {
+					if math.Float64bits(dist[i]) != math.Float64bits(rows[i]) {
+						t.Fatalf("%s dims %d batch %d row %d: DistBatch %v != MinDistRows %v", m.Name(), dims, batch, i, dist[i], rows[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBatchTouchingRects pins the intersecting / touching / separated
 // boundary cases where the per-dimension delta branches flip.
 func TestBatchTouchingRects(t *testing.T) {
