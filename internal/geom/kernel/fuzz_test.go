@@ -33,38 +33,43 @@ func FuzzKernelVsScalar(f *testing.F) {
 		pc.Reset(2)
 		// A small batch mixing the fuzzed rectangle with perturbations of
 		// it, so separated, touching and overlapping rows coexist.
-		base := rectFrom(b0, b1, b2, b3)
-		rc.Append(base)
-		rc.Append(rectFrom(b0+1, b1, b2, b3))
-		rc.Append(rectFrom(b0, b1-1, b2+0.5, b3))
-		rc.Append(q)
-		pc.Append(geom.Point{b0, b2})
-		pc.Append(geom.Point{b1, b3})
-		pc.Append(geom.Point{a0, a2})
-		out := make([]float64, rc.Len())
+		rects := []geom.Rect{
+			rectFrom(b0, b1, b2, b3),
+			rectFrom(b0+1, b1, b2, b3),
+			rectFrom(b0, b1-1, b2+0.5, b3),
+			q,
+		}
+		pts := []geom.Point{{b0, b2}, {b1, b3}, {a0, a2}}
+		for _, r := range rects {
+			rc.Append(r)
+		}
+		for _, p := range pts {
+			pc.Append(p)
+		}
+		out := make([]float64, len(rects))
 
 		for _, m := range []geom.Metric{geom.Euclidean, geom.Manhattan, geom.Chessboard, geom.Lp(3)} {
 			k := For(m)
 			exact := m != geom.Euclidean
 
 			k.MinDistBatch(q, &rc, out)
-			for i := 0; i < rc.Len(); i++ {
-				requireRow(t, m.Name()+"/mindist", i, k.Finish(out[i]), m.MinDist(q, rc.Rect(i)), exact)
+			for i, r := range rects {
+				requireRow(t, m.Name()+"/mindist", i, k.Finish(out[i]), m.MinDist(q, r), exact)
 			}
-			k.MaxDistRows(q, rowsOf(rc.rects), out)
-			for i := 0; i < rc.Len(); i++ {
-				requireRow(t, m.Name()+"/maxdist", i, k.Finish(out[i]), m.MaxDist(q, rc.Rect(i)), exact)
+			k.MaxDistRows(q, rowsOf(rects), out)
+			for i, r := range rects {
+				requireRow(t, m.Name()+"/maxdist", i, k.Finish(out[i]), m.MaxDist(q, r), exact)
 			}
 			p := geom.Point{a0, a2}
-			k.DistBatch(p, &pc, out[:pc.Len()])
-			for i := 0; i < pc.Len(); i++ {
-				requireRow(t, m.Name()+"/dist", i, k.Finish(out[i]), m.Dist(p, pc.Point(i)), exact)
+			k.DistBatch(p, &pc, out[:len(pts)])
+			for i, pt := range pts {
+				requireRow(t, m.Name()+"/dist", i, k.Finish(out[i]), m.Dist(p, pt), exact)
 			}
 
 			// The deferred comparisons must agree with the finished ones for
 			// the batch's own pre-values whatever the architecture computed.
 			k.MinDistBatch(q, &rc, out)
-			for i := 0; i < rc.Len(); i++ {
+			for i := range rects {
 				d := k.Finish(out[i])
 				for _, bound := range []float64{d, math.Nextafter(d, 0), math.Nextafter(d, math.Inf(1)), 0, math.Inf(1)} {
 					if got, want := k.PreGreater(out[i], bound), d > bound; got != want {

@@ -6,9 +6,12 @@
 // metrics (with the 2D case unrolled), so the compiler can keep the
 // accumulators in registers and eliminate bounds checks. The engine calls
 // the row kernels (MinDistRows, MaxDistRows), which read a decoded node's
-// coordinate block where it lies; the column layout (RectCols, PointCols and
-// their kernels) needs a copy of every rectangle first and has no caller in
-// the engine any more — the benchmark's micro rows still time it.
+// coordinate block where it lies. RectCols, PointCols, MinDistBatch and
+// DistBatch exist only for the benchmark module's kernel rows
+// (benchmark/micro.go): they copy rectangles and points into that same row
+// layout and call MinDistRows, so the rows time what the engine runs. The
+// benchmark job's `cd benchmark && go vet ./... && go test -short ./...`
+// keeps them compiling.
 //
 // The L2 kernels are "deferred": they produce squared distances, postponing
 // the single math.Sqrt to survivors of the caller's prune (Finish). The
@@ -32,90 +35,27 @@ import (
 	"distjoin/internal/geom"
 )
 
-// RectCols is a struct-of-arrays batch of rectangles: lo[d][i] and hi[d][i]
-// hold coordinate d of rectangle i, contiguous per dimension so the kernels
-// stream each column once. The row-form rectangles are retained (slice
-// headers only — geometry is not copied) for the generic-metric fallback
-// and for callers that need the original geometry of row i.
-type RectCols struct {
-	lo, hi [][]float64
-	rects  []geom.Rect
-	n      int
-	dims   int
-}
+// RectCols is a batch of rectangles in the row layout of a decoded index
+// node's coordinate block (spatial.IndexNode.Coords): one run per rectangle,
+// low corner then high corner.
+type RectCols struct{ rows []float64 }
 
-// Reset empties the batch and sets its dimensionality, retaining all
-// backing storage from previous use.
-func (c *RectCols) Reset(dims int) {
-	for len(c.lo) < dims {
-		c.lo = append(c.lo, nil)
-		c.hi = append(c.hi, nil)
-	}
-	for d := 0; d < dims; d++ {
-		c.lo[d] = c.lo[d][:0]
-		c.hi[d] = c.hi[d][:0]
-	}
-	c.rects = c.rects[:0]
-	c.n = 0
-	c.dims = dims
-}
+// Reset empties the batch, retaining its storage. The row layout takes its
+// width from the query, so dims is not recorded.
+func (c *RectCols) Reset(dims int) { c.rows = c.rows[:0] }
 
-// Append adds one rectangle to the batch. r must have the dimensionality
-// the batch was Reset with.
-func (c *RectCols) Append(r geom.Rect) {
-	for d := 0; d < c.dims; d++ {
-		c.lo[d] = append(c.lo[d], r.Lo[d])
-		c.hi[d] = append(c.hi[d], r.Hi[d])
-	}
-	c.rects = append(c.rects, r)
-	c.n++
-}
+// Append adds one rectangle to the batch.
+func (c *RectCols) Append(r geom.Rect) { c.rows = append(append(c.rows, r.Lo...), r.Hi...) }
 
-// Len returns the number of rectangles in the batch.
-func (c *RectCols) Len() int { return c.n }
+// PointCols is a batch of points held as the degenerate rectangles they
+// are, in RectCols' row layout.
+type PointCols struct{ rects RectCols }
 
-// Dims returns the dimensionality the batch was Reset with.
-func (c *RectCols) Dims() int { return c.dims }
-
-// Rect returns the row form of rectangle i.
-func (c *RectCols) Rect(i int) geom.Rect { return c.rects[i] }
-
-// PointCols is a struct-of-arrays batch of points: col[d][i] holds
-// coordinate d of point i.
-type PointCols struct {
-	col  [][]float64
-	pts  []geom.Point
-	n    int
-	dims int
-}
-
-// Reset empties the batch and sets its dimensionality.
-func (c *PointCols) Reset(dims int) {
-	for len(c.col) < dims {
-		c.col = append(c.col, nil)
-	}
-	for d := 0; d < dims; d++ {
-		c.col[d] = c.col[d][:0]
-	}
-	c.pts = c.pts[:0]
-	c.n = 0
-	c.dims = dims
-}
+// Reset empties the batch, retaining its storage.
+func (c *PointCols) Reset(dims int) { c.rects.Reset(dims) }
 
 // Append adds one point to the batch.
-func (c *PointCols) Append(p geom.Point) {
-	for d := 0; d < c.dims; d++ {
-		c.col[d] = append(c.col[d], p[d])
-	}
-	c.pts = append(c.pts, p)
-	c.n++
-}
-
-// Len returns the number of points in the batch.
-func (c *PointCols) Len() int { return c.n }
-
-// Point returns the row form of point i.
-func (c *PointCols) Point(i int) geom.Point { return c.pts[i] }
+func (c *PointCols) Append(p geom.Point) { c.rects.Append(p.Rect()) }
 
 // kind selects a specialized kernel family.
 type kind uint8
@@ -151,9 +91,6 @@ func For(m geom.Metric) Batch {
 	}
 	return b
 }
-
-// Metric returns the metric the kernels compute.
-func (b Batch) Metric() geom.Metric { return b.m }
 
 // Deferred reports whether the kernels produce pre-distances (squared, for
 // L2) that require Finish before use as true distances. Comparisons against
@@ -239,89 +176,10 @@ func (b Batch) PreLessEq(pre, bound float64) bool {
 }
 
 // MinDistBatch computes the minimum distance (pre-distance for deferred
-// kernels) from query to every rectangle of c, into out[:c.Len()].
+// kernels) from query to every rectangle of c, into out: MinDistRows over
+// the batch's rows.
 func (b Batch) MinDistBatch(query geom.Rect, c *RectCols, out []float64) {
-	n := c.n
-	out = out[:n]
-	switch b.kind {
-	case kindGeneric:
-		rects := c.rects[:n]
-		for i := range out {
-			out[i] = b.m.MinDist(query, rects[i])
-		}
-		return
-	case kindLInf:
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			qlo, qhi := query.Lo[d], query.Hi[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				delta := minDelta(qlo, qhi, lo[i], hi[i])
-				if delta > out[i] {
-					out[i] = delta
-				}
-			}
-		}
-		return
-	case kindL1:
-		if c.dims == 2 {
-			b.minDist2D(query, c, out, false)
-			return
-		}
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			qlo, qhi := query.Lo[d], query.Hi[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				out[i] += minDelta(qlo, qhi, lo[i], hi[i])
-			}
-		}
-		return
-	default: // kindL2, squared
-		if c.dims == 2 {
-			b.minDist2D(query, c, out, true)
-			return
-		}
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			qlo, qhi := query.Lo[d], query.Hi[d]
-			lo, hi := c.lo[d][:n], c.hi[d][:n]
-			for i := range out {
-				delta := minDelta(qlo, qhi, lo[i], hi[i])
-				out[i] += delta * delta
-			}
-		}
-	}
-}
-
-// minDist2D is the unrolled two-dimensional L1/L2 MinDist kernel: one pass,
-// both axes per element, accumulators in registers.
-func (b Batch) minDist2D(query geom.Rect, c *RectCols, out []float64, squared bool) {
-	n := c.n
-	qlo0, qhi0 := query.Lo[0], query.Hi[0]
-	qlo1, qhi1 := query.Lo[1], query.Hi[1]
-	lo0, hi0 := c.lo[0][:n], c.hi[0][:n]
-	lo1, hi1 := c.lo[1][:n], c.hi[1][:n]
-	out = out[:n]
-	if squared {
-		for i := range out {
-			d0 := minDelta(qlo0, qhi0, lo0[i], hi0[i])
-			d1 := minDelta(qlo1, qhi1, lo1[i], hi1[i])
-			out[i] = d0*d0 + d1*d1
-		}
-		return
-	}
-	for i := range out {
-		d0 := minDelta(qlo0, qhi0, lo0[i], hi0[i])
-		d1 := minDelta(qlo1, qhi1, lo1[i], hi1[i])
-		out[i] = d0 + d1
-	}
+	b.MinDistRows(query, c.rows, out)
 }
 
 // minDelta is the per-dimension MinDist gap between intervals [alo, ahi]
@@ -338,13 +196,12 @@ func minDelta(alo, ahi, blo, bhi float64) float64 {
 	}
 }
 
-// MinDistRows is MinDistBatch over rectangles in row layout — rows holds
-// one run per rectangle, low corner then high corner (geom.RectOf), the
-// layout of a decoded index node's coordinate block — so a node's entries
-// need no columnar mirror: out[i] receives the (pre-)distance from query to
-// row i, for all len(rows)/(2·dims) rows. Each row's result is the one
-// MinDistBatch computes for the same rectangle, bit for bit (the same
-// per-dimension deltas, accumulated in the same order).
+// MinDistRows computes the minimum distance (pre-distance for deferred
+// kernels) from query to rectangles in row layout — rows holds one run per
+// rectangle, low corner then high corner (geom.RectOf), the layout of a
+// decoded index node's coordinate block, read where it lies: out[i]
+// receives the (pre-)distance from query to row i, for all
+// len(rows)/(2·dims) rows.
 func (b Batch) MinDistRows(query geom.Rect, rows []float64, out []float64) {
 	dims := len(query.Lo)
 	w := 2 * dims
@@ -455,65 +312,9 @@ func (b Batch) MaxDistRows(query geom.Rect, rows []float64, out []float64) {
 }
 
 // DistBatch computes the point-to-point distance (pre-distance for deferred
-// kernels) from p to every point of c, into out[:c.Len()].
+// kernels) from p to every point of c, into out: MinDistRows from p's
+// degenerate rectangle over the points' degenerate rows, as the engine
+// reads a point leaf.
 func (b Batch) DistBatch(p geom.Point, c *PointCols, out []float64) {
-	n := c.n
-	out = out[:n]
-	switch b.kind {
-	case kindGeneric:
-		pts := c.pts[:n]
-		for i := range out {
-			out[i] = b.m.Dist(p, pts[i])
-		}
-		return
-	case kindLInf:
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			q := p[d]
-			col := c.col[d][:n]
-			for i := range out {
-				delta := math.Abs(q - col[i])
-				if delta > out[i] {
-					out[i] = delta
-				}
-			}
-		}
-		return
-	case kindL1:
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			q := p[d]
-			col := c.col[d][:n]
-			for i := range out {
-				out[i] += math.Abs(q - col[i])
-			}
-		}
-		return
-	default: // kindL2, squared
-		if c.dims == 2 {
-			q0, q1 := p[0], p[1]
-			col0, col1 := c.col[0][:n], c.col[1][:n]
-			for i := range out {
-				d0 := math.Abs(q0 - col0[i])
-				d1 := math.Abs(q1 - col1[i])
-				out[i] = d0*d0 + d1*d1
-			}
-			return
-		}
-		for i := range out {
-			out[i] = 0
-		}
-		for d := 0; d < c.dims; d++ {
-			q := p[d]
-			col := c.col[d][:n]
-			for i := range out {
-				delta := math.Abs(q - col[i])
-				out[i] += delta * delta
-			}
-		}
-	}
+	b.MinDistRows(p.Rect(), c.rects.rows, out)
 }
