@@ -107,9 +107,10 @@ type blockStore struct {
 // started in a used store would depend on where the scheduler ran it.
 var freeStores = make(chan *blockStore, 2)
 
-// maxFreeEntries bounds, in 16-byte entries (32 MiB), the heads, singles and
-// rest chunks a store may own and still be kept (a live block has a head):
-// one huge drain's storage does not stay with a process of small queries.
+// maxFreeEntries bounds, in 16-byte entries (32 MiB), everything a store
+// may own and still be kept — its heads and the hybrid list and scratch,
+// singles, blocks and rest chunks: one huge drain's storage does not stay
+// with a process of small queries.
 const maxFreeEntries = 1 << 21
 
 func newBlockStore() *blockStore {
@@ -125,7 +126,10 @@ func newBlockStore() *blockStore {
 // singles pin decoded nodes, so their tables are cleared; the heads and
 // chunks hold no pointers and are reused as they are.
 func (s *blockStore) recycle() {
-	owned := cap(s.heads) + cap(s.singles)*int(unsafe.Sizeof(qpair{})/unsafe.Sizeof(head{}))
+	const perSingle = int(unsafe.Sizeof(qpair{}) / unsafe.Sizeof(head{}))
+	const perBlock = int(unsafe.Sizeof(block{}) / unsafe.Sizeof(head{}))
+	owned := cap(s.heads) + cap(s.pend) + cap(s.list) + cap(s.spare) + cap(s.moved) +
+		cap(s.singles)*perSingle + cap(s.blocks)*perBlock
 	for _, c := range s.chunks {
 		owned += len(c)
 	}
