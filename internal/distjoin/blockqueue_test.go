@@ -482,19 +482,72 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 		t.Fatal("no first pair", err)
 	}
 	q := h.r.(*engine).q
+	held, arenas := tierBytes(q)
+	if perPair := float64(held) / float64(h.QueueLen()); perPair > 1 {
+		t.Errorf("hybrid queue's memory tiers hold %.2f bytes per queued pair in %d arenas (%d on disk of %d), want at most 1", perPair, arenas, q.disk.Len(), h.QueueLen())
+	} else {
+		t.Logf("hybrid queue's memory tiers hold %.2f bytes per queued pair in %d arenas (%d of %d pairs on disk)", perPair, arenas, q.disk.Len(), h.QueueLen())
+	}
+}
+
+// tierBytes counts what the hybrid queue's memory tiers hold: the heads,
+// the singles and blocks slabs, the rest entries, and the arena nodes the
+// blocks of the heap and the list tier hold their pairs in.
+func tierBytes(q *blockQueue) (held, arenas int) {
 	held = len(q.heads)*int(unsafe.Sizeof(head{})) + len(q.singles)*int(unsafe.Sizeof(qpair{})) +
 		len(q.blocks)*int(unsafe.Sizeof(block{})) + q.carved*int(unsafe.Sizeof(head{}))
-	arenas := map[*IndexNode]bool{}
+	seen := map[*IndexNode]bool{}
 	for _, b := range q.blocks {
-		if n := b.node; n != nil && !arenas[n] {
-			arenas[n] = true
+		if n := b.node; n != nil && !seen[n] {
+			seen[n] = true
 			held += int(unsafe.Sizeof(*n)) + 8*cap(n.Coords) + 8*cap(n.Refs) + cap(n.Levels)
 		}
 	}
-	if perPair := float64(held) / float64(h.QueueLen()); perPair > 1 {
-		t.Errorf("hybrid queue's memory tiers hold %.2f bytes per queued pair in %d arenas (%d on disk of %d), want at most 1", perPair, len(arenas), q.disk.Len(), h.QueueLen())
-	} else {
-		t.Logf("hybrid queue's memory tiers hold %.2f bytes per queued pair in %d arenas (%d of %d pairs on disk)", perPair, len(arenas), q.disk.Len(), h.QueueLen())
+	return held, len(seen)
+}
+
+// TestHybridArenaCompaction pins what the retier trigger of end (fresh >
+// 2*kept+4) buys: a pair popped from an arena leaves the rest of the arena
+// in memory, so without compaction the arenas in use follow what has been
+// queued, not what still is. Over the first 50,000 pairs of the clustered
+// 12,000 × 64,000 join, sampled every 2,500 pairs, the memory tiers' peak
+// counted bytes per queued pair stay under a gate. With D_T = 20 the
+// trigger decides it: 86.3 B with it, 94.6 B without. The adaptive D_T
+// fills so few arenas (29) that the trigger barely fires in this drain;
+// its gate is the byte per queued pair of the first-pair check.
+func TestHybridArenaCompaction(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drains 50,000 pairs of a 12,000 × 64,000 join")
+	}
+	ta, tb := buildTree(t, clusteredPoints(63, 12000)), buildTree(t, clusteredPoints(64, 64000))
+	for _, c := range []struct {
+		dt, gate float64
+	}{
+		{0, 1},
+		{20, 90},
+	} {
+		h, err := NewJoinIndexes(WrapRTree(ta), WrapRTree(tb), Options{Traversal: TraverseEven, TieBreak: DepthFirst, Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: c.dt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := h.r.(*engine).q
+		peak, peakArenas := 0.0, 0
+		for i := 1; i <= 50000; i++ {
+			if _, ok, err := h.Next(); !ok || err != nil {
+				t.Fatalf("D_T %v: drain ended at pair %d: %v", c.dt, i, err)
+			}
+			if i%2500 == 0 {
+				if held, arenas := tierBytes(q); float64(held)/float64(h.QueueLen()) > peak {
+					peak, peakArenas = float64(held)/float64(h.QueueLen()), arenas
+				}
+			}
+		}
+		h.Close()
+		if peak > c.gate {
+			t.Errorf("D_T %v: memory tiers peaked at %.2f bytes per queued pair in %d arenas, want at most %v", c.dt, peak, peakArenas, c.gate)
+		} else {
+			t.Logf("D_T %v: memory tiers peaked at %.2f bytes per queued pair in %d arenas", c.dt, peak, peakArenas)
+		}
 	}
 }
 
@@ -659,6 +712,15 @@ func TestBlockStoreRecycled(t *testing.T) {
 	huge = &blockStore{singles: make([]qpair, maxFreeEntries/perSingle+1)}
 	if huge.recycle(); len(freeStores) != 0 {
 		t.Error("a store of singles worth more than maxFreeEntries entries was kept")
+	}
+	perBlock := int(unsafe.Sizeof(block{}) / unsafe.Sizeof(head{}))
+	huge = &blockStore{blocks: make([]block, maxFreeEntries/perBlock+1)}
+	if huge.recycle(); len(freeStores) != 0 {
+		t.Error("a store of blocks worth more than maxFreeEntries entries was kept")
+	}
+	huge = &blockStore{list: make([]head, maxFreeEntries+1)}
+	if huge.recycle(); len(freeStores) != 0 {
+		t.Error("a store whose hybrid list holds more than maxFreeEntries entries was kept")
 	}
 }
 
