@@ -16,9 +16,6 @@ func Seg(a, b Point) Segment {
 	return Segment{A: a, B: b}
 }
 
-// Dim returns the segment's dimensionality.
-func (s Segment) Dim() int { return len(s.A) }
-
 // BBox returns the segment's minimal bounding rectangle.
 func (s Segment) BBox() Rect {
 	lo := make(Point, len(s.A))

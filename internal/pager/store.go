@@ -22,9 +22,6 @@ type PageID uint32
 // InvalidPage is the null page reference.
 const InvalidPage PageID = 0
 
-// DefaultPageSize is the paper's node size of 1 KiB.
-const DefaultPageSize = 1024
-
 // Common errors returned by stores.
 var (
 	ErrPageOutOfRange = errors.New("pager: page id out of range")

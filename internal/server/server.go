@@ -207,9 +207,6 @@ func newServer(cfg Config, now func() time.Time, after func(time.Duration, func(
 // /metrics and /debug/queries in a caller-owned mux.
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// Registry returns the server's index registry.
-func (s *Server) Registry() *Registry { return s.cfg.Registry }
-
 // OpenCursors returns the number of live cursors (diagnostic).
 func (s *Server) OpenCursors() int {
 	open, _ := s.table.load()
@@ -391,9 +388,6 @@ func Start(addr string, cfg Config, mount func(srv *Server, mux *http.ServeMux))
 
 // Addr returns the bound address.
 func (r *Running) Addr() string { return r.ln.Addr().String() }
-
-// Server returns the underlying query service.
-func (r *Running) Server() *Server { return r.srv }
 
 // Shutdown drains the service within the given window: readiness flips to
 // 503, every live cursor is hard-canceled (an in-flight pull surfaces
