@@ -513,12 +513,9 @@ func tierBytes(q *blockQueue) (held, arenas int) {
 // 12,000 × 64,000 join, sampled every 2,500 pairs, the memory tiers' peak
 // counted bytes per queued pair stay under a gate. With D_T = 20 the
 // trigger decides it: 86.3 B with it, 94.6 B without. The adaptive D_T
-// fills so few arenas (29) that the trigger barely fires in this drain;
+// fills so few arenas (under 30) that the trigger barely fires in this drain;
 // its gate is the byte per queued pair of the first-pair check.
 func TestHybridArenaCompaction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drains 50,000 pairs of a 12,000 × 64,000 join")
-	}
 	ta, tb := buildTree(t, clusteredPoints(63, 12000)), buildTree(t, clusteredPoints(64, 64000))
 	for _, c := range []struct {
 		dt, gate float64
@@ -536,10 +533,12 @@ func TestHybridArenaCompaction(t *testing.T) {
 			if _, ok, err := h.Next(); !ok || err != nil {
 				t.Fatalf("D_T %v: drain ended at pair %d: %v", c.dt, i, err)
 			}
-			if i%2500 == 0 {
-				if held, arenas := tierBytes(q); float64(held)/float64(h.QueueLen()) > peak {
-					peak, peakArenas = float64(held)/float64(h.QueueLen()), arenas
-				}
+			if i%2500 != 0 {
+				continue
+			}
+			held, arenas := tierBytes(q)
+			if perPair := float64(held) / float64(h.QueueLen()); perPair > peak {
+				peak, peakArenas = perPair, arenas
 			}
 		}
 		h.Close()
