@@ -342,7 +342,7 @@ func BenchmarkDimSweep(b *testing.B) {
 func TestNilRecorderZeroAllocs(t *testing.T) {
 	var rec *distjoin.Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		rec.Emit(-1, 1.0, 3, time.Time{})
+		rec.Emit(-1, 1.0, 3, time.Time{}, time.Time{})
 		rec.Deliver(2.0)
 		rec.EngineStarted()
 		rec.EngineStopped()

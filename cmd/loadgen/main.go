@@ -40,8 +40,9 @@ import (
 )
 
 // slowPull identifies one of the slowest pulls of a run: its latency and
-// the distributed-trace id to look it up with — at the OTLP collector, in
-// distjoind's request log, or via /debug/queries with the cursor id.
+// the distributed-trace id to look it up with — at the OTLP collector, or
+// via /debug/queries with the cursor id. (distjoind logs a successful pull
+// at debug level only.)
 type slowPull struct {
 	TraceID string        `json:"trace_id"`
 	Cursor  string        `json:"cursor"`

@@ -544,15 +544,15 @@ func (e *engine) semiGlobalAdmit(isNode bool, ref uint64, d, dmax float64) bool 
 }
 
 // next drives the algorithm until the next reportable object pair. With a
-// meter attached the call is one step of it: the time no nested bracket
-// claims is the emit phase, an emitted pair is reported, and the meter folds
-// into the caller's sinks before next returns. Without one, the direct path
-// takes no clock reads at all.
+// meter attached the call is one step of it: the step opens in the pop
+// phase, an emitted pair is reported, and the meter folds into the caller's
+// sinks before next returns. Without one, the direct path takes no clock
+// reads at all.
 func (e *engine) next() (Pair, bool, error) {
 	if e.m == nil {
 		return e.step()
 	}
-	e.m.BeginStep(meter.PhaseEmit)
+	e.m.BeginStep(meter.PhasePop)
 	p, ok, err := e.step()
 	if ok {
 		e.m.Emit(p.Dist, e.q.Len())
@@ -561,17 +561,16 @@ func (e *engine) next() (Pair, bool, error) {
 	return p, ok, err
 }
 
-// pop dequeues inside the pop phase (the queue's disk-tier fetch brackets
-// itself out of it).
+// pop dequeues in the pop phase, which the dequeue-time checks that follow
+// stay in until the pair is expanded or reported (the queue's disk-tier
+// fetch brackets itself out of it).
 func (e *engine) pop() (qpair, bool, error) {
-	ph := e.m.Begin(meter.PhasePop)
-	p, ok, err := e.q.Pop()
-	e.m.End(ph)
-	return p, ok, err
+	e.m.Switch(meter.PhasePop)
+	return e.q.Pop()
 }
 
-// insert enqueues a pair that stands for itself inside the push phase (the
-// queue's disk-tier spill brackets itself out of it).
+// insert enqueues a pair that stands for itself in a push bracket nested in
+// the running phase (the queue's disk-tier spill brackets itself out of it).
 func (e *engine) insert(p qpair) error {
 	ph := e.m.Begin(meter.PhasePush)
 	err := e.q.Insert(p)
@@ -732,6 +731,7 @@ func (e *engine) report(p qpair) (Pair, bool) {
 	if e.revEst != nil {
 		e.revEst.onReport()
 	}
+	e.m.Switch(meter.PhaseEmit)
 	e.reported++
 	// The items' coordinates may be views of index nodes every cursor on
 	// the index shares: the caller gets copies, both in one block of its
@@ -801,14 +801,13 @@ func (e *engine) resolveOBR(p *qpair) (reportable, exact bool, err error) {
 	return false, true, nil
 }
 
-// expand processes a pair with at least one node inside the expand phase
-// (its enqueues bracket themselves out of it).
+// expand processes a pair with at least one node in the expand phase (a
+// block of children hands over to the push phase, single enqueues bracket
+// themselves out of it).
 func (e *engine) expand(p qpair) error {
 	e.m.Expand()
-	ph := e.m.Begin(meter.PhaseExpand)
-	err := e.expandPair(p)
-	e.m.End(ph)
-	return err
+	e.m.Switch(meter.PhaseExpand)
+	return e.expandPair(p)
 }
 
 // expandPair dispatches the expansion according to the traversal policy.
@@ -887,10 +886,8 @@ func (e *engine) expandSide(p qpair, side int) error {
 	// read, so a failed expansion leaves none half open.
 	e.q.begin(other, n, side, e.leafEntryKind())
 	e.generate(&e.q.cur, nodeItem.rect())
-	ph := e.m.Begin(meter.PhasePush)
-	err = e.q.end()
-	e.m.End(ph)
-	return err
+	e.m.Switch(meter.PhasePush)
+	return e.q.end()
 }
 
 // generate is the child generator of every side expansion, whatever the

@@ -1,0 +1,84 @@
+package meter_test
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+
+	"distjoin/internal/distjoin"
+	"distjoin/internal/geom"
+	"distjoin/internal/meter"
+	"distjoin/internal/obs"
+	"distjoin/internal/rtree"
+)
+
+// randomTree bulk-loads n random points into a small-node R-tree.
+func randomTree(t *testing.T, seed int64, n int) distjoin.SpatialIndex {
+	t.Helper()
+	rnd := rand.New(rand.NewSource(seed))
+	items := make([]rtree.Item, n)
+	for i := range items {
+		items[i] = rtree.Item{Rect: geom.Pt(rnd.Float64()*1000, rnd.Float64()*1000).Rect(), Obj: rtree.ObjID(i)}
+	}
+	tr, err := rtree.BulkLoad(rtree.Config{Dims: 2, PageSize: 512, BufferFrames: 32}, items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return distjoin.WrapRTree(tr)
+}
+
+// TestClockReadBudget runs a join with every timing view attached on a
+// clock that advances 1µs per read, and counts the reads of each Next call:
+// a step that pops and reports reads the clock at most 3 times, each
+// expansion in it at most 3 more, and Recorder.Emit reads none of its own —
+// its pop-to-emit latencies are exactly the step walls the meter's reads
+// bound. The phase times sum to the steps' walls.
+func TestClockReadBudget(t *testing.T) {
+	a, b := randomTree(t, 1, 400), randomTree(t, 2, 400)
+	var reads int
+	var elapsed time.Duration
+	t.Cleanup(meter.SetClock(func(time.Time) time.Duration {
+		reads++
+		elapsed += time.Microsecond
+		return elapsed
+	}))
+	counters, spans, rec := &meter.Counters{}, &meter.Spans{}, obs.New(obs.Config{})
+	j, err := distjoin.NewJoinIndexes(a, b, distjoin.Options{MaxPairs: 300, Counters: counters, Profile: spans, Obs: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wall, emitWall, pairs, expansions int64
+	for {
+		before, expBefore := reads, counters.Snapshot().Expansions
+		_, ok, err := j.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, exp := int64(reads-before), counters.Snapshot().Expansions-expBefore
+		if limit := 3 + 3*exp; n > limit {
+			t.Fatalf("Next call %d read the clock %d times over %d expansions, budget %d", pairs+1, n, exp, limit)
+		}
+		wall += n - 1 // the first read opens the step, each later one closes a slice
+		expansions += exp
+		if !ok {
+			break
+		}
+		pairs++
+		emitWall += n - 1
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if pairs != 300 || expansions == 0 {
+		t.Fatalf("drained %d pairs over %d expansions, want 300 over some", pairs, expansions)
+	}
+	if got := spans.Tally().TotalNS(); got != wall*int64(time.Microsecond) {
+		t.Errorf("phases sum to %v, the steps' walls to %v", time.Duration(got), time.Duration(wall)*time.Microsecond)
+	}
+	s := rec.Snapshot()
+	if want := time.Duration(emitWall) * time.Microsecond / time.Duration(pairs); s.PopToEmit.Count != pairs ||
+		time.Duration(s.PopToEmit.MeanS*1e9+0.5) != want {
+		t.Errorf("pop-to-emit: %d observations of mean %gs, want %d of the meter's %v", s.PopToEmit.Count, s.PopToEmit.MeanS, pairs, want)
+	}
+}

@@ -14,10 +14,11 @@
 // .Tracer — are views: at every Next return and at close the meter folds
 // what it accumulated since the last fold into them, so a reader between
 // two Next calls sees everything the engine has done so far. Only the
-// histogram observations and gauges of an emitted pair (which need their own
-// timestamp) reach the Recorder at hook time. The clock is read only when a
-// timing view is attached: phase brackets when Profile or Tracer is set, the
-// per-Next stamp also when Obs is.
+// histogram observations and gauges of an emitted pair reach the Recorder
+// outside a fold, at the end of the step that emitted it, stamped with the
+// step's own clock reads. The clock is read only when a timing view is
+// attached: once per phase change when Profile or Tracer is set, at a step's
+// start and its emission when only Obs is.
 //
 // With every sink nil, Begin returns a nil *Run, which hands out nil
 // *Meters, and every hook on a nil *Meter returns at once: no allocation,
@@ -180,11 +181,16 @@ type Meter struct {
 	n, foldedN Counters
 	t, foldedT profile.Tally
 
-	phase   Phase // the bracket the engine is in; idle between steps
+	phase   Phase // the phase the engine is in; idle between steps
 	entered int64 // when phase was entered, in ns since the run's epoch
 	step    int64 // when the current step began, likewise
 	ended   int64 // when the last step ended, likewise; 0 before the first
 	away    int64 // ns between one step's end and the next one's start
+
+	// The pair the current step emitted, held for the Recorder to EndStep.
+	emitted   bool
+	emitDist  float64
+	emitQueue int
 }
 
 // enter switches the running phase, charging the elapsed time to the phase
@@ -202,9 +208,10 @@ func (m *Meter) enter(p Phase) Phase {
 }
 
 // Begin opens a bracket of phase p nested in the running phase, whose
-// clock stops until the matching End(prev). Outside a step nothing is
-// timed: the only work there is seeding the queue at construction, which
-// the trace's plan span already covers.
+// clock stops until the matching End(prev): the queue's fetch, spill and
+// page I/O, and a single pair's push inside an expansion. Outside a step
+// nothing is timed: the only work there is seeding the queue at
+// construction, which the trace's plan span already covers.
 func (m *Meter) Begin(p Phase) (prev Phase) {
 	if m == nil || !m.timed || m.phase == idle {
 		return idle
@@ -219,9 +226,19 @@ func (m *Meter) End(prev Phase) {
 	}
 }
 
-// BeginStep opens one Next call of an engine (p = PhaseEmit: the step's
-// time not claimed by a nested bracket is the emit residue) or of the
-// parallel merge (p = PhaseMerge).
+// Switch hands the running phase over to p. The engine's phases follow one
+// another directly — a pop hands over to the expansion or the report that
+// follows, an expansion to the push of its children, a push to the next
+// pop — so one clock read closes the phase left and opens p. In p already,
+// outside a step, or with no timing view, it reads nothing.
+func (m *Meter) Switch(p Phase) {
+	if m != nil && m.timed && m.phase != idle && m.phase != p {
+		m.enter(p)
+	}
+}
+
+// BeginStep opens one Next call of an engine in p = PhasePop (the engine's
+// first act in a step is a pop) or of the parallel merge in p = PhaseMerge.
 func (m *Meter) BeginStep(p Phase) {
 	switch {
 	case m == nil || !m.clock:
@@ -236,11 +253,12 @@ func (m *Meter) BeginStep(p Phase) {
 	}
 }
 
-// EndStep closes the step BeginStep opened, folding the meter into the
-// views first: publishing is work done inside the Next call, so its time
-// belongs to the step's phase (the views' phase times therefore trail the
-// meter by the step's last sub-microsecond slice until the next fold; the
-// counts never trail).
+// EndStep closes the step BeginStep opened, counting one span of phase p,
+// folding the meter into the views first: publishing is work done inside
+// the Next call, so its time belongs to the step's last phase (the views'
+// phase times therefore trail the meter by the step's last slice until the
+// next fold; the counts never trail). Then one clock read ends the step,
+// and the pair the step emitted reaches the Recorder stamped with it.
 func (m *Meter) EndStep(p Phase) {
 	if m == nil {
 		return
@@ -252,6 +270,14 @@ func (m *Meter) EndStep(p Phase) {
 	if m.timed {
 		m.enter(idle)
 		m.ended = m.entered
+	}
+	if m.emitted {
+		m.emitted = false
+		now, epoch := m.ended, m.run.epoch
+		if !m.timed {
+			now = int64(since(epoch))
+		}
+		m.run.Obs.Emit(m.part, m.emitDist, m.emitQueue, epoch.Add(time.Duration(m.step)), epoch.Add(time.Duration(now)))
 	}
 }
 
@@ -369,11 +395,13 @@ func (m *Meter) Fetch() {
 }
 
 // Emit counts one result pair at distance dist leaving the engine, whose
-// queue now holds queueLen pairs.
+// queue now holds queueLen pairs. The Recorder hears of it at EndStep.
 func (m *Meter) Emit(dist float64, queueLen int) {
 	if m != nil {
 		m.n.PairsReported++
-		m.run.Obs.Emit(m.part, dist, queueLen, m.run.epoch.Add(time.Duration(m.step)))
+		if m.run.Obs != nil {
+			m.emitted, m.emitDist, m.emitQueue = true, dist, queueLen
+		}
 	}
 }
 

@@ -15,44 +15,44 @@ func fakeClock(t *testing.T, tick time.Duration) (reads *int) {
 	t.Helper()
 	var n int
 	var elapsed time.Duration
-	old := since
-	since = func(time.Time) time.Duration {
+	t.Cleanup(SetClock(func(time.Time) time.Duration {
 		n++
 		elapsed += tick
 		return elapsed
-	}
-	t.Cleanup(func() { since = old })
+	}))
 	return &n
 }
 
-// everyHook drives each hook an engine and its queue call during one step.
+// everyHook drives each hook an engine and its queue call during one step,
+// in the engine's order: a pop (with a disk-tier fetch) hands over to an
+// expansion, its children's push (with a spill) to the next pop, and that
+// pop to the report.
 func everyHook(m *Meter) {
-	m.BeginStep(PhaseEmit)
-	pop := m.Begin(PhasePop)
+	m.BeginStep(PhasePop)
 	fetch := m.Begin(PhaseFetch)
 	m.Fetch()
 	m.PageRead(m.IOStart())
 	m.End(fetch)
 	m.Pop()
-	m.End(pop)
 	m.Expand()
-	exp := m.Begin(PhaseExpand)
+	m.Switch(PhaseExpand)
 	m.DistCalc(true)
 	m.DistCalc(false)
 	m.Filter(1)
 	m.BatchPruned(2)
-	push := m.Begin(PhasePush)
+	m.Switch(PhasePush)
 	spill := m.Begin(PhaseSpill)
 	m.Spill()
 	m.PageWritten(m.IOStart())
 	m.End(spill)
 	m.Push(3, 3)
-	m.End(push)
-	m.End(exp)
+	m.Switch(PhasePop)
+	m.Switch(PhasePop) // already there: no read
 	m.Fault()
 	m.Retry()
 	m.Restart()
 	m.Stall()
+	m.Switch(PhaseEmit)
 	m.Emit(2.5, 3)
 	m.Deliver(2.5)
 	m.EndStep(PhaseEmit)
@@ -84,8 +84,8 @@ func TestNilSinksZeroAllocsZeroClockReads(t *testing.T) {
 }
 
 // TestClockOnlyForTimingViews pins when the meter reads the clock: never
-// with only Counters attached, once per step (the pop-to-emit stamp) with
-// Obs, and once per phase switch with Profile or Tracer.
+// with only Counters attached, twice per emitting step (the pop-to-emit
+// stamps) with Obs, and once per phase change with Profile or Tracer.
 func TestClockOnlyForTimingViews(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -93,11 +93,11 @@ func TestClockOnlyForTimingViews(t *testing.T) {
 		want  int
 	}{
 		{"counters", Sinks{Counters: &Counters{}}, 0},
-		{"obs", Sinks{Obs: obs.New(obs.Config{})}, 1},
-		// step in, 5 brackets × (in + out), 2 page I/Os × (start + end),
-		// step out.
-		{"profile", Sinks{Profile: &Spans{}}, 16},
-		{"tracer", Sinks{Tracer: qtrace.New(qtrace.Config{})}, 16},
+		{"obs", Sinks{Obs: obs.New(obs.Config{})}, 2},
+		// step in, 2 brackets × (in + out), 2 page I/Os × (start + end),
+		// 4 switches, step out.
+		{"profile", Sinks{Profile: &Spans{}}, 14},
+		{"tracer", Sinks{Tracer: qtrace.New(qtrace.Config{})}, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := Begin(tc.sinks, "join").Meter(-1)
@@ -125,7 +125,7 @@ func TestPhasesAreExclusive(t *testing.T) {
 	m.Close(2)
 	want := map[Phase]int64{
 		// fetch and spill each hold one page I/O: two more reads inside.
-		PhaseEmit: 3, PhasePop: 2, PhaseFetch: 3, PhaseExpand: 2, PhasePush: 2, PhaseSpill: 3,
+		PhaseEmit: 1, PhasePop: 3, PhaseFetch: 3, PhaseExpand: 1, PhasePush: 2, PhaseSpill: 3,
 	}
 	var total int64
 	for p := Phase(0); int(p) < profile.NumPhases; p++ {
@@ -135,8 +135,8 @@ func TestPhasesAreExclusive(t *testing.T) {
 			t.Errorf("phase %s = %dµs, want %d", p, got, 2*want[p])
 		}
 	}
-	if total != 2*15 { // 16 reads per step bound 15 slices
-		t.Errorf("phases sum to %dµs, want 30", total)
+	if total != 2*13 { // 14 reads per step bound 13 slices
+		t.Errorf("phases sum to %dµs, want 26", total)
 	}
 	// The page I/Os are "of which" time: one slice each, inside their phase.
 	if tl := sp.Tally(); tl.IOReadNS != 2000 || tl.IOWriteNS != 2000 || tl.IOReads != 2 || tl.IOWrites != 2 {
@@ -167,8 +167,8 @@ func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 	fakeClock(t, time.Microsecond)
 	m.End(m.Begin(PhasePush)) // seeding: no clock read
 	run.PlanDone()
-	everyHook(m) // reads 1..16
-	everyHook(m) // reads 17..32: the caller held the iterator from 16 to 17
+	everyHook(m) // reads 1..14
+	everyHook(m) // reads 15..28: the caller held the iterator from 14 to 15
 	m.Close(2)
 	run.Finish(nil)
 
@@ -176,8 +176,8 @@ func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 	if got := time.Duration(qt.CallerSeconds * 1e9).Round(time.Nanosecond); got != time.Microsecond {
 		t.Errorf("caller time = %v, want the 1µs between the two steps", got)
 	}
-	if w := qt.Root.Find("worker"); time.Duration(w.Seconds*1e9).Round(time.Nanosecond) != 30*time.Microsecond {
-		t.Errorf("worker span = %vs, want the 30µs of the two steps", w.Seconds)
+	if w := qt.Root.Find("worker"); time.Duration(w.Seconds*1e9).Round(time.Nanosecond) != 26*time.Microsecond {
+		t.Errorf("worker span = %vs, want the 26µs of the two steps", w.Seconds)
 	}
 }
 
@@ -221,7 +221,7 @@ func BenchmarkStep(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			m := Begin(tc.sinks, "bench").Meter(-1)
 			for i := 0; i < b.N; i++ {
-				m.BeginStep(PhaseEmit)
+				m.BeginStep(PhasePop)
 				m.Pop()
 				m.Push(3, 3)
 				m.DistCalc(false)

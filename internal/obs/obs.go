@@ -92,15 +92,15 @@ func (r *Recorder) EngineStopped() {
 
 // Emit records one result pair produced by an engine: the pop-to-emit
 // latency (popStart is when the engine's Next call began draining the
-// queue), the live queue depth, and — on the sequential path (part < 0),
-// where production is delivery — the delivery accounting as well. Parallel
-// partition workers pass their partition id and the merge calls Deliver for
-// the ordered stream.
-func (r *Recorder) Emit(part int32, dist float64, queueLen int, popStart time.Time) {
+// queue, now when it ended — both the engine meter's clock reads, so Emit
+// reads no clock of its own), the live queue depth, and — on the
+// sequential path (part < 0), where production is delivery — the delivery
+// accounting as well. Parallel partition workers pass their partition id
+// and the merge calls Deliver for the ordered stream.
+func (r *Recorder) Emit(part int32, dist float64, queueLen int, popStart, now time.Time) {
 	if r == nil {
 		return
 	}
-	now := time.Now()
 	r.popToEmit.Observe(now.Sub(popStart))
 	r.queueDepth.Store(int64(queueLen))
 	if part < 0 {

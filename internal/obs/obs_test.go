@@ -19,8 +19,8 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.EngineStarted()
 	r.EngineStopped()
-	r.Emit(-1, 2.5, 10, time.Time{})
-	r.Emit(3, 2.5, 10, time.Time{})
+	r.Emit(-1, 2.5, 10, time.Time{}, time.Time{})
+	r.Emit(3, 2.5, 10, time.Time{}, time.Time{})
 	r.Deliver(3.5)
 	r.SetPartitions(4)
 	if r.PartitionPairs() != nil {
@@ -40,7 +40,7 @@ func TestNilRecorderAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.EngineStarted()
-		r.Emit(-1, 2.0, 5, time.Time{})
+		r.Emit(-1, 2.0, 5, time.Time{}, time.Time{})
 		r.Deliver(2.0)
 		r.EngineStopped()
 		r.Counts().Merge(nil)
@@ -56,9 +56,11 @@ func TestNilRecorderAllocs(t *testing.T) {
 func TestRecorderCountsAndSnapshot(t *testing.T) {
 	r := New(Config{})
 	r.EngineStarted()
-	start := time.Now()
-	r.Emit(-1, 1.0, 7, start)
-	r.Emit(-1, 2.0, 6, start)
+	// The stamps are the engine meter's clock reads: Emit reads no clock, so
+	// the latencies are exactly their differences.
+	start := time.Now().Add(-time.Hour)
+	r.Emit(-1, 1.0, 7, start, start.Add(3*time.Microsecond))
+	r.Emit(-1, 2.0, 6, start.Add(4*time.Microsecond), start.Add(9*time.Microsecond))
 	r.EngineStopped()
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1, Restarts: 1})
 	s := r.Snapshot()
@@ -83,15 +85,19 @@ func TestRecorderCountsAndSnapshot(t *testing.T) {
 	if s.InterPairDelay.Count != 1 {
 		t.Errorf("interPair count=%d, want 1 (first pair has no predecessor)", s.InterPairDelay.Count)
 	}
+	if r.popToEmit.Sum() != 8*time.Microsecond || r.interPair.Sum() != 6*time.Microsecond {
+		t.Errorf("pop-to-emit sum %v, inter-pair sum %v; want 8µs and 6µs from the stamps alone",
+			r.popToEmit.Sum(), r.interPair.Sum())
+	}
 }
 
 func TestPartitionPairs(t *testing.T) {
 	r := New(Config{})
 	r.SetPartitions(3)
 	start := time.Now()
-	r.Emit(0, 1.0, 1, start)
-	r.Emit(2, 1.5, 1, start)
-	r.Emit(2, 2.0, 1, start)
+	r.Emit(0, 1.0, 1, start, start)
+	r.Emit(2, 1.5, 1, start, start)
+	r.Emit(2, 2.0, 1, start, start)
 	r.Deliver(1.0)
 	got := r.PartitionPairs()
 	want := []int64{1, 0, 2}
@@ -157,8 +163,8 @@ func TestMetricsHandler(t *testing.T) {
 	r := New(Config{})
 	r.SetPartitions(2)
 	start := time.Now()
-	r.Emit(0, 1.0, 4, start)
-	r.Emit(1, 2.0, 3, start)
+	r.Emit(0, 1.0, 4, start, start)
+	r.Emit(1, 2.0, 3, start, start)
 	r.Deliver(1.0)
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 5})
 	rec := httptest.NewRecorder()
@@ -228,7 +234,8 @@ func TestConcurrentHooks(t *testing.T) {
 			defer wg.Done()
 			r.EngineStarted()
 			for i := 0; i < 200; i++ {
-				r.Emit(p, float64(i), i, time.Now())
+				now := time.Now()
+				r.Emit(p, float64(i), i, now, now)
 				r.Counts().Merge(&stats.Counters{PairsReported: 1})
 			}
 			r.EngineStopped()
@@ -277,7 +284,8 @@ func TestQuantilesMethod(t *testing.T) {
 // quantiles stay readable from the snapshot (-explain and ObsSnapshot).
 func TestMetricsQuantileGauges(t *testing.T) {
 	r := New(Config{})
-	r.Emit(-1, 1.0, 4, time.Now())
+	now := time.Now()
+	r.Emit(-1, 1.0, 4, now.Add(-time.Microsecond), now)
 	r.Deliver(1.0)
 	r.Deliver(2.0)
 	rec := httptest.NewRecorder()

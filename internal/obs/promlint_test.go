@@ -29,7 +29,8 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	rec := obs.New(obs.Config{})
 	rec.Deliver(0.25)
 	rec.Deliver(0.50)
-	rec.Emit(0, 0.25, 3, time.Now().Add(-50*time.Microsecond))
+	now := time.Now()
+	rec.Emit(0, 0.25, 3, now.Add(-50*time.Microsecond), now)
 	var c stats.Counters
 	fields := reflect.ValueOf(&c).Elem()
 	for i := 0; i < fields.NumField(); i++ {

@@ -1,4 +1,4 @@
-package otlpexport
+package otlpexport_test
 
 import (
 	"net/http"
@@ -7,27 +7,23 @@ import (
 	"testing"
 	"time"
 
-	"distjoin/internal/pager"
+	"distjoin/internal/otlpexport"
+	"distjoin/internal/otlptest"
 	"distjoin/internal/qtrace"
 )
 
-// fastRetry is an aggressive policy that never sleeps, for tests.
-func fastRetry(attempts int) pager.RetryPolicy {
-	return pager.RetryPolicy{MaxAttempts: attempts, Backoff: time.Nanosecond, Sleep: func(time.Duration) {}}
-}
-
 func TestExporterEndToEnd(t *testing.T) {
-	col := &Collector{}
+	col := &otlptest.Collector{}
 	srv := httptest.NewServer(col)
 	defer srv.Close()
 
-	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces", Service: "distjoind-test"}, fastRetry(1))
+	exp := otlpexport.NewWithRetry(otlpexport.Config{Endpoint: srv.URL + "/v1/traces", Service: "distjoind-test"}, otlpexport.FastRetry(1))
 	// Wire the exporter the way distjoind does: as the tracer's completion
 	// hook. Every finished query lands at the collector.
 	tr := qtrace.New(qtrace.Config{OnComplete: exp.OnComplete})
 	parent, _ := qtrace.ParseTraceParent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
-	qt := tracedQuery(tr, "e2e-1", parent, nil)
-	tracedQuery(tr, "e2e-2", qtrace.SpanContext{}, nil)
+	qt := otlpexport.TracedQuery(tr, "e2e-1", parent, nil)
+	otlpexport.TracedQuery(tr, "e2e-2", qtrace.SpanContext{}, nil)
 
 	if err := exp.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
@@ -53,12 +49,12 @@ func TestExporterEndToEnd(t *testing.T) {
 }
 
 func TestExporterRetriesTransientFailures(t *testing.T) {
-	col := &Collector{FailFirst: 2} // two 503s, then accept
+	col := &otlptest.Collector{FailFirst: 2} // two 503s, then accept
 	srv := httptest.NewServer(col)
 	defer srv.Close()
 
-	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces"}, fastRetry(4))
-	exp.EnqueueSpans(SpansFromQueryTrace(tracedQuery(qtrace.New(qtrace.Config{}), "retry-q", qtrace.SpanContext{}, nil)))
+	exp := otlpexport.NewWithRetry(otlpexport.Config{Endpoint: srv.URL + "/v1/traces"}, otlpexport.FastRetry(4))
+	exp.EnqueueSpans(otlpexport.SpansFromQueryTrace(otlpexport.TracedQuery(qtrace.New(qtrace.Config{}), "retry-q", qtrace.SpanContext{}, nil)))
 	if err := exp.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +77,8 @@ func TestExporterDropsAfterExhaustedRetries(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces"}, fastRetry(3))
-	exp.EnqueueSpans(SpansFromQueryTrace(tracedQuery(qtrace.New(qtrace.Config{}), "doomed", qtrace.SpanContext{}, nil)))
+	exp := otlpexport.NewWithRetry(otlpexport.Config{Endpoint: srv.URL + "/v1/traces"}, otlpexport.FastRetry(3))
+	exp.EnqueueSpans(otlpexport.SpansFromQueryTrace(otlpexport.TracedQuery(qtrace.New(qtrace.Config{}), "doomed", qtrace.SpanContext{}, nil)))
 	if err := exp.Flush(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +100,8 @@ func TestExporterPermanentFailureSkipsRetry(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	exp := newExporter(Config{Endpoint: srv.URL + "/v1/traces"}, fastRetry(5))
-	exp.EnqueueSpans(SpansFromQueryTrace(tracedQuery(qtrace.New(qtrace.Config{}), "rejected", qtrace.SpanContext{}, nil)))
+	exp := otlpexport.NewWithRetry(otlpexport.Config{Endpoint: srv.URL + "/v1/traces"}, otlpexport.FastRetry(5))
+	exp.EnqueueSpans(otlpexport.SpansFromQueryTrace(otlpexport.TracedQuery(qtrace.New(qtrace.Config{}), "rejected", qtrace.SpanContext{}, nil)))
 	exp.Flush(5 * time.Second)
 	exp.Close()
 	if posts != 1 {
@@ -117,13 +113,13 @@ func TestExporterPermanentFailureSkipsRetry(t *testing.T) {
 }
 
 func TestExporterNeverBlocksWhenClosed(t *testing.T) {
-	srv := httptest.NewServer(&Collector{})
+	srv := httptest.NewServer(&otlptest.Collector{})
 	defer srv.Close()
-	exp := New(Config{Endpoint: srv.URL + "/v1/traces"})
+	exp := otlpexport.New(otlpexport.Config{Endpoint: srv.URL + "/v1/traces"})
 	exp.Close()
 	done := make(chan struct{})
 	go func() {
-		exp.EnqueueSpans([]Span{{TraceID: qtrace.NewTraceID(), SpanID: qtrace.NewSpanID(), Name: "late"}})
+		exp.EnqueueSpans([]otlpexport.Span{{TraceID: qtrace.NewTraceID(), SpanID: qtrace.NewSpanID(), Name: "late"}})
 		exp.OnComplete(&qtrace.QueryTrace{ID: "late", Kind: "join"})
 		close(done)
 	}()
@@ -137,7 +133,7 @@ func TestExporterNeverBlocksWhenClosed(t *testing.T) {
 	}
 	// Double Close and nil receivers are no-ops.
 	exp.Close()
-	var nilExp *Exporter
+	var nilExp *otlpexport.Exporter
 	nilExp.OnComplete(nil)
 	nilExp.EnqueueSpans(nil)
 	if err := nilExp.Flush(time.Second); err != nil {
@@ -147,10 +143,10 @@ func TestExporterNeverBlocksWhenClosed(t *testing.T) {
 }
 
 func TestExporterWritePrometheus(t *testing.T) {
-	srv := httptest.NewServer(&Collector{})
+	srv := httptest.NewServer(&otlptest.Collector{})
 	defer srv.Close()
-	exp := New(Config{Endpoint: srv.URL + "/v1/traces"})
-	exp.EnqueueSpans(SpansFromQueryTrace(tracedQuery(qtrace.New(qtrace.Config{}), "m", qtrace.SpanContext{}, nil)))
+	exp := otlpexport.New(otlpexport.Config{Endpoint: srv.URL + "/v1/traces"})
+	exp.EnqueueSpans(otlpexport.SpansFromQueryTrace(otlpexport.TracedQuery(qtrace.New(qtrace.Config{}), "m", qtrace.SpanContext{}, nil)))
 	exp.Flush(5 * time.Second)
 	defer exp.Close()
 
@@ -168,7 +164,7 @@ func TestExporterWritePrometheus(t *testing.T) {
 		}
 	}
 	var nb strings.Builder
-	(*Exporter)(nil).WritePrometheus(&nb)
+	(*otlpexport.Exporter)(nil).WritePrometheus(&nb)
 	if nb.Len() != 0 {
 		t.Errorf("nil exporter wrote %q", nb.String())
 	}

@@ -22,7 +22,7 @@ import (
 	"time"
 
 	"distjoin/internal/buildinfo"
-	"distjoin/internal/otlpexport"
+	"distjoin/internal/otlptest"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "mockotlp: collecting on %s\n", ln.Addr())
 	srv := &http.Server{
-		Handler:           &otlpexport.Collector{FailFirst: *failFirst},
+		Handler:           &otlptest.Collector{FailFirst: *failFirst},
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	if err := srv.Serve(ln); err != nil {

@@ -5,14 +5,14 @@
 // produces is modelled: resource + scope + spans with string/int/double/bool
 // attributes, span status, and span links.
 //
-// The package has three layers: the wire types and the QueryTrace→span
-// conversion (this file), the batching Exporter with bounded queue and
-// retry (exporter.go), and an in-process validating Collector that backs
-// both the unit tests and the cmd-style mock collector CI smoke uses
-// (collector.go, mockotlp/).
+// The package has two layers: the wire types, the QueryTrace→span
+// conversion and the wire contract's validator (this file), and the
+// batching Exporter with bounded queue and retry (exporter.go). The
+// validating collector the tests and mockotlp run is internal/otlptest.
 package otlpexport
 
 import (
+	"fmt"
 	"strconv"
 	"time"
 
@@ -357,4 +357,81 @@ func clampTime(t, lo, hi time.Time) time.Time {
 		return hi
 	}
 	return t
+}
+
+// ValidateWireSpan enforces the exporter's wire contract on one span — hex
+// id widths, required fields, parseable timestamps in order, known enum
+// values, and well-formed attributes — as a collector sees it. The checked-in
+// testdata/otlpspan.schema.json states the same constraints declaratively.
+func ValidateWireSpan(sp WireSpan) error {
+	if !isHexN(sp.TraceID, 32) {
+		return fmt.Errorf("traceId %q is not 32 hex chars", sp.TraceID)
+	}
+	if !isHexN(sp.SpanID, 16) {
+		return fmt.Errorf("spanId %q is not 16 hex chars", sp.SpanID)
+	}
+	if sp.ParentSpanID != "" && !isHexN(sp.ParentSpanID, 16) {
+		return fmt.Errorf("parentSpanId %q is not 16 hex chars", sp.ParentSpanID)
+	}
+	if sp.Name == "" {
+		return fmt.Errorf("span has no name")
+	}
+	if sp.Kind < KindInternal || sp.Kind > KindClient {
+		return fmt.Errorf("kind %d outside the emitted range", sp.Kind)
+	}
+	start, err := strconv.ParseInt(sp.StartTimeUnixNano, 10, 64)
+	if err != nil {
+		return fmt.Errorf("startTimeUnixNano %q: %v", sp.StartTimeUnixNano, err)
+	}
+	end, err := strconv.ParseInt(sp.EndTimeUnixNano, 10, 64)
+	if err != nil {
+		return fmt.Errorf("endTimeUnixNano %q: %v", sp.EndTimeUnixNano, err)
+	}
+	if end < start {
+		return fmt.Errorf("span ends (%d) before it starts (%d)", end, start)
+	}
+	if sp.Status != nil && (sp.Status.Code < StatusUnset || sp.Status.Code > StatusError) {
+		return fmt.Errorf("status code %d unknown", sp.Status.Code)
+	}
+	for _, kv := range sp.Attributes {
+		if kv.Key == "" {
+			return fmt.Errorf("attribute with empty key")
+		}
+		set := 0
+		for _, present := range []bool{
+			kv.Value.StringValue != nil, kv.Value.IntValue != nil,
+			kv.Value.DoubleValue != nil, kv.Value.BoolValue != nil,
+		} {
+			if present {
+				set++
+			}
+		}
+		if set != 1 {
+			return fmt.Errorf("attribute %q sets %d value fields, want exactly 1", kv.Key, set)
+		}
+		if kv.Value.IntValue != nil {
+			if _, err := strconv.ParseInt(*kv.Value.IntValue, 10, 64); err != nil {
+				return fmt.Errorf("attribute %q intValue %q: %v", kv.Key, *kv.Value.IntValue, err)
+			}
+		}
+	}
+	for _, l := range sp.Links {
+		if !isHexN(l.TraceID, 32) || !isHexN(l.SpanID, 16) {
+			return fmt.Errorf("link %s/%s has malformed ids", l.TraceID, l.SpanID)
+		}
+	}
+	return nil
+}
+
+func isHexN(s string, n int) bool {
+	if len(s) != n {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		c := s[i]
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f') {
+			return false
+		}
+	}
+	return true
 }

@@ -32,7 +32,8 @@ const (
 	PhaseExpand Phase = iota
 	// PhasePush is priority-queue insertion, excluding nested disk spills.
 	PhasePush
-	// PhasePop is priority-queue removal, excluding nested disk fetches.
+	// PhasePop is priority-queue removal and the dequeue-time checks up to
+	// the expansion or report that follows, excluding nested disk fetches.
 	PhasePop
 	// PhaseSpill is the hybrid queue writing pairs to its disk tier.
 	PhaseSpill
@@ -41,9 +42,8 @@ const (
 	// PhaseMerge is the parallel order-preserving merge, including the time
 	// it blocks waiting for partition workers to produce.
 	PhaseMerge
-	// PhaseEmit is the per-result residue of the engine loop: everything in
-	// one next() call not attributed to a more specific phase (dequeue-side
-	// filtering, report bookkeeping, restart handling).
+	// PhaseEmit is reporting a result: from the report of the pair that
+	// leaves the engine to the end of its next() call, publishing included.
 	PhaseEmit
 
 	// NumPhases is the number of phases; Phase values are < NumPhases.

@@ -448,12 +448,12 @@ func (q *Query) Finish(err error) *QueryTrace {
 //	└── worker (per engine)
 //	    ├── expand            node-pair expansion (sweep/block generation)
 //	    ├── push              queue insertion, excluding nested spills
-//	    ├── pop               queue removal, excluding nested fetches
+//	    ├── pop               queue removal and dequeue-time checks, excluding fetches
 //	    ├── spill             hybrid-queue disk-tier writes
 //	    │   └── io_write      of which: physical page writes (pager)
 //	    ├── fetch             hybrid-queue disk-tier reads
 //	    │   └── io_read       of which: physical page reads (pager)
-//	    └── emit              per-result residue of the engine loop
+//	    └── emit              reporting a result, publishing included
 func (q *Query) buildTree(wall time.Duration) Span {
 	root := Span{Name: "query", Seconds: wall.Seconds()}
 	root.Children = append(root.Children, Span{

@@ -293,13 +293,19 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 	psc, parentSpan := s.pullSpanStart(r, c)
 	echoTrace(w, psc, c.id)
 
+	// The pull's answer is encoded into scratch memory reused across pulls
+	// (the encoder writes what json.Encoder.Encode would; see encode.go).
+	sc := pullScratches.Get().(*pullScratch)
+	defer pullScratches.Put(sc)
 	if stream {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
-		enc := json.NewEncoder(w)
 		written := 0
 		res := s.pull(c, k, rctx, true, func(p PairJSON) {
-			enc.Encode(p)
+			var ok bool
+			if sc.buf, ok = appendPairLine(sc.buf[:0], p); ok {
+				w.Write(sc.buf)
+			}
 			if written++; flusher != nil && written%64 == 0 {
 				flusher.Flush()
 			}
@@ -309,16 +315,15 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 		if res.err != nil {
 			tr.Error = res.err.Error()
 		}
-		enc.Encode(tr)
+		sc.buf = appendTrailer(sc.buf[:0], &tr)
+		w.Write(sc.buf)
 		if flusher != nil {
 			flusher.Flush()
 		}
 		return
 	}
-	// Not k: the pull's deadline is already running, and zeroing room for a
-	// huge k the engine will never fill would spend it.
-	pairs := make([]PairJSON, 0, min(k, 1024))
-	res := s.pull(c, k, rctx, false, func(p PairJSON) { pairs = append(pairs, p) })
+	sc.pairs = sc.pairs[:0]
+	res := s.pull(c, k, rctx, false, func(p PairJSON) { sc.pairs = append(sc.pairs, p) })
 	s.exportPullSpan(c, psc, parentSpan, start, "cursor next", k, res)
 	if res.err != nil {
 		status := http.StatusInternalServerError
@@ -330,14 +335,20 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 		writeErr(w, &httpError{Status: status, Msg: "cursor " + id + " failed: " + res.err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, NextResponse{
+	var ok bool
+	sc.buf, ok = appendNext(sc.buf[:0], &NextResponse{
 		Cursor:    c.id,
-		Pairs:     pairs,
+		Pairs:     sc.pairs,
 		Done:      res.done,
 		Reported:  res.reported,
 		ExpiresAt: wireTime(res.expires),
 		Truncated: res.truncated,
 	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if ok {
+		w.Write(sc.buf)
+	}
 }
 
 // pull draws up to k pairs under the caller's lease and releases it, also

@@ -101,18 +101,25 @@ func (s *Server) observeMiddleware(h http.Handler) http.Handler {
 		if s.cfg.Logger == nil {
 			return
 		}
-		traceID := ""
-		if sc, ok := qtrace.ParseTraceParent(sw.Header().Get("Traceparent")); ok {
-			traceID = sc.TraceID.String()
-		} else if sc := inboundContext(r); sc.Valid() {
-			traceID = sc.TraceID.String()
-		}
 		level := slog.LevelInfo
 		switch {
 		case status >= 500:
 			level = slog.LevelError
 		case ep == "healthz" || ep == "readyz":
 			level = slog.LevelDebug // probes are noise at info
+		case status < 400 && (ep == "next" || ep == "stream"):
+			// A session pulls many times; its create, its delete and any
+			// failed pull carry its trace id at info.
+			level = slog.LevelDebug
+		}
+		if !s.cfg.Logger.Enabled(r.Context(), level) {
+			return
+		}
+		traceID := ""
+		if sc, ok := qtrace.ParseTraceParent(sw.Header().Get("Traceparent")); ok {
+			traceID = sc.TraceID.String()
+		} else if sc := inboundContext(r); sc.Valid() {
+			traceID = sc.TraceID.String()
 		}
 		s.cfg.Logger.LogAttrs(r.Context(), level, "request",
 			slog.String("endpoint", ep),
