@@ -98,7 +98,8 @@ type Config struct {
 	Obs *distjoin.Recorder
 	// Logger receives one structured line per finished HTTP request,
 	// carrying endpoint, status, duration, and the trace/query identity of
-	// the cursor it touched. May be nil (no request logging).
+	// the cursor it touched; a successful next or stream pull logs at
+	// debug level. May be nil (no request logging).
 	Logger *slog.Logger
 	// RED records per-endpoint request rate, error classes, and duration
 	// histograms plus the count of pulls that miss the latency SLO; mount it
