@@ -86,6 +86,11 @@ func TestWorkCounters(t *testing.T) {
 		// The hybrid queue choosing D_T from its first insertions, and
 		// re-tiering what it holds once it has.
 		{name: "adaptive-hybrid", opts: with(func(o *distjoin.Options) { o.HybridDT = 0 })},
+		// The §2.2.4 estimation in the two orders and modes no leg above
+		// runs it in: farthest-first (§2.2.5), where it raises the minimum
+		// distance, and the semi-join, where M is unique on first items.
+		{name: "reverse-maxpairs-memory", opts: distjoin.Options{Reverse: true, MaxPairs: pairs}},
+		{name: "semi-maxpairs-memory", semi: true, filter: distjoin.FilterGlobalAll, opts: distjoin.Options{MaxPairs: pairs}},
 	}
 
 	got := make(map[string]distjoin.Stats, len(legs))
