@@ -4,16 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"distjoin"
+	"distjoin/internal/datagen"
+	"distjoin/internal/geom"
 )
 
 // writeCSV materializes a random point file and returns its path.
@@ -91,6 +95,61 @@ func TestRunSemiJoin(t *testing.T) {
 	}
 	if lines := countLines(out); lines != 30 {
 		t.Fatalf("semi-join printed %d pairs, want 30", lines)
+	}
+}
+
+// TestRunReverseMaxPairs drives the farthest-first join (§2.2.5) with its
+// K-bound estimation from the command line: -reverse -k 50 must print the 50
+// farthest pairs of a brute-force join over the same files, farthest first.
+func TestRunReverseMaxPairs(t *testing.T) {
+	const k = 50
+	a := writeCSV(t, 13, 120)
+	b := writeCSV(t, 14, 150)
+	out, err := captureStdout(t, func() error {
+		return run(cliOptions{fileA: a, fileB: b, k: k, reverse: true, metricName: "euclidean"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(path string) []geom.Point {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		pts, err := datagen.ReadPoints(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	pa, pb := read(a), read(b)
+	type pair struct {
+		i, j int
+		d    float64
+	}
+	all := make([]pair, 0, len(pa)*len(pb))
+	for i, p := range pa {
+		for j, q := range pb {
+			all = append(all, pair{i, j, geom.Euclidean.Dist(p, q)})
+		}
+	}
+	sort.Slice(all, func(x, y int) bool { return all[x].d > all[y].d })
+
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != k {
+		t.Fatalf("printed %d pairs, want %d:\n%s", len(lines), k, out)
+	}
+	for n, line := range lines {
+		var i, j int
+		var d float64
+		if _, err := fmt.Sscanf(line, "%d %d %g", &i, &j, &d); err != nil {
+			t.Fatalf("line %d %q: %v", n+1, line, err)
+		}
+		want := all[n]
+		if i != want.i || j != want.j || math.Abs(d-want.d) > 1e-9*want.d {
+			t.Fatalf("pair %d is %q, want %d %d %g (the %d-th farthest)", n+1, line, want.i, want.j, want.d, n+1)
+		}
 	}
 }
 

@@ -62,10 +62,9 @@ type engine struct {
 	root1, root2 uint64 // root refs, exempt from min-fill counting
 	opts         Options
 	q            *blockQueue // either queue kind (blockqueue.go)
-	dmin         float64     // effective minimum distance (raised by the reverse estimator)
+	dmin         float64     // effective minimum distance (raised by the estimator under Reverse)
 	dmaxCur      float64     // effective maximum distance, tightened by the estimator
 	est          *estimator
-	revEst       *revEstimator
 	semi         *semiState
 	sweep        bool
 
@@ -169,11 +168,7 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 	e.rows = make([]float64, 0, f2*2*t1.Dims())
 	e.dbuf, e.mbuf = make([]float64, fmax), make([]float64, fmax)
 	if opts.MaxPairs > 0 {
-		if opts.Reverse {
-			e.revEst = newRevEstimator(opts.MaxPairs)
-		} else {
-			e.est = newEstimator(opts.MaxPairs, semi != nil)
-		}
+		e.est = newEstimator(opts.MaxPairs, semi != nil)
 	}
 	// The Local/Global semi-join filters prune against d_max bounds that
 	// promise "some partner exists within this distance" — a promise that
@@ -313,7 +308,6 @@ func (e *engine) restart() error {
 	e.restarted = true
 	e.m.Restart()
 	e.est = nil
-	e.revEst = nil
 	e.dmaxCur = e.opts.MaxDist
 	e.dmin = e.opts.MinDist
 	if e.semi == nil {
@@ -443,10 +437,10 @@ func (e *engine) enqueue(i1, i2 item, pre float64) error {
 }
 
 // needMax reports whether the ladder asks for a pair's d_max once its
-// distance has passed the range filter: a minimum distance, either
+// distance has passed the range filter: a minimum distance, the
 // estimator, the reverse order's keys, or the semi-join's Global rules.
 func (e *engine) needMax() bool {
-	return e.dmin > 0 || e.est != nil || e.revEst != nil || e.opts.Reverse ||
+	return e.dmin > 0 || e.est != nil || e.opts.Reverse ||
 		(e.semi != nil && e.semi.filter >= FilterGlobalNodes)
 }
 
@@ -459,32 +453,35 @@ func (e *engine) keyedByMax(k1, k2 itemKind) bool {
 
 // observe shows a pair that is about to be queued — under p.key, with minimum
 // distance d and upper bound dmax — to the estimator in force, which may
-// tighten the engine's distance range. It is false when the reverse
-// estimator's raised bound prunes the pair itself.
+// tighten the engine's distance range. It is false when the estimator's
+// raised minimum distance prunes the pair itself.
 func (e *engine) observe(p qpair, d, dmax float64) bool {
-	if e.revEst != nil {
-		// Reverse estimation (§2.2.5): raise the minimum-distance bound
-		// from the pairs seen so far, then prune anything that cannot be
-		// among the K farthest.
-		count := e.minObjects(p.i1, 1) * e.minObjects(p.i2, 2)
-		e.dmin = e.revEst.observe(p, d, dmax, e.dmin, e.opts.MaxDist, count)
-		if dmax < e.dmin {
-			e.revEst.onPop(p) // keep M consistent with the queue
-			e.m.Filter(1)
-			return false
-		}
-	}
 	// An already-reported semi-join object can produce no further results;
 	// letting it into M would overcount and overtighten D_max (forcing more
 	// restarts), so keep it out. Nodes can still hide reported objects in
 	// their subtrees — that residual overcount is what the restart path
 	// recovers from.
-	if e.est != nil && !(e.est.semi && !p.i1.isNode() && e.semi.seen.Has(p.i1.ref)) {
-		count := e.minObjects(p.i1, 1)
-		if !e.est.semi {
-			count *= e.minObjects(p.i2, 2)
-		}
-		e.dmaxCur = e.est.observe(p, dmax, e.dmin, e.dmaxCur, count)
+	if e.est == nil || e.est.semi && !p.i1.isNode() && e.semi.seen.Has(p.i1.ref) {
+		return true
+	}
+	count := e.minObjects(p.i1, 1)
+	if !e.est.semi {
+		count *= e.minObjects(p.i2, 2)
+	}
+	if !e.opts.Reverse {
+		e.dmaxCur = e.est.observe(p, d, dmax, e.dmin, e.dmaxCur, count)
+		return true
+	}
+	// Farthest-first (§2.2.5) is §2.2.4 with min and max swapped, so the
+	// estimator sees every distance negated: it raises the minimum distance
+	// to the K-th farthest pair's lower bound. Negation is exact and flips
+	// every comparison, so M holds and evicts what a minimum-ordered M would.
+	e.dmin = -e.est.observe(p, -dmax, -d, -e.opts.MaxDist, -e.dmin, count)
+	if dmax < e.dmin {
+		// The raised bound rules the pair itself out of the K farthest.
+		e.est.onPop(p) // keep M consistent with the queue
+		e.m.Filter(1)
+		return false
 	}
 	return true
 }
@@ -610,8 +607,9 @@ func (e *engine) step() (Pair, bool, error) {
 		if !ok {
 			// The estimation of §2.2.4 may have over-tightened the maximum
 			// distance (e.g. when already-reported semi-join objects inflate
-			// the counts in M); the paper's remedy is to restart the query.
-			if (e.est != nil || e.revEst != nil) && !e.restarted && e.opts.MaxPairs > 0 && e.reported < e.opts.MaxPairs {
+			// the counts in M); the paper's remedy is to restart the query,
+			// once: the restart drops the estimator.
+			if e.est != nil && e.reported < e.opts.MaxPairs {
 				if err := e.restart(); err != nil {
 					return Pair{}, false, e.surface(err)
 				}
@@ -635,14 +633,12 @@ func (e *engine) step() (Pair, bool, error) {
 		}
 		if e.est != nil {
 			e.est.onPop(p)
-		}
-		if e.revEst != nil {
-			e.revEst.onPop(p)
-			// The bound may have risen after this pair was enqueued; a
-			// pair whose upper bound (its queue key, for non-object pairs)
-			// falls below it is dead. Exact object pairs carry their true
-			// distance, handled by the report-time range check.
-			if (p.i1.isNode() || p.i2.isNode()) && p.key < e.dmin {
+			// Under Reverse the bound may have risen after this pair was
+			// enqueued; a pair whose upper bound (its queue key, for
+			// non-object pairs) falls below it is dead. Exact object pairs
+			// carry their true distance, handled by the report-time range
+			// check.
+			if e.opts.Reverse && (p.i1.isNode() || p.i2.isNode()) && p.key < e.dmin {
 				e.m.Filter(1)
 				continue
 			}
@@ -727,9 +723,6 @@ func (e *engine) report(p qpair) (Pair, bool) {
 	}
 	if e.est != nil {
 		e.est.onReport(p)
-	}
-	if e.revEst != nil {
-		e.revEst.onReport()
 	}
 	e.m.Switch(meter.PhaseEmit)
 	e.reported++
@@ -1089,7 +1082,7 @@ func (e *engine) bounded(g *ladder, i int, d float64) (key float64, ok bool) {
 	if g.keyMax {
 		key = dmax
 	}
-	return key, (e.est == nil && e.revEst == nil) || e.observe(g.b.pair(key, i), d, dmax)
+	return key, e.est == nil || e.observe(g.b.pair(key, i), d, dmax)
 }
 
 // scalarChildren is the reference generate is pinned against: every entry of

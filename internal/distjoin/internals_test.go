@@ -67,13 +67,13 @@ func TestEstimatorJoinMode(t *testing.T) {
 	}
 	inf := math.Inf(1)
 	// A pair guaranteeing 4 results within dmax 100.
-	cur := est.observe(mk(1, 2, 5), 100, 0, inf, 4)
+	cur := est.observe(mk(1, 2, 5), 5, 100, 0, inf, 4)
 	if !math.IsInf(cur, 1) {
 		t.Fatalf("4 < 10 results must not tighten; got %g", cur)
 	}
 	// Another guaranteeing 8: total 12 > 10 → evict the larger dmax (100),
 	// tightening to 100.
-	cur = est.observe(mk(3, 4, 6), 60, 0, cur, 8)
+	cur = est.observe(mk(3, 4, 6), 6, 60, 0, cur, 8)
 	if cur != 100 {
 		t.Fatalf("expected tightening to 100, got %g", cur)
 	}
@@ -81,7 +81,7 @@ func TestEstimatorJoinMode(t *testing.T) {
 		t.Fatalf("total = %d, want 8", est.total)
 	}
 	// Ineligible pair (dmax beyond current bound) is ignored.
-	cur2 := est.observe(mk(5, 6, 7), 150, 0, cur, 4)
+	cur2 := est.observe(mk(5, 6, 7), 7, 150, 0, cur, 4)
 	if cur2 != cur || est.total != 8 {
 		t.Fatal("ineligible pair entered M")
 	}
@@ -95,35 +95,93 @@ func TestEstimatorJoinMode(t *testing.T) {
 func TestEstimatorSemiModeUniqueFirst(t *testing.T) {
 	est := newEstimator(5, true)
 	inf := math.Inf(1)
-	mk := func(r1 uint64, key, dmax float64) (qpair, float64) {
-		p := qpair{key: key, i1: mkItem(kindNode, 1, r1), i2: mkItem(kindNode, 1, 99)}
-		return p, dmax
+	mk := func(r1, r2 uint64) qpair {
+		return qpair{key: 5, i1: mkItem(kindNode, 1, r1), i2: mkItem(kindNode, 1, r2)}
 	}
-	p1, d1 := mk(1, 5, 100)
-	cur := est.observe(p1, d1, 0, inf, 3)
+	cur := est.observe(mk(1, 99), 5, 100, 0, inf, 3)
 	// Same first item with larger dmax: ignored.
-	p2, d2 := mk(1, 5, 200)
-	cur = est.observe(p2, d2, 0, cur, 3)
+	cur = est.observe(mk(1, 98), 5, 200, 0, cur, 3)
 	if est.total != 3 {
 		t.Fatalf("duplicate first item admitted: total %d", est.total)
 	}
 	// Same first item with smaller dmax: replaces.
-	p3, d3 := mk(1, 5, 50)
-	cur = est.observe(p3, d3, 0, cur, 3)
-	if est.total != 3 {
-		t.Fatalf("replacement changed total: %d", est.total)
+	cur = est.observe(mk(1, 97), 5, 50, 0, cur, 3)
+	if est.total != 3 || len(est.index) != 1 {
+		t.Fatalf("replacement changed total: %d (%d entries)", est.total, len(est.index))
 	}
-	if n, ok := est.byFirst[firstKeyOf(p3.i1)]; !ok || est.heap.Value(n).dmax != 50 {
+	if h, ok := est.index[mKey{k1: kindNode, r1: 1}]; !ok || est.heap.Value(h).dmax != 50 {
 		t.Fatal("replacement did not take effect")
+	}
+	// Popping a pair that shares the first item but is not the one in M
+	// leaves M alone; popping the one in M removes it.
+	est.onPop(mk(1, 99))
+	if est.total != 3 {
+		t.Fatalf("popping a replaced pair evicted its successor: total %d", est.total)
+	}
+	est.onPop(mk(1, 97))
+	if est.total != 0 || !est.processed[1] {
+		t.Fatalf("pop of the pair in M: total %d, processed %v", est.total, est.processed[1])
 	}
 	// A processed node may not enter M.
 	est.processed[7] = true
-	p4, d4 := mk(7, 5, 80)
-	cur = est.observe(p4, d4, 0, cur, 3)
-	if est.total != 3 {
+	cur = est.observe(mk(7, 99), 5, 80, 0, cur, 3)
+	if est.total != 0 {
 		t.Fatal("processed node entered M")
 	}
+	// An OBR and the object fetched for it are one first item: reporting
+	// the object removes the OBR pair from M.
+	obr := qpair{key: 5, i1: mkItem(kindOBR, -1, 4), i2: mkItem(kindOBR, -1, 8)}
+	cur = est.observe(obr, 5, 60, 0, cur, 1)
+	if est.total != 1 {
+		t.Fatalf("OBR pair not admitted: total %d", est.total)
+	}
+	est.onReport(qpair{key: 5, i1: mkItem(kindObj, -1, 4), i2: mkItem(kindObj, -1, 8)})
+	if est.total != 0 || est.remaining != 4 {
+		t.Fatalf("report of the fetched object: total %d, remaining %d", est.total, est.remaining)
+	}
 	_ = cur
+}
+
+// TestEstimatorReverse runs the farthest-first estimation of §2.2.5 the way
+// the engine does: every distance negated. The bound it returns, negated
+// back, is a lower bound on the K-th farthest distance.
+func TestEstimatorReverse(t *testing.T) {
+	est := newEstimator(10, false)
+	mk := func(r1, r2 uint64, dmax float64) qpair {
+		return qpair{key: dmax, i1: mkItem(kindNode, 1, r1), i2: mkItem(kindNode, 1, r2)}
+	}
+	inf := math.Inf(1)
+	dmin := 0.0
+	observe := func(p qpair, d, dmax float64, count int) {
+		dmin = -est.observe(p, -dmax, -d, -inf, -dmin, count)
+	}
+	// 4 pairs at distance [20, 90]: fewer than 10, no bound.
+	observe(mk(1, 2, 90), 20, 90, 4)
+	if dmin != 0 || est.total != 4 {
+		t.Fatalf("4 < 10 results must not raise the bound: dmin %g, total %d", dmin, est.total)
+	}
+	// 8 pairs at [30, 70]: 12 > 10 evicts the pair with the smallest
+	// minimum distance (20) and raises the bound to it.
+	observe(mk(3, 4, 70), 30, 70, 8)
+	if dmin != 20 || est.total != 8 {
+		t.Fatalf("expected bound 20 with 8 in M, got %g with %d", dmin, est.total)
+	}
+	// A pair whose minimum distance lies below the bound may produce pairs
+	// under it, so it is ineligible: M and the bound stay.
+	observe(mk(5, 6, 95), 10, 95, 4)
+	if dmin != 20 || est.total != 8 || len(est.index) != 1 {
+		t.Fatalf("ineligible pair entered M: dmin %g, total %d", dmin, est.total)
+	}
+	// 5 more at [40, 80]: 13 > 10 evicts the [30, 70] pair, bound 30.
+	observe(mk(7, 8, 80), 40, 80, 5)
+	if dmin != 30 || est.total != 5 {
+		t.Fatalf("expected bound 30 with 5 in M, got %g with %d", dmin, est.total)
+	}
+	// Popping the tracked pair removes it.
+	est.onPop(mk(7, 8, 80))
+	if est.total != 0 || len(est.index) != 0 {
+		t.Fatalf("total after pop = %d", est.total)
+	}
 }
 
 func TestEngineAdmitWindowAndSelect(t *testing.T) {

@@ -198,16 +198,3 @@ func BoundingRect(pts []Point) Rect {
 	}
 	return r
 }
-
-// UnionAll returns the minimum bounding rectangle of the given rectangles.
-// It panics when rects is empty.
-func UnionAll(rects []Rect) Rect {
-	if len(rects) == 0 {
-		panic("geom: UnionAll of empty rectangle set")
-	}
-	r := rects[0].Clone()
-	for _, s := range rects[1:] {
-		r.UnionInPlace(s)
-	}
-	return r
-}

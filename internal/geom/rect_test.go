@@ -166,13 +166,6 @@ func TestBoundingRect(t *testing.T) {
 	}
 }
 
-func TestUnionAll(t *testing.T) {
-	r := UnionAll([]Rect{R(Pt(0, 0), Pt(1, 1)), R(Pt(2, -1), Pt(3, 0.5))})
-	if !r.Equal(R(Pt(0, -1), Pt(3, 1))) {
-		t.Fatalf("UnionAll = %v", r)
-	}
-}
-
 func TestBoundingRectEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

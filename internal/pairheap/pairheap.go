@@ -1,10 +1,9 @@
 // Package pairheap implements a pairing heap (Fredman, Sedgewick, Sleator &
 // Tarjan), the priority-queue structure the paper chose for the memory tier
 // of its hybrid queue (§3.2, reference [13]). It supports O(1) amortized
-// insert, O(log n) amortized delete-min, and arbitrary deletion and key
-// decrease through element handles — the last two are needed by the
-// maximum-distance estimation structure Q_M of §2.2.4, which must delete
-// pairs by identity.
+// insert, O(log n) amortized delete-min, and arbitrary deletion through
+// element handles — needed by the maximum-distance estimation structure Q_M
+// of §2.2.4, which must delete pairs by identity.
 //
 // Elements live in a slab: fixed-size chunks of slots linked by 32-bit slot
 // indices, freed slots chained for reuse. An insert therefore allocates
@@ -13,8 +12,7 @@
 // of one object per queued element.
 package pairheap
 
-// Handle identifies an element of a heap, for Value, Delete and
-// DecreaseKey. It is valid from the Insert that returned it until the
+// Handle identifies an element of a heap, for Value and Delete. It is valid from the Insert that returned it until the
 // element is removed; the slot is then reused.
 type Handle int32
 
@@ -120,24 +118,6 @@ func (h *Heap[T]) Delete(n Handle) {
 	h.root = h.meld(h.root, h.mergePairs(h.at(i).child))
 	h.release(i)
 }
-
-// DecreaseKey replaces the element's value by one that compares less than
-// or equal to it and restores heap order. Increasing a key through this
-// method is invalid.
-func (h *Heap[T]) DecreaseKey(n Handle, value T) {
-	i := int32(n)
-	s := h.at(i)
-	s.value = value
-	if i == h.root {
-		return
-	}
-	h.cut(i)
-	s.prev, s.next = none, none
-	h.root = h.meld(h.root, i)
-}
-
-// Clear removes all elements; the heap keeps the order it was built with.
-func (h *Heap[T]) Clear() { *h = Heap[T]{less: h.less, free: none, root: none} }
 
 // cut detaches i (a non-root node) from its parent's child list.
 func (h *Heap[T]) cut(i int32) {

@@ -95,49 +95,8 @@ func TestDeleteArbitrary(t *testing.T) {
 	}
 }
 
-func TestDecreaseKey(t *testing.T) {
-	type item struct{ key int }
-	h := New[*item](func(a, b *item) bool { return a.key < b.key })
-	n10 := h.Insert(&item{10})
-	h.Insert(&item{5})
-	h.Insert(&item{7})
-	h.Value(n10).key = 1
-	h.DecreaseKey(n10, h.Value(n10))
-	if got := h.PopMin().key; got != 1 {
-		t.Fatalf("PopMin after decrease = %d, want 1", got)
-	}
-	if got := h.PopMin().key; got != 5 {
-		t.Fatalf("second PopMin = %d, want 5", got)
-	}
-}
-
-func TestDecreaseKeyOnRoot(t *testing.T) {
-	type item struct{ key int }
-	h := New[*item](func(a, b *item) bool { return a.key < b.key })
-	n := h.Insert(&item{3})
-	h.Insert(&item{5})
-	h.DecreaseKey(n, &item{1}) // the root stays the root
-	if got := h.PopMin().key; got != 1 {
-		t.Fatalf("PopMin = %d", got)
-	}
-}
-
-func TestClear(t *testing.T) {
-	h := intHeap()
-	h.Insert(1)
-	h.Insert(2)
-	h.Clear()
-	if !h.Empty() {
-		t.Fatal("Clear left elements")
-	}
-	h.Insert(3)
-	if h.PopMin() != 3 {
-		t.Fatal("heap unusable after Clear")
-	}
-}
-
 // Property: popping everything yields ascending order, interleaved with
-// random deletes, decreases and re-inserts.
+// random deletes.
 func TestPropHeapSort(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
@@ -148,16 +107,10 @@ func TestPropHeapSort(t *testing.T) {
 		for i := 0; i < n; i++ {
 			node := h.Insert(&item{rnd.Intn(1000)})
 			live[node] = true
-			switch rnd.Intn(5) {
-			case 0: // delete a random live node
+			if rnd.Intn(5) == 0 { // delete a random live node
 				for v := range live {
 					h.Delete(v)
 					delete(live, v)
-					break
-				}
-			case 1: // decrease a random live node
-				for v := range live {
-					h.DecreaseKey(v, &item{h.Value(v).key - rnd.Intn(100)})
 					break
 				}
 			}
