@@ -91,6 +91,16 @@ func TestWorkCounters(t *testing.T) {
 		// distance, and the semi-join, where M is unique on first items.
 		{name: "reverse-maxpairs-memory", opts: distjoin.Options{Reverse: true, MaxPairs: pairs}},
 		{name: "semi-maxpairs-memory", semi: true, filter: distjoin.FilterGlobalAll, opts: distjoin.Options{MaxPairs: pairs}},
+		// A selection keeping 1 object in 25 of the second input: subtree
+		// counts overstate what can be reported, so the estimator raises the
+		// minimum distance past node pairs already queued, the pop-time prune
+		// of dead node pairs drops them, and the bound proves too high (one
+		// restart).
+		{name: "reverse-select-maxpairs-memory", opts: distjoin.Options{
+			Reverse:  true,
+			MaxPairs: pairs,
+			Select2:  func(id distjoin.ObjID) bool { return id%25 == 0 },
+		}},
 	}
 
 	got := make(map[string]distjoin.Stats, len(legs))
