@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -40,13 +39,11 @@ type delayDoc struct {
 }
 
 // explainDoc is what -explain prints and -explain-json emits: the run's
-// query trace, its delay quantiles, the time-to-kth marks and the cost
-// model's predicted-vs-actual rows.
+// query trace, its delay quantiles and the time-to-kth marks.
 type explainDoc struct {
-	Trace     *distjoin.QueryTrace  `json:"trace"`
-	Delay     delayDoc              `json:"delay"`
-	TimeToKth []kthMark             `json:"time_to_kth,omitempty"`
-	Explain   []distjoin.ExplainRow `json:"explain,omitempty"`
+	Trace     *distjoin.QueryTrace `json:"trace"`
+	Delay     delayDoc             `json:"delay"`
+	TimeToKth []kthMark            `json:"time_to_kth,omitempty"`
 }
 
 // writeHeapProfile triggers a GC (so the profile reflects live objects) and
@@ -62,18 +59,6 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// relErrString renders a signed relative error, mapping an ExplainRow's
-// ±MaxFloat64 saturation (JSON stand-in for ±Inf) back to "inf".
-func relErrString(e float64) string {
-	if e >= math.MaxFloat64 {
-		return "+inf"
-	}
-	if e <= -math.MaxFloat64 {
-		return "-inf"
-	}
-	return fmt.Sprintf("%+.1f%%", e*100)
 }
 
 // printSpan renders one span of the trace's tree and its children, indented
@@ -116,11 +101,5 @@ func printExplain(w io.Writer, d *explainDoc) {
 	}
 	for _, t := range d.TimeToKth {
 		fmt.Fprintf(w, "pair %8d after %10.6fs at distance %g\n", t.K, t.Seconds, t.Dist)
-	}
-	if len(d.Explain) > 0 {
-		fmt.Fprintf(w, "%-18s %14s %14s %8s\n", "prediction", "predicted", "actual", "rel err")
-		for _, r := range d.Explain {
-			fmt.Fprintf(w, "%-18s %14.6g %14.6g %8s\n", r.Metric, r.Predicted, r.Actual, relErrString(r.RelErr))
-		}
 	}
 }

@@ -36,10 +36,9 @@
 //
 // Profiling: -explain prints an EXPLAIN ANALYZE table on stderr when the
 // run finishes — the run's query trace (span tree with wall time attributed
-// to engine phases, resources), delay percentiles, time-to-kth marks, and
-// the cost model's predictions next to the observed actuals with relative
-// error; -explain-json prints the same four as one JSON object on stdout
-// after the pair stream. Both enable per-query tracing. -cpuprofile and
+// to engine phases, resources), delay percentiles and time-to-kth marks;
+// -explain-json prints the same three as one JSON object on stdout after
+// the pair stream. Both enable per-query tracing. -cpuprofile and
 // -memprofile write pprof profiles on clean shutdown.
 package main
 
@@ -115,7 +114,7 @@ func main() {
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/queries and /debug/pprof on this address")
 	flag.BoolVar(&o.progress, "progress", false, "show a live frontier/ETA line on stderr")
 	flag.DurationVar(&o.linger, "linger", 0, "keep the metrics endpoint up this long after the join completes")
-	flag.BoolVar(&o.explain, "explain", false, "print an EXPLAIN ANALYZE table (phases, delays, predicted vs actual) on stderr when done")
+	flag.BoolVar(&o.explain, "explain", false, "print an EXPLAIN ANALYZE table (phases, delays, time to k-th pair) on stderr when done")
 	flag.BoolVar(&o.explainJSON, "explain-json", false, "print what -explain shows as one JSON object on stdout after the pairs")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
@@ -294,7 +293,6 @@ func run(o cliOptions) error {
 	}
 	defer it.Close()
 	var nPairs int64
-	var lastDist float64
 	for {
 		p, ok, err := it.Next()
 		if err != nil {
@@ -311,7 +309,6 @@ func run(o cliOptions) error {
 			break
 		}
 		nPairs++
-		lastDist = p.Dist
 		if explain && (isMark(nPairs) || (o.k > 0 && nPairs == int64(o.k))) {
 			marks = append(marks, kthMark{K: nPairs, Seconds: time.Since(start).Seconds(), Dist: p.Dist})
 		}
@@ -335,21 +332,11 @@ func run(o cliOptions) error {
 		}
 	}
 	if explain {
-		rows, err := distjoin.BuildExplain(a, b, distjoin.ExplainConfig{
-			K:           o.k,
-			KthDist:     lastDist,
-			MaxDist:     o.maxD,
-			PairsWithin: nPairs,
-		})
-		if err != nil {
-			return err
-		}
 		snap := rec.Snapshot()
 		doc := explainDoc{
 			Trace:     tracer.Traces()[0],
 			Delay:     delayDoc{InterPair: snap.InterPairDelay, PopToEmit: snap.PopToEmit},
 			TimeToKth: marks,
-			Explain:   rows,
 		}
 		if o.explainJSON {
 			enc, err := json.Marshal(doc)
@@ -378,19 +365,14 @@ func run(o cliOptions) error {
 }
 
 // startProgress launches the live stderr progress line and returns its stop
-// function. The expected total comes from the cost model: k when the run is
-// k-bounded, the estimated within-distance pair count when a maximum
-// distance is set, and the full Cartesian product (or first-input size for
-// the semi-join) otherwise.
+// function. The expected total is k when the run is k-bounded, and
+// otherwise the full Cartesian product (or the first input's size times its
+// partners for the semi-join).
 func startProgress(a, b *distjoin.Index, o cliOptions, rec *distjoin.Recorder) func() {
 	var total float64
 	switch {
 	case o.k > 0:
 		total = float64(o.k)
-	case o.maxD > 0 && !o.semi:
-		if est, err := distjoin.EstimatePairsWithin(a, b, o.maxD, distjoin.CostOptions{}); err == nil {
-			total = est
-		}
 	case o.semi:
 		total = float64(a.Len() * max(1, o.knn))
 	default:

@@ -212,48 +212,6 @@ func TestPublicKNearestJoin(t *testing.T) {
 	}
 }
 
-func TestCostModelPublicAPI(t *testing.T) {
-	a := randomPoints(32, 400)
-	b := randomPoints(33, 400)
-	ia := distjoin.NewIndexFromPoints(a)
-	defer ia.Close()
-	ib := distjoin.NewIndexFromPoints(b)
-	defer ib.Close()
-
-	est, err := distjoin.EstimatePairsWithin(ia, ib, 10, distjoin.CostOptions{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := 0.0
-	for _, p := range a {
-		for _, q := range b {
-			if distjoin.Euclidean.Dist(p, q) <= 10 {
-				truth++
-			}
-		}
-	}
-	if truth > 100 && (est < truth/3 || est > truth*3) {
-		t.Fatalf("EstimatePairsWithin %.0f vs truth %.0f", est, truth)
-	}
-
-	sel, err := distjoin.EstimateSelectivity(ia, func(id distjoin.ObjID) bool { return id%2 == 0 }, distjoin.CostOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sel-0.5) > 0.15 {
-		t.Fatalf("EstimateSelectivity = %.2f", sel)
-	}
-
-	d, err := distjoin.EstimateDistanceForK(ia, ib, 100, distjoin.CostOptions{Seed: 3})
-	if err != nil || d <= 0 {
-		t.Fatalf("EstimateDistanceForK: %g %v", d, err)
-	}
-	cap_, err := distjoin.SuggestMaxDist(ia, ib, 100, 2, distjoin.CostOptions{Seed: 3})
-	if err != nil || cap_ < d {
-		t.Fatalf("SuggestMaxDist: %g %v", cap_, err)
-	}
-}
-
 func TestPublicClusteringJoin(t *testing.T) {
 	a := randomPoints(34, 30)
 	b := randomPoints(35, 45)

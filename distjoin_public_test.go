@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"distjoin"
+	"distjoin/internal/datagen"
 )
 
 func randomPoints(seed int64, n int) []distjoin.Point {
@@ -215,6 +216,71 @@ func TestPublicAPIStats(t *testing.T) {
 	}
 	if c.DistCalcs == 0 || c.MaxQueueSize == 0 || c.PairsReported != 100 {
 		t.Fatalf("counters not recording: %+v", c)
+	}
+}
+
+// TestTraceResourcesAgreeWithStats runs a join under a QueryTracer and checks
+// the trace's resources against the run's own Stats snapshot on every field
+// they share.
+func TestTraceResourcesAgreeWithStats(t *testing.T) {
+	ia, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, datagen.Water(606, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ia.Close()
+	ib, err := distjoin.BulkIndexPoints(distjoin.IndexConfig{}, datagen.Roads(607, 800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ib.Close()
+
+	c := &distjoin.Stats{}
+	ia.SetCounters(c)
+	ib.SetCounters(c)
+	tracer := distjoin.NewQueryTracer(distjoin.QueryTraceConfig{})
+	j, err := distjoin.DistanceJoinIndexes(ia.AsSpatialIndex(), ib.AsSpatialIndex(), distjoin.Options{MaxDist: 40, Counters: c, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nPairs int64
+	for {
+		_, ok, err := j.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		nPairs++
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if nPairs == 0 {
+		t.Fatal("no pairs within the distance bound; widen it")
+	}
+	snap := c.Snapshot()
+	got := tracer.Traces()[0].Resources
+	want := distjoin.QueryResources{
+		Pairs:          snap.PairsReported,
+		DistCalcs:      snap.DistCalcs,
+		NodeDistCalcs:  snap.NodeDistCalcs,
+		NodeIO:         snap.NodeReads + snap.NodeWrites,
+		BufferHits:     snap.BufferHits,
+		QueueInserts:   snap.QueueInserts,
+		QueuePops:      snap.QueuePops,
+		QueueDiskPairs: snap.QueueDiskPairs,
+		IOFaults:       snap.IOFaults,
+		IORetries:      snap.IORetries,
+		BatchPruned:    snap.BatchPruned,
+		Filtered:       snap.Filtered,
+		PeakQueueDepth: snap.MaxQueueSize,
+	}
+	if got != want {
+		t.Errorf("trace resources disagree with Stats:\ntrace %+v\nstats %+v", got, want)
+	}
+	if got.Pairs != nPairs || got.NodeIO+got.BufferHits == 0 {
+		t.Errorf("resources %+v: drained %d pairs, and the run must have touched index nodes", got, nPairs)
 	}
 }
 

@@ -630,6 +630,56 @@ func TestJoinReverseWithMaxPairs(t *testing.T) {
 	}
 }
 
+// TestReverseSelfPrune pins the one rule of the farthest-first estimation
+// that only rectangles reach: engine.observe dropping the very pair whose
+// observation raised the minimum distance above that pair's upper bound. It
+// takes a pair that was reported but never entered M — a rectangle pair
+// within the caller's MaxDist whose far bound lies beyond it — to leave M
+// guaranteeing more pairs than are still needed; the next observation then
+// shrinks M past the observed pair (DESIGN.md §5). On each case below the
+// rule fires once: without it the dead pair is queued, and QueueInserts
+// reads one more and Filtered one less.
+func TestReverseSelfPrune(t *testing.T) {
+	for _, c := range []struct {
+		seed              int64
+		extent, maxDist   float64
+		k                 int
+		inserts, filtered int64
+	}{
+		{seed: 8, extent: 8, maxDist: 300, k: 10, inserts: 114, filtered: 477},
+		{seed: 1, extent: 64, maxDist: 500, k: 30, inserts: 225, filtered: 636},
+		{seed: 4, extent: 200, maxDist: 500, k: 100, inserts: 442, filtered: 519},
+	} {
+		a, b := metaRects(c.seed, 30, 2, c.extent), metaRects(c.seed+1000, 30, 2, c.extent)
+		cnt := &stats.Counters{}
+		j, err := NewJoinIndexes(metaRTree(t, a, 2), metaRTree(t, b, 2),
+			Options{Reverse: true, MaxPairs: c.k, MaxDist: c.maxDist, Counters: cnt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainJoin(t, j, 0)
+		j.Close()
+		var want []float64
+		for _, d := range metaBrute(metaOp{}, a, b, geom.Euclidean) {
+			if d <= c.maxDist {
+				want = append(want, d)
+			}
+		}
+		if len(got) != c.k {
+			t.Fatalf("seed %d: %d pairs, want %d", c.seed, len(got), c.k)
+		}
+		for i, p := range got {
+			if w := want[len(want)-1-i]; p.Dist != w {
+				t.Fatalf("seed %d pair %d: %g want %g", c.seed, i, p.Dist, w)
+			}
+		}
+		if cnt.QueueInserts != c.inserts || cnt.Filtered != c.filtered {
+			t.Errorf("seed %d: QueueInserts %d Filtered %d, want %d and %d",
+				c.seed, cnt.QueueInserts, cnt.Filtered, c.inserts, c.filtered)
+		}
+	}
+}
+
 // TestSemiJoinReverseMaxPairsStillRejected pins the unsupported combination.
 func TestSemiJoinReverseMaxPairsStillRejected(t *testing.T) {
 	ta := WrapRTree(buildTree(t, clusteredPoints(133, 10)))

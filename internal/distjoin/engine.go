@@ -608,8 +608,12 @@ func (e *engine) step() (Pair, bool, error) {
 			// The estimation of §2.2.4 may have over-tightened the maximum
 			// distance (e.g. when already-reported semi-join objects inflate
 			// the counts in M); the paper's remedy is to restart the query,
-			// once: the restart drops the estimator.
-			if e.est != nil && e.reported < e.opts.MaxPairs {
+			// once: the restart drops the estimator. A run whose bounds the
+			// estimator never moved is already exhaustive — the caller's own
+			// range leaves fewer than K pairs — and would replay the same
+			// sequence.
+			if e.est != nil && e.reported < e.opts.MaxPairs &&
+				(e.dmaxCur != e.opts.MaxDist || e.dmin != e.opts.MinDist) {
 				if err := e.restart(); err != nil {
 					return Pair{}, false, e.surface(err)
 				}

@@ -3,6 +3,7 @@ package distjoin
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -238,7 +239,10 @@ func TestWindowExcludesEverything(t *testing.T) {
 // TestJoinRestartWithSelection forces the §2.2.4 restart on a PLAIN join:
 // attribute selection makes the minimum-fan-out counting overcount, the
 // estimation over-tightens, and the engine must transparently restart and
-// still deliver exactly MaxPairs correct results.
+// still deliver exactly MaxPairs correct results. It also pins the other
+// side of the rule: a run that falls short of MaxPairs because the caller's
+// own range holds fewer pairs, with the estimator's bound never moved, ends
+// without a restart.
 func TestJoinRestartWithSelection(t *testing.T) {
 	a := clusteredPoints(81, 150)
 	b := clusteredPoints(82, 150)
@@ -279,10 +283,36 @@ func TestJoinRestartWithSelection(t *testing.T) {
 			}
 		}
 	}
-	// At least one of the runs should have exercised the restart; if the
-	// estimator happens to stay sound on this data the test still validates
-	// correctness, so only log.
 	if !restartSeen {
-		t.Log("restart path not triggered on this data (results still verified)")
+		t.Fatal("no run restarted: the over-tightened bound this test exists for no longer occurs")
+	}
+
+	// Fewer than K pairs within the caller's own bounds: a restart would
+	// replay the same sequence.
+	ta, tb = WrapRTree(buildTree(t, clusteredPoints(81, 300))), WrapRTree(buildTree(t, clusteredPoints(82, 300)))
+	for name, o := range map[string]Options{
+		"max-dist":         {MaxDist: 2},
+		"reverse-min-dist": {Reverse: true, MinDist: 1e9},
+	} {
+		j, err := NewJoinIndexes(ta, tb, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := drainJoin(t, j, 0)
+		j.Close()
+		o.MaxPairs = 100_000
+		j, err = NewJoinIndexes(ta, tb, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainJoin(t, j, 0)
+		restarted := j.Restarted()
+		j.Close()
+		if restarted {
+			t.Errorf("%s: restarted with the estimator's bound unmoved", name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d pairs, want the %d of the unbounded run", name, len(got), len(want))
+		}
 	}
 }

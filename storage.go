@@ -20,12 +20,6 @@ func NewMemPageStore(pageSize int) (PageStore, error) {
 	return pager.NewMemStore(pageSize)
 }
 
-// NewFilePageStore returns a PageStore backed by an unlinked scratch file
-// in dir (empty means the default temp directory).
-func NewFilePageStore(dir string, pageSize int) (PageStore, error) {
-	return pager.NewFileStore(dir, pageSize)
-}
-
 // RetryPolicy bounds the retrying of transient storage failures; assign
 // it to Options.RetryIO. See the pager package for field semantics.
 type RetryPolicy = pager.RetryPolicy
