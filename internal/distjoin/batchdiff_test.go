@@ -39,7 +39,6 @@ type diffCase struct {
 
 func diffCases(pts1, pts2 []geom.Point) []diffCase {
 	sel := func(id rtree.ObjID) bool { return id%3 != 0 }
-	sparse := func(id rtree.ObjID) bool { return id%25 == 0 }
 	win := geom.R(geom.Pt(0, 0), geom.Pt(700, 800))
 	// An exact distance at or above the bounding rectangles' (the points'
 	// own), by a different margin per pair: dequeued OBR pairs do not all
@@ -63,9 +62,12 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 		{name: "intersection-order-even", opts: Options{OrderIntersectionsFrom: geom.Pt(300, 400)}, self: true, limit: 500},
 		{name: "obr-exactdist", opts: Options{ExactDist: exact}},
 		{name: "obr-fetch", opts: Options{Fetch1: fetch(pts1), Fetch2: fetch(pts2), MaxDist: 150}},
-		// Selection makes the minimum-fan-out counting overcount, so the
-		// estimator over-tightens and the engine restarts without it.
-		{name: "estimator-restart", opts: Options{Select1: sparse, Select2: sparse, MaxPairs: 20}, limit: 20, restarts: true},
+		// An exact distance beyond the bounding rectangles' MINMAXDIST breaks
+		// the d_max the estimator counts on, so it over-tightens and the
+		// engine restarts without it, replaying the delivered prefix; the
+		// clustering join restarts on consumed second objects.
+		{name: "estimator-restart", opts: Options{Select1: sel, Select2: sel, ExactDist: exact, MaxPairs: 20}, limit: 20, restarts: true},
+		{name: "estimator-restart-clustering", opts: Options{MaxPairs: 40}, semi: func() *semiState { return &semiState{filter: FilterOutside, k: 1, symmetric: true} }, limit: 40, restarts: true},
 		{name: "even-default", opts: Options{}},
 		{name: "basic", opts: Options{Traversal: TraverseBasic}},
 		{name: "simultaneous-maxdist", opts: Options{Traversal: TraverseSimultaneous, MaxDist: 120}},

@@ -61,23 +61,41 @@ func minOverFacesMaxDist(m geom.Metric, region, obr geom.Rect) float64 {
 	return best
 }
 
-// minObjects returns the guaranteed minimum number of objects under an
-// item: 1 for objects/OBRs, the minimum-fan-out bound for non-root nodes
-// (§2.2.4), and a conservative 1 for the root (which is exempt from the
-// minimum-fill invariant).
+// guaranteed is the count M keeps for p (§2.2.4), how many pairs it is
+// certain to yield to the query: c1·c2, or in semi mode c1 if the second item
+// holds a partner at all. OmitEqualIDs takes min(c1, c2) off a pair with a
+// node: ids are unique within an input, and an equal-id object pair is never
+// queued.
+func (e *engine) guaranteed(p qpair) int {
+	c1, c2 := e.minObjects(p.i1, 1), e.minObjects(p.i2, 2)
+	count := c1 * c2
+	if e.semi != nil {
+		count = c1 * min(c2, 1)
+	}
+	if e.opts.OmitEqualIDs && (p.i1.isNode() || p.i2.isNode()) {
+		count -= min(c1, c2)
+	}
+	return count
+}
+
+// minObjects returns how many objects under an item the query is certain to
+// report from: 1 for an object or OBR, which passed its side's selections to
+// be queued; for a node the minimum-fan-out bound (1 for the root, exempt
+// from minimum fill), or 0 where its side has a predicate or a window that
+// does not contain the node's region.
 func (e *engine) minObjects(it item, side int) int {
 	if !it.isNode() {
 		return 1
 	}
-	t, root := e.t1, e.root1
+	t, root, w, sel := e.t1, e.root1, e.opts.Window1, e.opts.Select1
 	if side == 2 {
-		t, root = e.t2, e.root2
+		t, root, w, sel = e.t2, e.root2, e.opts.Window2, e.opts.Select2
+	}
+	if sel != nil || w != nil && !w.Contains(it.rect()) {
+		return 0
 	}
 	if it.ref == root {
 		return 1
 	}
-	if n := t.MinObjectsUnder(int(it.level)); n > 1 {
-		return n
-	}
-	return 1
+	return max(t.MinObjectsUnder(int(it.level)), 1)
 }

@@ -688,3 +688,90 @@ func TestSemiJoinReverseMaxPairsStillRejected(t *testing.T) {
 		t.Fatal("reverse semi-join with MaxPairs accepted")
 	}
 }
+
+// TestJoinRectanglesMinDist pins report's minimum-distance test. A pair of
+// rectangle objects is admitted by its far bound: MINMAXDIST can reach
+// MinDist while the rectangles themselves lie closer, so such a pair is
+// queued and must be dropped when it pops. Both queues deliver exactly the
+// brute-force distances in [MinDist, MaxDist].
+func TestJoinRectanglesMinDist(t *testing.T) {
+	const minDist, maxDist = 5, 40
+	a, b := metaRects(61, 300, 2, 24), metaRects(62, 400, 2, 24)
+	var want []float64
+	for _, d := range metaBrute(metaOp{}, a, b, geom.Euclidean) {
+		if d >= minDist && d <= maxDist {
+			want = append(want, d)
+		}
+	}
+	ta, tb := metaRTree(t, a, 2), metaRTree(t, b, 2)
+	for _, q := range metaQueues {
+		opts := q.opts(1)
+		opts.MinDist, opts.MaxDist = minDist, maxDist
+		j, err := NewJoinIndexes(ta, tb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainJoin(t, j, 0)
+		j.Close()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, want %d", q.name, len(got), len(want))
+		}
+		for i, p := range got {
+			if p.Dist != want[i] {
+				t.Fatalf("%s pair %d: %g want %g", q.name, i, p.Dist, want[i])
+			}
+		}
+	}
+}
+
+// TestJoinOBRExactDistRange pins resolveOBR's range test. An ExactDist hook
+// may put a pair beyond MaxDist although its bounding rectangles lie within
+// it; such a pair must be dropped once its distance is known, not reported
+// because nothing queued is nearer. Where the hook shrinks with the
+// rectangles' distance, the last pair resolved is nearer than every pair
+// re-queued before it, and without the test it would be reported.
+func TestJoinOBRExactDistRange(t *testing.T) {
+	near := clusteredPoints(99, 60)
+	for i, p := range near {
+		near[i] = geom.Pt(p[0]/4, p[1]/4) // every distance below 500
+	}
+	for _, c := range []struct {
+		name    string
+		a, b    []geom.Point
+		maxDist float64
+		exact   func(d float64, o1, o2 rtree.ObjID) float64
+	}{
+		{"margin", clusteredPoints(97, 120), clusteredPoints(98, 140), 60,
+			func(d float64, o1, o2 rtree.ObjID) float64 { return d + float64((7*o1+13*o2)%5) }},
+		{"inverse", near, near[:40], 1500,
+			func(d float64, _, _ rtree.ObjID) float64 { return 2000 - d }},
+	} {
+		exact := func(o1, o2 rtree.ObjID) float64 { return c.exact(geom.Euclidean.Dist(c.a[o1], c.b[o2]), o1, o2) }
+		var want []float64
+		for i := range c.a {
+			for k := range c.b {
+				if d := exact(rtree.ObjID(i), rtree.ObjID(k)); d <= c.maxDist {
+					want = append(want, d)
+				}
+			}
+		}
+		sort.Float64s(want)
+		j, err := NewJoinIndexes(WrapRTree(buildTree(t, c.a)), WrapRTree(buildTree(t, c.b)), Options{
+			MaxDist:   c.maxDist,
+			ExactDist: func(o1, o2 rtree.ObjID) (float64, error) { return exact(o1, o2), nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := drainJoin(t, j, 0)
+		j.Close()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, want %d", c.name, len(got), len(want))
+		}
+		for i, p := range got {
+			if p.Dist != want[i] {
+				t.Fatalf("%s pair %d: %g want %g", c.name, i, p.Dist, want[i])
+			}
+		}
+	}
+}

@@ -456,17 +456,15 @@ func (e *engine) keyedByMax(k1, k2 itemKind) bool {
 // tighten the engine's distance range. It is false when the estimator's
 // raised minimum distance prunes the pair itself.
 func (e *engine) observe(p qpair, d, dmax float64) bool {
-	// An already-reported semi-join object can produce no further results;
-	// letting it into M would overcount and overtighten D_max (forcing more
-	// restarts), so keep it out. Nodes can still hide reported objects in
-	// their subtrees — that residual overcount is what the restart path
-	// recovers from.
+	// A reported semi-join object yields nothing more, and a pair that
+	// guarantees nothing would only displace its first item's counted entry:
+	// neither enters M (DESIGN.md §5).
 	if e.est == nil || e.est.semi && !p.i1.isNode() && e.semi.seen.Has(p.i1.ref) {
 		return true
 	}
-	count := e.minObjects(p.i1, 1)
-	if !e.est.semi {
-		count *= e.minObjects(p.i2, 2)
+	count := e.guaranteed(p)
+	if count == 0 {
+		return true
 	}
 	if !e.opts.Reverse {
 		e.dmaxCur = e.est.observe(p, d, dmax, e.dmin, e.dmaxCur, count)
@@ -605,13 +603,10 @@ func (e *engine) step() (Pair, bool, error) {
 			return Pair{}, false, e.surface(err)
 		}
 		if !ok {
-			// The estimation of §2.2.4 may have over-tightened the maximum
-			// distance (e.g. when already-reported semi-join objects inflate
-			// the counts in M); the paper's remedy is to restart the query,
-			// once: the restart drops the estimator. A run whose bounds the
-			// estimator never moved is already exhaustive — the caller's own
-			// range leaves fewer than K pairs — and would replay the same
-			// sequence.
+			// The §2.2.4 bound may have overshot where M over-guarantees
+			// (DESIGN.md §5); the paper's remedy is to restart the query once,
+			// without the estimator. A run whose bounds the estimator never
+			// moved is already exhaustive, and would replay the same pairs.
 			if e.est != nil && e.reported < e.opts.MaxPairs &&
 				(e.dmaxCur != e.opts.MaxDist || e.dmin != e.opts.MinDist) {
 				if err := e.restart(); err != nil {
@@ -637,19 +632,9 @@ func (e *engine) step() (Pair, bool, error) {
 		}
 		if e.est != nil {
 			e.est.onPop(p)
-			// Under Reverse the bound may have risen after this pair was
-			// enqueued; a pair whose upper bound (its queue key, for
-			// non-object pairs) falls below it is dead. Exact object pairs
-			// carry their true distance, handled by the report-time range
-			// check.
-			if e.opts.Reverse && (p.i1.isNode() || p.i2.isNode()) && p.key < e.dmin {
-				e.m.Filter(1)
-				continue
-			}
 		}
 		// The effective maximum may have tightened after this pair was
-		// enqueued (forward joins key node pairs by their minimum
-		// distance, so the comparison is sound).
+		// queued (a forward join keys a pair by its minimum distance).
 		if !e.opts.Reverse && p.key > e.dmaxCur {
 			e.m.Filter(1)
 			continue
@@ -703,7 +688,7 @@ func (e *engine) surface(err error) error { return wrapCanceled(e.ctx, err) }
 // semi-join duplicate filter. The boolean is false when the pair must be
 // silently skipped.
 func (e *engine) report(p qpair) (Pair, bool) {
-	if p.key < e.dmin || p.key > e.dmaxCur {
+	if p.key < e.dmin {
 		e.m.Filter(1)
 		return Pair{}, false
 	}
@@ -921,17 +906,14 @@ func (e *engine) generate(b *block, region geom.Rect) {
 	// What the query asks of a child before its distance counts (§2.2.5):
 	// its side's window and predicate, equal ids, intersection ordering. A
 	// window that contains the node's region contains every entry of it (a
-	// node's region covers its entries), and a predicate has nothing to say
-	// about child nodes.
+	// node's region covers its entries); dropping it here keeps an
+	// all-covering window off the per-child path (DESIGN.md §5).
 	g.win, g.sel = o.Window1, o.Select1
 	if side == 2 {
 		g.win, g.sel = o.Window2, o.Select2
 	}
 	if g.win != nil && g.win.Contains(region) {
 		g.win = nil
-	}
-	if !n.Leaf {
-		g.sel = nil
 	}
 	g.omit = o.OmitEqualIDs && n.Leaf && !other.isNode()
 	g.byIntersection = len(o.OrderIntersectionsFrom) > 0

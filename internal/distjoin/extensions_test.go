@@ -1,6 +1,7 @@
 package distjoin
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"distjoin/internal/geom"
 	"distjoin/internal/rtree"
+	"distjoin/internal/stats"
 )
 
 func TestJoinWithWindows(t *testing.T) {
@@ -236,9 +238,11 @@ func TestWindowExcludesEverything(t *testing.T) {
 	}
 }
 
-// TestJoinRestartWithSelection forces the §2.2.4 restart on a PLAIN join:
-// attribute selection makes the minimum-fan-out counting overcount, the
-// estimation over-tightens, and the engine must transparently restart and
+// TestJoinRestartWithSelection forces the §2.2.4 restart on a PLAIN join
+// under an attribute selection. Sound subtree counts leave a plain join one
+// way to over-tighten: an ExactDist hook that reports a pair farther than
+// its bounding rectangles' MINMAXDIST, the d_max the estimator counted on.
+// The engine must then restart, replay the delivered prefix silently and
 // still deliver exactly MaxPairs correct results. It also pins the other
 // side of the rule: a run that falls short of MaxPairs because the caller's
 // own range holds fewer pairs, with the estimator's bound never moved, ends
@@ -247,25 +251,28 @@ func TestJoinRestartWithSelection(t *testing.T) {
 	a := clusteredPoints(81, 150)
 	b := clusteredPoints(82, 150)
 	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
-	// Keep 1 in 25 objects: subtree counts overstate qualifying pairs 625x.
-	sel := func(id rtree.ObjID) bool { return id%25 == 0 }
+	sel := func(id rtree.ObjID) bool { return id%3 != 0 }
+	// Points are their own bounding rectangles, so MINMAXDIST is the point
+	// distance and any positive margin lies beyond it.
+	exact := func(o1, o2 rtree.ObjID) float64 {
+		return geom.Euclidean.Dist(a[o1], b[o2]) + float64((7*o1+13*o2)%5)
+	}
 	var want []bruteResult
-	for i, p := range a {
-		if i%25 != 0 {
-			continue
-		}
-		for k, q := range b {
-			if k%25 != 0 {
-				continue
+	for i := range a {
+		for k := range b {
+			if i%3 != 0 && k%3 != 0 {
+				want = append(want, bruteResult{i: i, j: k, d: exact(rtree.ObjID(i), rtree.ObjID(k))})
 			}
-			want = append(want, bruteResult{i: i, j: k, d: geom.Euclidean.Dist(p, q)})
 		}
 	}
 	sort.Slice(want, func(x, y int) bool { return want[x].d < want[y].d })
 
 	restartSeen := false
 	for _, k := range []int{1, 5, 20, len(want)} {
-		j, err := NewJoinIndexes(ta, tb, Options{Select1: sel, Select2: sel, MaxPairs: k})
+		j, err := NewJoinIndexes(ta, tb, Options{
+			Select1: sel, Select2: sel, MaxPairs: k,
+			ExactDist: func(o1, o2 rtree.ObjID) (float64, error) { return exact(o1, o2), nil },
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,6 +320,147 @@ func TestJoinRestartWithSelection(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: %d pairs, want the %d of the unbounded run", name, len(got), len(want))
+		}
+	}
+}
+
+// TestSubtreeCountRule pins what the §2.2.4 estimator counts for a pair: a
+// lower bound on the pairs the query can report from it. A node on a side
+// with a predicate, or whose region that side's window does not contain,
+// guarantees nothing; so, in semi mode, does a pair whose second item
+// guarantees nothing; equal-id omission takes min(c1, c2) off a pair with a
+// node; and a pair that guarantees nothing stays out of M.
+func TestSubtreeCountRule(t *testing.T) {
+	ta, tb := WrapRTree(buildTree(t, clusteredPoints(91, 300))), WrapRTree(buildTree(t, clusteredPoints(92, 300)))
+	child := func(tr SpatialIndex, i int) (node, obj item) {
+		root, err := tr.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := tr.Node(root.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node = childItem(n, i, len(n.Coords)/len(n.Refs), kindObj)
+		for !n.Leaf {
+			if n, err = tr.Node(n.Refs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return node, childItem(n, 0, len(n.Coords)/len(n.Refs), kindObj)
+	}
+	n1, o1 := child(ta, 0)
+	n2, o2 := child(tb, 1)
+	m1, m2 := ta.MinObjectsUnder(int(n1.level)), tb.MinObjectsUnder(int(n2.level))
+	if m1 < 2 || m2 < 2 {
+		t.Fatalf("minimum subtree sizes %d and %d: no count to pin", m1, m2)
+	}
+	all := func(rtree.ObjID) bool { return true }
+	in1, in2 := n1.rect(), n2.rect()
+	cut1 := geom.R(in1.Lo, geom.Pt((in1.Lo[0]+in1.Hi[0])/2, in1.Hi[1]))
+	cut2 := geom.R(in2.Lo, geom.Pt((in2.Lo[0]+in2.Hi[0])/2, in2.Hi[1]))
+	pair := func(a, b item) qpair { return qpair{i1: a, i2: b} }
+	for _, c := range []struct {
+		name string
+		opts Options
+		semi bool
+		p    qpair
+		want int
+	}{
+		{"nodes", Options{}, false, pair(n1, n2), m1 * m2},
+		{"object-node", Options{}, false, pair(o1, n2), m2},
+		{"objects", Options{}, false, pair(o1, o2), 1},
+		{"select1-nodes", Options{Select1: all}, false, pair(n1, n2), 0},
+		{"select1-object", Options{Select1: all}, false, pair(o1, n2), m2},
+		{"select2-nodes", Options{Select2: all}, false, pair(n1, n2), 0},
+		{"window1-contains", Options{Window1: &in1}, false, pair(n1, n2), m1 * m2},
+		{"window1-cuts", Options{Window1: &cut1}, false, pair(n1, n2), 0},
+		{"window2-cuts", Options{Window2: &cut2}, false, pair(n1, n2), 0},
+		{"omit-nodes", Options{OmitEqualIDs: true}, false, pair(n1, n2), m1*m2 - min(m1, m2)},
+		{"omit-object-node", Options{OmitEqualIDs: true}, false, pair(o1, n2), m2 - 1},
+		{"omit-objects", Options{OmitEqualIDs: true}, false, pair(o1, o2), 1},
+		{"semi-nodes", Options{}, true, pair(n1, n2), m1},
+		{"semi-select2-nodes", Options{Select2: all}, true, pair(n1, n2), 0},
+		{"semi-select2-object", Options{Select2: all}, true, pair(n1, o2), m1},
+		{"semi-window2-cuts", Options{Window2: &cut2}, true, pair(n1, n2), 0},
+		{"semi-window2-contains", Options{Window2: &in2}, true, pair(n1, n2), m1},
+	} {
+		c.opts.MaxPairs = 1 << 20
+		var semi *semiState
+		if c.semi {
+			semi = &semiState{filter: FilterInside2, k: 1}
+		}
+		e, err := newEngine(ta, tb, c.opts, semi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.guaranteed(c.p); got != c.want {
+			t.Errorf("%s: count %d, want %d", c.name, got, c.want)
+		}
+		before := len(e.est.index) // the seed pair may be in M already
+		e.observe(c.p, 0, 1)
+		if in := len(e.est.index) > before; in != (c.want > 0) {
+			t.Errorf("%s: in M %v with count %d", c.name, in, c.want)
+		}
+		e.close()
+	}
+}
+
+// TestMaxPairsDoesNoMoreWork pins the payoff of sound subtree counts: a plain
+// join bounded by MaxPairs, in either order, under selections, windows and
+// equal-id omission, never restarts, delivers the unbounded run's first K
+// pairs bit for bit, and computes no more distances and expands no more
+// pairs than the unbounded run did to deliver them.
+func TestMaxPairsDoesNoMoreWork(t *testing.T) {
+	a, b := clusteredPoints(93, 400), clusteredPoints(94, 500)
+	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
+	qa := WrapQuadtree(buildQuadtree(t, a))
+	sparse := func(id rtree.ObjID) bool { return id%7 == 0 }
+	west := geom.R(geom.Pt(-100, -100), geom.Pt(450, 1100))
+	for _, c := range []struct {
+		name   string
+		t1, t2 SpatialIndex
+		opts   Options
+	}{
+		{"select1", ta, tb, Options{Select1: sparse}},
+		{"select2", ta, tb, Options{Select2: sparse}},
+		{"window1", ta, tb, Options{Window1: &west}},
+		{"window2", ta, tb, Options{Window2: &west}},
+		{"omit-self-rtree", ta, ta, Options{OmitEqualIDs: true}},
+		{"omit-self-quadtree", qa, qa, Options{OmitEqualIDs: true}},
+	} {
+		for _, reverse := range []bool{false, true} {
+			for _, k := range []int{1, 10, 100, 1000} {
+				name := fmt.Sprintf("%s/reverse=%v/K=%d", c.name, reverse, k)
+				o := c.opts
+				o.Reverse = reverse
+				free := &stats.Counters{}
+				o.Counters = free
+				j, err := NewJoinIndexes(c.t1, c.t2, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := drainJoin(t, j, k)
+				j.Close()
+				bounded := &stats.Counters{}
+				o.Counters, o.MaxPairs = bounded, k
+				if j, err = NewJoinIndexes(c.t1, c.t2, o); err != nil {
+					t.Fatal(err)
+				}
+				got := drainJoin(t, j, 0)
+				restarted := j.Restarted()
+				j.Close()
+				if restarted {
+					t.Errorf("%s: restarted", name)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: %d pairs differ from the unbounded run's first %d", name, len(got), len(want))
+				}
+				if bounded.DistCalcs+bounded.NodeDistCalcs > free.DistCalcs+free.NodeDistCalcs || bounded.Expansions > free.Expansions {
+					t.Errorf("%s: %d distances and %d expansions, unbounded %d and %d", name,
+						bounded.DistCalcs+bounded.NodeDistCalcs, bounded.Expansions, free.DistCalcs+free.NodeDistCalcs, free.Expansions)
+				}
+			}
 		}
 	}
 }

@@ -310,3 +310,29 @@ func TestSemiJoinEstimationRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestSemiJoinForgetsCompletedObjects pins report's release of a completed
+// first object's GlobalAll entry: no later pair with that object reaches the
+// table (Inside2 drops it first), so the entry is dead weight. A drained
+// semi-join leaves the table empty.
+func TestSemiJoinForgetsCompletedObjects(t *testing.T) {
+	ta := WrapRTree(buildTree(t, clusteredPoints(95, 200)))
+	tb := WrapRTree(buildTree(t, clusteredPoints(96, 250)))
+	e, err := newEngine(ta, tb, Options{}, &semiState{filter: FilterGlobalAll, k: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.close()
+	for {
+		_, ok, err := e.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if e.reported != 200 || len(e.semi.bestObj) != 0 {
+		t.Fatalf("%d objects reported, %d GlobalAll entries left, want 200 and 0", e.reported, len(e.semi.bestObj))
+	}
+}
