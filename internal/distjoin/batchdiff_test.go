@@ -34,7 +34,6 @@ type diffCase struct {
 	rect1, rect2 bool // that side's objects are non-degenerate rectangles around its points
 	dims3        bool // both sides hold the points lifted into three dimensions
 	limit        int  // max pairs to drain; 0 = full drain
-	restarts     bool // the case is there for the §2.2.4 restart: it must happen
 }
 
 func diffCases(pts1, pts2 []geom.Point) []diffCase {
@@ -53,7 +52,7 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 		// The side expansions, which on the memory queue enter as blocks:
 		// siblings on different levels (quadtrees) under both tie-breaks,
 		// descending keys, keys that are not distances, pairs re-queued
-		// past a peeked block head, and generation resumed after a restart.
+		// past a peeked block head.
 		{name: "quadtree-rtree", opts: Options{}, quad1: true},
 		{name: "rtree-quadtree-basic", opts: Options{Traversal: TraverseBasic}, quad2: true},
 		{name: "quadtrees-breadthfirst", opts: Options{TieBreak: BreadthFirst}, quad1: true, quad2: true},
@@ -62,12 +61,11 @@ func diffCases(pts1, pts2 []geom.Point) []diffCase {
 		{name: "intersection-order-even", opts: Options{OrderIntersectionsFrom: geom.Pt(300, 400)}, self: true, limit: 500},
 		{name: "obr-exactdist", opts: Options{ExactDist: exact}},
 		{name: "obr-fetch", opts: Options{Fetch1: fetch(pts1), Fetch2: fetch(pts2), MaxDist: 150}},
-		// An exact distance beyond the bounding rectangles' MINMAXDIST breaks
-		// the d_max the estimator counts on, so it over-tightens and the
-		// engine restarts without it, replaying the delivered prefix; the
-		// clustering join restarts on consumed second objects.
-		{name: "estimator-restart", opts: Options{Select1: sel, Select2: sel, ExactDist: exact, MaxPairs: 20}, limit: 20, restarts: true},
-		{name: "estimator-restart-clustering", opts: Options{MaxPairs: 40}, semi: func() *semiState { return &semiState{filter: FilterOutside, k: 1, symmetric: true} }, limit: 40, restarts: true},
+		// MaxPairs where the §2.2.4 counts cannot hold, so no estimator runs:
+		// an exact distance beyond the bounding rectangles' MINMAXDIST, and
+		// the clustering join, whose consumed second objects break them.
+		{name: "maxpairs-exactdist", opts: Options{Select1: sel, Select2: sel, ExactDist: exact, MaxPairs: 20}, limit: 20},
+		{name: "maxpairs-clustering", opts: Options{MaxPairs: 40}, semi: func() *semiState { return &semiState{filter: FilterOutside, k: 1, symmetric: true} }, limit: 40},
 		{name: "even-default", opts: Options{}},
 		{name: "basic", opts: Options{Traversal: TraverseBasic}},
 		{name: "simultaneous-maxdist", opts: Options{Traversal: TraverseSimultaneous, MaxDist: 120}},
@@ -229,9 +227,6 @@ func drainEngineVariant(t *testing.T, t1, t2 SpatialIndex, tc diffCase, scalar b
 			break
 		}
 		out = append(out, p)
-	}
-	if tc.restarts && !e.restarted {
-		t.Fatal("the estimator never over-tightened: no restart to compare")
 	}
 	return out, opts.Counters.Snapshot()
 }

@@ -79,9 +79,8 @@ func TestJoinMixedRTreeQuadtree(t *testing.T) {
 }
 
 // TestSemiJoinOverQuadtrees checks the semi-join with every filter on
-// quadtree inputs, including the MaxPairs estimation (whose minimum-fill
-// counting degenerates to 1 per node on quadtrees and leans on the restart
-// path).
+// quadtree inputs, including the MaxPairs estimation (where a quadtree node
+// other than the root counts no object: quadtrees have no minimum fill).
 func TestSemiJoinOverQuadtrees(t *testing.T) {
 	a := clusteredPoints(75, 90)
 	b := clusteredPoints(76, 110)

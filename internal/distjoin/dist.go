@@ -80,9 +80,10 @@ func (e *engine) guaranteed(p qpair) int {
 
 // minObjects returns how many objects under an item the query is certain to
 // report from: 1 for an object or OBR, which passed its side's selections to
-// be queued; for a node the minimum-fan-out bound (1 for the root, exempt
-// from minimum fill), or 0 where its side has a predicate or a window that
-// does not contain the node's region.
+// be queued; for a node the index's minimum-fill bound (0 for a quadtree,
+// whose emptied leaves stay in place), 1 for the root of a non-empty index,
+// which is exempt from minimum fill, or 0 where its side has a predicate or a
+// window that does not contain the node's region.
 func (e *engine) minObjects(it item, side int) int {
 	if !it.isNode() {
 		return 1
@@ -97,5 +98,5 @@ func (e *engine) minObjects(it item, side int) int {
 	if it.ref == root {
 		return 1
 	}
-	return max(t.MinObjectsUnder(int(it.level)), 1)
+	return t.MinObjectsUnder(int(it.level))
 }

@@ -109,11 +109,9 @@ type engine struct {
 	ctxDone     <-chan struct{}
 	popsToCheck int
 
-	reported  int
-	skip      int  // results to silently re-skip after a restart
-	restarted bool // the §2.2.4 restart has been used
-	done      bool
-	closed    bool
+	reported int
+	done     bool
+	closed   bool
 }
 
 // newEngine validates options, builds the queue, and seeds it with the
@@ -167,7 +165,12 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 	e.scratch2 = make([]item, 0, f2)
 	e.rows = make([]float64, 0, f2*2*t1.Dims())
 	e.dbuf, e.mbuf = make([]float64, fmax), make([]float64, fmax)
-	if opts.MaxPairs > 0 {
+	// The §2.2.4 estimation needs every count M keeps to be a lower bound
+	// on what the query reports within the pair's d_max (DESIGN.md §5). An
+	// ExactDist hook is bounded by no rectangle's d_max, and a clustering
+	// join's consumed second object can break any first item's count, so
+	// neither runs it.
+	if opts.MaxPairs > 0 && opts.ExactDist == nil && (semi == nil || !semi.symmetric) {
 		e.est = newEstimator(opts.MaxPairs, semi != nil)
 	}
 	// The Local/Global semi-join filters prune against d_max bounds that
@@ -205,8 +208,8 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 	return e, nil
 }
 
-// makeQueue (re)creates the priority queue per the configured kind: the
-// block queue, over the hybrid queue's disk tier when that is the kind.
+// makeQueue creates the priority queue per the configured kind: the block
+// queue, over the hybrid queue's disk tier when that is the kind.
 func (e *engine) makeQueue() error {
 	e.q = newBlockQueue(e.opts.TieBreak == DepthFirst, e.opts.Reverse, e.m)
 	switch e.opts.Queue {
@@ -229,9 +232,9 @@ func (e *engine) makeQueue() error {
 	return nil
 }
 
-// queueStore builds the disk-tier store for one (re)creation of the
-// hybrid queue: the QueueStore factory's, else a scratch file in HybridDir,
-// behind the retry layer when RetryIO is on.
+// queueStore builds the hybrid queue's disk-tier store: the QueueStore
+// factory's, else a scratch file in HybridDir, behind the retry layer when
+// RetryIO is on.
 func (e *engine) queueStore(pageSize int) (pager.Store, error) {
 	var store pager.Store
 	var err error
@@ -296,30 +299,6 @@ func (e *engine) seed() error {
 		}
 	}
 	return nil
-}
-
-// restart re-runs the query without the maximum-distance estimation — the
-// recovery the paper prescribes when an over-tightened D_max leaves fewer
-// than K results findable (§2.2.4). For the semi-join the reported-object
-// set S survives, so completed objects are not re-reported; for the plain
-// join the deterministic pair order lets the engine silently skip the
-// already-delivered prefix.
-func (e *engine) restart() error {
-	e.restarted = true
-	e.m.Restart()
-	e.est = nil
-	e.dmaxCur = e.opts.MaxDist
-	e.dmin = e.opts.MinDist
-	if e.semi == nil {
-		e.skip = e.reported
-	}
-	if err := e.q.Close(); err != nil {
-		return err
-	}
-	if err := e.makeQueue(); err != nil {
-		return err
-	}
-	return e.seed()
 }
 
 // indexFanout returns a tree's max fan-out via the optional spatial.Fanout
@@ -603,17 +582,6 @@ func (e *engine) step() (Pair, bool, error) {
 			return Pair{}, false, e.surface(err)
 		}
 		if !ok {
-			// The §2.2.4 bound may have overshot where M over-guarantees
-			// (DESIGN.md §5); the paper's remedy is to restart the query once,
-			// without the estimator. A run whose bounds the estimator never
-			// moved is already exhaustive, and would replay the same pairs.
-			if e.est != nil && e.reported < e.opts.MaxPairs &&
-				(e.dmaxCur != e.opts.MaxDist || e.dmin != e.opts.MinDist) {
-				if err := e.restart(); err != nil {
-					return Pair{}, false, e.surface(err)
-				}
-				continue
-			}
 			e.done = true
 			return Pair{}, false, nil
 		}
@@ -703,12 +671,6 @@ func (e *engine) report(p qpair) (Pair, bool) {
 		if e.semi.symmetric {
 			e.semi.seen2.Add(p.i2.ref)
 		}
-	}
-	// After a restart, the already-delivered prefix of a plain join is
-	// re-derived in identical order; swallow it silently.
-	if e.skip > 0 {
-		e.skip--
-		return Pair{}, false
 	}
 	if e.est != nil {
 		e.est.onReport(p)

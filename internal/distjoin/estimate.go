@@ -119,9 +119,12 @@ func (est *estimator) evict(ent *mEntry) {
 
 // onPop removes a pair retrieved from the main queue from M (§2.2.4: "when
 // a pair is retrieved from the priority queue, we must also remove the pair
-// from M if it is present").
+// from M if it is present"). In semi mode any pair with a first node takes
+// that node's entry with it: the node is processed from here on, and its
+// children may enter M, which would count its objects twice.
 func (est *estimator) onPop(p qpair) {
-	if h, ok := est.index[est.keyOf(p)]; ok && est.heap.Value(h).pair == pairKeyOf(p) {
+	if h, ok := est.index[est.keyOf(p)]; ok &&
+		(est.heap.Value(h).pair == pairKeyOf(p) || est.semi && p.i1.isNode()) {
 		est.evict(est.heap.Value(h))
 	}
 	if est.semi && p.i1.isNode() {

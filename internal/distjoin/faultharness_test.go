@@ -90,8 +90,7 @@ type faultSchedule struct {
 }
 
 // storeLog is an Options.QueueStore factory that keeps the fault stores it
-// hands out — one per engine, and one more per §2.2.4 restart — so a test can
-// read what they injected.
+// hands out — one per engine — so a test can read what they injected.
 type storeLog struct {
 	mu     sync.Mutex
 	stores []*faultstore.Store
@@ -297,7 +296,7 @@ func TestDifferentialFaultHarness(t *testing.T) {
 
 		// Derive the workload's result bounds deterministically from the
 		// seed: every other seed caps MaxPairs (exercising the §2.2.4
-		// estimation and restart), every third seed caps MaxDist.
+		// estimation), every third seed caps MaxDist.
 		maxPairs, maxDist := 0, 0.0
 		if seed%2 == 0 {
 			maxPairs = int(seed*137) % len(fullOracle)

@@ -15,14 +15,12 @@ type runner interface {
 	reportedCount() int
 	queueLen() int
 	effectiveMaxDist() float64
-	didRestart() bool
 }
 
 // runner implementation on the sequential engine.
 func (e *engine) reportedCount() int        { return e.reported }
 func (e *engine) queueLen() int             { return e.q.Len() }
 func (e *engine) effectiveMaxDist() float64 { return e.dmaxCur }
-func (e *engine) didRestart() bool          { return e.restarted }
 
 // queryKind names the operation for the query trace.
 func queryKind(semi *semiState) string {
@@ -201,11 +199,6 @@ func (j *Join) QueueLen() int { return j.r.queueLen() }
 // parallel path each partition tightens its own bound, so this reports the
 // configured maximum.
 func (j *Join) EffectiveMaxDist() float64 { return j.r.effectiveMaxDist() }
-
-// Restarted reports whether the engine used the §2.2.4 restart (the
-// estimation had over-tightened the maximum distance); on the parallel
-// path, whether any partition did. Diagnostic.
-func (j *Join) Restarted() bool { return j.r.didRestart() }
 
 // Close releases queue resources (the hybrid queue's scratch file) and, on
 // the parallel path, cancels the partition workers and waits for them to

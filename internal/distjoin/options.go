@@ -109,7 +109,8 @@ type Options struct {
 	// MaxPairs, when positive, bounds the number of result pairs
 	// (STOP AFTER) and activates the maximum-distance estimation of
 	// §2.2.4, which tightens the effective maximum distance as pairs are
-	// enqueued.
+	// enqueued — except with ExactDist, whose distances no rectangle
+	// bounds, and in the clustering join, which the bound only stops.
 	MaxPairs int
 	// Traversal is the node/node expansion policy; default TraverseEven.
 	Traversal Traversal
@@ -228,8 +229,7 @@ type Options struct {
 	Parallelism int
 	// QueueStore supplies the hybrid queue's disk-tier page store. It is a
 	// factory, not a store: each engine owns and closes its own store, and
-	// the parallel path runs one engine per partition (a §2.2.4 restart
-	// also rebuilds the queue, calling the factory again). When set it
+	// the parallel path runs one engine per partition. When set it
 	// overrides HybridDir. Useful for injecting instrumented or
 	// fault-injecting stores, or an in-memory one (NewMemPageStore), which
 	// keeps the tier mechanics and spill accounting while making tests

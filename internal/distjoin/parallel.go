@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"distjoin/internal/meter"
 )
@@ -214,9 +213,8 @@ type parallelJoin struct {
 	failErr   error // first worker error; sticky, returned by every later next
 	nOut      int   // pairs delivered to the caller
 
-	anyRestart atomic.Bool
-	closeMu    sync.Mutex
-	closeErr   error
+	closeMu  sync.Mutex
+	closeErr error
 }
 
 // newParallelJoin builds the partition engines and starts the workers. The
@@ -272,9 +270,6 @@ func newParallelJoin(t1, t2 SpatialIndex, opts Options, semiProto *semiState) (*
 func (r *parallelJoin) run(w *parWorker) {
 	defer r.wg.Done()
 	defer func() {
-		if w.eng.restarted {
-			r.anyRestart.Store(true)
-		}
 		if err := w.eng.close(); err != nil {
 			r.setCloseErr(err)
 		}
@@ -496,7 +491,3 @@ func (r *parallelJoin) queueLen() int {
 // bound concurrently; the configured maximum is the only stable global
 // value.
 func (r *parallelJoin) effectiveMaxDist() float64 { return r.maxDist }
-
-// didRestart implements runner: whether any partition used the §2.2.4
-// restart.
-func (r *parallelJoin) didRestart() bool { return r.anyRestart.Load() }

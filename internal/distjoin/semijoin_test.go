@@ -280,12 +280,13 @@ func TestBitset(t *testing.T) {
 	}
 }
 
-// TestSemiJoinEstimationRestart pins the §2.2.4 restart path: with the
-// Outside filter, already-reported objects inflate the estimation set M,
-// over-tightening D_max; the engine must transparently restart and still
-// deliver exactly MaxPairs correct results. (Regression test for a bug
-// found by TestPropSemiJoinAllFilters.)
-func TestSemiJoinEstimationRestart(t *testing.T) {
+// TestSemiJoinMaxPairsAllFilters bounds the semi-join by MaxPairs at every
+// rung of the filter ladder, on the input where already-reported objects
+// once inflated the estimation set M under the Outside filter and
+// over-tightened D_max (found by TestPropSemiJoinAllFilters). A reported
+// first object leaves M, and nothing recovers from an over-tightened D_max,
+// so each run must deliver exactly MaxPairs correct results.
+func TestSemiJoinMaxPairsAllFilters(t *testing.T) {
 	var seed int64 = -4090533858772004629 // wraps on *3, matching the original failure
 	a := clusteredPoints(seed*3+1, 64)
 	b := clusteredPoints(seed*3+2, 75)

@@ -7,8 +7,8 @@
 // one copy of the work counts, the exclusive per-phase time, the disk
 // tier's physical I/O time and the current Next call's start stamp. The
 // engine and the priority queue report facts to it at one set of hook points
-// (step, expand, push, pop, spill, fetch, page io, emit, retry, restart,
-// cancel); nothing else in those layers touches a telemetry sink.
+// (step, expand, push, pop, spill, fetch, page io, emit, retry, cancel);
+// nothing else in those layers touches a telemetry sink.
 //
 // The four user-facing sinks — Options.Counters, .Obs, .Profile and
 // .Tracer — are views: at every Next return and at close the meter folds
@@ -416,13 +416,6 @@ func (m *Meter) Fault() {
 func (m *Meter) Retry() {
 	if m != nil {
 		m.n.IORetries++
-	}
-}
-
-// Restart counts one §2.2.4 restart.
-func (m *Meter) Restart() {
-	if m != nil {
-		m.n.Restarts++
 	}
 }
 

@@ -50,7 +50,6 @@ func everyHook(m *Meter) {
 	m.Switch(PhasePop) // already there: no read
 	m.Fault()
 	m.Retry()
-	m.Restart()
 	m.Stall()
 	m.Switch(PhaseEmit)
 	m.Emit(2.5, 3)

@@ -50,7 +50,6 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	writeCounter(w, "distjoin_batch_prune_total", "Candidate pairs skipped by the plane-sweep/block prune before any distance computation.", c.BatchPruned)
 	writeCounter(w, "distjoin_queue_spilled_pairs_total", "Pairs spilled to the hybrid priority queue's disk tier.", c.QueueDiskPairs)
 	writeCounter(w, "distjoin_merge_stalls_total", "Times the parallel merge blocked waiting on a partition stream.", c.MergeStalls)
-	writeCounter(w, "distjoin_restarts_total", "Engine restarts after an over-tight estimated maximum distance.", c.Restarts)
 	writeCounter(w, "distjoin_io_retries_total", "Retries of transient queue-store I/O failures (Options.RetryIO).", c.IORetries)
 	writeCounter(w, "distjoin_stats_dist_calcs_total", "Object distance computations.", c.DistCalcs)
 	writeCounter(w, "distjoin_stats_queue_inserts_total", "Priority-queue inserts.", c.QueueInserts)

@@ -178,7 +178,6 @@ type Snapshot struct {
 	BatchPruned    int64             `json:"batch_pruned"`
 	SpilledPairs   int64             `json:"queue_spilled_pairs"`
 	MergeStalls    int64             `json:"merge_stalls"`
-	Restarts       int64             `json:"restarts"`
 	IORetries      int64             `json:"io_retries"`
 	EnginesStarted int64             `json:"engines_started"`
 	EnginesStopped int64             `json:"engines_stopped"`
@@ -213,7 +212,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		BatchPruned:    c.BatchPruned,
 		SpilledPairs:   c.QueueDiskPairs,
 		MergeStalls:    c.MergeStalls,
-		Restarts:       c.Restarts,
 		IORetries:      c.IORetries,
 		EnginesStarted: r.startedEng.Load(),
 		EnginesStopped: r.stoppedEng.Load(),

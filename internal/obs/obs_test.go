@@ -62,13 +62,13 @@ func TestRecorderCountsAndSnapshot(t *testing.T) {
 	r.Emit(-1, 1.0, 7, start, start.Add(3*time.Microsecond))
 	r.Emit(-1, 2.0, 6, start.Add(4*time.Microsecond), start.Add(9*time.Microsecond))
 	r.EngineStopped()
-	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1, Restarts: 1})
+	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1})
 	s := r.Snapshot()
 	if s.Delivered != 2 || s.Emitted != 2 {
 		t.Errorf("delivered=%d emitted=%d, want 2/2", s.Delivered, s.Emitted)
 	}
-	if s.Expansions != 1 || s.SpilledPairs != 1 || s.Restarts != 1 {
-		t.Errorf("expands=%d spills=%d restarts=%d, want 1/1/1", s.Expansions, s.SpilledPairs, s.Restarts)
+	if s.Expansions != 1 || s.SpilledPairs != 1 {
+		t.Errorf("expands=%d spills=%d, want 1/1", s.Expansions, s.SpilledPairs)
 	}
 	if s.EnginesStarted != 1 || s.EnginesStopped != 1 {
 		t.Errorf("engines %d/%d, want 1/1", s.EnginesStarted, s.EnginesStopped)

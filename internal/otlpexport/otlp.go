@@ -276,9 +276,6 @@ func SpansFromQueryTrace(qt *qtrace.QueryTrace) []Span {
 	if parent, ok := qtrace.ParseSpanID(qt.ParentSpanID); ok {
 		root.Parent = parent
 	}
-	if qt.Restarted {
-		root.Attrs = append(root.Attrs, Bool("distjoin.query.restarted", true))
-	}
 	if qt.Error != "" {
 		root.StatusCode = StatusError
 		root.StatusMsg = qt.Error

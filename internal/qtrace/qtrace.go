@@ -430,9 +430,6 @@ func (q *Query) Finish(err error) *QueryTrace {
 	sort.Slice(q.workers, func(i, j int) bool { return q.workers[i].Part < q.workers[j].Part })
 	qt.Workers = len(q.workers)
 	qt.Root = q.buildTree(wall)
-	for i := range q.workers {
-		qt.Restarted = qt.Restarted || q.workers[i].Counts.Restarts > 0
-	}
 	qt.Resources = q.resources()
 	qt.CallerSeconds = time.Duration(q.callerNS).Seconds()
 	qt.Coverage = q.coverage(wall)
@@ -585,8 +582,6 @@ type QueryTrace struct {
 	// Error annotates a query that died (storage fault, checksum mismatch,
 	// failed partition worker, ...). Empty on a clean finish.
 	Error string `json:"error,omitempty"`
-	// Restarted reports whether any engine used the §2.2.4 restart.
-	Restarted bool `json:"restarted,omitempty"`
 	// Coverage is the fraction of the query's own time, WallSeconds less
 	// CallerSeconds, that the span tree explains.
 	Coverage  float64   `json:"phase_coverage"`

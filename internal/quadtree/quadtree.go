@@ -325,8 +325,7 @@ func (t *Tree) Node(ref uint64) (*spatial.IndexNode, error) {
 	return v, nil
 }
 
-// MinObjectsUnder implements spatial.Index with 1: quadtrees have no
-// minimum-fill invariant, so the §2.2.4 estimation can only count one
-// guaranteed object per node (the restart path recovers from the residual
-// optimism).
-func (t *Tree) MinObjectsUnder(int) int { return 1 }
+// MinObjectsUnder implements spatial.Index with 0: quadtrees have no
+// minimum-fill invariant, and Delete leaves emptied leaves in place, so a
+// node guarantees no object to the §2.2.4 estimation.
+func (t *Tree) MinObjectsUnder(int) int { return 0 }

@@ -38,7 +38,7 @@ type Index interface {
 	// MinObjectsUnder returns a guaranteed lower bound on the number of
 	// objects in the subtree of a non-root node at the given level, used
 	// by the maximum-distance estimation of §2.2.4. Structures without a
-	// minimum-fill invariant should return 1.
+	// minimum-fill invariant, whose nodes may be empty, return 0.
 	MinObjectsUnder(level int) int
 }
 

@@ -128,8 +128,8 @@ func TestQuadtreeAdapterContract(t *testing.T) {
 		}
 	}
 	var ix spatial.Index = qt
-	if ix.MinObjectsUnder(3) != 1 {
-		t.Fatal("quadtree has no fill guarantee; MinObjectsUnder must be 1")
+	if ix.MinObjectsUnder(3) != 0 {
+		t.Fatal("quadtree has no fill guarantee and keeps emptied leaves; MinObjectsUnder must be 0")
 	}
 	checkContract(t, ix, len(pts))
 }

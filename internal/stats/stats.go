@@ -85,9 +85,6 @@ type Counters struct {
 	// Expansions counts node-pair expansions (one per dequeued pair with
 	// at least one node).
 	Expansions int64
-	// Restarts counts §2.2.4 restarts: the maximum-distance estimation
-	// over-tightened and an engine re-ran its query without it.
-	Restarts int64
 	// MergeStalls counts the times the parallel merge blocked on a
 	// partition whose stream had no buffered result.
 	MergeStalls int64
