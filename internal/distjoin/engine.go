@@ -109,6 +109,12 @@ type engine struct {
 	ctxDone     <-chan struct{}
 	popsToCheck int
 
+	// left counts, in a semi-join-family run, the completions that would
+	// fill S_A: first objects (min(N1, N2) pairs in the clustering join)
+	// not yet complete. At 0 nothing more can be reported and the run ends
+	// without popping; where the options leave an object unreportable it
+	// never gets there.
+	left     int
 	reported int
 	done     bool
 	closed   bool
@@ -182,6 +188,12 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 		(opts.Window2 != nil || opts.Select2 != nil || opts.MinDist > 0 ||
 			opts.OmitEqualIDs || semi.k > 1 || semi.symmetric) {
 		semi.filter = FilterInside2
+	}
+	if semi != nil {
+		e.left = t1.NumObjects()
+		if semi.symmetric {
+			e.left = min(e.left, t2.NumObjects())
+		}
 	}
 	if semi != nil && semi.k > 1 {
 		semi.counts = make(map[uint64]int)
@@ -560,8 +572,8 @@ func (e *engine) step() (Pair, bool, error) {
 	// Cancellation check, per Next call: a context canceled between Next
 	// calls is observed by the very next one, so the delivered prefix is
 	// exactly the pairs consumed before cancellation. It comes before the
-	// MaxPairs shortcut: a run canceled after its last pair was delivered,
-	// but before any Next saw it was the last, ends canceled, not done.
+	// end shortcuts: a run canceled after its last pair was delivered, but
+	// before any Next saw it was the last, ends canceled, not done.
 	// With a nil or background context (ctxDone == nil) this is a single
 	// nil test.
 	if e.ctxDone != nil {
@@ -572,7 +584,10 @@ func (e *engine) step() (Pair, bool, error) {
 		}
 		e.popsToCheck = cancelCheckEvery
 	}
-	if e.opts.MaxPairs > 0 && e.reported >= e.opts.MaxPairs {
+	// The run ends without popping once the caller has MaxPairs pairs, or
+	// once S_A is full: every first object completed, so no pair is left
+	// that report would let through.
+	if e.opts.MaxPairs > 0 && e.reported >= e.opts.MaxPairs || e.semi != nil && e.left == 0 {
 		e.done = true
 		return Pair{}, false, nil
 	}
@@ -665,8 +680,11 @@ func (e *engine) report(p qpair) (Pair, bool) {
 			e.m.Filter(1)
 			return Pair{}, false
 		}
-		if e.semi.record(p.i1.ref) && e.semi.bestObj != nil {
-			delete(e.semi.bestObj, p.i1.ref)
+		if e.semi.record(p.i1.ref) {
+			e.left--
+			if e.semi.bestObj != nil {
+				delete(e.semi.bestObj, p.i1.ref)
+			}
 		}
 		if e.semi.symmetric {
 			e.semi.seen2.Add(p.i2.ref)

@@ -3,6 +3,7 @@ package distjoin
 import (
 	"cmp"
 	"context"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -188,10 +189,14 @@ type parHead struct {
 // parallelJoin is the runner behind a Join when Options.Parallelism
 // selects the parallel path.
 type parallelJoin struct {
-	workers  []*parWorker
-	reverse  bool
-	maxPairs int
-	maxDist  float64
+	workers []*parWorker
+	reverse bool
+	// limit is the number of delivered pairs that ends the run (0: none):
+	// MaxPairs, or for the semi-join family k pairs for each first object
+	// when that is fewer. Each partition owns only a slice of the first
+	// objects, so no partition's own count sees S_A fill; the merge does.
+	limit   int
+	maxDist float64
 	// m is the merge's own meter (stalls, deliveries, the merge phase);
 	// each partition engine has its own. nil when no sink is attached.
 	m *meter.Meter
@@ -231,11 +236,17 @@ func newParallelJoin(t1, t2 SpatialIndex, opts Options, semiProto *semiState) (*
 		return nil, nil
 	}
 	r := &parallelJoin{
-		reverse:  opts.Reverse,
-		maxPairs: opts.MaxPairs,
-		maxDist:  opts.MaxDist,
-		m:        opts.run.MergeMeter(len(parts)),
-		done:     make(chan struct{}),
+		reverse: opts.Reverse,
+		limit:   opts.MaxPairs,
+		maxDist: opts.MaxDist,
+		m:       opts.run.MergeMeter(len(parts)),
+		done:    make(chan struct{}),
+	}
+	if semiProto != nil {
+		n1, k := t1.NumObjects(), semiProto.k
+		if k <= math.MaxInt/n1 && (r.limit == 0 || n1*k < r.limit) {
+			r.limit = n1 * k
+		}
 	}
 	if opts.Context != nil {
 		r.ctx = opts.Context
@@ -422,24 +433,26 @@ func (r *parallelJoin) merge() (Pair, bool, error) {
 			}
 		}
 	}
-	if len(r.heads) == 0 || r.maxPairs > 0 && r.nOut >= r.maxPairs {
+	if len(r.heads) == 0 || r.limit > 0 && r.nOut >= r.limit {
 		r.exhausted = true
 		r.finish()
 		return Pair{}, false, nil
 	}
 	h := r.popHead()
-	if err := r.pull(h.src); err != nil {
-		// h.pair is the minimum over every stream (each is nondecreasing),
-		// so it is still safe to deliver: the caller gets the longest
-		// correct prefix, and the latched error on the next call.
-		r.fail(err)
-		r.nOut++
-		r.m.Deliver(h.pair.Dist)
-		return h.pair, true, nil
+	// The last pair needs no successor: refilling its stream could wait on a
+	// partition grinding towards its own end.
+	last := r.limit > 0 && r.nOut+1 >= r.limit
+	if !last {
+		if err := r.pull(h.src); err != nil {
+			// h.pair is the minimum over every stream (each is nondecreasing),
+			// so it is still safe to deliver: the caller gets the longest
+			// correct prefix, and the latched error on the next call.
+			r.fail(err)
+		}
 	}
 	r.nOut++
 	r.m.Deliver(h.pair.Dist)
-	if r.maxPairs > 0 && r.nOut >= r.maxPairs {
+	if last {
 		r.finish() // the workers' resources go now; the end is reported by the next call
 	}
 	return h.pair, true, nil

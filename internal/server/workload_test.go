@@ -157,3 +157,74 @@ func TestDaemonCountsView(t *testing.T) {
 		t.Fatalf("query trace resources differ from the counts view:\ntrace %+v\nview  %+v", tr.Resources, want)
 	}
 }
+
+// TestServedSemiJoinEndsAtLastPair pulls a semi-join cursor with k larger
+// than what is left of it: the pull that carries the last first object's
+// pair must also say done, and the query trace must count exactly the
+// expansions an in-process drain has made at its last pair — the end of a
+// served semi-join costs no work either.
+func TestServedSemiJoinEndsAtLastPair(t *testing.T) {
+	const n1, k = 800, 300
+	water := distjoin.NewIndexFromPoints(datagen.Water(1998, n1))
+	defer water.Close()
+	roads := distjoin.NewIndexFromPoints(datagen.Roads(1999, 1_600))
+	defer roads.Close()
+	reg := NewRegistry()
+	for name, idx := range map[string]*distjoin.Index{"water": water, "roads": roads} {
+		if err := reg.RegisterIndex(name, idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracer := distjoin.NewQueryTracer(distjoin.QueryTraceConfig{FlightSize: 4})
+	f := &testFixture{tracer: tracer}
+	f.srv = NewServer(Config{Registry: reg, Tracer: tracer, TTL: time.Minute})
+	f.ts = httptest.NewServer(f.srv.Handler())
+	defer func() { f.ts.Close(); f.srv.Close() }()
+
+	req := QueryRequest{Kind: "semijoin", Filter: "globalall", Index1: "water", Index2: "roads"}
+	cr := f.create(t, req)
+	n := 0
+	for {
+		nr := f.next(t, cr.Cursor, k)
+		n += len(nr.Pairs)
+		if nr.Done {
+			if len(nr.Pairs) != n1%k || n != n1 {
+				t.Fatalf("done after %d pairs, %d in the last pull; want %d, %d", n, len(nr.Pairs), n1, n1%k)
+			}
+			break
+		}
+		if len(nr.Pairs) != k {
+			t.Fatalf("a pull that is not done carried %d pairs, want %d", len(nr.Pairs), k)
+		}
+	}
+	if code, raw := f.do(t, http.MethodDelete, "/v1/cursor/"+cr.Cursor, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: %d: %s", code, raw)
+	}
+	tr := tracer.Trace(cr.Cursor)
+	if tr == nil {
+		t.Fatalf("no query trace for %s", cr.Cursor)
+	}
+
+	inproc := &distjoin.Stats{}
+	it, err := openIterator(&req, water.AsSpatialIndex(), roads.AsSpatialIndex(), distjoin.Options{Counters: inproc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var atLast int64
+	for {
+		_, ok, err := it.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		atLast = inproc.Expansions
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Root.Find("expand").Count; got != atLast {
+		t.Fatalf("served semi-join expanded %d node pairs, the in-process drain %d at its last pair", got, atLast)
+	}
+}
