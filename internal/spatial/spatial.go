@@ -23,7 +23,9 @@ import "distjoin/internal/geom"
 type Index interface {
 	// Dims returns the dimensionality of indexed geometry.
 	Dims() int
-	// NumObjects returns the number of indexed objects.
+	// NumObjects returns the number of indexed objects, exactly: a
+	// semi-join over the index ends once that many first objects have
+	// their partners, so a count that is too low cuts the result short.
 	NumObjects() int
 	// Root returns a reference to the root node. Only called when
 	// NumObjects() > 0.
