@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's evaluation (one bench per table and
 // figure, §4), plus microbenchmarks of core operations that benchmark/ has
-// no row for (first pair, steady-state delay, telemetry overhead, parallel
-// speed-up and bulk load are measured by bash benchmark/run.sh, not here). Each
+// no row for (first pair, steady-state delay, telemetry overhead and bulk
+// load are measured by bash benchmark/run.sh, not here). Each
 // evaluation bench drives the same experiment code as cmd/experiments at a
 // reduced scale so `go test -bench=.` completes in minutes; run
 // `go run ./cmd/experiments -scale full` for paper-cardinality numbers.
@@ -342,8 +342,7 @@ func BenchmarkDimSweep(b *testing.B) {
 func TestNilRecorderZeroAllocs(t *testing.T) {
 	var rec *distjoin.Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		rec.Emit(-1, 1.0, 3, time.Time{}, time.Time{})
-		rec.Deliver(2.0)
+		rec.Emit(1.0, 3, time.Time{}, time.Time{})
 		rec.EngineStarted()
 		rec.EngineStopped()
 		rec.Counts().Merge(nil)

@@ -65,9 +65,6 @@ func writeHeapProfile(path string) error {
 // by depth; wall is the query's wall time.
 func printSpan(w io.Writer, sp *distjoin.QuerySpan, depth int, wall float64) {
 	name := strings.Repeat("  ", depth) + sp.Name
-	if sp.Part != nil {
-		name += fmt.Sprintf("[%d]", *sp.Part)
-	}
 	if sp.Nested {
 		name += " (nested)"
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	distjoin -a water.csv -b roads.csv [-semi] [-k 10] [-min d] [-max d]
-//	         [-metric euclidean|manhattan|chessboard] [-reverse] [-parallel n]
+//	         [-metric euclidean|manhattan|chessboard] [-reverse]
 //	         [-queue memory|hybrid] [-queue-dt d] [-retries n] [-retry-backoff 1ms]
 //	         [-timeout d]
 //	         [-stats] [-stats-json] [-metrics-addr :8090]
@@ -69,7 +69,6 @@ type cliOptions struct {
 	minD, maxD   float64
 	metricName   string
 	reverse      bool
-	parallel     int
 	queueName    string
 	queueDT      float64
 	retries      int
@@ -103,7 +102,6 @@ func main() {
 	flag.Float64Var(&o.maxD, "max", 0, "maximum pair distance (0 = unlimited)")
 	flag.StringVar(&o.metricName, "metric", "euclidean", "distance metric: euclidean, manhattan, chessboard")
 	flag.BoolVar(&o.reverse, "reverse", false, "report pairs farthest-first")
-	flag.IntVar(&o.parallel, "parallel", 0, "partition workers (0/1 sequential, -1 one per CPU)")
 	flag.StringVar(&o.queueName, "queue", "memory", "priority queue: memory, or hybrid (three-tier, pages large distances out of the heap)")
 	flag.Float64Var(&o.queueDT, "queue-dt", 0, "with -queue hybrid: bucket width D_T (0 = adaptive)")
 	flag.IntVar(&o.retries, "retries", 0, "retry transient queue-storage I/O errors up to this many attempts")
@@ -254,17 +252,16 @@ func run(o cliOptions) error {
 	}
 
 	opts := distjoin.Options{
-		Context:     runCtx,
-		Metric:      metric,
-		MinDist:     o.minD,
-		MaxDist:     o.maxD,
-		MaxPairs:    o.k,
-		Reverse:     o.reverse,
-		Parallelism: o.parallel,
-		Counters:    c,
-		Obs:         rec,
-		Tracer:      tracer,
-		QueryID:     o.queryID,
+		Context:  runCtx,
+		Metric:   metric,
+		MinDist:  o.minD,
+		MaxDist:  o.maxD,
+		MaxPairs: o.k,
+		Reverse:  o.reverse,
+		Counters: c,
+		Obs:      rec,
+		Tracer:   tracer,
+		QueryID:  o.queryID,
 	}
 	switch o.queueName {
 	case "", "memory":

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-scale small|full] [-exp all|table1|table1r|fig6|fig7|parallel|faults|fig8|fig9|fig10|sec414|sec423|dims|trace]
+//	experiments [-scale small|full] [-exp all|table1|table1r|fig6|fig7|faults|fig8|fig9|fig10|sec414|sec423|dims|trace]
 //	            [-latency 100us] [-json] [-metrics-addr :8090]
 //
 // The small scale (default) runs the whole matrix in seconds; -scale full
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small or full")
-	expName := flag.String("exp", "all", "experiment id: all, table1, table1r, fig6, fig7, parallel, faults, fig8, fig9, fig10, sec414, sec423, dims, trace")
+	expName := flag.String("exp", "all", "experiment id: all, table1, table1r, fig6, fig7, faults, fig8, fig9, fig10, sec414, sec423, dims, trace")
 	latency := flag.Duration("latency", 0, "simulated disk latency per node I/O (e.g. 100us) to restore the paper's I/O-dominated cost model")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of tables")
 	metricsAddr := flag.String("metrics-addr", "", "serve live /metrics and /debug/pprof on this address during the runs")
@@ -87,7 +87,6 @@ func run(scaleName, expName string, latency time.Duration, asJSON bool, metricsA
 		{"fig8", "Figure 8: memory-only vs hybrid priority queue", experiments.Fig8},
 		{"fig9", "Figure 9: distance semi-join filtering strategies", experiments.Fig9},
 		{"fig10", "Figure 10: maximum distance and maximum pairs (distance semi-join)", experiments.Fig10},
-		{"parallel", "Parallel partitioned join: speedup vs Parallelism (beyond the paper)", experiments.ParallelSpeedup},
 		{"faults", "Fault injection: retries under transient I/O faults, ordered prefix before unrecoverable ones (beyond the paper)", experiments.Faults},
 		{"sec414", "§4.1.4: nested-loop alternative", experiments.Sec414},
 		{"sec423", "§4.2.3: semi-join vs nearest-neighbour implementation (both orders)", experiments.Sec423},

@@ -41,10 +41,7 @@ func ClosestPair(a, b *Index, opts Options) (Pair, bool, error) {
 // WithinPairs invokes fn for every (a, b) pair within maxDist of each
 // other, in ascending distance order — the spatial join with a within
 // predicate (§1), computed incrementally so fn can stop the enumeration
-// early by returning false. Like every wrapper in this file it honours
-// Options.Parallelism; the fully-consumed operations (this one,
-// AllNearestNeighbors, AssignNearest) are the ones with the most work to
-// spread across cores.
+// early by returning false.
 func WithinPairs(a, b *Index, maxDist float64, opts Options, fn func(Pair) bool) error {
 	opts.MaxDist = maxDist
 	j, err := DistanceJoinIndexes(a.AsSpatialIndex(), b.AsSpatialIndex(), opts)

@@ -31,10 +31,7 @@
 // All options the paper evaluates are exposed: distance ranges, result
 // count bounds with maximum-distance estimation, traversal and tie-breaking
 // policies, queue implementations, semi-join filtering strategies, and
-// farthest-first ordering. See Options and SemiFilter. Beyond the paper,
-// Options.Parallelism runs the join partitioned across CPU cores with an
-// order-preserving merge of the partition streams (see the "Parallel
-// execution" section of the README).
+// farthest-first ordering. See Options and SemiFilter.
 package distjoin
 
 import (
@@ -107,10 +104,6 @@ const (
 	FilterLocal       = distjoin.FilterLocal
 	FilterGlobalNodes = distjoin.FilterGlobalNodes
 	FilterGlobalAll   = distjoin.FilterGlobalAll
-
-	// ParallelismAuto, assigned to Options.Parallelism, runs one partition
-	// worker per available CPU.
-	ParallelismAuto = distjoin.ParallelismAuto
 )
 
 // Stats holds the performance counters of Table 1 (distance calculations,

@@ -452,7 +452,7 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 	if s.MaxQueueElements == 0 || s.MaxQueueElements*5 > s.MaxQueueSize {
 		t.Errorf("queue peaked at %d elements for %d pairs, want at most a fifth", s.MaxQueueElements, s.MaxQueueSize)
 	}
-	e := j.r.(*engine)
+	e := j.e
 	if len(e.q.heads)*5 > j.QueueLen() {
 		t.Errorf("queue holds %d elements for %d pairs, want at most a fifth", len(e.q.heads), j.QueueLen())
 	}
@@ -481,7 +481,7 @@ func TestQueueElementsAtFirstPair(t *testing.T) {
 	if _, ok, err := h.Next(); !ok || err != nil {
 		t.Fatal("no first pair", err)
 	}
-	q := h.r.(*engine).q
+	q := h.e.q
 	held, arenas := tierBytes(q)
 	if perPair := float64(held) / float64(h.QueueLen()); perPair > 1 {
 		t.Errorf("hybrid queue's memory tiers hold %.2f bytes per queued pair in %d arenas (%d on disk of %d), want at most 1", perPair, arenas, q.disk.Len(), h.QueueLen())
@@ -527,7 +527,7 @@ func TestHybridArenaCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q := h.r.(*engine).q
+		q := h.e.q
 		peak, peakArenas := 0.0, 0
 		for i := 1; i <= 50000; i++ {
 			if _, ok, err := h.Next(); !ok || err != nil {

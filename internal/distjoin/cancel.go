@@ -11,7 +11,7 @@ import (
 // paper's stop-anytime property: the pairs delivered before cancellation
 // are a correct ordered prefix of the full result, the iterator latches
 // ErrCanceled as its sticky terminal error, and every engine resource
-// (priority queues, scratch files, partition workers, pager frames) is
+// (priority queues, scratch files, pager frames) is
 // released as if the run had completed.
 //
 // The surfaced error wraps both ErrCanceled and the context's cause, so

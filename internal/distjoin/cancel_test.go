@@ -22,17 +22,13 @@ import (
 // a leaked goroutine or pinned pager frame.
 // ---------------------------------------------------------------------------
 
-// assertStoreConserved checks a sequential hybrid engine's disk tier while
-// quiescent: the pages allocated in its store are exactly those its class
-// chains link — a cancellation that struck mid-spill or mid-fetch must not
-// leak a page or drop a chain.
+// assertStoreConserved checks a hybrid engine's disk tier while quiescent:
+// the pages allocated in its store are exactly those its class chains link —
+// a cancellation that struck mid-spill or mid-fetch must not leak a page or
+// drop a chain.
 func assertStoreConserved(t *testing.T, it *Join) {
 	t.Helper()
-	e, ok := it.r.(*engine)
-	if !ok {
-		return
-	}
-	if e.q.disk != nil {
+	if e := it.e; e.q.disk != nil {
 		if err := e.q.disk.CheckStore(); err != nil {
 			t.Fatalf("after cancellation: %v", err)
 		}
@@ -96,8 +92,10 @@ func checkCanceledPrefix(t *testing.T, got, ref []Pair) {
 
 // TestCancellationSweep is the acceptance sweep: cancel at evenly spread
 // points of the stream across {join, semijoin, knn} × {memory, hybrid} ×
-// {sequential, parallel}, 100+ cancellation points total. At every point the
-// delivered pairs must be the exact ordered prefix, the very next Next must
+// {seq, par}, 100+ cancellation points total. The par legs set the
+// deprecated Options.Parallelism, which must change nothing: their prefixes
+// are checked against the seq reference. At every point the delivered
+// pairs must be the exact ordered prefix, the very next Next must
 // surface ErrCanceled (bounded cancel latency: the check sits at the top of
 // every step), the error must be sticky, the cancellation must be counted
 // once, and nothing may leak.
@@ -144,7 +142,9 @@ func TestCancellationSweep(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/%s", kd.name, qc.name, p), func(t *testing.T) {
 					base := Options{Parallelism: par}
 					qc.apply(&base)
-					ref := drainReference(t, kd.mk, base)
+					seq := base
+					seq.Parallelism = 0
+					ref := drainReference(t, kd.mk, seq)
 					if len(ref) < pointsPerConfig {
 						t.Fatalf("reference run too small: %d pairs", len(ref))
 					}
@@ -287,10 +287,11 @@ func TestCancelSeenBeforeMaxPairs(t *testing.T) {
 	}
 }
 
-// TestCancelSeenBeforeMaxPairsParallel is the parallel twin: the merge stops
-// its workers when it delivers the MaxPairs-th pair, but only a call that
-// reports the end makes the run done — a cancel that lands in between is
-// answered ErrCanceled, as the sequential engine answers it.
+// TestCancelSeenBeforeMaxPairsParallel is the same check with the
+// deprecated Options.Parallelism set, which changes nothing: only a call
+// that reports the end makes the run done — a cancel that lands between the
+// MaxPairs-th pair and that call is answered ErrCanceled — and no goroutine
+// outlives Close.
 func TestCancelSeenBeforeMaxPairsParallel(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	ta, tb := WrapRTree(buildTree(t, clusteredPoints(910, 120))), WrapRTree(buildTree(t, clusteredPoints(911, 140)))
@@ -301,9 +302,6 @@ func TestCancelSeenBeforeMaxPairsParallel(t *testing.T) {
 			j, err := NewJoinIndexes(ta, tb, Options{Context: ctx, MaxPairs: k, Parallelism: 4, Queue: queue, HybridDT: 8, QueueStore: memQueueStore})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if _, ok := j.r.(*parallelJoin); !ok {
-				t.Fatalf("%s: the join did not take the parallel path", queue)
 			}
 			for i := 0; i < k; i++ {
 				if _, ok, err := j.Next(); !ok || err != nil {
@@ -422,10 +420,9 @@ func TestCancelInterruptsRetryBackoff(t *testing.T) {
 	}
 }
 
-// TestCanceledParallelJoinLeaksNothing cancels a parallel hybrid join
-// mid-stream and asserts the merge surfaces ErrCanceled, every partition
-// worker exits, and Close is clean — the longest-correct-prefix drain of a
-// failed parallel run, driven by cancellation instead of a fault.
+// TestCanceledParallelJoinLeaksNothing cancels a hybrid join that sets the
+// deprecated Options.Parallelism mid-stream and asserts Next surfaces
+// ErrCanceled, Close is clean and no goroutine is left behind.
 func TestCanceledParallelJoinLeaksNothing(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	a := clusteredPoints(910, 120)
@@ -482,11 +479,7 @@ func TestBackgroundContextZeroCost(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			e, ok := j.r.(*engine)
-			if !ok {
-				t.Fatal("sequential join did not use the sequential engine")
-			}
-			if e.ctxDone != nil {
+			if j.e.ctxDone != nil {
 				t.Fatal("background context produced a non-nil cancellation channel — hot path would pay for it")
 			}
 			if _, ok, err := j.Next(); err != nil || !ok {

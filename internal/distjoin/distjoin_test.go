@@ -3,6 +3,7 @@ package distjoin
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -131,16 +132,31 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		{"Parallel", Options{Parallelism: 4}},
 		{"ParallelHybrid", Options{Parallelism: 3, Queue: QueueHybrid, HybridDT: 25, QueueStore: memQueueStore, QueuePageSize: 1024}},
 	}
+	// The Parallel rows set the deprecated Options.Parallelism, which must
+	// change nothing: their pairs and Stats equal the same options without it.
+	run := func(t *testing.T, opts Options) ([]Pair, stats.Counters) {
+		t.Helper()
+		var c stats.Counters
+		opts.Counters = &c
+		j, err := NewJoinIndexes(ta, tb, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		return drainJoin(t, j, 2000), c.Snapshot()
+	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			j, err := NewJoinIndexes(ta, tb, v.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer j.Close()
-			got := drainJoin(t, j, 2000)
+			got, st := run(t, v.opts)
 			if len(got) != 2000 {
 				t.Fatalf("drained %d pairs", len(got))
+			}
+			if v.opts.Parallelism != 0 {
+				seq := v.opts
+				seq.Parallelism = 0
+				if want, wantSt := run(t, seq); !reflect.DeepEqual(got, want) || st != wantSt {
+					t.Fatalf("Parallelism %d changed the run:\n stats %+v\n want  %+v", v.opts.Parallelism, st, wantSt)
+				}
 			}
 			assertDistancesMatch(t, got, want)
 			// Verify the pairs themselves, not just distances: each

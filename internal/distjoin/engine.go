@@ -68,10 +68,6 @@ type engine struct {
 	semi         *semiState
 	sweep        bool
 
-	// seedPairs, when non-nil, replaces the root/root seed with an explicit
-	// set of item pairs: the parallel path runs one engine per partition,
-	// each seeded with a disjoint slice of the top-level pair space.
-	seedPairs [][2]item
 	// scratch1 and scratch2 are reused across node expansions so that
 	// childItems does not allocate a fresh slice per expanded node. Both
 	// are pre-sized from the trees' max fan-out at construction.
@@ -123,15 +119,6 @@ type engine struct {
 // newEngine validates options, builds the queue, and seeds it with the
 // root/root pair.
 func newEngine(t1, t2 SpatialIndex, opts Options, semi *semiState) (*engine, error) {
-	return newEngineSeeded(t1, t2, opts, semi, nil, -1)
-}
-
-// newEngineSeeded is newEngine with an explicit seed set: instead of the
-// root/root pair, the queue starts from the given item pairs. The parallel
-// path uses this to hand each partition worker a disjoint slice of the
-// top-level pair space (identified to the telemetry views by part); nil
-// seeds mean the ordinary root/root start, with part -1.
-func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [][2]item, part int32) (*engine, error) {
 	if err := opts.validate(t1, t2, semi != nil); err != nil {
 		return nil, err
 	}
@@ -141,16 +128,15 @@ func newEngineSeeded(t1, t2 SpatialIndex, opts Options, semi *semiState, seeds [
 		opts.run = meter.Begin(opts.sinks(), queryKind(semi))
 	}
 	e := &engine{
-		t1:        t1,
-		t2:        t2,
-		opts:      opts,
-		dmin:      opts.MinDist,
-		dmaxCur:   opts.MaxDist,
-		semi:      semi,
-		sweep:     !opts.NoPlaneSweep,
-		seedPairs: seeds,
-		m:         opts.run.Meter(part),
-		kern:      kernel.For(opts.Metric),
+		t1:      t1,
+		t2:      t2,
+		opts:    opts,
+		dmin:    opts.MinDist,
+		dmaxCur: opts.MaxDist,
+		semi:    semi,
+		sweep:   !opts.NoPlaneSweep,
+		m:       opts.run.Meter(),
+		kern:    kernel.For(opts.Metric),
 	}
 	// Capture the cancellation signal before the queue is built: the retry
 	// policy wired into the hybrid queue's store selects on the same
@@ -289,9 +275,8 @@ func (e *engine) retryPolicy() pager.RetryPolicy {
 	return pol
 }
 
-// seed enqueues the initial pairs: the root/root pair by default, or the
-// explicit partition seeds when seedPairs is set. Either way the root refs
-// are recorded first — they stay exempt from min-fill counting.
+// seed enqueues the root/root pair, recording the root refs first — they
+// stay exempt from min-fill counting.
 func (e *engine) seed() error {
 	r1, err := e.rootItem(e.t1)
 	if err != nil {
@@ -302,15 +287,7 @@ func (e *engine) seed() error {
 		return err
 	}
 	e.root1, e.root2 = r1.ref, r2.ref
-	if e.seedPairs == nil {
-		return e.enqueue(r1, r2, noPre)
-	}
-	for _, sp := range e.seedPairs {
-		if err := e.enqueue(sp[0], sp[1], noPre); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.enqueue(r1, r2, noPre)
 }
 
 // indexFanout returns a tree's max fan-out via the optional spatial.Fanout
@@ -1091,8 +1068,7 @@ func (e *engine) growOut(n int) {
 
 // appendNodeItems converts a node's entries into queue items, appending to
 // buf. Callers pass a per-engine scratch buffer so steady-state expansions
-// allocate nothing; the partitioner passes nil to build fresh slices. The
-// items view the node's coordinate block.
+// allocate nothing. The items view the node's coordinate block.
 func appendNodeItems(buf []item, n *IndexNode, leafKind itemKind) []item {
 	count := len(n.Refs)
 	if count == 0 {

@@ -321,6 +321,8 @@ func TestDifferentialFaultHarness(t *testing.T) {
 
 		for _, qc := range queues {
 			for _, fs := range schedules {
+				// The par legs set the deprecated Options.Parallelism, which
+				// must change nothing: they meet the same oracle.
 				for _, par := range []int{1, 3} {
 					p := "seq"
 					if par > 1 {
@@ -393,7 +395,7 @@ func TestDifferentialFaultHarness(t *testing.T) {
 }
 
 // waitForGoroutines asserts the goroutine count returns to (near) the
-// baseline — failed parallel merges must not leak partition workers.
+// baseline: a failed or canceled run must leave nothing running.
 func waitForGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -411,38 +413,32 @@ func waitForGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestParallelPartitionFailureCancelsSiblings is the dedicated acceptance
-// check: with Parallelism > 1 and one partition's queue store failing
-// permanently, the merge must surface the error within the timeout — no
-// deadlock — and every worker goroutine must exit.
+// TestParallelPartitionFailureCancelsSiblings: with the deprecated
+// Options.Parallelism set and the queue store failing permanently, the run
+// surfaces the error within the timeout after a correct prefix, and no
+// goroutine outlives it.
 func TestParallelPartitionFailureCancelsSiblings(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
 	a := clusteredPoints(71, 120)
 	b := clusteredPoints(72, 140)
 	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
 
-	calls := 0
 	opts := Options{
 		Parallelism:   4,
 		Queue:         QueueHybrid,
 		HybridDT:      4,
 		QueuePageSize: 256,
 		QueueStore: func(pageSize int) (pager.Store, error) {
-			calls++
 			mem, err := pager.NewMemStore(pageSize)
 			if err != nil {
 				return nil, err
 			}
-			cfg := faultstore.Config{Seed: int64(calls)}
-			if calls == 2 { // second partition's store dies mid-join
-				cfg.FailWriteAt = 10
-			}
-			return faultstore.New(mem, cfg), nil
+			return faultstore.New(mem, faultstore.Config{Seed: 1, FailWriteAt: 10}), nil
 		},
 	}
 	res := runCase(t, func() (*Join, error) { return NewJoinIndexes(ta, tb, opts) })
 	if res.err == nil {
-		t.Fatal("permanently failing partition completed cleanly")
+		t.Fatal("a permanently failing queue store completed cleanly")
 	}
 	if !errors.Is(res.err, faultstore.ErrInjected) {
 		t.Fatalf("error is not the injected fault: %v", res.err)

@@ -12,7 +12,7 @@ import (
 )
 
 // Iterator-misuse coverage: Next after exhaustion, Next after Close,
-// double Close, Abort after Close, Close mid-parallel-join, and error
+// double Close, Abort after Close, Close mid-run, and error
 // stickiness — the terminal-state machine of the public API. Every
 // operator returns a *Join, so every row of one table answers to the same
 // contract.
@@ -93,31 +93,27 @@ func TestNextAfterExhaustion(t *testing.T) {
 
 func TestNextAfterClose(t *testing.T) {
 	for _, c := range iterCases(t) {
-		for _, par := range []int{1, 3} {
-			j := c.mustOpen(t, Options{Parallelism: par})
-			if _, _, err := j.Next(); err != nil {
-				t.Fatal(err)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, ok, err := j.Next(); ok || !errors.Is(err, ErrIteratorClosed) {
-				t.Fatalf("%s, parallelism %d: Next after Close: ok=%v err=%v, want ErrIteratorClosed", c.name, par, ok, err)
-			}
+		j := c.mustOpen(t, Options{})
+		if _, _, err := j.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok, err := j.Next(); ok || !errors.Is(err, ErrIteratorClosed) {
+			t.Fatalf("%s: Next after Close: ok=%v err=%v, want ErrIteratorClosed", c.name, ok, err)
 		}
 	}
 }
 
 func TestDoubleClose(t *testing.T) {
 	for _, c := range iterCases(t) {
-		for _, par := range []int{1, 3} {
-			j := c.mustOpen(t, Options{Parallelism: par})
-			if err := j.Close(); err != nil {
-				t.Fatalf("%s, parallelism %d: first Close: %v", c.name, par, err)
-			}
-			if err := j.Close(); err != nil {
-				t.Fatalf("%s, parallelism %d: second Close: %v", c.name, par, err)
-			}
+		j := c.mustOpen(t, Options{})
+		if err := j.Close(); err != nil {
+			t.Fatalf("%s: first Close: %v", c.name, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("%s: second Close: %v", c.name, err)
 		}
 	}
 }
@@ -196,8 +192,9 @@ func TestSemiJoinEffectiveMaxDist(t *testing.T) {
 	}
 }
 
-// TestCloseMidParallelJoin closes a running parallel join after a few
-// pairs and checks every partition worker exits (no goroutine leak).
+// TestCloseMidParallelJoin closes a running join that sets the deprecated
+// Options.Parallelism after a few pairs and checks no goroutine is left
+// behind.
 func TestCloseMidParallelJoin(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {

@@ -6,22 +6,6 @@ import (
 	"distjoin/internal/meter"
 )
 
-// runner is the execution strategy behind a Join: the sequential
-// incremental engine, or the partitioned parallel merge when
-// Options.Parallelism selects it and the configuration is sound for it.
-type runner interface {
-	next() (Pair, bool, error)
-	close() error
-	reportedCount() int
-	queueLen() int
-	effectiveMaxDist() float64
-}
-
-// runner implementation on the sequential engine.
-func (e *engine) reportedCount() int        { return e.reported }
-func (e *engine) queueLen() int             { return e.q.Len() }
-func (e *engine) effectiveMaxDist() float64 { return e.dmaxCur }
-
 // queryKind names the operation for the query trace.
 func queryKind(semi *semiState) string {
 	switch {
@@ -35,45 +19,26 @@ func queryKind(semi *semiState) string {
 	return "semijoin"
 }
 
-// newJoin validates the options, picks the execution strategy and returns
-// the iterator over it. The parallel path is chosen when the effective
-// parallelism exceeds one, the configuration is parallelizable (see
-// parallelizable), both inputs are non-empty, and the trees have enough
-// top-level fan-out to partition; every other case falls back to the
-// sequential engine, transparently.
+// newJoin validates the options and returns the iterator over a new
+// engine.
 //
 // newJoin also begins the run's telemetry (nil when no view is attached):
-// everything up to the engines being ready to pop (validation, partition
-// planning, queue construction, seeding) is the per-query trace's plan
-// span, and a constructor failure finishes the trace immediately,
-// error-annotated. On success the returned run is finished by the
-// iterator's Close.
+// everything up to the engine being ready to pop (validation, queue
+// construction, seeding) is the per-query trace's plan span, and a
+// constructor failure finishes the trace immediately, error-annotated. On
+// success the returned run is finished by the iterator's Close.
 func newJoin(t1, t2 SpatialIndex, opts Options, semi *semiState) (*Join, error) {
 	if err := opts.validate(t1, t2, semi != nil); err != nil {
 		return nil, err
 	}
 	opts.run = meter.Begin(opts.sinks(), queryKind(semi))
-	r, err := buildRunner(t1, t2, opts, semi)
+	e, err := newEngine(t1, t2, opts, semi)
 	opts.run.PlanDone()
 	if err != nil {
 		opts.run.Finish(err)
 		return nil, err
 	}
-	return &Join{r: r, run: opts.run}, nil
-}
-
-// buildRunner constructs the execution strategy on validated options.
-func buildRunner(t1, t2 SpatialIndex, opts Options, semi *semiState) (runner, error) {
-	if parallelizable(&opts, semi) && t1.NumObjects() > 0 && t2.NumObjects() > 0 {
-		r, err := newParallelJoin(t1, t2, opts, semi)
-		if err != nil {
-			return nil, err
-		}
-		if r != nil {
-			return r, nil
-		}
-	}
-	return newEngine(t1, t2, opts, semi)
+	return &Join{e: e, run: opts.run}, nil
 }
 
 // ErrIteratorClosed is returned by Next after Close.
@@ -89,13 +54,13 @@ var ErrQueueStore = errors.New("distjoin: QueueStore factory")
 // (descending when Options.Reverse is set), one pair per Next call,
 // computing only as much of the operation as the caller consumes.
 //
-// Join is a terminal-state machine over its runner: it latches the first
-// error the runner surfaces (every later Next returns the same error, and
+// Join is a terminal-state machine over its engine: it latches the first
+// error the engine surfaces (every later Next returns the same error, and
 // Err exposes it), makes Close idempotent, and rejects Next after Close. A
 // failed stream is therefore always a clean prefix of the correct result
 // followed by a sticky error — never a silently truncated success.
 type Join struct {
-	r      runner
+	e      *engine
 	run    *meter.Run // nil unless a telemetry view was attached
 	err    error
 	closed bool
@@ -163,7 +128,7 @@ func (j *Join) Next() (p Pair, ok bool, err error) {
 	if j.err != nil {
 		return Pair{}, false, j.err
 	}
-	p, ok, err = j.r.next()
+	p, ok, err = j.e.next()
 	if err != nil {
 		j.err = err
 		// Count the query as canceled exactly once, at the moment the
@@ -178,41 +143,35 @@ func (j *Join) Next() (p Pair, ok bool, err error) {
 }
 
 // Err returns the terminal error of the iterator, if any: the first error
-// Next surfaced (storage failure, checksum mismatch, failed partition
-// worker, ...) or Close's own resource release returned. Close by itself
-// is not an error state: Err stays nil on a clean exhaustion and after a
-// clean Close.
+// Next surfaced (storage failure, checksum mismatch, ...) or Close's own
+// resource release returned. Close by itself is not an error state: Err
+// stays nil on a clean exhaustion and after a clean Close.
 func (j *Join) Err() error { return j.err }
 
 // Reported returns the number of pairs delivered so far.
-func (j *Join) Reported() int { return j.r.reportedCount() }
+func (j *Join) Reported() int { return j.e.reported }
 
 // QueueLen returns the current priority-queue size in pairs, on either
 // queue (the memory queue's heap holds fewer elements than that: one per
-// expansion). Diagnostic. On the parallel path it is the number of
-// merged-but-undelivered result pairs rather than a priority-queue size
-// (the partition queues belong to running workers).
-func (j *Join) QueueLen() int { return j.r.queueLen() }
+// expansion). Diagnostic.
+func (j *Join) QueueLen() int { return j.e.q.Len() }
 
 // EffectiveMaxDist returns the maximum distance currently in force: the
-// configured maximum, possibly tightened by the §2.2.4 estimation. On the
-// parallel path each partition tightens its own bound, so this reports the
-// configured maximum.
-func (j *Join) EffectiveMaxDist() float64 { return j.r.effectiveMaxDist() }
+// configured maximum, possibly tightened by the §2.2.4 estimation.
+func (j *Join) EffectiveMaxDist() float64 { return j.e.dmaxCur }
 
-// Close releases queue resources (the hybrid queue's scratch file) and, on
-// the parallel path, cancels the partition workers and waits for them to
-// exit. Close is idempotent; after it, Next returns ErrIteratorClosed.
+// Close releases queue resources (the hybrid queue's scratch file). Close
+// is idempotent; after it, Next returns ErrIteratorClosed.
 func (j *Join) Close() error {
 	if j.closed {
 		return nil
 	}
 	j.closed = true
-	err := j.r.close()
+	err := j.e.close()
 	if err != nil && j.err == nil {
 		j.err = err
 	}
-	// The runner has released every engine, so every meter has closed:
+	// The engine has released its resources and its meter has closed:
 	// complete the query trace with the latched terminal error (nil on a
 	// clean close).
 	j.run.Finish(j.err)

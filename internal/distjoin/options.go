@@ -88,10 +88,9 @@ type Options struct {
 	// expires), Next returns an error wrapping ErrCanceled — sticky, like
 	// every iterator error — after delivering a correct ordered prefix of
 	// the result. The engine re-checks the context at the top of every
-	// Next call and every cancelCheckEvery queue pops inside it, parallel
-	// partition workers are canceled and drained, and retry backoff
-	// sleeps (Options.RetryIO) are cut short, so observed cancel latency
-	// is bounded by a constant amount of engine work.
+	// Next call and every cancelCheckEvery queue pops inside it, and retry
+	// backoff sleeps (Options.RetryIO) are cut short, so observed cancel
+	// latency is bounded by a constant amount of engine work.
 	//
 	// A nil Context behaves as context.Background(): never canceled, and
 	// provably free — the engine then skips every check (no channel
@@ -189,14 +188,12 @@ type Options struct {
 	// ExactDist provides the distance.
 	ExactDist func(o1, o2 rtree.ObjID) (float64, error)
 	// Counters, Obs, Profile and Tracer are the four telemetry views. The
-	// engines never write them on the per-pair path: each engine records
-	// into its own single-writer meter (internal/meter) and folds it into
-	// whichever views are attached at every Next return and at Close, so a
-	// reader between two Next calls sees everything done so far. With all
-	// four nil no meter exists: the per-pair path performs no clock reads
-	// and no allocations. On the parallel path the merge folds per Next and
-	// each partition worker once, when it finishes (per-phase times are then
-	// CPU time summed across workers and may exceed wall time).
+	// engine never writes them on the per-pair path: it records into its
+	// own single-writer meter (internal/meter) and folds it into whichever
+	// views are attached at every Next return and at Close, so a reader
+	// between two Next calls sees everything done so far. With all four nil
+	// no meter exists: the per-pair path performs no clock reads and no
+	// allocations.
 	//
 	// Counters receives the Table 1 measures (the work counts).
 	Counters *meter.Counters
@@ -207,29 +204,18 @@ type Options struct {
 	Obs *meter.Recorder
 	// Profile receives span accounting for per-join query profiles: wall
 	// time attributed exclusively to the engine phases (expand, queue
-	// push/pop, disk-tier spill/fetch, merge, emit) plus the disk tier's
+	// push/pop, disk-tier spill/fetch, emit) plus the disk tier's
 	// physical I/O time.
 	Profile *meter.Spans
-	// Parallelism selects the parallel execution path: the top of the two
-	// trees is partitioned into disjoint slices of the pair space, one
-	// incremental engine runs per partition on its own goroutine, and the
-	// per-partition result streams are merged back into a single
-	// distance-ordered stream (see internal/distjoin/parallel.go).
+	// Parallelism is ignored: every join runs on one engine.
 	//
-	// 0 and 1 select the sequential path (the default). Values above 1 run
-	// that many workers. ParallelismAuto (any negative value) uses
-	// runtime.GOMAXPROCS(0).
-	//
-	// Configurations the parallel path cannot run soundly — OBR mode
-	// (Fetch1/Fetch2/ExactDist) and the symmetric clustering join — fall
-	// back to the sequential path transparently. Select1/Select2 predicates
-	// and custom Metrics are called from multiple goroutines when
-	// Parallelism is enabled and must be safe for concurrent use (the
-	// built-in metrics are).
+	// Deprecated: ignored. The partitioned parallel path it once selected
+	// did not pay for itself and was removed; the field stays so existing
+	// callers that set it still compile and run unchanged.
 	Parallelism int
 	// QueueStore supplies the hybrid queue's disk-tier page store. It is a
-	// factory, not a store: each engine owns and closes its own store, and
-	// the parallel path runs one engine per partition. When set it
+	// factory, not a store: each engine owns and closes its own store. When
+	// set it
 	// overrides HybridDir. Useful for injecting instrumented or
 	// fault-injecting stores, or an in-memory one (NewMemPageStore), which
 	// keeps the tier mechanics and spill accounting while making tests
@@ -246,11 +232,11 @@ type Options struct {
 	QueuePageSize int
 	// Tracer attaches per-query lifecycle tracing (see internal/qtrace):
 	// each join, semi-join and kNN run gets a query ID and a hierarchical span
-	// tree (plan → partition workers → engine phases → queue disk-tier
-	// I/O), landed in the tracer's flight recorder — and slow-query log,
-	// when it qualifies — on iterator Close. The trace's resources are the
-	// run's own engines' counts; its node I/O is what the Counters view —
-	// else the Obs recorder's counts — observed while the query was open.
+	// tree (plan → engine phases → queue disk-tier I/O), landed in the
+	// tracer's flight recorder — and slow-query log, when it qualifies — on
+	// iterator Close. The trace's resources are the run's own engine's
+	// counts; its node I/O is what the Counters view — else the Obs
+	// recorder's counts — observed while the query was open.
 	Tracer *meter.Tracer
 	// QueryID overrides the Tracer-assigned query ID ("q0000042") for this
 	// run. Ignored when Tracer is nil.
@@ -265,10 +251,6 @@ type Options struct {
 func (o *Options) sinks() meter.Sinks {
 	return meter.Sinks{Counters: o.Counters, Obs: o.Obs, Profile: o.Profile, Tracer: o.Tracer, QueryID: o.QueryID}
 }
-
-// ParallelismAuto selects one worker per available CPU
-// (runtime.GOMAXPROCS) when assigned to Options.Parallelism.
-const ParallelismAuto = -1
 
 // defaultQueuePageSize is the hybrid queue's disk-tier page size when
 // Options.QueuePageSize is unset.

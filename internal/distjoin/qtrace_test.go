@@ -75,9 +75,6 @@ func TestQueryTraceSequential(t *testing.T) {
 	if worker == nil {
 		t.Fatal("no worker span in the trace")
 	}
-	if worker.Part == nil || *worker.Part != -1 {
-		t.Errorf("sequential worker part = %v, want -1", worker.Part)
-	}
 	if pop := qt.Root.Find("pop"); pop == nil || pop.Count != s.QueuePops {
 		t.Errorf("pop span = %+v, counter pops %d", pop, s.QueuePops)
 	}
@@ -102,33 +99,23 @@ func TestQueryTraceSequential(t *testing.T) {
 	}
 }
 
-// TestQueryTraceParallel: the parallel path produces one worker span per
-// partition plus a merge span, and coverage stays ≥95% (the merge bracket
-// includes the blocking waits that dominate the coordinator's wall time).
+// TestQueryTraceParallel: a run that sets the deprecated
+// Options.Parallelism is traced like any other — the plan span and one
+// worker span, coverage ≥95%, and span counts equal to the work counters.
 func TestQueryTraceParallel(t *testing.T) {
 	tr := qtrace.New(qtrace.Config{})
 	qt, sp, c := drainTraced(t, tr, Options{Parallelism: 2})
 	s := c.Snapshot()
 
-	if qt.Workers < 2 {
-		t.Fatalf("workers = %d, want >= 2", qt.Workers)
+	if qt.Workers != 1 {
+		t.Fatalf("workers = %d, want 1", qt.Workers)
 	}
-	if mg := qt.Root.Find("merge"); mg == nil || mg.Count == 0 {
-		t.Fatalf("merge span = %+v", mg)
+	if ch := qt.Root.Children; len(ch) != 2 || ch[0].Name != "plan" || ch[1].Name != "worker" {
+		t.Fatalf("root's children = %+v, want plan and one worker", ch)
 	}
 	if qt.Coverage < 0.95 {
 		t.Errorf("phase coverage %.3f, want >= 0.95", qt.Coverage)
 	}
-	parts := map[int]bool{}
-	for _, child := range qt.Root.Children {
-		if child.Name == "worker" && child.Part != nil {
-			parts[*child.Part] = true
-		}
-	}
-	if len(parts) != qt.Workers {
-		t.Errorf("%d distinct worker parts, want %d", len(parts), qt.Workers)
-	}
-	// Merge-back preserves the caller's profile numbers across all shards.
 	if sp.Tally().Counts[profile.PhasePop] != s.QueuePops {
 		t.Errorf("caller spans pops %d, counter pops %d", sp.Tally().Counts[profile.PhasePop], s.QueuePops)
 	}

@@ -41,7 +41,7 @@ func tinyPoolTree(t *testing.T, pts []geom.Point, frames int) *rtree.Tree {
 func TestSharedNodesConcurrentCursors(t *testing.T) {
 	a, b := clusteredPoints(51, 700), clusteredPoints(52, 900)
 	// A pool reports ErrAllPinned rather than wait, so it needs a frame per
-	// concurrent reader (18 cursors, 6 partition workers); each tree has
+	// concurrent reader (15 cursors); each tree has
 	// several times as many pages.
 	ta, tb := tinyPoolTree(t, a, 32), tinyPoolTree(t, b, 32)
 	type query struct {
@@ -86,7 +86,6 @@ func TestSharedNodesConcurrentCursors(t *testing.T) {
 		{"join", join(Options{}, 3000)},
 		{"join-simultaneous", join(Options{Traversal: TraverseSimultaneous, MaxDist: 60}, 3000)},
 		{"join-hybrid", join(hybrid, 3000)},
-		{"join-parallel", join(Options{Parallelism: 2}, 1500)},
 		{"semi-globalall", semi(FilterGlobalAll, Options{})},
 		{"semi-hybrid", semi(FilterInside2, hybrid)},
 	}

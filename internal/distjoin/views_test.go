@@ -32,14 +32,15 @@ const (
 )
 
 // TestViewEquivalence pins that the four telemetry sinks are views of one
-// per-engine meter: on {join, semi-join} × {memory, hybrid} × {serial,
-// Parallelism 2} a run with all four attached and a run with each one alone
-// deliver the identical pair sequence and agree on every number they share —
-// the Stats snapshot, the Profile span counts (pop spans = QueuePops, push =
+// per-engine meter: on {join, semi-join} × {memory, hybrid} × {par=0,
+// par=2} a run with all four attached and a run with each one alone deliver
+// the identical pair sequence and agree on every number they share — the
+// Stats snapshot, the Profile span counts (pop spans = QueuePops, push =
 // QueueInserts, spill = QueueDiskPairs), the tracer's Resources (= the Stats
 // growth over the run, node I/O included) and the Recorder's counts — and
-// that on the serial path Stats is readable, exact and monotone between two
-// Next calls.
+// that Stats is readable, exact and monotone between two Next calls. The
+// par=2 legs set the deprecated Options.Parallelism, which must change
+// nothing: their pairs and Stats equal a run without it.
 func TestViewEquivalence(t *testing.T) {
 	ta := buildTree(t, clusteredPoints(31, 60))
 	tb := buildTree(t, clusteredPoints(32, 70))
@@ -49,7 +50,7 @@ func TestViewEquivalence(t *testing.T) {
 			for _, par := range []int{0, 2} {
 				name := fmt.Sprintf("semi=%v/hybrid=%v/par=%d", semi, hybrid, par)
 				t.Run(name, func(t *testing.T) {
-					run := func(views int) viewRun {
+					run := func(views, par int) viewRun {
 						t.Helper()
 						opts := Options{Parallelism: par}
 						if hybrid {
@@ -104,15 +105,15 @@ func TestViewEquivalence(t *testing.T) {
 							if views&viewCounters == 0 {
 								continue
 							}
-							// Readable and monotone between two Next calls; on the
-							// serial path also exact: every delivered pair is counted.
+							// Readable, monotone and exact between two Next calls:
+							// every delivered pair is counted.
 							now := c.Snapshot()
 							for i, f := range fieldsOf(&now) {
 								if was := *fieldsOf(&prev)[i]; *f < was {
 									t.Fatalf("after pair %d, counter %d went backwards: %d -> %d", len(out.pairs), i, was, *f)
 								}
 							}
-							if got := now.PairsReported - before.PairsReported; par == 0 && got != int64(len(out.pairs)) {
+							if got := now.PairsReported - before.PairsReported; got != int64(len(out.pairs)) {
 								t.Fatalf("after %d pairs, Stats.PairsReported grew by %d", len(out.pairs), got)
 							}
 							prev = now
@@ -128,7 +129,7 @@ func TestViewEquivalence(t *testing.T) {
 						return out
 					}
 
-					all := run(viewAll)
+					all := run(viewAll, par)
 					if len(all.pairs) == 0 || all.stats.QueuePops == 0 || (hybrid && all.stats.QueueDiskPairs == 0) {
 						t.Fatalf("workload too small: %d pairs, stats %+v", len(all.pairs), all.stats)
 					}
@@ -183,7 +184,7 @@ func TestViewEquivalence(t *testing.T) {
 						name  string
 						views int
 					}{{"counters", viewCounters}, {"obs", viewObs}, {"profile", viewProfile}, {"tracer", viewTracer}} {
-						got := run(alone.views)
+						got := run(alone.views, par)
 						if len(got.pairs) != len(all.pairs) {
 							t.Fatalf("%s alone: %d pairs, all four sinks %d", alone.name, len(got.pairs), len(all.pairs))
 						}
@@ -206,6 +207,13 @@ func TestViewEquivalence(t *testing.T) {
 							checkResources("tracer alone", got.trace.Resources, false)
 						}
 					}
+					if par != 0 {
+						seq := run(viewCounters, 0)
+						if !reflect.DeepEqual(seq.pairs, all.pairs) || seq.stats != s {
+							t.Errorf("Parallelism %d changed the run: %d pairs, stats %+v; without it %d pairs, stats %+v",
+								par, len(all.pairs), s, len(seq.pairs), seq.stats)
+						}
+					}
 				})
 			}
 		}
@@ -214,14 +222,13 @@ func TestViewEquivalence(t *testing.T) {
 
 // delta returns the growth of a Counters view over a run. MaxQueueSize is a
 // high-water mark: the run's own peak shows through because the pre-loaded
-// value is tiny. MergeStalls depends on goroutine timing, not on the work.
+// value is tiny.
 func delta(after, before stats.Counters) stats.Counters {
 	d := after
 	for i, f := range fieldsOf(&d) {
 		*f -= *fieldsOf(&before)[i]
 	}
 	d.MaxQueueSize = after.MaxQueueSize
-	d.MergeStalls = 0
 	return d
 }
 
@@ -236,8 +243,7 @@ func fieldsOf(c *stats.Counters) []*int64 {
 }
 
 // TestNoSinkNoMeter is the engine-side half of the nil-sink pin: with every
-// sink nil no run and no meter exist — on the sequential path, in every
-// partition worker and in the merge — so each hook is one nil test
+// sink nil no run and no meter exist, so each hook is one nil test
 // (TestNilSinksZeroAllocsZeroClockReads in internal/meter pins that a nil
 // meter allocates nothing and reads no clock).
 func TestNoSinkNoMeter(t *testing.T) {
@@ -246,7 +252,6 @@ func TestNoSinkNoMeter(t *testing.T) {
 	for _, opts := range []Options{
 		{},
 		{Queue: QueueHybrid, HybridDT: 15, QueueStore: memQueueStore},
-		{Parallelism: 2},
 	} {
 		j, err := NewJoinIndexes(ta, tb, opts)
 		if err != nil {
@@ -255,20 +260,8 @@ func TestNoSinkNoMeter(t *testing.T) {
 		if j.run != nil {
 			t.Fatal("a sink-less join carries a telemetry run")
 		}
-		switch r := j.r.(type) {
-		case *engine:
-			if r.m != nil {
-				t.Fatal("a sink-less engine carries a meter")
-			}
-		case *parallelJoin:
-			if r.m != nil {
-				t.Fatal("a sink-less merge carries a meter")
-			}
-			for _, w := range r.workers {
-				if w.eng.m != nil {
-					t.Fatal("a sink-less partition worker carries a meter")
-				}
-			}
+		if j.e.m != nil {
+			t.Fatal("a sink-less engine carries a meter")
 		}
 		if _, ok, err := j.Next(); err != nil || !ok {
 			t.Fatalf("Next: ok=%v err=%v", ok, err)

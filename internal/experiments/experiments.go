@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"distjoin/internal/baseline"
@@ -335,34 +334,6 @@ func Table1Reversed(d *Datasets) ([]Run, error) {
 			}
 			out = append(out, r)
 		}
-	}
-	return out, nil
-}
-
-// ParallelSpeedup measures the partitioned parallel join (beyond the
-// paper; see internal/distjoin/parallel.go) against the sequential path on
-// the Table 1 workload, at 1, 2, 4 and GOMAXPROCS workers. Every leg must
-// report the same pair count and final distance as the sequential run —
-// the order-preservation invariant — or the experiment fails. Speedups are
-// only meaningful when the machine actually has that many CPUs.
-func ParallelSpeedup(d *Datasets) ([]Run, error) {
-	pairs := maxInt(d.Scale.PairCounts) * 10
-	degrees := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		degrees = append(degrees, n)
-	}
-	var out []Run
-	for _, p := range degrees {
-		opts := distjoin.Options{MaxPairs: pairs, Parallelism: p}
-		r, _, err := d.open(distjoin.NewJoinIndexes, opts, false).drain(fmt.Sprintf("P=%d", p), pairs, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		if len(out) > 0 && (r.Reported != out[0].Reported || r.LastDist != out[0].LastDist) {
-			return nil, fmt.Errorf("parallel run %s diverged: reported %d/last %g vs sequential %d/%g",
-				r.Label, r.Reported, r.LastDist, out[0].Reported, out[0].LastDist)
-		}
-		out = append(out, r)
 	}
 	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -17,11 +16,6 @@ var legsGolden = filepath.Join("testdata", "legs.golden")
 // legsDocument runs every experiment at the tiny scale and renders each row's
 // measures, one line per row in the order the experiment returns them. Time
 // is left out: it is the one column that differs between two runs.
-//
-// The parallel legs with two or more workers are rendered by reported pairs
-// and last distance only: their other counters depend on how the workers
-// interleave. GOMAXPROCS is held at 4 while they run, so the set of legs is
-// the same on every machine.
 func legsDocument(t *testing.T) string {
 	t.Helper()
 	d := loadTiny(t)
@@ -35,9 +29,6 @@ func legsDocument(t *testing.T) string {
 		for _, r := range runs {
 			counters := fmt.Sprintf("%d\t%d\t%d\t%d", r.DistCalcs, r.MaxQueue, r.MaxElements, r.NodeIO)
 			retries := strconv.FormatInt(r.Retries, 10)
-			if id == "parallel" && r.Label != "P=1" {
-				counters, retries = "-\t-\t-\t-", "-"
-			}
 			fmt.Fprintf(&b, "%s\t%s\t%d\t%d\t%s\t%s\t%s\t%q\n", id, r.Label, r.Pairs, r.Reported,
 				counters, strconv.FormatFloat(r.LastDist, 'g', -1, 64), retries, r.Err)
 		}
@@ -61,11 +52,7 @@ func legsDocument(t *testing.T) string {
 		runs, err := e.run(d)
 		add(e.id, runs, err)
 	}
-	prev := runtime.GOMAXPROCS(4)
-	runs, err := ParallelSpeedup(d)
-	runtime.GOMAXPROCS(prev)
-	add("parallel", runs, err)
-	runs, err = DimSweep(tiny)
+	runs, err := DimSweep(tiny)
 	add("dims", runs, err)
 	return b.String()
 }

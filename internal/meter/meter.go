@@ -1,11 +1,10 @@
 // Package meter is the telemetry spine of the incremental distance join:
 // the one place that knows which telemetry sinks exist.
 //
-// Every engine (the sequential engine, each partition worker of the
-// parallel path, and the parallel merge) owns exactly one Meter: a
-// single-writer object with plain fields — no atomics, no locks — holding
-// one copy of the work counts, the exclusive per-phase time, the disk
-// tier's physical I/O time and the current Next call's start stamp. The
+// Every engine owns exactly one Meter: a single-writer object with plain
+// fields — no atomics, no locks — holding one copy of the work counts, the
+// exclusive per-phase time, the disk tier's physical I/O time and the
+// current Next call's start stamp. The
 // engine and the priority queue report facts to it at one set of hook points
 // (step, expand, push, pop, spill, fetch, page io, emit, retry, cancel);
 // nothing else in those layers touches a telemetry sink.
@@ -51,7 +50,6 @@ const (
 	PhasePop    = profile.PhasePop
 	PhaseSpill  = profile.PhaseSpill
 	PhaseFetch  = profile.PhaseFetch
-	PhaseMerge  = profile.PhaseMerge
 	PhaseEmit   = profile.PhaseEmit
 
 	// idle is the meter's phase outside any bracket. Idle time between two
@@ -140,43 +138,25 @@ func (r *Run) Canceled() {
 	}
 }
 
-// Meter returns the meter of one engine: partition part of the parallel
-// path, or -1 for the sequential engine. A partition worker runs ahead of
-// the caller on its own goroutine, so "between two Next calls" means nothing
-// for it: its meter publishes once, when the worker finishes — partition-
-// local state, then merge — instead of having every worker contend on the
-// shared views once per pair.
-func (r *Run) Meter(part int32) *Meter {
+// Meter returns the meter of the run's engine.
+func (r *Run) Meter() *Meter {
 	if r == nil {
 		return nil
 	}
 	r.Obs.EngineStarted()
-	return &Meter{run: r, part: part, atClose: part >= 0, timed: r.timed, clock: r.timed || r.Obs != nil, phase: idle}
-}
-
-// MergeMeter returns the meter of the parallel path's order-preserving
-// merge over parts partition streams.
-func (r *Run) MergeMeter(parts int) *Meter {
-	if r == nil {
-		return nil
-	}
-	r.Obs.SetPartitions(parts)
-	return &Meter{run: r, part: -1, merge: true, timed: r.timed, clock: r.timed, phase: idle}
+	return &Meter{run: r, timed: r.timed, clock: r.timed || r.Obs != nil, phase: idle}
 }
 
 // Meter is one engine's telemetry. It is written by the single goroutine
 // that runs the engine; every method is a no-op on a nil receiver.
 type Meter struct {
-	run     *Run
-	part    int32
-	merge   bool // the parallel merge's meter, not an engine's
-	atClose bool // a partition worker's: fold only when it finishes
-	timed   bool // phase brackets read the clock
-	clock   bool // steps stamp their start (timed, or Obs wants pop-to-emit)
+	run   *Run
+	timed bool // phase brackets read the clock
+	clock bool // steps stamp their start (timed, or Obs wants pop-to-emit)
 
 	// n and t are the totals since the engine started; foldedN and foldedT
 	// are what the views have already received. t.Counts holds only the
-	// span counts no work counter mirrors (fetch, merge, emit); tally()
+	// span counts no work counter mirrors (fetch, emit); tally()
 	// derives the rest from n, so every count exists once.
 	n, foldedN Counters
 	t, foldedT profile.Tally
@@ -237,8 +217,8 @@ func (m *Meter) Switch(p Phase) {
 	}
 }
 
-// BeginStep opens one Next call of an engine in p = PhasePop (the engine's
-// first act in a step is a pop) or of the parallel merge in p = PhaseMerge.
+// BeginStep opens one Next call of the engine in p = PhasePop (the engine's
+// first act in a step is a pop).
 func (m *Meter) BeginStep(p Phase) {
 	switch {
 	case m == nil || !m.clock:
@@ -264,9 +244,7 @@ func (m *Meter) EndStep(p Phase) {
 		return
 	}
 	m.t.Counts[p]++
-	if !m.atClose {
-		m.fold()
-	}
+	m.fold()
 	if m.timed {
 		m.enter(idle)
 		m.ended = m.entered
@@ -277,7 +255,7 @@ func (m *Meter) EndStep(p Phase) {
 		if !m.timed {
 			now = int64(since(epoch))
 		}
-		m.run.Obs.Emit(m.part, m.emitDist, m.emitQueue, epoch.Add(time.Duration(m.step)), epoch.Add(time.Duration(now)))
+		m.run.Obs.Emit(m.emitDist, m.emitQueue, epoch.Add(time.Duration(m.step)), epoch.Add(time.Duration(now)))
 	}
 }
 
@@ -314,18 +292,9 @@ func (m *Meter) Close(pairs int64) {
 		return
 	}
 	m.fold()
-	t := m.tally()
-	if !m.atClose {
-		// The sequential engine and the merge are stepped by the caller's
-		// Next calls; a partition worker's gaps are channel waits instead.
-		m.run.q.AddCaller(m.away)
-	}
-	if m.merge {
-		m.run.q.AddMerge(t.NS[PhaseMerge], t.Counts[PhaseMerge])
-		return
-	}
+	m.run.q.AddCaller(m.away)
 	m.run.Obs.EngineStopped()
-	m.run.q.AddWorker(qtrace.Worker{Part: m.part, Pairs: pairs, Counts: m.n, Tally: t})
+	m.run.q.AddWorker(qtrace.Worker{Pairs: pairs, Counts: m.n, Tally: m.tally()})
 }
 
 // DistCalc counts one distance computation: a node distance when either
@@ -416,22 +385,6 @@ func (m *Meter) Fault() {
 func (m *Meter) Retry() {
 	if m != nil {
 		m.n.IORetries++
-	}
-}
-
-// Stall counts the parallel merge blocking on a partition whose stream has
-// no buffered result.
-func (m *Meter) Stall() {
-	if m != nil {
-		m.n.MergeStalls++
-	}
-}
-
-// Deliver records one pair of the merged, ordered stream reaching the
-// caller (the sequential engine delivers through Emit).
-func (m *Meter) Deliver(dist float64) {
-	if m != nil {
-		m.run.Obs.Deliver(dist)
 	}
 }
 

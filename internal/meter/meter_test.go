@@ -50,10 +50,8 @@ func everyHook(m *Meter) {
 	m.Switch(PhasePop) // already there: no read
 	m.Fault()
 	m.Retry()
-	m.Stall()
 	m.Switch(PhaseEmit)
 	m.Emit(2.5, 3)
-	m.Deliver(2.5)
 	m.EndStep(PhaseEmit)
 }
 
@@ -66,9 +64,9 @@ func TestNilSinksZeroAllocsZeroClockReads(t *testing.T) {
 	if run != nil {
 		t.Fatalf("Begin with no sink = %v, want nil", run)
 	}
-	m := run.Meter(-1)
-	if m != nil || run.MergeMeter(2) != nil {
-		t.Fatal("a nil run must hand out nil meters")
+	m := run.Meter()
+	if m != nil {
+		t.Fatal("a nil run must hand out a nil meter")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		everyHook(m)
@@ -99,7 +97,7 @@ func TestClockOnlyForTimingViews(t *testing.T) {
 		{"tracer", Sinks{Tracer: qtrace.New(qtrace.Config{})}, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := Begin(tc.sinks, "join").Meter(-1)
+			m := Begin(tc.sinks, "join").Meter()
 			reads := fakeClock(t, time.Microsecond)
 			everyHook(m)
 			if *reads != tc.want {
@@ -116,7 +114,7 @@ func TestClockOnlyForTimingViews(t *testing.T) {
 func TestPhasesAreExclusive(t *testing.T) {
 	sp := &Spans{}
 	c := &Counters{}
-	m := Begin(Sinks{Counters: c, Profile: sp}, "join").Meter(-1)
+	m := Begin(Sinks{Counters: c, Profile: sp}, "join").Meter()
 	fakeClock(t, time.Microsecond)
 	everyHook(m)
 	everyHook(m) // the second fold publishes the first step's last slice
@@ -146,9 +144,9 @@ func TestPhasesAreExclusive(t *testing.T) {
 	s := c.Snapshot()
 	for p, n := range map[Phase]int64{
 		PhasePop: s.QueuePops, PhasePush: s.QueueInserts, PhaseSpill: s.QueueDiskPairs,
-		PhaseExpand: s.Expansions, PhaseFetch: 2, PhaseEmit: 2, PhaseMerge: 0,
+		PhaseExpand: s.Expansions, PhaseFetch: 2, PhaseEmit: 2,
 	} {
-		if got := sp.Tally().Counts[p]; got != n || (p != PhaseMerge && n != 2) {
+		if got := sp.Tally().Counts[p]; got != n || n != 2 {
 			t.Errorf("phase %s span count = %d, want %d", p, got, n)
 		}
 	}
@@ -162,7 +160,7 @@ func TestPhasesAreExclusive(t *testing.T) {
 func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 	tr := qtrace.New(qtrace.Config{})
 	run := Begin(Sinks{Tracer: tr}, "join")
-	m := run.Meter(-1)
+	m := run.Meter()
 	fakeClock(t, time.Microsecond)
 	m.End(m.Begin(PhasePush)) // seeding: no clock read
 	run.PlanDone()
@@ -180,32 +178,20 @@ func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 	}
 }
 
-// TestFoldRule pins when views see a meter: the sequential engine's and the
-// merge's after every step, a partition worker's only once it closes, and a
+// TestFoldRule pins when views see a meter: after every step, and a
 // cancellation at once.
 func TestFoldRule(t *testing.T) {
 	c := &Counters{}
 	run := Begin(Sinks{Counters: c}, "join")
-	seq, worker, merge := run.Meter(-1), run.Meter(0), run.MergeMeter(1)
+	m := run.Meter()
 
-	everyHook(seq)
+	everyHook(m)
 	if got := c.Snapshot(); got.QueuePops != 1 || got.PairsReported != 1 || got.MaxQueueSize != 3 {
-		t.Fatalf("after one sequential step the view holds %+v", got)
+		t.Fatalf("after one step the view holds %+v", got)
 	}
-	everyHook(worker)
-	if got := c.Snapshot().QueuePops; got != 1 {
-		t.Fatalf("a running partition worker published: pops = %d, want 1", got)
-	}
-	worker.Close(1)
-	if got := c.Snapshot().QueuePops; got != 2 {
-		t.Fatalf("a closed partition worker did not publish: pops = %d, want 2", got)
-	}
-	merge.BeginStep(PhaseMerge)
-	merge.Stall()
-	merge.EndStep(PhaseMerge)
 	run.Canceled()
-	if got := c.Snapshot(); got.MergeStalls != 3 || got.Cancellations != 1 {
-		t.Fatalf("merge meter: stalls %d cancellations %d, want 3 and 1", got.MergeStalls, got.Cancellations)
+	if got := c.Snapshot().Cancellations; got != 1 {
+		t.Fatalf("cancellations = %d, want 1", got)
 	}
 }
 
@@ -218,7 +204,7 @@ func BenchmarkStep(b *testing.B) {
 		{"all", Sinks{Counters: &Counters{}, Obs: obs.New(obs.Config{}), Profile: &Spans{}, Tracer: qtrace.New(qtrace.Config{})}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m := Begin(tc.sinks, "bench").Meter(-1)
+			m := Begin(tc.sinks, "bench").Meter()
 			for i := 0; i < b.N; i++ {
 				m.BeginStep(PhasePop)
 				m.Pop()

@@ -45,11 +45,10 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	s := r.Snapshot()
 	c := r.counts.Snapshot()
 	writeCounter(w, "distjoin_pairs_delivered_total", "Result pairs delivered to the caller, in distance order.", s.Delivered)
-	writeCounter(w, "distjoin_pairs_emitted_total", "Result pairs emitted by engines (per-partition, pre-merge on the parallel path).", c.PairsReported)
+	writeCounter(w, "distjoin_pairs_emitted_total", "Result pairs emitted by engines.", c.PairsReported)
 	writeCounter(w, "distjoin_expansions_total", "Node-pair expansions across all engines.", c.Expansions)
 	writeCounter(w, "distjoin_batch_prune_total", "Candidate pairs skipped by the plane-sweep/block prune before any distance computation.", c.BatchPruned)
 	writeCounter(w, "distjoin_queue_spilled_pairs_total", "Pairs spilled to the hybrid priority queue's disk tier.", c.QueueDiskPairs)
-	writeCounter(w, "distjoin_merge_stalls_total", "Times the parallel merge blocked waiting on a partition stream.", c.MergeStalls)
 	writeCounter(w, "distjoin_io_retries_total", "Retries of transient queue-store I/O failures (Options.RetryIO).", c.IORetries)
 	writeCounter(w, "distjoin_stats_dist_calcs_total", "Object distance computations.", c.DistCalcs)
 	writeCounter(w, "distjoin_stats_queue_inserts_total", "Priority-queue inserts.", c.QueueInserts)
@@ -57,17 +56,11 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	writeCounter(w, "distjoin_stats_buffer_hits_total", "Index node accesses served from the buffer pool.", c.BufferHits)
 	writeCounter(w, "distjoin_queries_canceled_total", "Queries that surfaced ErrCanceled (context canceled or deadline exceeded).", c.Cancellations)
 	writeGauge(w, "distjoin_stats_max_queue_size", "High-water priority-queue size of any one queue, in pairs.", float64(c.MaxQueueSize))
-	writeCounter(w, "distjoin_engines_started_total", "Engines (sequential or partition workers) started.", s.EnginesStarted)
+	writeCounter(w, "distjoin_engines_started_total", "Engines started.", s.EnginesStarted)
 	writeCounter(w, "distjoin_engines_stopped_total", "Engines stopped.", s.EnginesStopped)
 	writeGauge(w, "distjoin_queue_depth", "Last sampled priority-queue length.", float64(s.QueueDepth))
 	writeGauge(w, "distjoin_frontier_distance", "Distance of the most recently delivered pair (the result frontier).", s.Frontier)
 	writeGauge(w, "distjoin_pool_hit_ratio", "Buffer-pool hit ratio since the recorder started.", s.PoolHitRatio)
-	if pp := s.PartitionPairs; len(pp) > 0 {
-		writeHeader(w, "distjoin_partition_pairs_emitted", "gauge", "Pairs emitted by each parallel partition worker.")
-		for i, n := range pp {
-			fmt.Fprintf(w, "distjoin_partition_pairs_emitted{part=%q} %d\n", strconv.Itoa(i), n)
-		}
-	}
 	writeHeader(w, "distjoin_inter_pair_delay_seconds", "histogram", "Delay between consecutive delivered pairs (enumeration delay).")
 	writeHistogram(w, "distjoin_inter_pair_delay_seconds", "", &r.interPair)
 	writeHeader(w, "distjoin_pop_to_emit_seconds", "histogram", "Latency from queue pop to result emission within one engine.")

@@ -10,9 +10,7 @@
 // The paper's central claim is incrementality — the first result pairs
 // arrive long before the full join could complete — and this package makes
 // that claim measurable on a live run: the inter-pair delay histogram is the
-// "enumeration delay" of the dynamic-enumeration literature, and the
-// per-partition gauges expose the progress skew that governs partitioned
-// parallel joins.
+// "enumeration delay" of the dynamic-enumeration literature.
 //
 // Following the convention of internal/stats, a nil *Recorder is valid
 // everywhere and records nothing: every hook method begins with a nil check,
@@ -23,7 +21,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -36,9 +33,8 @@ type Config struct{}
 
 // Recorder aggregates the metrics of the join executions it is attached to
 // (one, several in sequence, or every cursor of a server at once). Every
-// hook is safe for concurrent use — atomics, and a read lock on the
-// per-partition gauges that only SetPartitions write-locks — and every
-// method is a no-op on a nil receiver.
+// hook is safe for concurrent use — atomics only — and every method is a
+// no-op on a nil receiver.
 type Recorder struct {
 	epoch time.Time
 
@@ -56,9 +52,6 @@ type Recorder struct {
 
 	interPair Histogram // delay between consecutive delivered pairs
 	popToEmit Histogram // queue pop to result emission inside one engine
-
-	partMu sync.RWMutex
-	parts  []atomic.Int64 // pairs emitted per partition
 }
 
 // New creates a Recorder; its uptime starts now.
@@ -75,8 +68,7 @@ func (r *Recorder) Counts() *stats.Counters {
 	return &r.counts
 }
 
-// EngineStarted counts one engine (the sequential engine, or one partition
-// worker) seeding its queue.
+// EngineStarted counts one engine seeding its queue.
 func (r *Recorder) EngineStarted() {
 	if r != nil {
 		r.startedEng.Add(1)
@@ -90,40 +82,16 @@ func (r *Recorder) EngineStopped() {
 	}
 }
 
-// Emit records one result pair produced by an engine: the pop-to-emit
-// latency (popStart is when the engine's Next call began draining the
-// queue, now when it ended — both the engine meter's clock reads, so Emit
-// reads no clock of its own), the live queue depth, and — on the
-// sequential path (part < 0), where production is delivery — the delivery
-// accounting as well. Parallel partition workers pass their partition id
-// and the merge calls Deliver for the ordered stream.
-func (r *Recorder) Emit(part int32, dist float64, queueLen int, popStart, now time.Time) {
+// Emit records one result pair an engine delivered: the pop-to-emit latency
+// (popStart is when the engine's Next call began draining the queue, now
+// when it ended — both the engine meter's clock reads, so Emit reads no
+// clock of its own), the live queue depth, and the delivery accounting.
+func (r *Recorder) Emit(dist float64, queueLen int, popStart, now time.Time) {
 	if r == nil {
 		return
 	}
 	r.popToEmit.Observe(now.Sub(popStart))
 	r.queueDepth.Store(int64(queueLen))
-	if part < 0 {
-		r.deliver(dist, now)
-		return
-	}
-	r.partMu.RLock()
-	if int(part) < len(r.parts) {
-		r.parts[part].Add(1)
-	}
-	r.partMu.RUnlock()
-}
-
-// Deliver records one result pair of the merged (ordered) stream on the
-// parallel path. The sequential path delivers through Emit.
-func (r *Recorder) Deliver(dist float64) {
-	if r == nil {
-		return
-	}
-	r.deliver(dist, time.Now())
-}
-
-func (r *Recorder) deliver(dist float64, now time.Time) {
 	seq := r.delivered.Add(1)
 	r.frontier.Store(math.Float64bits(dist))
 	ns := now.Sub(r.epoch).Nanoseconds()
@@ -131,41 +99,6 @@ func (r *Recorder) deliver(dist float64, now time.Time) {
 	if seq > 1 {
 		r.interPair.Observe(time.Duration(ns - prev))
 	}
-}
-
-// SetPartitions sizes the per-partition emission gauges. Called by the
-// parallel path before its workers start; idempotent for the same n.
-func (r *Recorder) SetPartitions(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.partMu.Lock()
-	if len(r.parts) < n {
-		parts := make([]atomic.Int64, n)
-		for i := range r.parts {
-			parts[i].Store(r.parts[i].Load())
-		}
-		r.parts = parts
-	}
-	r.partMu.Unlock()
-}
-
-// PartitionPairs returns the pairs emitted per partition (nil when the
-// sequential path ran).
-func (r *Recorder) PartitionPairs() []int64 {
-	if r == nil {
-		return nil
-	}
-	r.partMu.RLock()
-	defer r.partMu.RUnlock()
-	if len(r.parts) == 0 {
-		return nil
-	}
-	out := make([]int64, len(r.parts))
-	for i := range r.parts {
-		out[i] = r.parts[i].Load()
-	}
-	return out
 }
 
 // Snapshot is a point-in-time view of every counter, gauge and histogram,
@@ -177,7 +110,6 @@ type Snapshot struct {
 	Expansions     int64             `json:"expansions"`
 	BatchPruned    int64             `json:"batch_pruned"`
 	SpilledPairs   int64             `json:"queue_spilled_pairs"`
-	MergeStalls    int64             `json:"merge_stalls"`
 	IORetries      int64             `json:"io_retries"`
 	EnginesStarted int64             `json:"engines_started"`
 	EnginesStopped int64             `json:"engines_stopped"`
@@ -187,7 +119,6 @@ type Snapshot struct {
 	PoolWrites     int64             `json:"pool_writes"`
 	PoolHits       int64             `json:"pool_hits"`
 	PoolHitRatio   float64           `json:"pool_hit_ratio"`
-	PartitionPairs []int64           `json:"partition_pairs,omitempty"`
 	InterPairDelay HistogramSnapshot `json:"inter_pair_delay"`
 	PopToEmit      HistogramSnapshot `json:"pop_to_emit"`
 }
@@ -211,7 +142,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		Expansions:     c.Expansions,
 		BatchPruned:    c.BatchPruned,
 		SpilledPairs:   c.QueueDiskPairs,
-		MergeStalls:    c.MergeStalls,
 		IORetries:      c.IORetries,
 		EnginesStarted: r.startedEng.Load(),
 		EnginesStopped: r.stoppedEng.Load(),
@@ -221,7 +151,6 @@ func (r *Recorder) Snapshot() Snapshot {
 		PoolWrites:     c.NodeWrites,
 		PoolHits:       c.BufferHits,
 		PoolHitRatio:   ratio,
-		PartitionPairs: r.PartitionPairs(),
 		InterPairDelay: r.interPair.Quantiles(),
 		PopToEmit:      r.popToEmit.Quantiles(),
 	}

@@ -19,13 +19,7 @@ func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.EngineStarted()
 	r.EngineStopped()
-	r.Emit(-1, 2.5, 10, time.Time{}, time.Time{})
-	r.Emit(3, 2.5, 10, time.Time{}, time.Time{})
-	r.Deliver(3.5)
-	r.SetPartitions(4)
-	if r.PartitionPairs() != nil {
-		t.Error("nil.PartitionPairs() should be nil")
-	}
+	r.Emit(2.5, 10, time.Time{}, time.Time{})
 	if r.Counts() != nil {
 		t.Error("nil.Counts() should be nil")
 	}
@@ -40,8 +34,7 @@ func TestNilRecorderAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.EngineStarted()
-		r.Emit(-1, 2.0, 5, time.Time{}, time.Time{})
-		r.Deliver(2.0)
+		r.Emit(2.0, 5, time.Time{}, time.Time{})
 		r.EngineStopped()
 		r.Counts().Merge(nil)
 	})
@@ -59,8 +52,8 @@ func TestRecorderCountsAndSnapshot(t *testing.T) {
 	// The stamps are the engine meter's clock reads: Emit reads no clock, so
 	// the latencies are exactly their differences.
 	start := time.Now().Add(-time.Hour)
-	r.Emit(-1, 1.0, 7, start, start.Add(3*time.Microsecond))
-	r.Emit(-1, 2.0, 6, start.Add(4*time.Microsecond), start.Add(9*time.Microsecond))
+	r.Emit(1.0, 7, start, start.Add(3*time.Microsecond))
+	r.Emit(2.0, 6, start.Add(4*time.Microsecond), start.Add(9*time.Microsecond))
 	r.EngineStopped()
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1})
 	s := r.Snapshot()
@@ -88,30 +81,6 @@ func TestRecorderCountsAndSnapshot(t *testing.T) {
 	if r.popToEmit.Sum() != 8*time.Microsecond || r.interPair.Sum() != 6*time.Microsecond {
 		t.Errorf("pop-to-emit sum %v, inter-pair sum %v; want 8µs and 6µs from the stamps alone",
 			r.popToEmit.Sum(), r.interPair.Sum())
-	}
-}
-
-func TestPartitionPairs(t *testing.T) {
-	r := New(Config{})
-	r.SetPartitions(3)
-	start := time.Now()
-	r.Emit(0, 1.0, 1, start, start)
-	r.Emit(2, 1.5, 1, start, start)
-	r.Emit(2, 2.0, 1, start, start)
-	r.Deliver(1.0)
-	got := r.PartitionPairs()
-	want := []int64{1, 0, 2}
-	if len(got) != len(want) {
-		t.Fatalf("PartitionPairs() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PartitionPairs() = %v, want %v", got, want)
-		}
-	}
-	// Partition emits must not count as deliveries.
-	if s := r.Snapshot(); s.Delivered != 1 {
-		t.Errorf("delivered=%d, want 1", s.Delivered)
 	}
 }
 
@@ -161,23 +130,19 @@ func TestPoolHitRatioFromCounts(t *testing.T) {
 
 func TestMetricsHandler(t *testing.T) {
 	r := New(Config{})
-	r.SetPartitions(2)
 	start := time.Now()
-	r.Emit(0, 1.0, 4, start, start)
-	r.Emit(1, 2.0, 3, start, start)
-	r.Deliver(1.0)
+	r.Emit(1.0, 4, start, start)
+	r.Emit(2.0, 3, start, start)
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 5})
 	rec := httptest.NewRecorder()
 	HandlerTraced(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE distjoin_pairs_delivered_total counter",
-		"distjoin_pairs_delivered_total 1",
+		"distjoin_pairs_delivered_total 2",
 		"distjoin_pairs_emitted_total 2",
 		"distjoin_expansions_total 5",
 		"distjoin_queue_depth 3",
-		`distjoin_partition_pairs_emitted{part="0"} 1`,
-		`distjoin_partition_pairs_emitted{part="1"} 1`,
 		"# TYPE distjoin_inter_pair_delay_seconds histogram",
 		`distjoin_pop_to_emit_seconds_bucket{le="+Inf"} 2`,
 	} {
@@ -189,7 +154,8 @@ func TestMetricsHandler(t *testing.T) {
 
 func TestServeMetrics(t *testing.T) {
 	r := New(Config{})
-	r.Deliver(5.0)
+	now := time.Now()
+	r.Emit(5.0, 0, now, now)
 	srv, err := ServeMetricsTraced("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatalf("ServeMetrics: %v", err)
@@ -223,36 +189,35 @@ func TestServeMetrics(t *testing.T) {
 }
 
 // TestConcurrentHooks drives all hooks from many goroutines so `go test
-// -race ./internal/obs` exercises the atomics and the partition gauges' lock.
+// -race ./internal/obs` exercises the atomics: a server's cursors share one
+// recorder.
 func TestConcurrentHooks(t *testing.T) {
 	r := New(Config{})
-	r.SetPartitions(4)
 	var wg sync.WaitGroup
-	for p := int32(0); p < 4; p++ {
+	for p := 0; p < 4; p++ {
 		wg.Add(1)
-		go func(p int32) {
+		go func() {
 			defer wg.Done()
 			r.EngineStarted()
 			for i := 0; i < 200; i++ {
 				now := time.Now()
-				r.Emit(p, float64(i), i, now, now)
+				r.Emit(float64(i), i, now, now)
 				r.Counts().Merge(&stats.Counters{PairsReported: 1})
 			}
 			r.EngineStopped()
-		}(p)
+		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			r.Deliver(float64(i))
 			_ = r.Snapshot()
 		}
 	}()
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Emitted != 800 || s.Delivered != 200 {
-		t.Errorf("emitted=%d delivered=%d, want 800/200", s.Emitted, s.Delivered)
+	if s.Emitted != 800 || s.Delivered != 800 {
+		t.Errorf("emitted=%d delivered=%d, want 800/800", s.Emitted, s.Delivered)
 	}
 }
 
@@ -285,9 +250,9 @@ func TestQuantilesMethod(t *testing.T) {
 func TestMetricsQuantileGauges(t *testing.T) {
 	r := New(Config{})
 	now := time.Now()
-	r.Emit(-1, 1.0, 4, now.Add(-time.Microsecond), now)
-	r.Deliver(1.0)
-	r.Deliver(2.0)
+	r.Emit(1.0, 4, now.Add(-time.Microsecond), now)
+	r.Emit(1.0, 3, now, now.Add(time.Microsecond))
+	r.Emit(2.0, 2, now, now.Add(2*time.Microsecond))
 	rec := httptest.NewRecorder()
 	HandlerTraced(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
@@ -296,7 +261,7 @@ func TestMetricsQuantileGauges(t *testing.T) {
 	}
 	for _, want := range []string{
 		`distjoin_inter_pair_delay_seconds_count 2`,
-		`distjoin_pop_to_emit_seconds_count 1`,
+		`distjoin_pop_to_emit_seconds_count 3`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q", want)

@@ -27,10 +27,9 @@ import (
 // at most: the exposition prints every number once.
 func TestPrometheusExpositionLint(t *testing.T) {
 	rec := obs.New(obs.Config{})
-	rec.Deliver(0.25)
-	rec.Deliver(0.50)
 	now := time.Now()
-	rec.Emit(0, 0.25, 3, now.Add(-50*time.Microsecond), now)
+	rec.Emit(0.25, 3, now.Add(-50*time.Microsecond), now)
+	rec.Emit(0.50, 2, now, now.Add(20*time.Microsecond))
 	var c stats.Counters
 	fields := reflect.ValueOf(&c).Elem()
 	for i := 0; i < fields.NumField(); i++ {

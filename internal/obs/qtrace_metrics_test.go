@@ -93,7 +93,7 @@ func TestServeMetricsShutdown(t *testing.T) {
 // in the tracer's flight recorder.
 func traceQuery(qt *qtrace.Tracer, kind, id string) {
 	q := qt.Begin(kind, id)
-	q.AddWorker(qtrace.Worker{Part: -1, Pairs: 1, Counts: stats.Counters{PairsReported: 1}})
+	q.AddWorker(qtrace.Worker{Pairs: 1, Counts: stats.Counters{PairsReported: 1}})
 	q.SetNodeIO(2, 0, 0)
 	q.Finish(nil)
 }

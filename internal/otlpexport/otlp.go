@@ -312,9 +312,6 @@ func layoutSpan(out []Span, s *qtrace.Span, traceID qtrace.TraceID, parent qtrac
 		Start:   start,
 		End:     end,
 	}
-	if s.Part != nil {
-		sp.Attrs = append(sp.Attrs, Int("distjoin.partition", int64(*s.Part)))
-	}
 	if s.Count > 0 {
 		sp.Attrs = append(sp.Attrs, Int("distjoin.count", s.Count))
 	}

@@ -21,7 +21,7 @@ func tracedQuery(tr *qtrace.Tracer, id string, parent qtrace.SpanContext, qerr e
 	tr.PreBegin(id, parent)
 	q := tr.Begin("join", id)
 	q.PlanDone()
-	w := qtrace.Worker{Part: -1, Pairs: 10, Counts: stats.Counters{PairsReported: 1, DistCalcs: 3}}
+	w := qtrace.Worker{Pairs: 10, Counts: stats.Counters{PairsReported: 1, DistCalcs: 3}}
 	w.Tally.NS[profile.PhaseExpand], w.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
 	w.Tally.NS[profile.PhaseSpill], w.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
 	w.Tally.IOWriteNS, w.Tally.IOWrites = int64(time.Millisecond), 1

@@ -1,6 +1,6 @@
 // Package profile provides span accounting: the phases a join's wall time
 // is attributed to (node expansion, queue push/pop, disk-tier spill/fetch,
-// stream merge, result emission), the plain Tally one engine's meter
+// result emission), the plain Tally one engine's meter
 // accumulates, and Spans, the shared view tallies fold into
 // (Options.Profile). The per-query document built from a run's tallies is
 // internal/qtrace's QueryTrace.
@@ -21,10 +21,8 @@ import (
 // phases partition the per-pair work of Figure 3's loop: Expand is node-pair
 // processing (child enumeration, distance computation, pruning), Push and
 // Pop are the priority-queue operations, Spill and Fetch are the hybrid
-// queue's disk-tier traffic (§3.2), Merge is the parallel path's
-// order-preserving stream merge (including its blocking waits on partition
-// workers), and Emit is the residual per-result work: dequeue-side
-// filtering, report bookkeeping, and iterator overhead.
+// queue's disk-tier traffic (§3.2), and Emit is the residual per-result
+// work: dequeue-side filtering, report bookkeeping, and iterator overhead.
 type Phase uint8
 
 const (
@@ -39,9 +37,6 @@ const (
 	PhaseSpill
 	// PhaseFetch is the hybrid queue loading disk buckets back into memory.
 	PhaseFetch
-	// PhaseMerge is the parallel order-preserving merge, including the time
-	// it blocks waiting for partition workers to produce.
-	PhaseMerge
 	// PhaseEmit is reporting a result: from the report of the pair that
 	// leaves the engine to the end of its next() call, publishing included.
 	PhaseEmit
@@ -56,7 +51,6 @@ var phaseNames = [NumPhases]string{
 	PhasePop:    "pop",
 	PhaseSpill:  "spill",
 	PhaseFetch:  "fetch",
-	PhaseMerge:  "merge",
 	PhaseEmit:   "emit",
 }
 
@@ -105,11 +99,11 @@ func (t Tally) TotalNS() int64 {
 }
 
 // Spans is the shared view of span accounting: per-phase wall time and
-// operation counts behind a mutex. The engines never write a Spans on their
-// per-pair path — each records into its own meter's Tally, where the phases
+// operation counts behind a mutex. The engine never writes a Spans on its
+// per-pair path — it records into its own meter's Tally, where the phases
 // are exclusive by construction, and folds the growth into the caller's
-// Spans once per Next return (a parallel partition worker once, when it
-// finishes), so the lock is taken per fold, not per operation.
+// Spans once per Next return, so the lock is taken per fold, not per
+// operation.
 //
 // Physical disk-tier I/O time is nested inside whatever phase triggered the
 // I/O, so it is reported as an "of which" figure, not summed with the

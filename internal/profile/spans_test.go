@@ -64,7 +64,7 @@ func TestSpansAccounting(t *testing.T) {
 	add(s, PhaseExpand, 3*time.Millisecond)
 	add(s, PhasePush, 2*time.Millisecond)
 	add(s, PhaseSpill, time.Millisecond)
-	add(s, PhaseMerge, 4*time.Millisecond)
+	add(s, PhaseEmit, 4*time.Millisecond)
 	s.Fold(&Tally{IOWrites: 1})
 	got := s.Tally()
 	if got.NS[PhaseExpand] != int64(8*time.Millisecond) || got.Counts[PhaseExpand] != 2 {
@@ -93,7 +93,7 @@ func TestSpansAccounting(t *testing.T) {
 	if io.Reads != 1 || io.ReadSeconds != 0.001 {
 		t.Fatalf("merged io = %+v", io)
 	}
-	if after.Counts[PhaseExpand] != 3 || after.NS[PhaseMerge] != int64(4*time.Millisecond) || after.Counts[PhaseFetch] != 0 {
+	if after.Counts[PhaseExpand] != 3 || after.NS[PhaseEmit] != int64(4*time.Millisecond) || after.Counts[PhaseFetch] != 0 {
 		t.Fatalf("tally = %+v", after)
 	}
 	if PhaseExpand.String() != "expand" || Phase(NumPhases).String() != "unknown" {

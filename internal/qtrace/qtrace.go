@@ -1,14 +1,14 @@
 // Package qtrace is the per-query lifecycle tracing layer of the
 // incremental distance join: every join, semi-join and kNN run gets a query ID
-// and a hierarchical span tree (plan → partition workers → engine phases →
-// queue disk-tier I/O), assembled from the closing reports of the run's
-// per-engine meters (internal/meter): each engine's exclusive phase times
-// and counts arrive once, when the engine closes.
+// and a hierarchical span tree (plan → engine phases → queue disk-tier
+// I/O), assembled from the closing report of the run's engine meter
+// (internal/meter): the engine's exclusive phase times and counts arrive
+// once, when the engine closes.
 //
 // Where internal/profile answers "where did THIS run's time go" as one flat
 // phase list, qtrace answers the operational questions of a server hosting
-// many concurrent resumable cursors: which query is this, which of its
-// partition workers is stuck, did it die and why, and what did it cost. On
+// many concurrent resumable cursors: which query is this, did it die and
+// why, and what did it cost. On
 // top of the per-query traces sit:
 //
 //   - a flight recorder: a bounded ring of the last N completed query
@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,10 +291,9 @@ func (t *Tracer) isSlow(qt *QueryTrace) bool {
 }
 
 // Query is one live (running) query trace. The join layer brackets its
-// lifecycle: Begin at construction, PlanDone after validation/partitioning/
-// seeding, one AddWorker per engine as it closes, AddMerge when the
-// parallel merge closes, and Finish when the iterator closes. All methods
-// are nil-safe.
+// lifecycle: Begin at construction, PlanDone after validation and seeding,
+// AddWorker as the engine closes, and Finish when the iterator closes. All
+// methods are nil-safe.
 type Query struct {
 	tr    *Tracer
 	id    string
@@ -308,10 +306,8 @@ type Query struct {
 	sc         SpanContext
 	parentSpan SpanID
 
-	mu      sync.Mutex // guards the fields below until Finish
-	planNS  int64
-	mergeNS int64 // the parallel merge's bracket time…
-	merges  int64 // …and bracket count
+	mu     sync.Mutex // guards the fields below until Finish
+	planNS int64
 	// callerNS is the time between the end of one Next call and the start
 	// of the next: the caller's own, not the query's.
 	callerNS int64
@@ -325,8 +321,7 @@ type Query struct {
 }
 
 // PlanDone records the plan span: everything between Begin and the engines
-// being ready to pop (validation, partition planning, queue construction,
-// seeding).
+// being ready to pop (validation, queue construction, seeding).
 func (q *Query) PlanDone() {
 	if q == nil {
 		return
@@ -336,12 +331,10 @@ func (q *Query) PlanDone() {
 	q.mu.Unlock()
 }
 
-// Worker is the closing report of one engine of a query: one partition
-// worker of the parallel path, or the single sequential engine (Part -1).
-// Counts are the engine's own work counters, Tally its exclusive phase
-// times and span counts.
+// Worker is the closing report of a query's engine. Counts are the
+// engine's own work counters, Tally its exclusive phase times and span
+// counts.
 type Worker struct {
-	Part   int32
 	Pairs  int64
 	Counts stats.Counters
 	Tally  profile.Tally
@@ -357,21 +350,7 @@ func (q *Query) AddWorker(w Worker) {
 	q.mu.Unlock()
 }
 
-// AddMerge lands the parallel order-preserving merge's account: its
-// PhaseMerge time (including the time it blocked waiting on partition
-// workers) and bracket count.
-func (q *Query) AddMerge(ns, brackets int64) {
-	if q == nil {
-		return
-	}
-	q.mu.Lock()
-	q.mergeNS += ns
-	q.merges += brackets
-	q.mu.Unlock()
-}
-
-// AddCaller lands the time the caller-driven engine (the sequential engine,
-// or the parallel merge) sat between two Next calls.
+// AddCaller lands the time the engine sat between two Next calls.
 func (q *Query) AddCaller(ns int64) {
 	if q == nil {
 		return
@@ -395,12 +374,12 @@ func (q *Query) SetNodeIO(reads, writes, hits int64) {
 }
 
 // Finish completes the query trace: the span tree is assembled from the
-// plan span, the merge account and the workers' closing reports, the
-// resource accounting is summed from the workers' counts, and the trace
+// plan span and the engine's closing report, the resource accounting is
+// summed from the engine's counts, and the trace
 // lands in the tracer's flight recorder (and slow-query log, when it
 // qualifies). err annotates a query that died; nil marks a clean finish.
 // Finish is idempotent — the first call wins — and nil-safe. The join layer
-// calls it on iterator Close, after the runner has released every engine.
+// calls it on iterator Close, after the engine has released its resources.
 func (q *Query) Finish(err error) *QueryTrace {
 	if q == nil || !q.finished.CompareAndSwap(false, true) {
 		return nil
@@ -426,8 +405,6 @@ func (q *Query) Finish(err error) *QueryTrace {
 	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	// Engines close in completion order; the tree lists them by partition.
-	sort.Slice(q.workers, func(i, j int) bool { return q.workers[i].Part < q.workers[j].Part })
 	qt.Workers = len(q.workers)
 	qt.Root = q.buildTree(wall)
 	qt.Resources = q.resources()
@@ -440,9 +417,8 @@ func (q *Query) Finish(err error) *QueryTrace {
 // buildTree assembles the hierarchical span tree:
 //
 //	query
-//	├── plan                  validation, partitioning, queue build, seeding
-//	├── merge                 parallel only: order-preserving stream merge
-//	└── worker (per engine)
+//	├── plan                  validation, queue build, seeding
+//	└── worker                the engine
 //	    ├── expand            node-pair expansion (sweep/block generation)
 //	    ├── push              queue insertion, excluding nested spills
 //	    ├── pop               queue removal and dequeue-time checks, excluding fetches
@@ -458,13 +434,6 @@ func (q *Query) buildTree(wall time.Duration) Span {
 		Seconds: time.Duration(q.planNS).Seconds(),
 		Count:   1,
 	})
-	if q.merges > 0 {
-		root.Children = append(root.Children, Span{
-			Name:    "merge",
-			Seconds: time.Duration(q.mergeNS).Seconds(),
-			Count:   q.merges,
-		})
-	}
 	for i := range q.workers {
 		root.Children = append(root.Children, q.workers[i].span())
 	}
@@ -473,10 +442,8 @@ func (q *Query) buildTree(wall time.Duration) Span {
 
 // span renders one worker's phase spans as a subtree.
 func (w *Worker) span() Span {
-	part := int(w.Part)
 	ws := Span{
 		Name:    "worker",
-		Part:    &part,
 		Seconds: time.Duration(w.Tally.TotalNS()).Seconds(),
 		Count:   w.Pairs,
 	}
@@ -508,26 +475,21 @@ func (w *Worker) span() Span {
 
 // coverage computes the fraction of the query's own time the span
 // accounting explains: wall time less the time the caller spent between
-// Next calls, which no span of the query can or should claim. On the
-// sequential path the single worker's disjoint phases plus the plan span
-// should cover nearly everything; on the parallel path the workers run
-// concurrently with the merge, so the merge bracket (which includes its
-// blocking waits) stands in for them.
+// Next calls, which no span of the query can or should claim. The engine's
+// disjoint phases plus the plan span should cover nearly everything.
 func (q *Query) coverage(wall time.Duration) float64 {
 	own := wall.Nanoseconds() - q.callerNS
 	if own <= 0 {
 		return 0
 	}
 	covered := q.planNS
-	if q.merges > 0 {
-		covered += q.mergeNS
-	} else if len(q.workers) == 1 {
+	if len(q.workers) == 1 {
 		covered += q.workers[0].Tally.TotalNS()
 	}
 	return float64(covered) / float64(own)
 }
 
-// resources sums the query's resource accounting from its engines' own
+// resources sums the query's resource accounting from its engine's own
 // counts — no other query's work can leak in — plus the pool-owned node
 // I/O columns recorded by SetNodeIO.
 func (q *Query) resources() Resources {
@@ -576,11 +538,11 @@ type QueryTrace struct {
 	// of one Next call and the start of the next: the caller's loop, or a
 	// server cursor waiting for its next pull. It is not the query's time.
 	CallerSeconds float64 `json:"caller_seconds"`
-	// Workers is the number of engines the run used: 1 on the sequential
-	// path, the partition count on the parallel path.
+	// Workers is the number of engines that reported: 1 once the engine
+	// has closed.
 	Workers int `json:"workers"`
 	// Error annotates a query that died (storage fault, checksum mismatch,
-	// failed partition worker, ...). Empty on a clean finish.
+	// cancellation, ...). Empty on a clean finish.
 	Error string `json:"error,omitempty"`
 	// Coverage is the fraction of the query's own time, WallSeconds less
 	// CallerSeconds, that the span tree explains.
@@ -591,10 +553,7 @@ type QueryTrace struct {
 
 // Span is one node of the hierarchical span tree.
 type Span struct {
-	Name string `json:"name"`
-	// Part is the engine's partition id on worker spans (-1 sequential);
-	// nil elsewhere.
-	Part    *int    `json:"part,omitempty"`
+	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
 	Count   int64   `json:"count,omitempty"`
 	// Nested marks an "of which" span (physical I/O inside spill/fetch):

@@ -15,10 +15,11 @@ import (
 	"distjoin/internal/stats"
 )
 
-// syntheticWorker is the closing report of one engine that expanded for
-// 3 ms, popped for 1 ms and spilled for 2 ms (1 ms of it a physical write).
-func syntheticWorker(part int32, pairs int64) Worker {
-	w := Worker{Part: part, Pairs: pairs}
+// syntheticWorker is the closing report of an engine that reported 10
+// pairs, expanded for 3 ms, popped for 1 ms and spilled for 2 ms (1 ms of it
+// a physical write).
+func syntheticWorker() Worker {
+	w := Worker{Pairs: 10}
 	w.Tally.NS[profile.PhaseExpand], w.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
 	w.Tally.NS[profile.PhasePop], w.Tally.Counts[profile.PhasePop] = int64(time.Millisecond), 1
 	w.Tally.NS[profile.PhaseSpill], w.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
@@ -27,24 +28,15 @@ func syntheticWorker(part int32, pairs int64) Worker {
 }
 
 // runQuery drives one synthetic query through the full lifecycle the join
-// layer uses: Begin → plan span → the engines' closing reports (worker 0
-// did the query's one reported pair and distance computation) → the merge
-// account → the pools' node I/O → Finish.
-func runQuery(t *Tracer, kind, id string, workers int, err error) *QueryTrace {
+// layer uses: Begin → plan span → the engine's closing report (one reported
+// pair and distance computation) → the pools' node I/O → Finish.
+func runQuery(t *Tracer, kind, id string, err error) *QueryTrace {
 	q := t.Begin(kind, id)
 	time.Sleep(time.Microsecond)
 	q.PlanDone()
-	// Workers land in completion order; the tree must list them by part.
-	for i := workers - 1; i >= 0; i-- {
-		w := syntheticWorker(int32(i), int64(10+i))
-		if i == 0 {
-			w.Counts = stats.Counters{PairsReported: 1, DistCalcs: 1, MaxQueueSize: 7}
-		}
-		q.AddWorker(w)
-	}
-	if workers > 1 {
-		q.AddMerge(int64(time.Millisecond), 1)
-	}
+	w := syntheticWorker()
+	w.Counts = stats.Counters{PairsReported: 1, DistCalcs: 1, MaxQueueSize: 7}
+	q.AddWorker(w)
 	q.SetNodeIO(1, 0, 4)
 	return q.Finish(err)
 }
@@ -56,7 +48,6 @@ func TestNilTracerIsNoOp(t *testing.T) {
 		t.Fatalf("nil tracer Begin = %v, want nil", q)
 	}
 	q.PlanDone()
-	q.AddMerge(1, 1)
 	q.AddWorker(Worker{})
 	q.SetNodeIO(1, 2, 3)
 	if qt := q.Finish(nil); qt != nil {
@@ -75,8 +66,7 @@ func TestDisabledZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		q := tr.Begin("join", "")
 		q.PlanDone()
-		q.AddWorker(Worker{Part: 0, Pairs: 1})
-		q.AddMerge(1, 1)
+		q.AddWorker(Worker{Pairs: 1})
 		q.Finish(nil)
 	})
 	if allocs != 0 {
@@ -87,7 +77,7 @@ func TestDisabledZeroAllocs(t *testing.T) {
 func TestFlightRecorderRing(t *testing.T) {
 	tr := New(Config{FlightSize: 3})
 	for i := 0; i < 5; i++ {
-		runQuery(tr, "join", fmt.Sprintf("id%d", i), 1, nil)
+		runQuery(tr, "join", fmt.Sprintf("id%d", i), nil)
 	}
 	traces := tr.Traces()
 	if len(traces) != 3 {
@@ -136,7 +126,7 @@ func TestAssignedQueryIDs(t *testing.T) {
 
 func TestTraceContents(t *testing.T) {
 	tr := New(Config{})
-	qt := runQuery(tr, "knn", "q-abc", 2, errors.New("boom"))
+	qt := runQuery(tr, "knn", "q-abc", errors.New("boom"))
 	if qt == nil {
 		t.Fatal("Finish returned nil trace")
 	}
@@ -146,17 +136,14 @@ func TestTraceContents(t *testing.T) {
 	if qt.Error != "boom" {
 		t.Fatalf("Error = %q, want boom", qt.Error)
 	}
-	if qt.Workers != 2 {
-		t.Fatalf("Workers = %d, want 2", qt.Workers)
+	if qt.Workers != 1 {
+		t.Fatalf("Workers = %d, want 1", qt.Workers)
 	}
 	if qt.Root.Name != "query" || qt.Root.Seconds <= 0 {
 		t.Fatalf("root span = %+v", qt.Root)
 	}
 	if plan := qt.Root.Find("plan"); plan == nil || plan.Seconds <= 0 {
 		t.Fatalf("plan span = %+v", plan)
-	}
-	if mg := qt.Root.Find("merge"); mg == nil || mg.Count != 1 {
-		t.Fatalf("merge span = %+v", mg)
 	}
 	if ex := qt.Root.Find("expand"); ex == nil || ex.Seconds < 0.003 {
 		t.Fatalf("expand span = %+v", ex)
@@ -170,28 +157,24 @@ func TestTraceContents(t *testing.T) {
 		qt.Resources.BufferHits != 4 || qt.Resources.PeakQueueDepth != 7 {
 		t.Fatalf("resources = %+v", qt.Resources)
 	}
-	for i, child := range qt.Root.Children[2:] {
-		if child.Name != "worker" || *child.Part != i {
-			t.Fatalf("worker %d of the tree = %+v, want part %d", i, child, i)
-		}
+	if c := qt.Root.Children; len(c) != 2 || c[0].Name != "plan" || c[1].Name != "worker" || c[1].Count != 10 {
+		t.Fatalf("root's children = %+v, want plan and the worker", c)
 	}
 	if qt.Coverage < 0 || math.IsNaN(qt.Coverage) {
 		t.Fatalf("coverage = %v", qt.Coverage)
 	}
 }
 
-// TestResourcesAreTheQuerysOwn: a query's resources are summed from its own
-// engines' closing reports — additive counts add, the peak queue depth is
-// the largest any one engine saw — so no other query's work can leak in
-// (the behaviour the old shared-counter baseline subtraction approximated).
+// TestResourcesAreTheQuerysOwn: a query's resources are its own engine's
+// closing report, so no other query's work can leak in (the behaviour the
+// old shared-counter baseline subtraction approximated).
 func TestResourcesAreTheQuerysOwn(t *testing.T) {
 	tr := New(Config{})
 	other := tr.Begin("join", "noise")
-	other.AddWorker(Worker{Part: -1, Counts: stats.Counters{PairsReported: 100, DistCalcs: 100}})
+	other.AddWorker(Worker{Counts: stats.Counters{PairsReported: 100, DistCalcs: 100}})
 
 	q := tr.Begin("join", "mine")
-	q.AddWorker(Worker{Part: 0, Counts: stats.Counters{PairsReported: 1, DistCalcs: 2, MaxQueueSize: 5}})
-	q.AddWorker(Worker{Part: 1, Counts: stats.Counters{PairsReported: 2, DistCalcs: 3, MaxQueueSize: 9}})
+	q.AddWorker(Worker{Counts: stats.Counters{PairsReported: 3, DistCalcs: 5, MaxQueueSize: 9}})
 	other.Finish(nil)
 	qt := q.Finish(nil)
 	if r := qt.Resources; r.Pairs != 3 || r.DistCalcs != 5 || r.PeakQueueDepth != 9 {
@@ -203,8 +186,8 @@ func TestSlowLogGating(t *testing.T) {
 	t.Run("all-when-unthresholded", func(t *testing.T) {
 		var buf bytes.Buffer
 		tr := New(Config{SlowLog: &buf})
-		runQuery(tr, "join", "a", 1, nil)
-		runQuery(tr, "join", "b", 1, nil)
+		runQuery(tr, "join", "a", nil)
+		runQuery(tr, "join", "b", nil)
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +198,7 @@ func TestSlowLogGating(t *testing.T) {
 	t.Run("wall-threshold", func(t *testing.T) {
 		var buf bytes.Buffer
 		tr := New(Config{SlowLog: &buf, SlowWall: time.Hour})
-		runQuery(tr, "join", "fast", 1, nil)
+		runQuery(tr, "join", "fast", nil)
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +209,7 @@ func TestSlowLogGating(t *testing.T) {
 	t.Run("counter-threshold", func(t *testing.T) {
 		var buf bytes.Buffer
 		tr := New(Config{SlowLog: &buf, SlowWall: time.Hour, SlowDistCalcs: 1})
-		runQuery(tr, "join", "heavy", 1, nil) // performs 1 dist calc
+		runQuery(tr, "join", "heavy", nil) // performs 1 dist calc
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -261,15 +244,14 @@ func TestTraceMatchesSchema(t *testing.T) {
 	schema := loadSchema(t)
 	tr := New(Config{})
 	for _, tc := range []struct {
-		kind    string
-		workers int
-		err     error
+		kind string
+		err  error
 	}{
-		{"join", 1, nil},
-		{"knn", 3, nil},
-		{"semijoin", 1, errors.New("injected fault")},
+		{"join", nil},
+		{"knn", nil},
+		{"semijoin", errors.New("injected fault")},
 	} {
-		qt := runQuery(tr, tc.kind, "", tc.workers, tc.err)
+		qt := runQuery(tr, tc.kind, "", tc.err)
 		raw, err := json.Marshal(qt)
 		if err != nil {
 			t.Fatal(err)
@@ -288,7 +270,7 @@ func TestTraceMatchesSchema(t *testing.T) {
 // required fields or carrying wrong types must fail.
 func TestSchemaRejectsBadDocs(t *testing.T) {
 	schema := loadSchema(t)
-	qt := runQuery(New(Config{}), "join", "", 1, nil)
+	qt := runQuery(New(Config{}), "join", "", nil)
 	good, _ := json.Marshal(qt)
 	for name, mutate := range map[string]func(m map[string]any){
 		"missing-id":      func(m map[string]any) { delete(m, "id") },

@@ -78,8 +78,6 @@ type QueryRequest struct {
 	HybridDT float64 `json:"hybrid_dt,omitempty"`
 	// Traversal: even (default), basic, simultaneous.
 	Traversal string `json:"traversal,omitempty"`
-	// Parallelism >1 runs the partitioned parallel path per cursor.
-	Parallelism int `json:"parallelism,omitempty"`
 	// OmitEqualIDs drops identity pairs (self joins).
 	OmitEqualIDs bool `json:"omit_equal_ids,omitempty"`
 }

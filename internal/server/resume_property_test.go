@@ -14,9 +14,8 @@ import (
 // property: for every split point 0 < j < n, a server session that pulls j
 // pairs, pauses, and resumes for the rest delivers the exact pair sequence
 // (Obj1, Obj2, Dist — bitwise) of a one-shot in-process iterator, across
-// operation kinds × index structures × queue configurations. It is the
-// server-side analogue of the parallel-merge property test of PR 1: the
-// HTTP cursor layer must be invisible in the result stream.
+// operation kinds × index structures × queue configurations: the HTTP
+// cursor layer must be invisible in the result stream.
 func TestCursorResumeMatchesOneShot(t *testing.T) {
 	const nA, nB, maxPairs = 48, 64, 36
 

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -236,21 +235,6 @@ func TestCursorKindsAndOptions(t *testing.T) {
 				t.Fatalf("delete: %d", code)
 			}
 		})
-	}
-}
-
-// TestRequestParallelismBounded: a request's parallelism is capped at
-// GOMAXPROCS, so a client asking for 2^20 workers gets one partition
-// engine per CPU, not one per top-level pair of the two indexes.
-func TestRequestParallelismBounded(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	f := newFixture(t, 10_000, 10_000, nil)
-	cr := f.create(t, QueryRequest{Kind: "join", Index1: "water", Index2: "roads", Parallelism: 1 << 20, MaxPairs: 20})
-	if nr := f.next(t, cr.Cursor, 20); len(nr.Pairs) != 20 {
-		t.Fatalf("pulled %d pairs, want 20", len(nr.Pairs))
-	}
-	if n := len(f.rec.PartitionPairs()); n != 2 {
-		t.Fatalf("the join ran %d partition engines under GOMAXPROCS 2, want 2", n)
 	}
 }
 

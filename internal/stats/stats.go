@@ -61,8 +61,7 @@ type Counters struct {
 	// which the paper accounts separately from R-tree node I/O.
 	QueueReads  int64
 	QueueWrites int64
-	// PairsReported counts result pairs the engines produced (on the
-	// parallel path this includes pairs computed ahead of the merge).
+	// PairsReported counts result pairs the engine reported.
 	PairsReported int64
 	// Filtered counts pairs discarded by semi-join filtering or distance
 	// range pruning before reaching the queue.
@@ -85,9 +84,6 @@ type Counters struct {
 	// Expansions counts node-pair expansions (one per dequeued pair with
 	// at least one node).
 	Expansions int64
-	// MergeStalls counts the times the parallel merge blocked on a
-	// partition whose stream had no buffered result.
-	MergeStalls int64
 }
 
 // A Counters is nothing but int64 fields, so Snapshot and MergeSince walk

@@ -12,7 +12,7 @@ import (
 // Observability — the public surface of internal/obs. A Recorder attached
 // to Options.Obs collects the work counts, incremental-latency
 // histograms (inter-pair delay, pop-to-emit), and live gauges (queue depth,
-// result frontier, per-partition progress, buffer-pool hit ratio) from a
+// result frontier, buffer-pool hit ratio) from a
 // running join; ServeMetrics exposes them over HTTP as Prometheus text,
 // with the query tracer's flight recorder and pprof. A nil *Recorder is valid everywhere and records nothing, at zero
 // cost — the same convention as Stats.
@@ -36,8 +36,8 @@ func NewRecorder(cfg ObsConfig) *Recorder { return obs.New(cfg) }
 
 // Per-query lifecycle tracing — the public surface of internal/qtrace. A
 // QueryTracer attached to Options.Tracer assigns every join, semi-join and kNN
-// run a query ID and records a hierarchical span tree (plan → partition
-// workers → engine phases → queue disk-tier I/O) plus per-query resource
+// run a query ID and records a hierarchical span tree (plan → engine
+// phases → queue disk-tier I/O) plus per-query resource
 // accounting, retained in a bounded flight recorder (served as JSON by
 // QueriesHandler) and optionally written to a slow-query JSONL log. A nil *QueryTracer is valid everywhere and
 // records nothing, at zero cost — the same convention as Stats and

@@ -56,7 +56,7 @@ func TestOneTelemetryDoor(t *testing.T) {
 					}
 				}
 				base := filepath.Base(file)
-				if path == "time" && (base == "engine.go" || base == "parallel.go" || base == "blockqueue.go" || base == "tier.go" || base == "pqueue.go" || base == "pool.go") {
+				if path == "time" && (base == "engine.go" || base == "blockqueue.go" || base == "tier.go" || base == "pqueue.go" || base == "pool.go") {
 					t.Errorf("%s imports \"time\": the per-pair path must read the clock through its meter only", file)
 				}
 			}
@@ -210,13 +210,15 @@ func TestOneConstructorFamily(t *testing.T) {
 // 4,042 before the daemon's second counts view and the restating /metrics
 // families went, 4,003 before the SLO became one counter and the telemetry
 // knobs nothing set went; with the four files that carried the fan-out
-// (engine.go, parallel.go, hybrid.go, pool.go) it was 7,599 and 6,930. The
-// carriers are now the engine, its block queue and disk tier, and the pool.
-// The set is the root package's telemetry surface (obs.go), the server's,
-// and every telemetry package. It was 3,813 lines once the SLO was one
-// counter; footprintBound is its line count once the mock OTLP collector
-// left the exporter for internal/otlptest (3,675) plus 2 % slack.
-const footprintBound = 3748
+// (engine.go, parallel.go, hybrid.go, pool.go) it was 7,599 and 6,930.
+// The carriers are now the engine, its block queue and disk tier, and the
+// pool. The set is the root package's telemetry surface (obs.go), the
+// server's, and every telemetry package. It was 3,813 lines once the SLO
+// was one counter, 3,675 once the mock OTLP collector left the exporter for
+// internal/otlptest and 3,654 before the parallel path went; footprintBound
+// is its line count once the partition gauges, the merge meter and the
+// merge span went with it (3,474) plus 2 % slack.
+const footprintBound = 3543
 
 func TestTelemetryFootprint(t *testing.T) {
 	count := func(files []string) (n int) {
@@ -234,12 +236,11 @@ func TestTelemetryFootprint(t *testing.T) {
 		set = append(set, nonTestGoFiles(t, filepath.Join("internal", pkg))...)
 	}
 	carriers := []string{
-		filepath.Join("internal", "distjoin", "engine.go"), filepath.Join("internal", "distjoin", "parallel.go"),
-		filepath.Join("internal", "distjoin", "blockqueue.go"), filepath.Join("internal", "pqueue", "tier.go"),
-		filepath.Join("internal", "pager", "pool.go"),
+		filepath.Join("internal", "distjoin", "engine.go"), filepath.Join("internal", "distjoin", "blockqueue.go"),
+		filepath.Join("internal", "pqueue", "tier.go"), filepath.Join("internal", "pager", "pool.go"),
 	}
 	tel, car := count(set), count(carriers)
-	t.Logf("telemetry file set: %d non-test lines (4946 before the meter); with engine/parallel/blockqueue/tier/pool: %d", tel, tel+car)
+	t.Logf("telemetry file set: %d non-test lines (4946 before the meter); with engine/blockqueue/tier/pool: %d", tel, tel+car)
 	if tel > footprintBound {
 		t.Errorf("telemetry file set grew to %d lines, bound %d: delete something, or move the bound and say why", tel, footprintBound)
 	}
