@@ -114,7 +114,15 @@ type engine struct {
 	reported int
 	done     bool
 	closed   bool
+
+	// chunk is what is left of the block the reported pairs' coordinates
+	// are carved from, reportChunk pairs at a time.
+	chunk []float64
 }
+
+// reportChunk is the number of reported pairs one chunk holds: 4 KiB of
+// coordinates at d = 2.
+const reportChunk = 64
 
 // newEngine validates options, builds the queue, and seeds it with the
 // root/root pair.
@@ -673,10 +681,18 @@ func (e *engine) report(p qpair) (Pair, bool) {
 	e.m.Switch(meter.PhaseEmit)
 	e.reported++
 	// The items' coordinates may be views of index nodes every cursor on
-	// the index shares: the caller gets copies, both in one block of its
-	// own.
-	w := len(p.i1.c)
-	c := concat(p.i1.c, p.i2.c)
+	// the index shares: the caller gets copies, both in one block carved
+	// from the engine's current chunk. The carve is capped, so appending to
+	// a rectangle never reaches a neighbour's coordinates, and a chunk is
+	// never reused: its pairs belong to the caller.
+	w, n := len(p.i1.c), len(p.i1.c)+len(p.i2.c)
+	if len(e.chunk) < n {
+		e.chunk = make([]float64, reportChunk*n)
+	}
+	c := e.chunk[:n:n]
+	e.chunk = e.chunk[n:]
+	copy(c, p.i1.c)
+	copy(c[w:], p.i2.c)
 	return Pair{
 		Obj1:  rtree.ObjID(p.i1.ref),
 		Obj2:  rtree.ObjID(p.i2.ref),

@@ -122,7 +122,9 @@ func (a tieOrder) before(b tieOrder, depthFirst bool) bool {
 // geometry, and their distance. Results are delivered in ascending (or, for
 // reverse joins, descending) order of Dist. The rectangles are the pair's
 // own copies: nothing the engine or another cursor reads is reachable
-// through them.
+// through them. They share a chunk with the rectangles of up to 63 pairs
+// delivered beside them, so a retained Pair keeps at most its own chunk
+// (4 KiB at d = 2) alive, never the iterator or its queue.
 type Pair struct {
 	Obj1, Obj2   rtree.ObjID
 	Rect1, Rect2 geom.Rect

@@ -135,9 +135,11 @@ func TestSharedNodesConcurrentCursors(t *testing.T) {
 }
 
 // TestReportedRectsAreCopies: a caller may do what it likes with the
-// rectangles of a pair it was handed — scribble over them, append to them —
-// without changing what this iterator, or another cursor on the same
-// indexes, reports afterwards.
+// rectangles of the pairs it holds — scribble over them, append to them —
+// without changing any other pair it holds, or what another cursor on the
+// same indexes reports afterwards. Every pair is held until the drain ends,
+// so a pair's rectangles still share memory with the pairs delivered after
+// it when they are vandalised.
 func TestReportedRectsAreCopies(t *testing.T) {
 	a, b := clusteredPoints(53, 300), clusteredPoints(54, 400)
 	ta, tb := WrapRTree(buildTree(t, a)), WrapRTree(buildTree(t, b))
@@ -153,19 +155,22 @@ func TestReportedRectsAreCopies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		other, err := NewJoinIndexes(ta, tb, opts) // a second cursor, advanced in step
-		if err != nil {
-			t.Fatal(err)
+		held := drainJoin(t, vandal, len(want))
+		vandal.Close()
+		if len(held) != len(want) {
+			t.Fatalf("%d pairs, want %d", len(held), len(want))
 		}
-		for i, w := range want {
-			p, ok, err := vandal.Next()
-			if !ok || err != nil {
-				t.Fatal(i, ok, err)
+		intact := func(i int, p Pair) bool {
+			w := want[i]
+			return p.Obj1 == w.Obj1 && p.Obj2 == w.Obj2 && p.Dist == w.Dist &&
+				p.Rect1.Equal(a[p.Obj1].Rect()) && p.Rect2.Equal(b[p.Obj2].Rect())
+		}
+		for i, p := range held {
+			if !intact(i, p) {
+				t.Fatalf("pair %d is %v, want %v", i, p, want[i])
 			}
-			if p.Obj1 != w.Obj1 || p.Obj2 != w.Obj2 || p.Dist != w.Dist ||
-				!p.Rect1.Equal(a[p.Obj1].Rect()) || !p.Rect2.Equal(b[p.Obj2].Rect()) {
-				t.Fatalf("pair %d is %v, want %v", i, p, w)
-			}
+		}
+		for i, p := range held {
 			for _, r := range []geom.Rect{p.Rect1, p.Rect2} {
 				for d := range r.Lo {
 					r.Lo[d], r.Hi[d] = math.NaN(), math.Inf(-1)
@@ -173,16 +178,22 @@ func TestReportedRectsAreCopies(t *testing.T) {
 				_ = append(r.Lo, 1e9, 1e9, 1e9)
 				_ = append(r.Hi, 1e9, 1e9, 1e9)
 			}
-			q, ok, err := other.Next()
-			if !ok || err != nil {
-				t.Fatal(i, ok, err)
-			}
-			if q.Obj1 != w.Obj1 || q.Obj2 != w.Obj2 || q.Dist != w.Dist ||
-				!q.Rect1.Equal(w.Rect1) || !q.Rect2.Equal(w.Rect2) {
-				t.Fatalf("second cursor, pair %d is %v, want %v", i, q, w)
+			for k := i + 1; k < len(held); k++ {
+				if !intact(k, held[k]) {
+					t.Fatalf("vandalising pair %d changed pair %d to %v, want %v", i, k, held[k], want[k])
+				}
 			}
 		}
-		vandal.Close()
+
+		other, err := NewJoinIndexes(ta, tb, opts) // a second cursor, after the vandalism
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range drainJoin(t, other, len(want)) {
+			if !intact(i, q) {
+				t.Fatalf("second cursor, pair %d is %v, want %v", i, q, want[i])
+			}
+		}
 		other.Close()
 	}
 }

@@ -106,7 +106,6 @@ func (r *Recorder) Emit(dist float64, queueLen int, popStart, now time.Time) {
 type Snapshot struct {
 	UptimeS        float64           `json:"uptime_seconds"`
 	Delivered      int64             `json:"pairs_delivered"`
-	Emitted        int64             `json:"pairs_emitted"`
 	Expansions     int64             `json:"expansions"`
 	BatchPruned    int64             `json:"batch_pruned"`
 	SpilledPairs   int64             `json:"queue_spilled_pairs"`
@@ -138,7 +137,6 @@ func (r *Recorder) Snapshot() Snapshot {
 	return Snapshot{
 		UptimeS:        time.Since(r.epoch).Seconds(),
 		Delivered:      r.delivered.Load(),
-		Emitted:        c.PairsReported,
 		Expansions:     c.Expansions,
 		BatchPruned:    c.BatchPruned,
 		SpilledPairs:   c.QueueDiskPairs,

@@ -57,8 +57,8 @@ func TestRecorderCountsAndSnapshot(t *testing.T) {
 	r.EngineStopped()
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1})
 	s := r.Snapshot()
-	if s.Delivered != 2 || s.Emitted != 2 {
-		t.Errorf("delivered=%d emitted=%d, want 2/2", s.Delivered, s.Emitted)
+	if s.Delivered != 2 {
+		t.Errorf("delivered=%d, want 2", s.Delivered)
 	}
 	if s.Expansions != 1 || s.SpilledPairs != 1 {
 		t.Errorf("expands=%d spills=%d, want 1/1", s.Expansions, s.SpilledPairs)
@@ -140,7 +140,6 @@ func TestMetricsHandler(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE distjoin_pairs_delivered_total counter",
 		"distjoin_pairs_delivered_total 2",
-		"distjoin_pairs_emitted_total 2",
 		"distjoin_expansions_total 5",
 		"distjoin_queue_depth 3",
 		"# TYPE distjoin_inter_pair_delay_seconds histogram",
@@ -216,8 +215,8 @@ func TestConcurrentHooks(t *testing.T) {
 	}()
 	wg.Wait()
 	s := r.Snapshot()
-	if s.Emitted != 800 || s.Delivered != 800 {
-		t.Errorf("emitted=%d delivered=%d, want 800/800", s.Emitted, s.Delivered)
+	if s.Delivered != 800 {
+		t.Errorf("delivered=%d, want 800", s.Delivered)
 	}
 }
 
