@@ -10,8 +10,8 @@
 //	         [-timeout d]
 //	         [-stats] [-stats-json] [-metrics-addr :8090]
 //	         [-progress] [-linger 30s] [-explain] [-explain-json]
-//	         [-flightrec n] [-slowlog file] [-slow-wall d] [-slow-nodeio n]
-//	         [-slow-distcalcs n] [-query-id id]
+//	         [-flightrec n] [-slowlog file] [-slow-wall d] [-slow-distcalcs n]
+//	         [-query-id id]
 //	         [-cpuprofile f] [-memprofile f]
 //
 // Pairs stream out closest-first as they are found — pipe through `head`
@@ -29,10 +29,10 @@
 // in-memory flight recorder — served as JSON at /debug/queries (and
 // /debug/queries/<id>) when -metrics-addr is set, dumped to stderr
 // otherwise. -slowlog appends the full span tree of slow queries to a
-// JSONL file; -slow-wall, -slow-nodeio and -slow-distcalcs set the
-// thresholds (no thresholds = every query is logged). -query-id names the
-// run's trace; otherwise the tracer assigns a sequential ID. See DESIGN.md
-// §8 for the trace schema and the metric/span reference.
+// JSONL file; -slow-wall and -slow-distcalcs set the thresholds (no
+// thresholds = every query is logged). -query-id names the run's trace;
+// otherwise the tracer assigns a sequential ID. See DESIGN.md §8 for the
+// trace schema and the metric/span reference.
 //
 // Profiling: -explain prints an EXPLAIN ANALYZE table on stderr when the
 // run finishes — the run's query trace (span tree with wall time attributed
@@ -86,7 +86,6 @@ type cliOptions struct {
 	flightRec    int
 	slowLogPath  string
 	slowWall     time.Duration
-	slowNodeIO   int64
 	slowDist     int64
 	queryID      string
 }
@@ -119,7 +118,6 @@ func main() {
 	flag.IntVar(&o.flightRec, "flightrec", 0, "enable per-query tracing with a flight recorder of this many traces (served at /debug/queries with -metrics-addr, dumped to stderr otherwise)")
 	flag.StringVar(&o.slowLogPath, "slowlog", "", "write slow-query traces to this file as JSONL (enables per-query tracing)")
 	flag.DurationVar(&o.slowWall, "slow-wall", 0, "slow-log queries whose wall time reaches this threshold (0 with no other threshold = log every query)")
-	flag.Int64Var(&o.slowNodeIO, "slow-nodeio", 0, "slow-log queries whose node I/O count reaches this threshold")
 	flag.Int64Var(&o.slowDist, "slow-distcalcs", 0, "slow-log queries whose distance-computation count reaches this threshold")
 	flag.StringVar(&o.queryID, "query-id", "", "query ID for this run's trace (default: tracer-assigned)")
 	version := flag.Bool("version", false, "print version and build metadata, then exit")
@@ -206,11 +204,10 @@ func run(o cliOptions) error {
 	// the tracer flushes into it (defers run last-in first-out).
 	var tracer *distjoin.QueryTracer
 	if o.flightRec > 0 || o.slowLogPath != "" || o.queryID != "" ||
-		o.slowWall > 0 || o.slowNodeIO > 0 || o.slowDist > 0 || explain {
+		o.slowWall > 0 || o.slowDist > 0 || explain {
 		cfg := distjoin.QueryTraceConfig{
 			FlightSize:    o.flightRec,
 			SlowWall:      o.slowWall,
-			SlowNodeIO:    o.slowNodeIO,
 			SlowDistCalcs: o.slowDist,
 		}
 		if o.slowLogPath != "" {

@@ -26,10 +26,10 @@
 // distjoind_cursors_open/_max and distjoind_pulls_inflight/_max),
 // /debug/queries the flight recorder with
 // every per-query number, /debug/pprof the usual profiles. There is no
-// -slow-nodeio threshold here (cmd/distjoin has one): node I/O happens in
-// buffer pools shared by every cursor, so a cursor's trace reports the
-// pools' traffic while it was open, which under concurrency includes other
-// cursors' reads — thresholding on it would log the wrong queries.
+// node-I/O slow-log threshold: node I/O happens in buffer pools shared by
+// every cursor, so a cursor's trace reports the pools' traffic while it was
+// open, which under concurrency includes other cursors' reads —
+// thresholding on it would log the wrong queries.
 package main
 
 import (

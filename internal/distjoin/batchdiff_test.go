@@ -211,10 +211,7 @@ func drainEngineVariant(t *testing.T, t1, t2 SpatialIndex, tc diffCase, scalar b
 	if tc.semi != nil {
 		semi = tc.semi()
 	}
-	e, err := newEngine(t1, t2, opts, semi)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, t1, t2, opts, semi)
 	defer e.close()
 	e.scalarExpand = scalar
 	var out []Pair
@@ -353,10 +350,7 @@ func TestSemiJoinUnflaggedIndex(t *testing.T) {
 // grow buffers mid-join.
 func TestBatchScratchPreSized(t *testing.T) {
 	tr := buildTree(t, clusteredPoints(7, 300))
-	e, err := newEngine(WrapRTree(tr), WrapRTree(tr), Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, WrapRTree(tr), WrapRTree(tr), Options{}, nil)
 	defer e.close()
 	want := tr.MaxFanout()
 	if want <= 0 {
@@ -390,10 +384,7 @@ func TestBatchScratchPreSized(t *testing.T) {
 // computes for that row in the whole block — and allocates nothing.
 func TestMinDistRowsSubRun(t *testing.T) {
 	tr := WrapRTree(buildTree(t, clusteredPoints(9, 400)))
-	e, err := newEngine(tr, tr, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, tr, tr, Options{}, nil)
 	defer e.close()
 	root, err := e.t1.Root()
 	if err != nil {
@@ -462,10 +453,7 @@ func TestBatchedExpansionZeroAllocs(t *testing.T) {
 		{"hybrid queue", Options{Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 1, QueuePageSize: 1 << 16}, nil, 1, true},
 		{"hybrid queue, semi-join", Options{Queue: QueueHybrid, QueueStore: memQueueStore, HybridDT: 1, QueuePageSize: 1 << 16}, &semiState{filter: FilterGlobalAll, k: 1}, 2, true},
 	} {
-		e, err := newEngine(ta, tb, c.opts, c.semi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := testEngine(t, ta, tb, c.opts, c.semi)
 		defer e.close()
 		seed, _, _ := e.q.Pop() // the root/root pair
 		var allocs uint64

@@ -279,10 +279,7 @@ type queueOp struct {
 // noted before end closes the block — and returns the root pair and what the
 // join asked of the queue after it.
 func recordJoin(t testing.TB, ta, tb *rtree.Tree, pops int) (qpair, []queueOp) {
-	e, err := newEngine(WrapRTree(ta), WrapRTree(tb), Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, WrapRTree(ta), WrapRTree(tb), Options{}, nil)
 	defer e.close()
 	root, _, _ := e.q.Peek()
 	var ops []queueOp
@@ -382,10 +379,7 @@ func TestAllocBlockQueue(t *testing.T) {
 		{"semi-join side 1", &semiState{filter: FilterGlobalAll, k: 1}, 1},
 		{"semi-join side 2", &semiState{filter: FilterGlobalAll, k: 1}, 2},
 	} {
-		e, err := newEngine(ta, tb, Options{}, c.semi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := testEngine(t, ta, tb, Options{}, c.semi)
 		defer e.close()
 		seed, _, _ := e.q.Pop() // the root/root pair
 		cycle := func() {
@@ -406,10 +400,7 @@ func TestAllocBlockQueue(t *testing.T) {
 
 	// The exhaustive drain: blocks are exhausted and their storage reused
 	// while later expansions still open new ones.
-	j, err := newEngine(ta, tb, Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := testEngine(t, ta, tb, Options{}, nil)
 	defer j.close()
 	peak, pairs := 0, 0
 	for {
@@ -575,10 +566,7 @@ func TestBlockQueueFailedExpansion(t *testing.T) {
 		var streams [2][]Pair
 		for v, scalar := range []bool{false, true} {
 			c := &stats.Counters{}
-			e, err := newEngine(ta, &flakyIndex{SpatialIndex: tb, failAt: failAt}, Options{Counters: c}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			e := testEngine(t, ta, &flakyIndex{SpatialIndex: tb, failAt: failAt}, Options{Counters: c}, nil)
 			e.scalarExpand = scalar
 			failed := false
 			for len(streams[v]) < 3000 {
@@ -627,10 +615,7 @@ func dropFreeStores() {
 // firstPairs runs a join of ta and tb to its first n pairs and closes it.
 func firstPairs(t *testing.T, ta, tb *rtree.Tree, opts Options, n int) ([]Pair, *blockStore) {
 	t.Helper()
-	e, err := newEngine(WrapRTree(ta), WrapRTree(tb), opts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, WrapRTree(ta), WrapRTree(tb), opts, nil)
 	st := e.q.blockStore
 	var out []Pair
 	for len(out) < n {

@@ -129,11 +129,10 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		{"Hybrid", Options{Queue: QueueHybrid, HybridDT: 25, QueueStore: memQueueStore}},
 		{"HybridAdaptive", Options{Queue: QueueHybrid, QueueStore: memQueueStore}},
 		{"HybridSmallPages", Options{Queue: QueueHybrid, HybridDT: 25, QueueStore: memQueueStore, QueuePageSize: 512}},
-		{"Parallel", Options{Parallelism: 4}},
 		{"ParallelHybrid", Options{Parallelism: 3, Queue: QueueHybrid, HybridDT: 25, QueueStore: memQueueStore, QueuePageSize: 1024}},
 	}
-	// The Parallel rows set the deprecated Options.Parallelism, which must
-	// change nothing: their pairs and Stats equal the same options without it.
+	// ParallelHybrid sets the deprecated Options.Parallelism, which must
+	// change nothing: its pairs and Stats equal the same options without it.
 	run := func(t *testing.T, opts Options) ([]Pair, stats.Counters) {
 		t.Helper()
 		var c stats.Counters

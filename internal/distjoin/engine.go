@@ -113,7 +113,6 @@ type engine struct {
 	left     int
 	reported int
 	done     bool
-	closed   bool
 
 	// chunk is what is left of the block the reported pairs' coordinates
 	// are carved from, reportChunk pairs at a time.
@@ -124,17 +123,10 @@ type engine struct {
 // coordinates at d = 2.
 const reportChunk = 64
 
-// newEngine validates options, builds the queue, and seeds it with the
-// root/root pair.
-func newEngine(t1, t2 SpatialIndex, opts Options, semi *semiState) (*engine, error) {
-	if err := opts.validate(t1, t2, semi != nil); err != nil {
-		return nil, err
-	}
-	// An engine built outside newJoin (the in-package tests) begins its
-	// own run; nothing finishes it, so it lands no query trace.
-	if opts.run == nil {
-		opts.run = meter.Begin(opts.sinks(), queryKind(semi))
-	}
+// newEngine builds the queue over validated options and seeds it with the
+// root/root pair. m is the query's meter (nil when no view is attached);
+// the caller closes it.
+func newEngine(t1, t2 SpatialIndex, opts Options, semi *semiState, m *meter.Meter) (*engine, error) {
 	e := &engine{
 		t1:      t1,
 		t2:      t2,
@@ -143,7 +135,7 @@ func newEngine(t1, t2 SpatialIndex, opts Options, semi *semiState) (*engine, err
 		dmaxCur: opts.MaxDist,
 		semi:    semi,
 		sweep:   !opts.NoPlaneSweep,
-		m:       opts.run.Meter(),
+		m:       m,
 		kern:    kernel.For(opts.Metric),
 	}
 	// Capture the cancellation signal before the queue is built: the retry
@@ -200,7 +192,6 @@ func newEngine(t1, t2 SpatialIndex, opts Options, semi *semiState) (*engine, err
 	}
 
 	if err := e.makeQueue(); err != nil {
-		e.m.Close(0)
 		return nil, err
 	}
 	if t1.NumObjects() == 0 || t2.NumObjects() == 0 {
@@ -1242,12 +1233,5 @@ func (e *engine) withinOf(items []item, rows []float64, opposite geom.Rect) []it
 	return out
 }
 
-// close releases queue resources.
-func (e *engine) close() error {
-	if e.closed {
-		return nil
-	}
-	e.closed = true
-	e.m.Close(int64(e.reported))
-	return e.q.Close()
-}
+// close releases queue resources; the queue's Close is idempotent.
+func (e *engine) close() error { return e.q.Close() }

@@ -376,10 +376,7 @@ func TestSubtreeCountRule(t *testing.T) {
 		if c.semi {
 			semi = &semiState{filter: FilterInside2, k: 1}
 		}
-		e, err := newEngine(ta, tb, c.opts, semi)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := testEngine(t, ta, tb, c.opts, semi)
 		if got := e.guaranteed(c.p); got != c.want {
 			t.Errorf("%s: count %d, want %d", c.name, got, c.want)
 		}

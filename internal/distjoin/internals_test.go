@@ -8,6 +8,19 @@ import (
 	"distjoin/internal/rtree"
 )
 
+// testEngine is the engine of a join built the way every operator builds
+// one (newJoin), for tests that drive the engine or its queue directly. The
+// test fails when the options are refused. Nothing closes the query's meter,
+// so the run lands no query trace.
+func testEngine(t testing.TB, t1, t2 SpatialIndex, opts Options, semi *semiState) *engine {
+	t.Helper()
+	j, err := newJoin(t1, t2, opts, semi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j.e
+}
+
 // pairLess is the queue ordering the block queue keeps, on pairs: ascending
 // key (descending for reverse), then the tie order. The tests hold the queue
 // to it.

@@ -22,23 +22,24 @@ func queryKind(semi *semiState) string {
 // newJoin validates the options and returns the iterator over a new
 // engine.
 //
-// newJoin also begins the run's telemetry (nil when no view is attached):
-// everything up to the engine being ready to pop (validation, queue
-// construction, seeding) is the per-query trace's plan span, and a
-// constructor failure finishes the trace immediately, error-annotated. On
-// success the returned run is finished by the iterator's Close.
+// newJoin also begins the query's meter (nil when no view is attached):
+// everything up to the engine being ready to pop (queue construction,
+// seeding) is the per-query trace's plan span, and a constructor failure
+// closes the meter at once, its trace error-annotated. On success the
+// engine's meter is closed by the iterator's Close.
 func newJoin(t1, t2 SpatialIndex, opts Options, semi *semiState) (*Join, error) {
 	if err := opts.validate(t1, t2, semi != nil); err != nil {
 		return nil, err
 	}
-	opts.run = meter.Begin(opts.sinks(), queryKind(semi))
-	e, err := newEngine(t1, t2, opts, semi)
-	opts.run.PlanDone()
+	sinks := meter.Sinks{Counters: opts.Counters, Obs: opts.Obs, Profile: opts.Profile, Tracer: opts.Tracer, QueryID: opts.QueryID}
+	m := meter.Begin(sinks, queryKind(semi))
+	e, err := newEngine(t1, t2, opts, semi, m)
+	m.PlanDone()
 	if err != nil {
-		opts.run.Finish(err)
+		m.Close(err)
 		return nil, err
 	}
-	return &Join{e: e, run: opts.run}, nil
+	return &Join{e: e}, nil
 }
 
 // ErrIteratorClosed is returned by Next after Close.
@@ -61,7 +62,6 @@ var ErrQueueStore = errors.New("distjoin: QueueStore factory")
 // followed by a sticky error — never a silently truncated success.
 type Join struct {
 	e      *engine
-	run    *meter.Run // nil unless a telemetry view was attached
 	err    error
 	closed bool
 }
@@ -135,7 +135,7 @@ func (j *Join) Next() (p Pair, ok bool, err error) {
 		// cancellation latches as the terminal error (Stats.Cancellations,
 		// surfaced as distjoin_queries_canceled_total on /metrics).
 		if errors.Is(err, ErrCanceled) {
-			j.run.Canceled()
+			j.e.m.Canceled()
 		}
 		return Pair{}, false, err
 	}
@@ -171,10 +171,10 @@ func (j *Join) Close() error {
 	if err != nil && j.err == nil {
 		j.err = err
 	}
-	// The engine has released its resources and its meter has closed:
-	// complete the query trace with the latched terminal error (nil on a
-	// clean close).
-	j.run.Finish(j.err)
+	// The engine has released its resources: close its meter, completing
+	// the query trace with the latched terminal error (nil on a clean
+	// close).
+	j.e.m.Close(j.err)
 	return err
 }
 

@@ -241,15 +241,6 @@ type Options struct {
 	// QueryID overrides the Tracer-assigned query ID ("q0000042") for this
 	// run. Ignored when Tracer is nil.
 	QueryID string
-
-	// run is the live telemetry of this query run, begun by newJoin when
-	// any view is attached and finished by the iterator's Close.
-	run *meter.Run
-}
-
-// sinks gathers the four telemetry views for the run's meters.
-func (o *Options) sinks() meter.Sinks {
-	return meter.Sinks{Counters: o.Counters, Obs: o.Obs, Profile: o.Profile, Tracer: o.Tracer, QueryID: o.QueryID}
 }
 
 // defaultQueuePageSize is the hybrid queue's disk-tier page size when

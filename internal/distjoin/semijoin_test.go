@@ -319,10 +319,7 @@ func TestSemiJoinMaxPairsAllFilters(t *testing.T) {
 func TestSemiJoinForgetsCompletedObjects(t *testing.T) {
 	ta := WrapRTree(buildTree(t, clusteredPoints(95, 200)))
 	tb := WrapRTree(buildTree(t, clusteredPoints(96, 250)))
-	e, err := newEngine(ta, tb, Options{}, &semiState{filter: FilterGlobalAll, k: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := testEngine(t, ta, tb, Options{}, &semiState{filter: FilterGlobalAll, k: 1})
 	defer e.close()
 	for {
 		_, ok, err := e.next()

@@ -89,19 +89,6 @@ func TestSpansHybridSpillFetch(t *testing.T) {
 	}
 }
 
-// TestSpansParallelMerged: with the deprecated Options.Parallelism set the
-// caller's Spans hold the engine's queue-op spans, equal to the counters.
-func TestSpansParallelMerged(t *testing.T) {
-	sp, c, _ := drainWithSpans(t, Options{Parallelism: 2})
-	s := c.Snapshot()
-	if got := sp.Tally().Counts[profile.PhasePop]; got != s.QueuePops {
-		t.Errorf("pop spans %d, counter pops %d", got, s.QueuePops)
-	}
-	if got := sp.Tally().Counts[profile.PhasePush]; got != s.QueueInserts {
-		t.Errorf("push spans %d, counter inserts %d", got, s.QueueInserts)
-	}
-}
-
 // TestSpansNilUntouched pins that a join without a Profile leaves the
 // engine on the uninstrumented path end to end (the zero-alloc guarantee
 // for the hook methods themselves is pinned in internal/profile).

@@ -56,25 +56,20 @@ func everyHook(m *Meter) {
 }
 
 // TestNilSinksZeroAllocsZeroClockReads is the nil-sink pin: with every sink
-// nil there is no run and no meter, and every hook on the nil meter returns
-// at once — zero allocations and zero clock reads on the per-pair path.
+// nil there is no meter, and every hook on the nil meter returns at once —
+// zero allocations and zero clock reads on the per-pair path.
 func TestNilSinksZeroAllocsZeroClockReads(t *testing.T) {
 	reads := fakeClock(t, time.Microsecond)
-	run := Begin(Sinks{QueryID: "ignored"}, "join")
-	if run != nil {
-		t.Fatalf("Begin with no sink = %v, want nil", run)
-	}
-	m := run.Meter()
+	m := Begin(Sinks{QueryID: "ignored"}, "join")
 	if m != nil {
-		t.Fatal("a nil run must hand out a nil meter")
+		t.Fatalf("Begin with no sink = %v, want nil", m)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		everyHook(m)
-		run.Canceled()
+		m.Canceled()
 	})
-	run.PlanDone()
-	m.Close(1)
-	run.Finish(nil)
+	m.PlanDone()
+	m.Close(nil)
 	if allocs != 0 || *reads != 0 {
 		t.Fatalf("nil meter: %v allocs per step, %d clock reads; want 0 and 0", allocs, *reads)
 	}
@@ -97,7 +92,7 @@ func TestClockOnlyForTimingViews(t *testing.T) {
 		{"tracer", Sinks{Tracer: qtrace.New(qtrace.Config{})}, 14},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := Begin(tc.sinks, "join").Meter()
+			m := Begin(tc.sinks, "join")
 			reads := fakeClock(t, time.Microsecond)
 			everyHook(m)
 			if *reads != tc.want {
@@ -114,12 +109,12 @@ func TestClockOnlyForTimingViews(t *testing.T) {
 func TestPhasesAreExclusive(t *testing.T) {
 	sp := &Spans{}
 	c := &Counters{}
-	m := Begin(Sinks{Counters: c, Profile: sp}, "join").Meter()
+	m := Begin(Sinks{Counters: c, Profile: sp}, "join")
 	fakeClock(t, time.Microsecond)
 	everyHook(m)
 	everyHook(m) // the second fold publishes the first step's last slice
 
-	m.Close(2)
+	m.Close(nil)
 	want := map[Phase]int64{
 		// fetch and spill each hold one page I/O: two more reads inside.
 		PhaseEmit: 1, PhasePop: 3, PhaseFetch: 3, PhaseExpand: 1, PhasePush: 2, PhaseSpill: 3,
@@ -154,20 +149,18 @@ func TestPhasesAreExclusive(t *testing.T) {
 
 // TestCallerTimeIsNotTheQuerys pins what the trace does with the time
 // between two Next calls: it is reported as caller_seconds, not as a phase
-// (TestQueryTraceParallel pins that coverage leaves it out), and a bracket
+// (TestQueryTraceSequential pins that coverage leaves it out), and a bracket
 // opened before the first step (queue seeding, inside the plan span) is not
 // timed a second time.
 func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 	tr := qtrace.New(qtrace.Config{})
-	run := Begin(Sinks{Tracer: tr}, "join")
-	m := run.Meter()
+	m := Begin(Sinks{Tracer: tr}, "join")
 	fakeClock(t, time.Microsecond)
 	m.End(m.Begin(PhasePush)) // seeding: no clock read
-	run.PlanDone()
+	m.PlanDone()
 	everyHook(m) // reads 1..14
 	everyHook(m) // reads 15..28: the caller held the iterator from 14 to 15
-	m.Close(2)
-	run.Finish(nil)
+	m.Close(nil)
 
 	qt := tr.Traces()[0]
 	if got := time.Duration(qt.CallerSeconds * 1e9).Round(time.Nanosecond); got != time.Microsecond {
@@ -182,14 +175,13 @@ func TestCallerTimeIsNotTheQuerys(t *testing.T) {
 // cancellation at once.
 func TestFoldRule(t *testing.T) {
 	c := &Counters{}
-	run := Begin(Sinks{Counters: c}, "join")
-	m := run.Meter()
+	m := Begin(Sinks{Counters: c}, "join")
 
 	everyHook(m)
 	if got := c.Snapshot(); got.QueuePops != 1 || got.PairsReported != 1 || got.MaxQueueSize != 3 {
 		t.Fatalf("after one step the view holds %+v", got)
 	}
-	run.Canceled()
+	m.Canceled()
 	if got := c.Snapshot().Cancellations; got != 1 {
 		t.Fatalf("cancellations = %d, want 1", got)
 	}
@@ -204,7 +196,7 @@ func BenchmarkStep(b *testing.B) {
 		{"all", Sinks{Counters: &Counters{}, Obs: obs.New(obs.Config{}), Profile: &Spans{}, Tracer: qtrace.New(qtrace.Config{})}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m := Begin(tc.sinks, "bench").Meter()
+			m := Begin(tc.sinks, "bench")
 			for i := 0; i < b.N; i++ {
 				m.BeginStep(PhasePop)
 				m.Pop()

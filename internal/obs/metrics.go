@@ -45,7 +45,7 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	s := r.Snapshot()
 	c := r.counts.Snapshot()
 	writeCounter(w, "distjoin_pairs_delivered_total", "Result pairs delivered to the caller, in distance order.", s.Delivered)
-	writeCounter(w, "distjoin_expansions_total", "Node-pair expansions across all engines.", c.Expansions)
+	writeCounter(w, "distjoin_expansions_total", "Node-pair expansions across all queries.", c.Expansions)
 	writeCounter(w, "distjoin_batch_prune_total", "Candidate pairs skipped by the plane-sweep/block prune before any distance computation.", c.BatchPruned)
 	writeCounter(w, "distjoin_queue_spilled_pairs_total", "Pairs spilled to the hybrid priority queue's disk tier.", c.QueueDiskPairs)
 	writeCounter(w, "distjoin_io_retries_total", "Retries of transient queue-store I/O failures (Options.RetryIO).", c.IORetries)

@@ -1,6 +1,6 @@
 // Package obs is the live observability view of the incremental distance
 // join: the /metrics aggregate — work counts, two latency histograms and
-// sampled gauges. The engines do not call it directly: each engine's meter
+// sampled gauges. The engines do not call it directly: each query's meter
 // (internal/meter) makes the histogram observations here at emit time and
 // folds its counts into the recorder's Counts at every Next return, so the
 // /metrics counter families print from the same counts every other view

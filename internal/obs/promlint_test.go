@@ -38,7 +38,7 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	rec.Counts().Merge(&c)
 	qt := qtrace.New(qtrace.Config{})
 	q := qt.Begin("join", "lint-q")
-	q.Finish(nil)
+	q.Finish(qtrace.Report{}, nil)
 	red := obs.NewRED()
 	red.Observe("next", 200, 12*time.Millisecond, "lint-q")
 	red.Observe("query", 429, time.Millisecond, "")

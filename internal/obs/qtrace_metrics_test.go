@@ -92,10 +92,7 @@ func TestServeMetricsShutdown(t *testing.T) {
 // traceQuery lands one completed query (one pair reported, two node reads)
 // in the tracer's flight recorder.
 func traceQuery(qt *qtrace.Tracer, kind, id string) {
-	q := qt.Begin(kind, id)
-	q.AddWorker(qtrace.Worker{Pairs: 1, Counts: stats.Counters{PairsReported: 1}})
-	q.SetNodeIO(2, 0, 0)
-	q.Finish(nil)
+	qt.Begin(kind, id).Finish(qtrace.Report{Counts: stats.Counters{PairsReported: 1, NodeReads: 2}}, nil)
 }
 
 func TestQueriesHandler(t *testing.T) {
@@ -182,7 +179,7 @@ func TestPerQueryNumbersLiveInDebugQueries(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), `"phase_coverage"`) {
 		t.Errorf("trace document lacks phase_coverage:\n%s", rec.Body.String())
 	}
-	live.Finish(nil)
+	live.Finish(qtrace.Report{}, nil)
 }
 
 // TestWriteMetricsNilRecorder pins that the exposition is nil-safe in the

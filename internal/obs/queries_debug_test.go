@@ -37,7 +37,7 @@ func TestDebugQueriesConsistencyUnderLoad(t *testing.T) {
 				default:
 				}
 				q := tr.Begin("join", fmt.Sprintf("w%d-%04d", w, i))
-				q.Finish(nil)
+				q.Finish(qtrace.Report{}, nil)
 				// Throttle: churn should contend with the readers, not
 				// starve them (the race detector makes spinning brutal).
 				time.Sleep(200 * time.Microsecond)

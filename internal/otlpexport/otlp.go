@@ -262,7 +262,6 @@ func SpansFromQueryTrace(qt *qtrace.QueryTrace) []Span {
 		Attrs: []Attr{
 			Str("distjoin.query.id", qt.ID),
 			Str("distjoin.query.kind", qt.Kind),
-			Int("distjoin.query.workers", int64(qt.Workers)),
 			Float("distjoin.query.phase_coverage", qt.Coverage),
 			Int("distjoin.resources.pairs_reported", qt.Resources.Pairs),
 			Int("distjoin.resources.dist_calcs", qt.Resources.DistCalcs),

@@ -15,18 +15,16 @@ import (
 )
 
 // tracedQuery drives one synthetic query with a remote parent through the
-// lifecycle the server uses: PreBegin under the client's context, then the
-// engine bracket set.
+// lifecycle the server uses: PreBegin under the client's context, Begin,
+// then Finish with the engine's closing report.
 func tracedQuery(tr *qtrace.Tracer, id string, parent qtrace.SpanContext, qerr error) *qtrace.QueryTrace {
 	tr.PreBegin(id, parent)
 	q := tr.Begin("join", id)
-	q.PlanDone()
-	w := qtrace.Worker{Pairs: 10, Counts: stats.Counters{PairsReported: 1, DistCalcs: 3}}
-	w.Tally.NS[profile.PhaseExpand], w.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
-	w.Tally.NS[profile.PhaseSpill], w.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
-	w.Tally.IOWriteNS, w.Tally.IOWrites = int64(time.Millisecond), 1
-	q.AddWorker(w)
-	return q.Finish(qerr)
+	r := qtrace.Report{Counts: stats.Counters{PairsReported: 10, DistCalcs: 3}}
+	r.Tally.NS[profile.PhaseExpand], r.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
+	r.Tally.NS[profile.PhaseSpill], r.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
+	r.Tally.IOWriteNS, r.Tally.IOWrites = int64(time.Millisecond), 1
+	return q.Finish(r, qerr)
 }
 
 func TestSpansFromQueryTrace(t *testing.T) {

@@ -53,7 +53,7 @@ func (elemCodec) Decode(src []byte) elem {
 // meterInto returns a meter that folds into c each time publish is called
 // (an engine folds at every Next return; a bare queue has no steps).
 func meterInto(c *stats.Counters) (m *meter.Meter, publish func()) {
-	m = meter.Begin(meter.Sinks{Counters: c}, "test").Meter()
+	m = meter.Begin(meter.Sinks{Counters: c}, "test")
 	return m, func() { m.EndStep(meter.PhaseEmit) }
 }
 

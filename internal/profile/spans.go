@@ -64,9 +64,10 @@ func (p Phase) String() string {
 
 // Tally is the plain, unsynchronized form of a span account: per-phase
 // exclusive nanoseconds and operation counts, plus the physical disk-tier
-// I/O nested inside the phases. It is what one single-writer engine meter
-// accumulates (internal/meter) and what a per-query trace keeps per worker
-// (internal/qtrace); a Spans is the concurrency-safe view tallies fold into.
+// I/O nested inside the phases. It is what one single-writer query meter
+// accumulates (internal/meter) and what it hands the query's trace when the
+// query closes (internal/qtrace); a Spans is the concurrency-safe view
+// tallies fold into.
 type Tally struct {
 	NS     [NumPhases]int64
 	Counts [NumPhases]int64

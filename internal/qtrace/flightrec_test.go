@@ -16,7 +16,7 @@ func TestFlightRecorderEvictionOrder(t *testing.T) {
 
 	for i := 0; i < total; i++ {
 		q := tr.Begin("join", fmt.Sprintf("q%03d", i))
-		q.Finish(nil)
+		q.Finish(Report{}, nil)
 	}
 
 	got := tr.Traces()
@@ -54,10 +54,10 @@ func TestFlightRecorderEvictionOrder(t *testing.T) {
 func TestFlightRecorderDuplicateIDs(t *testing.T) {
 	tr := New(Config{FlightSize: 4})
 	q1 := tr.Begin("join", "dup")
-	q1.Finish(nil)
+	q1.Finish(Report{}, nil)
 	first := tr.Trace("dup")
 	q2 := tr.Begin("semijoin", "dup")
-	q2.Finish(nil)
+	q2.Finish(Report{}, nil)
 	second := tr.Trace("dup")
 	if second == first {
 		t.Fatal("Trace returned the older duplicate")
@@ -115,7 +115,7 @@ func TestFlightRecorderConcurrentCompletions(t *testing.T) {
 			defer writers.Done()
 			for i := 0; i < perWorker; i++ {
 				q := tr.Begin("join", fmt.Sprintf("w%02d-%03d", w, i))
-				q.Finish(nil)
+				q.Finish(Report{}, nil)
 			}
 		}(w)
 	}

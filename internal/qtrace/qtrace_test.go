@@ -15,30 +15,24 @@ import (
 	"distjoin/internal/stats"
 )
 
-// syntheticWorker is the closing report of an engine that reported 10
-// pairs, expanded for 3 ms, popped for 1 ms and spilled for 2 ms (1 ms of it
-// a physical write).
-func syntheticWorker() Worker {
-	w := Worker{Pairs: 10}
-	w.Tally.NS[profile.PhaseExpand], w.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
-	w.Tally.NS[profile.PhasePop], w.Tally.Counts[profile.PhasePop] = int64(time.Millisecond), 1
-	w.Tally.NS[profile.PhaseSpill], w.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
-	w.Tally.IOWriteNS, w.Tally.IOWrites = int64(time.Millisecond), 1
-	return w
+// syntheticReport is the closing report of an engine that planned for
+// 1 ms, reported 10 pairs after one distance computation, read one node and
+// hit the pool four times, expanded for 3 ms, popped for 1 ms and spilled
+// for 2 ms (1 ms of it a physical write).
+func syntheticReport() Report {
+	r := Report{PlanNS: int64(time.Millisecond)}
+	r.Counts = stats.Counters{PairsReported: 10, DistCalcs: 1, MaxQueueSize: 7, NodeReads: 1, BufferHits: 4}
+	r.Tally.NS[profile.PhaseExpand], r.Tally.Counts[profile.PhaseExpand] = int64(3*time.Millisecond), 1
+	r.Tally.NS[profile.PhasePop], r.Tally.Counts[profile.PhasePop] = int64(time.Millisecond), 1
+	r.Tally.NS[profile.PhaseSpill], r.Tally.Counts[profile.PhaseSpill] = int64(2*time.Millisecond), 1
+	r.Tally.IOWriteNS, r.Tally.IOWrites = int64(time.Millisecond), 1
+	return r
 }
 
-// runQuery drives one synthetic query through the full lifecycle the join
-// layer uses: Begin → plan span → the engine's closing report (one reported
-// pair and distance computation) → the pools' node I/O → Finish.
+// runQuery drives one synthetic query through the lifecycle the join layer
+// uses: Begin, then Finish with the engine's closing report.
 func runQuery(t *Tracer, kind, id string, err error) *QueryTrace {
-	q := t.Begin(kind, id)
-	time.Sleep(time.Microsecond)
-	q.PlanDone()
-	w := syntheticWorker()
-	w.Counts = stats.Counters{PairsReported: 1, DistCalcs: 1, MaxQueueSize: 7}
-	q.AddWorker(w)
-	q.SetNodeIO(1, 0, 4)
-	return q.Finish(err)
+	return t.Begin(kind, id).Finish(syntheticReport(), err)
 }
 
 func TestNilTracerIsNoOp(t *testing.T) {
@@ -47,10 +41,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if q != nil {
 		t.Fatalf("nil tracer Begin = %v, want nil", q)
 	}
-	q.PlanDone()
-	q.AddWorker(Worker{})
-	q.SetNodeIO(1, 2, 3)
-	if qt := q.Finish(nil); qt != nil {
+	if qt := q.Finish(syntheticReport(), nil); qt != nil {
 		t.Fatalf("nil query Finish = %v, want nil", qt)
 	}
 	if tr.Active() != 0 || tr.Traces() != nil || tr.Trace("x") != nil || tr.Close() != nil {
@@ -64,10 +55,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 func TestDisabledZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(100, func() {
-		q := tr.Begin("join", "")
-		q.PlanDone()
-		q.AddWorker(Worker{Pairs: 1})
-		q.Finish(nil)
+		tr.Begin("join", "").Finish(Report{}, nil)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates %v per run, want 0", allocs)
@@ -113,9 +101,9 @@ func TestAssignedQueryIDs(t *testing.T) {
 	if tr.Active() != 2 {
 		t.Fatalf("Active = %d, want 2", tr.Active())
 	}
-	a.Finish(nil)
-	a.Finish(nil) // idempotent: second Finish must not double-complete
-	b.Finish(nil)
+	a.Finish(Report{}, nil)
+	a.Finish(Report{}, nil) // idempotent: second Finish must not double-complete
+	b.Finish(Report{}, nil)
 	if tr.Active() != 0 {
 		t.Fatalf("Active = %d after Finish, want 0", tr.Active())
 	}
@@ -136,9 +124,6 @@ func TestTraceContents(t *testing.T) {
 	if qt.Error != "boom" {
 		t.Fatalf("Error = %q, want boom", qt.Error)
 	}
-	if qt.Workers != 1 {
-		t.Fatalf("Workers = %d, want 1", qt.Workers)
-	}
 	if qt.Root.Name != "query" || qt.Root.Seconds <= 0 {
 		t.Fatalf("root span = %+v", qt.Root)
 	}
@@ -152,8 +137,8 @@ func TestTraceContents(t *testing.T) {
 	if spill == nil || len(spill.Children) != 1 || spill.Children[0].Name != "io_write" || !spill.Children[0].Nested {
 		t.Fatalf("spill span = %+v", spill)
 	}
-	// Resources are the engines' own counts plus the pools' node I/O.
-	if qt.Resources.Pairs != 1 || qt.Resources.DistCalcs != 1 || qt.Resources.NodeIO != 1 ||
+	// Resources are the engine's own counts plus the pools' node I/O.
+	if qt.Resources.Pairs != 10 || qt.Resources.DistCalcs != 1 || qt.Resources.NodeIO != 1 ||
 		qt.Resources.BufferHits != 4 || qt.Resources.PeakQueueDepth != 7 {
 		t.Fatalf("resources = %+v", qt.Resources)
 	}
@@ -171,12 +156,9 @@ func TestTraceContents(t *testing.T) {
 func TestResourcesAreTheQuerysOwn(t *testing.T) {
 	tr := New(Config{})
 	other := tr.Begin("join", "noise")
-	other.AddWorker(Worker{Counts: stats.Counters{PairsReported: 100, DistCalcs: 100}})
-
 	q := tr.Begin("join", "mine")
-	q.AddWorker(Worker{Counts: stats.Counters{PairsReported: 3, DistCalcs: 5, MaxQueueSize: 9}})
-	other.Finish(nil)
-	qt := q.Finish(nil)
+	other.Finish(Report{Counts: stats.Counters{PairsReported: 100, DistCalcs: 100}}, nil)
+	qt := q.Finish(Report{Counts: stats.Counters{PairsReported: 3, DistCalcs: 5, MaxQueueSize: 9}}, nil)
 	if r := qt.Resources; r.Pairs != 3 || r.DistCalcs != 5 || r.PeakQueueDepth != 9 {
 		t.Fatalf("resources = %+v, want 3 pairs / 5 dist calcs / peak 9", r)
 	}

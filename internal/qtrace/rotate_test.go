@@ -103,7 +103,7 @@ func TestTracerSlowLogOnRotatingFile(t *testing.T) {
 	}
 	tr := New(Config{SlowLog: rf})
 	for i := 0; i < 12; i++ {
-		tr.Begin("join", "").Finish(nil)
+		tr.Begin("join", "").Finish(Report{}, nil)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)

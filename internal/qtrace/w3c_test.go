@@ -87,7 +87,7 @@ func TestPreBeginAdoptsParentContext(t *testing.T) {
 	}
 
 	q := tr.Begin("join", "c1")
-	qt := q.Finish(nil)
+	qt := q.Finish(Report{}, nil)
 	if qt.TraceID != parent.TraceID.String() || qt.SpanID != sc.SpanID.String() {
 		t.Errorf("trace doc identity = %s/%s, want %s/%s", qt.TraceID, qt.SpanID, parent.TraceID, sc.SpanID)
 	}
@@ -100,7 +100,7 @@ func TestPreBeginAdoptsParentContext(t *testing.T) {
 
 	// The registration was consumed: a second Begin with the same id roots
 	// a fresh trace.
-	qt2 := tr.Begin("join", "c1").Finish(nil)
+	qt2 := tr.Begin("join", "c1").Finish(Report{}, nil)
 	if qt2.TraceID == qt.TraceID || qt2.ParentSpanID != "" {
 		t.Errorf("second trace = %s parent %q, want fresh root", qt2.TraceID, qt2.ParentSpanID)
 	}
@@ -112,7 +112,7 @@ func TestPreBeginInvalidParentRootsFreshTrace(t *testing.T) {
 	if !sc.Valid() || !sc.Sampled() {
 		t.Fatalf("PreBegin with no parent = %+v, want fresh sampled root", sc)
 	}
-	qt := tr.Begin("join", "c2").Finish(nil)
+	qt := tr.Begin("join", "c2").Finish(Report{}, nil)
 	if qt.TraceID != sc.TraceID.String() || qt.ParentSpanID != "" {
 		t.Errorf("trace = %s parent %q, want %s with no parent", qt.TraceID, qt.ParentSpanID, sc.TraceID)
 	}
@@ -122,7 +122,7 @@ func TestUnlinkDropsRegistration(t *testing.T) {
 	tr := New(Config{})
 	sc := tr.PreBegin("c3", SpanContext{})
 	tr.Unlink("c3")
-	qt := tr.Begin("join", "c3").Finish(nil)
+	qt := tr.Begin("join", "c3").Finish(Report{}, nil)
 	if qt.TraceID == sc.TraceID.String() {
 		t.Error("unlinked context was still adopted")
 	}
@@ -140,7 +140,7 @@ func TestOnCompleteHook(t *testing.T) {
 		}
 		got = append(got, qt)
 	}})
-	tr.Begin("join", "q-hook").Finish(nil)
+	tr.Begin("join", "q-hook").Finish(Report{}, nil)
 	if len(got) != 1 || got[0].ID != "q-hook" {
 		t.Fatalf("OnComplete saw %d trace(s), want one q-hook", len(got))
 	}
