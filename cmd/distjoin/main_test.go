@@ -154,9 +154,9 @@ func TestRunReverseMaxPairs(t *testing.T) {
 }
 
 // TestRunHybridQueueOnDisk pins that -queue hybrid runs the library's
-// default disk tier, a scratch file in TMPDIR, so storage faults (and
-// -retries) can reach it: with TMPDIR present the pairs are the memory
-// queue's, with TMPDIR missing the run fails.
+// default disk tier, a scratch file in TMPDIR, so storage faults can reach
+// it: with TMPDIR present the pairs are the memory queue's, with TMPDIR
+// missing the run fails.
 func TestRunHybridQueueOnDisk(t *testing.T) {
 	a := writeCSV(t, 11, 400)
 	b := writeCSV(t, 12, 400)

@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"distjoin"
-	"distjoin/internal/buildinfo"
 	"distjoin/internal/datagen"
 	"distjoin/internal/obs"
 	"distjoin/internal/otlpexport"
@@ -76,27 +75,17 @@ func run(args []string, errw *os.File) int {
 		maxCursors           = fs.Int("max-cursors", 0, "cursor table size: creates beyond this many open cursors answer 429 (0 = 64)")
 		maxInflight          = fs.Int("max-inflight", 0, "pulls and creates served at once; more answer 429 (0 = 32)")
 		ttl                  = fs.Duration("cursor-ttl", 0, "idle cursor time-to-live before eviction (0 = default)")
-		cursorWall           = fs.Duration("cursor-wall", 0, "per-cursor total wall budget; older cursors are canceled (0 = unlimited)")
-		pullTimeout          = fs.Duration("pull-timeout", 0, "default soft deadline of one next/stream pull (0 = none)")
 		drainTimeout         = fs.Duration("drain-timeout", 5*time.Second, "graceful-shutdown window on SIGINT/SIGTERM before open connections are cut")
 		maxBatch             = fs.Int("max-batch", 0, "largest k honoured by one next/stream pull (0 = default)")
 		flightRec            = fs.Int("flightrec", 256, "flight-recorder size: retain the last N query traces at /debug/queries")
 		slowLogPath          = fs.String("slowlog", "", "write slow-query traces to this file as JSONL (size-capped, rotated)")
-		slowWall             = fs.Duration("slow-wall", 0, "slow-log queries whose wall time reaches this threshold (0 with no other threshold = log every query)")
-		slowDist             = fs.Int64("slow-distcalcs", 0, "slow-log queries whose distance-computation count reaches this threshold")
 		otlpEndpoint         = fs.String("otlp", "", "export spans to this OTLP/HTTP-JSON endpoint (e.g. http://localhost:4318/v1/traces)")
-		otlpService          = fs.String("otlp-service", "distjoind", "service.name resource attribute on exported spans")
 		logFormat            = fs.String("log-format", "text", "structured log format on stderr: text or json")
 	)
 	fs.Var(&indexFiles, "index", "register a persisted R*-tree: name=path (repeatable)")
 	fs.Var(&csvFiles, "csv", "register a CSV point set as an in-memory R*-tree: name=path (repeatable)")
-	version := fs.Bool("version", false, "print version and build metadata, then exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *version {
-		fmt.Fprintln(errw, buildinfo.String("distjoind"))
-		return 0
 	}
 
 	var handler slog.Handler
@@ -176,11 +165,7 @@ func run(args []string, errw *os.File) int {
 		return 2
 	}
 
-	traceCfg := distjoin.QueryTraceConfig{
-		FlightSize:    *flightRec,
-		SlowWall:      *slowWall,
-		SlowDistCalcs: *slowDist,
-	}
+	traceCfg := distjoin.QueryTraceConfig{FlightSize: *flightRec}
 	if *slowLogPath != "" {
 		// Size-capped rotation: a long-running daemon's slow-query log stays
 		// bounded at about 3 files × 64 MiB on disk.
@@ -196,7 +181,6 @@ func run(args []string, errw *os.File) int {
 	if *otlpEndpoint != "" {
 		exporter = otlpexport.New(otlpexport.Config{
 			Endpoint: *otlpEndpoint,
-			Service:  *otlpService,
 			Logger:   logger,
 		})
 		defer exporter.Close()
@@ -210,18 +194,16 @@ func run(args []string, errw *os.File) int {
 	red := obs.NewRED()
 
 	running, err := server.Start(*addr, server.Config{
-		Registry:      reg,
-		MaxCursors:    *maxCursors,
-		MaxInflight:   *maxInflight,
-		MaxBatch:      *maxBatch,
-		TTL:           *ttl,
-		MaxCursorWall: *cursorWall,
-		PullTimeout:   *pullTimeout,
-		Tracer:        tracer,
-		Obs:           rec,
-		Logger:        logger,
-		RED:           red,
-		Exporter:      exporter,
+		Registry:    reg,
+		MaxCursors:  *maxCursors,
+		MaxInflight: *maxInflight,
+		MaxBatch:    *maxBatch,
+		TTL:         *ttl,
+		Tracer:      tracer,
+		Obs:         rec,
+		Logger:      logger,
+		RED:         red,
+		Exporter:    exporter,
 	}, func(srv *server.Server, mux *http.ServeMux) {
 		// /metrics = the recorder's counts, histograms and gauges +
 		// active-query gauge + RED and SLO families + OTLP exporter health +

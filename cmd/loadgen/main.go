@@ -35,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"distjoin/internal/buildinfo"
 	"distjoin/internal/qtrace"
 )
 
@@ -52,15 +51,14 @@ type slowPull struct {
 
 // report is the machine-readable result document.
 type report struct {
-	Sessions    int    `json:"sessions"`
-	Concurrency int    `json:"concurrency"`
-	PullsPerSes int    `json:"pulls_per_session"`
-	K           int    `json:"k"`
-	Kind        string `json:"kind"`
-	Pairs       int64  `json:"pairs"`
-	Pulls       int    `json:"pulls"`
-	Failures    int64  `json:"failures"`
-	Throttled   int64  `json:"throttled"`
+	Sessions    int   `json:"sessions"`
+	Concurrency int   `json:"concurrency"`
+	PullsPerSes int   `json:"pulls_per_session"`
+	K           int   `json:"k"`
+	Pairs       int64 `json:"pairs"`
+	Pulls       int   `json:"pulls"`
+	Failures    int64 `json:"failures"`
+	Throttled   int64 `json:"throttled"`
 	// Chaos counters (all zero without -chaos): injected mid-stream client
 	// disconnects, and pulls the server truncated at the injected deadline.
 	ChaosDisconnects int64         `json:"chaos_disconnects"`
@@ -75,7 +73,7 @@ type report struct {
 	SLOP95           time.Duration `json:"slo_p95_ns"`
 	SLOMet           bool          `json:"slo_met"`
 	// TraceMismatches counts responses whose traceparent echo did not carry
-	// the session's trace id (0 when propagation works, or with -trace=false).
+	// the session's trace id (0 when propagation works).
 	TraceMismatches int64 `json:"trace_mismatches"`
 	// SlowestPulls lists the worst pull latencies with their trace ids.
 	SlowestPulls []slowPull `json:"slowest_pulls,omitempty"`
@@ -94,23 +92,13 @@ func run(args []string, out, errw io.Writer) int {
 		concurrency = fs.Int("concurrency", 8, "sessions in flight at once")
 		pulls       = fs.Int("pulls", 5, "next-pulls per session")
 		k           = fs.Int("k", 50, "pairs per pull")
-		kind        = fs.String("kind", "join", "operation: join, semijoin, knn, clustering")
-		index1      = fs.String("index1", "water", "first index name")
-		index2      = fs.String("index2", "roads", "second index name")
-		knnK        = fs.Int("knn-k", 3, "k for -kind knn")
 		sloP95      = fs.Duration("slo-p95", 0, "fail (exit 1) when p95 latency exceeds this (0 = no gate)")
 		jsonOut     = fs.Bool("json", false, "print the report as JSON on stdout")
 		chaos       = fs.Bool("chaos", false, "inject random mid-stream disconnects and per-pull deadlines")
 		chaosSeed   = fs.Int64("chaos-seed", 1, "seed for the -chaos injection schedule")
-		trace       = fs.Bool("trace", true, "send a per-session W3C traceparent and verify the server echoes the trace id")
 	)
-	version := fs.Bool("version", false, "print version and build metadata, then exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *version {
-		fmt.Fprintln(out, buildinfo.String("loadgen"))
-		return 0
 	}
 	if *sessions < 1 || *concurrency < 1 || *pulls < 1 || *k < 1 {
 		fmt.Fprintln(errw, "loadgen: -sessions, -concurrency, -pulls and -k must be positive")
@@ -145,9 +133,6 @@ func run(args []string, out, errw io.Writer) int {
 	// checkEcho verifies the response joined the session's distributed
 	// trace: the server echoes a traceparent in the session's trace id.
 	checkEcho := func(resp *http.Response, tid qtrace.TraceID) {
-		if !*trace {
-			return
-		}
 		sc, ok := qtrace.ParseTraceParent(resp.Header.Get("Traceparent"))
 		if !ok || sc.TraceID != tid {
 			mu.Lock()
@@ -192,26 +177,18 @@ func run(args []string, out, errw io.Writer) int {
 			defer wg.Done()
 			defer func() { <-sem }()
 
-			qreq := map[string]any{
-				"kind": *kind, "index1": *index1, "index2": *index2,
+			body, _ := json.Marshal(map[string]any{
+				"kind": "join", "index1": "water", "index2": "roads",
 				"max_pairs": *pulls * *k,
-			}
-			if *kind == "knn" {
-				qreq["k"] = *knnK
-			}
-			body, _ := json.Marshal(qreq)
+			})
 			// One client root span context per session: create and every pull
 			// carry it, so the whole cursor session stitches into one trace.
-			var root qtrace.SpanContext
-			var tp string
-			if *trace {
-				root = qtrace.SpanContext{TraceID: qtrace.NewTraceID(), SpanID: qtrace.NewSpanID(), Flags: qtrace.FlagSampled}
-				tp = root.TraceParent()
-			}
+			root := qtrace.SpanContext{TraceID: qtrace.NewTraceID(), SpanID: qtrace.NewSpanID(), Flags: qtrace.FlagSampled}
+			tp := root.TraceParent()
 			t0 := time.Now()
 			resp, raw, err := doRetry(func() (*http.Request, error) {
 				req, err := http.NewRequest(http.MethodPost, base+"/v1/query", bytes.NewReader(body))
-				if err == nil && tp != "" {
+				if err == nil {
 					req.Header.Set("traceparent", tp)
 				}
 				return req, err
@@ -274,7 +251,7 @@ func run(args []string, out, errw io.Writer) int {
 				t0 := time.Now()
 				resp, raw, err := doRetry(func() (*http.Request, error) {
 					req, err := http.NewRequest(http.MethodGet, pullURL, nil)
-					if err == nil && tp != "" {
+					if err == nil {
 						req.Header.Set("traceparent", tp)
 					}
 					return req, err
@@ -287,11 +264,9 @@ func run(args []string, out, errw io.Writer) int {
 				if !chaosPull {
 					d := time.Since(t0)
 					record(&pullLat, d)
-					if tp != "" {
-						mu.Lock()
-						slowPulls = append(slowPulls, slowPull{TraceID: root.TraceID.String(), Cursor: cr.Cursor, Pull: p, Latency: d})
-						mu.Unlock()
-					}
+					mu.Lock()
+					slowPulls = append(slowPulls, slowPull{TraceID: root.TraceID.String(), Cursor: cr.Cursor, Pull: p, Latency: d})
+					mu.Unlock()
 				}
 				if resp.StatusCode != http.StatusOK {
 					fail("session %d pull %d: %d: %s", s, p, resp.StatusCode, raw)
@@ -337,7 +312,6 @@ func run(args []string, out, errw io.Writer) int {
 		Concurrency:      *concurrency,
 		PullsPerSes:      *pulls,
 		K:                *k,
-		Kind:             *kind,
 		Pairs:            pairs,
 		Pulls:            len(pullLat),
 		Failures:         failures,
@@ -366,8 +340,8 @@ func run(args []string, out, errw io.Writer) int {
 		enc.SetIndent("", "  ")
 		enc.Encode(rep)
 	} else {
-		fmt.Fprintf(out, "loadgen: %d sessions × %d pulls × k=%d (%s), concurrency %d\n",
-			*sessions, *pulls, *k, *kind, *concurrency)
+		fmt.Fprintf(out, "loadgen: %d sessions × %d pulls × k=%d, concurrency %d\n",
+			*sessions, *pulls, *k, *concurrency)
 		fmt.Fprintf(out, "  %d pairs over %d pulls in %v (%d throttled, %d failures)\n",
 			pairs, len(pullLat), wall.Round(time.Millisecond), throttled, failures)
 		if *chaos {
@@ -376,11 +350,9 @@ func run(args []string, out, errw io.Writer) int {
 		}
 		fmt.Fprintf(out, "  create  p50 %-10v p95 %-10v p99 %v\n", rep.CreateP50, rep.CreateP95, rep.CreateP99)
 		fmt.Fprintf(out, "  pull    p50 %-10v p95 %-10v p99 %v\n", rep.PullP50, rep.PullP95, rep.PullP99)
-		if *trace {
-			fmt.Fprintf(out, "  trace   %d echo mismatches\n", traceMismatch)
-			for _, sp := range slowPulls {
-				fmt.Fprintf(out, "  slow    %-12v trace=%s cursor=%s pull=%d\n", sp.Latency, sp.TraceID, sp.Cursor, sp.Pull)
-			}
+		fmt.Fprintf(out, "  trace   %d echo mismatches\n", traceMismatch)
+		for _, sp := range slowPulls {
+			fmt.Fprintf(out, "  slow    %-12v trace=%s cursor=%s pull=%d\n", sp.Latency, sp.TraceID, sp.Cursor, sp.Pull)
 		}
 	}
 	if !rep.SLOMet {

@@ -168,11 +168,11 @@ func TestViewEquivalence(t *testing.T) {
 					}
 					checkRecorder := func(who string, rec *obs.Recorder) {
 						t.Helper()
-						snap := rec.Snapshot()
-						if snap.Delivered != int64(len(all.pairs)) ||
-							snap.Expansions != s.Expansions || snap.SpilledPairs != s.QueueDiskPairs {
+						c := rec.Counts().Snapshot()
+						if c.PairsReported != int64(len(all.pairs)) ||
+							c.Expansions != s.Expansions || c.QueueDiskPairs != s.QueueDiskPairs {
 							t.Errorf("%s: recorder delivered %d expansions %d spilled %d; want %d %d %d", who,
-								snap.Delivered, snap.Expansions, snap.SpilledPairs,
+								c.PairsReported, c.Expansions, c.QueueDiskPairs,
 								len(all.pairs), s.Expansions, s.QueueDiskPairs)
 						}
 					}

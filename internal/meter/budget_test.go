@@ -82,3 +82,55 @@ func TestClockReadBudget(t *testing.T) {
 		t.Errorf("pop-to-emit: %d observations of mean %gs, want %d of the meter's %v", s.PopToEmit.Count, s.PopToEmit.MeanS, pairs, want)
 	}
 }
+
+// TestInterPairDelayIsPerQuery runs two short joins one after the other on
+// one Recorder, with a 50 ms pause between them on a clock that otherwise
+// advances 1µs per read. The inter-pair delay is a query's own: n₁ + n₂ − 2
+// delays are recorded (each query's first pair has no predecessor), and
+// none of them spans the pause — with the Recorder alone (its own stamps)
+// and with a timing view attached (the phase clock's stamps).
+func TestInterPairDelayIsPerQuery(t *testing.T) {
+	a, b := randomTree(t, 3, 300), randomTree(t, 4, 300)
+	var elapsed time.Duration
+	t.Cleanup(meter.SetClock(func(time.Time) time.Duration {
+		elapsed += time.Microsecond
+		return elapsed
+	}))
+	const pause = 50 * time.Millisecond
+	for _, timed := range []bool{false, true} {
+		rec := obs.New(obs.Config{})
+		opts := distjoin.Options{Obs: rec}
+		if timed {
+			opts.Profile = &meter.Spans{}
+		}
+		var pairs int64
+		for _, n := range []int{5, 7} {
+			opts.MaxPairs = n
+			j, err := distjoin.NewJoinIndexes(a, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, ok, err := j.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				pairs++
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			elapsed += pause
+		}
+		d := rec.Snapshot().InterPairDelay
+		if pairs != 12 || d.Count != pairs-2 {
+			t.Errorf("timed=%v: %d delays over %d pairs in two queries, want %d", timed, d.Count, pairs, pairs-2)
+		}
+		if sum := time.Duration(d.MeanS * float64(d.Count) * 1e9); sum >= pause {
+			t.Errorf("timed=%v: the delays sum to %v, so one spans the %v between the queries", timed, sum, pause)
+		}
+	}
+}

@@ -93,10 +93,13 @@ type Meter struct {
 	ended   int64 // when the last step ended, likewise; 0 before the first
 	away    int64 // ns between one step's end and the next one's start
 
-	// The pair the current step emitted, held for the Recorder to EndStep.
+	// The pair the current step emitted, held for the Recorder to EndStep,
+	// and the stamp of the query's previous emission (-1 before the first):
+	// the inter-pair delay is the query's own.
 	emitted   bool
 	emitDist  float64
 	emitQueue int
+	lastEmit  int64
 
 	Sinks
 	q     *qtrace.Query
@@ -116,11 +119,10 @@ func Begin(s Sinks, kind string) *Meter {
 		return nil
 	}
 	timed := s.Profile != nil || s.Tracer != nil
-	m := &Meter{Sinks: s, q: s.Tracer.Begin(kind, s.QueryID), epoch: time.Now(), timed: timed, clock: timed || s.Obs != nil, phase: idle}
+	m := &Meter{Sinks: s, q: s.Tracer.Begin(kind, s.QueryID), epoch: time.Now(), timed: timed, clock: timed || s.Obs != nil, phase: idle, lastEmit: -1}
 	if m.q != nil {
 		m.nodeIO = m.nodeView().Snapshot()
 	}
-	s.Obs.EngineStarted()
 	return m
 }
 
@@ -217,7 +219,8 @@ func (m *Meter) BeginStep(p Phase) {
 // the Next call, so its time belongs to the step's last phase (the views'
 // phase times therefore trail the meter by the step's last slice until the
 // next fold; the counts never trail). Then one clock read ends the step,
-// and the pair the step emitted reaches the Recorder stamped with it.
+// and the pair the step emitted reaches the Recorder with its pop-to-emit
+// time and the gap since the query's previous pair, both from that stamp.
 func (m *Meter) EndStep(p Phase) {
 	if m == nil {
 		return
@@ -230,11 +233,16 @@ func (m *Meter) EndStep(p Phase) {
 	}
 	if m.emitted {
 		m.emitted = false
-		now, epoch := m.ended, m.epoch
+		now := m.ended
 		if !m.timed {
-			now = int64(since(epoch))
+			now = int64(since(m.epoch))
 		}
-		m.Obs.Emit(m.emitDist, m.emitQueue, epoch.Add(time.Duration(m.step)), epoch.Add(time.Duration(now)))
+		delay := time.Duration(-1)
+		if m.lastEmit >= 0 {
+			delay = time.Duration(now - m.lastEmit)
+		}
+		m.lastEmit = now
+		m.Obs.Emit(m.emitDist, m.emitQueue, time.Duration(now-m.step), delay)
 	}
 }
 
@@ -271,7 +279,6 @@ func (m *Meter) Close(err error) {
 		return
 	}
 	m.fold()
-	m.Obs.EngineStopped()
 	if m.q == nil {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -42,11 +43,13 @@ func WriteMetricsTraced(w io.Writer, r *Recorder, qt *qtrace.Tracer, extras ...f
 // writeRecorderMetrics prints each of the recorder's work counts under one
 // family, then its gauges and its two histograms.
 func writeRecorderMetrics(w io.Writer, r *Recorder) {
-	s := r.Snapshot()
 	c := r.counts.Snapshot()
-	writeCounter(w, "distjoin_pairs_delivered_total", "Result pairs delivered to the caller, in distance order.", s.Delivered)
+	ratio := 0.0
+	if c.NodeReads+c.BufferHits > 0 {
+		ratio = float64(c.BufferHits) / float64(c.NodeReads+c.BufferHits)
+	}
+	writeCounter(w, "distjoin_pairs_delivered_total", "Result pairs delivered to the caller, in distance order.", c.PairsReported)
 	writeCounter(w, "distjoin_expansions_total", "Node-pair expansions across all queries.", c.Expansions)
-	writeCounter(w, "distjoin_batch_prune_total", "Candidate pairs skipped by the plane-sweep/block prune before any distance computation.", c.BatchPruned)
 	writeCounter(w, "distjoin_queue_spilled_pairs_total", "Pairs spilled to the hybrid priority queue's disk tier.", c.QueueDiskPairs)
 	writeCounter(w, "distjoin_io_retries_total", "Retries of transient queue-store I/O failures (Options.RetryIO).", c.IORetries)
 	writeCounter(w, "distjoin_stats_dist_calcs_total", "Object distance computations.", c.DistCalcs)
@@ -55,12 +58,10 @@ func writeRecorderMetrics(w io.Writer, r *Recorder) {
 	writeCounter(w, "distjoin_stats_buffer_hits_total", "Index node accesses served from the buffer pool.", c.BufferHits)
 	writeCounter(w, "distjoin_queries_canceled_total", "Queries that surfaced ErrCanceled (context canceled or deadline exceeded).", c.Cancellations)
 	writeGauge(w, "distjoin_stats_max_queue_size", "High-water priority-queue size of any one queue, in pairs.", float64(c.MaxQueueSize))
-	writeCounter(w, "distjoin_engines_started_total", "Engines started.", s.EnginesStarted)
-	writeCounter(w, "distjoin_engines_stopped_total", "Engines stopped.", s.EnginesStopped)
-	writeGauge(w, "distjoin_queue_depth", "Last sampled priority-queue length.", float64(s.QueueDepth))
-	writeGauge(w, "distjoin_frontier_distance", "Distance of the most recently delivered pair (the result frontier).", s.Frontier)
-	writeGauge(w, "distjoin_pool_hit_ratio", "Buffer-pool hit ratio since the recorder started.", s.PoolHitRatio)
-	writeHeader(w, "distjoin_inter_pair_delay_seconds", "histogram", "Delay between consecutive delivered pairs (enumeration delay).")
+	writeGauge(w, "distjoin_queue_depth", "Last sampled priority-queue length.", float64(r.queueDepth.Load()))
+	writeGauge(w, "distjoin_frontier_distance", "Distance of the most recently delivered pair (the result frontier).", math.Float64frombits(r.frontier.Load()))
+	writeGauge(w, "distjoin_pool_hit_ratio", "Buffer-pool hit ratio since the recorder started.", ratio)
+	writeHeader(w, "distjoin_inter_pair_delay_seconds", "histogram", "Delay between consecutive delivered pairs of one query (enumeration delay).")
 	writeHistogram(w, "distjoin_inter_pair_delay_seconds", "", &r.interPair)
 	writeHeader(w, "distjoin_pop_to_emit_seconds", "histogram", "Latency from queue pop to result emission within one engine.")
 	writeHistogram(w, "distjoin_pop_to_emit_seconds", "", &r.popToEmit)

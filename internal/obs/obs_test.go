@@ -17,13 +17,11 @@ import (
 // panic, and queries return zero values.
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
-	r.EngineStarted()
-	r.EngineStopped()
-	r.Emit(2.5, 10, time.Time{}, time.Time{})
+	r.Emit(2.5, 10, time.Microsecond, time.Microsecond)
 	if r.Counts() != nil {
 		t.Error("nil.Counts() should be nil")
 	}
-	if s := r.Snapshot(); s.Delivered != 0 {
+	if s := r.Snapshot(); s != (Snapshot{}) {
 		t.Error("nil.Snapshot() should be zero")
 	}
 }
@@ -33,9 +31,7 @@ func TestNilRecorder(t *testing.T) {
 func TestNilRecorderAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
-		r.EngineStarted()
-		r.Emit(2.0, 5, time.Time{}, time.Time{})
-		r.EngineStopped()
+		r.Emit(2.0, 5, time.Microsecond, time.Microsecond)
 		r.Counts().Merge(nil)
 	})
 	if allocs != 0 {
@@ -44,43 +40,31 @@ func TestNilRecorderAllocs(t *testing.T) {
 }
 
 // TestRecorderCountsAndSnapshot drives the recorder the way a meter does:
-// histogram observations and gauges at the hooks, the work counts folded in
-// through Counts — the snapshot's counter fields print from those counts.
+// each emitted pair hands over its pop-to-emit time and its query's
+// inter-pair delay (negative for the query's first pair), and the work counts
+// are folded in through Counts. The snapshot holds the two histograms; the
+// gauges print what the last pair set, the delivered count prints from the
+// counts.
 func TestRecorderCountsAndSnapshot(t *testing.T) {
 	r := New(Config{})
-	r.EngineStarted()
-	// The stamps are the engine meter's clock reads: Emit reads no clock, so
-	// the latencies are exactly their differences.
-	start := time.Now().Add(-time.Hour)
-	r.Emit(1.0, 7, start, start.Add(3*time.Microsecond))
-	r.Emit(2.0, 6, start.Add(4*time.Microsecond), start.Add(9*time.Microsecond))
-	r.EngineStopped()
-	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 1, QueueDiskPairs: 1})
+	r.Emit(1.0, 7, 3*time.Microsecond, -1)
+	r.Emit(2.0, 6, 5*time.Microsecond, 6*time.Microsecond)
+	r.Counts().Merge(&stats.Counters{PairsReported: 2})
 	s := r.Snapshot()
-	if s.Delivered != 2 {
-		t.Errorf("delivered=%d, want 2", s.Delivered)
-	}
-	if s.Expansions != 1 || s.SpilledPairs != 1 {
-		t.Errorf("expands=%d spills=%d, want 1/1", s.Expansions, s.SpilledPairs)
-	}
-	if s.EnginesStarted != 1 || s.EnginesStopped != 1 {
-		t.Errorf("engines %d/%d, want 1/1", s.EnginesStarted, s.EnginesStopped)
-	}
-	if s.Frontier != 2.0 {
-		t.Errorf("frontier=%g, want 2", s.Frontier)
-	}
-	if s.QueueDepth != 6 {
-		t.Errorf("queueDepth=%d, want 6", s.QueueDepth)
-	}
-	if s.PopToEmit.Count != 2 {
-		t.Errorf("popToEmit count=%d, want 2", s.PopToEmit.Count)
-	}
-	if s.InterPairDelay.Count != 1 {
-		t.Errorf("interPair count=%d, want 1 (first pair has no predecessor)", s.InterPairDelay.Count)
+	if s.PopToEmit.Count != 2 || s.InterPairDelay.Count != 1 {
+		t.Errorf("pop-to-emit count %d, inter-pair count %d; want 2 and 1 (the first pair has no predecessor)",
+			s.PopToEmit.Count, s.InterPairDelay.Count)
 	}
 	if r.popToEmit.Sum() != 8*time.Microsecond || r.interPair.Sum() != 6*time.Microsecond {
 		t.Errorf("pop-to-emit sum %v, inter-pair sum %v; want 8µs and 6µs from the stamps alone",
 			r.popToEmit.Sum(), r.interPair.Sum())
+	}
+	var b strings.Builder
+	WriteMetricsTraced(&b, r, nil)
+	for _, want := range []string{"\ndistjoin_frontier_distance 2\n", "\ndistjoin_queue_depth 6\n", "\ndistjoin_pairs_delivered_total 2\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+		}
 	}
 }
 
@@ -122,17 +106,17 @@ func TestPoolHitRatioFromCounts(t *testing.T) {
 	if inner.NodeReads != 2 || inner.BufferHits != 6 || inner.NodeWrites != 1 {
 		t.Errorf("inner view = %+v, want 2/6/1", inner)
 	}
-	s := r.Snapshot()
-	if s.PoolHitRatio != 0.75 || s.PoolReads != 2 || s.PoolWrites != 1 {
-		t.Errorf("snapshot pool = %d reads %d writes ratio %g, want 2/1/0.75", s.PoolReads, s.PoolWrites, s.PoolHitRatio)
+	var b strings.Builder
+	WriteMetricsTraced(&b, r, nil)
+	if !strings.Contains(b.String(), "\ndistjoin_pool_hit_ratio 0.75\n") {
+		t.Errorf("exposition lacks distjoin_pool_hit_ratio 0.75:\n%s", b.String())
 	}
 }
 
 func TestMetricsHandler(t *testing.T) {
 	r := New(Config{})
-	start := time.Now()
-	r.Emit(1.0, 4, start, start)
-	r.Emit(2.0, 3, start, start)
+	r.Emit(1.0, 4, 0, -1)
+	r.Emit(2.0, 3, 0, 0)
 	r.Counts().Merge(&stats.Counters{PairsReported: 2, Expansions: 5})
 	rec := httptest.NewRecorder()
 	HandlerTraced(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -153,8 +137,7 @@ func TestMetricsHandler(t *testing.T) {
 
 func TestServeMetrics(t *testing.T) {
 	r := New(Config{})
-	now := time.Now()
-	r.Emit(5.0, 0, now, now)
+	r.Emit(5.0, 0, 0, -1)
 	srv, err := ServeMetricsTraced("127.0.0.1:0", r, nil)
 	if err != nil {
 		t.Fatalf("ServeMetrics: %v", err)
@@ -197,13 +180,10 @@ func TestConcurrentHooks(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.EngineStarted()
 			for i := 0; i < 200; i++ {
-				now := time.Now()
-				r.Emit(float64(i), i, now, now)
+				r.Emit(float64(i), i, time.Microsecond, time.Duration(i-1))
 				r.Counts().Merge(&stats.Counters{PairsReported: 1})
 			}
-			r.EngineStopped()
 		}()
 	}
 	wg.Add(1)
@@ -214,9 +194,11 @@ func TestConcurrentHooks(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	s := r.Snapshot()
-	if s.Delivered != 800 {
-		t.Errorf("delivered=%d, want 800", s.Delivered)
+	if n := r.Counts().Snapshot().PairsReported; n != 800 {
+		t.Errorf("delivered=%d, want 800", n)
+	}
+	if s := r.Snapshot(); s.PopToEmit.Count != 800 || s.InterPairDelay.Count != 796 {
+		t.Errorf("histogram counts %d / %d, want 800 pop-to-emit and 796 delays (4 first pairs)", s.PopToEmit.Count, s.InterPairDelay.Count)
 	}
 }
 
@@ -248,10 +230,9 @@ func TestQuantilesMethod(t *testing.T) {
 // quantiles stay readable from the snapshot (-explain and ObsSnapshot).
 func TestMetricsQuantileGauges(t *testing.T) {
 	r := New(Config{})
-	now := time.Now()
-	r.Emit(1.0, 4, now.Add(-time.Microsecond), now)
-	r.Emit(1.0, 3, now, now.Add(time.Microsecond))
-	r.Emit(2.0, 2, now, now.Add(2*time.Microsecond))
+	r.Emit(1.0, 4, time.Microsecond, -1)
+	r.Emit(1.0, 3, time.Microsecond, time.Microsecond)
+	r.Emit(2.0, 2, 2*time.Microsecond, time.Microsecond)
 	rec := httptest.NewRecorder()
 	HandlerTraced(r, nil).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()

@@ -27,9 +27,8 @@ import (
 // at most: the exposition prints every number once.
 func TestPrometheusExpositionLint(t *testing.T) {
 	rec := obs.New(obs.Config{})
-	now := time.Now()
-	rec.Emit(0.25, 3, now.Add(-50*time.Microsecond), now)
-	rec.Emit(0.50, 2, now, now.Add(20*time.Microsecond))
+	rec.Emit(0.25, 3, 50*time.Microsecond, -1)
+	rec.Emit(0.50, 2, 20*time.Microsecond, 20*time.Microsecond)
 	var c stats.Counters
 	fields := reflect.ValueOf(&c).Elem()
 	for i := 0; i < fields.NumField(); i++ {

@@ -2,7 +2,7 @@
 // collector over OTLP/HTTP-JSON — hand-rolled against the proto3 JSON
 // mapping of opentelemetry-proto (trace/v1), because the repo takes no
 // external dependencies. Only the subset of the protocol the query service
-// produces is modelled: resource + scope + spans with string/int/double/bool
+// produces is modelled: resource + scope + spans with string/int
 // attributes, span status, and span links.
 //
 // The package has two layers: the wire types, the QueryTrace→span
@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"time"
 
-	"distjoin/internal/buildinfo"
 	"distjoin/internal/qtrace"
 )
 
@@ -58,15 +57,11 @@ type Attr struct {
 	Key string
 	s   *string
 	i   *int64
-	f   *float64
-	b   *bool
 }
 
-// Str/Int/Float/Bool build typed attributes.
-func Str(k, v string) Attr           { return Attr{Key: k, s: &v} }
-func Int(k string, v int64) Attr     { return Attr{Key: k, i: &v} }
-func Float(k string, v float64) Attr { return Attr{Key: k, f: &v} }
-func Bool(k string, v bool) Attr     { return Attr{Key: k, b: &v} }
+// Str/Int build typed attributes.
+func Str(k, v string) Attr       { return Attr{Key: k, s: &v} }
+func Int(k string, v int64) Attr { return Attr{Key: k, i: &v} }
 
 // Link points a span at another span in a different trace (or a different
 // branch of the same trace) — the pull↔query cross-reference.
@@ -144,15 +139,9 @@ type KeyValue struct {
 // AnyValue is the proto3 JSON oneof: exactly one field is set. IntValue is
 // a decimal string per the 64-bit JSON mapping.
 type AnyValue struct {
-	StringValue *string  `json:"stringValue,omitempty"`
-	IntValue    *string  `json:"intValue,omitempty"`
-	DoubleValue *float64 `json:"doubleValue,omitempty"`
-	BoolValue   *bool    `json:"boolValue,omitempty"`
+	StringValue *string `json:"stringValue,omitempty"`
+	IntValue    *string `json:"intValue,omitempty"`
 }
-
-// serviceVersion stamps the exported resource with the binary's build
-// version.
-func serviceVersion() string { return buildinfo.Read().Version }
 
 // wireAttr renders a typed Attr.
 func wireAttr(a Attr) KeyValue {
@@ -163,10 +152,6 @@ func wireAttr(a Attr) KeyValue {
 	case a.i != nil:
 		v := strconv.FormatInt(*a.i, 10)
 		kv.Value.IntValue = &v
-	case a.f != nil:
-		kv.Value.DoubleValue = a.f
-	case a.b != nil:
-		kv.Value.BoolValue = a.b
 	default:
 		empty := ""
 		kv.Value.StringValue = &empty
@@ -215,7 +200,6 @@ func Request(service string, spans []Span) ExportRequest {
 	return ExportRequest{ResourceSpans: []ResourceSpans{{
 		Resource: Resource{Attributes: []KeyValue{
 			wireAttr(Str("service.name", service)),
-			wireAttr(Str("service.version", serviceVersion())),
 		}},
 		ScopeSpans: []ScopeSpans{{
 			Scope: Scope{Name: "distjoin/qtrace"},
@@ -261,15 +245,7 @@ func SpansFromQueryTrace(qt *qtrace.QueryTrace) []Span {
 		End:     end,
 		Attrs: []Attr{
 			Str("distjoin.query.id", qt.ID),
-			Str("distjoin.query.kind", qt.Kind),
-			Float("distjoin.query.phase_coverage", qt.Coverage),
-			Int("distjoin.resources.pairs_reported", qt.Resources.Pairs),
 			Int("distjoin.resources.dist_calcs", qt.Resources.DistCalcs),
-			Int("distjoin.resources.node_io", qt.Resources.NodeIO),
-			Int("distjoin.resources.queue_inserts", qt.Resources.QueueInserts),
-			Int("distjoin.resources.io_retries", qt.Resources.IORetries),
-			Int("distjoin.resources.batch_pruned", qt.Resources.BatchPruned),
-			Int("distjoin.resources.peak_queue_depth", qt.Resources.PeakQueueDepth),
 		},
 	}
 	if parent, ok := qtrace.ParseSpanID(qt.ParentSpanID); ok {
@@ -310,12 +286,6 @@ func layoutSpan(out []Span, s *qtrace.Span, traceID qtrace.TraceID, parent qtrac
 		Kind:    KindInternal,
 		Start:   start,
 		End:     end,
-	}
-	if s.Count > 0 {
-		sp.Attrs = append(sp.Attrs, Int("distjoin.count", s.Count))
-	}
-	if s.Nested {
-		sp.Attrs = append(sp.Attrs, Bool("distjoin.nested", true))
 	}
 	out = append(out, sp)
 	cursor := start
@@ -390,17 +360,8 @@ func ValidateWireSpan(sp WireSpan) error {
 		if kv.Key == "" {
 			return fmt.Errorf("attribute with empty key")
 		}
-		set := 0
-		for _, present := range []bool{
-			kv.Value.StringValue != nil, kv.Value.IntValue != nil,
-			kv.Value.DoubleValue != nil, kv.Value.BoolValue != nil,
-		} {
-			if present {
-				set++
-			}
-		}
-		if set != 1 {
-			return fmt.Errorf("attribute %q sets %d value fields, want exactly 1", kv.Key, set)
+		if (kv.Value.StringValue != nil) == (kv.Value.IntValue != nil) {
+			return fmt.Errorf("attribute %q sets no value field or both, want exactly 1", kv.Key)
 		}
 		if kv.Value.IntValue != nil {
 			if _, err := strconv.ParseInt(*kv.Value.IntValue, 10, 64); err != nil {

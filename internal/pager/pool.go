@@ -79,8 +79,8 @@ func (f *Frame) SetDecoded(v *any) { f.decoded.Store(v) }
 // paper's "node I/O" column.
 //
 // The pool is safe for concurrent use: all frame-table and store accesses
-// are serialized under an internal mutex, so multiple readers (e.g. the
-// partition workers of a parallel distance join) may share one pool. A
+// are serialized under an internal mutex, so multiple readers (e.g.
+// distjoind's cursors querying one shared index) may share one pool. A
 // pinned frame cannot be evicted, so the bytes returned by Frame.Data stay
 // valid (and, for read-only workloads, race-free) until Unpin. Concurrent
 // WRITERS of the same page must coordinate among themselves — the join

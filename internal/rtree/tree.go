@@ -62,8 +62,7 @@ var (
 // single-goroutine, but a fully built tree supports concurrent readers:
 // node reads and the search/join traversals built on them go through the
 // buffer pool, which serializes frame management internally — this is what
-// lets the parallel partitioned distance join share one tree among its
-// workers.
+// lets distjoind's cursors, each running its own query, share one index.
 //
 // A *Tree is a spatial.Index: R-tree levels already number upward from the
 // leaves (leaf = 0), as the interface asks.

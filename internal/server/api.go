@@ -308,7 +308,7 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 				flusher.Flush()
 			}
 		})
-		s.exportPullSpan(c, psc, parentSpan, start, "cursor stream", k, res)
+		s.exportPullSpan(c, psc, parentSpan, start, "cursor stream", res)
 		tr := streamTrailer{Done: res.done, Reported: res.reported, Truncated: res.truncated}
 		if res.err != nil {
 			tr.Error = res.err.Error()
@@ -322,7 +322,7 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 	}
 	sc.pairs = sc.pairs[:0]
 	res := s.pull(c, k, rctx, false, func(p PairJSON) { sc.pairs = append(sc.pairs, p) })
-	s.exportPullSpan(c, psc, parentSpan, start, "cursor next", k, res)
+	s.exportPullSpan(c, psc, parentSpan, start, "cursor next", res)
 	if res.err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(res.err, distjoin.ErrCanceled) {

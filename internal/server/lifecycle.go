@@ -103,7 +103,6 @@ type cursor struct {
 	retiring string // tombstone reason named by retire; eviction follows the lease
 	deadline time.Time
 	reported int64
-	pulls    int64
 }
 
 // pullResult is what one pull found, and the cursor's books after it.
@@ -113,7 +112,6 @@ type pullResult struct {
 	truncated string // soft stop reason: the pull ended short of k, cursor still open
 	err       error  // terminal engine error
 
-	seq      int64 // this pull's ordinal on its cursor
 	reported int64
 	expires  time.Time
 }
@@ -155,10 +153,9 @@ func (s *Server) lease(id string) (*cursor, *httpError) {
 func (s *Server) release(c *cursor, res *pullResult) {
 	c.mu.Lock()
 	c.leased = false
-	c.pulls++
 	c.reported += res.n
 	c.deadline = s.now().Add(s.cfg.TTL)
-	res.seq, res.reported, res.expires = c.pulls, c.reported, c.deadline
+	res.reported, res.expires = c.reported, c.deadline
 	if c.state == cursorOpen && (res.done || res.err != nil) {
 		c.end(res.err)
 	}

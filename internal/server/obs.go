@@ -159,10 +159,10 @@ func (s *Server) pullSpanStart(r *http.Request, c *cursor) (psc qtrace.SpanConte
 	}, anchor.SpanID
 }
 
-// exportPullSpan exports the pull's server span: result-annotated, linked to
-// the cursor's query span (whose engine span tree the tracer's OnComplete
-// exports when the cursor finishes).
-func (s *Server) exportPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace.SpanID, start time.Time, name string, k int, res pullResult) {
+// exportPullSpan exports the pull's server span: annotated with the pairs it
+// delivered, linked to the cursor's query span (whose engine span tree the
+// tracer's OnComplete exports when the cursor finishes).
+func (s *Server) exportPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace.SpanID, start time.Time, name string, res pullResult) {
 	if s.cfg.Exporter == nil || !psc.Valid() {
 		return
 	}
@@ -176,17 +176,10 @@ func (s *Server) exportPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace
 		Start:      start,
 		End:        time.Now(),
 		Attrs: []otlpexport.Attr{
-			otlpexport.Str("distjoin.cursor", c.id),
 			otlpexport.Str("distjoin.query.id", c.id),
-			otlpexport.Int("distjoin.pull.seq", res.seq),
-			otlpexport.Int("distjoin.pull.k", int64(k)),
 			otlpexport.Int("distjoin.pull.pairs", res.n),
-			otlpexport.Bool("distjoin.pull.done", res.done),
 		},
 		StatusCode: otlpexport.StatusOK,
-	}
-	if res.truncated != "" {
-		sp.Attrs = append(sp.Attrs, otlpexport.Str("distjoin.pull.truncated", res.truncated))
 	}
 	if res.err != nil {
 		sp.StatusCode = otlpexport.StatusError

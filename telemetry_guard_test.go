@@ -2,16 +2,28 @@ package distjoin_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"distjoin"
+	"distjoin/internal/datagen"
+	"distjoin/internal/obs"
+	"distjoin/internal/otlpexport"
+	"distjoin/internal/qtrace"
+	"distjoin/internal/server"
 )
 
 // telemetryPackages are the packages that know about telemetry sinks. The
@@ -216,12 +228,15 @@ func TestOneConstructorFamily(t *testing.T) {
 // server's, and every telemetry package. It was 3,813 lines once the SLO
 // was one counter, 3,675 once the mock OTLP collector left the exporter for
 // internal/otlptest, 3,654 before the parallel path went and 3,474 once the
-// partition gauges, the merge meter and the merge span went with it;
-// footprintBound is its line count once the query became the unit of
-// telemetry — one meter per query, one closing report per trace, no
-// per-engine run factory and no node-I/O slow-log threshold — (3,373) plus
-// 2 % slack.
-const footprintBound = 3440
+// partition gauges, the merge meter and the merge span went with it, and
+// 3,373 once the query became the unit of telemetry — one meter per query,
+// one closing report per trace, no per-engine run factory and no node-I/O
+// slow-log threshold. footprintBound is its line count after the sweep that
+// kept only the names a test or CI step reads — no engine start/stop
+// tallies, no Snapshot copies of the counts, no unread /metrics family or
+// OTLP attribute, the inter-pair delay kept per query — (3,274) plus 2 %
+// slack.
+const footprintBound = 3339
 
 func TestTelemetryFootprint(t *testing.T) {
 	count := func(files []string) (n int) {
@@ -246,5 +261,133 @@ func TestTelemetryFootprint(t *testing.T) {
 	t.Logf("telemetry file set: %d non-test lines (4946 before the meter); with engine/blockqueue/tier/pool: %d", tel, tel+car)
 	if tel > footprintBound {
 		t.Errorf("telemetry file set grew to %d lines, bound %d: delete something, or move the bound and say why", tel, footprintBound)
+	}
+}
+
+// flakyStore fails its first page write with a transient error, once.
+type flakyStore struct {
+	distjoin.PageStore
+	failed bool
+}
+
+func (s *flakyStore) WritePage(id distjoin.PageID, buf []byte) error {
+	if !s.failed {
+		s.failed = true
+		return fmt.Errorf("flaky store: %w", distjoin.ErrTransientIO)
+	}
+	return s.PageStore.WritePage(id, buf)
+}
+
+// TestMetricsFamiliesMatchDesign scrapes a full /metrics exposition — the
+// Recorder, the query tracer, RED, the OTLP exporter and the server's
+// saturation gauges — and holds the set of its families to the table of
+// DESIGN.md §8.7, so that a family cannot be added or removed without the
+// reference. The Recorder is fed by a hybrid-queue join whose store fails one
+// write transiently (retried) and by a query canceled mid-run; the families
+// that answer §8.6's work, disk-tier and cancellation questions must print
+// what a Stats view attached to the same runs holds.
+func TestMetricsFamiliesMatchDesign(t *testing.T) {
+	water := distjoin.NewIndexFromPoints(datagen.Water(5, 600))
+	defer water.Close()
+	roads := distjoin.NewIndexFromPoints(datagen.Roads(6, 900))
+	defer roads.Close()
+	rec, c := distjoin.NewRecorder(distjoin.ObsConfig{}), &distjoin.Stats{}
+	qt := qtrace.New(qtrace.Config{})
+	// drain runs a join to its end or its first error, calling cancel once
+	// it has delivered cancelAt pairs.
+	drain := func(opts distjoin.Options, cancelAt int, cancel func()) (pairs int, err error) {
+		j, err := distjoin.DistanceJoinIndexes(water.AsSpatialIndex(), roads.AsSpatialIndex(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		for {
+			if pairs == cancelAt {
+				cancel()
+			}
+			_, ok, err := j.Next()
+			if err != nil || !ok {
+				return pairs, err
+			}
+			pairs++
+		}
+	}
+	var store *flakyStore
+	hybrid := distjoin.Options{
+		Counters: c, Obs: rec, Tracer: qt, MaxPairs: 2000,
+		Queue: distjoin.QueueHybrid, HybridDT: 1, QueuePageSize: 256,
+		RetryIO: distjoin.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+		QueueStore: func(pageSize int) (distjoin.PageStore, error) {
+			mem, err := distjoin.NewMemPageStore(pageSize)
+			store = &flakyStore{PageStore: mem}
+			return store, err
+		},
+	}
+	if n, err := drain(hybrid, -1, nil); err != nil || n != 2000 || store == nil || !store.failed {
+		t.Fatalf("hybrid join: %d pairs, err %v; want 2000 pairs past one retried write", n, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	if n, err := drain(distjoin.Options{Counters: c, Obs: rec, Tracer: qt, Context: ctx}, 10, cancel); n != 10 || !errors.Is(err, distjoin.ErrCanceled) {
+		t.Fatalf("canceled join: %d pairs, err %v; want ErrCanceled after 10", n, err)
+	}
+
+	red := obs.NewRED()
+	red.Observe("next", 200, time.Millisecond, "q0000001")
+	exp := otlpexport.New(otlpexport.Config{Endpoint: "http://127.0.0.1:1/v1/traces"})
+	defer exp.Close()
+	srv := server.NewServer(server.Config{})
+	defer srv.Close()
+	var b strings.Builder
+	obs.WriteMetricsTraced(&b, rec, qt, red.WritePrometheus, exp.WritePrometheus, srv.WritePrometheus)
+	scrape := b.String()
+
+	got := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^# TYPE (\S+) `).FindAllStringSubmatch(scrape, -1) {
+		got[m[1]] = true
+	}
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := string(doc)
+	start := strings.Index(ref, "### 8.7 ")
+	end := strings.Index(ref[start:], "Per-query numbers")
+	if start < 0 || end < 0 {
+		t.Fatal("DESIGN.md has no §8.7 family table")
+	}
+	want := map[string]bool{}
+	for _, line := range strings.Split(ref[start:start+end], "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(line, "| `") {
+			for _, m := range regexp.MustCompile("`(distjoind?_[a-z_]+)`").FindAllStringSubmatch(cells[1], -1) {
+				want[m[1]] = true
+			}
+		}
+	}
+	for name := range got {
+		if !want[name] {
+			t.Errorf("/metrics family %s is not in DESIGN.md §8.7", name)
+		}
+	}
+	for name := range want {
+		if !got[name] {
+			t.Errorf("DESIGN.md §8.7 lists %s, which /metrics does not expose", name)
+		}
+	}
+
+	s := c.Snapshot()
+	for family, v := range map[string]int64{
+		"distjoin_io_retries_total":          s.IORetries,
+		"distjoin_queue_spilled_pairs_total": s.QueueDiskPairs,
+		"distjoin_queries_canceled_total":    s.Cancellations,
+		"distjoin_stats_dist_calcs_total":    s.DistCalcs,
+		"distjoin_stats_queue_inserts_total": s.QueueInserts,
+		"distjoin_stats_max_queue_size":      s.MaxQueueSize,
+	} {
+		if v <= 0 || !strings.Contains(scrape, fmt.Sprintf("\n%s %d\n", family, v)) {
+			t.Errorf("/metrics lacks %s %d (the Stats view of the same runs)", family, v)
+		}
+	}
+	if s.IORetries != 1 || s.Cancellations != 1 {
+		t.Errorf("Stats view: %d retries, %d cancellations; want 1 and 1", s.IORetries, s.Cancellations)
 	}
 }
