@@ -38,10 +38,11 @@ import (
 	"distjoin/internal/qtrace"
 )
 
-// slowPull identifies one of the slowest pulls of a run: its latency and
-// the distributed-trace id to look it up with — at the OTLP collector, or
-// via /debug/queries with the cursor id. (distjoind logs a successful pull
-// at debug level only.)
+// slowPull identifies one of the slowest pulls of a run: its latency, the
+// distributed-trace id it answered in, and the cursor id, whose
+// /debug/queries/<cursor> document holds the session's pulls and engine
+// spans under that trace id. (distjoind logs a successful pull at debug
+// level only.)
 type slowPull struct {
 	TraceID string        `json:"trace_id"`
 	Cursor  string        `json:"cursor"`

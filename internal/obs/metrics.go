@@ -23,8 +23,8 @@ import (
 // are served as JSON by QueriesHandler, not as labeled families: a label per
 // query id is unbounded cardinality). Each extra, if any, is invoked in order
 // after the built-in families — the hook other subsystems (RED middleware,
-// OTLP exporter, the server's saturation gauges) use to join the same
-// exposition without obs importing them.
+// the server's saturation gauges) use to join the same exposition without
+// obs importing them.
 func WriteMetricsTraced(w io.Writer, r *Recorder, qt *qtrace.Tracer, extras ...func(io.Writer)) {
 	buildinfo.WritePrometheus(w)
 	if r != nil {

@@ -62,9 +62,7 @@ func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
 // retryable are re-attempted with exponential backoff until the attempt
 // budget is exhausted or Done closes, exactly as RetryStore does for
 // storage operations. op names the operation for the OnFault/OnRetry
-// observers. Do is the policy's generic retry loop — the OTLP span
-// exporter reuses it for HTTP 429/5xx backoff by wrapping retryable
-// response codes in ErrTransient.
+// observers.
 func (p RetryPolicy) Do(op string, f func() error) error {
 	if p.Multiplier < 1 {
 		p.Multiplier = 2

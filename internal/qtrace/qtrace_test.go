@@ -176,6 +176,14 @@ func TestSlowLogGating(t *testing.T) {
 		if n := countLines(&buf); n != 2 {
 			t.Fatalf("unthresholded slow log has %d lines, want 2", n)
 		}
+		first, _, _ := strings.Cut(buf.String(), "\n")
+		var qt QueryTrace
+		if err := json.Unmarshal([]byte(first), &qt); err != nil {
+			t.Fatalf("slow log line is not valid JSON: %v", err)
+		}
+		if qt.ID != "a" || qt.Root.Find("plan") == nil {
+			t.Fatalf("slow log trace = %+v", qt)
+		}
 	})
 	t.Run("wall-threshold", func(t *testing.T) {
 		var buf bytes.Buffer
@@ -186,24 +194,6 @@ func TestSlowLogGating(t *testing.T) {
 		}
 		if n := countLines(&buf); n != 0 {
 			t.Fatalf("fast query logged %d lines under 1h threshold", n)
-		}
-	})
-	t.Run("counter-threshold", func(t *testing.T) {
-		var buf bytes.Buffer
-		tr := New(Config{SlowLog: &buf, SlowWall: time.Hour, SlowDistCalcs: 1})
-		runQuery(tr, "join", "heavy", nil) // performs 1 dist calc
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if n := countLines(&buf); n != 1 {
-			t.Fatalf("dist-calc-gated slow log has %d lines, want 1", n)
-		}
-		var qt QueryTrace
-		if err := json.Unmarshal(bytes.TrimSpace(buf.Bytes()), &qt); err != nil {
-			t.Fatalf("slow log line is not valid JSON: %v", err)
-		}
-		if qt.ID != "heavy" || qt.Root.Find("plan") == nil {
-			t.Fatalf("slow log trace = %+v", qt)
 		}
 	})
 }
@@ -221,19 +211,29 @@ func countLines(buf *bytes.Buffer) int {
 // TestTraceMatchesSchema validates a marshalled trace against the
 // checked-in JSON schema (testdata/querytrace.schema.json) with a
 // dependency-free draft-07 subset validator — the same schema the CI smoke
-// step checks /debug/queries dumps against.
+// step checks /debug/queries dumps against. The served cursor's trace
+// carries the pull tally its PreFinish registered, and Finish consumes the
+// registration.
 func TestTraceMatchesSchema(t *testing.T) {
 	schema := loadSchema(t)
 	tr := New(Config{})
 	for _, tc := range []struct {
-		kind string
-		err  error
+		kind, id string
+		err      error
+		pulls    int64
 	}{
-		{"join", nil},
-		{"knn", nil},
-		{"semijoin", errors.New("injected fault")},
+		{"join", "", nil, 0},
+		{"knn", "", nil, 0},
+		{"semijoin", "", errors.New("injected fault"), 0},
+		{"join", "c0000001", nil, 3},
 	} {
-		qt := runQuery(tr, tc.kind, "", tc.err)
+		if tc.pulls > 0 {
+			tr.PreFinish(tc.id, tc.pulls, time.Duration(tc.pulls)*time.Millisecond)
+		}
+		qt := runQuery(tr, tc.kind, tc.id, tc.err)
+		if qt.Pulls != tc.pulls || qt.PullSeconds != float64(tc.pulls)/1000 {
+			t.Errorf("%s %q: pulls %d in %g s, want %d in %g s", tc.kind, tc.id, qt.Pulls, qt.PullSeconds, tc.pulls, float64(tc.pulls)/1000)
+		}
 		raw, err := json.Marshal(qt)
 		if err != nil {
 			t.Fatal(err)
@@ -245,6 +245,9 @@ func TestTraceMatchesSchema(t *testing.T) {
 		if err := validate(schema, schema, doc, "$"); err != nil {
 			t.Errorf("%s trace violates schema: %v\n%s", tc.kind, err, raw)
 		}
+	}
+	if n := len(tr.pulls); n != 0 {
+		t.Errorf("%d pull registrations left after every query finished", n)
 	}
 }
 
@@ -260,6 +263,7 @@ func TestSchemaRejectsBadDocs(t *testing.T) {
 		"string-wall":     func(m map[string]any) { m["wall_seconds"] = "fast" },
 		"bad-span-name":   func(m map[string]any) { m["root"].(map[string]any)["name"] = "mystery" },
 		"float-resources": func(m map[string]any) { m["resources"].(map[string]any)["node_io"] = 1.5 },
+		"float-pulls":     func(m map[string]any) { m["pulls"] = 1.5 },
 	} {
 		var doc map[string]any
 		if err := json.Unmarshal(good, &doc); err != nil {

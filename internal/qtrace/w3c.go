@@ -13,8 +13,9 @@ import (
 // the traceparent/tracestate wire format, hand-rolled so the query service
 // can join distributed traces without any OpenTelemetry dependency. A
 // client's inbound traceparent becomes the ancestor of the cursor's query
-// trace; every response echoes a traceparent so multi-pull sessions stitch
-// into one trace at whatever collector the OTLP exporter ships to.
+// trace, and every response of a cursor session echoes the query span's
+// traceparent, so the client can file the whole session under its own
+// trace and find the server's side at /debug/queries/<cursor id>.
 
 // TraceID is the 16-byte W3C trace identifier shared by every span of one
 // distributed trace.
@@ -35,9 +36,9 @@ func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 // String returns the id as 16 lowercase hex digits.
 func (s SpanID) String() string { return hex.EncodeToString(s[:]) }
 
-// ParseTraceID parses 32 hex digits; ok is false for malformed or all-zero
+// parseTraceID parses 32 hex digits; ok is false for malformed or all-zero
 // input.
-func ParseTraceID(s string) (TraceID, bool) {
+func parseTraceID(s string) (TraceID, bool) {
 	var t TraceID
 	if len(s) != 32 {
 		return t, false
@@ -48,9 +49,9 @@ func ParseTraceID(s string) (TraceID, bool) {
 	return t, !t.IsZero()
 }
 
-// ParseSpanID parses 16 hex digits; ok is false for malformed or all-zero
+// parseSpanID parses 16 hex digits; ok is false for malformed or all-zero
 // input.
-func ParseSpanID(s string) (SpanID, bool) {
+func parseSpanID(s string) (SpanID, bool) {
 	var id SpanID
 	if len(s) != 16 {
 		return id, false
@@ -125,11 +126,11 @@ func ParseTraceParent(s string) (SpanContext, bool) {
 	if s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return SpanContext{}, false
 	}
-	tid, ok := ParseTraceID(s[3:35])
+	tid, ok := parseTraceID(s[3:35])
 	if !ok {
 		return SpanContext{}, false
 	}
-	sid, ok := ParseSpanID(s[36:52])
+	sid, ok := parseSpanID(s[36:52])
 	if !ok {
 		return SpanContext{}, false
 	}

@@ -92,8 +92,8 @@ type CreateResponse struct {
 	ExpiresAt string `json:"expires_at"`
 	// TraceParent is the W3C context of the cursor's query span — a child
 	// of the traceparent the request carried, or a fresh trace root. Echoed
-	// in the traceparent response header too; clients that keep sending
-	// their own context on pulls stitch the whole session into one trace.
+	// in the traceparent response header too, of this response and of
+	// every pull, so the whole session answers in one trace.
 	TraceParent string `json:"traceparent,omitempty"`
 }
 
@@ -175,9 +175,9 @@ func inboundContext(r *http.Request) qtrace.SpanContext {
 	return sc
 }
 
-// echoTrace stamps the response with the span context the server minted
-// for this request plus the cursor's query id, so clients (and the request
-// log) can correlate the HTTP exchange with the exported trace.
+// echoTrace stamps the response with the cursor's query span context and
+// query id, so clients (and the request log) can correlate the HTTP
+// exchange with the query trace at /debug/queries/<id>.
 func echoTrace(w http.ResponseWriter, sc qtrace.SpanContext, queryID string) {
 	if tp := sc.TraceParent(); tp != "" {
 		w.Header().Set("Traceparent", tp)
@@ -284,12 +284,7 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 		writeErr(w, e)
 		return
 	}
-	// Pull span identity up front: the response headers carry it (echoed
-	// before any body byte), the span itself is exported once the pull's
-	// outcome is known.
-	start := time.Now()
-	psc, parentSpan := s.pullSpanStart(r, c)
-	echoTrace(w, psc, c.id)
+	echoTrace(w, c.sc, c.id)
 
 	// The pull's answer is encoded into scratch memory reused across pulls
 	// (the encoder writes what json.Encoder.Encode would; see encode.go).
@@ -308,7 +303,6 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 				flusher.Flush()
 			}
 		})
-		s.exportPullSpan(c, psc, parentSpan, start, "cursor stream", res)
 		tr := streamTrailer{Done: res.done, Reported: res.reported, Truncated: res.truncated}
 		if res.err != nil {
 			tr.Error = res.err.Error()
@@ -322,7 +316,6 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request, id string, s
 	}
 	sc.pairs = sc.pairs[:0]
 	res := s.pull(c, k, rctx, false, func(p PairJSON) { sc.pairs = append(sc.pairs, p) })
-	s.exportPullSpan(c, psc, parentSpan, start, "cursor next", res)
 	if res.err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(res.err, distjoin.ErrCanceled) {

@@ -77,11 +77,11 @@ type cursor struct {
 	index2  string
 	created time.Time
 
-	// sc is the query span's W3C context (minted by PreBegin at creation);
-	// client is the inbound traceparent that parented it, zero when the
-	// create request carried none.
+	// sc is the query span's W3C context (minted by PreBegin at creation),
+	// which every response about the cursor echoes; tracer is the one the
+	// engine reports to (nil: untraced).
 	sc     qtrace.SpanContext
-	client qtrace.SpanContext
+	tracer *qtrace.Tracer
 
 	// The engine. The iterator it belongs to the lease holder — or, while
 	// no lease is out, to whoever holds mu — and is nil once closed.
@@ -103,6 +103,11 @@ type cursor struct {
 	retiring string // tombstone reason named by retire; eviction follows the lease
 	deadline time.Time
 	reported int64
+	// The pull tally the query trace gets when the engine closes: leases
+	// taken and their summed time from lease to release.
+	leasedAt time.Time
+	pulls    int64
+	pullTime time.Duration
 }
 
 // pullResult is what one pull found, and the cursor's books after it.
@@ -133,10 +138,10 @@ func (s *Server) lease(id string) (*cursor, *httpError) {
 		case c.state == cursorGone: // evicted between lookup and here
 			e = goneError(id, c.retiring)
 		default:
-			c.leased = true
+			c.leased, c.leasedAt = true, s.now()
 			// Renewed at both ends of a pull, so a long stream is not
 			// expired under the janitor more often than necessary.
-			c.deadline = s.now().Add(s.cfg.TTL)
+			c.deadline = c.leasedAt.Add(s.cfg.TTL)
 		}
 		c.mu.Unlock()
 	}
@@ -152,9 +157,12 @@ func (s *Server) lease(id string) (*cursor, *httpError) {
 // that arrived mid-pull is carried out.
 func (s *Server) release(c *cursor, res *pullResult) {
 	c.mu.Lock()
+	now := s.now()
 	c.leased = false
+	c.pulls++
+	c.pullTime += now.Sub(c.leasedAt)
 	c.reported += res.n
-	c.deadline = s.now().Add(s.cfg.TTL)
+	c.deadline = now.Add(s.cfg.TTL)
 	res.reported, res.expires = c.reported, c.deadline
 	if c.state == cursorOpen && (res.done || res.err != nil) {
 		c.end(res.err)
@@ -207,6 +215,8 @@ func (c *cursor) end(err error) {
 	if err != nil {
 		c.state = cursorFailed
 	}
+	// The trace lands as the engine closes, with the pulls so far.
+	c.tracer.PreFinish(c.id, c.pulls, c.pullTime)
 	// Abort annotates the query trace with err even when the engine never
 	// saw it (a recovered panic); the engine's own latched error wins.
 	c.closeErr = c.it.Abort(err)

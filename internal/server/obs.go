@@ -8,15 +8,14 @@ import (
 	"strings"
 	"time"
 
-	"distjoin/internal/otlpexport"
 	"distjoin/internal/qtrace"
 )
 
 // HTTP-layer observability: the RED/logging middleware every request passes
-// through, and the per-pull OTLP server spans that stitch a cursor's HTTP
-// session into the client's distributed trace. All of it is optional —
-// Config.Logger, Config.RED and Config.Exporter may each be nil — and the
-// handlers never block on any of it.
+// through, and the saturation gauges. Both are optional — Config.Logger and
+// Config.RED may each be nil — and the handlers never block on either.
+// A cursor's pulls reach its query trace through the lifecycle (lease,
+// release, end), not through this layer.
 
 // statusWriter captures the response status for the middleware. It always
 // implements http.Flusher (a no-op when the underlying writer cannot
@@ -131,66 +130,6 @@ func (s *Server) observeMiddleware(h http.Handler) http.Handler {
 			slog.String("query", query),
 		)
 	})
-}
-
-// pullSpanStart mints the identity of one pull's server span. The span
-// joins, in order of preference: the trace context this pull request itself
-// carried, the client context that created the cursor, or the cursor's own
-// query span — so a client that propagates context per request gets exact
-// per-pull parentage, and one that only traced the create still gets every
-// pull under its root. Returns the pull span's context (for the response
-// echo) and its parent span id.
-func (s *Server) pullSpanStart(r *http.Request, c *cursor) (psc qtrace.SpanContext, parent qtrace.SpanID) {
-	anchor := inboundContext(r)
-	if !anchor.Valid() {
-		anchor = c.client
-	}
-	if !anchor.Valid() {
-		anchor = c.sc
-	}
-	if !anchor.Valid() {
-		return qtrace.SpanContext{}, qtrace.SpanID{}
-	}
-	return qtrace.SpanContext{
-		TraceID: anchor.TraceID,
-		SpanID:  qtrace.NewSpanID(),
-		Flags:   anchor.Flags,
-		State:   anchor.State,
-	}, anchor.SpanID
-}
-
-// exportPullSpan exports the pull's server span: annotated with the pairs it
-// delivered, linked to the cursor's query span (whose engine span tree the
-// tracer's OnComplete exports when the cursor finishes).
-func (s *Server) exportPullSpan(c *cursor, psc qtrace.SpanContext, parent qtrace.SpanID, start time.Time, name string, res pullResult) {
-	if s.cfg.Exporter == nil || !psc.Valid() {
-		return
-	}
-	sp := otlpexport.Span{
-		TraceID:    psc.TraceID,
-		SpanID:     psc.SpanID,
-		Parent:     parent,
-		TraceState: psc.State,
-		Name:       name,
-		Kind:       otlpexport.KindServer,
-		Start:      start,
-		End:        time.Now(),
-		Attrs: []otlpexport.Attr{
-			otlpexport.Str("distjoin.query.id", c.id),
-			otlpexport.Int("distjoin.pull.pairs", res.n),
-		},
-		StatusCode: otlpexport.StatusOK,
-	}
-	if res.err != nil {
-		sp.StatusCode = otlpexport.StatusError
-		sp.StatusMsg = res.err.Error()
-	}
-	// Cross-reference the query span unless it is already this span's direct
-	// parent (no traceparent anywhere: the pull hangs off the query span).
-	if c.sc.Valid() && c.sc.SpanID != parent {
-		sp.Links = append(sp.Links, otlpexport.Link{TraceID: c.sc.TraceID, SpanID: c.sc.SpanID})
-	}
-	s.cfg.Exporter.EnqueueSpans([]otlpexport.Span{sp})
 }
 
 // WritePrometheus prints the service's two saturation signals — cursor-table

@@ -21,9 +21,9 @@
 // in-flight semaphore answers 429 — so overload degrades into fast refusals
 // instead of queue collapse. Every cursor runs under a per-query trace
 // (internal/qtrace): its cursor id doubles as the query id, so
-// /debug/queries/{id} serves the span tree and resource accounting of a
-// finished cursor, and slow or failed cursors land in the slow-query log
-// and flight recorder exactly like in-process runs.
+// /debug/queries/{id} serves the span tree, resource accounting and pull
+// tally of a finished cursor, and slow or failed cursors land in the
+// slow-query log and flight recorder exactly like in-process runs.
 //
 // The package is four files along the seams of that design: api.go (wire
 // types and handlers), lifecycle.go (cursor, lease/release/retire, table,
@@ -46,7 +46,6 @@ import (
 
 	"distjoin"
 	"distjoin/internal/obs"
-	"distjoin/internal/otlpexport"
 )
 
 // Defaults for Config's zero fields.
@@ -105,11 +104,6 @@ type Config struct {
 	// histograms plus the count of pulls that miss the latency SLO; mount it
 	// on /metrics via obs.HandlerTraced extras. May be nil.
 	RED *obs.RED
-	// Exporter receives one OTLP server span per pull, linked to the
-	// cursor's query span, so multi-pull sessions stitch into one
-	// distributed trace (wire the same exporter as the tracer's OnComplete
-	// to ship the engine span trees too). May be nil (no span export).
-	Exporter *otlpexport.Exporter
 	// BaseOptions is the join-options template every cursor starts from;
 	// request fields override it. This is where operators (and tests)
 	// inject a QueueStore factory, RetryIO policy, profiling spans, or a
@@ -281,8 +275,7 @@ func (s *Server) openCursor(r *http.Request) (*cursor, *httpError) {
 	// Register the trace identity before the engine begins: Begin adopts it,
 	// making the engine's span tree a child of the client's span (or a fresh
 	// trace root). Nil-safe — an untraced server still propagates context.
-	parent := inboundContext(r)
-	sc := opts.Tracer.PreBegin(id, parent)
+	sc := opts.Tracer.PreBegin(id, inboundContext(r))
 	it, err := openIterator(&req, si1, si2, opts)
 	if err != nil {
 		opts.Tracer.Unlink(id)
@@ -302,7 +295,7 @@ func (s *Server) openCursor(r *http.Request) (*cursor, *httpError) {
 		index2:   req.Index2,
 		created:  now,
 		sc:       sc,
-		client:   parent,
+		tracer:   opts.Tracer,
 		it:       it,
 		cancel:   cancel,
 		gone:     make(chan struct{}),

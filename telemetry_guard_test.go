@@ -21,14 +21,13 @@ import (
 	"distjoin"
 	"distjoin/internal/datagen"
 	"distjoin/internal/obs"
-	"distjoin/internal/otlpexport"
 	"distjoin/internal/qtrace"
 	"distjoin/internal/server"
 )
 
 // telemetryPackages are the packages that know about telemetry sinks. The
 // engine layers may reach them through exactly one door.
-var telemetryPackages = []string{"meter", "obs", "profile", "qtrace", "otlpexport", "stats"}
+var telemetryPackages = []string{"meter", "obs", "profile", "qtrace", "stats"}
 
 // nonTestGoFiles lists the non-test Go files under dir.
 func nonTestGoFiles(t *testing.T, dir string) []string {
@@ -226,17 +225,18 @@ func TestOneConstructorFamily(t *testing.T) {
 // The carriers are now the engine, its block queue and disk tier, and the
 // pool. The set is the root package's telemetry surface (obs.go), the
 // server's, and every telemetry package. It was 3,813 lines once the SLO
-// was one counter, 3,675 once the mock OTLP collector left the exporter for
-// internal/otlptest, 3,654 before the parallel path went and 3,474 once the
+// was one counter, 3,675 once the mock trace collector left the span
+// exporter for a test-support package, 3,654 before the parallel path went and 3,474 once the
 // partition gauges, the merge meter and the merge span went with it, and
 // 3,373 once the query became the unit of telemetry — one meter per query,
 // one closing report per trace, no per-engine run factory and no node-I/O
-// slow-log threshold. footprintBound is its line count after the sweep that
-// kept only the names a test or CI step reads — no engine start/stop
-// tallies, no Snapshot copies of the counts, no unread /metrics family or
-// OTLP attribute, the inter-pair delay kept per query — (3,274) plus 2 %
-// slack.
-const footprintBound = 3339
+// slow-log threshold, and 3,274 after the sweep that kept only the names a
+// test or CI step reads — no engine start/stop tallies, no Snapshot copies
+// of the counts, no unread /metrics family or span attribute, the
+// inter-pair delay kept per query. footprintBound is its line count once
+// the span exporter went and a served query's trace counted its own pulls
+// instead (2,497) plus 2 % slack.
+const footprintBound = 2546
 
 func TestTelemetryFootprint(t *testing.T) {
 	count := func(files []string) (n int) {
@@ -279,8 +279,8 @@ func (s *flakyStore) WritePage(id distjoin.PageID, buf []byte) error {
 }
 
 // TestMetricsFamiliesMatchDesign scrapes a full /metrics exposition — the
-// Recorder, the query tracer, RED, the OTLP exporter and the server's
-// saturation gauges — and holds the set of its families to the table of
+// Recorder, the query tracer, RED and the server's saturation gauges — and
+// holds the set of its families to the table of
 // DESIGN.md §8.7, so that a family cannot be added or removed without the
 // reference. The Recorder is fed by a hybrid-queue join whose store fails one
 // write transiently (retried) and by a query canceled mid-run; the families
@@ -333,12 +333,10 @@ func TestMetricsFamiliesMatchDesign(t *testing.T) {
 
 	red := obs.NewRED()
 	red.Observe("next", 200, time.Millisecond, "q0000001")
-	exp := otlpexport.New(otlpexport.Config{Endpoint: "http://127.0.0.1:1/v1/traces"})
-	defer exp.Close()
 	srv := server.NewServer(server.Config{})
 	defer srv.Close()
 	var b strings.Builder
-	obs.WriteMetricsTraced(&b, rec, qt, red.WritePrometheus, exp.WritePrometheus, srv.WritePrometheus)
+	obs.WriteMetricsTraced(&b, rec, qt, red.WritePrometheus, srv.WritePrometheus)
 	scrape := b.String()
 
 	got := map[string]bool{}
