@@ -74,11 +74,9 @@ func (s *Server) buildOptions(req *QueryRequest, queryID string) (distjoin.Optio
 	if s.cfg.Tracer != nil && opts.Tracer == nil {
 		opts.Tracer = s.cfg.Tracer
 	}
-	if opts.Tracer != nil && opts.QueryID == "" {
-		// Cursor id doubles as query id — and as the key the createCursor
-		// PreBegin registration is consumed under.
-		opts.QueryID = queryID
-	}
+	// Cursor id doubles as query id, even over a template's: it is the key
+	// the PreBegin and PreFinish registrations are consumed under.
+	opts.QueryID = queryID
 	return opts, nil
 }
 
